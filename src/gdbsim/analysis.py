@@ -29,13 +29,6 @@ from .simkit import Trace
 SETTINGS = ("MPNV", "1PNV", "MP1V", "1toM", "NtoM")
 FIGURES = ("6a", "6b", "6c", "6d")
 
-# Formulas that only an evaluator can apply; no run emits these shapes.
-EVALUATOR_ONLY = frozenset(
-    [("count", "MP1V", "ours")]
-    + [("time", s, w) for s in SETTINGS for w in ("base", "ours")]
-)
-
-
 class MissingField(GdbSimError):
     """A count or time formula needs a parameter that was not supplied."""
 

@@ -1,11 +1,18 @@
-"""Shared protocol types and the per-run bootstrap."""
+"""Shared protocol types, the per-run bootstrap and the protocol skeleton.
+
+Every driver follows the Brands-Chaum shape: commit_phase draws and
+commits each party's rapid nonces, the timed exchange sends through the
+one timing hook RunContext.send, open_phase decommits (signing when auth
+is on), and check_responses replays every response against the opened
+nonces before any bound is published.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import (
     GdbSimError,
@@ -14,10 +21,18 @@ from ..core import (
     Scenario,
     ensure_valid,
 )
-from ..crypto import KeyRegistry
+from ..crypto import (
+    Commitment,
+    KeyRegistry,
+    Opening,
+    OpeningMismatch,
+    UnknownKey,
+    commit,
+    open_commitment,
+)
+from ..estimate import active_distance
 from ..simkit import BroadcastChannel, Emission, Trace
-from ..threat import AdversaryPolicy, DetectionReport, Honest
-
+from ..threat import AdversaryPolicy, DetectionReport, SendIntent, apply_policy
 
 class ProtocolStall(GdbSimError):
     """A state machine is waiting on a message that can never arrive."""
@@ -62,6 +77,8 @@ METHOD_MULTIPARTY = "multiparty"
 class DbEstimate:
     """One directional distance bound produced by a run.
 
+    verified_auth (auth_ok in bounds.csv) is true iff auth is on and
+    every signature the run required from either endpoint verified.
     surplus marks bounds a composite protocol produced although nobody
     asked for them (intra-group pairs in a joint-group run).
     """
@@ -100,6 +117,17 @@ class RunResult:
         raise KeyError(f"no estimate {measurer} -> {target}")
 
 
+@dataclass(frozen=True)
+class RoundRecord:
+    """One timed round as the measuring node's clock saw it."""
+
+    index: int
+    challenge: int
+    response: int
+    t_send: float
+    t_recv: float
+
+
 @dataclass
 class RunContext:
     """Channel, RNG, and registry shared by one protocol execution."""
@@ -109,27 +137,28 @@ class RunContext:
     rng: random.Random
     registry: KeyRegistry
     slot_s: float
+    policies: Dict[NodeId, AdversaryPolicy]
     send_counters: Dict[NodeId, int] = field(default_factory=dict)
 
-    def next_send_index(self, node: NodeId) -> int:
-        """0-based count of this node's rapid-phase transmissions so far."""
-        i = self.send_counters.get(node, 0)
-        self.send_counters[node] = i + 1
-        return i
-
     def policy(self, node: NodeId) -> AdversaryPolicy:
-        return self.scenario.node(node).policy
+        return self.policies[node]
 
-    def is_honest(self, node: NodeId) -> bool:
-        return isinstance(self.policy(node), Honest)
+    def send(
+        self, node: NodeId, t_nominal: float, measurer: Optional[NodeId] = None
+    ) -> Tuple[float, bool]:
+        """The timing hook every rapid-phase send goes through.
 
-    @property
-    def alpha(self) -> float:
-        return self.scenario.config.alpha
-
-    @property
-    def c(self) -> float:
-        return self.scenario.config.c
+        Counts the send against the node's own rapid-phase counter and
+        lets its policy shift the emission; measurer names the node whose
+        measurement the send answers, which a targeted delay keys on.
+        Returns the emission time and whether it may precede its trigger.
+        """
+        index = self.send_counters.get(node, 0)
+        self.send_counters[node] = index + 1
+        shaped = apply_policy(
+            self.policies[node], SendIntent(node, index, t_nominal, measurer), self.rng
+        )
+        return shaped.t_nominal, shaped.allow_early
 
     def draw_bits(self, bit_len: int) -> int:
         return self.rng.getrandbits(bit_len) if bit_len else 0
@@ -161,8 +190,94 @@ def start_run(scenario: Scenario, zero_offsets: bool = False) -> RunContext:
             max_d = max(max_d, channel.dist(a, b))
     slot = 2.0 * max_d / scenario.config.c + scenario.config.alpha + 1e-6
     return RunContext(
-        scenario=scenario, channel=channel, rng=rng, registry=registry, slot_s=slot
+        scenario=scenario, channel=channel, rng=rng, registry=registry, slot_s=slot,
+        policies={n.id: n.policy for n in scenario.nodes},
     )
+
+
+Bundle = Tuple[Commitment, Opening]
+
+
+def commit_phase(
+    ctx: RunContext, counts: Mapping[NodeId, int], t: float, broadcast: bool = True
+) -> Tuple[Dict[NodeId, Tuple[int, ...]], Dict[NodeId, Bundle], float]:
+    """Each owner in turn draws its nonces, commits, and announces the digest.
+
+    counts maps every committing party, in announcement order, to the
+    number of rapid nonces it needs.  Every announcement takes its own
+    slot; with broadcast off the commitments travel outside the counted
+    messages and no slot is used.
+    """
+    bit_len = ctx.scenario.config.bit_len
+    nonces: Dict[NodeId, Tuple[int, ...]] = {}
+    bundles: Dict[NodeId, Bundle] = {}
+    for nid, count in counts.items():
+        nonces[nid] = tuple(ctx.draw_bits(bit_len) for _ in range(count))
+        bundles[nid] = commit(nonces[nid], bit_len, ctx.rng)
+        if broadcast:
+            ctx.channel.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
+            t += ctx.slot_s
+    return nonces, bundles, t
+
+
+def open_phase(
+    ctx: RunContext,
+    bundles: Mapping[NodeId, Bundle],
+    t: float,
+    sign: bool = True,
+    broadcast: bool = True,
+) -> float:
+    """Decommit phase: every owner opens, and signs when auth is on.
+
+    A signature covers the commitment digest, which binds the nonces.
+    An owner without a registered key, or whose signature does not
+    verify, stops the run with AuthFailure; an opening that does not
+    match its commitment stops it with CommitMismatch.  The ring passes
+    sign=False because it signs its report instead.  broadcast is as in
+    commit_phase.
+    """
+    auth = sign and ctx.scenario.config.auth_enabled
+    for nid, (commitment, opening) in bundles.items():
+        payload = opening.blinding + encode_value("o", 0, 0)
+        if auth:
+            try:
+                sig = ctx.registry.sign(nid, commitment.digest)
+            except UnknownKey as exc:
+                raise AuthFailure(f"node {nid} presented no registered key") from exc
+            if not ctx.registry.verify(nid, commitment.digest, sig):
+                raise AuthFailure(f"opening signature of node {nid} rejected")
+            payload += sig
+        if broadcast:
+            ctx.channel.broadcast(nid, t, "open", "post", payload=payload)
+            t += ctx.slot_s
+        try:
+            open_commitment(commitment, opening)
+        except OpeningMismatch as exc:
+            raise CommitMismatch(f"node {nid}: {exc}") from exc
+    return t
+
+
+def beacons(ctx: RunContext, senders: Sequence[NodeId], phase: str, count: int, t: float) -> float:
+    """Framing beacons 1 .. count-1; message 0 of the phase is the commit or open."""
+    for k in range(1, count):
+        for nid in senders:
+            ctx.channel.broadcast(nid, t, "beacon", phase, payload=encode_value("b", k, 0))
+            t += ctx.slot_s
+    return t
+
+
+def check_responses(
+    rounds: Sequence[RoundRecord], nonces: Sequence[int], offset: int, bit_len: int
+) -> None:
+    """Each response must be the challenge XOR the committed nonce."""
+    for r in rounds:
+        if r.response != response_bits(r.challenge, nonces[offset + r.index - 1], bit_len):
+            raise ResponseMismatch(r.index)
+
+
+def max_bound(rounds: Sequence[RoundRecord], alpha: float, c: float) -> float:
+    """Largest active bound over the rounds, the conservative estimate."""
+    return max(active_distance(r.t_send, r.t_recv, alpha, c) for r in rounds)
 
 
 def encode_value(kind: str, round_index: int, value: int) -> bytes:

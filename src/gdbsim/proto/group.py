@@ -19,23 +19,22 @@ from ..core import (
     Scenario,
     active_verifier_count,
 )
-from ..crypto import Commitment, Opening, UnknownKey, commit
+from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
-    AuthFailure,
     DbEstimate,
     METHOD_ACTIVE,
     METHOD_PASSIVE,
     NoActiveVerifier,
     RunContext,
     RunResult,
-    encode_value,
+    check_responses,
+    commit_phase,
+    open_phase,
     start_run,
 )
-from .onetomany import chain_estimates, check_chain_responses, run_chain
+from .onetomany import chain_estimates, run_chain
 from .pairwise import (
     ExchangeResult,
-    _check_responses,
-    _open_or_raise,
     observed_bound,
     passive_observations,
     run_exchange,
@@ -71,7 +70,7 @@ def _oneway_group_phase(
     nonces: Mapping[NodeId, Sequence[int]],
     cursors: Dict[NodeId, int],
     t: float,
-) -> Tuple[List[NodeId], Dict[Tuple[NodeId, NodeId], List[_Candidate]], List[Tuple[ExchangeResult, NodeId, int]], float]:
+) -> Tuple[Dict[Tuple[NodeId, NodeId], List[_Candidate]], List[Tuple[ExchangeResult, NodeId, int]], float]:
     """Sequential active exchanges plus everyone's passive pricing.
 
     The closing emission after each exchange's last response is what
@@ -99,12 +98,12 @@ def _oneway_group_phase(
                         (observed_bound(obs), METHOD_PASSIVE, len(obs))
                     )
             t = ex.t_end + ctx.slot_s
-    return selected, candidates, exchanges, t
+    return candidates, exchanges, t
 
 
 def _estimates_from_candidates(
     candidates: Mapping[Tuple[NodeId, NodeId], List[_Candidate]],
-    verified: Mapping[NodeId, bool],
+    auth: bool,
 ) -> List[DbEstimate]:
     """Conservative composite: the largest bound any source produced."""
     out: List[DbEstimate] = []
@@ -119,37 +118,9 @@ def _estimates_from_candidates(
         rounds = sum(k for _, _, k in cands)
         out.append(DbEstimate(
             measurer=w, target=p, bound_m=bound, method=method,
-            rounds_used=rounds, verified_auth=verified.get(p, False),
+            rounds_used=rounds, verified_auth=auth,
         ))
     return out
-
-
-def _open_and_sign(
-    ctx: RunContext,
-    owners: Sequence[NodeId],
-    bundles: Mapping[NodeId, Tuple[Commitment, Opening]],
-    t: float,
-) -> Tuple[Dict[NodeId, bool], float]:
-    """Decommit phase; owners sign their openings when auth is on."""
-    cfg = ctx.scenario.config
-    verified: Dict[NodeId, bool] = {}
-    for nid in owners:
-        payload = bundles[nid][1].blinding + encode_value("o", 0, 0)
-        if cfg.auth_enabled:
-            try:
-                sig = ctx.registry.sign(nid, bundles[nid][0].digest)
-            except UnknownKey as exc:
-                raise AuthFailure(f"node {nid} presented no registered key") from exc
-            if not ctx.registry.verify(nid, bundles[nid][0].digest, sig):
-                raise AuthFailure(f"opening signature of node {nid} rejected")
-            payload += sig
-            verified[nid] = True
-        else:
-            verified[nid] = False
-        ctx.channel.broadcast(nid, t, "open", "post", payload=payload)
-        t += ctx.slot_s
-        _open_or_raise(*bundles[nid])
-    return verified, t
 
 
 def run_mpnv(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
@@ -161,39 +132,23 @@ def run_mpnv(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
     2nNM all-active baseline.
     """
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    pool = sorted(n.id for n in s.with_role(Role.ACTIVE_VERIFIER))
-    watchers = sorted(n.id for n in s.verifiers())
-    provers = sorted(n.id for n in s.with_role(Role.PROVER))
-    exp = s.experiment
-    n_a = exp.n_a
-    d_a = exp.d_a
+    cfg = scenario.config
+    pool = sorted(n.id for n in scenario.with_role(Role.ACTIVE_VERIFIER))
+    watchers = sorted(n.id for n in scenario.verifiers())
+    provers = sorted(n.id for n in scenario.with_role(Role.PROVER))
+    n_a, d_a = scenario.experiment.n_a, scenario.experiment.d_a
 
-    a_count = active_verifier_count(d_a, len(watchers))
-    nonces: Dict[NodeId, Tuple[int, ...]] = {}
-    bundles: Dict[NodeId, Tuple[Commitment, Opening]] = {}
-    for p in provers:
-        nonces[p] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(a_count * n_a))
-        bundles[p] = commit(nonces[p], cfg.bit_len, ctx.rng)
-
-    t = ctx.slot_s
-    for p in provers:
-        chan.broadcast(p, t, "commit", "pre", payload=bundles[p][0].digest)
-        t += ctx.slot_s
-
+    need = active_verifier_count(d_a, len(watchers)) * n_a
+    nonces, bundles, t = commit_phase(ctx, {p: need for p in provers}, ctx.slot_s)
     cursors = {p: 0 for p in provers}
-    _, candidates, exchanges, t = _oneway_group_phase(
+    candidates, exchanges, t = _oneway_group_phase(
         ctx, watchers, pool, provers, n_a, d_a, nonces, cursors, t
     )
-
-    verified, t = _open_and_sign(ctx, provers, bundles, t)
+    open_phase(ctx, bundles, t)
     for ex, p, off in exchanges:
-        _check_responses(ex, nonces[p], off, cfg.bit_len)
-
-    estimates = _estimates_from_candidates(candidates, verified)
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+        check_responses(ex.rounds, nonces[p], off, cfg.bit_len)
+    estimates = _estimates_from_candidates(candidates, cfg.auth_enabled)
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
 def ntom_groups(scenario: Scenario) -> Tuple[List[NodeId], List[NodeId]]:
@@ -232,64 +187,38 @@ def run_ntom(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
 
 def _run_ntom_passive(scenario: Scenario, zero_offsets: bool) -> RunResult:
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    g1, g2 = ntom_groups(s)
-    exp = s.experiment
+    cfg = scenario.config
+    g1, g2 = ntom_groups(scenario)
+    exp = scenario.experiment
 
-    a1 = active_verifier_count(exp.d_1, len(g1))
-    a2 = active_verifier_count(exp.d_2, len(g2))
-    nonces: Dict[NodeId, Tuple[int, ...]] = {}
-    bundles: Dict[NodeId, Tuple[Commitment, Opening]] = {}
-    for p in g2:
-        nonces[p] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(a1 * exp.n_a1))
-    for p in g1:
-        nonces[p] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(a2 * exp.n_a2))
-    t = ctx.slot_s
-    for nid in (*g1, *g2):
-        bundles[nid] = commit(nonces[nid], cfg.bit_len, ctx.rng)
-        chan.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
-        t += ctx.slot_s
-
+    # each member answers the other group's active verifiers
+    g1_need = active_verifier_count(exp.d_2, len(g2)) * exp.n_a2
+    g2_need = active_verifier_count(exp.d_1, len(g1)) * exp.n_a1
+    nonces, bundles, t = commit_phase(
+        ctx, {**{v: g1_need for v in g1}, **{p: g2_need for p in g2}}, ctx.slot_s
+    )
     cursors = {nid: 0 for nid in (*g1, *g2)}
-    _, cand1, ex1, t = _oneway_group_phase(
+    candidates, ex1, t = _oneway_group_phase(
         ctx, g1, g1, g2, exp.n_a1, exp.d_1, nonces, cursors, t
     )
-    _, cand2, ex2, t = _oneway_group_phase(
+    cand2, ex2, t = _oneway_group_phase(
         ctx, g2, g2, g1, exp.n_a2, exp.d_2, nonces, cursors, t
     )
-
-    verified, t = _open_and_sign(ctx, [*g1, *g2], bundles, t)
+    open_phase(ctx, bundles, t)
     for ex, p, off in ex1 + ex2:
-        _check_responses(ex, nonces[p], off, cfg.bit_len)
-
-    candidates = dict(cand1)
+        check_responses(ex.rounds, nonces[p], off, cfg.bit_len)
     candidates.update(cand2)
-    estimates = _estimates_from_candidates(candidates, verified)
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+    estimates = _estimates_from_candidates(candidates, cfg.auth_enabled)
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
 def _run_ntom_onetomany(scenario: Scenario, zero_offsets: bool) -> RunResult:
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    g1, g2 = ntom_groups(s)
+    cfg = scenario.config
+    g1, g2 = ntom_groups(scenario)
     n = cfg.n
-    m = len(g2)
-
-    nonces: Dict[NodeId, Tuple[int, ...]] = {}
-    bundles: Dict[NodeId, Tuple[Commitment, Opening]] = {}
-    for v in g1:
-        nonces[v] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(n * (m + 1)))
-    for p in g2:
-        nonces[p] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(n * len(g1)))
-    t = ctx.slot_s
-    for nid in (*g1, *g2):
-        bundles[nid] = commit(nonces[nid], cfg.bit_len, ctx.rng)
-        chan.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
-        t += ctx.slot_s
+    counts = {**{v: n * (len(g2) + 1) for v in g1}, **{p: n * len(g1) for p in g2}}
+    nonces, bundles, t = commit_phase(ctx, counts, ctx.slot_s)
 
     cursors = {p: 0 for p in g2}
     estimates: List[DbEstimate] = []
@@ -300,12 +229,15 @@ def _run_ntom_onetomany(scenario: Scenario, zero_offsets: bool) -> RunResult:
             ctx, v, g2, n, nonces[v], 0, nonces, snapshot, t
         )
         checks.append((v_rounds, snapshot))
-        estimates.extend(chain_estimates(v, g2, v_rounds, p_rounds, cfg.alpha, cfg.c))
+        estimates.extend(chain_estimates(
+            v, g2, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
+        ))
         for p in g2:
             cursors[p] += n
         t = t_end + ctx.slot_s
 
-    verified, t = _open_and_sign(ctx, [*g1, *g2], bundles, t)
+    open_phase(ctx, bundles, t)
     for v_rounds, snapshot in checks:
-        check_chain_responses(v_rounds, nonces, snapshot, cfg.bit_len)
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+        for p in g2:
+            check_responses(v_rounds[p], nonces[p], snapshot[p], cfg.bit_len)
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

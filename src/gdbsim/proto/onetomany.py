@@ -13,28 +13,22 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..core import NodeId, Role, Scenario
-from ..crypto import Commitment, Opening, commit
-from ..estimate import active_distance
-from ..threat import SelectiveDelay, SendIntent, apply_policy
+from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
+from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     DbEstimate,
     METHOD_ACTIVE,
-    ResponseMismatch,
+    RoundRecord,
     RunContext,
     RunResult,
+    check_responses,
+    commit_phase,
     encode_value,
+    max_bound,
+    open_phase,
     response_bits,
     start_run,
 )
-from .pairwise import RoundRecord, _open_or_raise
-
-
-def _shaped_send(ctx: RunContext, node: NodeId, t_nominal: float) -> Tuple[float, bool]:
-    intent = SendIntent(
-        sender=node, send_index=ctx.next_send_index(node), t_nominal=t_nominal
-    )
-    shaped = apply_policy(ctx.policy(node), intent, ctx.rng)
-    return shaped.t_nominal, shaped.allow_early
 
 
 def run_chain(
@@ -68,12 +62,12 @@ def run_chain(
             v_non = v_nonces[v_used]
             v_used += 1
             value = v_non if msg_index == 0 else response_bits(v_non, prev_value, cfg.bit_len)
-            t_actual, early_ok = _shaped_send(ctx, v, t_nominal)
+            t_actual, early = ctx.send(v, t_nominal)
             msg_index += 1
             ch = chan.broadcast(
                 v, t_actual, "challenge", "rapid",
                 payload=encode_value("m", msg_index, value), round_index=i,
-                allow_early=early_ok,
+                allow_early=early,
             )
             if j > 1:
                 prev_p = responders[j - 2]
@@ -85,17 +79,13 @@ def run_chain(
                 )
             prev_value = value
 
-            pol = ctx.policy(pj)
-            p_idx = ctx.next_send_index(pj)
             msg_index += 1
             r_value = response_bits(prev_value, p_nonces[pj][p_offsets[pj] + i - 1], cfg.bit_len)
-            t_resp = chan.arrival_true(ch.seq, pj) + cfg.alpha
-            if isinstance(pol, SelectiveDelay):
-                t_resp += pol.delay_for(p_idx, measurer=v)
+            t_resp, early = ctx.send(pj, chan.arrival_true(ch.seq, pj) + cfg.alpha, v)
             resp = chan.broadcast(
                 pj, t_resp, "response", "rapid",
                 payload=encode_value("m", msg_index, r_value), round_index=i,
-                after=ch.seq,
+                after=ch.seq, allow_early=early,
             )
             v_rounds[pj].append(RoundRecord(
                 index=i, challenge=prev_value, response=r_value,
@@ -114,12 +104,12 @@ def run_chain(
         v_non = v_nonces[v_used]
         v_used += 1
         value = response_bits(v_non, prev_value, cfg.bit_len)
-        t_actual, early_ok = _shaped_send(ctx, v, t_nominal)
+        t_actual, early = ctx.send(v, t_nominal)
         msg_index += 1
         fin = chan.broadcast(
             v, t_actual, "closing", "rapid",
             payload=encode_value("m", msg_index, value), round_index=i,
-            allow_early=early_ok,
+            allow_early=early,
         )
         last_p = responders[-1]
         rec = p_rounds[last_p][-1]
@@ -132,22 +122,6 @@ def run_chain(
     return v_rounds, p_rounds, t_nominal
 
 
-def check_chain_responses(
-    v_rounds: Mapping[NodeId, List[RoundRecord]],
-    p_nonces: Mapping[NodeId, Sequence[int]],
-    p_offsets: Mapping[NodeId, int],
-    bit_len: int,
-) -> None:
-    """Each response must be the received value XOR the committed nonce."""
-    for pj, recs in v_rounds.items():
-        for rec in recs:
-            expected = response_bits(
-                rec.challenge, p_nonces[pj][p_offsets[pj] + rec.index - 1], bit_len
-            )
-            if rec.response != expected:
-                raise ResponseMismatch(rec.index, f"responder {pj} round {rec.index}")
-
-
 def chain_estimates(
     v: NodeId,
     responders: Sequence[NodeId],
@@ -155,21 +129,17 @@ def chain_estimates(
     p_rounds: Mapping[NodeId, List[RoundRecord]],
     alpha: float,
     c: float,
+    auth: bool,
 ) -> List[DbEstimate]:
     """Max-over-rounds bounds, initiator first, then the responders."""
-    n = len(next(iter(v_rounds.values()))) if v_rounds else 0
     out: List[DbEstimate] = []
-    for pj in responders:
-        bound = max(active_distance(r.t_send, r.t_recv, alpha, c) for r in v_rounds[pj])
+    for measurer, target, rounds in (
+        [(v, pj, v_rounds[pj]) for pj in responders]
+        + [(pj, v, p_rounds[pj]) for pj in responders]
+    ):
         out.append(DbEstimate(
-            measurer=v, target=pj, bound_m=bound,
-            method=METHOD_ACTIVE, rounds_used=n, verified_auth=False,
-        ))
-    for pj in responders:
-        bound = max(active_distance(r.t_send, r.t_recv, alpha, c) for r in p_rounds[pj])
-        out.append(DbEstimate(
-            measurer=pj, target=v, bound_m=bound,
-            method=METHOD_ACTIVE, rounds_used=n, verified_auth=False,
+            measurer=measurer, target=target, bound_m=max_bound(rounds, alpha, c),
+            method=METHOD_ACTIVE, rounds_used=len(rounds), verified_auth=auth,
         ))
     return out
 
@@ -181,42 +151,20 @@ def run_one_to_many(scenario: Scenario, zero_offsets: bool = False) -> RunResult
     the remaining M peers respond in id order.
     """
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    peers = sorted(n.id for n in s.with_role(Role.PEER))
-    v = peers[0]
-    provers = peers[1:]
-    m = len(provers)
+    cfg = scenario.config
+    v, *provers = sorted(n.id for n in scenario.with_role(Role.PEER))
     n = cfg.n
-
-    v_nonces = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(n * (m + 1)))
-    p_nonces: Dict[NodeId, Tuple[int, ...]] = {
-        p: tuple(ctx.draw_bits(cfg.bit_len) for _ in range(n)) for p in provers
-    }
-    bundles: Dict[NodeId, Tuple[Commitment, Opening]] = {
-        v: commit(v_nonces, cfg.bit_len, ctx.rng)
-    }
-    for p in provers:
-        bundles[p] = commit(p_nonces[p], cfg.bit_len, ctx.rng)
-
-    t = ctx.slot_s
-    for nid in (v, *provers):
-        chan.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
-        t += ctx.slot_s
+    counts = {v: n * (len(provers) + 1), **{p: n for p in provers}}
+    nonces, bundles, t = commit_phase(ctx, counts, ctx.slot_s)
 
     offsets = {p: 0 for p in provers}
     v_rounds, p_rounds, t_end = run_chain(
-        ctx, v, provers, n, v_nonces, 0, p_nonces, offsets, t
+        ctx, v, provers, n, nonces[v], 0, nonces, offsets, t
     )
-
-    t = t_end + ctx.slot_s
-    for nid in (v, *provers):
-        chan.broadcast(nid, t, "open", "post",
-                       payload=bundles[nid][1].blinding + encode_value("o", 0, 0))
-        t += ctx.slot_s
-        _open_or_raise(*bundles[nid])
-
-    check_chain_responses(v_rounds, p_nonces, offsets, cfg.bit_len)
-    estimates = chain_estimates(v, provers, v_rounds, p_rounds, cfg.alpha, cfg.c)
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+    open_phase(ctx, bundles, t_end + ctx.slot_s)
+    for p in provers:
+        check_responses(v_rounds[p], nonces[p], offsets[p], cfg.bit_len)
+    estimates = chain_estimates(
+        v, provers, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
+    )
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

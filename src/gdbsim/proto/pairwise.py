@@ -14,51 +14,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import NodeId, Role, Scenario, distance
-from ..crypto import Commitment, Opening, OpeningMismatch, commit, open_commitment
-from ..estimate import (
-    NegativeBound,
-    PassiveObservation,
-    active_distance,
-    passive_bound_direct,
-)
-from ..simkit import BroadcastChannel
-from ..threat import (
-    EarlyChallenge,
-    FakeLocationReport,
-    GuessAhead,
-    Relay,
-    SelectiveDelay,
-    SendIntent,
-    apply_policy,
-)
+from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
+from ..estimate import NegativeBound, PassiveObservation, passive_bound_direct
+from ..threat import FakeLocationReport, GuessAhead, Relay
+from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
-    AuthFailure,
-    CommitMismatch,
     DbEstimate,
     METHOD_ACTIVE,
     METHOD_PASSIVE,
-    ProtocolStall,
-    ResponseMismatch,
+    RoundRecord,
     RunContext,
     RunResult,
+    beacons,
+    check_responses,
+    commit_phase,
     encode_value,
+    max_bound,
+    open_phase,
     response_bits,
     start_run,
 )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One timed round as the challenger's clock saw it."""
-
-    index: int
-    challenge: int
-    response: int
-    t_send: float
-    t_recv: float
 
 
 @dataclass
@@ -73,20 +51,12 @@ class ExchangeResult:
     bound_m: float
     t_end: float                    # true time of the last arrival anyone needs
 
-
-def _verifier_advance(ctx: RunContext, verifier: NodeId, t_nominal: float) -> Tuple[float, bool]:
-    """Actual emission time for a scheduled challenger send.
-
-    A schedule-advancing policy emits early while the published time
-    stays nominal; everyone else emits exactly on schedule.
-    """
-    intent = SendIntent(
-        sender=verifier,
-        send_index=ctx.next_send_index(verifier),
-        t_nominal=t_nominal,
-    )
-    shaped = apply_policy(ctx.policy(verifier), intent, ctx.rng)
-    return shaped.t_nominal, shaped.allow_early
+    def estimate(self, auth: bool) -> DbEstimate:
+        """The verifier's active bound on its partner."""
+        return DbEstimate(
+            measurer=self.verifier, target=self.prover, bound_m=self.bound_m,
+            method=METHOD_ACTIVE, rounds_used=len(self.rounds), verified_auth=auth,
+        )
 
 
 def run_exchange(
@@ -104,12 +74,14 @@ def run_exchange(
     The closing emission carries no new challenge to time; it exists so
     that listeners get a schedule point after the final response.  The
     prover consumes prover_nonces[nonce_offset : nonce_offset+n_rounds].
+    A guessing prover answers its first rounds ahead of the challenge,
+    on guessed bits.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
     alpha = cfg.alpha
-    v_policy = ctx.policy(verifier)
     p_policy = ctx.policy(prover)
+    guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
     rounds: List[RoundRecord] = []
     nominal_sends: List[float] = []
     response_seqs: List[int] = []
@@ -118,32 +90,26 @@ def run_exchange(
 
     for i in range(1, n_rounds + 1):
         c_i = ctx.draw_bits(cfg.bit_len)
-        t_actual, early_ok = _verifier_advance(ctx, verifier, t_nominal)
+        t_actual, early = ctx.send(verifier, t_nominal)
         ch = chan.broadcast(
             verifier, t_actual, "challenge", "rapid",
-            payload=encode_value("c", i, c_i), round_index=i, allow_early=early_ok,
+            payload=encode_value("c", i, c_i), round_index=i, allow_early=early,
         )
         nominal_sends.append(t_nominal)
 
-        t_ch_at_prover = chan.arrival_true(ch.seq, prover)
-        p_idx = ctx.next_send_index(prover)
-        if isinstance(p_policy, GuessAhead) and i <= p_policy.p_rounds:
-            guess = ctx.draw_bits(cfg.bit_len)
-            value = response_bits(guess, prover_nonces[nonce_offset + i - 1], cfg.bit_len)
-            t_resp = t_ch_at_prover + alpha - p_policy.advance_s
-            resp = chan.broadcast(
-                prover, t_resp, "response", "rapid",
-                payload=encode_value("r", i, value), round_index=i, allow_early=True,
-            )
+        nonce = prover_nonces[nonce_offset + i - 1]
+        t_resp, early = ctx.send(prover, chan.arrival_true(ch.seq, prover) + alpha, verifier)
+        if i <= guessed:
+            value = response_bits(ctx.draw_bits(cfg.bit_len), nonce, cfg.bit_len)
+            t_resp -= p_policy.advance_s
+            early = True
         else:
-            value = response_bits(c_i, prover_nonces[nonce_offset + i - 1], cfg.bit_len)
-            t_resp = t_ch_at_prover + alpha
-            if isinstance(p_policy, SelectiveDelay):
-                t_resp += p_policy.delay_for(p_idx, measurer=verifier)
-            resp = chan.broadcast(
-                prover, t_resp, "response", "rapid",
-                payload=encode_value("r", i, value), round_index=i, after=ch.seq,
-            )
+            value = response_bits(c_i, nonce, cfg.bit_len)
+        resp = chan.broadcast(
+            prover, t_resp, "response", "rapid",
+            payload=encode_value("r", i, value), round_index=i, after=ch.seq,
+            allow_early=early,
+        )
         response_seqs.append(resp.seq)
 
         t_back = chan.arrival_true(resp.seq, verifier)
@@ -159,25 +125,22 @@ def run_exchange(
         t_end = max(t_end, t_back)
 
     if closing:
-        t_actual, early_ok = _verifier_advance(ctx, verifier, t_nominal)
-        fin = chan.broadcast(
+        t_actual, early = ctx.send(verifier, t_nominal)
+        chan.broadcast(
             verifier, t_actual, "closing", "rapid",
             payload=encode_value("x", n_rounds + 1, 0), round_index=n_rounds + 1,
-            allow_early=early_ok,
+            allow_early=early,
         )
         nominal_sends.append(t_nominal)
         t_end = max(t_end, t_actual + max(chan.tof(verifier, nid) for nid in chan.node_ids if nid != verifier))
 
-    bound = max(
-        active_distance(r.t_send, r.t_recv, alpha, cfg.c) for r in rounds
-    )
     return ExchangeResult(
         verifier=verifier,
         prover=prover,
         rounds=rounds,
         nominal_sends=nominal_sends,
         response_seqs=response_seqs,
-        bound_m=bound,
+        bound_m=max_bound(rounds, alpha, cfg.c),
         t_end=t_end,
     )
 
@@ -244,20 +207,9 @@ def observed_bound(obs: Sequence[PassiveObservation]) -> float:
     return best
 
 
-def _check_responses(
-    ex: ExchangeResult, nonces: Sequence[int], nonce_offset: int, bit_len: int
-) -> None:
-    for r in ex.rounds:
-        expected = response_bits(r.challenge, nonces[nonce_offset + r.index - 1], bit_len)
-        if r.response != expected:
-            raise ResponseMismatch(r.index)
-
-
-def _open_or_raise(commitment: Commitment, opening: Opening) -> Tuple[int, ...]:
-    try:
-        return open_commitment(commitment, opening)
-    except OpeningMismatch as exc:
-        raise CommitMismatch(str(exc)) from exc
+def _framing(cfg) -> Tuple[int, int]:
+    """pre_post_msgs split into (pre, post) messages per committing party."""
+    return cfg.pre_post_msgs - cfg.pre_post_msgs // 2, cfg.pre_post_msgs // 2
 
 
 def run_one_way_db(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
@@ -271,77 +223,43 @@ def run_one_way_db(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
     ctx = start_run(scenario, zero_offsets)
     s = scenario
     cfg = s.config
-    chan = ctx.channel
     verifier = s.with_role(Role.ACTIVE_VERIFIER)[0].id
     provers = [n.id for n in s.with_role(Role.PROVER)]
     observers = [n.id for n in s.with_role(Role.PASSIVE_VERIFIER)]
 
     relay_front: Optional[NodeId] = None
-    victim: Optional[NodeId] = None
     if len(provers) == 2:
-        fronts = [p for p in provers if isinstance(ctx.policy(p), Relay)]
-        relay_front = fronts[0]
-        victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
+        relay_front = [p for p in provers if isinstance(ctx.policy(p), Relay)][0]
     partner = relay_front if relay_front is not None else provers[0]
-    responder = victim if victim is not None else partner
 
-    nonces = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(cfg.n))
-    commitment, opening = commit(nonces, cfg.bit_len, ctx.rng)
-
-    n_pre = cfg.pre_post_msgs - cfg.pre_post_msgs // 2
-    n_post = cfg.pre_post_msgs // 2
-    t = ctx.slot_s
-    for k in range(n_pre):
-        kind = "commit" if k == 0 else "beacon"
-        sender = partner if k == 0 else verifier
-        payload = commitment.digest if k == 0 else encode_value("b", k, 0)
-        chan.broadcast(sender, t, kind, "pre", payload=payload)
-        t += ctx.slot_s
-
+    n_pre, n_post = _framing(cfg)
+    nonces, bundles, t = commit_phase(ctx, {partner: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
+    t = beacons(ctx, [verifier], "pre", n_pre, t)
     if relay_front is None:
         ex = run_exchange(
-            ctx, verifier, partner, nonces, 0, cfg.n,
+            ctx, verifier, partner, nonces[partner], 0, cfg.n,
             t_start=t, closing=bool(observers),
         )
     else:
-        ex = _run_relay_exchange(ctx, verifier, relay_front, responder, nonces, t, bool(observers))
-    t = ex.t_end + ctx.slot_s
+        victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
+        ex = _run_relay_exchange(
+            ctx, verifier, relay_front, victim, nonces[partner], t, bool(observers)
+        )
+    t = open_phase(ctx, bundles, ex.t_end + ctx.slot_s, broadcast=n_post > 0)
+    beacons(ctx, [verifier], "post", n_post, t)
+    check_responses(ex.rounds, nonces[partner], 0, cfg.bit_len)
 
-    sig_ok = False
-    for k in range(n_post):
-        if k == 0:
-            payload = opening.blinding + encode_value("o", 0, 0)
-            if cfg.auth_enabled:
-                message = commitment.digest + bytes(str(nonces), "ascii")
-                signature = ctx.registry.sign(partner, message)  # UnknownKey when uncertified
-                payload += signature
-                sig_ok = ctx.registry.verify(partner, message, signature)
-                if not sig_ok:
-                    raise AuthFailure(f"transcript signature of node {partner} rejected")
-            chan.broadcast(partner, t, "open", "post", payload=payload)
-        else:
-            chan.broadcast(verifier, t, "beacon", "post", payload=encode_value("b", k, 0))
-        t += ctx.slot_s
-
-    if n_post > 0:
-        _open_or_raise(commitment, opening)
-    _check_responses(ex, nonces, 0, cfg.bit_len)
-
-    verified = cfg.auth_enabled and sig_ok
-    estimates = [DbEstimate(
-        measurer=verifier, target=partner, bound_m=ex.bound_m,
-        method=METHOD_ACTIVE, rounds_used=cfg.n, verified_auth=verified,
-    )]
+    # open_phase has refused any run whose required signatures did not verify
+    estimates = [ex.estimate(cfg.auth_enabled)]
     for w in observers:
         obs = passive_observations(ctx, ex, w)
         if not obs:
             continue
-        bound = observed_bound(obs)
         estimates.append(DbEstimate(
-            measurer=w, target=partner, bound_m=bound,
-            method=METHOD_PASSIVE, rounds_used=len(obs), verified_auth=verified,
+            measurer=w, target=partner, bound_m=observed_bound(obs),
+            method=METHOD_PASSIVE, rounds_used=len(obs), verified_auth=cfg.auth_enabled,
         ))
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+    return RunResult(scenario=s, trace=ctx.channel.trace, estimates=estimates)
 
 
 def _run_relay_exchange(
@@ -367,50 +285,47 @@ def _run_relay_exchange(
     response_seqs: List[int] = []
     t_nominal = t_start
     t_end = t_start
+
+    def react(sender: NodeId, em, turnaround: float, kind: str, payload: bytes):
+        t, early = ctx.send(sender, chan.arrival_true(em.seq, sender) + turnaround, verifier)
+        return chan.broadcast(
+            sender, t, kind, "rapid", payload=payload, round_index=em.round_index,
+            after=em.seq, allow_early=early,
+        )
+
     for i in range(1, cfg.n + 1):
         c_i = ctx.draw_bits(cfg.bit_len)
-        ctx.next_send_index(verifier)
+        t_actual, early = ctx.send(verifier, t_nominal)
         ch = chan.broadcast(
-            verifier, t_nominal, "challenge", "rapid",
-            payload=encode_value("c", i, c_i), round_index=i,
+            verifier, t_actual, "challenge", "rapid",
+            payload=encode_value("c", i, c_i), round_index=i, allow_early=early,
         )
         nominal_sends.append(t_nominal)
-        ctx.next_send_index(front)
-        fwd = chan.broadcast(
-            front, chan.arrival_true(ch.seq, front), "relay", "rapid",
-            payload=ch.payload, round_index=i, after=ch.seq,
-        )
+        fwd = react(front, ch, 0.0, "relay", ch.payload)
         value = response_bits(c_i, nonces[i - 1], cfg.bit_len)
-        ctx.next_send_index(victim)
-        vr = chan.broadcast(
-            victim, chan.arrival_true(fwd.seq, victim) + alpha, "response", "rapid",
-            payload=encode_value("r", i, value), round_index=i, after=fwd.seq,
-        )
-        ctx.next_send_index(front)
-        resp = chan.broadcast(
-            front, chan.arrival_true(vr.seq, front), "response", "rapid",
-            payload=vr.payload, round_index=i, after=vr.seq,
-        )
+        vr = react(victim, fwd, alpha, "response", encode_value("r", i, value))
+        resp = react(front, vr, 0.0, "response", vr.payload)
         response_seqs.append(resp.seq)
         t_back = chan.arrival_true(resp.seq, verifier)
         rounds.append(RoundRecord(
             index=i, challenge=c_i, response=value,
-            t_send=t_nominal + chan.offsets[verifier],
+            t_send=t_actual + chan.offsets[verifier],
             t_recv=t_back + chan.offsets[verifier],
         ))
-        t_nominal = t_back + alpha
+        t_nominal = (t_back + (t_nominal - t_actual)) + alpha
         t_end = max(t_end, t_back)
     if closing:
+        t_actual, early = ctx.send(verifier, t_nominal)
         chan.broadcast(
-            verifier, t_nominal, "closing", "rapid",
+            verifier, t_actual, "closing", "rapid",
             payload=encode_value("x", cfg.n + 1, 0), round_index=cfg.n + 1,
+            allow_early=early,
         )
         nominal_sends.append(t_nominal)
-    bound = max(active_distance(r.t_send, r.t_recv, alpha, cfg.c) for r in rounds)
     return ExchangeResult(
         verifier=verifier, prover=front, rounds=rounds,
         nominal_sends=nominal_sends, response_seqs=response_seqs,
-        bound_m=bound, t_end=t_end,
+        bound_m=max_bound(rounds, alpha, cfg.c), t_end=t_end,
     )
 
 
@@ -418,7 +333,6 @@ def one_way_guess_trial(
     rng: random.Random,
     n: int,
     bit_len: int = 1,
-    distance_m: float = 30.0,
     advance_s: float = 2e-8,
 ) -> bool:
     """One round of the guessing game: does a blind early responder pass?
@@ -430,11 +344,6 @@ def one_way_guess_trial(
     count as a success.
     """
     if advance_s <= 0.0:
-        return False
-    from ..core import SPEED_OF_LIGHT
-
-    shortened = distance_m - SPEED_OF_LIGHT * advance_s / 2.0
-    if shortened >= distance_m:
         return False
     for _ in range(n):
         challenge = rng.getrandbits(bit_len)
@@ -456,53 +365,20 @@ def run_mutual_interleaved(scenario: Scenario, zero_offsets: bool = False) -> Ru
     and issues a fresh one.
     """
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    a, b = sorted(n.id for n in s.with_role(Role.PEER))
-    a_nonces = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(cfg.n + 1))
-    b_nonces = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(cfg.n))
-    commit_a, open_a = commit(a_nonces, cfg.bit_len, ctx.rng)
-    commit_b, open_b = commit(b_nonces, cfg.bit_len, ctx.rng)
-
-    t = ctx.slot_s
-    n_pre = cfg.pre_post_msgs - cfg.pre_post_msgs // 2
-    n_post = cfg.pre_post_msgs // 2
-    for k in range(n_pre):
-        chan.broadcast(a, t, "commit" if k == 0 else "beacon", "pre",
-                       payload=commit_a.digest if k == 0 else encode_value("b", k, 0))
-        t += ctx.slot_s
-        chan.broadcast(b, t, "commit" if k == 0 else "beacon", "pre",
-                       payload=commit_b.digest if k == 0 else encode_value("b", k, 0))
-        t += ctx.slot_s
-
-    ex_a, ex_b = _interleaved_rapid(ctx, a, b, a_nonces, b_nonces, t)
-
-    t = max(ex_a.t_end, ex_b.t_end) + ctx.slot_s
-    for k in range(n_post):
-        payload_a = open_a.blinding + encode_value("o", 0, 0)
-        payload_b = open_b.blinding + encode_value("o", 0, 0)
-        if cfg.auth_enabled and k == 0:
-            payload_a += ctx.registry.sign(a, commit_a.digest)
-            payload_b += ctx.registry.sign(b, commit_b.digest)
-        chan.broadcast(a, t, "open" if k == 0 else "beacon", "post", payload=payload_a)
-        t += ctx.slot_s
-        chan.broadcast(b, t, "open" if k == 0 else "beacon", "post", payload=payload_b)
-        t += ctx.slot_s
-
-    if n_post > 0:
-        _open_or_raise(commit_a, open_a)
-        _open_or_raise(commit_b, open_b)
-    _check_responses(ex_a, b_nonces, 0, cfg.bit_len)
-    _check_responses(ex_b, a_nonces, 1, cfg.bit_len)
-
-    estimates = [
-        DbEstimate(measurer=a, target=b, bound_m=ex_a.bound_m,
-                   method=METHOD_ACTIVE, rounds_used=cfg.n, verified_auth=False),
-        DbEstimate(measurer=b, target=a, bound_m=ex_b.bound_m,
-                   method=METHOD_ACTIVE, rounds_used=cfg.n, verified_auth=False),
-    ]
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+    cfg = scenario.config
+    a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
+    n_pre, n_post = _framing(cfg)
+    nonces, bundles, t = commit_phase(
+        ctx, {a: cfg.n + 1, b: cfg.n}, ctx.slot_s, broadcast=n_pre > 0
+    )
+    t = beacons(ctx, (a, b), "pre", n_pre, t)
+    ex_a, ex_b = _interleaved_rapid(ctx, a, b, nonces[a], nonces[b], t)
+    t = open_phase(ctx, bundles, ex_a.t_end + ctx.slot_s, broadcast=n_post > 0)
+    beacons(ctx, (a, b), "post", n_post, t)
+    check_responses(ex_a.rounds, nonces[b], 0, cfg.bit_len)
+    check_responses(ex_b.rounds, nonces[a], 1, cfg.bit_len)
+    estimates = [ex_a.estimate(cfg.auth_enabled), ex_b.estimate(cfg.auth_enabled)]
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
 def _interleaved_rapid(
@@ -516,7 +392,8 @@ def _interleaved_rapid(
     """The 2n+1 message chain; returns both directions' round records.
 
     The initiator a sends messages 1, 3, ..., 2n+1 and times b off each
-    odd-even gap; b times a off each even-odd gap.
+    odd-even gap; b times a off each even-odd gap.  Both results end at
+    the same t_end.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
@@ -524,33 +401,25 @@ def _interleaved_rapid(
     rounds_a: List[RoundRecord] = []
     rounds_b: List[RoundRecord] = []
 
-    def delayed(node: NodeId, measurer: NodeId) -> float:
-        idx = ctx.next_send_index(node)
-        pol = ctx.policy(node)
-        if isinstance(pol, SelectiveDelay):
-            return pol.delay_for(idx, measurer=measurer)
-        return 0.0
-
-    value = a_nonces[0]
-    em = chan.broadcast(a, t_start + delayed(a, b), "challenge", "rapid",
-                        payload=encode_value("m", 1, value), round_index=1)
-    prev = em
+    t, early = ctx.send(a, t_start, b)
+    prev = chan.broadcast(a, t, "challenge", "rapid", payload=encode_value("m", 1, a_nonces[0]),
+                          round_index=1, allow_early=early)
     for k in range(1, cfg.n + 1):
         v_b = response_bits(a_nonces[k - 1], b_nonces[k - 1], cfg.bit_len)
-        t_b = chan.arrival_true(prev.seq, b) + alpha + delayed(b, a)
-        em_b = chan.broadcast(b, t_b, "response", "rapid",
+        t, early = ctx.send(b, chan.arrival_true(prev.seq, b) + alpha, a)
+        em_b = chan.broadcast(b, t, "response", "rapid",
                               payload=encode_value("m", 2 * k, v_b),
-                              round_index=k, after=prev.seq)
+                              round_index=k, after=prev.seq, allow_early=early)
         rounds_a.append(RoundRecord(
             index=k, challenge=a_nonces[k - 1], response=v_b,
             t_send=prev.t_send + chan.offsets[a],
             t_recv=chan.arrival_local(em_b.seq, a),
         ))
         v_a = response_bits(a_nonces[k], b_nonces[k - 1], cfg.bit_len)
-        t_a = chan.arrival_true(em_b.seq, a) + alpha + delayed(a, b)
-        em_a = chan.broadcast(a, t_a, "response", "rapid",
+        t, early = ctx.send(a, chan.arrival_true(em_b.seq, a) + alpha, b)
+        em_a = chan.broadcast(a, t, "response", "rapid",
                               payload=encode_value("m", 2 * k + 1, v_a),
-                              round_index=k, after=em_b.seq)
+                              round_index=k, after=em_b.seq, allow_early=early)
         rounds_b.append(RoundRecord(
             index=k, challenge=b_nonces[k - 1], response=v_a,
             t_send=em_b.t_send + chan.offsets[b],
@@ -559,12 +428,12 @@ def _interleaved_rapid(
         prev = em_a
 
     t_last = prev.t_send + max(chan.tof(a, nid) for nid in chan.node_ids if nid != a)
-    bound_a = max(active_distance(r.t_send, r.t_recv, alpha, cfg.c) for r in rounds_a)
-    bound_b = max(active_distance(r.t_send, r.t_recv, alpha, cfg.c) for r in rounds_b)
     ex_a = ExchangeResult(verifier=a, prover=b, rounds=rounds_a, nominal_sends=[],
-                          response_seqs=[], bound_m=bound_a, t_end=t_last)
+                          response_seqs=[], bound_m=max_bound(rounds_a, alpha, cfg.c),
+                          t_end=t_last)
     ex_b = ExchangeResult(verifier=b, prover=a, rounds=rounds_b, nominal_sends=[],
-                          response_seqs=[], bound_m=bound_b, t_end=t_last)
+                          response_seqs=[], bound_m=max_bound(rounds_b, alpha, cfg.c),
+                          t_end=t_last)
     return ex_a, ex_b
 
 
@@ -581,23 +450,14 @@ def run_sequential_pairwise(scenario: Scenario, zero_offsets: bool = False) -> R
     ring protocol is compared against.
     """
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    peers = sorted(n.id for n in s.with_role(Role.PEER))
-
-    nonces: Dict[NodeId, Tuple[int, ...]] = {}
-    commits: Dict[NodeId, Tuple[Commitment, Opening]] = {}
-    t = ctx.slot_s
-    need = cfg.n * (len(peers) - 1)
-    for nid in peers:
-        nonces[nid] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(need))
-        commits[nid] = commit(nonces[nid], cfg.bit_len, ctx.rng)
-        chan.broadcast(nid, t, "commit", "pre", payload=commits[nid][0].digest)
-        t += ctx.slot_s
+    cfg = scenario.config
+    peers = sorted(n.id for n in scenario.with_role(Role.PEER))
+    nonces, bundles, t = commit_phase(
+        ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers}, ctx.slot_s
+    )
 
     estimates: List[DbEstimate] = []
-    used: Dict[NodeId, int] = {nid: 0 for nid in peers}
+    used = {nid: 0 for nid in peers}
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
@@ -607,47 +467,28 @@ def run_sequential_pairwise(scenario: Scenario, zero_offsets: bool = False) -> R
                     t_start=t, closing=False,
                 )
                 used[target] += cfg.n
-                _check_responses(ex, nonces[target], off, cfg.bit_len)
-                estimates.append(DbEstimate(
-                    measurer=measurer, target=target, bound_m=ex.bound_m,
-                    method=METHOD_ACTIVE, rounds_used=cfg.n, verified_auth=False,
-                ))
+                check_responses(ex.rounds, nonces[target], off, cfg.bit_len)
+                estimates.append(ex.estimate(cfg.auth_enabled))
                 t = ex.t_end + ctx.slot_s
 
-    for nid in peers:
-        chan.broadcast(nid, t, "open", "post",
-                       payload=commits[nid][1].blinding + encode_value("o", 0, 0))
-        t += ctx.slot_s
-        _open_or_raise(*commits[nid])
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+    open_phase(ctx, bundles, t)
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
 def run_sequential_interleaved(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
     """Full mutual coverage by per-pair interleaved chains, 2n+1 each."""
     ctx = start_run(scenario, zero_offsets)
-    s = scenario
-    cfg = s.config
-    chan = ctx.channel
-    peers = sorted(n.id for n in s.with_role(Role.PEER))
-
-    per_initiations = cfg.n + 1
-    per_responses = cfg.n
-    t = ctx.slot_s
-    nonce_pool: Dict[NodeId, List[int]] = {}
-    commits: Dict[NodeId, Tuple[Commitment, Opening]] = {}
-    for nid in peers:
-        count = (len(peers) - 1) * max(per_initiations, per_responses)
-        nonce_pool[nid] = [ctx.draw_bits(cfg.bit_len) for _ in range(count)]
-        commits[nid] = commit(tuple(nonce_pool[nid]), cfg.bit_len, ctx.rng)
-        chan.broadcast(nid, t, "commit", "pre", payload=commits[nid][0].digest)
-        t += ctx.slot_s
-
-    cursor: Dict[NodeId, int] = {nid: 0 for nid in peers}
+    cfg = scenario.config
+    peers = sorted(n.id for n in scenario.with_role(Role.PEER))
+    nonces, bundles, t = commit_phase(
+        ctx, {nid: (len(peers) - 1) * (cfg.n + 1) for nid in peers}, ctx.slot_s
+    )
+    cursor = {nid: 0 for nid in peers}
 
     def take(nid: NodeId, k: int) -> Tuple[int, ...]:
         i = cursor[nid]
         cursor[nid] = i + k
-        return tuple(nonce_pool[nid][i:i + k])
+        return nonces[nid][i:i + k]
 
     estimates: List[DbEstimate] = []
     for i, x in enumerate(peers):
@@ -655,19 +496,10 @@ def run_sequential_interleaved(scenario: Scenario, zero_offsets: bool = False) -
             a_non = take(x, cfg.n + 1)
             b_non = take(y, cfg.n)
             ex_a, ex_b = _interleaved_rapid(ctx, x, y, a_non, b_non, t)
-            _check_responses(ex_a, b_non, 0, cfg.bit_len)
-            _check_responses(ex_b, a_non, 1, cfg.bit_len)
-            estimates.append(DbEstimate(
-                measurer=x, target=y, bound_m=ex_a.bound_m,
-                method=METHOD_ACTIVE, rounds_used=cfg.n, verified_auth=False))
-            estimates.append(DbEstimate(
-                measurer=y, target=x, bound_m=ex_b.bound_m,
-                method=METHOD_ACTIVE, rounds_used=cfg.n, verified_auth=False))
-            t = max(ex_a.t_end, ex_b.t_end) + ctx.slot_s
+            check_responses(ex_a.rounds, b_non, 0, cfg.bit_len)
+            check_responses(ex_b.rounds, a_non, 1, cfg.bit_len)
+            estimates += [ex_a.estimate(cfg.auth_enabled), ex_b.estimate(cfg.auth_enabled)]
+            t = ex_a.t_end + ctx.slot_s
 
-    for nid in peers:
-        chan.broadcast(nid, t, "open", "post",
-                       payload=commits[nid][1].blinding + encode_value("o", 0, 0))
-        t += ctx.slot_s
-        _open_or_raise(*commits[nid])
-    return RunResult(scenario=s, trace=chan.trace, estimates=estimates)
+    open_phase(ctx, bundles, t)
+    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

@@ -27,7 +27,8 @@ from ..core import (
     Role,
     Scenario,
 )
-from ..crypto import Commitment, Opening, UnknownKey, commit, hash_bytes
+from ..crypto import Commitment, UnknownKey, hash_bytes
+from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..estimate import (
     RingTiming,
     SolveFailure,
@@ -37,24 +38,20 @@ from ..estimate import (
     snake_order,
     solve_tof,
 )
-from ..threat import (
-    EPS_DETECT_M,
-    SelectiveDelay,
-    SendIntent,
-    apply_policy,
-    cross_check_detect,
-)
+from ..threat import EPS_DETECT_M, SelectiveDelay, cross_check_detect
+from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     DbEstimate,
     METHOD_MULTIPARTY,
     ResponseMismatch,
     RunResult,
+    commit_phase,
     encode_value,
+    open_phase,
     response_bits,
     start_run,
     transcript_digest,
 )
-from .pairwise import _open_or_raise
 
 
 class MissingCommitment(GdbSimError):
@@ -86,17 +83,7 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
     n_nodes = len(peers)
     n = cfg.n
 
-    nonces: Dict[NodeId, Tuple[int, ...]] = {}
-    bundles: Dict[NodeId, Tuple[Commitment, Opening]] = {}
-    for p in peers:
-        nonces[p] = tuple(ctx.draw_bits(cfg.bit_len) for _ in range(2 * n))
-        bundles[p] = commit(nonces[p], cfg.bit_len, ctx.rng)
-
-    t = ctx.slot_s
-    for p in peers:
-        chan.broadcast(p, t, "commit", "pre", payload=bundles[p][0].digest)
-        t += ctx.slot_s
-
+    nonces, bundles, t = commit_phase(ctx, {p: 2 * n for p in peers}, ctx.slot_s)
     ring = derive_ring_order({p: bundles[p][0] for p in peers}, peers)
     order = snake_order(ring)
 
@@ -120,17 +107,12 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
                 t_nominal = t_round_start
             else:
                 t_nominal = chan.arrival_true(prev_seq, sender) + cfg.alpha
-            intent = SendIntent(
-                sender=sender,
-                send_index=ctx.next_send_index(sender),
-                t_nominal=t_nominal,
-            )
-            shaped = apply_policy(ctx.policy(sender), intent, ctx.rng)
+            t_emit, early = ctx.send(sender, t_nominal)
             em = chan.broadcast(
-                sender, shaped.t_nominal,
+                sender, t_emit,
                 "challenge" if pos == 1 else "response", "rapid",
                 payload=encode_value("m", 2 * n_nodes * r + pos, value),
-                round_index=r + 1, after=prev_seq, allow_early=shaped.allow_early,
+                round_index=r + 1, after=prev_seq, allow_early=early,
             )
             prev_seq = em.seq
             prev_value = value
@@ -144,11 +126,8 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
     t = max(
         chan.arrival_true(prev_seq, p) for p in peers if p != last_sender
     ) + ctx.slot_s
-    for p in peers:
-        chan.broadcast(p, t, "open", "post",
-                       payload=bundles[p][1].blinding + encode_value("o", 0, 0))
-        t += ctx.slot_s
-        _open_or_raise(*bundles[p])
+    # an unsigned node is accused through its report, not refused here
+    t = open_phase(ctx, bundles, t, sign=False)
 
     _verify_value_chain(ring, n, cfg.bit_len, nonces, sent_values)
 
@@ -165,8 +144,9 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
         payload = digest_bytes
         if cfg.auth_enabled:
             try:
-                payload = payload + ctx.registry.sign(p, digest_bytes)
-                signed_ok[p] = True
+                sig = ctx.registry.sign(p, digest_bytes)
+                signed_ok[p] = ctx.registry.verify(p, digest_bytes, sig)
+                payload = payload + sig
             except UnknownKey:
                 signed_ok[p] = False
                 rejections.append(f"node {p}: report unsigned, no registered key")
@@ -194,14 +174,15 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
             continue
         edges = edge_times(solution)
         ring_solutions[o] = edges
-        verified = cfg.auth_enabled and signed_ok.get(o, False)
         for x in peers:
             if x == o:
                 continue
             bound = max(cfg.c * edges[_edge_key(o, x)], 0.0)
+            # both endpoints signed the report this bound was derived from
+            auth = signed_ok.get(o, False) and signed_ok.get(x, False)
             estimates.append(DbEstimate(
                 measurer=o, target=x, bound_m=bound,
-                method=METHOD_MULTIPARTY, rounds_used=n, verified_auth=verified,
+                method=METHOD_MULTIPARTY, rounds_used=n, verified_auth=auth,
             ))
 
     bounds: Dict[NodeId, Dict[NodeId, float]] = {}
@@ -210,7 +191,7 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
     detection = cross_check_detect(
         bounds, {p: digest_bytes for p in peers}, EPS_DETECT_M
     )
-    unauth = [p for p, ok in signed_ok.items() if cfg.auth_enabled and not ok]
+    unauth = [p for p, ok in signed_ok.items() if not ok]
     if unauth:
         detection.accused = frozenset(set(detection.accused) | set(unauth))
         for p in unauth:

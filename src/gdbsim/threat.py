@@ -384,7 +384,6 @@ def distance_fraud_game(
     n: int,
     bit_len: int = 1,
     seed: int = 0,
-    distance_m: float = 30.0,
     advance_s: float = 2e-8,
 ) -> float:
     """Monte Carlo success rate of a guess-ahead prover against one verifier.
@@ -401,8 +400,7 @@ def distance_fraud_game(
     rng = random.Random(seed)
     wins = 0
     for _ in range(trials):
-        if one_way_guess_trial(rng, n=n, bit_len=bit_len,
-                               distance_m=distance_m, advance_s=advance_s):
+        if one_way_guess_trial(rng, n=n, bit_len=bit_len, advance_s=advance_s):
             wins += 1
     return wins / trials
 

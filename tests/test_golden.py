@@ -1,0 +1,54 @@
+"""Golden corpus: pinned artifact digests for one run of each scenario.
+
+Every scenario JSON under tests/golden/ is run end to end and written
+out with cli.write_run_artifacts; the sha256 of trace.jsonl, bounds.csv
+and detection.json must match tests/golden/digests.json.  manifest.json
+records paths, so it is left out.
+
+A change that alters a run on purpose regenerates the digests by
+running this file as a script,
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names each changed entry, with its reason, in CHANGES.md.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from gdbsim.cli import write_run_artifacts
+from gdbsim.core import load_scenario
+from gdbsim.proto.runner import run_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
+PINNED = ("trace.jsonl", "bounds.csv", "detection.json")
+SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json") if p != DIGESTS)
+
+
+def artifact_digests(name: str, out_dir: Path) -> dict:
+    path = GOLDEN / f"{name}.json"
+    scn = load_scenario(str(path))
+    digests = write_run_artifacts(run_scenario(scn), str(path), scn.rng_seed, out_dir)
+    return {k: digests[k] for k in PINNED}
+
+
+def test_corpus_has_a_digest_per_scenario():
+    assert len(SCENARIOS) >= 12
+    assert sorted(json.loads(DIGESTS.read_text())) == SCENARIOS
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_golden_digests(name, tmp_path):
+    pinned = json.loads(DIGESTS.read_text())[name]
+    assert artifact_digests(name, tmp_path) == pinned
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: artifact_digests(name, Path(tmp) / name) for name in SCENARIOS}
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} entries to {DIGESTS}")

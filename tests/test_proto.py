@@ -4,14 +4,13 @@ import dataclasses
 import pytest
 
 from gdbsim.core import (
-    GdbSimError,
     NodeSpec,
     Protocol,
     Role,
     SPEED_OF_LIGHT,
     distance,
 )
-from gdbsim.proto.base import ResponseMismatch
+from gdbsim.proto.base import AuthFailure, ResponseMismatch
 from gdbsim.proto.ring import regular_ring_scenario, run_ring_with_delays
 from gdbsim.proto.runner import run_scenario
 from gdbsim.threat import (
@@ -237,16 +236,25 @@ def test_guess_ahead_lucky_seed_shortens_bound():
     assert bound < 90.0
 
 
-def test_early_challenge_shrinks_passive_bounds_only():
+@pytest.mark.parametrize("path", ["direct", "relay"])
+def test_early_challenge_shrinks_passive_bounds_only(path):
     advance = 2e-7
-    s = oneway_scenario(n=4, seed=6, observer_pos=(30.0, 60.0))
+    if path == "direct":
+        s = oneway_scenario(n=4, seed=6, observer_pos=(30.0, 60.0))
+        partner = 2
+    else:
+        front = NodeSpec(id=3, pos=(50.0, 40.0), role=Role.PROVER, policy=Relay(victim=2))
+        s = oneway_scenario(p_pos=(200.0, 0.0), n=4, seed=6, observer_pos=(30.0, 60.0),
+                            extra_nodes=[front])
+        partner = 3
     honest = run_scenario(s)
     rigged = run_scenario(with_policy(s, 1, EarlyChallenge(advance_s=advance, pr_ch=1.0)))
-    h = honest.estimate_for(9, 2).bound_m
-    a = rigged.estimate_for(9, 2).bound_m
+    h = honest.estimate_for(9, partner).bound_m
+    a = rigged.estimate_for(9, partner).bound_m
     assert a == pytest.approx(h - C * advance, abs=1e-6)
     # the verifier's own active bound is untouched
-    assert rigged.estimate_for(1, 2).bound_m == pytest.approx(90.0, abs=1e-6)
+    assert rigged.estimate_for(1, partner).bound_m == pytest.approx(
+        honest.estimate_for(1, partner).bound_m, abs=1e-6)
 
 
 def test_fake_baseline_shifts_passive_bound_by_the_lie():
@@ -259,11 +267,69 @@ def test_fake_baseline_shifts_passive_bound_by_the_lie():
         honest.estimate_for(9, 2).bound_m + 8.0, abs=1e-6)
 
 
-def test_uncertified_node_cannot_sign():
-    s = oneway_scenario(n=2, auth=True)
+def with_config(scenario, **changes):
+    return dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, **changes))
+
+
+def two_party(protocol):
+    if protocol == Protocol.ONE_WAY:
+        return oneway_scenario(n=2)
+    return peer_scenario(Protocol.MUTUAL_INTERLEAVED, 2, n=2, radius=100.0)
+
+
+@pytest.mark.parametrize("pre_post", [0, 1, 2, 3])
+@pytest.mark.parametrize("protocol", [Protocol.ONE_WAY, Protocol.MUTUAL_INTERLEAVED])
+def test_uncertified_node_cannot_sign(protocol, pre_post):
+    s = with_config(two_party(protocol), auth_enabled=True, pre_post_msgs=pre_post)
     s = with_policy(s, 2, NodeInsertion(), has_cert=False)
-    with pytest.raises(GdbSimError):
+    with pytest.raises(AuthFailure):
         run_scenario(s)
+
+
+@pytest.mark.parametrize("pre_post", [0, 1, 2, 3])
+@pytest.mark.parametrize("protocol", [Protocol.ONE_WAY, Protocol.MUTUAL_INTERLEAVED])
+def test_framing_messages_follow_pre_post_msgs(protocol, pre_post):
+    # every committing party sends ceil(k/2) setup and floor(k/2) teardown messages
+    parties = 1 if protocol == Protocol.ONE_WAY else 2
+    r = run_scenario(with_config(two_party(protocol), auth_enabled=True, pre_post_msgs=pre_post))
+    assert r.trace.count(phase="pre") == parties * (pre_post - pre_post // 2)
+    assert r.trace.count(phase="post") == parties * (pre_post // 2)
+    assert all(e.verified_auth for e in r.estimates)
+
+
+# every protocol with auth on, and the committing node a NodeInsertion would replace
+AUTH_CASES = {
+    Protocol.ONE_WAY: (oneway_scenario(n=2, observer_pos=(30.0, 60.0)), 2),
+    Protocol.MUTUAL_INTERLEAVED: (peer_scenario(Protocol.MUTUAL_INTERLEAVED, 2, n=2), 2),
+    Protocol.ONE_TO_MANY: (peer_scenario(Protocol.ONE_TO_MANY, 4, n=2), 3),
+    Protocol.MULTI_PARTY_RING: (regular_ring_scenario(4, 400.0, seed=21), 3),
+    Protocol.MPNV: (mpnv_scenario(n=2, n_a=1, d_a=0.5, n_verifiers=3, m_provers=2), 4),
+    Protocol.NTOM_PASSIVE: (ntom_scenario(
+        Protocol.NTOM_PASSIVE, 3, 3, n=2, n_a1=1, n_a2=2, d_1=0.5, d_2=1.0,
+        n_p1=1, n_p2=0), 5),
+    Protocol.NTOM_MULTIPARTY: (ntom_scenario(Protocol.NTOM_MULTIPARTY, 2, 2, n=1), 3),
+    Protocol.NTOM_ONETOMANY: (ntom_scenario(Protocol.NTOM_ONETOMANY, 2, 3, n=2), 4),
+}
+ACCUSING = (Protocol.MULTI_PARTY_RING, Protocol.NTOM_MULTIPARTY)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_auth_ok_means_every_required_signature_verified(protocol):
+    scenario, committer = AUTH_CASES[protocol]
+    assert scenario.protocol == protocol
+    s = with_config(scenario, auth_enabled=True)
+    r = run_scenario(s)
+    assert r.estimates and all(e.verified_auth for e in r.estimates)
+
+    inserted = with_policy(s, committer, NodeInsertion(), has_cert=False)
+    if protocol not in ACCUSING:
+        with pytest.raises(AuthFailure):
+            run_scenario(inserted)
+        return
+    r = run_scenario(inserted)
+    assert r.detection.accused == {committer}
+    for e in r.estimates:
+        assert e.verified_auth == (committer not in (e.measurer, e.target))
 
 
 def test_ring_lone_asymmetric_delayer_detected():

@@ -1,0 +1,25 @@
+"""The demo scripts run end to end at small sizes."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, expect", [
+    ("ring_delay_attack", [], "flagged"),
+    ("passive_geometry_demo", ["--rounds", "1"], "observer-prover bound"),
+    ("passive_geometry_demo", ["--rounds", "1", "--advance-ns", "30"], "ahead of its published"),
+    ("message_savings_sweep", ["--sizes", "5", "--simulate-up-to", "5"], "61.0%"),
+])
+def test_script_main(name, argv, expect, capsys):
+    assert load(name).main(argv) == 0
+    assert expect in capsys.readouterr().out
