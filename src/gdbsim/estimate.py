@@ -97,6 +97,48 @@ class PassiveObservation:
     c: float = SPEED_OF_LIGHT
 
 
+# The kernels below take numpy float64 scalars or arrays alike: the scalar
+# helpers price one observation (passing t1 as np.float64, so every
+# intermediate is a numpy value), passive pricing in the drivers prices a
+# whole (rounds x watchers) block.  Both run the same float64 operations in
+# the same order, so they give bit-identical bounds.
+
+
+def _floor_zero(x):
+    """max(x, 0.0) elementwise, with Python's choice on ties and NaN."""
+    return np.where(0.0 > x, 0.0, x)
+
+
+def _first(values, bad) -> float:
+    return float(np.asarray(values)[bad][0])
+
+
+def verifier_prover_distances(t1, t3, alpha_p, alpha_v, c):
+    """Array kernel of verifier_prover_distance; raises on any negative flight."""
+    tof2 = ((t3 - t1) - alpha_p) - alpha_v
+    bad = tof2 < -EPS_TIME
+    if bad.any():
+        raise NegativeTimeOfFlight(
+            f"overheard round trip {_first(t3 - t1, bad)!r} s shorter than processing"
+        )
+    return _floor_zero(c * tof2 / 2.0)
+
+
+def leg_sums(t1, t2, alpha_p, d_verifier, c):
+    """Array kernel of passive_gamma; raises on any negative leg sum."""
+    gamma = c * ((t2 - t1) - alpha_p) + d_verifier
+    bad = gamma < 0.0
+    if bad.any():
+        raise NegativeTimeOfFlight(f"negative leg sum {_first(gamma, bad)!r} m")
+    return gamma
+
+
+def direct_bounds(t1, t2, t3, alpha_p, alpha_v, d_verifier, c):
+    """Leg sum minus verifier-prover distance, before the NegativeBound rule."""
+    gamma = leg_sums(t1, t2, alpha_p, d_verifier, c)
+    return gamma - verifier_prover_distances(t1, t3, alpha_p, alpha_v, c)
+
+
 def verifier_prover_distance(obs: PassiveObservation) -> float:
     """Distance between the active verifier and the prover.
 
@@ -104,12 +146,9 @@ def verifier_prover_distance(obs: PassiveObservation) -> float:
     each end; the observer legs cancel, leaving twice the verifier-prover
     flight plus the two processing delays.
     """
-    tof2 = (obs.t3 - obs.t1) - obs.alpha_p - obs.alpha_v
-    if tof2 < -EPS_TIME:
-        raise NegativeTimeOfFlight(
-            f"overheard round trip {obs.t3 - obs.t1!r} s shorter than processing"
-        )
-    return max(obs.c * tof2 / 2.0, 0.0)
+    return float(verifier_prover_distances(
+        np.float64(obs.t1), obs.t3, obs.alpha_p, obs.alpha_v, obs.c
+    ))
 
 
 def passive_gamma(obs: PassiveObservation) -> float:
@@ -122,11 +161,7 @@ def passive_gamma(obs: PassiveObservation) -> float:
     so gamma = c * (delta1 - alpha_p) + d_verifier.  The prover lies on
     the ellipse with foci at the two verifiers and leg sum gamma.
     """
-    delta1 = obs.t2 - obs.t1
-    gamma = obs.c * (delta1 - obs.alpha_p) + obs.d_verifier
-    if gamma < 0.0:
-        raise NegativeTimeOfFlight(f"negative leg sum {gamma!r} m")
-    return gamma
+    return float(leg_sums(np.float64(obs.t1), obs.t2, obs.alpha_p, obs.d_verifier, obs.c))
 
 
 def passive_bound_direct(obs: PassiveObservation) -> float:
@@ -136,7 +171,9 @@ def passive_bound_direct(obs: PassiveObservation) -> float:
     have measured actively.  A prover that shortens it must also have
     shortened the active verifier's own bound.
     """
-    bound = passive_gamma(obs) - verifier_prover_distance(obs)
+    bound = float(direct_bounds(
+        np.float64(obs.t1), obs.t2, obs.t3, obs.alpha_p, obs.alpha_v, obs.d_verifier, obs.c
+    ))
     if bound < -EPS_DIST:
         raise NegativeBound(
             f"leg sum falls {-bound!r} m short of the verifier-prover distance"

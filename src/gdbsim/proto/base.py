@@ -184,10 +184,8 @@ def start_run(scenario: Scenario, zero_offsets: bool = False) -> RunContext:
     for nid in node_ids:
         if scenario.node(nid).has_cert:
             registry.register(nid, rng)
-    max_d = 0.0
-    for i, a in enumerate(node_ids):
-        for b in node_ids[i + 1:]:
-            max_d = max(max_d, channel.dist(a, b))
+    # flight times are symmetric and x*c is monotone, so this is the largest distance
+    max_d = channel.reach() * scenario.config.c
     slot = 2.0 * max_d / scenario.config.c + scenario.config.alpha + 1e-6
     return RunContext(
         scenario=scenario, channel=channel, rng=rng, registry=registry, slot_s=slot,

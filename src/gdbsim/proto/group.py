@@ -33,12 +33,8 @@ from .base import (
     start_run,
 )
 from .onetomany import chain_estimates, run_chain
-from .pairwise import (
-    ExchangeResult,
-    observed_bound,
-    passive_observations,
-    run_exchange,
-)
+from .pairwise import ExchangeResult, passive_bounds, run_exchange
+from .pairwise import observed_bound, passive_observations  # noqa: F401  (perfbench/tracing.py patches these names here)
 
 # (bound_m, method, observation count) accumulated per measurer-target pair
 _Candidate = Tuple[float, str, int]
@@ -89,14 +85,8 @@ def _oneway_group_phase(
             cursors[p] = off + n_a
             exchanges.append((ex, p, off))
             candidates.setdefault((v, p), []).append((ex.bound_m, METHOD_ACTIVE, n_a))
-            for w in watchers:
-                if w == v:
-                    continue
-                obs = passive_observations(ctx, ex, w)
-                if obs:
-                    candidates.setdefault((w, p), []).append(
-                        (observed_bound(obs), METHOD_PASSIVE, len(obs))
-                    )
+            for w, (bound, rounds) in passive_bounds(ctx, ex, watchers).items():
+                candidates.setdefault((w, p), []).append((bound, METHOD_PASSIVE, rounds))
             t = ex.t_end + ctx.slot_s
     return candidates, exchanges, t
 

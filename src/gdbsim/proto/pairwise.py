@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core import NodeId, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
-from ..estimate import NegativeBound, PassiveObservation, passive_bound_direct
+from ..estimate import NegativeBound, PassiveObservation, direct_bounds, passive_bound_direct
 from ..threat import FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
@@ -132,7 +134,7 @@ def run_exchange(
             allow_early=early,
         )
         nominal_sends.append(t_nominal)
-        t_end = max(t_end, t_actual + max(chan.tof(verifier, nid) for nid in chan.node_ids if nid != verifier))
+        t_end = max(t_end, t_actual + chan.reach(verifier))
 
     return ExchangeResult(
         verifier=verifier,
@@ -145,18 +147,77 @@ def run_exchange(
     )
 
 
-def advertised_baseline(ctx: RunContext, verifier: NodeId, observer: NodeId) -> float:
-    """Verifier-observer distance as the observer believes it.
+def _claimed_baseline(ctx: RunContext, pol: FakeLocationReport, observer: NodeId) -> float:
+    """Verifier-observer distance as a verifier faking its location advertises it."""
+    if pol.claimed_distance_m is not None:
+        return pol.claimed_distance_m
+    return distance(pol.claimed_pos, ctx.scenario.node(observer).pos)
 
-    Honest verifiers are taken at their true position; a verifier that
-    advertises a fake location or distance poisons this value.
+
+def _framed(ex: ExchangeResult) -> int:
+    """Rounds a listener can frame.
+
+    A round needs a follow-up emission, so the last round counts only
+    when the exchange was closed.
     """
-    pol = ctx.policy(verifier)
+    return max(0, min(len(ex.rounds), len(ex.nominal_sends) - 1))
+
+
+def _passive_timings(
+    ctx: RunContext, ex: ExchangeResult, watchers: Sequence[NodeId]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each watcher's timing triples for every fully-framed round.
+
+    Returns (rounds x watchers) arrays t1, t2, t3 on each watcher's own
+    clock, and each watcher's advertised baseline.  T1 and T3 come from
+    the verifier's published schedule plus the physical flight to the
+    watcher; T2 is the physically overheard response.  The baseline is
+    the true verifier-watcher distance unless the verifier advertises a
+    fake location or distance, which poisons it.
+    """
+    chan = ctx.channel
+    c = ctx.scenario.config.c
+    n_framed = _framed(ex)
+    off = np.array([chan.offsets[w] for w in watchers])
+    dist = chan.flights(ex.verifier, watchers) * c
+    base_tof = dist / c  # physical flight for schedule anchoring
+    pol = ctx.policy(ex.verifier)
     if isinstance(pol, FakeLocationReport):
-        if pol.claimed_distance_m is not None:
-            return pol.claimed_distance_m
-        return distance(pol.claimed_pos, ctx.scenario.node(observer).pos)
-    return ctx.channel.dist(verifier, observer)
+        base = np.array([_claimed_baseline(ctx, pol, w) for w in watchers])
+    else:
+        base = dist
+    schedule = (np.array(ex.nominal_sends[:n_framed + 1])[:, None] + base_tof) + off
+    emissions = chan.trace.emissions
+    t_resp = np.array([emissions[seq].t_send for seq in ex.response_seqs[:n_framed]])
+    # the prover sends every response, relayed ones included
+    t2 = (t_resp[:, None] + chan.flights(ex.prover, watchers)) + off
+    return schedule[:-1], t2, schedule[1:], base
+
+
+def passive_bounds(
+    ctx: RunContext, ex: ExchangeResult, watchers: Sequence[NodeId]
+) -> Dict[NodeId, Tuple[float, int]]:
+    """Every watcher's passive bound on the exchange's prover, in one pass.
+
+    Maps each watcher other than the exchange's own verifier to its
+    bound and the number of rounds it framed; an exchange that frames no
+    round prices nobody.  Per watcher this is exactly
+    observed_bound(passive_observations(...)): an impossible timing
+    anywhere raises NegativeTimeOfFlight, a round whose leg sum undercuts
+    the verifier-prover distance scores zero, and the bound is the
+    largest over the rounds, floored at zero.
+    """
+    others = [w for w in watchers if w != ex.verifier]
+    if not others or not _framed(ex):
+        return {}
+    cfg = ctx.scenario.config
+    t1, t2, t3, base = _passive_timings(ctx, ex, others)
+    bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
+    # a round scored zero (NegativeBound) or below zero cannot raise a
+    # maximum floored at zero, so the raw column maximum decides
+    best = bounds.max(axis=0).tolist()
+    rounds = len(t1)
+    return {w: (b if b > 0.0 else 0.0, rounds) for w, b in zip(others, best)}
 
 
 def passive_observations(
@@ -166,28 +227,18 @@ def passive_observations(
 ) -> List[PassiveObservation]:
     """The observer's timing triples for every fully-framed round.
 
-    T1 and T3 come from the verifier's published schedule plus the
-    advertised baseline; T2 is the physically overheard response.  A
-    round needs a follow-up emission, so the last round contributes only
-    when the exchange was closed.
+    The same stamps passive_bounds prices, one record per round, for
+    callers that inspect a single observation's geometry.
     """
-    chan = ctx.channel
     cfg = ctx.scenario.config
-    base = advertised_baseline(ctx, ex.verifier, observer)
-    base_tof = chan.dist(ex.verifier, observer) / cfg.c  # physical flight for schedule anchoring
-    off = chan.offsets[observer]
-    obs: List[PassiveObservation] = []
-    n_framed = min(len(ex.rounds), len(ex.nominal_sends) - 1)
-    for i in range(n_framed):
-        t1 = ex.nominal_sends[i] + base_tof + off
-        t3 = ex.nominal_sends[i + 1] + base_tof + off
-        t2 = chan.arrival_local(ex.response_seqs[i], observer)
-        obs.append(PassiveObservation(
-            t1=t1, t2=t2, t3=t3,
-            alpha_p=cfg.alpha, alpha_v=cfg.alpha,
-            d_verifier=base, c=cfg.c,
-        ))
-    return obs
+    t1, t2, t3, base = _passive_timings(ctx, ex, [observer])
+    return [
+        PassiveObservation(
+            t1=a, t2=b, t3=d, alpha_p=cfg.alpha, alpha_v=cfg.alpha,
+            d_verifier=float(base[0]), c=cfg.c,
+        )
+        for a, b, d in zip(t1[:, 0].tolist(), t2[:, 0].tolist(), t3[:, 0].tolist())
+    ]
 
 
 def observed_bound(obs: Sequence[PassiveObservation]) -> float:
@@ -251,13 +302,10 @@ def run_one_way_db(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
 
     # open_phase has refused any run whose required signatures did not verify
     estimates = [ex.estimate(cfg.auth_enabled)]
-    for w in observers:
-        obs = passive_observations(ctx, ex, w)
-        if not obs:
-            continue
+    for w, (bound, rounds) in passive_bounds(ctx, ex, observers).items():
         estimates.append(DbEstimate(
-            measurer=w, target=partner, bound_m=observed_bound(obs),
-            method=METHOD_PASSIVE, rounds_used=len(obs), verified_auth=cfg.auth_enabled,
+            measurer=w, target=partner, bound_m=bound,
+            method=METHOD_PASSIVE, rounds_used=rounds, verified_auth=cfg.auth_enabled,
         ))
     return RunResult(scenario=s, trace=ctx.channel.trace, estimates=estimates)
 
@@ -427,7 +475,7 @@ def _interleaved_rapid(
         ))
         prev = em_a
 
-    t_last = prev.t_send + max(chan.tof(a, nid) for nid in chan.node_ids if nid != a)
+    t_last = prev.t_send + chan.reach(a)
     ex_a = ExchangeResult(verifier=a, prover=b, rounds=rounds_a, nominal_sends=[],
                           response_seqs=[], bound_m=max_bound(rounds_a, alpha, cfg.c),
                           t_end=t_last)

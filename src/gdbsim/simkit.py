@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,10 +75,10 @@ class Trace:
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
 
     def arrival_true(self, seq: int, receiver: NodeId) -> float:
-        t = self.arrival_rows[seq][self._index[receiver]]
-        if np.isnan(t):
+        t = float(self.arrival_rows[seq][self._index[receiver]])
+        if t != t:
             raise KeyError(f"node {receiver} sent message {seq}, it does not receive it")
-        return float(t)
+        return t
 
     def arrival_local(self, seq: int, receiver: NodeId) -> float:
         return self.arrival_true(seq, receiver) + self.offsets[receiver]
@@ -161,12 +161,10 @@ class BroadcastChannel:
         self.node_ids: Tuple[NodeId, ...] = tuple(sorted(positions))
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.c = c
-        n = len(self.node_ids)
-        self._tof = np.zeros((n, n))
-        for i, a in enumerate(self.node_ids):
-            for j, b in enumerate(self.node_ids):
-                if i != j:
-                    self._tof[i, j] = distance(positions[a], positions[b]) / c
+        self._tof = np.array([
+            [distance(positions[a], positions[b]) / c if a != b else 0.0 for b in self.node_ids]
+            for a in self.node_ids
+        ])
         self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
         self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets))
         self._last_send: Dict[NodeId, float] = {}
@@ -176,6 +174,16 @@ class BroadcastChannel:
 
     def dist(self, a: NodeId, b: NodeId) -> float:
         return self.tof(a, b) * self.c
+
+    def flights(self, sender: NodeId, receivers: Sequence[NodeId]) -> np.ndarray:
+        """Flight times from sender to each receiver, as broadcast adds them to t_send."""
+        idx = self._index
+        return self._tof[idx[sender]][[idx[r] for r in receivers]]
+
+    def reach(self, node: Optional[NodeId] = None) -> float:
+        """Longest flight time from node, or between any two nodes."""
+        tof = self._tof if node is None else self._tof[self._index[node]]
+        return float(tof.max())
 
     def clock(self, node: NodeId) -> LocalClock:
         return LocalClock(owner=node, offset=self.offsets[node])
@@ -199,6 +207,7 @@ class BroadcastChannel:
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
+        prev = self._last_send.get(sender)
         if not allow_early:
             if after is not None:
                 t_trigger = self.trace.arrival_true(after, sender)
@@ -207,20 +216,19 @@ class BroadcastChannel:
                         f"node {sender} sends at {t_send} before message "
                         f"{after} arrives at {t_trigger}"
                     )
-            prev = self._last_send.get(sender)
             if prev is not None and t_send < prev - 1e-15:
                 raise CausalityViolation(
                     f"node {sender} send at {t_send} precedes its own last send at {prev}"
                 )
-        self._last_send[sender] = max(t_send, self._last_send.get(sender, t_send))
+        self._last_send[sender] = prev if prev is not None and prev > t_send else t_send
         seq = len(self.trace.emissions)
         em = Emission(
             seq=seq, sender=sender, t_send=t_send, kind=kind, phase=phase,
             payload=payload, round_index=round_index,
         )
-        row = t_send + self._tof[self._index[sender]]
-        row = row.copy()
-        row[self._index[sender]] = np.nan
+        i = self._index[sender]
+        row = t_send + self._tof[i]
+        row[i] = np.nan
         self.trace.emissions.append(em)
         self.trace.arrival_rows.append(row)
         return em

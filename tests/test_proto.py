@@ -2,6 +2,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdbsim.core import (
     NodeSpec,
@@ -10,13 +12,22 @@ from gdbsim.core import (
     SPEED_OF_LIGHT,
     distance,
 )
-from gdbsim.proto.base import AuthFailure, ResponseMismatch
+from gdbsim.estimate import NegativeTimeOfFlight
+from gdbsim.proto.base import AuthFailure, ResponseMismatch, start_run
+from gdbsim.proto.pairwise import (
+    _run_relay_exchange,
+    observed_bound,
+    passive_bounds,
+    passive_observations,
+    run_exchange,
+)
 from gdbsim.proto.ring import regular_ring_scenario, run_ring_with_delays
 from gdbsim.proto.runner import run_scenario
 from gdbsim.threat import (
     EarlyChallenge,
     FakeLocationReport,
     GuessAhead,
+    Honest,
     NodeInsertion,
     Relay,
     SelectiveDelay,
@@ -265,6 +276,75 @@ def test_fake_baseline_shifts_passive_bound_by_the_lie():
     honest = run_scenario(s)
     assert rigged.estimate_for(9, 2).bound_m == pytest.approx(
         honest.estimate_for(9, 2).bound_m + 8.0, abs=1e-6)
+
+
+coord = st.floats(min_value=-300.0, max_value=300.0)
+point = st.tuples(coord, coord)
+verifier_policies = st.one_of(
+    st.just(Honest()),
+    st.builds(FakeLocationReport, claimed_pos=point),
+    st.builds(FakeLocationReport, claimed_distance_m=st.floats(min_value=0.0, max_value=500.0)),
+    st.builds(EarlyChallenge, advance_s=st.sampled_from([0.0, 2e-8, 1e-7, 1e-6]),
+              pr_ch=st.sampled_from([0.5, 1.0])),
+)
+
+
+def priced_one_by_one(ctx, ex, watchers):
+    """Per-watcher scalar pricing, each stamp checked against the trace."""
+    chan = ctx.channel
+    out = {}
+    for w in watchers:
+        if w == ex.verifier:
+            continue
+        obs = passive_observations(ctx, ex, w)
+        base_tof = chan.dist(ex.verifier, w) / chan.c
+        for i, o in enumerate(obs):
+            assert o.t1 == ex.nominal_sends[i] + base_tof + chan.offsets[w]
+            assert o.t2 == chan.arrival_local(ex.response_seqs[i], w)
+            assert o.t3 == ex.nominal_sends[i + 1] + base_tof + chan.offsets[w]
+        if obs:
+            out[w] = (observed_bound(obs), len(obs))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(places=st.lists(point, min_size=4, max_size=8, unique=True), relay=st.booleans(),
+       n=st.integers(min_value=1, max_value=6),
+       alpha=st.floats(min_value=0.0, max_value=1e-6), closing=st.booleans(),
+       policy=verifier_policies, seed=st.integers(min_value=0, max_value=2**16))
+@example(places=[(0.0, 0.0), (90.0, 0.0), (30.0, 60.0), (-40.0, 10.0)], relay=False,
+         n=4, alpha=0.0, closing=True, policy=EarlyChallenge(advance_s=1e-6, pr_ch=1.0),
+         seed=6)
+def test_passive_bounds_match_per_watcher_pricing(
+    places, relay, n, alpha, closing, policy, seed
+):
+    """The batched pricer gives each watcher the scalar bound, bit for bit."""
+    v_pos, p_pos, *rest = places
+    extra = []
+    if relay:
+        extra.append(NodeSpec(id=3, pos=rest.pop(), role=Role.PROVER, policy=Relay(victim=2)))
+    watchers = [10 + k for k in range(len(rest))]
+    extra += [NodeSpec(id=w, pos=pos, role=Role.PASSIVE_VERIFIER)
+              for w, pos in zip(watchers, rest)]
+    s = with_policy(oneway_scenario(v_pos=v_pos, p_pos=p_pos, n=n, seed=seed, alpha=alpha,
+                                    extra_nodes=extra), 1, policy)
+    ctx = start_run(s)
+    nonces = tuple(ctx.draw_bits(1) for _ in range(n))
+    if relay:
+        ex = _run_relay_exchange(ctx, 1, 3, 2, nonces, ctx.slot_s, closing)
+    else:
+        ex = run_exchange(ctx, 1, 2, nonces, 0, n, ctx.slot_s, closing)
+    watchers = [1] + watchers  # the exchange's own verifier is never priced
+    try:
+        want = priced_one_by_one(ctx, ex, watchers)
+    except NegativeTimeOfFlight:
+        with pytest.raises(NegativeTimeOfFlight):
+            passive_bounds(ctx, ex, watchers)
+        return
+    got = passive_bounds(ctx, ex, watchers)
+    assert [(w, b.hex(), k) for w, (b, k) in got.items()] == [
+        (w, b.hex(), k) for w, (b, k) in want.items()
+    ]
 
 
 def with_config(scenario, **changes):
