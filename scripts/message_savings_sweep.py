@@ -22,27 +22,8 @@ from gdbsim.analysis import (
     reconcile,
     savings_percent,
 )
-from gdbsim.core import ExperimentParams, NodeSpec, ProtocolConfig, Protocol, Role, Scenario
 from gdbsim.proto.runner import run_scenario
-
-import math
-
-
-def build_mpnv(n, n_a, d_a, size, seed=101):
-    nodes = []
-    for k in range(size):
-        a = 2.0 * math.pi * k / size
-        nodes.append(NodeSpec(id=k + 1, pos=(150.0 * math.cos(a), 150.0 * math.sin(a)),
-                              role=Role.ACTIVE_VERIFIER))
-    for k in range(size):
-        a = 2.0 * math.pi * (k + 0.5) / size
-        nodes.append(NodeSpec(id=size + k + 1, pos=(60.0 * math.cos(a), 60.0 * math.sin(a)),
-                              role=Role.PROVER))
-    return Scenario(
-        nodes=tuple(nodes), protocol=Protocol.MPNV, config=ProtocolConfig(n=n),
-        experiment=ExperimentParams(n_a=n_a, n_p=n - n_a, d_a=d_a, N=size, M=size),
-        rng_seed=seed,
-    )
+from gdbsim.scenarios import mpnv_scenario
 
 
 def main(argv=None) -> int:
@@ -69,7 +50,7 @@ def main(argv=None) -> int:
             print(f"{size:>5} {frac:>5.2f} {n_a:>4} {base:>8} {ours:>8} {saving:>7.1f}%")
 
             if size <= args.simulate_up_to:
-                run = run_scenario(build_mpnv(n, n_a, frac, size))
+                run = run_scenario(mpnv_scenario(n, n_a, frac, size, size, seed=101))
                 rep = reconcile(run.trace, ours)
                 if not rep.matches:
                     print(f"  !! simulated run disagrees: {rep.discrepancies}",

@@ -20,15 +20,7 @@ is itself the give-away.
 import argparse
 import sys
 
-from gdbsim.core import (
-    NodeSpec,
-    Protocol,
-    ProtocolConfig,
-    Role,
-    SPEED_OF_LIGHT,
-    Scenario,
-    distance,
-)
+from gdbsim.core import SPEED_OF_LIGHT, distance
 from gdbsim.estimate import (
     NegativeBound,
     NegativeTimeOfFlight,
@@ -41,24 +33,12 @@ from gdbsim.estimate import (
 )
 from gdbsim.proto.base import start_run
 from gdbsim.proto.pairwise import passive_observations, run_exchange
+from gdbsim.scenarios import oneway_scenario, with_policy
 from gdbsim.threat import EarlyChallenge
 
 V_POS = (0.0, 0.0)
 P_POS = (7.0, -7.0)
 O_POS = (0.0, 10.0)
-
-
-def build(n, seed, verifier_policy=None):
-    nodes = [
-        NodeSpec(id=1, pos=V_POS, role=Role.ACTIVE_VERIFIER),
-        NodeSpec(id=2, pos=P_POS, role=Role.PROVER),
-        NodeSpec(id=9, pos=O_POS, role=Role.PASSIVE_VERIFIER),
-    ]
-    if verifier_policy is not None:
-        nodes[0] = NodeSpec(id=1, pos=V_POS, role=Role.ACTIVE_VERIFIER,
-                            policy=verifier_policy)
-    return Scenario(nodes=tuple(nodes), protocol=Protocol.ONE_WAY,
-                    config=ProtocolConfig(n=n), rng_seed=seed)
 
 
 def observe(scenario, n):
@@ -101,15 +81,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print("honest exchange:")
-    report(observe(build(args.rounds, args.seed), args.rounds))
+    honest = oneway_scenario(V_POS, P_POS, n=args.rounds, seed=args.seed,
+                             observer_pos=O_POS)
+    report(observe(honest, args.rounds))
 
     if args.advance_ns > 0:
         tau = args.advance_ns * 1e-9
         print(f"\nverifier {args.advance_ns:.0f} ns ahead of its published "
               f"schedule (shortens the bound by c*tau = "
               f"{SPEED_OF_LIGHT * tau:.3f} m):")
-        rigged = build(args.rounds, args.seed,
-                       verifier_policy=EarlyChallenge(advance_s=tau, pr_ch=1.0))
+        rigged = with_policy(honest, 1, EarlyChallenge(advance_s=tau, pr_ch=1.0))
         report(observe(rigged, args.rounds))
     return 0
 

@@ -34,10 +34,8 @@ from .analysis import (
 )
 from .core import (
     EPS_DIST,
-    ExperimentParams,
     NodeSpec,
     Protocol,
-    ProtocolConfig,
     Role,
     SPEED_OF_LIGHT,
     Scenario,
@@ -58,9 +56,16 @@ from .proto.pairwise import (
     run_sequential_interleaved,
     run_sequential_pairwise,
 )
-from .proto.ring import regular_ring_scenario, run_ring_with_delays
+from .proto.ring import run_ring_with_delays
 from .proto.runner import run_scenario
-from .threat import Honest, Relay, SelectiveDelay, distance_fraud_game
+from .scenarios import (
+    mpnv_scenario,
+    ntom_scenario,
+    oneway_scenario,
+    peer_scenario,
+    regular_ring_scenario,
+)
+from .threat import Relay, SelectiveDelay, distance_fraud_game
 
 QUICK_TRIALS = 10_000
 FULL_TRIALS = 100_000
@@ -84,69 +89,7 @@ class CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# scenario builders
-
-
-def _circle(center: Tuple[float, float], radius: float, k: int, count: int,
-            phase: float = 0.0) -> Tuple[float, float]:
-    a = 2.0 * math.pi * (k + phase) / count
-    return (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a))
-
-
-def _mpnv_scenario(n: int, n_a: int, d_a: float, n_verifiers: int,
-                   m_provers: int, seed: int) -> Scenario:
-    nodes: List[NodeSpec] = []
-    nid = 1
-    for k in range(n_verifiers):
-        nodes.append(NodeSpec(id=nid, pos=_circle((0.0, 0.0), 150.0, k, n_verifiers),
-                              role=Role.ACTIVE_VERIFIER))
-        nid += 1
-    for k in range(m_provers):
-        nodes.append(NodeSpec(id=nid, pos=_circle((0.0, 0.0), 60.0, k, m_provers, 0.5),
-                              role=Role.PROVER))
-        nid += 1
-    return Scenario(
-        nodes=tuple(nodes), protocol=Protocol.MPNV,
-        config=ProtocolConfig(n=n),
-        experiment=ExperimentParams(n_a=n_a, n_p=n - n_a, d_a=d_a,
-                                    N=n_verifiers, M=m_provers),
-        rng_seed=seed,
-    )
-
-
-def _oneway_scenario(
-    v_pos: Tuple[float, float],
-    p_pos: Tuple[float, float],
-    n: int,
-    seed: int,
-    alpha: float = 0.0,
-    observer_pos: Optional[Tuple[float, float]] = None,
-    prover_policy: object = None,
-    extra_prover: Optional[NodeSpec] = None,
-) -> Scenario:
-    nodes = [
-        NodeSpec(id=1, pos=v_pos, role=Role.ACTIVE_VERIFIER),
-        NodeSpec(id=2, pos=p_pos, role=Role.PROVER,
-                 policy=prover_policy if prover_policy is not None else Honest()),
-    ]
-    if extra_prover is not None:
-        nodes.append(extra_prover)
-    if observer_pos is not None:
-        nodes.append(NodeSpec(id=9, pos=observer_pos, role=Role.PASSIVE_VERIFIER))
-    return Scenario(
-        nodes=tuple(nodes), protocol=Protocol.ONE_WAY,
-        config=ProtocolConfig(n=n, alpha=alpha), rng_seed=seed,
-    )
-
-
-def _peer_group_scenario(protocol: Protocol, positions: Sequence[Tuple[float, float]],
-                         n: int, seed: int,
-                         experiment: Optional[ExperimentParams] = None) -> Scenario:
-    nodes = tuple(
-        NodeSpec(id=i + 1, pos=p, role=Role.PEER) for i, p in enumerate(positions)
-    )
-    return Scenario(nodes=nodes, protocol=protocol,
-                    config=ProtocolConfig(n=n), experiment=experiment, rng_seed=seed)
+# random placements
 
 
 def _scatter(rng: random.Random, count: int, box_m: float = 800.0,
@@ -179,7 +122,7 @@ def check_message_savings(quick: bool) -> Tuple[bool, str]:
     ]
     got: List[int] = []
     for i, (n_a, d_a, expected, saving) in enumerate(cases):
-        res = run_scenario(_mpnv_scenario(n, n_a, d_a, big_n, big_m, seed=101 + i))
+        res = run_scenario(mpnv_scenario(n, n_a, d_a, big_n, big_m, seed=101 + i))
         emitted = res.trace.count(phase="rapid")
         got.append(emitted)
         if emitted != expected:
@@ -204,9 +147,9 @@ def check_four_node_counts(quick: bool) -> Tuple[bool, str]:
     """One ring round beats both pairwise coverage strategies: 8 vs 24 vs 18."""
     ring_scn = regular_ring_scenario(4, 400.0, seed=21, n_rounds=1)
     ring_msgs = run_scenario(ring_scn).trace.count(phase="rapid")
-    seq_scn = _peer_group_scenario(
+    seq_scn = peer_scenario(
         Protocol.MULTI_PARTY_RING,
-        [(0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0)], n=1, seed=22,
+        positions=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0)], n=1, seed=22,
     )
     pair_msgs = run_sequential_pairwise(seq_scn).trace.count(phase="rapid")
     inter_msgs = run_sequential_interleaved(seq_scn).trace.count(phase="rapid")
@@ -226,8 +169,8 @@ def check_overheard_geometry(quick: bool) -> Tuple[bool, str]:
     sqrt(98), leg sum 20*sqrt(2), candidate positions (+-7, -7) and
     observer bound sqrt(338), each to a millionth of a meter.
     """
-    scn = _oneway_scenario((0.0, 0.0), (-7.0, -7.0), n=3, seed=31,
-                           observer_pos=(0.0, 10.0))
+    scn = oneway_scenario((0.0, 0.0), (-7.0, -7.0), n=3, seed=31,
+                          observer_pos=(0.0, 10.0))
     ctx = start_run(scn)
     nonces = tuple(ctx.draw_bits(scn.config.bit_len) for _ in range(scn.config.n))
     ex = run_exchange(ctx, 1, 2, nonces, 0, scn.config.n, ctx.slot_s, closing=True)
@@ -405,8 +348,8 @@ def check_solver_oracle(quick: bool) -> Tuple[bool, str]:
     for trial in range(100):
         n_nodes = rng.choice([4, 5, 6, 7, 8])
         pts = _scatter(rng, n_nodes)
-        scn = _peer_group_scenario(Protocol.MULTI_PARTY_RING, pts, n=1,
-                                   seed=7000 + trial)
+        scn = peer_scenario(Protocol.MULTI_PARTY_RING, positions=pts, n=1,
+                            seed=7000 + trial)
         res = run_scenario(scn)
         if res.rejections:
             return False, f"trial {trial}: solver rejections {res.rejections}"
@@ -470,8 +413,8 @@ def _non_shortening_delay(rng: random.Random, count: int) -> Tuple[int, float]:
     for trial in range(count):
         v, p = _scatter(rng, 2, box_m=500.0, min_sep_m=1.0)
         delay = rng.uniform(0.0, 2e-7)
-        scn = _oneway_scenario(v, p, n=2, seed=9000 + trial,
-                               prover_policy=SelectiveDelay(delay_s=delay))
+        scn = oneway_scenario(v, p, n=2, seed=9000 + trial,
+                              prover_policy=SelectiveDelay(delay_s=delay))
         res = run_scenario(scn)
         est = res.estimate_for(1, 2)
         slack = est.bound_m - distance(v, p)
@@ -486,8 +429,8 @@ def _non_shortening_relay(rng: random.Random, count: int) -> Tuple[int, float]:
     for trial in range(count):
         v, front, victim = _scatter(rng, 3, box_m=500.0, min_sep_m=1.0)
         extra = NodeSpec(id=3, pos=victim, role=Role.PROVER)
-        scn = _oneway_scenario(v, front, n=2, seed=9500 + trial,
-                               prover_policy=Relay(victim=3), extra_prover=extra)
+        scn = oneway_scenario(v, front, n=2, seed=9500 + trial,
+                              prover_policy=Relay(victim=3), extra_nodes=(extra,))
         res = run_scenario(scn)
         est = res.estimate_for(1, 2)
         slack = est.bound_m - max(distance(v, victim), distance(v, front))
@@ -501,61 +444,50 @@ def _reconcile_sweep() -> Tuple[int, List[str]]:
     points: List[Tuple[Scenario, int]] = []
     seed = 40000
 
-    def peer_pts(count: int) -> List[Tuple[float, float]]:
-        return [_circle((0.0, 0.0), 200.0, k, count) for k in range(count)]
-
     for n in (1, 2, 3, 4, 6, 8, 10):
         for with_obs in (False, True):
-            scn = _oneway_scenario((0.0, 0.0), (30.0, 40.0), n=n, seed=seed,
-                                   observer_pos=(0.0, 80.0) if with_obs else None)
+            scn = oneway_scenario((0.0, 0.0), (30.0, 40.0), n=n, seed=seed,
+                                  observer_pos=(0.0, 80.0) if with_obs else None)
             points.append((scn, 2 * n + (1 if with_obs else 0)))
             seed += 1
     for n in range(1, 7):
-        scn = _peer_group_scenario(Protocol.MUTUAL_INTERLEAVED,
-                                   [(0.0, 0.0), (120.0, 50.0)], n=n, seed=seed)
+        scn = peer_scenario(Protocol.MUTUAL_INTERLEAVED,
+                            positions=[(0.0, 0.0), (120.0, 50.0)], n=n, seed=seed)
         points.append((scn, 2 * n + 1))
         seed += 1
     for n in (1, 2, 3):
         for m in (2, 3, 4):
-            scn = _peer_group_scenario(Protocol.ONE_TO_MANY, peer_pts(m + 1),
-                                       n=n, seed=seed)
+            scn = peer_scenario(Protocol.ONE_TO_MANY, m + 1, n=n, seed=seed)
             points.append((scn, n * (2 * m + 1)))
             seed += 1
     for n_nodes in (4, 5, 6, 7):
         for rounds in (1, 2):
             if (n_nodes, rounds) == (7, 2):
                 continue
-            scn = _peer_group_scenario(Protocol.MULTI_PARTY_RING,
-                                       peer_pts(n_nodes), n=rounds, seed=seed)
+            scn = peer_scenario(Protocol.MULTI_PARTY_RING, n_nodes, n=rounds, seed=seed)
             points.append((scn, 2 * n_nodes * rounds))
             seed += 1
     for n, n_a, d_a, big_n, big_m in (
         (2, 1, 0.5, 3, 2), (2, 2, 1.0, 3, 2), (3, 2, 0.7, 4, 3),
         (4, 4, 1.0, 2, 2), (3, 1, 0.34, 3, 3),
     ):
-        scn = _mpnv_scenario(n, n_a, d_a, big_n, big_m, seed=seed)
+        scn = mpnv_scenario(n, n_a, d_a, big_n, big_m, seed=seed)
         points.append((scn, mpnv_run_count(n, n_a, d_a, big_n, big_m)))
         seed += 1
     for n, big_n, big_m in ((1, 2, 2), (2, 2, 3), (1, 3, 3)):
-        scn = _peer_group_scenario(
-            Protocol.NTOM_MULTIPARTY, peer_pts(big_n + big_m), n=n, seed=seed,
-            experiment=ExperimentParams(N=big_n, M=big_m))
+        scn = ntom_scenario(Protocol.NTOM_MULTIPARTY, big_n, big_m, n=n, seed=seed)
         points.append((scn, 2 * n * (big_n + big_m)))
         seed += 1
     for n, big_n, big_m in ((1, 2, 2), (2, 2, 2), (1, 3, 2)):
-        scn = _peer_group_scenario(
-            Protocol.NTOM_ONETOMANY, peer_pts(big_n + big_m), n=n, seed=seed,
-            experiment=ExperimentParams(N=big_n, M=big_m))
+        scn = ntom_scenario(Protocol.NTOM_ONETOMANY, big_n, big_m, n=n, seed=seed)
         points.append((scn, big_n * n * (2 * big_m + 1)))
         seed += 1
     for n, n_a1, d_1, n_a2, d_2, big_n, big_m in (
         (2, 1, 0.5, 1, 0.5, 2, 2), (2, 2, 1.0, 2, 1.0, 2, 2),
         (3, 2, 0.6, 1, 0.4, 3, 2),
     ):
-        scn = _peer_group_scenario(
-            Protocol.NTOM_PASSIVE, peer_pts(big_n + big_m), n=n, seed=seed,
-            experiment=ExperimentParams(n_a1=n_a1, n_a2=n_a2, d_1=d_1, d_2=d_2,
-                                        N=big_n, M=big_m))
+        scn = ntom_scenario(Protocol.NTOM_PASSIVE, big_n, big_m, n=n, seed=seed,
+                            n_a1=n_a1, n_a2=n_a2, d_1=d_1, d_2=d_2)
         points.append((scn, ntom_passive_run_count(n, n_a1, d_1, n_a2, d_2,
                                                    big_n, big_m)))
         seed += 1

@@ -104,12 +104,6 @@ class RunResult:
     ring_solutions: Optional[Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]]] = None
     rejections: List[str] = field(default_factory=list)
 
-    def bounds_matrix(self) -> Dict[NodeId, Dict[NodeId, float]]:
-        out: Dict[NodeId, Dict[NodeId, float]] = {}
-        for est in self.estimates:
-            out.setdefault(est.measurer, {})[est.target] = est.bound_m
-        return out
-
     def estimate_for(self, measurer: NodeId, target: NodeId) -> DbEstimate:
         for est in self.estimates:
             if est.measurer == measurer and est.target == target:
@@ -152,13 +146,18 @@ class RunContext:
         lets its policy shift the emission; measurer names the node whose
         measurement the send answers, which a targeted delay keys on.
         Returns the emission time and whether it may precede its trigger.
+        A send that is not early never precedes the node's previous send:
+        an early challenge can reach a prover before it has answered the
+        last one, and the answer then waits for it.
         """
         index = self.send_counters.get(node, 0)
         self.send_counters[node] = index + 1
         shaped = apply_policy(
             self.policies[node], SendIntent(node, index, t_nominal, measurer), self.rng
         )
-        return shaped.t_nominal, shaped.allow_early
+        if shaped.allow_early:
+            return shaped.t_nominal, True
+        return self.channel.in_order(node, shaped.t_nominal), False
 
     def draw_bits(self, bit_len: int) -> int:
         return self.rng.getrandbits(bit_len) if bit_len else 0

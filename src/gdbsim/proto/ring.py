@@ -14,19 +14,10 @@ is what the discrepancy check flags.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core import (
-    GdbSimError,
-    NodeId,
-    NodeSpec,
-    Protocol,
-    ProtocolConfig,
-    Role,
-    Scenario,
-)
+from ..core import GdbSimError, NodeId, Role, Scenario
 from ..crypto import Commitment, UnknownKey, hash_bytes
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..estimate import (
@@ -38,6 +29,7 @@ from ..estimate import (
     snake_order,
     solve_tof,
 )
+from ..scenarios import regular_ring_scenario
 from ..threat import EPS_DETECT_M, SelectiveDelay, cross_check_detect
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
@@ -225,34 +217,6 @@ def _verify_value_chain(
                     r + 1, f"ring value at round {r + 1} position {pos} off the chain"
                 )
             prev = expect
-
-
-def regular_ring_scenario(
-    n_nodes: int,
-    side_m: float,
-    seed: int,
-    n_rounds: int = 1,
-    alpha: float = 0.0,
-) -> Scenario:
-    """Peers on a regular polygon with the given side length, ids 1..N."""
-    radius = side_m / (2.0 * math.sin(math.pi / n_nodes))
-    nodes = tuple(
-        NodeSpec(
-            id=i + 1,
-            pos=(
-                radius * math.cos(2.0 * math.pi * i / n_nodes),
-                radius * math.sin(2.0 * math.pi * i / n_nodes),
-            ),
-            role=Role.PEER,
-        )
-        for i in range(n_nodes)
-    )
-    return Scenario(
-        nodes=nodes,
-        protocol=Protocol.MULTI_PARTY_RING,
-        config=ProtocolConfig(n=n_rounds, bit_len=1, alpha=alpha),
-        rng_seed=seed,
-    )
 
 
 def run_ring_with_delays(

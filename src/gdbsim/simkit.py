@@ -7,9 +7,12 @@ scenario and its seed.  Each node also carries a fixed local clock
 offset; nodes only ever reason about local readings, and any quantity a
 node derives must come out identical whatever the offsets are.
 
-Arrival ordering ties are broken by (t_arrive, seq, receiver id), which
-keeps exported traces byte-identical across platforms for a given
-scenario and seed.
+The trace stores emissions only.  Arrivals are derived, never stored:
+message seq reaches receiver r at t_send + tof[sender, r], one float64
+add on the channel's flight-time matrix.  The export orders emissions
+and arrivals by (time, seq, receiver id), an emission ahead of its own
+arrivals, which keeps traces byte-identical across platforms for a
+given scenario and seed.
 """
 
 from __future__ import annotations
@@ -17,13 +20,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import GdbSimError, NodeId, Scenario, distance
 
 PHASES = ("pre", "rapid", "post", "report")
+
+# float noise by which a send may precede its trigger or its node's last send
+SEND_SLACK_S = 1e-15
 
 
 class CausalityViolation(GdbSimError):
@@ -40,64 +46,36 @@ class Emission:
     payload: bytes = b""
     round_index: Optional[int] = None
 
-    def payload_digest(self) -> str:
-        return hashlib.sha256(self.payload).hexdigest()
 
-
-@dataclass(frozen=True)
-class ArrivalRecord:
-    seq: int
-    receiver: NodeId
-    t_arrive: float          # true clock, seconds
-
-
-@dataclass
-class LocalClock:
-    """A node's private clock: local reading = true time + offset."""
-
-    owner: NodeId
-    offset: float
-
-    def read(self, t_true: float) -> float:
-        return t_true + self.offset
+# Export lines joined per string: one join over every line of a large
+# trace holds the whole line list and the joined text at once.
+EXPORT_CHUNK_LINES = 1 << 16
 
 
 @dataclass
 class Trace:
-    """Everything that happened on the channel during one run."""
+    """Everything that happened on the channel during one run.
+
+    Only emissions are stored; an arrival is derived on demand as
+    t_send + tof[sender, receiver] from the channel's flight-time matrix.
+    """
 
     node_ids: Tuple[NodeId, ...]
     offsets: Dict[NodeId, float]
+    tof: np.ndarray          # flight seconds, indexed like node_ids
     emissions: List[Emission] = field(default_factory=list)
-    arrival_rows: List[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
 
     def arrival_true(self, seq: int, receiver: NodeId) -> float:
-        t = float(self.arrival_rows[seq][self._index[receiver]])
-        if t != t:
+        em = self.emissions[seq]
+        if receiver == em.sender:
             raise KeyError(f"node {receiver} sent message {seq}, it does not receive it")
-        return t
+        return em.t_send + self.tof.item(self._index[em.sender], self._index[receiver])
 
     def arrival_local(self, seq: int, receiver: NodeId) -> float:
         return self.arrival_true(seq, receiver) + self.offsets[receiver]
-
-    def send_local(self, seq: int) -> float:
-        em = self.emissions[seq]
-        return em.t_send + self.offsets[em.sender]
-
-    def arrivals(self) -> Iterator[ArrivalRecord]:
-        """All arrivals in delivery order: (t_arrive, seq, receiver)."""
-        recs = []
-        for em in self.emissions:
-            row = self.arrival_rows[em.seq]
-            for nid, idx in self._index.items():
-                t = row[idx]
-                if not np.isnan(t):
-                    recs.append(ArrivalRecord(em.seq, nid, float(t)))
-        recs.sort(key=lambda r: (r.t_arrive, r.seq, r.receiver))
-        return iter(recs)
 
     def count(self, phase: Optional[str] = None, kind: Optional[str] = None) -> int:
         return sum(
@@ -106,47 +84,53 @@ class Trace:
             if (phase is None or em.phase == phase) and (kind is None or em.kind == kind)
         )
 
-    def records(self) -> Iterator[dict]:
-        """Unified emission and arrival records in deterministic order."""
-        rows: List[Tuple[float, int, int, int, dict]] = []
-        for em in self.emissions:
-            rows.append((
-                em.t_send, em.seq, 0, -1,
-                {
-                    "kind": em.kind,
-                    "seq": em.seq,
-                    "sender": em.sender,
-                    "receiver": None,
-                    "t_send": em.t_send,
-                    "t_arrive": None,
-                    "payload_digest": em.payload_digest(),
-                },
-            ))
-        for rec in self.arrivals():
-            em = self.emissions[rec.seq]
-            rows.append((
-                rec.t_arrive, rec.seq, 1, rec.receiver,
-                {
-                    "kind": "arrival",
-                    "seq": rec.seq,
-                    "sender": em.sender,
-                    "receiver": rec.receiver,
-                    "t_send": em.t_send,
-                    "t_arrive": rec.t_arrive,
-                    "payload_digest": em.payload_digest(),
-                },
-            ))
-        rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-        return (r[4] for r in rows)
-
     def to_jsonl(self) -> str:
-        lines = [json.dumps({
+        """A meta line, then every emission and arrival as one JSON object per line.
+
+        Lines are ordered by (time, seq, receiver), an emission ahead of
+        its own arrivals.  Keys are written in sorted order and floats as
+        repr, so each line equals json.dumps(record, sort_keys=True).
+        """
+        meta = json.dumps({
             "kind": "meta",
             "node_ids": list(self.node_ids),
             "offsets": {str(k): v for k, v in sorted(self.offsets.items())},
-        }, sort_keys=True)]
-        lines.extend(json.dumps(rec, sort_keys=True) for rec in self.records())
-        return "\n".join(lines) + "\n"
+        }, sort_keys=True)
+        ems = self.emissions
+        sender = np.array([self._index[em.sender] for em in ems], dtype=np.intp)
+        t_send = np.array([em.t_send for em in ems], dtype=float)
+        ids = np.array(self.node_ids)
+        # one column per receiver, then the emission itself under a receiver
+        # key below every node id
+        own = min(self.node_ids, default=0) - 1
+        times = np.column_stack((t_send[:, None] + self.tof[sender], t_send))
+        receivers = np.append(ids, own)
+        seqs, cols = np.nonzero(receivers != ids[sender][:, None])
+        times, receivers = times[seqs, cols], receivers[cols]
+        order = np.lexsort((receivers, seqs, times))
+        digests = [hashlib.sha256(em.payload).hexdigest() for em in ems]
+        chunks = [meta]
+        for lo in range(0, len(order), EXPORT_CHUNK_LINES):
+            part = order[lo:lo + EXPORT_CHUNK_LINES]
+            lines = []
+            for s, r, t in zip(seqs[part].tolist(), receivers[part].tolist(),
+                               times[part].tolist()):
+                em = ems[s]
+                if r == own:
+                    lines.append(
+                        f'{{"kind": "{em.kind}", "payload_digest": "{digests[s]}", '
+                        f'"receiver": null, "sender": {em.sender}, "seq": {s}, '
+                        f'"t_arrive": null, "t_send": {em.t_send!r}}}'
+                    )
+                else:
+                    lines.append(
+                        f'{{"kind": "arrival", "payload_digest": "{digests[s]}", '
+                        f'"receiver": {r}, "sender": {em.sender}, "seq": {s}, '
+                        f'"t_arrive": {t!r}, "t_send": {em.t_send!r}}}'
+                    )
+            chunks.append("\n".join(lines))
+        chunks.append("")
+        return "\n".join(chunks)
 
 
 class BroadcastChannel:
@@ -166,7 +150,7 @@ class BroadcastChannel:
             for a in self.node_ids
         ])
         self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
-        self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets))
+        self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets), tof=self._tof)
         self._last_send: Dict[NodeId, float] = {}
 
     def tof(self, a: NodeId, b: NodeId) -> float:
@@ -185,8 +169,10 @@ class BroadcastChannel:
         tof = self._tof if node is None else self._tof[self._index[node]]
         return float(tof.max())
 
-    def clock(self, node: NodeId) -> LocalClock:
-        return LocalClock(owner=node, offset=self.offsets[node])
+    def in_order(self, node: NodeId, t: float) -> float:
+        """t, or node's latest send when t would precede it: a node sends in order."""
+        prev = self._last_send.get(node)
+        return prev if prev is not None and t < prev - SEND_SLACK_S else t
 
     def broadcast(
         self,
@@ -211,12 +197,12 @@ class BroadcastChannel:
         if not allow_early:
             if after is not None:
                 t_trigger = self.trace.arrival_true(after, sender)
-                if t_send < t_trigger - 1e-15:
+                if t_send < t_trigger - SEND_SLACK_S:
                     raise CausalityViolation(
                         f"node {sender} sends at {t_send} before message "
                         f"{after} arrives at {t_trigger}"
                     )
-            if prev is not None and t_send < prev - 1e-15:
+            if prev is not None and t_send < prev - SEND_SLACK_S:
                 raise CausalityViolation(
                     f"node {sender} send at {t_send} precedes its own last send at {prev}"
                 )
@@ -226,11 +212,7 @@ class BroadcastChannel:
             seq=seq, sender=sender, t_send=t_send, kind=kind, phase=phase,
             payload=payload, round_index=round_index,
         )
-        i = self._index[sender]
-        row = t_send + self._tof[i]
-        row[i] = np.nan
         self.trace.emissions.append(em)
-        self.trace.arrival_rows.append(row)
         return em
 
     def arrival_true(self, seq: int, receiver: NodeId) -> float:
@@ -243,13 +225,3 @@ class BroadcastChannel:
 def channel_for_scenario(scenario: Scenario, offsets: Optional[Dict[NodeId, float]] = None) -> BroadcastChannel:
     return BroadcastChannel(scenario.positions(), scenario.config.c, offsets)
 
-
-def run(scenario: Scenario, zero_offsets: bool = False):
-    """Validate and execute a scenario; returns the protocol RunResult.
-
-    The result's .trace is the full channel history.  Identical scenario
-    and seed give a byte-identical trace export.
-    """
-    from .proto.runner import run_scenario
-
-    return run_scenario(scenario, zero_offsets=zero_offsets)

@@ -23,8 +23,7 @@ from gdbsim.analysis import (
 )
 from gdbsim.core import LengthMismatch, Protocol
 from gdbsim.proto.runner import run_scenario
-
-from builders import mpnv_scenario, oneway_scenario, peer_scenario
+from gdbsim.scenarios import mpnv_scenario, oneway_scenario, peer_scenario
 
 
 def inp(setting, **kw):

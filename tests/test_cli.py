@@ -7,8 +7,7 @@ import pytest
 from gdbsim.analysis import emit_figure_data
 from gdbsim.cli import main
 from gdbsim.core import Protocol, scenario_to_json
-
-from builders import oneway_scenario, peer_scenario
+from gdbsim.scenarios import oneway_scenario, peer_scenario
 
 
 def write_scenario(tmp_path, scenario, name="scn.json"):

@@ -20,6 +20,7 @@ from gdbsim.core import (
     scenario_to_json,
     validate_scenario,
 )
+from gdbsim.scenarios import mpnv_scenario, ntom_scenario, oneway_scenario, peer_scenario
 from gdbsim.threat import (
     EarlyChallenge,
     GuessAhead,
@@ -27,8 +28,6 @@ from gdbsim.threat import (
     Relay,
     SelectiveDelay,
 )
-
-from builders import mpnv_scenario, ntom_scenario, oneway_scenario, peer_scenario
 
 
 def test_distance_345():

@@ -21,8 +21,16 @@ from gdbsim.proto.pairwise import (
     passive_observations,
     run_exchange,
 )
-from gdbsim.proto.ring import regular_ring_scenario, run_ring_with_delays
+from gdbsim.proto.ring import run_ring_with_delays
 from gdbsim.proto.runner import run_scenario
+from gdbsim.scenarios import (
+    mpnv_scenario,
+    ntom_scenario,
+    oneway_scenario,
+    peer_scenario,
+    regular_ring_scenario,
+    with_policy,
+)
 from gdbsim.threat import (
     EarlyChallenge,
     FakeLocationReport,
@@ -33,17 +41,7 @@ from gdbsim.threat import (
     SelectiveDelay,
 )
 
-from builders import mpnv_scenario, ntom_scenario, oneway_scenario, peer_scenario
-
 C = SPEED_OF_LIGHT
-
-
-def with_policy(scenario, node_id, policy, **extra):
-    nodes = tuple(
-        dataclasses.replace(n, policy=policy, **extra) if n.id == node_id else n
-        for n in scenario.nodes
-    )
-    return dataclasses.replace(scenario, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +313,8 @@ def priced_one_by_one(ctx, ex, watchers):
 @example(places=[(0.0, 0.0), (90.0, 0.0), (30.0, 60.0), (-40.0, 10.0)], relay=False,
          n=4, alpha=0.0, closing=True, policy=EarlyChallenge(advance_s=1e-6, pr_ch=1.0),
          seed=6)
+@example(places=[(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 32.0)], relay=False, n=3,
+         alpha=0.0, closing=False, policy=EarlyChallenge(advance_s=2e-08, pr_ch=0.5), seed=0)
 def test_passive_bounds_match_per_watcher_pricing(
     places, relay, n, alpha, closing, policy, seed
 ):

@@ -1,12 +1,15 @@
 """Broadcast channel: propagation, causality, trace export."""
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdbsim.core import SPEED_OF_LIGHT
-from gdbsim.simkit import BroadcastChannel, CausalityViolation, channel_for_scenario
-
-from builders import oneway_scenario
+from gdbsim.proto.runner import run_scenario
+from gdbsim.scenarios import on_circle, oneway_scenario
+from gdbsim.simkit import PHASES, BroadcastChannel, CausalityViolation, channel_for_scenario
 
 POSITIONS = {1: (0.0, 0.0), 2: (300.0, 0.0), 3: (0.0, 400.0)}
 
@@ -34,7 +37,6 @@ def test_local_readings_add_offset():
     em = chan.broadcast(1, 0.0, "beacon", "pre")
     true_t = chan.arrival_true(em.seq, 2)
     assert chan.arrival_local(em.seq, 2) == pytest.approx(true_t + 0.25)
-    assert chan.clock(2).read(1.0) == 1.25
 
 
 def test_tof_is_symmetric():
@@ -80,6 +82,15 @@ def test_own_sends_must_not_go_backwards():
         chan.broadcast(1, 0.5, "beacon", "pre")
 
 
+def test_in_order_holds_a_send_back_to_the_last_one():
+    chan = make_channel()
+    assert chan.in_order(1, 0.5) == 0.5
+    chan.broadcast(1, 1.0, "beacon", "pre")
+    assert chan.in_order(1, 0.5) == 1.0
+    assert chan.in_order(1, 1.0 - 1e-16) == 1.0 - 1e-16  # inside the float slack
+    assert chan.in_order(2, 0.5) == 0.5
+
+
 def test_trace_counts_by_phase_and_kind():
     chan = make_channel()
     chan.broadcast(1, 0.0, "commit", "pre")
@@ -96,13 +107,12 @@ def test_records_are_json_safe_and_ordered():
     chan = make_channel()
     chan.broadcast(1, 0.0, "beacon", "pre", payload=b"x")
     chan.broadcast(2, 5e-7, "beacon", "pre")
-    rows = list(chan.trace.records())
+    rows = [json.loads(line) for line in chan.trace.to_jsonl().splitlines()[1:]]
     # 2 sends + 2 arrivals each
     assert len(rows) == 6
     times = [r["t_send"] if r["t_arrive"] is None else r["t_arrive"] for r in rows]
     assert times == sorted(times)
     for r in rows:
-        json.dumps(r)  # no numpy scalars may leak through
         assert type(r["t_send"]) is float
 
 
@@ -110,9 +120,7 @@ def test_jsonl_repeats_exactly():
     s = oneway_scenario(n=3, seed=12)
 
     def dump() -> str:
-        from gdbsim.simkit import run
-
-        return run(s).trace.to_jsonl()
+        return run_scenario(s).trace.to_jsonl()
 
     first = dump()
     assert dump() == first
@@ -122,10 +130,8 @@ def test_jsonl_repeats_exactly():
 
 
 def test_different_seed_different_trace():
-    from gdbsim.simkit import run
-
-    a = run(oneway_scenario(n=3, seed=1)).trace.to_jsonl()
-    b = run(oneway_scenario(n=3, seed=2)).trace.to_jsonl()
+    a = run_scenario(oneway_scenario(n=3, seed=1)).trace.to_jsonl()
+    b = run_scenario(oneway_scenario(n=3, seed=2)).trace.to_jsonl()
     assert a != b
 
 
@@ -134,3 +140,70 @@ def test_channel_for_scenario_uses_config_speed():
     chan = channel_for_scenario(s)
     assert chan.dist(1, 2) == pytest.approx(90.0)
     assert chan.tof(1, 2) == pytest.approx(90.0 / s.config.c)
+
+
+def reference_jsonl(trace) -> str:
+    """The export as one dict per emission and per arrival, sorted, then dumped."""
+    rows = []
+    for em in trace.emissions:
+        common = {
+            "payload_digest": hashlib.sha256(em.payload).hexdigest(),
+            "seq": em.seq,
+            "sender": em.sender,
+            "t_send": em.t_send,
+        }
+        rows.append(((em.t_send, em.seq, 0, 0),
+                     {**common, "kind": em.kind, "receiver": None, "t_arrive": None}))
+        for r in trace.node_ids:
+            if r != em.sender:
+                t = trace.arrival_true(em.seq, r)
+                rows.append(((t, em.seq, 1, r),
+                             {**common, "kind": "arrival", "receiver": r, "t_arrive": t}))
+    rows.sort(key=lambda row: row[0])
+    meta = {
+        "kind": "meta",
+        "node_ids": list(trace.node_ids),
+        "offsets": {str(k): v for k, v in sorted(trace.offsets.items())},
+    }
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [meta] + [r for _, r in rows])
+
+
+# With c = 1 the integer layouts have exact flight times, so sends on the
+# shared instants below tie with each other and with arrivals.
+TIE_LAYOUTS = (
+    [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],      # square
+    [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],      # collinear, equal spacing
+    [on_circle(k, 6, 1.0) for k in range(6)],              # regular hexagon
+    [(0.0, 0.0), (0.0, 0.0), (3.0, 4.0)],                  # zero flight time
+)
+INSTANTS = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def tied_traces(draw):
+    pts = draw(st.sampled_from(TIE_LAYOUTS))
+    ids = draw(st.lists(st.integers(-3, 40), min_size=len(pts), max_size=len(pts), unique=True))
+    offsets = {i: draw(st.sampled_from((0.0, 0.25, -1e-9))) for i in ids}
+    chan = BroadcastChannel(dict(zip(ids, pts)), c=1.0, offsets=offsets)
+    for _ in range(draw(st.integers(0, 10))):
+        sender = draw(st.sampled_from(chan.node_ids))
+        if chan.trace.emissions and draw(st.booleans()):
+            # send at the instant an earlier message arrives somewhere
+            prev = draw(st.sampled_from(chan.trace.emissions))
+            at = draw(st.sampled_from([r for r in chan.node_ids if r != prev.sender]))
+            t = chan.arrival_true(prev.seq, at)
+        else:
+            t = draw(st.sampled_from(INSTANTS))
+        chan.broadcast(sender, t, draw(st.sampled_from(("beacon", "challenge", "response"))),
+                       draw(st.sampled_from(PHASES)), payload=draw(st.binary(max_size=3)),
+                       allow_early=True)
+    return chan.trace
+
+
+@settings(max_examples=300, deadline=None)
+@example(trace=BroadcastChannel({1: (0.0, 0.0), 2: (1.0, 0.0)}, c=1.0).trace)
+@given(trace=tied_traces())
+def test_jsonl_matches_reference_export(trace):
+    text = trace.to_jsonl()
+    assert text == reference_jsonl(trace)
+    assert text.count("\n") == 1 + len(trace.emissions) * len(trace.node_ids)
