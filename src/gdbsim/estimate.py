@@ -291,16 +291,32 @@ class TofSystem:
 
     Unknowns are ("edge", (a, b)) flight times for the N ring edges plus
     the chords from non-adjacent senders to the observer, and one
-    ("anchor", round) clock term per round whose start the observer did
-    not stamp itself.
+    ("anchor", round) term per round whose start the observer did not
+    stamp itself: the round's start relative to its first stamp.
+
+    rows and rhs are float64 arrays.  Each round's stamps are rebased on
+    its first stamp (or on t_start_local), so rhs holds spans of flight
+    and processing time rather than clock readings; stamp_max is the
+    largest clock reading that went into it, which sets its rounding.
     """
 
     unknowns: List[Tuple[str, object]]
-    rows: List[List[float]]
-    rhs: List[float]
+    rows: np.ndarray
+    rhs: np.ndarray
+    stamp_max: float = 0.0
 
-    def matrix(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.rows, dtype=float), np.asarray(self.rhs, dtype=float)
+
+@dataclass(frozen=True)
+class TofSolution:
+    """Solved unknowns of a TofSystem and their rounding error bound.
+
+    error_s bounds, in seconds, how far any one unknown can move when
+    every stamp is off by half an ulp: |dx| <= ||A+||_2 * ||db||_2 with
+    ||A+||_2 = 1 / sigma_min and ||db||_2 <= sqrt(rows) * ulp / 2.
+    """
+
+    values: Dict[Tuple[str, object], float]
+    error_s: float
 
 
 def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
@@ -332,106 +348,86 @@ def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
                 f"round logged {len(rt.arrivals)} arrivals, cycle has {expected}"
             )
 
-    unknowns: List[Tuple[str, object]] = []
-    index: Dict[Tuple[str, object], int] = {}
-
-    def register(key: Tuple[str, object]) -> int:
-        if key not in index:
-            index[key] = len(unknowns)
-            unknowns.append(key)
-        return index[key]
-
-    edges = ring_edges(ring)
-    for e in edges:
-        register(("edge", e))
-    edge_set = set(edges)
+    edge_col: Dict[Tuple[NodeId, NodeId], int] = {}
+    for e in ring_edges(ring):
+        edge_col.setdefault(e, len(edge_col))
     for node in ring:
-        if node != observer and _edge_key(node, observer) not in edge_set:
-            register(("edge", _edge_key(node, observer)))
+        if node != observer:
+            edge_col.setdefault(_edge_key(node, observer), len(edge_col))
+    unknowns: List[Tuple[str, object]] = [("edge", e) for e in edge_col]
     anchor_col: List[Optional[int]] = []
     for ridx, rt in enumerate(rounds):
-        anchor_col.append(register(("anchor", ridx)) if rt.t_start_local is None else None)
+        if rt.t_start_local is None:
+            anchor_col.append(len(unknowns))
+            unknowns.append(("anchor", ridx))
+        else:
+            anchor_col.append(None)
 
-    width = len(unknowns)
+    # row m - 1 of table is message m's equation without its anchor: one
+    # cumulative sum of the hop-incidence rows counts the ring edges of
+    # hops 1 .. m-1, then the final leg to the observer is added
     order = snake_order(ring)
-    hops = snake_hops(ring)
-    rows: List[List[float]] = []
-    rhs: List[float] = []
+    steps = np.zeros((len(order), len(unknowns)))
+    hop_cols = [edge_col[_edge_key(a, b)] for a, b in snake_hops(ring)]
+    steps[np.arange(1, len(order)), hop_cols] = 1.0
+    table = np.cumsum(steps, axis=0)
+    own = np.array([s == observer for s in order])
+    legs = [edge_col[_edge_key(s, observer)] for s in order if s != observer]
+    table[np.flatnonzero(~own), legs] += 1.0
 
+    blocks: List[np.ndarray] = []
+    rhs: List[np.ndarray] = []
+    stamp_max = 0.0
     for ridx, rt in enumerate(rounds):
-        anchor = anchor_col[ridx]
-        for m, t_local in sorted(rt.arrivals.items()):
-            if not 1 <= m <= len(order):
-                raise SolveFailure(f"message index {m} outside round of {len(order)} sends")
-            sender = order[m - 1]
-            if sender == observer:
-                raise SolveFailure(f"arrival logged for the observer's own send m={m}")
-            row = [0.0] * width
-            b = t_local - (m - 1) * rt.alpha
-            if anchor is not None:
-                row[anchor] = 1.0
-            else:
-                b -= rt.t_start_local  # type: ignore[operator]
-            for h in range(m - 1):
-                a_node, b_node = hops[h]
-                row[index[("edge", _edge_key(a_node, b_node))]] += 1.0
-            row[index[("edge", _edge_key(sender, observer))]] += 1.0
-            rows.append(row)
-            rhs.append(b)
+        logged = sorted(rt.arrivals.items())
+        ms = np.array([m for m, _ in logged])
+        stamps = np.array([t for _, t in logged], dtype=float)
+        outside = (ms < 1) | (ms > len(order))
+        if outside.any():
+            raise SolveFailure(
+                f"message index {ms[outside][0]} outside round of {len(order)} sends"
+            )
+        if own[ms - 1].any():
+            raise SolveFailure(f"arrival logged for the observer's own send m={ms[own[ms - 1]][0]}")
+        block = table[ms - 1]
+        if anchor_col[ridx] is None:
+            base = float(rt.t_start_local)  # type: ignore[arg-type]
+        else:
+            block[:, anchor_col[ridx]] = 1.0
+            base = float(stamps[0])
+        blocks.append(block)
+        rhs.append((stamps - base) - (ms - 1) * rt.alpha)
+        stamp_max = max(stamp_max, abs(base), float(np.max(np.abs(stamps))))
 
-    return TofSystem(unknowns=unknowns, rows=rows, rhs=rhs)
-
-
-def gauss_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
-    """Gauss-Jordan elimination with partial pivoting on a square system."""
-    n = a.shape[0]
-    m = np.hstack([a.astype(float).copy(), b.astype(float).reshape(-1, 1)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[piv, col]) < pivot_tol:
-            raise SolveFailure(f"pivot {m[piv, col]!r} below tolerance at column {col}")
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-        m[col] = m[col] / m[col, col]
-        for r in range(n):
-            if r != col and m[r, col] != 0.0:
-                m[r] -= m[r, col] * m[col]
-    return m[:, -1]
+    return TofSystem(unknowns=unknowns, rows=np.vstack(blocks), rhs=np.concatenate(rhs),
+                     stamp_max=stamp_max)
 
 
-def solve_tof(
-    system: TofSystem,
-    pivot_tol: float = 1e-12,
-    residual_tol: float = 1e-10,
-) -> Dict[Tuple[str, object], float]:
-    """Solve for flight times; raises SolveFailure when ill posed.
+def solve_tof(system: TofSystem, residual_tol: float = 1e-10) -> TofSolution:
+    """Least-squares flight times; raises SolveFailure when ill posed.
 
-    Overdetermined systems go through the normal equations and are then
-    checked against every original equation; a residual above
-    residual_tol means the observations are mutually inconsistent.
+    One backward-stable SVD solve of A x = b (never the normal
+    equations, which square the condition number).  A rank-deficient A
+    leaves some flight time undetermined; a residual above residual_tol
+    means the observations are mutually inconsistent.
     """
-    a, b = system.matrix()
+    a = np.asarray(system.rows, dtype=float)
+    b = np.asarray(system.rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0:
         raise SolveFailure("empty system")
     n_eq, n_unknown = a.shape
     if n_eq < n_unknown:
         raise SolveFailure(f"{n_eq} equations for {n_unknown} unknowns")
-    if n_eq == n_unknown:
-        x = gauss_solve(a, b, pivot_tol)
-    else:
-        x = gauss_solve(a.T @ a, a.T @ b, pivot_tol)
+    x, _, rank, sigma = np.linalg.lstsq(a, b, rcond=None)
+    if rank < n_unknown:
+        raise SolveFailure(f"rank {rank} for {n_unknown} unknowns")
     residual = float(np.max(np.abs(a @ x - b)))
     if residual > residual_tol:
         raise SolveFailure(f"residual {residual} exceeds {residual_tol}")
-    return {key: float(v) for key, v in zip(system.unknowns, x)}
+    error_s = 0.5 * float(np.spacing(system.stamp_max)) * n_eq ** 0.5 / float(sigma[-1])
+    return TofSolution({key: float(v) for key, v in zip(system.unknowns, x)}, error_s)
 
 
-def edge_times(solution: Mapping[Tuple[str, object], float]) -> Dict[Tuple[NodeId, NodeId], float]:
+def edge_times(solution: TofSolution) -> Dict[Tuple[NodeId, NodeId], float]:
     """Just the edge unknowns of a solve, keyed by (low id, high id)."""
-    return {key[1]: v for key, v in solution.items() if key[0] == "edge"}
-
-
-def residual_of(system: TofSystem, solution: Mapping[Tuple[str, object], float]) -> float:
-    a, b = system.matrix()
-    x = np.array([solution[k] for k in system.unknowns])
-    return float(np.max(np.abs(a @ x - b)))
+    return {key[1]: v for key, v in solution.values.items() if key[0] == "edge"}

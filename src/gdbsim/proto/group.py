@@ -99,13 +99,14 @@ def _estimates_from_candidates(
     out: List[DbEstimate] = []
     for (w, p) in sorted(candidates):
         cands = candidates[(w, p)]
-        bound = max(b for b, _, _ in cands)
-        method = (
-            METHOD_ACTIVE
-            if any(m == METHOD_ACTIVE for _, m, _ in cands)
-            else METHOD_PASSIVE
-        )
-        rounds = sum(k for _, _, k in cands)
+        # one walk, with max()'s first-wins tie rule
+        bound, method, rounds = cands[0][0], METHOD_PASSIVE, 0
+        for b, m, k in cands:
+            if b > bound:
+                bound = b
+            if m == METHOD_ACTIVE:
+                method = METHOD_ACTIVE
+            rounds += k
         out.append(DbEstimate(
             measurer=w, target=p, bound_m=bound, method=method,
             rounds_used=rounds, verified_auth=auth,

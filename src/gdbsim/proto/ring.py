@@ -30,7 +30,7 @@ from ..estimate import (
     solve_tof,
 )
 from ..scenarios import regular_ring_scenario
-from ..threat import EPS_DETECT_M, SelectiveDelay, cross_check_detect
+from ..threat import SelectiveDelay, cross_check_detect
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     DbEstimate,
@@ -128,6 +128,7 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
     digest_bytes = bytes.fromhex(digest_hex)
 
     ring_solutions: Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]] = {}
+    bound_error: Dict[NodeId, float] = {}
     rejections: List[str] = []
     estimates: List[DbEstimate] = []
     signed_ok: Dict[NodeId, bool] = {}
@@ -166,6 +167,7 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
             continue
         edges = edge_times(solution)
         ring_solutions[o] = edges
+        bound_error[o] = cfg.c * solution.error_s
         for x in peers:
             if x == o:
                 continue
@@ -181,7 +183,7 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
     for est in estimates:
         bounds.setdefault(est.measurer, {})[est.target] = est.bound_m
     detection = cross_check_detect(
-        bounds, {p: digest_bytes for p in peers}, EPS_DETECT_M
+        bounds, {p: digest_bytes for p in peers}, bound_error_m=bound_error
     )
     unauth = [p for p, ok in signed_ok.items() if not ok]
     if unauth:

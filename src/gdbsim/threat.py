@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-# Detection threshold for pairwise bound disagreement, in meters.
-# Three times the ideal-channel distance tolerance used elsewhere.
+# Floor of the detection threshold for pairwise bound disagreement, in
+# meters: three times the ideal-channel distance tolerance used elsewhere.
 EPS_DETECT_M = 3.0e-6
 
 
@@ -307,10 +307,21 @@ class DetectionReport:
     digest_outliers: List[int] = field(default_factory=list)
     accused: frozenset = frozenset()
     verdicts: Dict[int, str] = field(default_factory=dict)
+    eps_detect_m: float = EPS_DETECT_M
+    bound_error_m: Dict[int, float] = field(default_factory=dict)
 
     @property
     def consistent(self) -> bool:
         return not self.mismatches and not self.digest_outliers
+
+    def threshold_m(self, a: int, b: int) -> float:
+        """Largest disagreement pair (a, b) may show without being flagged.
+
+        The two bounds' own rounding errors, summed, but never below
+        the eps_detect_m floor.
+        """
+        err = self.bound_error_m
+        return max(self.eps_detect_m, err.get(a, 0.0) + err.get(b, 0.0))
 
     def flags_pair(self, a: int, b: int) -> bool:
         return any({m.node_a, m.node_b} == {a, b} for m in self.mismatches)
@@ -331,6 +342,8 @@ class DetectionReport:
             "digest_outliers": list(self.digest_outliers),
             "accused": sorted(self.accused),
             "verdicts": {str(k): v for k, v in sorted(self.verdicts.items())},
+            "eps_detect_m": self.eps_detect_m,
+            "bound_error_m": {str(k): v for k, v in sorted(self.bound_error_m.items())},
         }
 
 
@@ -338,22 +351,25 @@ def cross_check_detect(
     bounds: Mapping[int, Mapping[int, float]],
     digests: Optional[Mapping[int, bytes]] = None,
     eps_detect: float = EPS_DETECT_M,
+    bound_error_m: Optional[Mapping[int, float]] = None,
 ) -> DetectionReport:
     """Compare each pair's two directional bounds and the transcript digests.
 
     bounds[x][y] is the bound x derived for its distance to y, in meters.
-    A pair is flagged when the two views differ by more than eps_detect.
+    bound_error_m[x], when given, bounds the rounding error of every
+    bound x derived.  A pair is flagged when its two views differ by
+    more than both endpoints' errors together, and at least eps_detect.
     Digest comparison flags any node whose transcript digest disagrees
     with the strict majority.
     """
-    report = DetectionReport()
+    report = DetectionReport(eps_detect_m=eps_detect, bound_error_m=dict(bound_error_m or {}))
     nodes = sorted(bounds)
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
             if b in bounds.get(a, {}) and a in bounds.get(b, {}):
                 ab = bounds[a][b]
                 ba = bounds[b][a]
-                if abs(ab - ba) > eps_detect:
+                if abs(ab - ba) > report.threshold_m(a, b):
                     report.mismatches.append(PairMismatch(a, b, ab, ba))
     if digests:
         tally: Dict[bytes, int] = {}

@@ -10,7 +10,8 @@ running this file as a script,
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names each changed entry, with its reason, in CHANGES.md.
+which prints every entry and file whose digest changed; name each, with
+its reason, in CHANGES.md.
 """
 import json
 from pathlib import Path
@@ -50,5 +51,12 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: artifact_digests(name, Path(tmp) / name) for name in SCENARIOS}
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for name in sorted(set(old) | set(table)):
+        before, after = old.get(name, {}), table.get(name, {})
+        state = "new" if not before else "gone" if not after else "changed"
+        for f in PINNED:
+            if before.get(f) != after.get(f):
+                print(f"{state}: {name}/{f}")
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {DIGESTS}")

@@ -154,6 +154,27 @@ def test_ring_every_observer_agrees_with_geometry():
     assert set(r.ring_solutions) == {1, 2, 3, 4, 5}
 
 
+@settings(max_examples=8, deadline=None)
+@given(n_nodes=st.integers(4, 32), n_rounds=st.integers(1, 40),
+       alpha=st.floats(0.0, 0.5), side_m=st.floats(0.0, 5.0).map(lambda e: 10.0 ** e),
+       seed=st.integers(0, 2**16))
+@example(n_nodes=12, n_rounds=40, alpha=0.0, side_m=400.0, seed=6)
+@example(n_nodes=10, n_rounds=16, alpha=0.0, side_m=400.0, seed=2)
+@example(n_nodes=16, n_rounds=4, alpha=0.01, side_m=1e5, seed=4)
+def test_honest_ring_is_consistent(n_nodes, n_rounds, alpha, side_m, seed):
+    """No honest ring accuses anyone, and every bound sits within its
+    observer's rounding-error model of the straight-line distance."""
+    s = regular_ring_scenario(n_nodes, side_m, seed, n_rounds=n_rounds, alpha=alpha)
+    pos = s.positions()
+    r = run_scenario(s)
+    assert r.rejections == []
+    assert r.detection.consistent and not r.detection.accused
+    err = r.detection.bound_error_m
+    for est in r.estimates:
+        truth = distance(pos[est.measurer], pos[est.target])
+        assert abs(est.bound_m - truth) <= err[est.measurer]
+
+
 def test_ring_order_is_seed_stable():
     a = run_scenario(regular_ring_scenario(4, 400.0, seed=21)).ring_order
     b = run_scenario(regular_ring_scenario(4, 400.0, seed=21)).ring_order

@@ -202,3 +202,18 @@ def test_ring_delay_sweep_symmetry_law():
     assert [detected for _, detected, _ in out] == [False, False, True, True]
     assert out[2][2] > 3.0  # metres of discrepancy, well over threshold
     assert out[0][2] == 0.0
+
+
+def test_bound_errors_raise_the_threshold_above_the_floor():
+    bounds = {1: {2: 10.0, 3: 10.0}, 2: {1: 10.0 + 5e-5}, 3: {1: 10.0 + 2e-6}}
+    errors = {1: 1e-6, 2: 3e-5, 3: 1e-7}
+    rep = cross_check_detect(bounds, bound_error_m=errors)
+    # 5e-5 m exceeds 1e-6 + 3e-5 m; 2e-6 m stays under the 3 um floor
+    assert [(m.node_a, m.node_b) for m in rep.mismatches] == [(1, 2)]
+    assert rep.threshold_m(1, 2) == pytest.approx(3.1e-5)
+    assert rep.threshold_m(1, 3) == 3e-6
+    d = rep.to_dict()
+    assert d["eps_detect_m"] == 3e-6
+    assert d["bound_error_m"] == {"1": 1e-6, "2": 3e-5, "3": 1e-7}
+    errors[2] = 5e-5
+    assert cross_check_detect(bounds, bound_error_m=errors).consistent
