@@ -15,7 +15,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .acceptance import format_table, run_suite, suite_ok
 from .analysis import FIGURES, UnknownFigure, emit_figure_data
@@ -40,6 +40,17 @@ def _fail(msg: str) -> None:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _write_hashed(path: Path, chunks: Iterable[str]) -> str:
+    """Write text to path chunk by chunk; returns the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            data = chunk.encode()
+            digest.update(data)
+            f.write(data)
+    return digest.hexdigest()
 
 
 def _load(path: str, seed: Optional[int]) -> Scenario:
@@ -70,17 +81,19 @@ def _detection_json(result: RunResult) -> str:
 
 def write_run_artifacts(result: RunResult, scenario_path: str, seed: int,
                         out_dir: Path) -> Dict[str, str]:
-    """Write the four run artifacts; returns {name: sha256}."""
+    """Write the four run artifacts; returns {name: sha256}.
+
+    trace.jsonl is written and hashed as the export yields it, so the
+    whole trace text is never held at once.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {
-        "trace.jsonl": result.trace.to_jsonl().encode(),
-        "bounds.csv": _bounds_csv(result).encode(),
-        "detection.json": _detection_json(result).encode(),
+        "trace.jsonl": result.trace.jsonl_chunks(),
+        "bounds.csv": (_bounds_csv(result),),
+        "detection.json": (_detection_json(result),),
     }
-    digests = {}
-    for name, data in artifacts.items():
-        (out_dir / name).write_bytes(data)
-        digests[name] = _sha256(data)
+    digests = {name: _write_hashed(out_dir / name, chunks)
+               for name, chunks in artifacts.items()}
     manifest = {
         "scenario": scenario_path,
         "seed": seed,
@@ -89,9 +102,8 @@ def write_run_artifacts(result: RunResult, scenario_path: str, seed: int,
             {"name": name, "sha256": digests[name]} for name in sorted(digests)
         ],
     }
-    data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
-    (out_dir / "manifest.json").write_bytes(data)
-    digests["manifest.json"] = _sha256(data)
+    digests["manifest.json"] = _write_hashed(
+        out_dir / "manifest.json", (json.dumps(manifest, sort_keys=True, indent=2) + "\n",))
     return digests
 
 
@@ -130,6 +142,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         _fail("--seeds named no seeds")
         return EXIT_INPUT
+    # each run writes out/{stem}-seed{seed}: a repeated seed or a shared
+    # stem would write one directory twice
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        _fail(f"--seeds repeats {', '.join(map(str, repeated))}; each seed may appear once")
+        return EXIT_INPUT
+    by_stem: Dict[str, List[str]] = {}
+    for path in args.scenarios:
+        by_stem.setdefault(Path(path).stem, []).append(path)
+    for stem, paths in sorted(by_stem.items()):
+        if len(paths) > 1:
+            _fail(f"{' and '.join(paths)} share the run directory name {stem!r}; "
+                  f"rename all but one")
+            return EXIT_INPUT
     out = Path(args.out)
     tasks: List[Tuple[str, int, str]] = []
     for path in args.scenarios:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GdbSimError, NodeId, Scenario, distance
+from .core import GdbSimError, NodeId, distance
 
 PHASES = ("pre", "rapid", "post", "report")
 
@@ -47,9 +47,9 @@ class Emission:
     round_index: Optional[int] = None
 
 
-# Export lines joined per string: one join over every line of a large
-# trace holds the whole line list and the joined text at once.
-EXPORT_CHUNK_LINES = 1 << 16
+# Export lines per yielded chunk: a writer holds one chunk's line list and
+# text at once, never the whole export.
+EXPORT_CHUNK_LINES = 1 << 13
 
 
 @dataclass
@@ -84,18 +84,20 @@ class Trace:
             if (phase is None or em.phase == phase) and (kind is None or em.kind == kind)
         )
 
-    def to_jsonl(self) -> str:
+    def jsonl_chunks(self) -> Iterator[str]:
         """A meta line, then every emission and arrival as one JSON object per line.
 
         Lines are ordered by (time, seq, receiver), an emission ahead of
         its own arrivals.  Keys are written in sorted order and floats as
         repr, so each line equals json.dumps(record, sort_keys=True).
+        Yields newline-terminated text, EXPORT_CHUNK_LINES lines at a
+        time, so a caller writing to a file holds one chunk at once.
         """
-        meta = json.dumps({
+        yield json.dumps({
             "kind": "meta",
             "node_ids": list(self.node_ids),
             "offsets": {str(k): v for k, v in sorted(self.offsets.items())},
-        }, sort_keys=True)
+        }, sort_keys=True) + "\n"
         ems = self.emissions
         sender = np.array([self._index[em.sender] for em in ems], dtype=np.intp)
         t_send = np.array([em.t_send for em in ems], dtype=float)
@@ -108,29 +110,31 @@ class Trace:
         seqs, cols = np.nonzero(receivers != ids[sender][:, None])
         times, receivers = times[seqs, cols], receivers[cols]
         order = np.lexsort((receivers, seqs, times))
-        digests = [hashlib.sha256(em.payload).hexdigest() for em in ems]
-        chunks = [meta]
+        # the text an emission shares with its arrivals, formatted once: an
+        # arrival line is head + receiver + mid + t_arrive + tail
+        head, mid, tail, own_line = [], [], [], []
+        for s, em in enumerate(ems):
+            digest = hashlib.sha256(em.payload).hexdigest()
+            rest = f'"sender": {em.sender}, "seq": {s}, '
+            sent = f'"t_send": {em.t_send!r}}}'
+            head.append(f'{{"kind": "arrival", "payload_digest": "{digest}", "receiver": ')
+            mid.append(f', {rest}"t_arrive": ')
+            tail.append(f', {sent}')
+            own_line.append(f'{{"kind": "{em.kind}", "payload_digest": "{digest}", '
+                            f'"receiver": null, {rest}"t_arrive": null, {sent}')
         for lo in range(0, len(order), EXPORT_CHUNK_LINES):
             part = order[lo:lo + EXPORT_CHUNK_LINES]
-            lines = []
-            for s, r, t in zip(seqs[part].tolist(), receivers[part].tolist(),
-                               times[part].tolist()):
-                em = ems[s]
-                if r == own:
-                    lines.append(
-                        f'{{"kind": "{em.kind}", "payload_digest": "{digests[s]}", '
-                        f'"receiver": null, "sender": {em.sender}, "seq": {s}, '
-                        f'"t_arrive": null, "t_send": {em.t_send!r}}}'
-                    )
-                else:
-                    lines.append(
-                        f'{{"kind": "arrival", "payload_digest": "{digests[s]}", '
-                        f'"receiver": {r}, "sender": {em.sender}, "seq": {s}, '
-                        f'"t_arrive": {t!r}, "t_send": {em.t_send!r}}}'
-                    )
-            chunks.append("\n".join(lines))
-        chunks.append("")
-        return "\n".join(chunks)
+            lines = [
+                own_line[s] if r == own else f"{head[s]}{r}{mid[s]}{t!r}{tail[s]}"
+                for s, r, t in zip(seqs[part].tolist(), receivers[part].tolist(),
+                                   times[part].tolist())
+            ]
+            lines.append("")
+            yield "\n".join(lines)
+
+    def to_jsonl(self) -> str:
+        """The whole export as one string: the join of jsonl_chunks()."""
+        return "".join(self.jsonl_chunks())
 
 
 class BroadcastChannel:
@@ -220,8 +224,4 @@ class BroadcastChannel:
 
     def arrival_local(self, seq: int, receiver: NodeId) -> float:
         return self.trace.arrival_local(seq, receiver)
-
-
-def channel_for_scenario(scenario: Scenario, offsets: Optional[Dict[NodeId, float]] = None) -> BroadcastChannel:
-    return BroadcastChannel(scenario.positions(), scenario.config.c, offsets)
 

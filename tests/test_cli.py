@@ -1,13 +1,18 @@
 """Command line contract: artifacts, exit codes, reproducibility."""
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from gdbsim import simkit
 from gdbsim.analysis import emit_figure_data
-from gdbsim.cli import main
-from gdbsim.core import Protocol, scenario_to_json
+from gdbsim.cli import main, write_run_artifacts
+from gdbsim.core import Protocol, load_scenario, scenario_to_json
+from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import oneway_scenario, peer_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_scenario(tmp_path, scenario, name="scn.json"):
@@ -135,6 +140,36 @@ def test_sweep_validates_inputs_before_fanout(tmp_path, ring_file):
     out = tmp_path / "o"
     assert main(["sweep", str(ring_file), str(bad), "--out", str(out)]) == 2
     assert not out.exists()  # nothing ran
+
+
+def test_sweep_rejects_inputs_sharing_a_stem(tmp_path, capsys):
+    a = write_scenario(tmp_path, oneway_scenario(n=2), "a.json")
+    (tmp_path / "b").mkdir()
+    b = write_scenario(tmp_path / "b", peer_scenario(Protocol.MULTI_PARTY_RING, 4), "a.json")
+    out = tmp_path / "o"
+    assert main(["sweep", str(a), str(b), "--seeds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(a) in err and str(b) in err
+    assert not out.exists()  # nothing ran
+
+
+def test_sweep_rejects_a_repeated_seed(tmp_path, ring_file, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", str(ring_file), "--seeds", "1,2,1", "--out", str(out)]) == 2
+    assert "--seeds repeats 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_streamed_trace_digest_matches_file_and_text(tmp_path, monkeypatch):
+    monkeypatch.setattr(simkit, "EXPORT_CHUNK_LINES", 7)
+    path = GOLDEN / "mpnv_8x8.json"
+    scn = load_scenario(str(path))
+    result = run_scenario(scn)
+    digests = write_run_artifacts(result, str(path), scn.rng_seed, tmp_path)
+    text = result.trace.to_jsonl()
+    assert text.count("\n") > 7
+    assert digests["trace.jsonl"] == sha(tmp_path / "trace.jsonl")
+    assert digests["trace.jsonl"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_figures_bytes_match_library(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Broadcast channel: propagation, causality, trace export."""
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdbsim.core import SPEED_OF_LIGHT
+from gdbsim import simkit
+from gdbsim.core import SPEED_OF_LIGHT, load_scenario
+from gdbsim.proto.base import start_run
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import on_circle, oneway_scenario
-from gdbsim.simkit import PHASES, BroadcastChannel, CausalityViolation, channel_for_scenario
+from gdbsim.simkit import PHASES, BroadcastChannel, CausalityViolation
 
 POSITIONS = {1: (0.0, 0.0), 2: (300.0, 0.0), 3: (0.0, 400.0)}
 
@@ -135,9 +138,9 @@ def test_different_seed_different_trace():
     assert a != b
 
 
-def test_channel_for_scenario_uses_config_speed():
+def test_run_channel_uses_config_speed():
     s = oneway_scenario()
-    chan = channel_for_scenario(s)
+    chan = start_run(s).channel
     assert chan.dist(1, 2) == pytest.approx(90.0)
     assert chan.tof(1, 2) == pytest.approx(90.0 / s.config.c)
 
@@ -207,3 +210,22 @@ def test_jsonl_matches_reference_export(trace):
     text = trace.to_jsonl()
     assert text == reference_jsonl(trace)
     assert text.count("\n") == 1 + len(trace.emissions) * len(trace.node_ids)
+
+
+@pytest.fixture(scope="module")
+def mpnv_8x8_trace():
+    path = Path(__file__).parent / "golden" / "mpnv_8x8.json"
+    return run_scenario(load_scenario(str(path))).trace
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 7, simkit.EXPORT_CHUNK_LINES])
+def test_export_is_the_same_at_every_chunk_size(mpnv_8x8_trace, monkeypatch, chunk_lines):
+    trace = mpnv_8x8_trace
+    monkeypatch.setattr(simkit, "EXPORT_CHUNK_LINES", chunk_lines)
+    chunks = list(trace.jsonl_chunks())
+    lines = len(trace.emissions) * len(trace.node_ids)
+    assert lines > chunk_lines    # every setting crosses a chunk boundary
+    assert len(chunks) == 1 + -(-lines // chunk_lines)    # the meta line, then the lines
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert [chunk.count("\n") for chunk in chunks[1:-1]] == [chunk_lines] * (len(chunks) - 2)
+    assert "".join(chunks) == trace.to_jsonl() == reference_jsonl(trace)
