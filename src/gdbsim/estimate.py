@@ -16,8 +16,10 @@ by construction: only differences of same-clock readings enter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -244,20 +246,16 @@ class RingTiming:
 
     ring: the agreed cyclic order of the N participants.
     observer: which participant's clock produced the stamps.
-    arrivals: local arrival time of each message the observer received,
-        keyed by the message's 1-based index in the round's send order.
-        The observer's own sends are absent.
+    arrivals: 2N local clock readings, arrivals[m - 1] for message m of
+        the round's send order, NaN where the observer logged nothing.
+        A complete round logs every message but the observer's own two.
     alpha: per-hop processing delay, seconds.
-    t_start_local: the observer's clock reading when it sent the round's
-        first message, if the observer opened the round; None otherwise
-        (the start instant is then an unknown of the system).
     """
 
     ring: Tuple[NodeId, ...]
     observer: NodeId
-    arrivals: Mapping[int, float]
+    arrivals: np.ndarray
     alpha: float
-    t_start_local: Optional[float] = None
 
 
 def snake_order(ring: Sequence[NodeId]) -> List[NodeId]:
@@ -285,34 +283,114 @@ def ring_edges(ring: Sequence[NodeId]) -> List[Tuple[NodeId, NodeId]]:
     return [_edge_key(ring[i], ring[(i + 1) % n]) for i in range(n)]
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _largest(a: np.ndarray) -> float:
+    """max |a| over every entry."""
+    return np.maximum.reduce(np.abs(a), axis=None)
+
+
+@lru_cache(maxsize=8)
+def _edge_unknowns(ring: Tuple[NodeId, ...]) -> Tuple[Tuple[str, object], ...]:
+    return tuple(("edge", e) for e in ring_edges(ring))
+
+
+class _SnakeInverse(NamedTuple):
+    steps: np.ndarray     # (N, 2N - 2) m - 1 of each message the observer logs
+    cols: np.ndarray      # (N, 2N - 2, 4) logged-stamp column of each term
+    weights: np.ndarray   # (N, 2N - 2, 4) weight of each term
+
+
+@lru_cache(maxsize=8)
+def _snake_inverse(n: int) -> _SnakeInverse:
+    """The inverse of each observer's square round system, four terms a row.
+
+    Entry [q] is the observer at ring index q.  Its rows follow the
+    unknowns (the N ring edges, the chords in ring order, the anchor)
+    and hold solve_tof's formulas as (stamp column, weight) terms; unused
+    terms have weight 0.
+    """
+    first = np.arange(n)
+    second = 2 * n - first
+    second[0] = n
+    qs = np.arange(n)
+    lo, hi = (qs - 1) % n, (qs + 1) % n
+    half = np.full(n, 0.5)
+    half[0] = 1.0
+    # T_j = (g_j - f_j) / 2, T_0 = g_0 - f_0, T_N = 0; e_j = T_j - T_{j+1}
+    t_pos = np.column_stack((np.append(second, 0), np.append(first, 0)))
+    t_wt = np.column_stack((np.append(half, 0.0), -np.append(half, 0.0)))
+    edge_pos = np.repeat(np.hstack((t_pos[:-1], t_pos[1:]))[None], n, axis=0)
+    edge_wt = np.repeat(np.hstack((t_wt[:-1], -t_wt[1:]))[None], n, axis=0)
+    # z = (f_lo + g_hi) / 2, or f_{N-1} for q = 0; leg_j = midpoint_j - z
+    z_pos = np.column_stack((first[lo], second[hi]))
+    z_wt = np.full((n, 2), 0.5)
+    z_pos[0], z_wt[0] = (n - 1, 0), (1.0, 0.0)
+    mid_pos = np.column_stack((first, second))
+    mid_wt = np.column_stack((1.0 - half, half))
+    leg_pos = np.concatenate((np.broadcast_to(mid_pos, (n, n, 2)),
+                              np.broadcast_to(z_pos[:, None], (n, n, 2))), axis=2)
+    leg_wt = np.concatenate((np.broadcast_to(mid_wt, (n, n, 2)),
+                             -np.broadcast_to(z_wt[:, None], (n, n, 2))), axis=2)
+    # the observer's own edges are neighbour legs
+    edge_pos[qs, qs], edge_wt[qs, qs] = leg_pos[qs, hi], leg_wt[qs, hi]
+    on = qs[1:]
+    edge_pos[on, lo[on]], edge_wt[on, lo[on]] = leg_pos[on, lo[on]], leg_wt[on, lo[on]]
+    chords = np.sort((qs[:, None] + 2 + np.arange(n - 3)) % n, axis=1)
+    # anchor = z - perimeter = z - (g_0 - f_0), or 2 f_{N-1} - g_1 for q = 0
+    anchor_pos = np.column_stack((z_pos, np.full(n, n), np.zeros(n, dtype=int)))
+    anchor_wt = np.column_stack((z_wt, np.full(n, -1.0), np.ones(n)))
+    anchor_pos[0], anchor_wt[0] = (n - 1, 2 * n - 1, 0, 0), (2.0, -1.0, 0.0, 0.0)
+    pos = np.concatenate((edge_pos, leg_pos[qs[:, None], chords], anchor_pos[:, None]), axis=1)
+    wt = np.concatenate((edge_wt, leg_wt[qs[:, None], chords], anchor_wt[:, None]), axis=1)
+
+    # stamp position to logged column: skip the observer's own two sends
+    cols = pos - (pos > qs[:, None, None]) - (pos > second[:, None, None])
+    logged = np.ones((n, 2 * n), dtype=bool)
+    logged[qs, qs] = logged[qs, second] = False
+    steps = np.nonzero(logged)[1].reshape(n, 2 * n - 2)
+    for shared in (steps, cols, wt):
+        shared.flags.writeable = False  # every caller of the cache reads these
+    return _SnakeInverse(steps, cols, wt)
+
+
 @dataclass
 class TofSystem:
-    """Linear system A x = b over unknown flight times.
+    """One observer's flight-time equations, pooled over rounds.
 
     Unknowns are ("edge", (a, b)) flight times for the N ring edges plus
     the chords from non-adjacent senders to the observer, and one
-    ("anchor", round) term per round whose start the observer did not
-    stamp itself: the round's start relative to its first stamp.
+    ("anchor", round) term per round: the round's start relative to its
+    first stamp.
 
-    rows and rhs are float64 arrays.  Each round's stamps are rebased on
-    its first stamp (or on t_start_local), so rhs holds spans of flight
-    and processing time rather than clock readings; stamp_max is the
-    largest clock reading that went into it, which sets its rounding.
+    rhs has one row per round and one column per logged message: the
+    stamp less the round's first stamp and less (m - 1) * alpha, a span
+    of flight time that is the right-hand side of one equation.  A round
+    logs 2N - 2 stamps for N edges, N - 3 chords and its anchor, so each
+    round alone is square.  The coefficient matrix is never formed; rows
+    enumerates the equations.  stamp_max is the largest clock reading
+    that went into rhs.
     """
 
+    ring: Tuple[NodeId, ...]
+    observer: NodeId
     unknowns: List[Tuple[str, object]]
-    rows: np.ndarray
     rhs: np.ndarray
-    stamp_max: float = 0.0
+    stamp_max: float
+
+    @property
+    def rows(self) -> range:
+        return range(self.rhs.size)
 
 
 @dataclass(frozen=True)
 class TofSolution:
     """Solved unknowns of a TofSystem and their rounding error bound.
 
-    error_s bounds, in seconds, how far any one unknown can move when
-    every stamp is off by half an ulp: |dx| <= ||A+||_2 * ||db||_2 with
-    ||A+||_2 = 1 / sigma_min and ||db||_2 <= sqrt(rows) * ulp / 2.
+    error_s bounds, in seconds, how far any solved flight time can sit
+    from the channel's flight time d / c, counting every rounding that
+    reaches it; see solve_tof.
     """
 
     values: Dict[Tuple[str, object], float]
@@ -320,7 +398,7 @@ class TofSolution:
 
 
 def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
-    """One equation per logged arrival, pooled over rounds.
+    """Rebase each round's stamps into the right-hand sides of its equations.
 
     Message m of a round leaves its sender at
 
@@ -329,8 +407,7 @@ def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
     and reaches the observer one sender-to-observer flight later.  Hop
     flights are ring edges; the final leg is a ring edge when the sender
     neighbours the observer and a chord otherwise.  All stamps share the
-    observer's clock, so each round contributes at most one anchor
-    unknown for its start instant.
+    observer's clock, so each round adds one anchor unknown for its start.
     """
     if not rounds:
         raise SolveFailure("no rounds to solve")
@@ -341,91 +418,113 @@ def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
             raise SolveFailure("rounds mix different rings or observers")
     if observer not in ring:
         raise SolveFailure(f"observer {observer} not on the ring")
-    expected = 2 * len(ring) - 2
+    n = len(ring)
+    if n < 3:
+        raise SolveFailure(f"a ring of {n} has no snake to solve")
     for rt in rounds:
-        if len(rt.arrivals) < expected:
-            raise IncompleteCycle(
-                f"round logged {len(rt.arrivals)} arrivals, cycle has {expected}"
-            )
-
-    edge_col: Dict[Tuple[NodeId, NodeId], int] = {}
-    for e in ring_edges(ring):
-        edge_col.setdefault(e, len(edge_col))
-    for node in ring:
-        if node != observer:
-            edge_col.setdefault(_edge_key(node, observer), len(edge_col))
-    unknowns: List[Tuple[str, object]] = [("edge", e) for e in edge_col]
-    anchor_col: List[Optional[int]] = []
-    for ridx, rt in enumerate(rounds):
-        if rt.t_start_local is None:
-            anchor_col.append(len(unknowns))
-            unknowns.append(("anchor", ridx))
-        else:
-            anchor_col.append(None)
-
-    # row m - 1 of table is message m's equation without its anchor: one
-    # cumulative sum of the hop-incidence rows counts the ring edges of
-    # hops 1 .. m-1, then the final leg to the observer is added
-    order = snake_order(ring)
-    steps = np.zeros((len(order), len(unknowns)))
-    hop_cols = [edge_col[_edge_key(a, b)] for a, b in snake_hops(ring)]
-    steps[np.arange(1, len(order)), hop_cols] = 1.0
-    table = np.cumsum(steps, axis=0)
-    own = np.array([s == observer for s in order])
-    legs = [edge_col[_edge_key(s, observer)] for s in order if s != observer]
-    table[np.flatnonzero(~own), legs] += 1.0
-
-    blocks: List[np.ndarray] = []
-    rhs: List[np.ndarray] = []
-    stamp_max = 0.0
-    for ridx, rt in enumerate(rounds):
-        logged = sorted(rt.arrivals.items())
-        ms = np.array([m for m, _ in logged])
-        stamps = np.array([t for _, t in logged], dtype=float)
-        outside = (ms < 1) | (ms > len(order))
-        if outside.any():
+        if len(rt.arrivals) != 2 * n:
             raise SolveFailure(
-                f"message index {ms[outside][0]} outside round of {len(order)} sends"
+                f"round has {len(rt.arrivals)} message slots, its snake has {2 * n} sends"
             )
-        if own[ms - 1].any():
-            raise SolveFailure(f"arrival logged for the observer's own send m={ms[own[ms - 1]][0]}")
-        block = table[ms - 1]
-        if anchor_col[ridx] is None:
-            base = float(rt.t_start_local)  # type: ignore[arg-type]
-        else:
-            block[:, anchor_col[ridx]] = 1.0
-            base = float(stamps[0])
-        blocks.append(block)
-        rhs.append((stamps - base) - (ms - 1) * rt.alpha)
-        stamp_max = max(stamp_max, abs(base), float(np.max(np.abs(stamps))))
-
-    return TofSystem(unknowns=unknowns, rows=np.vstack(blocks), rhs=np.concatenate(rhs),
+    q = ring.index(observer)
+    inverse = _snake_inverse(n)
+    stamps = np.array([rt.arrivals for rt in rounds], dtype=float)
+    steps = inverse.steps[q]
+    logged = stamps[:, steps]
+    stamp_max = float(_largest(logged))
+    # NaN propagates into the largest stamp, so it is finite iff every
+    # logged slot holds a reading; then each NaN must be an own send
+    if math.isnan(stamp_max) or np.add.reduce(np.isnan(stamps), axis=None) != 2 * len(rounds):
+        own = [q, 2 * n - q if q else n]
+        heard = ~np.isnan(stamps[:, own])
+        if heard.any():
+            m = own[np.flatnonzero(heard.any(axis=0))[0]] + 1
+            raise SolveFailure(f"arrival logged for the observer's own send m={m}")
+        raise IncompleteCycle(
+            f"round logged {2 * n - 2 - np.isnan(logged).sum(axis=1).max()} arrivals, "
+            f"cycle has {2 * n - 2}"
+        )
+    alpha = np.array([[rt.alpha] for rt in rounds])
+    rhs = (logged - logged[:, :1]) - steps * alpha
+    near = (ring[q - 1], observer, ring[(q + 1) % n])
+    unknowns = [*_edge_unknowns(ring)] + [
+        ("edge", (p, observer) if p <= observer else (observer, p)) for p in ring if p not in near
+    ]
+    unknowns += [("anchor", r) for r in range(len(rounds))]
+    return TofSystem(ring=ring, observer=observer, unknowns=unknowns, rhs=rhs,
                      stamp_max=stamp_max)
 
 
 def solve_tof(system: TofSystem, residual_tol: float = 1e-10) -> TofSolution:
-    """Least-squares flight times; raises SolveFailure when ill posed.
+    """Flight times by elimination on the snake; SolveFailure when inconsistent.
 
-    One backward-stable SVD solve of A x = b (never the normal
-    equations, which square the condition number).  A rank-deficient A
-    leaves some flight time undetermined; a residual above residual_tol
-    means the observations are mutually inconsistent.
+    Rounds pool by averaging: least squares over rounds that share every
+    flight time but each have their own anchor is the square solve on
+    the round-averaged right-hand sides.  Its residual is each round's
+    deviation from that average less the deviation's own mean (the
+    anchor absorbs a round-wide shift), so a residual above residual_tol
+    needs no solve to find.
+
+    The square solve is O(N).  With the observer at ring index q, and
+    f_j, g_j the rebased stamps of ring index j's two sends (p0's second
+    send is message N + 1):
+
+    - g_j - f_j = 2 T_j for j >= 1, and g_0 - f_0 = T_0, where T_j is
+      the suffix sum e_j + ... + e_{N-1} of ring edges (T_N = 0), so
+      every edge e_j = T_j - T_{j+1} follows that does not need T_q.
+    - Each sender's midpoint (f_j + g_j) / 2, and g_0 for p0, is one
+      common instant z plus that sender's leg to the observer, so every
+      chord and both neighbour edges are a midpoint less z.
+    - z = (f_{q-1} + g_{q+1}) / 2, from the known sum of the observer's
+      two edges, T_{q-1} - T_{q+1}; for q = 0, z = f_{N-1}, since
+      e_{N-1} = T_{N-1} is known.  The anchor is z less the perimeter.
+
+    So every unknown is a sum of at most four weighted stamps, which
+    _snake_inverse tabulates once per ring size.
+
+    error_s counts every rounding that reaches a flight time, each at
+    most h, half an ulp of stamp_max (the send chain runs on clock
+    readings no larger than the stamps), weighted by two numbers of the
+    inverse's rows: the norm, the sum of |weights|, and the chain, the
+    sum over the snake's hops of |the weights of the stamps sent after
+    the hop|.  Both are largest for e_0 = T_0 - T_1, whose perimeter
+    stamps see every forward hop: norm 3 and chain N, or 2 and N - 1
+    when e_0 is one of the observer's own edges (q < 2); the tests
+    check both against the dense system's inverse.  With u the unit
+    roundoff:
+    - the send chain, an arrival add and an alpha add per hop: 2h
+      times the chain;
+    - per stamp, its two adds (+ flight, + offset), the rebase and its
+      alpha term, 5h, and with several rounds the average, h plus
+      R + 1 ulps of the largest deviation between rounds: times the norm;
+    - the elimination's sums of four weighted stamps: 4u times the
+      norm times the largest stamp;
+    - the conversion to metres and the channel's own d / c: 2u times
+      the flight time, at most the norm times the largest stamp.
     """
-    a = np.asarray(system.rows, dtype=float)
-    b = np.asarray(system.rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] == 0:
-        raise SolveFailure("empty system")
-    n_eq, n_unknown = a.shape
-    if n_eq < n_unknown:
-        raise SolveFailure(f"{n_eq} equations for {n_unknown} unknowns")
-    x, _, rank, sigma = np.linalg.lstsq(a, b, rcond=None)
-    if rank < n_unknown:
-        raise SolveFailure(f"rank {rank} for {n_unknown} unknowns")
-    residual = float(np.max(np.abs(a @ x - b)))
+    n = len(system.ring)
+    q = system.ring.index(system.observer)
+    rhs = system.rhs
+    dev = rhs - rhs[0]
+    mean_dev = np.add.reduce(dev) / len(rhs)
+    spread = dev - mean_dev
+    shift = np.add.reduce(spread, axis=1, keepdims=True) / spread.shape[1]
+    residual = float(_largest(spread - shift))
     if residual > residual_tol:
         raise SolveFailure(f"residual {residual} exceeds {residual_tol}")
-    error_s = 0.5 * float(np.spacing(system.stamp_max)) * n_eq ** 0.5 / float(sigma[-1])
-    return TofSolution({key: float(v) for key, v in zip(system.unknowns, x)}, error_s)
+
+    inverse = _snake_inverse(n)
+    b = rhs[0] + mean_dev
+    x = np.add.reduce(inverse.weights[q] * b[inverse.cols[q]], axis=1).tolist()
+    h = 0.5 * math.ulp(system.stamp_max)
+    pooled = h + (len(rhs) + 1) * math.ulp(float(_largest(dev))) if len(rhs) > 1 else 0.0
+    chain, norm = (n - 1, 2) if q < 2 else (n, 3)
+    # |flight time| <= norm * max |b|
+    error = (2 * h * chain + (5 * h + pooled) * norm
+             + 6 * _UNIT_ROUNDOFF * norm * float(_largest(b)))
+    anchors = [x[-1] + d for d in shift[:, 0].tolist()]
+    values = dict(zip(system.unknowns, x[:-1] + anchors))
+    return TofSolution(values, error)
 
 
 def edge_times(solution: TofSolution) -> Dict[Tuple[NodeId, NodeId], float]:

@@ -146,24 +146,18 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
         chan.broadcast(p, t, "report", "report", payload=payload)
         t += ctx.slot_s
 
-    for o in peers:
+    stamps = chan.trace.local_arrivals(seqs, peers)
+    unsolved: List[NodeId] = []
+    for k, o in enumerate(peers):
         rounds_data = [
-            RingTiming(
-                ring=ring,
-                observer=o,
-                arrivals={
-                    m: chan.arrival_local(seqs[r][m - 1], o)
-                    for m in range(1, 2 * n_nodes + 1)
-                    if order[m - 1] != o
-                },
-                alpha=cfg.alpha,
-            )
+            RingTiming(ring=ring, observer=o, arrivals=stamps[r, :, k], alpha=cfg.alpha)
             for r in range(n)
         ]
         try:
             solution = solve_tof(build_tof_system(rounds_data))
         except SolveFailure as exc:
             rejections.append(f"node {o}: flight-time solve failed: {exc}")
+            unsolved.append(o)
             continue
         edges = edge_times(solution)
         ring_solutions[o] = edges
@@ -183,7 +177,8 @@ def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunRes
     for est in estimates:
         bounds.setdefault(est.measurer, {})[est.target] = est.bound_m
     detection = cross_check_detect(
-        bounds, {p: digest_bytes for p in peers}, bound_error_m=bound_error
+        bounds, {p: digest_bytes for p in peers}, bound_error_m=bound_error,
+        unsolved=unsolved,
     )
     unauth = [p for p, ok in signed_ok.items() if not ok]
     if unauth:

@@ -77,6 +77,23 @@ class Trace:
     def arrival_local(self, seq: int, receiver: NodeId) -> float:
         return self.arrival_true(seq, receiver) + self.offsets[receiver]
 
+    def local_arrivals(self, seqs, receivers: Sequence[NodeId]) -> np.ndarray:
+        """arrival_local of every message in seqs at every receiver, as one array.
+
+        The shape is seqs' shape plus one axis over receivers.  Each entry
+        is (t_send + tof) + offset, the adds arrival_local makes, so it is
+        bit for bit the same; a message's own sender reads NaN.
+        """
+        seqs = np.asarray(seqs)
+        ems = [self.emissions[s] for s in seqs.ravel().tolist()]
+        cols = np.array([self._index[r] for r in receivers], dtype=np.intp)
+        sender = np.array([self._index[em.sender] for em in ems], dtype=np.intp)
+        t_send = np.array([em.t_send for em in ems], dtype=float)
+        offsets = np.array([self.offsets[r] for r in receivers], dtype=float)
+        out = (t_send[:, None] + self.tof[sender][:, cols]) + offsets
+        out[sender[:, None] == cols] = np.nan
+        return out.reshape(seqs.shape + (len(cols),))
+
     def count(self, phase: Optional[str] = None, kind: Optional[str] = None) -> int:
         return sum(
             1

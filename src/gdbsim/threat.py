@@ -15,7 +15,7 @@ transcript digest mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Floor of the detection threshold for pairwise bound disagreement, in
 # meters: three times the ideal-channel distance tolerance used elsewhere.
@@ -300,7 +300,9 @@ class DetectionReport:
     """Outcome of cross-checking published bounds and transcript digests.
 
     Flagging establishes that some participant misbehaved; singling out
-    the culprit is out of scope for the check itself.
+    the culprit is out of scope for the check itself.  unsolved names
+    the observers whose own solve failed and who therefore published no
+    bounds: the run is not consistent, but they are not accused.
     """
 
     mismatches: List[PairMismatch] = field(default_factory=list)
@@ -309,10 +311,11 @@ class DetectionReport:
     verdicts: Dict[int, str] = field(default_factory=dict)
     eps_detect_m: float = EPS_DETECT_M
     bound_error_m: Dict[int, float] = field(default_factory=dict)
+    unsolved: List[int] = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
-        return not self.mismatches and not self.digest_outliers
+        return not self.mismatches and not self.digest_outliers and not self.unsolved
 
     def threshold_m(self, a: int, b: int) -> float:
         """Largest disagreement pair (a, b) may show without being flagged.
@@ -344,6 +347,7 @@ class DetectionReport:
             "verdicts": {str(k): v for k, v in sorted(self.verdicts.items())},
             "eps_detect_m": self.eps_detect_m,
             "bound_error_m": {str(k): v for k, v in sorted(self.bound_error_m.items())},
+            "unsolved": list(self.unsolved),
         }
 
 
@@ -352,6 +356,7 @@ def cross_check_detect(
     digests: Optional[Mapping[int, bytes]] = None,
     eps_detect: float = EPS_DETECT_M,
     bound_error_m: Optional[Mapping[int, float]] = None,
+    unsolved: Sequence[int] = (),
 ) -> DetectionReport:
     """Compare each pair's two directional bounds and the transcript digests.
 
@@ -360,9 +365,12 @@ def cross_check_detect(
     bound x derived.  A pair is flagged when its two views differ by
     more than both endpoints' errors together, and at least eps_detect.
     Digest comparison flags any node whose transcript digest disagrees
-    with the strict majority.
+    with the strict majority.  unsolved lists observers that published
+    no bounds because their own solve failed; they get the verdict
+    "unsolved" and make the report inconsistent without being accused.
     """
-    report = DetectionReport(eps_detect_m=eps_detect, bound_error_m=dict(bound_error_m or {}))
+    report = DetectionReport(eps_detect_m=eps_detect, bound_error_m=dict(bound_error_m or {}),
+                             unsolved=sorted(unsolved))
     nodes = sorted(bounds)
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
@@ -385,11 +393,13 @@ def cross_check_detect(
         implicated.add(m.node_a)
         implicated.add(m.node_b)
     report.accused = frozenset(implicated)
-    for n in nodes:
+    for n in sorted(set(nodes) | set(report.unsolved)):
         if n in report.digest_outliers:
             report.verdicts[n] = "bad_digest"
         elif any(n in (m.node_a, m.node_b) for m in report.mismatches):
             report.verdicts[n] = "disputed"
+        elif n in report.unsolved:
+            report.verdicts[n] = "unsolved"
         else:
             report.verdicts[n] = "consistent"
     return report
@@ -419,31 +429,3 @@ def distance_fraud_game(
         if one_way_guess_trial(rng, n=n, bit_len=bit_len, advance_s=advance_s):
             wins += 1
     return wins / trials
-
-
-def ring_delay_sweep(
-    n_nodes: int,
-    delay_grid_s,
-    seed: int = 7,
-    side_m: float = 400.0,
-):
-    """Run the ring protocol across a grid of per-colluder delay pairs.
-
-    delay_grid_s: iterable of ((d1, d2), (d3, d4)) delay assignments for
-    the nodes at ring positions 3 and 4.  Yields (delays, detected,
-    max_discrepancy_m) tuples.  Positions are a fixed seeded layout so
-    runs differ only in the injected delays.
-    """
-    from .proto.ring import run_ring_with_delays
-
-    results = []
-    for (d1, d2), (d3, d4) in delay_grid_s:
-        rep = run_ring_with_delays(
-            n_nodes=n_nodes,
-            delays={2: (d1, d2), 3: (d3, d4)},
-            seed=seed,
-            side_m=side_m,
-        ).detection
-        worst = max((m.discrepancy_m for m in rep.mismatches), default=0.0)
-        results.append((((d1, d2), (d3, d4)), not rep.consistent, worst))
-    return results

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdbsim.core import EPS_DIST, SPEED_OF_LIGHT, distance
@@ -15,7 +15,6 @@ from gdbsim.estimate import (
     PassiveObservation,
     RingTiming,
     SolveFailure,
-    TofSystem,
     active_distance,
     build_tof_system,
     candidate_positions,
@@ -181,29 +180,34 @@ SQUARE = {1: (0.0, 0.0), 2: (400.0, 0.0), 3: (400.0, 400.0), 4: (0.0, 400.0)}
 RING = (1, 2, 3, 4)
 
 
-def square_round(observer, alpha=0.0, offset=0.0, t0=0.0, anchor_known=None):
-    """Arrival stamps of one honest snake round over the unit square ring."""
-    order = snake_order(RING)
-    hops = snake_hops(RING)
-    tof = {pair: distance(SQUARE[pair[0]], SQUARE[pair[1]]) / C
-           for pair in {(a, b) for a in RING for b in RING if a != b}}
-    sends = []
+def flight_times(positions):
+    return {a: {b: distance(pa, pb) / C for b, pb in positions.items()}
+            for a, pa in positions.items()}
+
+
+def snake_round(tof, ring, observer, t0=0.0, alpha=0.0, offset=0.0, delays=None):
+    """One snake round with the ring protocol's arithmetic.
+
+    Each send is (previous send + hop flight) + alpha, plus any delay on
+    that message; each stamp is (send + flight to the observer) + offset.
+    Returns the observer's arrivals and the next round's start.
+    """
+    order = snake_order(ring)
+    arrivals = np.full(len(order), np.nan)
     t = t0
-    for m in range(len(order)):
-        if m > 0:
-            t += tof[hops[m - 1]] + alpha
-        sends.append(t)
-    arrivals = {
-        m + 1: sends[m] + tof[(order[m], observer)] + offset
-        for m in range(len(order))
-        if order[m] != observer
-    }
-    if anchor_known is None:
-        anchor_known = observer == RING[0]
-    return RingTiming(
-        ring=RING, observer=observer, arrivals=arrivals, alpha=alpha,
-        t_start_local=(t0 + offset) if anchor_known else None,
-    )
+    for m, sender in enumerate(order):
+        if m:
+            t = (t + tof[order[m - 1]][sender]) + alpha
+        if delays and m in delays:
+            t += delays[m]
+        if sender != observer:
+            arrivals[m] = (t + tof[sender][observer]) + offset
+    return arrivals, (t + tof[order[-1]][ring[0]]) + alpha
+
+
+def square_round(observer, alpha=0.0, offset=0.0, t0=0.0):
+    arrivals, _ = snake_round(flight_times(SQUARE), RING, observer, t0, alpha, offset)
+    return RingTiming(ring=RING, observer=observer, arrivals=arrivals, alpha=alpha)
 
 
 def true_edge_tofs():
@@ -227,15 +231,6 @@ def test_square_ring_edges_recovered(observer):
                                           abs=1e-15)
 
 
-def test_anchored_round_is_overdetermined_but_consistent():
-    rt = square_round(1)  # opener knows its own start stamp
-    system = build_tof_system([rt])
-    assert len(system.rows) > len(system.unknowns)
-    solution = solve_tof(system)
-    x = np.array([solution.values[k] for k in system.unknowns])
-    assert np.max(np.abs(system.rows @ x - system.rhs)) < 1e-12
-
-
 def test_multiple_rounds_pool_into_one_system():
     rounds = [square_round(2, t0=0.0), square_round(2, t0=1e-3)]
     solution = solve_tof(build_tof_system(rounds))
@@ -243,49 +238,98 @@ def test_multiple_rounds_pool_into_one_system():
     assert solved[(1, 2)] == pytest.approx(400.0 / C, abs=1e-15)
 
 
-@pytest.mark.parametrize("n_nodes", [3, 4, 5, 8])
-def test_rows_match_a_walk_over_the_hops(n_nodes):
-    """Array-built rows equal the equations written out hop by hop."""
-    ring = tuple(range(10, 10 + n_nodes))
+def hop_walk(system, rounds):
+    """The system's equations written out hop by hop, as a dense matrix.
+
+    Row order is each round's logged messages in send order; columns
+    follow system.unknowns.  The right-hand side rebases each round on
+    its first stamp and takes off (m - 1) * alpha.
+    """
+    ring, observer = system.ring, system.observer
     order = snake_order(ring)
     hops = snake_hops(ring)
+    col = {key: i for i, key in enumerate(system.unknowns)}
+    rows, rhs = [], []
+    for r, rt in enumerate(rounds):
+        logged = [m for m in range(1, len(order) + 1) if order[m - 1] != observer]
+        base = rt.arrivals[logged[0] - 1]
+        for m in logged:
+            row = [0.0] * len(col)
+            for a, b in hops[: m - 1]:
+                row[col[("edge", tuple(sorted((a, b))))]] += 1.0
+            row[col[("edge", tuple(sorted((order[m - 1], observer))))]] += 1.0
+            row[col[("anchor", r)]] = 1.0
+            rows.append(row)
+            rhs.append((rt.arrivals[m - 1] - base) - (m - 1) * rt.alpha)
+    return np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 8])
+def test_rows_match_a_walk_over_the_hops(n_nodes):
+    """The system holds the hop walk's equations, and the elimination
+    solves them in the least-squares sense even when rounds disagree."""
+    ring = tuple(range(10, 10 + n_nodes))
+    order = snake_order(ring)
     for observer in ring:
         rounds = [
             RingTiming(ring=ring, observer=observer, alpha=1e-7 * (r + 1),
-                       arrivals={m: 0.3 + 1e-3 * r + 1e-6 * m
-                                 for m in range(1, 2 * n_nodes + 1)
-                                 if order[m - 1] != observer},
-                       t_start_local=0.2 if r == 1 else None)
+                       arrivals=np.array([np.nan if order[m - 1] == observer
+                                          else 0.3 + 1e-3 * r + 1e-6 * m + 1e-9 * m * m * r
+                                          for m in range(1, 2 * n_nodes + 1)]))
             for r in range(3)
         ]
         system = build_tof_system(rounds)
-        col = {key: i for i, key in enumerate(system.unknowns)}
-        want_rows, want_rhs = [], []
-        for r, rt in enumerate(rounds):
-            base = rt.t_start_local
-            if base is None:
-                base = rt.arrivals[min(rt.arrivals)]
-            for m, t in sorted(rt.arrivals.items()):
-                row = [0.0] * len(col)
-                for a, b in hops[: m - 1]:
-                    row[col[("edge", tuple(sorted((a, b))))]] += 1.0
-                row[col[("edge", tuple(sorted((order[m - 1], observer))))]] += 1.0
-                if rt.t_start_local is None:
-                    row[col[("anchor", r)]] = 1.0
-                want_rows.append(row)
-                want_rhs.append((t - base) - (m - 1) * rt.alpha)
-        assert system.rows.tolist() == want_rows
-        assert system.rhs.tolist() == want_rhs
-        assert system.stamp_max == max(max(rt.arrivals.values()) for rt in rounds)
+        rows, rhs = hop_walk(system, rounds)
+        assert len(system.rows) == len(rows)
+        assert len(system.unknowns) == rows.shape[1] == 2 * n_nodes - 3 + len(rounds)
+        assert system.rhs.ravel().tolist() == rhs.tolist()
+        assert system.stamp_max == np.nanmax([rt.arrivals for rt in rounds])
+        solution = solve_tof(system, residual_tol=np.inf)
+        x = np.array([solution.values[k] for k in system.unknowns])
+        # the normal equations: the residual is orthogonal to every column
+        assert np.max(np.abs(rows.T @ (rows @ x - rhs))) < 1e-15
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 8, 13])
+def test_error_weights_match_the_dense_inverse(n_nodes):
+    """error_s weighs each rounding by the inverse's rows: the largest
+    1-norm of a flight time's row is 3 and its send-chain weight N, or 2
+    and N - 1 for the observer at ring index 0 or 1."""
+    ring = tuple(range(1, n_nodes + 1))
+    order = snake_order(ring)
+    tof = flight_times({nid: (float(nid), float(nid * nid % 7)) for nid in ring})
+    for q, observer in enumerate(ring):
+        arrivals, _ = snake_round(tof, ring, observer)
+        rounds = [RingTiming(ring=ring, observer=observer, arrivals=arrivals, alpha=0.0)]
+        rows, _ = hop_walk(build_tof_system(rounds), rounds)
+        flights = np.linalg.inv(rows)[:-1]
+        logged = [m for m in range(1, 2 * n_nodes + 1) if order[m - 1] != observer]
+        # a rounding at hop k shifts every stamp sent after it
+        later = np.array([[m > k for m in logged] for k in range(1, 2 * n_nodes)], dtype=float)
+        chain = np.abs(flights @ later.T).sum(axis=1).max()
+        norm = np.abs(flights).sum(axis=1).max()
+        want = (n_nodes - 1, 2) if q < 2 else (n_nodes, 3)
+        assert (chain, norm) == pytest.approx(want, abs=1e-9)
 
 
 def test_missing_arrival_is_incomplete_cycle():
-    rt = square_round(2)
-    partial = dict(rt.arrivals)
-    partial.popitem()
+    arrivals = square_round(2).arrivals.copy()
+    arrivals[0] = np.nan
     with pytest.raises(IncompleteCycle):
-        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=partial,
-                                     alpha=0.0, t_start_local=None)])
+        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=arrivals, alpha=0.0)])
+
+
+def test_own_send_logged_is_rejected():
+    arrivals = square_round(2).arrivals.copy()
+    arrivals[1] = 0.5  # message 2 is observer 2's own first send
+    with pytest.raises(SolveFailure, match="own send m=2"):
+        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=arrivals, alpha=0.0)])
+
+
+def test_short_round_is_rejected():
+    arrivals = square_round(2).arrivals[:-1]
+    with pytest.raises(SolveFailure, match="7 message slots"):
+        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=arrivals, alpha=0.0)])
 
 
 def test_mixed_observers_rejected():
@@ -296,19 +340,22 @@ def test_mixed_observers_rejected():
 def test_observer_off_ring_rejected():
     rt = square_round(2)
     with pytest.raises(SolveFailure, match="not on the ring"):
-        build_tof_system([RingTiming(ring=RING, observer=9, arrivals=rt.arrivals,
-                                     alpha=0.0, t_start_local=None)])
+        build_tof_system([RingTiming(ring=RING, observer=9, arrivals=rt.arrivals, alpha=0.0)])
 
 
 def test_inconsistent_stamps_fail_residual_check():
-    # bending message 4 cannot be absorbed by any edge assignment;
-    # messages touching a single redundant equation would be
-    rt = square_round(1)
-    bent = dict(rt.arrivals)
-    bent[4] += 1e-6
+    # one round alone is square and fits any stamps; a second round whose
+    # message 4 is bent cannot share the first round's flight times
+    plain = square_round(1)
+    bent = square_round(1, t0=1e-3)
+    arrivals = bent.arrivals.copy()
+    arrivals[3] += 1e-6
+    system = build_tof_system([plain, RingTiming(ring=RING, observer=1, arrivals=arrivals,
+                                                 alpha=0.0)])
     with pytest.raises(SolveFailure, match="residual"):
-        solve_tof(build_tof_system([RingTiming(ring=RING, observer=1, arrivals=bent,
-                                               alpha=0.0, t_start_local=rt.t_start_local)]))
+        solve_tof(system)
+    # unbent, the same two rounds solve
+    solve_tof(build_tof_system([plain, bent]))
 
 
 def test_snake_order_shape():
@@ -316,12 +363,46 @@ def test_snake_order_shape():
     assert len(snake_hops([1, 2, 3, 4])) == 7
 
 
-def test_rank_deficient_system_raises():
-    # the two flight times only ever appear summed, so neither is determined
-    system = TofSystem(
-        unknowns=[("edge", (1, 2)), ("edge", (2, 3))],
-        rows=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]),
-        rhs=np.array([1e-6, 2e-6, 1e-6]),
-    )
-    with pytest.raises(SolveFailure, match="rank"):
-        solve_tof(system)
+@settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(4, 40), n_rounds=st.integers(1, 6),
+       alpha=st.floats(0.0, 0.5), offset=st.floats(0.0, 1.0),
+       side_m=st.floats(0.0, 5.0).map(lambda e: 10.0 ** e),
+       delayed=st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.0, 1e-7)), max_size=4),
+       seed=st.integers(0, 2**16))
+@example(n_nodes=40, n_rounds=6, alpha=0.5, offset=1.0, side_m=1.0, delayed=[], seed=1)
+@example(n_nodes=4, n_rounds=1, alpha=0.0, offset=0.0, side_m=1e5, delayed=[], seed=2)
+def test_elimination_matches_lstsq_on_the_hop_walk(n_nodes, n_rounds, alpha, offset, side_m,
+                                                   delayed, seed):
+    """The elimination and an SVD least-squares solve of the hop-walk
+    rows agree within their two error bounds; with no delays, every
+    flight time sits within error_s of the truth.  The observers checked
+    are the opener, its two neighbours (the special cases of the
+    elimination) and one more."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, side_m, size=(n_nodes, 2))
+    ids = rng.permutation(np.arange(1, n_nodes + 1)).tolist()
+    tof = flight_times({nid: tuple(p) for nid, p in zip(ids, pts.tolist())})
+    ring = tuple(ids)
+    # per-message delays: (send index over all rounds, seconds)
+    delays = {}
+    for k, d in delayed:
+        k %= 2 * n_nodes * n_rounds
+        delays.setdefault(k // (2 * n_nodes), {})[k % (2 * n_nodes)] = d
+    for observer in {ring[0], ring[1], ring[-1], ring[int(rng.integers(n_nodes))]}:
+        rounds, t0 = [], float(rng.uniform(0.0, 1.0))
+        for r in range(n_rounds):
+            arrivals, t0 = snake_round(tof, ring, observer, t0, alpha, offset, delays.get(r))
+            rounds.append(RingTiming(ring=ring, observer=observer, arrivals=arrivals,
+                                     alpha=alpha))
+        system = build_tof_system(rounds)
+        solution = solve_tof(system, residual_tol=np.inf)
+        rows, rhs = hop_walk(system, rounds)
+        x, _, rank, sigma = np.linalg.lstsq(rows, rhs, rcond=None)
+        assert rank == rows.shape[1]
+        lstsq_error = 0.5 * np.spacing(system.stamp_max) * len(rows) ** 0.5 / sigma[-1]
+        for key, want in zip(system.unknowns, x):
+            if key[0] == "edge":
+                assert abs(solution.values[key] - want) <= solution.error_s + lstsq_error
+                if not delays:
+                    a, b = key[1]
+                    assert abs(solution.values[key] - tof[a][b]) <= solution.error_s

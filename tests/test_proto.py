@@ -161,6 +161,8 @@ def test_ring_every_observer_agrees_with_geometry():
 @example(n_nodes=12, n_rounds=40, alpha=0.0, side_m=400.0, seed=6)
 @example(n_nodes=10, n_rounds=16, alpha=0.0, side_m=400.0, seed=2)
 @example(n_nodes=16, n_rounds=4, alpha=0.01, side_m=1e5, seed=4)
+@example(n_nodes=64, n_rounds=2, alpha=0.5, side_m=1.0, seed=1)
+@example(n_nodes=128, n_rounds=2, alpha=0.0, side_m=100.0, seed=3)
 def test_honest_ring_is_consistent(n_nodes, n_rounds, alpha, side_m, seed):
     """No honest ring accuses anyone, and every bound sits within its
     observer's rounding-error model of the straight-line distance."""
@@ -173,6 +175,23 @@ def test_honest_ring_is_consistent(n_nodes, n_rounds, alpha, side_m, seed):
     for est in r.estimates:
         truth = distance(pos[est.measurer], pos[est.target])
         assert abs(est.bound_m - truth) <= err[est.measurer]
+
+
+def test_voided_ring_is_not_consistent():
+    """A delayer that bends one round only leaves every observer's rounds
+    irreconcilable: no bound is published, and the report says so
+    without accusing the victims."""
+    s = regular_ring_scenario(6, 100.0, 3, n_rounds=2)
+    ring = run_scenario(s).ring_order
+    # the node's sends 2 and 3 are its two sends of round 2
+    r = run_scenario(with_policy(s, ring[2], SelectiveDelay(per_message=((2, 5e-8), (3, 5e-8)))))
+    assert r.estimates == []
+    assert len(r.rejections) == 6
+    assert not r.detection.consistent
+    assert r.detection.unsolved == sorted(ring)
+    assert r.detection.accused == frozenset()
+    assert r.detection.verdicts == {p: "unsolved" for p in ring}
+    assert r.detection.to_dict()["unsolved"] == sorted(ring)
 
 
 def test_ring_order_is_seed_stable():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gdbsim.proto.ring import run_ring_with_delays
 from gdbsim.threat import (
     DetectionReport,
     EarlyChallenge,
@@ -19,7 +20,6 @@ from gdbsim.threat import (
     distance_fraud_game,
     policy_from_json,
     policy_to_json,
-    ring_delay_sweep,
 )
 
 ALL_POLICIES = [
@@ -198,10 +198,13 @@ def test_ring_delay_sweep_symmetry_law():
         ((5e-8, 0.0), (0.0, 0.0)),     # asymmetric: detectable
         ((2.5e-8, 5e-8), (0.0, 2.5e-8)),
     ]
-    out = ring_delay_sweep(4, grid)
-    assert [detected for _, detected, _ in out] == [False, False, True, True]
-    assert out[2][2] > 3.0  # metres of discrepancy, well over threshold
-    assert out[0][2] == 0.0
+    out = []
+    for delays in grid:
+        rep = run_ring_with_delays(n_nodes=4, delays=dict(enumerate(delays, start=2))).detection
+        out.append((not rep.consistent, max((m.discrepancy_m for m in rep.mismatches), default=0.0)))
+    assert [detected for detected, _ in out] == [False, False, True, True]
+    assert out[2][1] > 3.0  # metres of discrepancy, well over threshold
+    assert out[0][1] == 0.0
 
 
 def test_bound_errors_raise_the_threshold_above_the_floor():
@@ -217,3 +220,12 @@ def test_bound_errors_raise_the_threshold_above_the_floor():
     assert d["bound_error_m"] == {"1": 1e-6, "2": 3e-5, "3": 1e-7}
     errors[2] = 5e-5
     assert cross_check_detect(bounds, bound_error_m=errors).consistent
+
+
+def test_unsolved_observers_void_the_report_without_accusing_them():
+    rep = cross_check_detect({1: {2: 10.0}, 2: {1: 10.0}}, unsolved=[3])
+    assert not rep.consistent
+    assert rep.accused == frozenset()
+    assert rep.verdicts == {1: "consistent", 2: "consistent", 3: "unsolved"}
+    assert rep.to_dict()["unsolved"] == [3]
+    assert cross_check_detect({1: {2: 10.0}, 2: {1: 10.0}}).consistent
