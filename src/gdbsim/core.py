@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import UnionType
+from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from . import threat
 from .threat import AdversaryPolicy, Honest, PolicyError
@@ -147,11 +149,14 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    nodes: Tuple[NodeSpec, ...]
+    # builtin generics: the codec evaluates these hints, and typing's
+    # Tuple[...] / Optional[...] cache would keep this module's classes
+    # alive after a re-import
+    nodes: tuple[NodeSpec, ...]
     protocol: Protocol
     config: ProtocolConfig
     rng_seed: int
-    experiment: Optional[ExperimentParams] = None
+    experiment: ExperimentParams | None = None
 
     def node(self, node_id: NodeId) -> NodeSpec:
         for n in self.nodes:
@@ -186,112 +191,170 @@ class ValidationIssue:
 
 
 # ---------------------------------------------------------------------------
-# strict JSON loading
+# strict JSON codec
+#
+# The dataclasses above (and the policies in threat) are the format: one
+# decoder and one encoder per record are built at import time from its
+# fields and type hints.  decode(value, where, key) formats the path of
+# member key of section where only to report an error.  Sections (config,
+# nodes[1].policy) are named from the root; root leaves as scenario.<key>.
+
+_ROOT = "scenario"
+_FLOAT_MAX = sys.float_info.max
 
 
-def _pop(data: dict, key: str, path: str, required: bool = True, default=None):
-    if key in data:
-        return data.pop(key)
-    if required:
-        raise ScenarioFormatError(f"missing key {path}.{key}")
-    return default
+def _path(where: str, key) -> str:
+    return f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
 
 
-def _reject_extras(data: dict, path: str) -> None:
-    if data:
-        raise ScenarioFormatError(f"unknown keys at {path}: {sorted(data)}")
+def _section(where: Optional[str], key) -> str:
+    """The name of section key of where; the root record's where is None."""
+    return key if where is None or where == _ROOT else _path(where, key)
 
 
-def _parse_node(obj, idx: int) -> NodeSpec:
-    path = f"nodes[{idx}]"
+def _is_finite_number(obj) -> bool:
+    return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            and -_FLOAT_MAX <= obj <= _FLOAT_MAX)
+
+
+def _int(obj, where: str, key) -> int:
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise ScenarioFormatError(f"{_path(where, key)} must be an integer")
+
+
+def _number(obj, where: str, key) -> float:
+    if _is_finite_number(obj):
+        return float(obj)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        raise ScenarioFormatError(f"{_path(where, key)} must be finite")
+    raise ScenarioFormatError(f"{_path(where, key)} must be a number")
+
+
+def _bool(obj, where: str, key) -> bool:
+    if isinstance(obj, bool):
+        return obj
+    raise ScenarioFormatError(f"{_path(where, key)} must be a boolean")
+
+
+def _point(obj, where: str, key) -> Tuple[float, float]:
+    if isinstance(obj, list) and len(obj) == 2:
+        x, y = obj
+        if _is_finite_number(x) and _is_finite_number(y):
+            return (float(x), float(y))
+    raise ScenarioFormatError(f"{_path(where, key)} must be [x, y]")
+
+
+def _per_message(obj, where: str, key) -> Tuple[Tuple[int, float], ...]:
+    """{"send index": delay_s} into (index, delay) pairs sorted by index."""
+    path = _path(where, key)
+    if not (isinstance(obj, dict) and all(isinstance(k, str) and k.isdecimal() for k in obj)):
+        raise ScenarioFormatError(f"{path} must be an object from send index to delay")
+    return tuple(sorted((int(k), _number(v, path, k)) for k, v in obj.items()))
+
+
+def _policy(obj, where: str, key) -> AdversaryPolicy:
+    """A policy object tagged by its class name in "kind"; null is Honest."""
+    if obj is None:
+        return Honest()
+    section = _section(where, key)
     if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{path} must be an object")
-    data = dict(obj)
-    node_id = _pop(data, "id", path)
-    pos = _pop(data, "pos", path)
-    role = _pop(data, "role", path)
-    policy_obj = _pop(data, "policy", path, required=False)
-    has_cert = _pop(data, "has_cert", path, required=False, default=True)
-    _reject_extras(data, path)
-    if not isinstance(node_id, int) or isinstance(node_id, bool):
-        raise ScenarioFormatError(f"{path}.id must be an integer")
-    if not (isinstance(pos, list) and len(pos) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pos)):
-        raise ScenarioFormatError(f"{path}.pos must be [x, y]")
-    try:
-        role_val = Role(role)
-    except ValueError:
+        raise ScenarioFormatError(f"{section} must be an object")
+    kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in _POLICY_CODECS):
         raise ScenarioFormatError(
-            f"{path}.role must be one of {[r.value for r in Role]}, got {role!r}"
-        ) from None
-    if policy_obj is None:
-        policy: AdversaryPolicy = Honest()
-    else:
+            f"{section}.kind: unknown policy kind {kind!r}, expected one of {sorted(_POLICY_CODECS)}")
+    return _POLICY_CODECS[kind][0](obj, where, key)
+
+
+def _enum(cls):
+    values = [member.value for member in cls]
+
+    def decode(obj, where: str, key):
         try:
-            policy = threat.policy_from_json(policy_obj)
+            return cls(obj)
+        except ValueError:
+            raise ScenarioFormatError(
+                f"{_path(where, key)} must be one of {values}, got {obj!r}") from None
+    return decode, lambda member: member.value
+
+
+def _optional(decode):
+    return lambda obj, where, key: None if obj is None else decode(obj, where, key)
+
+
+def _array(decode):
+    def array(obj, where: str, key):
+        if not isinstance(obj, list) or not obj:
+            raise ScenarioFormatError(f"{_path(where, key)} must be a non-empty array")
+        section = _section(where, key)
+        return tuple(decode(item, section, i) for i, item in enumerate(obj))
+    return array
+
+
+# field type -> (decode(obj, where, key), encode(value)); encode None: the value is its own JSON
+_LEAVES = {
+    int: (_int, None),
+    float: (_number, None),
+    bool: (_bool, None),
+    Tuple[float, float]: (_point, list),
+    Tuple[Tuple[int, float], ...]: (_per_message, lambda pm: {str(k): v for k, v in pm}),
+    AdversaryPolicy: (_policy, lambda policy: _POLICY_CODECS[type(policy).__name__][1](policy)),
+}
+
+
+def _codec(tp):
+    if tp in _LEAVES:
+        return _LEAVES[tp]
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return _enum(tp)
+    if is_dataclass(tp):
+        return _record(tp)
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType) and args[1:] == (type(None),):
+        decode, encode = _codec(args[0])
+        return _optional(decode), encode
+    if get_origin(tp) is tuple and args[1:] == (...,):
+        decode, encode = _codec(args[0])
+        return _array(decode), lambda items: [encode(item) for item in items]
+    raise TypeError(f"no scenario codec for {tp!r}")
+
+
+def _record(cls, tagged: bool = False):
+    """Codec for a dataclass; a tagged record also carries "kind": its class name."""
+    hints = get_type_hints(cls)
+    specs = [(f.name, *_codec(hints[f.name])) for f in fields(cls)]
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    known = {name for name, _, _ in specs} | ({"kind"} if tagged else set())
+
+    def decode(obj, where: Optional[str], key):
+        section = _section(where, key)
+        if not isinstance(obj, dict):
+            raise ScenarioFormatError(f"{section} must be an object")
+        for name in required:
+            if name not in obj:
+                raise ScenarioFormatError(f"missing key {section}.{name}")
+        if not known.issuperset(obj):
+            raise ScenarioFormatError(f"unknown keys at {section}: {sorted(set(obj) - known)}")
+        kwargs = {name: dec(obj[name], section, name) for name, dec, _ in specs if name in obj}
+        try:
+            return cls(**kwargs)
         except PolicyError as exc:
-            raise ScenarioFormatError(f"{path}.policy: {exc}") from exc
-    if not isinstance(has_cert, bool):
-        raise ScenarioFormatError(f"{path}.has_cert must be a boolean")
-    return NodeSpec(
-        id=node_id,
-        pos=(float(pos[0]), float(pos[1])),
-        role=role_val,
-        policy=policy,
-        has_cert=has_cert,
-    )
+            raise ScenarioFormatError(f"{section}: {exc}") from exc
+
+    def encode(value) -> dict:
+        out = {"kind": cls.__name__} if tagged else {}
+        for name, _, enc in specs:
+            v = getattr(value, name)
+            if v is not None and v != ():
+                out[name] = v if enc is None else enc(v)
+        return out
+    return decode, encode
 
 
-def _parse_config(obj) -> ProtocolConfig:
-    path = "config"
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{path} must be an object")
-    data = dict(obj)
-    n = _pop(data, "n", path)
-    bit_len = _pop(data, "bit_len", path, required=False, default=1)
-    alpha = _pop(data, "alpha", path, required=False, default=0.0)
-    c = _pop(data, "c", path, required=False, default=SPEED_OF_LIGHT)
-    ppm = _pop(data, "pre_post_msgs", path, required=False, default=2)
-    auth = _pop(data, "auth_enabled", path, required=False, default=False)
-    _reject_extras(data, path)
-    for name, v in (("n", n), ("bit_len", bit_len), ("pre_post_msgs", ppm)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ScenarioFormatError(f"{path}.{name} must be an integer")
-    for name, v in (("alpha", alpha), ("c", c)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioFormatError(f"{path}.{name} must be a number")
-    if not isinstance(auth, bool):
-        raise ScenarioFormatError(f"{path}.auth_enabled must be a boolean")
-    return ProtocolConfig(
-        n=n, bit_len=bit_len, alpha=float(alpha), c=float(c),
-        pre_post_msgs=ppm, auth_enabled=auth,
-    )
-
-
-_EXPERIMENT_INT_KEYS = ("n_a", "n_p", "n_a1", "n_a2", "n_p1", "n_p2", "N", "M")
-_EXPERIMENT_FLOAT_KEYS = ("d_a", "d_1", "d_2")
-
-
-def _parse_experiment(obj) -> ExperimentParams:
-    path = "experiment"
-    if not isinstance(obj, dict):
-        raise ScenarioFormatError(f"{path} must be an object")
-    data = dict(obj)
-    kwargs = {}
-    for key in _EXPERIMENT_INT_KEYS:
-        v = _pop(data, key, path, required=False)
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
-            raise ScenarioFormatError(f"{path}.{key} must be an integer")
-        kwargs[key] = v
-    for key in _EXPERIMENT_FLOAT_KEYS:
-        v = _pop(data, key, path, required=False)
-        if v is not None:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ScenarioFormatError(f"{path}.{key} must be a number")
-            v = float(v)
-        kwargs[key] = v
-    _reject_extras(data, path)
-    return ExperimentParams(**kwargs)
+_POLICY_CODECS = {cls.__name__: _record(cls, tagged=True) for cls in get_args(AdversaryPolicy)}
+_decode_scenario, _encode_scenario = _record(Scenario)
 
 
 def scenario_from_json(doc) -> Scenario:
@@ -303,64 +366,12 @@ def scenario_from_json(doc) -> Scenario:
             raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
-    data = dict(doc)
-    nodes_obj = _pop(data, "nodes", "scenario")
-    protocol_obj = _pop(data, "protocol", "scenario")
-    config_obj = _pop(data, "config", "scenario")
-    experiment_obj = _pop(data, "experiment", "scenario", required=False)
-    rng_seed = _pop(data, "rng_seed", "scenario")
-    _reject_extras(data, "scenario")
-    if not isinstance(nodes_obj, list) or not nodes_obj:
-        raise ScenarioFormatError("scenario.nodes must be a non-empty array")
-    nodes = tuple(_parse_node(o, i) for i, o in enumerate(nodes_obj))
-    try:
-        protocol = Protocol(protocol_obj)
-    except ValueError:
-        raise ScenarioFormatError(
-            f"scenario.protocol must be one of {[p.value for p in Protocol]}, "
-            f"got {protocol_obj!r}"
-        ) from None
-    config = _parse_config(config_obj)
-    experiment = _parse_experiment(experiment_obj) if experiment_obj is not None else None
-    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
-        raise ScenarioFormatError("scenario.rng_seed must be an integer")
-    return Scenario(
-        nodes=nodes, protocol=protocol, config=config,
-        rng_seed=rng_seed, experiment=experiment,
-    )
+    return _decode_scenario(doc, None, _ROOT)
 
 
 def scenario_to_json(s: Scenario) -> dict:
-    doc: dict = {
-        "nodes": [
-            {
-                "id": n.id,
-                "pos": [n.pos[0], n.pos[1]],
-                "role": n.role.value,
-                "policy": threat.policy_to_json(n.policy),
-                "has_cert": n.has_cert,
-            }
-            for n in s.nodes
-        ],
-        "protocol": s.protocol.value,
-        "config": {
-            "n": s.config.n,
-            "bit_len": s.config.bit_len,
-            "alpha": s.config.alpha,
-            "c": s.config.c,
-            "pre_post_msgs": s.config.pre_post_msgs,
-            "auth_enabled": s.config.auth_enabled,
-        },
-        "rng_seed": s.rng_seed,
-    }
-    if s.experiment is not None:
-        exp = {}
-        for key in _EXPERIMENT_INT_KEYS + _EXPERIMENT_FLOAT_KEYS:
-            v = getattr(s.experiment, key)
-            if v is not None:
-                exp[key] = v
-        doc["experiment"] = exp
-    return doc
+    """The scenario's document: None fields and empty tuples are left out."""
+    return _encode_scenario(s)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -375,9 +386,9 @@ def load_scenario(path: str) -> Scenario:
 def _policy_issues(s: Scenario) -> List[ValidationIssue]:
     issues: List[ValidationIssue] = []
     ids = {n.id for n in s.nodes}
-    for n in s.nodes:
+    for i, n in enumerate(s.nodes):
         p = n.policy
-        fld = f"nodes[{n.id}].policy"
+        fld = f"nodes[{i}].policy"
         if isinstance(p, threat.GuessAhead):
             if n.role != Role.PROVER:
                 issues.append(ValidationIssue(
@@ -446,18 +457,14 @@ def validate_scenario(s: Scenario) -> List[ValidationIssue]:
                     "ParamOutOfRange", "nodes",
                     f"nodes {a.id} and {b.id} share position {a.pos}"))
 
-    cfg = s.config
-    if cfg.n < 1:
-        issues.append(ValidationIssue("ParamOutOfRange", "config.n", "n must be >= 1"))
-    if cfg.bit_len < 1:
-        issues.append(ValidationIssue("ParamOutOfRange", "config.bit_len", "bit_len must be >= 1"))
-    if cfg.alpha < 0.0:
-        issues.append(ValidationIssue("ParamOutOfRange", "config.alpha", "alpha must be >= 0"))
-    if cfg.c <= 0.0:
-        issues.append(ValidationIssue("ParamOutOfRange", "config.c", "c must be > 0"))
-    if cfg.pre_post_msgs < 0:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "config.pre_post_msgs", "pre_post_msgs must be >= 0"))
+    # ProtocolConfig field, lowest value, whether the lowest itself is allowed
+    for name, lowest, inclusive in (("n", 1, True), ("bit_len", 1, True), ("alpha", 0, True),
+                                    ("c", 0, False), ("pre_post_msgs", 0, True)):
+        v = getattr(s.config, name)
+        if v < lowest or (v == lowest and not inclusive):
+            rule = f"{'>=' if inclusive else '>'} {lowest}"
+            issues.append(ValidationIssue(
+                "ParamOutOfRange", f"config.{name}", f"{name} must be {rule}"))
 
     provers, actives, passives, peers = _role_counts(s)
     proto = s.protocol

@@ -30,8 +30,6 @@ class PolicyError(ValueError):
 class Honest:
     """Follow the protocol exactly."""
 
-    kind: str = field(default="Honest", init=False, repr=False)
-
 
 @dataclass(frozen=True)
 class GuessAhead:
@@ -46,7 +44,10 @@ class GuessAhead:
 
     p_rounds: int
     advance_s: float = 0.0
-    kind: str = field(default="GuessAhead", init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.p_rounds < 0:
+            raise PolicyError("GuessAhead p_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,12 @@ class SelectiveDelay:
     delay_s: float = 0.0
     per_message: Tuple[Tuple[int, float], ...] = ()
     target: Optional[int] = None
-    kind: str = field(default="SelectiveDelay", init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.delay_s < 0.0 or any(d < 0.0 for _, d in self.per_message):
+            raise PolicyError("SelectiveDelay delays must be >= 0")
+        if len({i for i, _ in self.per_message}) < len(self.per_message):
+            raise PolicyError("SelectiveDelay per_message names a send index twice")
 
     def delay_for(self, send_index: int, measurer: Optional[int] = None) -> float:
         if self.target is not None and measurer is not None and measurer != self.target:
@@ -86,7 +92,6 @@ class Relay:
     """
 
     victim: int
-    kind: str = field(default="Relay", init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,6 @@ class FakeLocationReport:
 
     claimed_pos: Optional[Tuple[float, float]] = None
     claimed_distance_m: Optional[float] = None
-    kind: str = field(default="FakeLocationReport", init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.claimed_pos is None) == (self.claimed_distance_m is None):
@@ -122,7 +126,6 @@ class EarlyChallenge:
 
     advance_s: float
     pr_ch: float
-    kind: str = field(default="EarlyChallenge", init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.pr_ch <= 1.0:
@@ -135,8 +138,6 @@ class EarlyChallenge:
 class NodeInsertion:
     """Participate without holding a registered certificate."""
 
-    kind: str = field(default="NodeInsertion", init=False, repr=False)
-
 
 AdversaryPolicy = (
     Honest
@@ -147,108 +148,6 @@ AdversaryPolicy = (
     | EarlyChallenge
     | NodeInsertion
 )
-
-_POLICY_KINDS = {
-    "Honest": Honest,
-    "GuessAhead": GuessAhead,
-    "SelectiveDelay": SelectiveDelay,
-    "Relay": Relay,
-    "FakeLocationReport": FakeLocationReport,
-    "EarlyChallenge": EarlyChallenge,
-    "NodeInsertion": NodeInsertion,
-}
-
-
-def policy_from_json(obj: Mapping) -> AdversaryPolicy:
-    """Build a policy from its JSON object form.  Unknown keys are rejected."""
-    if not isinstance(obj, Mapping):
-        raise PolicyError("policy must be a JSON object")
-    data = dict(obj)
-    kind = data.pop("kind", None)
-    if kind not in _POLICY_KINDS:
-        raise PolicyError(f"unknown policy kind: {kind!r}")
-    if kind == "Honest" or kind == "NodeInsertion":
-        if data:
-            raise PolicyError(f"{kind} takes no parameters, got {sorted(data)}")
-        return _POLICY_KINDS[kind]()
-    if kind == "GuessAhead":
-        p_rounds = data.pop("p_rounds", None)
-        advance_s = data.pop("advance_s", 0.0)
-        if data:
-            raise PolicyError(f"unknown keys in GuessAhead policy: {sorted(data)}")
-        if not isinstance(p_rounds, int) or p_rounds < 0:
-            raise PolicyError("GuessAhead p_rounds must be a non-negative integer")
-        return GuessAhead(p_rounds=p_rounds, advance_s=float(advance_s))
-    if kind == "SelectiveDelay":
-        delay_s = float(data.pop("delay_s", 0.0))
-        per_message = data.pop("per_message", {})
-        target = data.pop("target", None)
-        if data:
-            raise PolicyError(f"unknown keys in SelectiveDelay policy: {sorted(data)}")
-        if not isinstance(per_message, Mapping):
-            raise PolicyError("SelectiveDelay per_message must be an object")
-        try:
-            pm = tuple(sorted((int(k), float(v)) for k, v in per_message.items()))
-        except (TypeError, ValueError) as exc:
-            raise PolicyError(f"bad SelectiveDelay per_message entry: {exc}") from exc
-        if delay_s < 0.0 or any(d < 0.0 for _, d in pm):
-            raise PolicyError("SelectiveDelay delays must be >= 0")
-        if target is not None and not isinstance(target, int):
-            raise PolicyError("SelectiveDelay target must be a node id")
-        return SelectiveDelay(delay_s=delay_s, per_message=pm, target=target)
-    if kind == "Relay":
-        victim = data.pop("victim", None)
-        if data:
-            raise PolicyError(f"unknown keys in Relay policy: {sorted(data)}")
-        if not isinstance(victim, int):
-            raise PolicyError("Relay victim must be a node id")
-        return Relay(victim=victim)
-    if kind == "FakeLocationReport":
-        pos = data.pop("claimed_pos", None)
-        dist = data.pop("claimed_distance_m", None)
-        if data:
-            raise PolicyError(f"unknown keys in FakeLocationReport policy: {sorted(data)}")
-        if pos is not None:
-            if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-                raise PolicyError("claimed_pos must be [x, y]")
-            pos = (float(pos[0]), float(pos[1]))
-        if dist is not None:
-            dist = float(dist)
-        return FakeLocationReport(claimed_pos=pos, claimed_distance_m=dist)
-    if kind == "EarlyChallenge":
-        advance_s = data.pop("advance_s", None)
-        pr_ch = data.pop("pr_ch", None)
-        if data:
-            raise PolicyError(f"unknown keys in EarlyChallenge policy: {sorted(data)}")
-        if advance_s is None or pr_ch is None:
-            raise PolicyError("EarlyChallenge needs advance_s and pr_ch")
-        return EarlyChallenge(advance_s=float(advance_s), pr_ch=float(pr_ch))
-    raise PolicyError(f"unhandled policy kind {kind!r}")
-
-
-def policy_to_json(policy: AdversaryPolicy) -> dict:
-    out: dict = {"kind": policy.kind}
-    if isinstance(policy, GuessAhead):
-        out["p_rounds"] = policy.p_rounds
-        out["advance_s"] = policy.advance_s
-    elif isinstance(policy, SelectiveDelay):
-        out["delay_s"] = policy.delay_s
-        if policy.per_message:
-            out["per_message"] = {str(k): v for k, v in policy.per_message}
-        if policy.target is not None:
-            out["target"] = policy.target
-    elif isinstance(policy, Relay):
-        out["victim"] = policy.victim
-    elif isinstance(policy, FakeLocationReport):
-        if policy.claimed_pos is not None:
-            out["claimed_pos"] = list(policy.claimed_pos)
-        if policy.claimed_distance_m is not None:
-            out["claimed_distance_m"] = policy.claimed_distance_m
-    elif isinstance(policy, EarlyChallenge):
-        out["advance_s"] = policy.advance_s
-        out["pr_ch"] = policy.pr_ch
-    return out
-
 
 @dataclass
 class SendIntent:

@@ -83,6 +83,15 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_malformed_policy_value(tmp_path, capsys):
+    doc = scenario_to_json(oneway_scenario(n=2))
+    doc["nodes"][1]["policy"] = {"kind": "SelectiveDelay", "delay_s": None}
+    p = tmp_path / "bad_policy.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "nodes[1].policy.delay_s must be a number" in capsys.readouterr().err
+
+
 def test_run_rejects_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "ghost.json"), "--out", str(tmp_path)]) == 2
 

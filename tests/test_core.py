@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdbsim.core import (
     ExperimentParams,
@@ -23,6 +25,7 @@ from gdbsim.core import (
 from gdbsim.scenarios import mpnv_scenario, ntom_scenario, oneway_scenario, peer_scenario
 from gdbsim.threat import (
     EarlyChallenge,
+    FakeLocationReport,
     GuessAhead,
     NodeInsertion,
     Relay,
@@ -150,11 +153,109 @@ def test_parse_rejects_unknown_policy_kind():
         scenario_from_json(doc)
 
 
-def test_parse_rejects_bool_where_int_expected():
+def doc_with_policy(policy: dict) -> dict:
+    """minimal_doc plus an experiment block, with the prover given policy."""
     doc = minimal_doc()
-    doc["config"]["n"] = True
-    with pytest.raises(ScenarioFormatError, match="config.n"):
+    doc["experiment"] = {"n_a": 1, "d_a": 0.5}
+    doc["nodes"][1]["policy"] = policy
+    return doc
+
+
+@pytest.mark.parametrize("where,key,bad", [
+    ("config", "n", True),
+    ("config", "alpha", float("nan")),
+    ("config", "c", float("inf")),
+    ("config", "auth_enabled", 1),
+    ("node", "pos", [float("nan"), 0.0]),
+    ("node", "id", 1.0),
+    ("experiment", "n_a", True),
+    ("experiment", "d_a", "0.5"),
+    ("GuessAhead", "p_rounds", True),
+    ("GuessAhead", "advance_s", "x"),
+    ("Relay", "victim", True),
+    ("SelectiveDelay", "target", False),
+    ("SelectiveDelay", "delay_s", "1e-9"),
+    ("SelectiveDelay", "delay_s", None),
+    ("FakeLocationReport", "claimed_distance_m", "5"),
+    ("FakeLocationReport", "claimed_pos", ["a", "b"]),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_parse_rejects_bad_leaf_values(where, key, bad):
+    policies = {
+        "GuessAhead": {"kind": "GuessAhead", "p_rounds": 1},
+        "Relay": {"kind": "Relay", "victim": 1},
+        "SelectiveDelay": {"kind": "SelectiveDelay", "delay_s": 1e-9},
+        "FakeLocationReport": {"kind": "FakeLocationReport", "claimed_distance_m": 5.0},
+    }
+    doc = doc_with_policy(policies.get(where, {"kind": "Honest"}))
+    section, path = {
+        "config": (doc["config"], "config"),
+        "node": (doc["nodes"][1], "nodes[1]"),
+        "experiment": (doc["experiment"], "experiment"),
+    }.get(where, (doc["nodes"][1]["policy"], "nodes[1].policy"))
+    scenario_from_json(doc)
+    section[key] = bad
+    with pytest.raises(ScenarioFormatError) as info:
         scenario_from_json(doc)
+    assert str(info.value).startswith(f"{path}.{key} must be ")
+
+
+def leaf_paths(value, path, keys):
+    """(path as parse errors name it, key chain) for every leaf under value.
+
+    A leaf is a scalar, or a list of scalars such as a position.
+    """
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from leaf_paths(v, f"{path}.{k}", keys + (k,))
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for i, v in enumerate(value):
+            yield from leaf_paths(v, f"{path}[{i}]", keys + (i,))
+    else:
+        yield path, keys
+
+
+def document_leaves(doc):
+    """Sections are named from the root (config.n); root leaves as scenario.<key>."""
+    for key, value in doc.items():
+        top = key if isinstance(value, (dict, list)) else f"scenario.{key}"
+        yield from leaf_paths(value, top, (key,))
+
+
+def builder_documents():
+    fake = NodeSpec(id=7, pos=(5.0, 95.0), role=Role.PASSIVE_VERIFIER,
+                    policy=FakeLocationReport(claimed_pos=(1.0, 2.0)))
+    relay = NodeSpec(id=8, pos=(40.0, 40.0), role=Role.PROVER, policy=Relay(victim=2))
+    return [
+        scenario_to_json(rich_scenario()),
+        scenario_to_json(oneway_scenario(extra_nodes=[fake, relay], auth=True,
+                                         observer_pos=(30.0, 60.0))),
+        scenario_to_json(oneway_scenario(prover_policy=FakeLocationReport(claimed_distance_m=4.0))),
+        scenario_to_json(ntom_scenario(Protocol.NTOM_PASSIVE, 2, 2, d_1=0.5, d_2=1.0,
+                                       n_a1=1, n_a2=1)),
+    ]
+
+
+DOCUMENTS = builder_documents()
+# leaves whose field is Optional, where null is a value of the right kind
+NULLABLE = ("target", "claimed_pos", "claimed_distance_m")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), bad=st.sampled_from([None, "x", True, ["a", "b"], float("nan")]))
+def test_any_wrong_kind_leaf_is_a_format_error_naming_it(data, bad):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(DOCUMENTS))))
+    path, keys = data.draw(st.sampled_from(list(document_leaves(doc))))
+    section = doc
+    for k in keys[:-1]:
+        section = section[k]
+    if isinstance(bad, bool) and isinstance(section[keys[-1]], bool):
+        return  # a bool is a boolean field's own kind
+    if bad is None and (keys[0] == "experiment" or keys[-1] in NULLABLE):
+        return  # null is an Optional field's own value
+    section[keys[-1]] = bad
+    with pytest.raises(ScenarioFormatError) as info:
+        scenario_from_json(doc)
+    assert path in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +340,15 @@ def test_policy_role_mismatches_flagged(role, policy):
     s = Scenario(nodes=nodes, protocol=Protocol.ONE_WAY,
                  config=ProtocolConfig(n=2), rng_seed=1)
     assert any(i.code == "PolicyInapplicable" for i in validate_scenario(s))
+
+
+def test_policy_issues_name_the_node_by_index():
+    nodes = (
+        NodeSpec(id=7, pos=(0.0, 0.0), role=Role.ACTIVE_VERIFIER, policy=GuessAhead(p_rounds=1)),
+        NodeSpec(id=2, pos=(10.0, 0.0), role=Role.PROVER),
+    )
+    s = Scenario(nodes=nodes, protocol=Protocol.ONE_WAY, config=ProtocolConfig(n=2), rng_seed=1)
+    assert ("PolicyInapplicable", "nodes[0].policy") in issue_codes(s)
 
 
 def test_relay_victim_must_be_another_node():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from gdbsim.cli import write_run_artifacts
-from gdbsim.core import load_scenario
+from gdbsim.core import load_scenario, scenario_to_json
 from gdbsim.proto.runner import run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,6 +44,12 @@ def test_corpus_has_a_digest_per_scenario():
 def test_golden_digests(name, tmp_path):
     pinned = json.loads(DIGESTS.read_text())[name]
     assert artifact_digests(name, tmp_path) == pinned
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_golden_scenario_is_a_codec_fixed_point(name):
+    path = GOLDEN / f"{name}.json"
+    assert scenario_to_json(load_scenario(str(path))) == json.loads(path.read_text())
 
 
 if __name__ == "__main__":

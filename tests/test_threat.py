@@ -1,8 +1,19 @@
 """Adversary policies, timing shaping, and cross-check detection."""
+import json
 import random
 
 import pytest
 
+from gdbsim.core import (
+    NodeSpec,
+    Protocol,
+    ProtocolConfig,
+    Role,
+    Scenario,
+    ScenarioFormatError,
+    scenario_from_json,
+    scenario_to_json,
+)
 from gdbsim.proto.ring import run_ring_with_delays
 from gdbsim.threat import (
     DetectionReport,
@@ -18,8 +29,6 @@ from gdbsim.threat import (
     apply_policy,
     cross_check_detect,
     distance_fraud_game,
-    policy_from_json,
-    policy_to_json,
 )
 
 ALL_POLICIES = [
@@ -34,24 +43,39 @@ ALL_POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.kind)
+def policy_doc(policy) -> dict:
+    """A one-node scenario document carrying the policy."""
+    node = NodeSpec(id=1, pos=(0.0, 0.0), role=Role.PROVER, policy=policy)
+    return scenario_to_json(Scenario(nodes=(node,), protocol=Protocol.ONE_WAY,
+                                     config=ProtocolConfig(n=1), rng_seed=0))
+
+
+def parse_policy(policy_obj):
+    doc = policy_doc(Honest())
+    doc["nodes"][0]["policy"] = policy_obj
+    return scenario_from_json(doc).nodes[0].policy
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: type(p).__name__)
 def test_policy_json_round_trip(policy):
-    assert policy_from_json(policy_to_json(policy)) == policy
+    doc = policy_doc(policy)
+    assert doc["nodes"][0]["policy"]["kind"] == type(policy).__name__
+    assert scenario_from_json(json.dumps(doc)).nodes[0].policy == policy
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(PolicyError, match="unknown policy kind"):
-        policy_from_json({"kind": "Jam"})
+    with pytest.raises(ScenarioFormatError, match="unknown policy kind"):
+        parse_policy({"kind": "Jam"})
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(PolicyError, match="unknown keys"):
-        policy_from_json({"kind": "Relay", "victim": 2, "speed": 3})
+    with pytest.raises(ScenarioFormatError, match="unknown keys"):
+        parse_policy({"kind": "Relay", "victim": 2, "speed": 3})
 
 
 def test_honest_takes_no_parameters():
-    with pytest.raises(PolicyError):
-        policy_from_json({"kind": "Honest", "delay_s": 1.0})
+    with pytest.raises(ScenarioFormatError):
+        parse_policy({"kind": "Honest", "delay_s": 1.0})
 
 
 def test_fake_location_needs_exactly_one_claim():
@@ -69,8 +93,24 @@ def test_early_challenge_validates_parameters():
 
 
 def test_negative_delays_rejected_in_json():
+    for policy_obj in ({"kind": "SelectiveDelay", "delay_s": -1e-9},
+                       {"kind": "SelectiveDelay", "per_message": {"2": -1e-9}},
+                       {"kind": "GuessAhead", "p_rounds": -1}):
+        with pytest.raises(ScenarioFormatError, match=r"nodes\[0\]\.policy: .*>= 0"):
+            parse_policy(policy_obj)
+
+
+def test_policy_domains_checked_on_construction():
     with pytest.raises(PolicyError, match=">= 0"):
-        policy_from_json({"kind": "SelectiveDelay", "delay_s": -1e-9})
+        GuessAhead(p_rounds=-1)
+    with pytest.raises(PolicyError, match=">= 0"):
+        SelectiveDelay(per_message=((2, -1e-9),))
+
+
+def test_per_message_send_index_appears_once():
+    # "1" and "01" are both index 1: one override would be lost on output
+    with pytest.raises(ScenarioFormatError, match="send index twice"):
+        parse_policy({"kind": "SelectiveDelay", "per_message": {"1": 1e-9, "01": 2e-9}})
 
 
 def test_selective_delay_indexing():
