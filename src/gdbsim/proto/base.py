@@ -32,7 +32,8 @@ from ..crypto import (
 )
 from ..estimate import active_distance
 from ..simkit import BroadcastChannel, Emission, Trace
-from ..threat import AdversaryPolicy, DetectionReport, SendIntent, apply_policy
+from ..threat import AdversaryPolicy, DetectionReport, apply_policy
+
 
 class ProtocolStall(GdbSimError):
     """A state machine is waiting on a message that can never arrive."""
@@ -143,21 +144,20 @@ class RunContext:
         """The timing hook every rapid-phase send goes through.
 
         Counts the send against the node's own rapid-phase counter and
-        lets its policy shift the emission; measurer names the node whose
-        measurement the send answers, which a targeted delay keys on.
-        Returns the emission time and whether it may precede its trigger.
-        A send that is not early never precedes the node's previous send:
-        an early challenge can reach a prover before it has answered the
+        lets its policy shift the emission through apply_policy; measurer
+        names the node whose measurement the send answers, which a
+        targeted delay keys on.  Returns (t, allow_early): the emission
+        time, and whether the policy let it precede its trigger.  A send
+        that is not early never precedes the node's previous send: an
+        early challenge can reach a prover before it has answered the
         last one, and the answer then waits for it.
         """
         index = self.send_counters.get(node, 0)
         self.send_counters[node] = index + 1
-        shaped = apply_policy(
-            self.policies[node], SendIntent(node, index, t_nominal, measurer), self.rng
-        )
-        if shaped.allow_early:
-            return shaped.t_nominal, True
-        return self.channel.in_order(node, shaped.t_nominal), False
+        t, early = apply_policy(self.policies[node], node, index, t_nominal, measurer, self.rng)
+        if early:
+            return t, True
+        return self.channel.in_order(node, t), False
 
     def draw_bits(self, bit_len: int) -> int:
         return self.rng.getrandbits(bit_len) if bit_len else 0

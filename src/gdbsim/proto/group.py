@@ -69,6 +69,8 @@ def _oneway_group_phase(
 ) -> Tuple[Dict[Tuple[NodeId, NodeId], List[_Candidate]], List[Tuple[ExchangeResult, NodeId, int]], float]:
     """Sequential active exchanges plus everyone's passive pricing.
 
+    Each selected verifier runs its row of exchanges, one per prover,
+    and the row is then priced for every other watcher in one call.
     The closing emission after each exchange's last response is what
     lets listeners frame all n_a rounds; when every watcher is active
     for all n rounds nobody needs it and it is omitted, which collapses
@@ -79,15 +81,20 @@ def _oneway_group_phase(
     candidates: Dict[Tuple[NodeId, NodeId], List[_Candidate]] = {}
     exchanges: List[Tuple[ExchangeResult, NodeId, int]] = []
     for v in selected:
+        row: List[ExchangeResult] = []
         for p in provers:
             off = cursors[p]
             ex = run_exchange(ctx, v, p, nonces[p], off, n_a, t, closing)
             cursors[p] = off + n_a
             exchanges.append((ex, p, off))
-            candidates.setdefault((v, p), []).append((ex.bound_m, METHOD_ACTIVE, n_a))
-            for w, (bound, rounds) in passive_bounds(ctx, ex, watchers).items():
-                candidates.setdefault((w, p), []).append((bound, METHOD_PASSIVE, rounds))
+            row.append(ex)
             t = ex.t_end + ctx.slot_s
+        # pricing reads only the trace, so v's row is priced as one block
+        for ex, priced in zip(row, passive_bounds(ctx, row, watchers)):
+            p = ex.prover
+            candidates.setdefault((v, p), []).append((ex.bound_m, METHOD_ACTIVE, n_a))
+            for w, (bound, rounds) in priced.items():
+                candidates.setdefault((w, p), []).append((bound, METHOD_PASSIVE, rounds))
     return candidates, exchanges, t
 
 

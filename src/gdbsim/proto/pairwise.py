@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import NodeId, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
-from ..estimate import NegativeBound, PassiveObservation, direct_bounds, passive_bound_direct
+from ..estimate import NegativeBound, NegativeTimeOfFlight, PassiveObservation
+from ..estimate import direct_bounds, passive_bound_direct
 from ..threat import FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
@@ -82,6 +84,11 @@ def run_exchange(
     cfg = ctx.scenario.config
     chan = ctx.channel
     alpha = cfg.alpha
+    bit_len = cfg.bit_len
+    send, broadcast, draw_bits = ctx.send, chan.broadcast, ctx.draw_bits
+    # the adds Trace.arrival_true makes, with the pair's flights read once
+    tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
+    v_offset = chan.offsets[verifier]
     p_policy = ctx.policy(prover)
     guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
     rounds: List[RoundRecord] = []
@@ -91,48 +98,35 @@ def run_exchange(
     t_end = t_start
 
     for i in range(1, n_rounds + 1):
-        c_i = ctx.draw_bits(cfg.bit_len)
-        t_actual, early = ctx.send(verifier, t_nominal)
-        ch = chan.broadcast(
-            verifier, t_actual, "challenge", "rapid",
-            payload=encode_value("c", i, c_i), round_index=i, allow_early=early,
-        )
+        c_i = draw_bits(bit_len)
+        t_actual, early = send(verifier, t_nominal)
+        ch = broadcast(verifier, t_actual, "challenge", "rapid",
+                       encode_value("c", i, c_i), i, None, early)
         nominal_sends.append(t_nominal)
 
         nonce = prover_nonces[nonce_offset + i - 1]
-        t_resp, early = ctx.send(prover, chan.arrival_true(ch.seq, prover) + alpha, verifier)
+        t_resp, early = send(prover, (t_actual + tof_out) + alpha, verifier)
         if i <= guessed:
-            value = response_bits(ctx.draw_bits(cfg.bit_len), nonce, cfg.bit_len)
+            value = response_bits(draw_bits(bit_len), nonce, bit_len)
             t_resp -= p_policy.advance_s
             early = True
         else:
-            value = response_bits(c_i, nonce, cfg.bit_len)
-        resp = chan.broadcast(
-            prover, t_resp, "response", "rapid",
-            payload=encode_value("r", i, value), round_index=i, after=ch.seq,
-            allow_early=early,
-        )
+            value = response_bits(c_i, nonce, bit_len)
+        resp = broadcast(prover, t_resp, "response", "rapid",
+                         encode_value("r", i, value), i, ch.seq, early)
         response_seqs.append(resp.seq)
 
-        t_back = chan.arrival_true(resp.seq, verifier)
-        rounds.append(RoundRecord(
-            index=i,
-            challenge=c_i,
-            response=value,
-            t_send=t_actual + chan.offsets[verifier],
-            t_recv=t_back + chan.offsets[verifier],
-        ))
+        t_back = t_resp + tof_back
+        rounds.append(RoundRecord(i, c_i, value, t_actual + v_offset, t_back + v_offset))
         # the verifier recovers its honest timeline by adding back its own advance
         t_nominal = (t_back + (t_nominal - t_actual)) + alpha
-        t_end = max(t_end, t_back)
+        if t_back > t_end:
+            t_end = t_back
 
     if closing:
-        t_actual, early = ctx.send(verifier, t_nominal)
-        chan.broadcast(
-            verifier, t_actual, "closing", "rapid",
-            payload=encode_value("x", n_rounds + 1, 0), round_index=n_rounds + 1,
-            allow_early=early,
-        )
+        t_actual, early = send(verifier, t_nominal)
+        broadcast(verifier, t_actual, "closing", "rapid",
+                  encode_value("x", n_rounds + 1, 0), n_rounds + 1, None, early)
         nominal_sends.append(t_nominal)
         t_end = max(t_end, t_actual + chan.reach(verifier))
 
@@ -164,60 +158,75 @@ def _framed(ex: ExchangeResult) -> int:
 
 
 def _passive_timings(
-    ctx: RunContext, ex: ExchangeResult, watchers: Sequence[NodeId]
+    ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each watcher's timing triples for every fully-framed round.
+    """Each watcher's timing triples for every fully-framed round of a row.
 
-    Returns (rounds x watchers) arrays t1, t2, t3 on each watcher's own
-    clock, and each watcher's advertised baseline.  T1 and T3 come from
-    the verifier's published schedule plus the physical flight to the
-    watcher; T2 is the physically overheard response.  The baseline is
-    the true verifier-watcher distance unless the verifier advertises a
-    fake location or distance, which poisons it.
+    The row's exchanges share one verifier and frame the same number of
+    rounds.  Returns (exchanges x rounds x watchers) arrays t1, t2, t3 on
+    each watcher's own clock, and each watcher's advertised baseline.
+    T1 and T3 come from the verifier's published schedule plus the
+    physical flight to the watcher; T2 is the physically overheard
+    response.  The baseline is the true verifier-watcher distance unless
+    the verifier advertises a fake location or distance, which poisons it.
     """
     chan = ctx.channel
     c = ctx.scenario.config.c
-    n_framed = _framed(ex)
+    verifier = row[0].verifier
+    n_framed = _framed(row[0])
     off = np.array([chan.offsets[w] for w in watchers])
-    dist = chan.flights(ex.verifier, watchers) * c
+    dist = chan.flights(verifier, watchers) * c
     base_tof = dist / c  # physical flight for schedule anchoring
-    pol = ctx.policy(ex.verifier)
+    pol = ctx.policy(verifier)
     if isinstance(pol, FakeLocationReport):
         base = np.array([_claimed_baseline(ctx, pol, w) for w in watchers])
     else:
         base = dist
-    schedule = (np.array(ex.nominal_sends[:n_framed + 1])[:, None] + base_tof) + off
-    emissions = chan.trace.emissions
-    t_resp = np.array([emissions[seq].t_send for seq in ex.response_seqs[:n_framed]])
+    nominal = np.array([ex.nominal_sends[:n_framed + 1] for ex in row])
+    schedule = (nominal[:, :, None] + base_tof) + off
     # the prover sends every response, relayed ones included
-    t2 = (t_resp[:, None] + chan.flights(ex.prover, watchers)) + off
-    return schedule[:-1], t2, schedule[1:], base
+    t2 = chan.trace.local_arrivals([ex.response_seqs[:n_framed] for ex in row], watchers)
+    return schedule[:, :-1], t2, schedule[:, 1:], base
 
 
 def passive_bounds(
-    ctx: RunContext, ex: ExchangeResult, watchers: Sequence[NodeId]
-) -> Dict[NodeId, Tuple[float, int]]:
-    """Every watcher's passive bound on the exchange's prover, in one pass.
+    ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
+) -> List[Dict[NodeId, Tuple[float, int]]]:
+    """Every watcher's passive bound on each prover of a row, in one pass.
 
-    Maps each watcher other than the exchange's own verifier to its
-    bound and the number of rounds it framed; an exchange that frames no
-    round prices nobody.  Per watcher this is exactly
-    observed_bound(passive_observations(...)): an impossible timing
-    anywhere raises NegativeTimeOfFlight, a round whose leg sum undercuts
-    the verifier-prover distance scores zero, and the bound is the
-    largest over the rounds, floored at zero.
+    row holds exchanges that share one verifier and frame the same number
+    of rounds, priced as one (exchanges x rounds x watchers) block.  For
+    each exchange, maps each watcher other than the verifier to its bound
+    and the number of rounds it framed; an exchange that frames no round
+    prices nobody.  Per exchange and watcher this is exactly
+    observed_bound(passive_observations(...)): a round whose leg sum
+    undercuts the verifier-prover distance scores zero, the bound is the
+    largest over the rounds, floored at zero, and an impossible timing
+    raises the NegativeTimeOfFlight that pricing one exchange, watcher
+    and round at a time, in that order, meets first.
     """
-    others = [w for w in watchers if w != ex.verifier]
-    if not others or not _framed(ex):
-        return {}
+    others = [w for w in watchers if w != row[0].verifier]
+    rounds = _framed(row[0])
+    if not others or not rounds:
+        return [{} for _ in row]
     cfg = ctx.scenario.config
-    t1, t2, t3, base = _passive_timings(ctx, ex, others)
-    bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
+    t1, t2, t3, base = _passive_timings(ctx, row, others)
+    try:
+        bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
+    except NegativeTimeOfFlight:
+        # the block names its first bad entry in round order; re-price
+        # observation by observation to raise what per-watcher pricing meets first
+        for e, w, r in np.ndindex(len(row), len(others), rounds):
+            direct_bounds(t1[e, r, w], t2[e, r, w], t3[e, r, w],
+                          cfg.alpha, cfg.alpha, base[w], cfg.c)
+        raise
     # a round scored zero (NegativeBound) or below zero cannot raise a
-    # maximum floored at zero, so the raw column maximum decides
-    best = bounds.max(axis=0).tolist()
-    rounds = len(t1)
-    return {w: (b if b > 0.0 else 0.0, rounds) for w, b in zip(others, best)}
+    # maximum floored at zero, so the raw maximum over rounds decides
+    best = bounds.max(axis=1)
+    return [
+        dict(zip(others, zip(per_watcher, repeat(rounds))))
+        for per_watcher in np.where(best > 0.0, best, 0.0).tolist()
+    ]
 
 
 def passive_observations(
@@ -231,13 +240,13 @@ def passive_observations(
     callers that inspect a single observation's geometry.
     """
     cfg = ctx.scenario.config
-    t1, t2, t3, base = _passive_timings(ctx, ex, [observer])
+    t1, t2, t3, base = _passive_timings(ctx, [ex], [observer])
     return [
         PassiveObservation(
             t1=a, t2=b, t3=d, alpha_p=cfg.alpha, alpha_v=cfg.alpha,
             d_verifier=float(base[0]), c=cfg.c,
         )
-        for a, b, d in zip(t1[:, 0].tolist(), t2[:, 0].tolist(), t3[:, 0].tolist())
+        for a, b, d in zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist())
     ]
 
 
@@ -302,7 +311,7 @@ def run_one_way_db(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
 
     # open_phase has refused any run whose required signatures did not verify
     estimates = [ex.estimate(cfg.auth_enabled)]
-    for w, (bound, rounds) in passive_bounds(ctx, ex, observers).items():
+    for w, (bound, rounds) in passive_bounds(ctx, [ex], observers)[0].items():
         estimates.append(DbEstimate(
             measurer=w, target=partner, bound_m=bound,
             method=METHOD_PASSIVE, rounds_used=rounds, verified_auth=cfg.auth_enabled,

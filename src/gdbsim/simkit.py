@@ -172,6 +172,7 @@ class BroadcastChannel:
         ])
         self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
         self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets), tof=self._tof)
+        self._emissions = self.trace.emissions
         self._last_send: Dict[NodeId, float] = {}
 
     def tof(self, a: NodeId, b: NodeId) -> float:
@@ -214,7 +215,8 @@ class BroadcastChannel:
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        prev = self._last_send.get(sender)
+        last_send = self._last_send
+        prev = last_send.get(sender)
         if not allow_early:
             if after is not None:
                 t_trigger = self.trace.arrival_true(after, sender)
@@ -227,13 +229,10 @@ class BroadcastChannel:
                 raise CausalityViolation(
                     f"node {sender} send at {t_send} precedes its own last send at {prev}"
                 )
-        self._last_send[sender] = prev if prev is not None and prev > t_send else t_send
-        seq = len(self.trace.emissions)
-        em = Emission(
-            seq=seq, sender=sender, t_send=t_send, kind=kind, phase=phase,
-            payload=payload, round_index=round_index,
-        )
-        self.trace.emissions.append(em)
+        last_send[sender] = prev if prev is not None and prev > t_send else t_send
+        emissions = self._emissions
+        em = Emission(len(emissions), sender, t_send, kind, phase, payload, round_index)
+        emissions.append(em)
         return em
 
     def arrival_true(self, seq: int, receiver: NodeId) -> float:

@@ -149,37 +149,35 @@ AdversaryPolicy = (
     | NodeInsertion
 )
 
-@dataclass
-class SendIntent:
-    """A transmission about to be scheduled by a protocol driver."""
 
-    sender: int
-    send_index: int          # sender's own transmission counter in the rapid phase
-    t_nominal: float         # honest emission time, true clock
-    measurer: Optional[int] = None   # node whose measurement this send answers
-    allow_early: bool = False
+def apply_policy(
+    policy: AdversaryPolicy,
+    node: int,
+    send_index: int,
+    t_nominal: float,
+    measurer: Optional[int] = None,
+    rng=None,
+) -> Tuple[float, bool]:
+    """The emission time policy gives node's send, and whether it may be early.
 
-
-def apply_policy(policy: AdversaryPolicy, intent: SendIntent, rng=None) -> SendIntent:
-    """Return the intent with policy-controlled timing applied.
-
-    Content-level deviations (guessed bits, relaying, fake reports) are
-    structural and handled by the protocol drivers themselves; this hook
-    owns pure timing shifts.
+    node is the sender, send_index its own transmission counter in the
+    rapid phase, t_nominal the honest emission time on the true clock, and
+    measurer the node whose measurement the send answers.  Returns
+    (t, allow_early): t is t_nominal with the policy's timing shift
+    applied, and allow_early is true only for a send the policy moved
+    ahead of its trigger.  Content-level deviations (guessed bits,
+    relaying, fake reports) are structural and handled by the protocol
+    drivers themselves; this hook owns pure timing shifts.
     """
     if isinstance(policy, SelectiveDelay):
-        d = policy.delay_for(intent.send_index, intent.measurer)
-        if d:
-            intent.t_nominal += d
-        return intent
+        d = policy.delay_for(send_index, measurer)
+        return (t_nominal + d if d else t_nominal), False
     if isinstance(policy, EarlyChallenge):
         if rng is None:
             raise PolicyError("EarlyChallenge needs an RNG stream for round selection")
         if rng.random() < policy.pr_ch:
-            intent.t_nominal -= policy.advance_s
-            intent.allow_early = True
-        return intent
-    return intent
+            return t_nominal - policy.advance_s, True
+    return t_nominal, False
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
-"""Every name the benchmark's span recorder patches still exists.
+"""The benchmark's span recorder still finds and times gdbsim's layers.
 
 perfbench/tracing.py wraps gdbsim's layer entry points by replacing
 module and class attributes, reading each original with
 owner.__dict__[attr]; a renamed or deleted target would crash a traced
-benchmark run with a KeyError, so it fails here instead.
+benchmark run with a KeyError, so it fails here instead.  A target that
+still exists but that nothing calls any more reads zero, so a traced
+run must also record calls on the layers every run crosses.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import gdbsim
 import gdbsim.cli  # noqa: F401  (loads the module the recorder patches)
+from gdbsim.core import scenario_to_json
+from gdbsim.scenarios import mpnv_scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -26,3 +31,26 @@ def test_every_traced_name_exists():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_traced_mpnv_run_records_every_layer_it_crosses():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.Recorder()
+    patches = tracing.Patches(gdbsim, recorder)
+    doc = json.dumps(scenario_to_json(mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4,
+                                                    m_provers=3)))
+    patches.install()
+    try:
+        scenario = gdbsim.core.scenario_from_json(doc)
+        result = gdbsim.proto.run_scenario(scenario)
+    finally:
+        patches.remove()
+    assert result.estimates
+    layers = ("core.parse", "core.validate", "proto.driver", "proto.exchange",
+              "simkit.broadcast", "simkit.channel_build")
+    assert {name: recorder.calls[name] > 0 for name in layers} == dict.fromkeys(layers, True)
+    # 2 active verifiers x 3 provers, each exchange 2 rounds plus a closing
+    assert recorder.calls["proto.exchange"] == 6
+    assert recorder.calls["simkit.broadcast"] == result.trace.count()

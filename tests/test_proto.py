@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdbsim.core import (
+    ExperimentParams,
     NodeSpec,
     Protocol,
+    ProtocolConfig,
     Role,
+    Scenario,
     SPEED_OF_LIGHT,
     distance,
 )
@@ -322,7 +325,9 @@ verifier_policies = st.one_of(
     st.just(Honest()),
     st.builds(FakeLocationReport, claimed_pos=point),
     st.builds(FakeLocationReport, claimed_distance_m=st.floats(min_value=0.0, max_value=500.0)),
-    st.builds(EarlyChallenge, advance_s=st.sampled_from([0.0, 2e-8, 1e-7, 1e-6]),
+    st.builds(EarlyChallenge,
+              advance_s=st.one_of(st.sampled_from([0.0, 2e-8, 1e-7, 1e-6]),
+                                  st.floats(min_value=0.0, max_value=1e-6)),
               pr_ch=st.sampled_from([0.5, 1.0])),
 )
 
@@ -345,45 +350,76 @@ def priced_one_by_one(ctx, ex, watchers):
     return out
 
 
+def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
+    """One verifier's exchanges, one per prover, run in turn; and its watchers.
+
+    places[0] is verifier 1, then come provers 20, 21, ..., a front 30
+    relaying to prover 20 when relay is set, and passive watchers 10,
+    11, ... on whatever places are left.
+    """
+    v_pos, *rest = places
+    relay = relay and len(rest) >= 3
+    m = max(1, min(provers, len(rest) - 1 - relay))
+    prover_ids = [20 + k for k in range(m)]
+    nodes = [NodeSpec(id=1, pos=v_pos, role=Role.ACTIVE_VERIFIER, policy=policy)]
+    nodes += [NodeSpec(id=p, pos=rest.pop(0), role=Role.PROVER) for p in prover_ids]
+    if relay:
+        nodes.append(NodeSpec(id=30, pos=rest.pop(0), role=Role.PROVER, policy=Relay(victim=20)))
+    watchers = [10 + k for k in range(len(rest))]
+    nodes += [NodeSpec(id=w, pos=pos, role=Role.PASSIVE_VERIFIER)
+              for w, pos in zip(watchers, rest)]
+    ctx = start_run(Scenario(
+        nodes=tuple(nodes), protocol=Protocol.MPNV, config=ProtocolConfig(n=n, alpha=alpha),
+        experiment=ExperimentParams(n_a=n, d_a=1.0), rng_seed=seed,
+    ))
+    row = []
+    t = ctx.slot_s
+    for p in prover_ids:
+        nonces = tuple(ctx.draw_bits(1) for _ in range(n))
+        row.append(run_exchange(ctx, 1, p, nonces, 0, n, t, closing))
+        t = row[-1].t_end + ctx.slot_s
+    if relay:
+        row.append(_run_relay_exchange(ctx, 1, 30, 20, nonces, t, closing))
+    return ctx, row, watchers
+
+
 @settings(max_examples=150, deadline=None)
-@given(places=st.lists(point, min_size=4, max_size=8, unique=True), relay=st.booleans(),
+@given(places=st.lists(point, min_size=4, max_size=10, unique=True),
+       provers=st.integers(min_value=1, max_value=4), relay=st.booleans(),
        n=st.integers(min_value=1, max_value=6),
        alpha=st.floats(min_value=0.0, max_value=1e-6), closing=st.booleans(),
        policy=verifier_policies, seed=st.integers(min_value=0, max_value=2**16))
-@example(places=[(0.0, 0.0), (90.0, 0.0), (30.0, 60.0), (-40.0, 10.0)], relay=False,
-         n=4, alpha=0.0, closing=True, policy=EarlyChallenge(advance_s=1e-6, pr_ch=1.0),
-         seed=6)
-@example(places=[(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 32.0)], relay=False, n=3,
-         alpha=0.0, closing=False, policy=EarlyChallenge(advance_s=2e-08, pr_ch=0.5), seed=0)
+@example(places=[(0.0, 0.0), (90.0, 0.0), (30.0, 60.0), (-40.0, 10.0)], provers=1,
+         relay=False, n=4, alpha=0.0, closing=True,
+         policy=EarlyChallenge(advance_s=1e-6, pr_ch=1.0), seed=6)
+@example(places=[(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 32.0)], provers=1, relay=False,
+         n=3, alpha=0.0, closing=False, policy=EarlyChallenge(advance_s=2e-08, pr_ch=0.5),
+         seed=0)
+# one watcher at a time, watcher 10's bad round 2 comes before watcher 11's bad round 1
+@example(places=[(5.0, 6.0), (4.0, 2.0), (-4.0, -1.0), (-6.0, 2.0), (5.0, -2.0), (-3.0, -4.0)],
+         provers=2, relay=False, n=4, alpha=0.0, closing=True,
+         policy=EarlyChallenge(advance_s=1e-6, pr_ch=0.5), seed=180)
 def test_passive_bounds_match_per_watcher_pricing(
-    places, relay, n, alpha, closing, policy, seed
+    places, provers, relay, n, alpha, closing, policy, seed
 ):
-    """The batched pricer gives each watcher the scalar bound, bit for bit."""
-    v_pos, p_pos, *rest = places
-    extra = []
-    if relay:
-        extra.append(NodeSpec(id=3, pos=rest.pop(), role=Role.PROVER, policy=Relay(victim=2)))
-    watchers = [10 + k for k in range(len(rest))]
-    extra += [NodeSpec(id=w, pos=pos, role=Role.PASSIVE_VERIFIER)
-              for w, pos in zip(watchers, rest)]
-    s = with_policy(oneway_scenario(v_pos=v_pos, p_pos=p_pos, n=n, seed=seed, alpha=alpha,
-                                    extra_nodes=extra), 1, policy)
-    ctx = start_run(s)
-    nonces = tuple(ctx.draw_bits(1) for _ in range(n))
-    if relay:
-        ex = _run_relay_exchange(ctx, 1, 3, 2, nonces, ctx.slot_s, closing)
-    else:
-        ex = run_exchange(ctx, 1, 2, nonces, 0, n, ctx.slot_s, closing)
+    """A verifier's row priced as one block gives each watcher the scalar bound.
+
+    Bounds and round counts match pricing each exchange in turn, one
+    watcher and one round at a time, bit for bit; when that raises, the
+    block raises the same exception with the same message.
+    """
+    ctx, row, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy, seed)
     watchers = [1] + watchers  # the exchange's own verifier is never priced
     try:
-        want = priced_one_by_one(ctx, ex, watchers)
-    except NegativeTimeOfFlight:
-        with pytest.raises(NegativeTimeOfFlight):
-            passive_bounds(ctx, ex, watchers)
+        want = [priced_one_by_one(ctx, ex, watchers) for ex in row]
+    except NegativeTimeOfFlight as exc:
+        with pytest.raises(NegativeTimeOfFlight) as got:
+            passive_bounds(ctx, row, watchers)
+        assert str(got.value) == str(exc)
         return
-    got = passive_bounds(ctx, ex, watchers)
-    assert [(w, b.hex(), k) for w, (b, k) in got.items()] == [
-        (w, b.hex(), k) for w, (b, k) in want.items()
+    got = passive_bounds(ctx, row, watchers)
+    assert [[(w, b.hex(), k) for w, (b, k) in g.items()] for g in got] == [
+        [(w, b.hex(), k) for w, (b, k) in g.items()] for g in want
     ]
 
 

@@ -25,7 +25,6 @@ from gdbsim.threat import (
     PolicyError,
     Relay,
     SelectiveDelay,
-    SendIntent,
     apply_policy,
     cross_check_detect,
     distance_fraud_game,
@@ -126,36 +125,42 @@ def test_selective_delay_target_filter():
     assert pol.delay_for(0, measurer=None) == 5e-9  # broadcast: everyone sees it
 
 
-def intent(t=1.0):
-    return SendIntent(sender=2, send_index=0, t_nominal=t, measurer=1)
+def shaped(policy, rng=None, t=1.0):
+    """apply_policy on node 2's first rapid send, which answers node 1."""
+    return apply_policy(policy, 2, 0, t, 1, rng)
 
 
 def test_apply_policy_honest_is_identity():
-    before = intent()
-    after = apply_policy(Honest(), before)
-    assert after.t_nominal == 1.0 and not after.allow_early
+    assert shaped(Honest()) == (1.0, False)
 
 
 def test_apply_policy_delay_shifts_send():
-    after = apply_policy(SelectiveDelay(delay_s=4e-9), intent())
-    assert after.t_nominal == pytest.approx(1.0 + 4e-9)
+    t, early = shaped(SelectiveDelay(delay_s=4e-9))
+    assert t == pytest.approx(1.0 + 4e-9) and not early
+    # a targeted delay leaves sends answering anyone else untouched
+    assert shaped(SelectiveDelay(delay_s=4e-9, target=3)) == (1.0, False)
 
 
 def test_apply_policy_early_challenge_needs_rng():
     with pytest.raises(PolicyError, match="RNG"):
-        apply_policy(EarlyChallenge(advance_s=1e-8, pr_ch=1.0), intent())
+        shaped(EarlyChallenge(advance_s=1e-8, pr_ch=1.0))
 
 
 def test_apply_policy_early_challenge_selection():
     rng = random.Random(0)
-    pol = EarlyChallenge(advance_s=1e-8, pr_ch=1.0)
-    after = apply_policy(pol, intent(), rng)
-    assert after.t_nominal == pytest.approx(1.0 - 1e-8)
-    assert after.allow_early
+    t, early = shaped(EarlyChallenge(advance_s=1e-8, pr_ch=1.0), rng)
+    assert t == pytest.approx(1.0 - 1e-8)
+    assert early
 
     never = EarlyChallenge(advance_s=1e-8, pr_ch=0.0)
-    after = apply_policy(never, intent(), rng)
-    assert after.t_nominal == 1.0 and not after.allow_early
+    assert shaped(never, rng) == (1.0, False)
+
+    # pr_ch is the share of sends selected, from one draw of the stream each
+    half = EarlyChallenge(advance_s=1e-8, pr_ch=0.5)
+    rng, replay = random.Random(5), random.Random(5)
+    picks = [shaped(half, rng)[1] for _ in range(400)]
+    assert picks == [replay.random() < 0.5 for _ in range(400)]
+    assert 150 < sum(picks) < 250
 
 
 # ---------------------------------------------------------------------------
