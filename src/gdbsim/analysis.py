@@ -132,11 +132,7 @@ def ntom_passive_run_count(
     Each group takes one verification phase against the other; a phase
     drops its closing message only in its own full-activity limit.
     """
-    a1 = active_verifier_count(d_1, N)
-    a2 = active_verifier_count(d_2, M)
-    per1 = 2 * n_a1 if (n_a1 == n and a1 == N) else 2 * n_a1 + 1
-    per2 = 2 * n_a2 if (n_a2 == n and a2 == M) else 2 * n_a2 + 1
-    return per1 * a1 * M + per2 * a2 * N
+    return mpnv_run_count(n, n_a1, d_1, N, M) + mpnv_run_count(n, n_a2, d_2, M, N)
 
 
 def savings_percent(base: int, ours: int) -> float:

@@ -163,7 +163,7 @@ class RunContext:
         return self.rng.getrandbits(bit_len) if bit_len else 0
 
 
-def start_run(scenario: Scenario, zero_offsets: bool = False) -> RunContext:
+def start_run(scenario: Scenario) -> RunContext:
     """Validate the scenario and set up channel, clocks, keys.
 
     All randomness (clock offsets first, then protocol nonces) comes
@@ -174,10 +174,7 @@ def start_run(scenario: Scenario, zero_offsets: bool = False) -> RunContext:
     rng = random.Random(scenario.rng_seed)
     positions = scenario.positions()
     node_ids = sorted(positions)
-    if zero_offsets:
-        offsets = {nid: 0.0 for nid in node_ids}
-    else:
-        offsets = {nid: rng.random() for nid in node_ids}
+    offsets = {nid: rng.random() for nid in node_ids}
     channel = BroadcastChannel(positions, scenario.config.c, offsets)
     registry = KeyRegistry()
     for nid in node_ids:

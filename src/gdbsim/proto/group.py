@@ -10,15 +10,9 @@ share one joint ring, or chain per-verifier one-to-many runs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..core import (
-    NodeId,
-    Protocol,
-    Role,
-    Scenario,
-    active_verifier_count,
-)
+from ..core import NodeId, Role, Scenario, active_verifier_count
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     DbEstimate,
@@ -32,12 +26,14 @@ from .base import (
     open_phase,
     start_run,
 )
-from .onetomany import chain_estimates, run_chain
+from .onetomany import run_chains
+from .onetomany import run_chain  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .pairwise import ExchangeResult, passive_bounds, run_exchange
 from .pairwise import observed_bound, passive_observations  # noqa: F401  (perfbench/tracing.py patches these names here)
+from .ring import run_multiparty_gdb
 
-# (bound_m, method, observation count) accumulated per measurer-target pair
-_Candidate = Tuple[float, str, int]
+# watchers, eligible pool, provers, n_a, d_a
+Phase = Tuple[Sequence[NodeId], Sequence[NodeId], Sequence[NodeId], int, float]
 
 
 def _select_actives(
@@ -56,72 +52,71 @@ def _select_actives(
     return sorted(ctx.rng.sample(sorted(pool), want))
 
 
-def _oneway_group_phase(
-    ctx: RunContext,
-    watchers: Sequence[NodeId],
-    pool: Sequence[NodeId],
-    provers: Sequence[NodeId],
-    n_a: int,
-    d_a: float,
-    nonces: Mapping[NodeId, Sequence[int]],
-    cursors: Dict[NodeId, int],
-    t: float,
-) -> Tuple[Dict[Tuple[NodeId, NodeId], List[_Candidate]], List[Tuple[ExchangeResult, NodeId, int]], float]:
-    """Sequential active exchanges plus everyone's passive pricing.
+def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
+    """Commit in ascending id order, run the listening phases in turn, open, check.
 
-    Each selected verifier runs its row of exchanges, one per prover,
-    and the row is then priced for every other watcher in one call.
-    The closing emission after each exchange's last response is what
-    lets listeners frame all n_a rounds; when every watcher is active
-    for all n rounds nobody needs it and it is omitted, which collapses
-    the run to the all-active baseline.
+    In a phase every selected verifier runs its row of exchanges, one
+    per prover, and the row is then priced for every other watcher in
+    one call.  The closing emission after each exchange's last response
+    is what lets listeners frame all n_a rounds; when every watcher is
+    active for all n rounds nobody needs it and it is omitted, which
+    collapses the phase to the all-active baseline.
+
+    Each (watcher, prover) estimate is the conservative composite: the
+    largest bound any source produced (the first of equal ones) and the
+    rounds of all sources, active if the watcher ran rounds itself.
+    Bounds are folded in as they are priced.
     """
-    selected = _select_actives(ctx, pool, len(watchers), d_a)
-    closing = not (n_a == ctx.scenario.config.n and len(selected) == len(watchers))
-    candidates: Dict[Tuple[NodeId, NodeId], List[_Candidate]] = {}
-    exchanges: List[Tuple[ExchangeResult, NodeId, int]] = []
-    for v in selected:
-        row: List[ExchangeResult] = []
+    cfg = ctx.scenario.config
+    need: Dict[NodeId, int] = {}
+    for watchers, _, provers, n_a, d_a in phases:
         for p in provers:
-            off = cursors[p]
-            ex = run_exchange(ctx, v, p, nonces[p], off, n_a, t, closing)
-            cursors[p] = off + n_a
-            exchanges.append((ex, p, off))
-            row.append(ex)
-            t = ex.t_end + ctx.slot_s
-        # pricing reads only the trace, so v's row is priced as one block
-        for ex, priced in zip(row, passive_bounds(ctx, row, watchers)):
-            p = ex.prover
-            candidates.setdefault((v, p), []).append((ex.bound_m, METHOD_ACTIVE, n_a))
-            for w, (bound, rounds) in priced.items():
-                candidates.setdefault((w, p), []).append((bound, METHOD_PASSIVE, rounds))
-    return candidates, exchanges, t
+            need[p] = need.get(p, 0) + active_verifier_count(d_a, len(watchers)) * n_a
+    nonces, bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)}, ctx.slot_s)
+    cursors = dict.fromkeys(need, 0)
+    fold: Dict[Tuple[NodeId, NodeId], List] = {}  # (watcher, prover) -> [bound_m, rounds]
+    actives: Set[NodeId] = set()
+    exchanges: List[Tuple[ExchangeResult, int]] = []
+    for watchers, pool, provers, n_a, d_a in phases:
+        selected = _select_actives(ctx, pool, len(watchers), d_a)
+        actives.update(selected)
+        closing = not (n_a == cfg.n and len(selected) == len(watchers))
+        for v in selected:
+            row: List[ExchangeResult] = []
+            for p in provers:
+                off = cursors[p]
+                ex = run_exchange(ctx, v, p, nonces[p], off, n_a, t, closing)
+                cursors[p] = off + n_a
+                exchanges.append((ex, off))
+                row.append(ex)
+                t = ex.t_end + ctx.slot_s
+            # pricing reads only the trace, so v's row is priced as one block
+            for ex, priced in zip(row, passive_bounds(ctx, row, watchers)):
+                priced[v] = (ex.bound_m, n_a)
+                # one bound per pair and row: max()'s first-wins ties follow selection order
+                for w, (bound, rounds) in priced.items():
+                    entry = fold.get((w, ex.prover))
+                    if entry is None:
+                        fold[(w, ex.prover)] = [bound, rounds]
+                        continue
+                    if bound > entry[0]:
+                        entry[0] = bound
+                    entry[1] += rounds
+    open_phase(ctx, bundles, t)
+    for ex, off in exchanges:
+        check_responses(ex.rounds, nonces[ex.prover], off, cfg.bit_len)
+    estimates = [
+        DbEstimate(
+            measurer=w, target=p, bound_m=bound,
+            method=METHOD_ACTIVE if w in actives else METHOD_PASSIVE,
+            rounds_used=rounds, verified_auth=cfg.auth_enabled,
+        )
+        for (w, p), (bound, rounds) in sorted(fold.items())
+    ]
+    return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
-def _estimates_from_candidates(
-    candidates: Mapping[Tuple[NodeId, NodeId], List[_Candidate]],
-    auth: bool,
-) -> List[DbEstimate]:
-    """Conservative composite: the largest bound any source produced."""
-    out: List[DbEstimate] = []
-    for (w, p) in sorted(candidates):
-        cands = candidates[(w, p)]
-        # one walk, with max()'s first-wins tie rule
-        bound, method, rounds = cands[0][0], METHOD_PASSIVE, 0
-        for b, m, k in cands:
-            if b > bound:
-                bound = b
-            if m == METHOD_ACTIVE:
-                method = METHOD_ACTIVE
-            rounds += k
-        out.append(DbEstimate(
-            measurer=w, target=p, bound_m=bound, method=method,
-            rounds_used=rounds, verified_auth=auth,
-        ))
-    return out
-
-
-def run_mpnv(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
+def run_mpnv(scenario: Scenario) -> RunResult:
     """Many verifiers bound many provers, most of them by listening.
 
     Each selected verifier runs n_a rounds against every prover; every
@@ -129,24 +124,12 @@ def run_mpnv(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
     With the full group active for all n rounds this is exactly the
     2nNM all-active baseline.
     """
-    ctx = start_run(scenario, zero_offsets)
-    cfg = scenario.config
+    ctx = start_run(scenario)
     pool = sorted(n.id for n in scenario.with_role(Role.ACTIVE_VERIFIER))
     watchers = sorted(n.id for n in scenario.verifiers())
     provers = sorted(n.id for n in scenario.with_role(Role.PROVER))
-    n_a, d_a = scenario.experiment.n_a, scenario.experiment.d_a
-
-    need = active_verifier_count(d_a, len(watchers)) * n_a
-    nonces, bundles, t = commit_phase(ctx, {p: need for p in provers}, ctx.slot_s)
-    cursors = {p: 0 for p in provers}
-    candidates, exchanges, t = _oneway_group_phase(
-        ctx, watchers, pool, provers, n_a, d_a, nonces, cursors, t
-    )
-    open_phase(ctx, bundles, t)
-    for ex, p, off in exchanges:
-        check_responses(ex.rounds, nonces[p], off, cfg.bit_len)
-    estimates = _estimates_from_candidates(candidates, cfg.auth_enabled)
-    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
+    exp = scenario.experiment
+    return _run_oneway_groups(ctx, [(watchers, pool, provers, exp.n_a, exp.d_a)])
 
 
 def ntom_groups(scenario: Scenario) -> Tuple[List[NodeId], List[NodeId]]:
@@ -156,86 +139,35 @@ def ntom_groups(scenario: Scenario) -> Tuple[List[NodeId], List[NodeId]]:
     return peers[:n_first], peers[n_first:]
 
 
-def run_ntom(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
-    """Group-to-group mutual bounding, three strategies.
+def run_ntom_passive(scenario: Scenario) -> RunResult:
+    """Each group runs a one-way listening phase against the other.
 
-    passive: each group runs a one-way listening phase against the
-    other, so no intra-group bounds exist to waste messages on.
-    multiparty: one joint ring over both groups; the intra-group bounds
-    it cannot help producing are marked surplus.
-    onetomany: every member of the first group drives a chain over the
-    second group.
+    No intra-group bounds exist to waste messages on.
     """
-    if scenario.protocol == Protocol.NTOM_MULTIPARTY:
-        from .ring import run_multiparty_gdb
-
-        result = run_multiparty_gdb(scenario, zero_offsets)
-        g1 = set(ntom_groups(scenario)[0])
-        result.estimates = [
-            replace(est, surplus=True)
-            if (est.measurer in g1) == (est.target in g1)
-            else est
-            for est in result.estimates
-        ]
-        return result
-    if scenario.protocol == Protocol.NTOM_PASSIVE:
-        return _run_ntom_passive(scenario, zero_offsets)
-    return _run_ntom_onetomany(scenario, zero_offsets)
-
-
-def _run_ntom_passive(scenario: Scenario, zero_offsets: bool) -> RunResult:
-    ctx = start_run(scenario, zero_offsets)
-    cfg = scenario.config
+    ctx = start_run(scenario)
     g1, g2 = ntom_groups(scenario)
     exp = scenario.experiment
-
-    # each member answers the other group's active verifiers
-    g1_need = active_verifier_count(exp.d_2, len(g2)) * exp.n_a2
-    g2_need = active_verifier_count(exp.d_1, len(g1)) * exp.n_a1
-    nonces, bundles, t = commit_phase(
-        ctx, {**{v: g1_need for v in g1}, **{p: g2_need for p in g2}}, ctx.slot_s
-    )
-    cursors = {nid: 0 for nid in (*g1, *g2)}
-    candidates, ex1, t = _oneway_group_phase(
-        ctx, g1, g1, g2, exp.n_a1, exp.d_1, nonces, cursors, t
-    )
-    cand2, ex2, t = _oneway_group_phase(
-        ctx, g2, g2, g1, exp.n_a2, exp.d_2, nonces, cursors, t
-    )
-    open_phase(ctx, bundles, t)
-    for ex, p, off in ex1 + ex2:
-        check_responses(ex.rounds, nonces[p], off, cfg.bit_len)
-    candidates.update(cand2)
-    estimates = _estimates_from_candidates(candidates, cfg.auth_enabled)
-    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
+    return _run_oneway_groups(ctx, [
+        (g1, g1, g2, exp.n_a1, exp.d_1),
+        (g2, g2, g1, exp.n_a2, exp.d_2),
+    ])
 
 
-def _run_ntom_onetomany(scenario: Scenario, zero_offsets: bool) -> RunResult:
-    ctx = start_run(scenario, zero_offsets)
-    cfg = scenario.config
-    g1, g2 = ntom_groups(scenario)
-    n = cfg.n
-    counts = {**{v: n * (len(g2) + 1) for v in g1}, **{p: n * len(g1) for p in g2}}
-    nonces, bundles, t = commit_phase(ctx, counts, ctx.slot_s)
+def run_ntom_multiparty(scenario: Scenario) -> RunResult:
+    """One joint ring over both groups.
 
-    cursors = {p: 0 for p in g2}
-    estimates: List[DbEstimate] = []
-    checks: List[Tuple[Dict[NodeId, List], Dict[NodeId, int]]] = []
-    for v in g1:
-        snapshot = dict(cursors)
-        v_rounds, p_rounds, t_end = run_chain(
-            ctx, v, g2, n, nonces[v], 0, nonces, snapshot, t
-        )
-        checks.append((v_rounds, snapshot))
-        estimates.extend(chain_estimates(
-            v, g2, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
-        ))
-        for p in g2:
-            cursors[p] += n
-        t = t_end + ctx.slot_s
+    The intra-group bounds it cannot help producing are marked surplus.
+    """
+    result = run_multiparty_gdb(scenario)
+    g1 = set(ntom_groups(scenario)[0])
+    result.estimates = [
+        replace(est, surplus=True) if (est.measurer in g1) == (est.target in g1) else est
+        for est in result.estimates
+    ]
+    return result
 
-    open_phase(ctx, bundles, t)
-    for v_rounds, snapshot in checks:
-        for p in g2:
-            check_responses(v_rounds[p], nonces[p], snapshot[p], cfg.bit_len)
-    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
+
+def run_ntom_onetomany(scenario: Scenario) -> RunResult:
+    """Every member of the first group drives a chain over the second."""
+    ctx = start_run(scenario)
+    return run_chains(ctx, *ntom_groups(scenario))

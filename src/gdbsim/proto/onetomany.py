@@ -37,88 +37,67 @@ def run_chain(
     responders: Sequence[NodeId],
     n: int,
     v_nonces: Sequence[int],
-    v_offset: int,
     p_nonces: Mapping[NodeId, Sequence[int]],
-    p_offsets: Mapping[NodeId, int],
+    p_offset: int,
     t_start: float,
 ) -> Tuple[Dict[NodeId, List[RoundRecord]], Dict[NodeId, List[RoundRecord]], float]:
     """n chained rounds of 2M+1 messages each.
 
-    Consumes n * (M + 1) of the initiator's nonces from v_offset and n
-    nonces per responder from each one's own offset.  Returns the round
-    records both ways plus the time the chain wound down.
+    Consumes the initiator's first n * (M + 1) nonces and n nonces per
+    responder from p_offset.  Returns the round records both ways plus
+    the time the chain wound down.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
     m = len(responders)
     v_rounds: Dict[NodeId, List[RoundRecord]] = {p: [] for p in responders}
     p_rounds: Dict[NodeId, List[RoundRecord]] = {p: [] for p in responders}
-    v_used = v_offset
+    v_used = 0
     prev_value = 0
     msg_index = 0
     t_nominal = t_start
     for i in range(1, n + 1):
-        for j, pj in enumerate(responders, start=1):
+        # initiator emission j challenges responder j and closes responder j-1
+        for j in range(m + 1):
             v_non = v_nonces[v_used]
             v_used += 1
             value = v_non if msg_index == 0 else response_bits(v_non, prev_value, cfg.bit_len)
             t_actual, early = ctx.send(v, t_nominal)
             msg_index += 1
-            ch = chan.broadcast(
-                v, t_actual, "challenge", "rapid",
+            em = chan.broadcast(
+                v, t_actual, "challenge" if j < m else "closing", "rapid",
                 payload=encode_value("m", msg_index, value), round_index=i,
                 allow_early=early,
             )
-            if j > 1:
-                prev_p = responders[j - 2]
-                rec = p_rounds[prev_p][-1]
-                p_rounds[prev_p][-1] = RoundRecord(
-                    index=rec.index, challenge=rec.challenge, response=value,
-                    t_send=rec.t_send,
-                    t_recv=chan.arrival_local(ch.seq, prev_p),
-                )
+            if j:
+                prev_p = responders[j - 1]
+                p_rounds[prev_p].append(RoundRecord(
+                    index=i, challenge=prev_value, response=value, t_send=p_sent,
+                    t_recv=chan.arrival_local(em.seq, prev_p),
+                ))
             prev_value = value
+            if j == m:
+                break
 
+            pj = responders[j]
             msg_index += 1
-            r_value = response_bits(prev_value, p_nonces[pj][p_offsets[pj] + i - 1], cfg.bit_len)
-            t_resp, early = ctx.send(pj, chan.arrival_true(ch.seq, pj) + cfg.alpha, v)
+            r_value = response_bits(prev_value, p_nonces[pj][p_offset + i - 1], cfg.bit_len)
+            t_resp, early = ctx.send(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, v)
             resp = chan.broadcast(
                 pj, t_resp, "response", "rapid",
                 payload=encode_value("m", msg_index, r_value), round_index=i,
-                after=ch.seq, allow_early=early,
+                after=em.seq, allow_early=early,
             )
             v_rounds[pj].append(RoundRecord(
                 index=i, challenge=prev_value, response=r_value,
                 t_send=t_actual + chan.offsets[v],
                 t_recv=chan.arrival_local(resp.seq, v),
             ))
-            # t_recv is patched once the closing emission exists
-            p_rounds[pj].append(RoundRecord(
-                index=i, challenge=r_value, response=0,
-                t_send=resp.t_send + chan.offsets[pj],
-                t_recv=float("nan"),
-            ))
+            p_sent = resp.t_send + chan.offsets[pj]
             prev_value = r_value
             t_nominal = chan.arrival_true(resp.seq, v) + cfg.alpha
 
-        v_non = v_nonces[v_used]
-        v_used += 1
-        value = response_bits(v_non, prev_value, cfg.bit_len)
-        t_actual, early = ctx.send(v, t_nominal)
-        msg_index += 1
-        fin = chan.broadcast(
-            v, t_actual, "closing", "rapid",
-            payload=encode_value("m", msg_index, value), round_index=i,
-            allow_early=early,
-        )
-        last_p = responders[-1]
-        rec = p_rounds[last_p][-1]
-        p_rounds[last_p][-1] = RoundRecord(
-            index=rec.index, challenge=rec.challenge, response=value,
-            t_send=rec.t_send, t_recv=chan.arrival_local(fin.seq, last_p),
-        )
-        prev_value = value
-        t_nominal = max(chan.arrival_true(fin.seq, p) for p in responders) + cfg.alpha
+        t_nominal = max(chan.arrival_true(em.seq, p) for p in responders) + cfg.alpha
     return v_rounds, p_rounds, t_nominal
 
 
@@ -144,27 +123,44 @@ def chain_estimates(
     return out
 
 
-def run_one_to_many(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
-    """Run the chained protocol and return 2M directional bounds.
+def run_chains(
+    ctx: RunContext, initiators: Sequence[NodeId], responders: Sequence[NodeId]
+) -> RunResult:
+    """Each initiator in turn drives one chain over the responders.
 
-    All participants are peers; the lowest node id drives the chain and
-    the remaining M peers respond in id order.
+    Every party commits once, initiators first, and opens once after
+    the last chain; only then are the responses checked.  Returns 2M
+    directional bounds per initiator.
     """
-    ctx = start_run(scenario, zero_offsets)
-    cfg = scenario.config
-    v, *provers = sorted(n.id for n in scenario.with_role(Role.PEER))
+    cfg = ctx.scenario.config
     n = cfg.n
-    counts = {v: n * (len(provers) + 1), **{p: n for p in provers}}
+    counts = {
+        **{v: n * (len(responders) + 1) for v in initiators},
+        **{p: n * len(initiators) for p in responders},
+    }
     nonces, bundles, t = commit_phase(ctx, counts, ctx.slot_s)
 
-    offsets = {p: 0 for p in provers}
-    v_rounds, p_rounds, t_end = run_chain(
-        ctx, v, provers, n, nonces[v], 0, nonces, offsets, t
-    )
-    open_phase(ctx, bundles, t_end + ctx.slot_s)
-    for p in provers:
-        check_responses(v_rounds[p], nonces[p], offsets[p], cfg.bit_len)
-    estimates = chain_estimates(
-        v, provers, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
-    )
-    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
+    estimates: List[DbEstimate] = []
+    chains: List[Dict[NodeId, List[RoundRecord]]] = []
+    for k, v in enumerate(initiators):
+        v_rounds, p_rounds, t_end = run_chain(
+            ctx, v, responders, n, nonces[v], nonces, k * n, t
+        )
+        chains.append(v_rounds)
+        estimates.extend(chain_estimates(
+            v, responders, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
+        ))
+        t = t_end + ctx.slot_s
+
+    open_phase(ctx, bundles, t)
+    for k, v_rounds in enumerate(chains):
+        for p in responders:
+            check_responses(v_rounds[p], nonces[p], k * n, cfg.bit_len)
+    return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
+
+
+def run_one_to_many(scenario: Scenario) -> RunResult:
+    """The lowest peer id drives one chain over the other M peers."""
+    ctx = start_run(scenario)
+    peers = sorted(n.id for n in scenario.with_role(Role.PEER))
+    return run_chains(ctx, peers[:1], peers[1:])

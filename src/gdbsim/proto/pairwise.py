@@ -12,7 +12,6 @@ schedule-advancing challenger exploits.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -272,7 +271,7 @@ def _framing(cfg) -> Tuple[int, int]:
     return cfg.pre_post_msgs - cfg.pre_post_msgs // 2, cfg.pre_post_msgs // 2
 
 
-def run_one_way_db(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
+def run_one_way_db(scenario: Scenario) -> RunResult:
     """One verifier times one prover; anyone else listens.
 
     Emits 2n rapid messages plus the configured pre/post framing, plus
@@ -280,7 +279,7 @@ def run_one_way_db(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
     prover is driven through its victim, which lengthens every round
     trip by the detour.
     """
-    ctx = start_run(scenario, zero_offsets)
+    ctx = start_run(scenario)
     s = scenario
     cfg = s.config
     verifier = s.with_role(Role.ACTIVE_VERIFIER)[0].id
@@ -386,42 +385,18 @@ def _run_relay_exchange(
     )
 
 
-def one_way_guess_trial(
-    rng: random.Random,
-    n: int,
-    bit_len: int = 1,
-    advance_s: float = 2e-8,
-) -> bool:
-    """One round of the guessing game: does a blind early responder pass?
-
-    The responder must answer every challenge before it arrives, so it
-    wins only when all n independent guesses match.  Channel mechanics
-    cannot change that probability, so the trial draws the bits
-    directly; advance_s must actually buy distance for the fraud to
-    count as a success.
-    """
-    if advance_s <= 0.0:
-        return False
-    for _ in range(n):
-        challenge = rng.getrandbits(bit_len)
-        guess = rng.getrandbits(bit_len)
-        if challenge != guess:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # mutual interleaved
 
 
-def run_mutual_interleaved(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
+def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     """Both peers bound each other through one 2n+1 message chain.
 
     Message values alternate c_k XOR s_k (responder) and c_{k+1} XOR s_k
     (initiator), so every message both answers the newest foreign nonce
     and issues a fresh one.
     """
-    ctx = start_run(scenario, zero_offsets)
+    ctx = start_run(scenario)
     cfg = scenario.config
     a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
     n_pre, n_post = _framing(cfg)
@@ -498,7 +473,7 @@ def _interleaved_rapid(
 # sequential baselines for group coverage
 
 
-def run_sequential_pairwise(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
+def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     """Full mutual coverage of a peer group by one-way runs, both ways.
 
     Every unordered pair runs 2n rapid messages in each direction (4n
@@ -506,7 +481,7 @@ def run_sequential_pairwise(scenario: Scenario, zero_offsets: bool = False) -> R
     end.  This is the costliest coverage strategy and the yardstick the
     ring protocol is compared against.
     """
-    ctx = start_run(scenario, zero_offsets)
+    ctx = start_run(scenario)
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
     nonces, bundles, t = commit_phase(
@@ -532,9 +507,9 @@ def run_sequential_pairwise(scenario: Scenario, zero_offsets: bool = False) -> R
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
-def run_sequential_interleaved(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
+def run_sequential_interleaved(scenario: Scenario) -> RunResult:
     """Full mutual coverage by per-pair interleaved chains, 2n+1 each."""
-    ctx = start_run(scenario, zero_offsets)
+    ctx = start_run(scenario)
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
     nonces, bundles, t = commit_phase(

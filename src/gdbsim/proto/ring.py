@@ -65,9 +65,9 @@ def derive_ring_order(
     return tuple(sorted(peers, key=lambda p: (hash_bytes(commitments[p].digest), p)))
 
 
-def run_multiparty_gdb(scenario: Scenario, zero_offsets: bool = False) -> RunResult:
+def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     """Commit, snake n rounds, decommit, report, cross-check."""
-    ctx = start_run(scenario, zero_offsets)
+    ctx = start_run(scenario)
     s = scenario
     cfg = s.config
     chan = ctx.channel

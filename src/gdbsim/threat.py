@@ -14,7 +14,8 @@ transcript digest mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Floor of the detection threshold for pairwise bound disagreement, in
@@ -311,18 +312,30 @@ def distance_fraud_game(
 ) -> float:
     """Monte Carlo success rate of a guess-ahead prover against one verifier.
 
-    Each trial runs the full one-way rapid exchange with the prover
-    answering every round before the challenge arrives.  A trial succeeds
-    when all guessed challenge bits match, so the expected rate is
-    2 ** (-n * bit_len).  Returns the empirical success fraction.
+    Each trial is one full one-way run through the channel, with the
+    prover answering every round advance_s before the challenge arrives,
+    on guessed bits, at a seed drawn from random.Random(seed).  A trial
+    succeeds when the run completes and the verifier's bound falls short
+    of the true distance by more than EPS_DIST; a mismatched response or
+    a rejected timing loses.  The expected rate is 2 ** (-n * bit_len)
+    whenever the advance buys distance.  Returns the success fraction.
     """
-    from .proto.pairwise import one_way_guess_trial
+    from .core import EPS_DIST, distance
+    from .estimate import NegativeTimeOfFlight
+    from .proto import ResponseMismatch, run_scenario
+    from .scenarios import oneway_scenario
 
-    import random
-
-    rng = random.Random(seed)
+    base = oneway_scenario(n=n, bit_len=bit_len,
+                           prover_policy=GuessAhead(p_rounds=n, advance_s=advance_s))
+    truth = distance(base.node(1).pos, base.node(2).pos)
+    seeds = random.Random(seed)
     wins = 0
     for _ in range(trials):
-        if one_way_guess_trial(rng, n=n, bit_len=bit_len, advance_s=advance_s):
+        scenario = replace(base, rng_seed=seeds.getrandbits(32))
+        try:
+            bound = run_scenario(scenario).estimate_for(1, 2).bound_m
+        except (ResponseMismatch, NegativeTimeOfFlight):
+            continue
+        if bound < truth - EPS_DIST:
             wins += 1
     return wins / trials

@@ -13,10 +13,11 @@ from gdbsim.core import (
     Role,
     Scenario,
     SPEED_OF_LIGHT,
+    active_verifier_count,
     distance,
 )
 from gdbsim.estimate import NegativeTimeOfFlight
-from gdbsim.proto.base import AuthFailure, ResponseMismatch, start_run
+from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     _run_relay_exchange,
     observed_bound,
@@ -121,11 +122,14 @@ def test_passive_observer_matches_its_own_geometry():
 def test_clock_offsets_do_not_leak_into_bounds():
     # offsets of ~0.5 s against ~1e-7 s flights cost a few 1e-9 m to
     # float cancellation; anything beyond EPS_DIST would be a real leak
-    s = oneway_scenario(n=3, observer_pos=(30.0, 60.0))
-    seeded = run_scenario(s)
-    flat = run_scenario(s, zero_offsets=True)
-    for a, b in zip(seeded.estimates, flat.estimates):
-        assert a.bound_m == pytest.approx(b.bound_m, abs=1e-6)
+    truth = {(1, 2): 90.0, (9, 2): distance((30.0, 60.0), (90.0, 0.0))}
+    runs = [run_scenario(oneway_scenario(n=3, seed=seed, observer_pos=(30.0, 60.0)))
+            for seed in (3, 4)]
+    assert runs[0].trace.offsets != runs[1].trace.offsets
+    for r in runs:
+        assert {(e.measurer, e.target) for e in r.estimates} == set(truth)
+        for e in r.estimates:
+            assert e.bound_m == pytest.approx(truth[(e.measurer, e.target)], abs=1e-6)
 
 
 def test_mutual_bounds_both_directions():
@@ -235,6 +239,75 @@ def test_ntom_passive_produces_only_cross_group_bounds():
     for est in r.estimates:
         assert est.bound_m == pytest.approx(
             distance(pos[est.measurer], pos[est.target]), abs=1e-5)
+
+
+def one_way_group_phases(scenario):
+    """(watchers, eligible pool, provers, n_a, d_a) of each listening phase."""
+    exp = scenario.experiment
+    if scenario.protocol == Protocol.MPNV:
+        def ids(*roles):
+            return sorted(n.id for n in scenario.with_role(*roles))
+
+        return [(ids(Role.ACTIVE_VERIFIER, Role.PASSIVE_VERIFIER), ids(Role.ACTIVE_VERIFIER),
+                 ids(Role.PROVER), exp.n_a, exp.d_a)]
+    g1, g2 = list(range(1, exp.N + 1)), list(range(exp.N + 1, exp.N + exp.M + 1))
+    return [(g1, g1, g2, exp.n_a1, exp.d_1), (g2, g2, g1, exp.n_a2, exp.d_2)]
+
+
+@st.composite
+def one_way_group_scenarios(draw):
+    n = draw(st.integers(1, 4))
+    rounds = st.integers(1, n)
+    fractions = st.sampled_from([0.1, 0.25, 0.5, 0.6, 0.75, 1.0])
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        n_v, m_p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+        s = mpnv_scenario(n=n, n_a=draw(rounds), d_a=draw(fractions), n_verifiers=n_v,
+                          m_provers=m_p, seed=seed)
+        # some verifiers only listen, so the eligible pool is smaller than the watchers
+        listening = draw(st.sets(st.integers(1, n_v), max_size=n_v - 1))
+        return dataclasses.replace(s, nodes=tuple(
+            dataclasses.replace(v, role=Role.PASSIVE_VERIFIER) if v.id in listening else v
+            for v in s.nodes))
+    return ntom_scenario(Protocol.NTOM_PASSIVE, draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+                         n=n, seed=seed, n_a1=draw(rounds), n_a2=draw(rounds),
+                         d_1=draw(fractions), d_2=draw(fractions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=one_way_group_scenarios())
+def test_group_estimates_compose_every_source(scenario):
+    """Each (watcher, prover) estimate counts the rounds of every source.
+
+    A phase's A active verifiers come from its eligible pool.  A watcher
+    bounds each prover from its own n_a active rounds, if it is one of
+    them, plus the rounds it framed in each other active verifier's
+    exchange: n_a with the closing emission, n_a - 1 without it.
+    """
+    phases = one_way_group_phases(scenario)
+    if any(active_verifier_count(d_a, len(w)) > len(pool) for w, pool, _, _, d_a in phases):
+        with pytest.raises(NoActiveVerifier):
+            run_scenario(scenario)
+        return
+    r = run_scenario(scenario)
+    pos = scenario.positions()
+    est = {(e.measurer, e.target): e for e in r.estimates}
+    assert len(est) == len(r.estimates)
+    assert set(est) == {(w, p) for watchers, _, provers, _, _ in phases
+                        for w in watchers for p in provers}
+    for watchers, pool, provers, n_a, d_a in phases:
+        a = active_verifier_count(d_a, len(watchers))
+        active = {w for w in watchers if est[(w, provers[0])].method == "active"}
+        assert len(active) == a and active <= set(pool)
+        closing = not (n_a == scenario.config.n and a == len(watchers))
+        framed = n_a if closing else n_a - 1
+        for w in watchers:
+            k = int(w in active)
+            for p in provers:
+                e = est[(w, p)]
+                assert e.method == ("active" if k else "passive")
+                assert e.rounds_used == n_a * k + framed * (a - k)
+                assert e.bound_m == pytest.approx(distance(pos[w], pos[p]), abs=1e-5)
 
 
 def test_identical_seed_identical_run():
