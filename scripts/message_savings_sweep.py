@@ -22,6 +22,7 @@ from gdbsim.analysis import (
     reconcile,
     savings_percent,
 )
+from gdbsim.core import round_half_up
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import mpnv_scenario
 
@@ -43,7 +44,8 @@ def main(argv=None) -> int:
     for size in args.sizes:
         base = msg_count(CountFormulaInput(setting="MPNV", n=n, N=size, M=size), "base")
         for frac in args.fractions:
-            n_a = max(1, round(frac * n))
+            # halves round up, as in Figure 6d and active_verifier_count
+            n_a = max(1, round_half_up(frac * n))
             ours = mpnv_run_count(n, n_a, frac, size, size)
             saving = savings_percent(base, ours)
             rows.append((size, frac, n_a, base, ours, saving))

@@ -1,8 +1,8 @@
 """Protocol state machines driving the broadcast channel.
 
 Every driver shares one skeleton from base.py: commit_phase draws and
-commits each party's nonces, each rapid send goes through the timing
-hook RunContext.send, open_phase decommits (signing the commitment
+commits each party's nonces, each rapid message goes out through the
+timing hook RunContext.emit, open_phase decommits (signing the commitment
 digest when auth is on), and check_responses replays every response
 against the opened nonces.  The ring family adds a signed report phase.
 
@@ -17,7 +17,6 @@ from .base import (
     CommitMismatch,
     DbEstimate,
     NoActiveVerifier,
-    ProtocolStall,
     ResponseMismatch,
     RunResult,
     response_bits,
@@ -29,7 +28,6 @@ __all__ = [
     "CommitMismatch",
     "DbEstimate",
     "NoActiveVerifier",
-    "ProtocolStall",
     "ResponseMismatch",
     "RunResult",
     "response_bits",

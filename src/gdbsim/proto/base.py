@@ -1,10 +1,10 @@
 """Shared protocol types, the per-run bootstrap and the protocol skeleton.
 
 Every driver follows the Brands-Chaum shape: commit_phase draws and
-commits each party's rapid nonces, the timed exchange sends through the
-one timing hook RunContext.send, open_phase decommits (signing when auth
-is on), and check_responses replays every response against the opened
-nonces before any bound is published.
+commits each party's rapid nonces, every timed message goes out through
+the one timing hook RunContext.emit, open_phase decommits (signing when
+auth is on), and check_responses replays every response against the
+opened nonces before any bound is published.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from ..crypto import (
 from ..estimate import active_distance
 from ..simkit import BroadcastChannel, Emission, Trace
 from ..threat import AdversaryPolicy, DetectionReport, apply_policy
-
-
-class ProtocolStall(GdbSimError):
-    """A state machine is waiting on a message that can never arrive."""
 
 
 class ResponseMismatch(GdbSimError):
@@ -138,26 +134,39 @@ class RunContext:
     def policy(self, node: NodeId) -> AdversaryPolicy:
         return self.policies[node]
 
-    def send(
-        self, node: NodeId, t_nominal: float, measurer: Optional[NodeId] = None
-    ) -> Tuple[float, bool]:
-        """The timing hook every rapid-phase send goes through.
+    def emit(
+        self,
+        node: NodeId,
+        t_nominal: float,
+        kind: str,
+        payload: bytes,
+        round_index: int,
+        after: Optional[int] = None,
+        measurer: Optional[NodeId] = None,
+        guess: bool = False,
+    ) -> Emission:
+        """Send one rapid-phase message; the timing hook every such send goes through.
 
         Counts the send against the node's own rapid-phase counter and
-        lets its policy shift the emission through apply_policy; measurer
+        lets its policy shift t_nominal through apply_policy; measurer
         names the node whose measurement the send answers, which a
-        targeted delay keys on.  Returns (t, allow_early): the emission
-        time, and whether the policy let it precede its trigger.  A send
-        that is not early never precedes the node's previous send: an
-        early challenge can reach a prover before it has answered the
-        last one, and the answer then waits for it.
+        targeted delay keys on.  A send the policy did not make early
+        never precedes the node's previous send: an early challenge can
+        reach a prover before it has answered the last one, and the
+        answer then waits for it.  A guessed answer (guess) then leaves
+        its GuessAhead policy's advance_s earlier still, ahead of its
+        trigger.  after names the message the send reacts to.
         """
         index = self.send_counters.get(node, 0)
         self.send_counters[node] = index + 1
-        t, early = apply_policy(self.policies[node], node, index, t_nominal, measurer, self.rng)
-        if early:
-            return t, True
-        return self.channel.in_order(node, t), False
+        policy = self.policies[node]
+        t, early = apply_policy(policy, node, index, t_nominal, measurer, self.rng)
+        if not early:
+            t = self.channel.in_order(node, t)
+        if guess:
+            t -= policy.advance_s
+            early = True
+        return self.channel.broadcast(node, t, kind, "rapid", payload, round_index, after, early)
 
     def draw_bits(self, bit_len: int) -> int:
         return self.rng.getrandbits(bit_len) if bit_len else 0

@@ -62,13 +62,9 @@ def run_chain(
             v_non = v_nonces[v_used]
             v_used += 1
             value = v_non if msg_index == 0 else response_bits(v_non, prev_value, cfg.bit_len)
-            t_actual, early = ctx.send(v, t_nominal)
             msg_index += 1
-            em = chan.broadcast(
-                v, t_actual, "challenge" if j < m else "closing", "rapid",
-                payload=encode_value("m", msg_index, value), round_index=i,
-                allow_early=early,
-            )
+            em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
+                          encode_value("m", msg_index, value), i)
             if j:
                 prev_p = responders[j - 1]
                 p_rounds[prev_p].append(RoundRecord(
@@ -82,15 +78,11 @@ def run_chain(
             pj = responders[j]
             msg_index += 1
             r_value = response_bits(prev_value, p_nonces[pj][p_offset + i - 1], cfg.bit_len)
-            t_resp, early = ctx.send(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, v)
-            resp = chan.broadcast(
-                pj, t_resp, "response", "rapid",
-                payload=encode_value("m", msg_index, r_value), round_index=i,
-                after=em.seq, allow_early=early,
-            )
+            resp = ctx.emit(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, "response",
+                            encode_value("m", msg_index, r_value), i, em.seq, v)
             v_rounds[pj].append(RoundRecord(
                 index=i, challenge=prev_value, response=r_value,
-                t_send=t_actual + chan.offsets[v],
+                t_send=em.t_send + chan.offsets[v],
                 t_recv=chan.arrival_local(resp.seq, v),
             ))
             p_sent = resp.t_send + chan.offsets[pj]

@@ -84,7 +84,7 @@ def run_exchange(
     chan = ctx.channel
     alpha = cfg.alpha
     bit_len = cfg.bit_len
-    send, broadcast, draw_bits = ctx.send, chan.broadcast, ctx.draw_bits
+    emit, draw_bits = ctx.emit, ctx.draw_bits
     # the adds Trace.arrival_true makes, with the pair's flights read once
     tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
     v_offset = chan.offsets[verifier]
@@ -98,24 +98,19 @@ def run_exchange(
 
     for i in range(1, n_rounds + 1):
         c_i = draw_bits(bit_len)
-        t_actual, early = send(verifier, t_nominal)
-        ch = broadcast(verifier, t_actual, "challenge", "rapid",
-                       encode_value("c", i, c_i), i, None, early)
+        ch = emit(verifier, t_nominal, "challenge", encode_value("c", i, c_i), i)
+        t_actual = ch.t_send
         nominal_sends.append(t_nominal)
 
-        nonce = prover_nonces[nonce_offset + i - 1]
-        t_resp, early = send(prover, (t_actual + tof_out) + alpha, verifier)
-        if i <= guessed:
-            value = response_bits(draw_bits(bit_len), nonce, bit_len)
-            t_resp -= p_policy.advance_s
-            early = True
-        else:
-            value = response_bits(c_i, nonce, bit_len)
-        resp = broadcast(prover, t_resp, "response", "rapid",
-                         encode_value("r", i, value), i, ch.seq, early)
+        # a guessing prover draws its bits once the challenge is out
+        guess = i <= guessed
+        heard = draw_bits(bit_len) if guess else c_i
+        value = response_bits(heard, prover_nonces[nonce_offset + i - 1], bit_len)
+        resp = emit(prover, (t_actual + tof_out) + alpha, "response",
+                    encode_value("r", i, value), i, ch.seq, verifier, guess)
         response_seqs.append(resp.seq)
 
-        t_back = t_resp + tof_back
+        t_back = resp.t_send + tof_back
         rounds.append(RoundRecord(i, c_i, value, t_actual + v_offset, t_back + v_offset))
         # the verifier recovers its honest timeline by adding back its own advance
         t_nominal = (t_back + (t_nominal - t_actual)) + alpha
@@ -123,11 +118,9 @@ def run_exchange(
             t_end = t_back
 
     if closing:
-        t_actual, early = send(verifier, t_nominal)
-        broadcast(verifier, t_actual, "closing", "rapid",
-                  encode_value("x", n_rounds + 1, 0), n_rounds + 1, None, early)
+        em = emit(verifier, t_nominal, "closing", encode_value("x", n_rounds + 1, 0), n_rounds + 1)
         nominal_sends.append(t_nominal)
-        t_end = max(t_end, t_actual + chan.reach(verifier))
+        t_end = max(t_end, em.t_send + chan.reach(verifier))
 
     return ExchangeResult(
         verifier=verifier,
@@ -341,42 +334,28 @@ def _run_relay_exchange(
     response_seqs: List[int] = []
     t_nominal = t_start
     t_end = t_start
-
-    def react(sender: NodeId, em, turnaround: float, kind: str, payload: bytes):
-        t, early = ctx.send(sender, chan.arrival_true(em.seq, sender) + turnaround, verifier)
-        return chan.broadcast(
-            sender, t, kind, "rapid", payload=payload, round_index=em.round_index,
-            after=em.seq, allow_early=early,
-        )
-
     for i in range(1, cfg.n + 1):
         c_i = ctx.draw_bits(cfg.bit_len)
-        t_actual, early = ctx.send(verifier, t_nominal)
-        ch = chan.broadcast(
-            verifier, t_actual, "challenge", "rapid",
-            payload=encode_value("c", i, c_i), round_index=i, allow_early=early,
-        )
+        ch = ctx.emit(verifier, t_nominal, "challenge", encode_value("c", i, c_i), i)
         nominal_sends.append(t_nominal)
-        fwd = react(front, ch, 0.0, "relay", ch.payload)
+        fwd = ctx.emit(front, chan.arrival_true(ch.seq, front), "relay", ch.payload, i,
+                       ch.seq, verifier)
         value = response_bits(c_i, nonces[i - 1], cfg.bit_len)
-        vr = react(victim, fwd, alpha, "response", encode_value("r", i, value))
-        resp = react(front, vr, 0.0, "response", vr.payload)
+        vr = ctx.emit(victim, chan.arrival_true(fwd.seq, victim) + alpha, "response",
+                      encode_value("r", i, value), i, fwd.seq, verifier)
+        resp = ctx.emit(front, chan.arrival_true(vr.seq, front), "response", vr.payload, i,
+                        vr.seq, verifier)
         response_seqs.append(resp.seq)
         t_back = chan.arrival_true(resp.seq, verifier)
         rounds.append(RoundRecord(
             index=i, challenge=c_i, response=value,
-            t_send=t_actual + chan.offsets[verifier],
+            t_send=ch.t_send + chan.offsets[verifier],
             t_recv=t_back + chan.offsets[verifier],
         ))
-        t_nominal = (t_back + (t_nominal - t_actual)) + alpha
+        t_nominal = (t_back + (t_nominal - ch.t_send)) + alpha
         t_end = max(t_end, t_back)
     if closing:
-        t_actual, early = ctx.send(verifier, t_nominal)
-        chan.broadcast(
-            verifier, t_actual, "closing", "rapid",
-            payload=encode_value("x", cfg.n + 1, 0), round_index=cfg.n + 1,
-            allow_early=early,
-        )
+        ctx.emit(verifier, t_nominal, "closing", encode_value("x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
     return ExchangeResult(
         verifier=verifier, prover=front, rounds=rounds,
@@ -433,25 +412,19 @@ def _interleaved_rapid(
     rounds_a: List[RoundRecord] = []
     rounds_b: List[RoundRecord] = []
 
-    t, early = ctx.send(a, t_start, b)
-    prev = chan.broadcast(a, t, "challenge", "rapid", payload=encode_value("m", 1, a_nonces[0]),
-                          round_index=1, allow_early=early)
+    prev = ctx.emit(a, t_start, "challenge", encode_value("m", 1, a_nonces[0]), 1, None, b)
     for k in range(1, cfg.n + 1):
         v_b = response_bits(a_nonces[k - 1], b_nonces[k - 1], cfg.bit_len)
-        t, early = ctx.send(b, chan.arrival_true(prev.seq, b) + alpha, a)
-        em_b = chan.broadcast(b, t, "response", "rapid",
-                              payload=encode_value("m", 2 * k, v_b),
-                              round_index=k, after=prev.seq, allow_early=early)
+        em_b = ctx.emit(b, chan.arrival_true(prev.seq, b) + alpha, "response",
+                        encode_value("m", 2 * k, v_b), k, prev.seq, a)
         rounds_a.append(RoundRecord(
             index=k, challenge=a_nonces[k - 1], response=v_b,
             t_send=prev.t_send + chan.offsets[a],
             t_recv=chan.arrival_local(em_b.seq, a),
         ))
         v_a = response_bits(a_nonces[k], b_nonces[k - 1], cfg.bit_len)
-        t, early = ctx.send(a, chan.arrival_true(em_b.seq, a) + alpha, b)
-        em_a = chan.broadcast(a, t, "response", "rapid",
-                              payload=encode_value("m", 2 * k + 1, v_a),
-                              round_index=k, after=em_b.seq, allow_early=early)
+        em_a = ctx.emit(a, chan.arrival_true(em_b.seq, a) + alpha, "response",
+                        encode_value("m", 2 * k + 1, v_a), k, em_b.seq, b)
         rounds_b.append(RoundRecord(
             index=k, challenge=b_nonces[k - 1], response=v_a,
             t_send=em_b.t_send + chan.offsets[b],

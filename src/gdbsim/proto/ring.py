@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core import GdbSimError, NodeId, Role, Scenario
+from ..core import NodeId, Role, Scenario
 from ..crypto import Commitment, UnknownKey, hash_bytes
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..estimate import (
@@ -46,10 +46,6 @@ from .base import (
 )
 
 
-class MissingCommitment(GdbSimError):
-    """A ring participant never committed, so no order can be agreed."""
-
-
 def derive_ring_order(
     commitments: Mapping[NodeId, Commitment], peers: Sequence[NodeId]
 ) -> Tuple[NodeId, ...]:
@@ -59,9 +55,6 @@ def derive_ring_order(
     steer its position without breaking its own commitment.  Node id
     breaks the (practically impossible) digest ties.
     """
-    missing = sorted(p for p in peers if p not in commitments)
-    if missing:
-        raise MissingCommitment(f"no commitment from nodes {missing}")
     return tuple(sorted(peers, key=lambda p: (hash_bytes(commitments[p].digest), p)))
 
 
@@ -80,38 +73,29 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     order = snake_order(ring)
 
     seqs: List[List[int]] = []
-    sent_values: List[List[int]] = []
+    # (sender, nonce index, value heard, value sent) for every message in turn
+    chain: List[Tuple[NodeId, int, int, int]] = []
     nonce_cursor: Dict[NodeId, int] = {p: 0 for p in peers}
     prev_seq: Optional[int] = None
-    prev_value = 0
+    prev_value = 0  # the first opener hears nothing, and 0 XOR nonce is the nonce
     t_round_start = t
     for r in range(n):
         round_seqs: List[int] = []
-        round_values: List[int] = []
         for pos, sender in enumerate(order, start=1):
-            nonce = nonces[sender][nonce_cursor[sender]]
-            nonce_cursor[sender] += 1
-            if r == 0 and pos == 1:
-                value = nonce
-            else:
-                value = response_bits(nonce, prev_value, cfg.bit_len)
+            k = nonce_cursor[sender]
+            nonce_cursor[sender] = k + 1
+            value = response_bits(prev_value, nonces[sender][k], cfg.bit_len)
             if pos == 1:
                 t_nominal = t_round_start
             else:
                 t_nominal = chan.arrival_true(prev_seq, sender) + cfg.alpha
-            t_emit, early = ctx.send(sender, t_nominal)
-            em = chan.broadcast(
-                sender, t_emit,
-                "challenge" if pos == 1 else "response", "rapid",
-                payload=encode_value("m", 2 * n_nodes * r + pos, value),
-                round_index=r + 1, after=prev_seq, allow_early=early,
-            )
+            em = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
+                          encode_value("m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
+            chain.append((sender, k, prev_value, value))
             prev_seq = em.seq
             prev_value = value
             round_seqs.append(em.seq)
-            round_values.append(value)
         seqs.append(round_seqs)
-        sent_values.append(round_values)
         t_round_start = chan.arrival_true(prev_seq, ring[0]) + cfg.alpha
 
     last_sender = order[-1]
@@ -121,7 +105,13 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     # an unsigned node is accused through its report, not refused here
     t = open_phase(ctx, bundles, t, sign=False)
 
-    _verify_value_chain(ring, n, cfg.bit_len, nonces, sent_values)
+    # replay every message against the opened nonces
+    for m, (sender, k, heard, sent) in enumerate(chain):
+        if sent != response_bits(heard, nonces[sender][k], cfg.bit_len):
+            r, pos = divmod(m, len(order))
+            raise ResponseMismatch(
+                r + 1, f"ring value at round {r + 1} position {pos + 1} off the chain"
+            )
 
     rapid_emissions = [em for em in chan.trace.emissions if em.phase == "rapid"]
     digest_hex = transcript_digest(rapid_emissions)
@@ -191,29 +181,6 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
         detection=detection, ring_order=ring, ring_solutions=ring_solutions,
         rejections=rejections,
     )
-
-
-def _verify_value_chain(
-    ring: Tuple[NodeId, ...],
-    n: int,
-    bit_len: int,
-    opened: Mapping[NodeId, Tuple[int, ...]],
-    sent_values: List[List[int]],
-) -> None:
-    """Recompute every rapid value from the opened nonces and compare."""
-    order = snake_order(ring)
-    cursor: Dict[NodeId, int] = {p: 0 for p in ring}
-    prev = 0
-    for r in range(n):
-        for pos, sender in enumerate(order, start=1):
-            nonce = opened[sender][cursor[sender]]
-            cursor[sender] += 1
-            expect = nonce if (r == 0 and pos == 1) else response_bits(nonce, prev, bit_len)
-            if sent_values[r][pos - 1] != expect:
-                raise ResponseMismatch(
-                    r + 1, f"ring value at round {r + 1} position {pos} off the chain"
-                )
-            prev = expect
 
 
 def run_ring_with_delays(

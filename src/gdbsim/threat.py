@@ -166,9 +166,11 @@ def apply_policy(
     measurer the node whose measurement the send answers.  Returns
     (t, allow_early): t is t_nominal with the policy's timing shift
     applied, and allow_early is true only for a send the policy moved
-    ahead of its trigger.  Content-level deviations (guessed bits,
-    relaying, fake reports) are structural and handled by the protocol
-    drivers themselves; this hook owns pure timing shifts.
+    ahead of its trigger.  RunContext.emit, which every rapid send goes
+    through, then holds a send that is not early behind its node's last
+    send and applies a guessed answer's GuessAhead advance; the
+    content-level deviations (guessed bits, relaying, fake reports) stay
+    with the protocol drivers.
     """
     if isinstance(policy, SelectiveDelay):
         d = policy.delay_for(send_index, measurer)

@@ -3,7 +3,10 @@
 Every scenario JSON under tests/golden/ is run end to end and written
 out with cli.write_run_artifacts; the sha256 of trace.jsonl, bounds.csv
 and detection.json must match tests/golden/digests.json.  manifest.json
-records paths, so it is left out.
+records paths, so it is left out.  bounds.csv carries neither
+rounds_used nor surplus, so each entry also pins "estimates": the sha256
+of every estimate field, one sorted line per estimate with the bound as
+float.hex.
 
 A change that alters a run on purpose regenerates the digests by
 running this file as a script,
@@ -13,6 +16,7 @@ running this file as a script,
 which prints every entry and file whose digest changed; name each, with
 its reason, in CHANGES.md.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,14 +28,25 @@ from gdbsim.proto.runner import run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
-PINNED = ("trace.jsonl", "bounds.csv", "detection.json")
+PINNED = ("trace.jsonl", "bounds.csv", "detection.json", "estimates")
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json") if p != DIGESTS)
+
+
+def estimates_digest(result) -> str:
+    lines = sorted(
+        f"{e.measurer},{e.target},{float.hex(e.bound_m)},{e.method},"
+        f"{e.rounds_used},{e.verified_auth},{e.surplus}"
+        for e in result.estimates
+    )
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
 
 def artifact_digests(name: str, out_dir: Path) -> dict:
     path = GOLDEN / f"{name}.json"
     scn = load_scenario(str(path))
-    digests = write_run_artifacts(run_scenario(scn), str(path), scn.rng_seed, out_dir)
+    result = run_scenario(scn)
+    digests = write_run_artifacts(result, str(path), scn.rng_seed, out_dir)
+    digests["estimates"] = estimates_digest(result)
     return {k: digests[k] for k in PINNED}
 
 

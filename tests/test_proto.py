@@ -1,5 +1,6 @@
 """End-to-end protocol drivers: message counts, bound accuracy, attacks."""
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,10 @@ from gdbsim.core import (
     SPEED_OF_LIGHT,
     active_verifier_count,
     distance,
+    load_scenario,
 )
 from gdbsim.estimate import NegativeTimeOfFlight
+from gdbsim.proto import base
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     _run_relay_exchange,
@@ -574,3 +577,53 @@ def test_ring_symmetric_delayer_cancels_in_the_solve():
     estimate of the shared edges identically, so no cross-check fires."""
     r = run_ring_with_delays(n_nodes=4, delays={2: (5e-8, 5e-8)}, seed=7)
     assert r.detection.consistent
+
+
+def test_ring_replay_names_the_message_off_the_chain(monkeypatch):
+    """A value that is not heard XOR nonce fails the replay after the open."""
+    calls = []
+    honest = base.response_bits
+
+    def slip(heard, nonce, bit_len):
+        calls.append(heard)
+        value = honest(heard, nonce, bit_len)
+        return value ^ 1 if len(calls) == 11 else value
+
+    monkeypatch.setattr("gdbsim.proto.ring.response_bits", slip)
+    # a 4-ring sends 8 messages a round, so message 11 is round 2, position 3
+    with pytest.raises(ResponseMismatch, match="round 2 position 3 off the chain") as exc:
+        run_scenario(regular_ring_scenario(4, 100.0, seed=7, n_rounds=2))
+    assert exc.value.round_index == 2
+
+
+# ---------------------------------------------------------------------------
+# the timing hook
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in GOLDEN.glob("*.json") if p.stem != "digests"))
+def test_every_rapid_message_passes_the_timing_hook_once(name, monkeypatch):
+    calls = []
+    hook = base.apply_policy
+
+    def counted(*args):
+        calls.append(args)
+        return hook(*args)
+
+    monkeypatch.setattr(base, "apply_policy", counted)
+    r = run_scenario(load_scenario(str(GOLDEN / f"{name}.json")))
+    assert len(calls) == r.trace.count(phase="rapid")
+
+
+def test_held_guess_leaves_one_advance_before_the_answer_it_waited_for():
+    """An early challenge reaches the guesser before its last answer left;
+    the in-order hold comes first, then the guess's advance."""
+    s = oneway_scenario(v_pos=(0.0, 0.0), p_pos=(30.0, 0.0), n=3, seed=213,
+                        prover_policy=GuessAhead(p_rounds=3, advance_s=20e-9))
+    r = run_scenario(with_policy(s, 1, EarlyChallenge(advance_s=1e-6, pr_ch=0.5)))
+    answers = {em.round_index: em for em in r.trace.emissions if em.kind == "response"}
+    assert answers[2].t_send == answers[1].t_send - 20e-9
+    assert r.estimate_for(1, 2).bound_m == 146.8983044217279

@@ -19,6 +19,8 @@ def load(name):
     ("passive_geometry_demo", ["--rounds", "1"], "observer-prover bound"),
     ("passive_geometry_demo", ["--rounds", "1", "--advance-ns", "30"], "ahead of its published"),
     ("message_savings_sweep", ["--sizes", "5", "--simulate-up-to", "5"], "61.0%"),
+    ("message_savings_sweep", ["--sizes", "10", "--fractions", "0.25", "--simulate-up-to", "10"],
+     "89.5%"),
 ])
 def test_script_main(name, argv, expect, capsys):
     assert load(name).main(argv) == 0
