@@ -15,7 +15,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .acceptance import format_table, run_suite, suite_ok
 from .analysis import FIGURES, UnknownFigure, emit_figure_data
@@ -42,15 +42,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_hashed(path: Path, chunks: Iterable[str]) -> str:
-    """Write text to path chunk by chunk; returns the sha256 of the bytes written."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        for chunk in chunks:
-            data = chunk.encode()
-            digest.update(data)
-            f.write(data)
-    return digest.hexdigest()
+def _write_hashed(path: Path, text: str) -> str:
+    """Write text to path; returns the sha256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return _sha256(data)
 
 
 def _load(path: str, seed: Optional[int]) -> Scenario:
@@ -81,19 +77,14 @@ def _detection_json(result: RunResult) -> str:
 
 def write_run_artifacts(result: RunResult, scenario_path: str, seed: int,
                         out_dir: Path) -> Dict[str, str]:
-    """Write the four run artifacts; returns {name: sha256}.
-
-    trace.jsonl is written and hashed as the export yields it, so the
-    whole trace text is never held at once.
-    """
+    """Write the four run artifacts; returns {name: sha256}."""
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {
-        "trace.jsonl": result.trace.jsonl_chunks(),
-        "bounds.csv": (_bounds_csv(result),),
-        "detection.json": (_detection_json(result),),
+        "trace.jsonl": result.trace.to_jsonl(),
+        "bounds.csv": _bounds_csv(result),
+        "detection.json": _detection_json(result),
     }
-    digests = {name: _write_hashed(out_dir / name, chunks)
-               for name, chunks in artifacts.items()}
+    digests = {name: _write_hashed(out_dir / name, text) for name, text in artifacts.items()}
     manifest = {
         "scenario": scenario_path,
         "seed": seed,
@@ -103,7 +94,7 @@ def write_run_artifacts(result: RunResult, scenario_path: str, seed: int,
         ],
     }
     digests["manifest.json"] = _write_hashed(
-        out_dir / "manifest.json", (json.dumps(manifest, sort_keys=True, indent=2) + "\n",))
+        out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return digests
 
 

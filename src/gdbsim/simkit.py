@@ -9,18 +9,22 @@ node derives must come out identical whatever the offsets are.
 
 The trace stores emissions only.  Arrivals are derived, never stored:
 message seq reaches receiver r at t_send + tof[sender, r], one float64
-add on the channel's flight-time matrix.  The export orders emissions
-and arrivals by (time, seq, receiver id), an emission ahead of its own
-arrivals, which keeps traces byte-identical across platforms for a
-given scenario and seed.
+add on the channel's flight-time matrix.  The export, trace format 2,
+is JSON lines: a meta line {"kind": "meta", "node_ids", "offsets",
+"tof", "trace_format": 2}, then one line per emission in seq order,
+{"kind", "payload" (hex), "phase", "round_index", "sender", "seq",
+"t_send"}.  Keys are sorted and floats written as repr, so the text is
+byte-identical across platforms for a given scenario and seed, and
+Trace.from_jsonl rebuilds the same trace bit for bit; a reader derives
+each arrival itself as t_send + tof[sender][r].
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +40,10 @@ class CausalityViolation(GdbSimError):
     """A node tried to transmit before the event that triggers the send."""
 
 
+class TraceFormatError(GdbSimError):
+    """A trace text that Trace.from_jsonl cannot read back."""
+
+
 @dataclass
 class Emission:
     seq: int
@@ -47,9 +55,8 @@ class Emission:
     round_index: Optional[int] = None
 
 
-# Export lines per yielded chunk: a writer holds one chunk's line list and
-# text at once, never the whole export.
-EXPORT_CHUNK_LINES = 1 << 13
+# the trace format to_jsonl writes and from_jsonl reads
+TRACE_FORMAT = 2
 
 
 @dataclass
@@ -101,57 +108,78 @@ class Trace:
             if (phase is None or em.phase == phase) and (kind is None or em.kind == kind)
         )
 
-    def jsonl_chunks(self) -> Iterator[str]:
-        """A meta line, then every emission and arrival as one JSON object per line.
+    def to_jsonl(self) -> str:
+        """The trace as format-2 JSON lines (see the module docstring).
 
-        Lines are ordered by (time, seq, receiver), an emission ahead of
-        its own arrivals.  Keys are written in sorted order and floats as
-        repr, so each line equals json.dumps(record, sort_keys=True).
-        Yields newline-terminated text, EXPORT_CHUNK_LINES lines at a
-        time, so a caller writing to a file holds one chunk at once.
+        Each line equals json.dumps(record, sort_keys=True).
         """
-        yield json.dumps({
+        meta = json.dumps({
             "kind": "meta",
             "node_ids": list(self.node_ids),
             "offsets": {str(k): v for k, v in sorted(self.offsets.items())},
-        }, sort_keys=True) + "\n"
-        ems = self.emissions
-        sender = np.array([self._index[em.sender] for em in ems], dtype=np.intp)
-        t_send = np.array([em.t_send for em in ems], dtype=float)
-        ids = np.array(self.node_ids)
-        # one column per receiver, then the emission itself under a receiver
-        # key below every node id
-        own = min(self.node_ids, default=0) - 1
-        times = np.column_stack((t_send[:, None] + self.tof[sender], t_send))
-        receivers = np.append(ids, own)
-        seqs, cols = np.nonzero(receivers != ids[sender][:, None])
-        times, receivers = times[seqs, cols], receivers[cols]
-        order = np.lexsort((receivers, seqs, times))
-        # the text an emission shares with its arrivals, formatted once: an
-        # arrival line is head + receiver + mid + t_arrive + tail
-        head, mid, tail, own_line = [], [], [], []
-        for s, em in enumerate(ems):
-            digest = hashlib.sha256(em.payload).hexdigest()
-            rest = f'"sender": {em.sender}, "seq": {s}, '
-            sent = f'"t_send": {em.t_send!r}}}'
-            head.append(f'{{"kind": "arrival", "payload_digest": "{digest}", "receiver": ')
-            mid.append(f', {rest}"t_arrive": ')
-            tail.append(f', {sent}')
-            own_line.append(f'{{"kind": "{em.kind}", "payload_digest": "{digest}", '
-                            f'"receiver": null, {rest}"t_arrive": null, {sent}')
-        for lo in range(0, len(order), EXPORT_CHUNK_LINES):
-            part = order[lo:lo + EXPORT_CHUNK_LINES]
-            lines = [
-                own_line[s] if r == own else f"{head[s]}{r}{mid[s]}{t!r}{tail[s]}"
-                for s, r, t in zip(seqs[part].tolist(), receivers[part].tolist(),
-                                   times[part].tolist())
-            ]
-            lines.append("")
-            yield "\n".join(lines)
+            "tof": self.tof.tolist(),
+            "trace_format": TRACE_FORMAT,
+        }, sort_keys=True)
+        lines = [meta]
+        for em in self.emissions:
+            r = "null" if em.round_index is None else em.round_index
+            lines.append(f'{{"kind": {_json_str(em.kind)}, "payload": "{em.payload.hex()}", '
+                         f'"phase": {_json_str(em.phase)}, "round_index": {r}, '
+                         f'"sender": {em.sender}, "seq": {em.seq}, "t_send": {em.t_send!r}}}')
+        lines.append("")
+        return "\n".join(lines)
 
-    def to_jsonl(self) -> str:
-        """The whole export as one string: the join of jsonl_chunks()."""
-        return "".join(self.jsonl_chunks())
+    @classmethod
+    def from_jsonl(cls, text: str) -> "Trace":
+        """The Trace that to_jsonl wrote; raises TraceFormatError naming the bad line."""
+        lines = text.splitlines() or [""]
+        meta = _record(lines[0], 1)
+        if meta.get("kind") != "meta":
+            raise TraceFormatError("line 1: the first line is not a meta record")
+        fmt = meta.get("trace_format")
+        if fmt is None:
+            raise TraceFormatError(
+                "line 1: no trace_format, so this is a format-1 trace; it holds neither "
+                "bit-exact flight times nor payloads and cannot be read back")
+        if fmt != TRACE_FORMAT:
+            raise TraceFormatError(
+                f"line 1: unknown trace_format {fmt!r}; this reader reads {TRACE_FORMAT}")
+        try:
+            node_ids = tuple(meta["node_ids"])
+            offsets = {int(k): v for k, v in meta["offsets"].items()}
+            n = len(node_ids)
+            shape_ok = len(meta["tof"]) == n and all(len(row) == n for row in meta["tof"])
+            tof = np.array(meta["tof"], dtype=float).reshape(n, n) if shape_ok else None
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"line 1: bad meta record: {exc!r}") from None
+        if tof is None:
+            raise TraceFormatError(
+                f"line 1: tof is not {n} x {n}, one row and column per node in node_ids")
+        trace = cls(node_ids, offsets, tof)
+        for i in range(1, len(lines)):
+            rec = _record(lines[i], i + 1)
+            try:
+                em = Emission(rec["seq"], rec["sender"], rec["t_send"], rec["kind"],
+                              rec["phase"], bytes.fromhex(rec["payload"]), rec["round_index"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(f"line {i + 1}: bad emission record: {exc!r}") from None
+            if em.seq != i - 1:
+                raise TraceFormatError(f"line {i + 1}: seq {em.seq!r} where {i - 1} was due")
+            if em.sender not in trace._index:
+                raise TraceFormatError(f"line {i + 1}: sender {em.sender!r} is not in node_ids")
+            trace.emissions.append(em)
+        return trace
+
+
+def _record(line: str, number: int) -> dict:
+    """One line of a JSON-lines text, which must hold a JSON object."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line {number}: not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise TraceFormatError(f"line {number}: not a JSON object")
+    return rec
 
 
 class BroadcastChannel:

@@ -4,13 +4,14 @@ import json
 from pathlib import Path
 
 import pytest
+from trace_oracle import assert_same_trace, reference_jsonl
 
-from gdbsim import simkit
 from gdbsim.analysis import emit_figure_data
-from gdbsim.cli import main, write_run_artifacts
+from gdbsim.cli import main
 from gdbsim.core import Protocol, load_scenario, scenario_to_json
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import oneway_scenario, peer_scenario
+from gdbsim.simkit import Trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,16 +170,23 @@ def test_sweep_rejects_a_repeated_seed(tmp_path, ring_file, capsys):
     assert not out.exists()
 
 
-def test_streamed_trace_digest_matches_file_and_text(tmp_path, monkeypatch):
-    monkeypatch.setattr(simkit, "EXPORT_CHUNK_LINES", 7)
+def test_written_traces_read_back_as_the_run(tmp_path, capsys):
     path = GOLDEN / "mpnv_8x8.json"
     scn = load_scenario(str(path))
-    result = run_scenario(scn)
-    digests = write_run_artifacts(result, str(path), scn.rng_seed, tmp_path)
-    text = result.trace.to_jsonl()
-    assert text.count("\n") > 7
-    assert digests["trace.jsonl"] == sha(tmp_path / "trace.jsonl")
-    assert digests["trace.jsonl"] == hashlib.sha256(text.encode()).hexdigest()
+    trace = run_scenario(scn).trace
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", str(path), "--out", str(run_out)]) == 0
+    seed = scn.rng_seed
+    assert main(["sweep", str(path), "--seeds", f"{seed},{seed + 1}", "--out", str(sweep_out),
+                 "--workers", "2"]) == 0
+    text = trace.to_jsonl()
+    for written in (run_out / "trace.jsonl", sweep_out / f"mpnv_8x8-seed{seed}" / "trace.jsonl"):
+        assert written.read_text() == text
+        copy = Trace.from_jsonl(written.read_text())
+        assert_same_trace(copy, trace)
+        assert reference_jsonl(copy) == reference_jsonl(trace)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert f"{digest}  {run_out / 'trace.jsonl'}" in capsys.readouterr().out
 
 
 def test_figures_bytes_match_library(tmp_path, capsys):

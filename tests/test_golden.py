@@ -6,29 +6,35 @@ and detection.json must match tests/golden/digests.json.  manifest.json
 records paths, so it is left out.  bounds.csv carries neither
 rounds_used nor surplus, so each entry also pins "estimates": the sha256
 of every estimate field, one sorted line per estimate with the bound as
-float.hex.
+float.hex.  "trace_format1" is the sha256 of the written trace.jsonl
+read back with Trace.from_jsonl and expanded into the format-1 export
+(tests/trace_oracle.py), one line per emission and per arrival: it pins
+the run itself, whatever the file format.
 
 A change that alters a run on purpose regenerates the digests by
 running this file as a script,
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints every entry and file whose digest changed; name each, with
-its reason, in CHANGES.md.
+which prints every entry and file whose digest changed, trace_format1
+changes first, since a change there means the run changed, not the
+format; name each, with its reason, in CHANGES.md.
 """
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from trace_oracle import reference_jsonl
 
 from gdbsim.cli import write_run_artifacts
 from gdbsim.core import load_scenario, scenario_to_json
 from gdbsim.proto.runner import run_scenario
+from gdbsim.simkit import Trace
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
-PINNED = ("trace.jsonl", "bounds.csv", "detection.json", "estimates")
+PINNED = ("trace_format1", "trace.jsonl", "bounds.csv", "detection.json", "estimates")
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json") if p != DIGESTS)
 
 
@@ -47,6 +53,8 @@ def artifact_digests(name: str, out_dir: Path) -> dict:
     result = run_scenario(scn)
     digests = write_run_artifacts(result, str(path), scn.rng_seed, out_dir)
     digests["estimates"] = estimates_digest(result)
+    copy = Trace.from_jsonl((out_dir / "trace.jsonl").read_text())
+    digests["trace_format1"] = hashlib.sha256(reference_jsonl(copy).encode()).hexdigest()
     return {k: digests[k] for k in PINNED}
 
 
@@ -73,10 +81,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: artifact_digests(name, Path(tmp) / name) for name in SCENARIOS}
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    for name in sorted(set(old) | set(table)):
-        before, after = old.get(name, {}), table.get(name, {})
-        state = "new" if not before else "gone" if not after else "changed"
-        for f in PINNED:
+    for f in PINNED:
+        for name in sorted(set(old) | set(table)):
+            before, after = old.get(name, {}), table.get(name, {})
+            state = "new" if not before else "gone" if not after else "changed"
             if before.get(f) != after.get(f):
                 print(f"{state}: {name}/{f}")
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

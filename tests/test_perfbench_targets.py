@@ -17,12 +17,18 @@ from gdbsim.core import scenario_to_json
 from gdbsim.scenarios import mpnv_scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_every_traced_name_exists():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists():
+    tracing = load_tracing()
     targets = tracing._targets(gdbsim)
     assert targets
     missing = [
@@ -34,9 +40,7 @@ def test_every_traced_name_exists():
 
 
 def test_traced_mpnv_run_records_every_layer_it_crosses():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     recorder = tracing.Recorder()
     patches = tracing.Patches(gdbsim, recorder)
     doc = json.dumps(scenario_to_json(mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4,
@@ -54,3 +58,23 @@ def test_traced_mpnv_run_records_every_layer_it_crosses():
     # 2 active verifiers x 3 provers, each exchange 2 rounds plus a closing
     assert recorder.calls["proto.exchange"] == 6
     assert recorder.calls["simkit.broadcast"] == result.trace.count()
+
+
+def test_traced_artifact_write_records_one_export(tmp_path):
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    patches = tracing.Patches(gdbsim, recorder)
+    path = GOLDEN / "mpnv_8x8.json"
+    scenario = gdbsim.core.load_scenario(str(path))
+    result = gdbsim.proto.run_scenario(scenario)
+    patches.install()
+    try:
+        gdbsim.cli.write_run_artifacts(result, str(path), scenario.rng_seed, tmp_path)
+    finally:
+        patches.remove()
+    assert recorder.calls["cli.artifacts"] == 1
+    assert recorder.calls["simkit.export"] == 1
+    # the meta line, then one line per emission
+    assert recorder.counts["export_lines"] == len(result.trace.emissions) + 1
+    size_mb = (tmp_path / "trace.jsonl").stat().st_size / 1e6
+    assert recorder.counts["export_mb"] == size_mb

@@ -1,18 +1,19 @@
-"""Broadcast channel: propagation, causality, trace export."""
-import hashlib
+"""Broadcast channel: propagation, causality, trace export and read-back."""
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from trace_oracle import assert_same_trace, reference_jsonl
 
-from gdbsim import simkit
 from gdbsim.core import SPEED_OF_LIGHT, load_scenario
 from gdbsim.proto.base import start_run
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import on_circle, oneway_scenario
-from gdbsim.simkit import PHASES, BroadcastChannel, CausalityViolation
+from gdbsim.simkit import PHASES, BroadcastChannel, CausalityViolation, Trace, TraceFormatError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 POSITIONS = {1: (0.0, 0.0), 2: (300.0, 0.0), 3: (0.0, 400.0)}
 
@@ -109,13 +110,21 @@ def test_trace_counts_by_phase_and_kind():
 def test_records_are_json_safe_and_ordered():
     chan = make_channel()
     chan.broadcast(1, 0.0, "beacon", "pre", payload=b"x")
-    chan.broadcast(2, 5e-7, "beacon", "pre")
-    rows = [json.loads(line) for line in chan.trace.to_jsonl().splitlines()[1:]]
-    # 2 sends + 2 arrivals each
-    assert len(rows) == 6
-    times = [r["t_send"] if r["t_arrive"] is None else r["t_arrive"] for r in rows]
-    assert times == sorted(times)
-    for r in rows:
+    chan.broadcast(2, 5e-7, "beacon", "pre", round_index=3)
+    lines = chan.trace.to_jsonl().splitlines()
+    rows = [json.loads(line) for line in lines]
+    # the meta line, then one line per emission in seq order; no arrival lines
+    assert len(rows) == 3
+    assert [json.dumps(r, sort_keys=True) for r in rows] == lines
+    assert rows[0]["trace_format"] == 2
+    assert rows[0]["tof"] == chan.trace.tof.tolist()
+    assert rows[1:] == [
+        {"kind": "beacon", "payload": "78", "phase": "pre", "round_index": None,
+         "sender": 1, "seq": 0, "t_send": 0.0},
+        {"kind": "beacon", "payload": "", "phase": "pre", "round_index": 3,
+         "sender": 2, "seq": 1, "t_send": 5e-7},
+    ]
+    for r in rows[1:]:
         assert type(r["t_send"]) is float
 
 
@@ -143,32 +152,6 @@ def test_run_channel_uses_config_speed():
     chan = start_run(s).channel
     assert chan.dist(1, 2) == pytest.approx(90.0)
     assert chan.tof(1, 2) == pytest.approx(90.0 / s.config.c)
-
-
-def reference_jsonl(trace) -> str:
-    """The export as one dict per emission and per arrival, sorted, then dumped."""
-    rows = []
-    for em in trace.emissions:
-        common = {
-            "payload_digest": hashlib.sha256(em.payload).hexdigest(),
-            "seq": em.seq,
-            "sender": em.sender,
-            "t_send": em.t_send,
-        }
-        rows.append(((em.t_send, em.seq, 0, 0),
-                     {**common, "kind": em.kind, "receiver": None, "t_arrive": None}))
-        for r in trace.node_ids:
-            if r != em.sender:
-                t = trace.arrival_true(em.seq, r)
-                rows.append(((t, em.seq, 1, r),
-                             {**common, "kind": "arrival", "receiver": r, "t_arrive": t}))
-    rows.sort(key=lambda row: row[0])
-    meta = {
-        "kind": "meta",
-        "node_ids": list(trace.node_ids),
-        "offsets": {str(k): v for k, v in sorted(trace.offsets.items())},
-    }
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [meta] + [r for _, r in rows])
 
 
 # With c = 1 the integer layouts have exact flight times, so sends on the
@@ -208,24 +191,80 @@ def tied_traces(draw):
 @given(trace=tied_traces())
 def test_jsonl_matches_reference_export(trace):
     text = trace.to_jsonl()
-    assert text == reference_jsonl(trace)
-    assert text.count("\n") == 1 + len(trace.emissions) * len(trace.node_ids)
+    assert text.count("\n") == 1 + len(trace.emissions)
+    copy = Trace.from_jsonl(text)
+    assert_same_trace(copy, trace)
+    assert reference_jsonl(copy) == reference_jsonl(trace)
+    assert copy.to_jsonl() == text
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")
+                                        if p.name != "digests.json"))
+def test_golden_trace_reads_back(name):
+    trace = run_scenario(load_scenario(str(GOLDEN / f"{name}.json"))).trace
+    copy = Trace.from_jsonl(trace.to_jsonl())
+    assert_same_trace(copy, trace)
+    assert reference_jsonl(copy) == reference_jsonl(trace)
 
 
 @pytest.fixture(scope="module")
-def mpnv_8x8_trace():
-    path = Path(__file__).parent / "golden" / "mpnv_8x8.json"
-    return run_scenario(load_scenario(str(path))).trace
+def golden_lines():
+    """The mpnv_8x8 golden trace's format-2 lines: 16 nodes, 536 emissions."""
+    trace = run_scenario(load_scenario(str(GOLDEN / "mpnv_8x8.json"))).trace
+    return trace.to_jsonl().splitlines()
 
 
-@pytest.mark.parametrize("chunk_lines", [1, 2, 7, simkit.EXPORT_CHUNK_LINES])
-def test_export_is_the_same_at_every_chunk_size(mpnv_8x8_trace, monkeypatch, chunk_lines):
-    trace = mpnv_8x8_trace
-    monkeypatch.setattr(simkit, "EXPORT_CHUNK_LINES", chunk_lines)
-    chunks = list(trace.jsonl_chunks())
-    lines = len(trace.emissions) * len(trace.node_ids)
-    assert lines > chunk_lines    # every setting crosses a chunk boundary
-    assert len(chunks) == 1 + -(-lines // chunk_lines)    # the meta line, then the lines
-    assert all(chunk.endswith("\n") for chunk in chunks)
-    assert [chunk.count("\n") for chunk in chunks[1:-1]] == [chunk_lines] * (len(chunks) - 2)
-    assert "".join(chunks) == trace.to_jsonl() == reference_jsonl(trace)
+def _edit(line, **changes):
+    return json.dumps({**json.loads(line), **changes}, sort_keys=True)
+
+
+def _reject(lines, match):
+    with pytest.raises(TraceFormatError, match=match):
+        Trace.from_jsonl("\n".join(lines) + "\n")
+
+
+def test_reader_rejects_a_format_1_trace(golden_lines):
+    meta = json.loads(golden_lines[0])
+    format1 = {k: meta[k] for k in ("kind", "node_ids", "offsets")}
+    _reject([json.dumps(format1, sort_keys=True)] + golden_lines[1:],
+            r"^line 1: no trace_format, so this is a format-1 trace; "
+            r"it holds neither bit-exact flight times nor payloads")
+
+
+def test_reader_rejects_an_unknown_format(golden_lines):
+    _reject([_edit(golden_lines[0], trace_format=3)] + golden_lines[1:],
+            r"^line 1: unknown trace_format 3")
+
+
+def test_reader_rejects_a_seq_out_of_order(golden_lines):
+    lines = list(golden_lines)
+    lines[5], lines[6] = lines[6], lines[5]
+    _reject(lines, r"^line 6: seq 5 where 4 was due")
+
+
+def test_reader_rejects_a_missing_seq(golden_lines):
+    _reject(golden_lines[:9] + golden_lines[10:], r"^line 10: seq 9 where 8 was due")
+
+
+def test_reader_rejects_a_tof_of_the_wrong_shape(golden_lines):
+    meta = json.loads(golden_lines[0])
+    short_row = [row[:-1] if i == 2 else row for i, row in enumerate(meta["tof"])]
+    for tof in (meta["tof"][:-1], short_row):
+        _reject([_edit(golden_lines[0], tof=tof)] + golden_lines[1:],
+                r"^line 1: tof is not 16 x 16")
+
+
+def test_reader_rejects_an_unknown_sender(golden_lines):
+    lines = list(golden_lines)
+    lines[3] = _edit(lines[3], sender=999)
+    _reject(lines, r"^line 4: sender 999 is not in node_ids")
+
+
+def test_reader_rejects_malformed_lines(golden_lines):
+    with pytest.raises(TraceFormatError, match=r"^line 1: not JSON"):
+        Trace.from_jsonl("")
+    _reject(golden_lines[:2] + ["{"] + golden_lines[3:], r"^line 3: not JSON")
+    _reject(golden_lines[:2] + ["[1]"], r"^line 3: not a JSON object")
+    lines = list(golden_lines)
+    lines[2] = json.dumps({k: v for k, v in json.loads(lines[2]).items() if k != "payload"})
+    _reject(lines, r"^line 3: bad emission record")
