@@ -450,12 +450,15 @@ def validate_scenario(s: Scenario) -> List[ValidationIssue]:
             issues.append(ValidationIssue(
                 "DuplicateNodeId", "nodes", f"node id {node_id} appears {count} times"))
 
-    for i, a in enumerate(s.nodes):
-        for b in s.nodes[i + 1 :]:
-            if distance(a.pos, b.pos) == 0.0 and a.id != b.id:
-                issues.append(ValidationIssue(
-                    "ParamOutOfRange", "nodes",
-                    f"nodes {a.id} and {b.id} share position {a.pos}"))
+    # distance 0.0 needs both coordinates equal as floats, so the pairs
+    # run only when a set of positions finds a repeat
+    if len({(float(n.pos[0]), float(n.pos[1])) for n in s.nodes}) < len(s.nodes):
+        for i, a in enumerate(s.nodes):
+            for b in s.nodes[i + 1 :]:
+                if distance(a.pos, b.pos) == 0.0 and a.id != b.id:
+                    issues.append(ValidationIssue(
+                        "ParamOutOfRange", "nodes",
+                        f"nodes {a.id} and {b.id} share position {a.pos}"))
 
     # ProtocolConfig field, lowest value, whether the lowest itself is allowed
     for name, lowest, inclusive in (("n", 1, True), ("bit_len", 1, True), ("alpha", 0, True),

@@ -7,8 +7,9 @@ follow-up learns both Va's distance to the prover and the sum of the
 two prover legs, and can bound (or with geometry, localize) the prover
 without ever transmitting.  The second builds and solves the linear
 system that recovers pairwise flight times from the rapid-phase
-arrivals of a ring run, one observer at a time, so that independently
-recovered edges can be cross-checked between observers.
+arrivals of a ring run, every observer from its own clock's stamps
+alone, so that independently recovered edges can be cross-checked
+between observers; all observers are solved in one batched pass.
 
 Every estimator consumes local clock readings only and is offset-free
 by construction: only differences of same-clock readings enter.
@@ -240,24 +241,6 @@ def candidate_positions(
 # ring time-of-flight recovery
 
 
-@dataclass(frozen=True)
-class RingTiming:
-    """Rapid-phase arrivals of one ring round as one observer saw them.
-
-    ring: the agreed cyclic order of the N participants.
-    observer: which participant's clock produced the stamps.
-    arrivals: 2N local clock readings, arrivals[m - 1] for message m of
-        the round's send order, NaN where the observer logged nothing.
-        A complete round logs every message but the observer's own two.
-    alpha: per-hop processing delay, seconds.
-    """
-
-    ring: Tuple[NodeId, ...]
-    observer: NodeId
-    arrivals: np.ndarray
-    alpha: float
-
-
 def snake_order(ring: Sequence[NodeId]) -> List[NodeId]:
     """Sender sequence of one rapid round: around the ring and back.
 
@@ -286,20 +269,17 @@ def ring_edges(ring: Sequence[NodeId]) -> List[Tuple[NodeId, NodeId]]:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _largest(a: np.ndarray) -> float:
-    """max |a| over every entry."""
-    return np.maximum.reduce(np.abs(a), axis=None)
-
-
-@lru_cache(maxsize=8)
-def _edge_unknowns(ring: Tuple[NodeId, ...]) -> Tuple[Tuple[str, object], ...]:
-    return tuple(("edge", e) for e in ring_edges(ring))
+def _largest(a: np.ndarray, axis=None):
+    """max |a| over every entry, or along axis."""
+    return np.maximum.reduce(np.abs(a), axis=axis)
 
 
 class _SnakeInverse(NamedTuple):
     steps: np.ndarray     # (N, 2N - 2) m - 1 of each message the observer logs
-    cols: np.ndarray      # (N, 2N - 2, 4) logged-stamp column of each term
+    cols: np.ndarray      # (N, 2N - 2, 4) each term's stamp in a flat (N, 2N - 2) block
     weights: np.ndarray   # (N, 2N - 2, 4) weight of each term
+    chords: np.ndarray    # (N, N - 3) ring index at the far end of each chord
+    targets: np.ndarray   # (N, N) flight column from the observer to each ring index
 
 
 @lru_cache(maxsize=8)
@@ -308,8 +288,11 @@ def _snake_inverse(n: int) -> _SnakeInverse:
 
     Entry [q] is the observer at ring index q.  Its rows follow the
     unknowns (the N ring edges, the chords in ring order, the anchor)
-    and hold solve_tof's formulas as (stamp column, weight) terms; unused
-    terms have weight 0.
+    and hold solve_tof's formulas as (stamp, weight) terms, the stamp
+    indexing the flattened (ring index, logged column) block of every
+    observer's stamps; unused terms have weight 0.  targets[q, j] is the column of the flight from
+    ring index q to ring index j among the rows' N + (N - 3) flights
+    (0 for j = q, which has no flight).
     """
     first = np.arange(n)
     second = 2 * n - first
@@ -347,58 +330,106 @@ def _snake_inverse(n: int) -> _SnakeInverse:
 
     # stamp position to logged column: skip the observer's own two sends
     cols = pos - (pos > qs[:, None, None]) - (pos > second[:, None, None])
+    cols += (2 * n - 2) * qs[:, None, None]
     logged = np.ones((n, 2 * n), dtype=bool)
     logged[qs, qs] = logged[qs, second] = False
     steps = np.nonzero(logged)[1].reshape(n, 2 * n - 2)
-    for shared in (steps, cols, wt):
+    targets = np.zeros((n, n), dtype=np.intp)
+    targets[qs, hi] = qs
+    targets[qs, lo] = lo
+    targets[qs[:, None], chords] = n + np.arange(n - 3)
+    for shared in (steps, cols, wt, chords, targets):
         shared.flags.writeable = False  # every caller of the cache reads these
-    return _SnakeInverse(steps, cols, wt)
+    return _SnakeInverse(steps, cols, wt, chords, targets)
 
 
 @dataclass
 class TofSystem:
-    """One observer's flight-time equations, pooled over rounds.
+    """Every observer's flight-time equations on one ring, pooled over rounds.
 
-    Unknowns are ("edge", (a, b)) flight times for the N ring edges plus
-    the chords from non-adjacent senders to the observer, and one
-    ("anchor", round) term per round: the round's start relative to its
-    first stamp.
+    Observer k is observers[k], at ring index index[k].  Its unknowns are
+    the flight times of the N ring edges, then of its chords to the
+    non-adjacent members in ring order (flight_keys names them), and
+    one anchor per round: the round's start relative to its first stamp.
 
-    rhs has one row per round and one column per logged message: the
-    stamp less the round's first stamp and less (m - 1) * alpha, a span
-    of flight time that is the right-hand side of one equation.  A round
-    logs 2N - 2 stamps for N edges, N - 3 chords and its anchor, so each
-    round alone is square.  The coefficient matrix is never formed; rows
-    enumerates the equations.  stamp_max is the largest clock reading
-    that went into rhs.
+    rhs[k] has one row per round and one column per message observer k
+    logged: the stamp less the round's first stamp and less
+    (m - 1) * alpha, a span of flight time that is the right-hand side of
+    one equation.  A round logs 2N - 2 stamps for N edges, N - 3 chords
+    and its anchor, so each round alone is square.  The coefficient
+    matrices are never formed; rows enumerates the equations and
+    unknowns the unknowns of every observer.  stamp_max[k] is the
+    largest clock reading that went into rhs[k].  failures names the
+    observers whose stamps cannot be solved, and why.
     """
 
     ring: Tuple[NodeId, ...]
-    observer: NodeId
-    unknowns: List[Tuple[str, object]]
+    observers: Tuple[NodeId, ...]
+    index: np.ndarray
     rhs: np.ndarray
-    stamp_max: float
+    stamp_max: np.ndarray
+    failures: Dict[NodeId, SolveFailure]
 
     @property
     def rows(self) -> range:
         return range(self.rhs.size)
 
+    @property
+    def unknowns(self) -> range:
+        observers, rounds, logged = self.rhs.shape
+        return range(observers * (logged - 1 + rounds))
+
+    def flight_keys(self) -> List[Tuple[Tuple[NodeId, NodeId], ...]]:
+        """(low id, high id) of each observer's flights, in column order."""
+        ids = np.array(self.ring)
+        far = ids[_snake_inverse(len(ids)).chords[self.index]]
+        near = np.array(self.observers)[:, None]
+        lows, highs = np.minimum(far, near).tolist(), np.maximum(far, near).tolist()
+        edges = tuple(ring_edges(self.ring))
+        return [edges + tuple(zip(lo, hi)) for lo, hi in zip(lows, highs)]
+
 
 @dataclass(frozen=True)
 class TofSolution:
-    """Solved unknowns of a TofSystem and their rounding error bound.
+    """Every observer's solved unknowns and their rounding error bounds.
 
-    error_s bounds, in seconds, how far any solved flight time can sit
-    from the channel's flight time d / c, counting every rounding that
-    reaches it; see solve_tof.
+    flights[k] holds observer k's flight times in flight_keys order
+    and anchors[k] its round anchors.  error_s[k] bounds, in seconds,
+    how far any of observer k's flight times can sit from the channel's
+    flight time d / c, counting every rounding that reaches it; see
+    solve_tof.  failures names the observers whose values mean nothing,
+    and why, in observer order.
     """
 
-    values: Dict[Tuple[str, object], float]
-    error_s: float
+    flights: np.ndarray
+    anchors: np.ndarray
+    error_s: np.ndarray
+    failures: Dict[NodeId, SolveFailure]
 
 
-def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
-    """Rebase each round's stamps into the right-hand sides of its equations.
+def _stamp_failure(stamps: np.ndarray, logged: np.ndarray, q: int, n: int) -> SolveFailure:
+    """Why one observer's (rounds x 2N) stamps, logged columns apart, cannot be solved."""
+    own = [q, 2 * n - q if q else n]
+    heard = ~np.isnan(stamps[:, own])
+    if heard.any():
+        m = own[np.flatnonzero(heard.any(axis=0))[0]] + 1
+        return SolveFailure(f"arrival logged for the observer's own send m={m}")
+    return IncompleteCycle(
+        f"round logged {2 * n - 2 - np.isnan(logged).sum(axis=1).max()} arrivals, "
+        f"cycle has {2 * n - 2}"
+    )
+
+
+def build_tof_system(
+    ring: Sequence[NodeId], observers: Sequence[NodeId], stamps: np.ndarray, alpha
+) -> TofSystem:
+    """Rebase every observer's stamps into the right-hand sides of its equations.
+
+    stamps is the (rounds x 2N x observers) block that
+    Trace.local_arrivals returns: stamps[r, m - 1, k] is message m of
+    round r on observers[k]'s clock, NaN where it logged nothing.  A
+    complete round logs every message but the observer's own two sends.
+    alpha is the per-hop processing delay, one value or one per round.
 
     Message m of a round leaves its sender at
 
@@ -406,57 +437,67 @@ def build_tof_system(rounds: Sequence[RingTiming]) -> TofSystem:
 
     and reaches the observer one sender-to-observer flight later.  Hop
     flights are ring edges; the final leg is a ring edge when the sender
-    neighbours the observer and a chord otherwise.  All stamps share the
-    observer's clock, so each round adds one anchor unknown for its start.
+    neighbours the observer and a chord otherwise.  All of an observer's
+    stamps share its clock, so each round adds one anchor unknown for its
+    start.
+
+    One gather through the snake tables picks every observer's logged
+    stamps.  An observer that missed an arrival or logged one of its own
+    sends goes into failures and leaves the others alone; a block that
+    does not fit the ring raises SolveFailure.
     """
-    if not rounds:
+    ring, observers = tuple(ring), tuple(observers)
+    stamps = np.asarray(stamps, dtype=float)
+    if stamps.ndim != 3 or stamps.shape[2] != len(observers):
+        raise SolveFailure(
+            f"stamps of shape {stamps.shape} are not rounds x 2N x {len(observers)} observers")
+    n_rounds = stamps.shape[0]
+    if not n_rounds:
         raise SolveFailure("no rounds to solve")
-    ring = rounds[0].ring
-    observer = rounds[0].observer
-    for rt in rounds:
-        if rt.ring != ring or rt.observer != observer:
-            raise SolveFailure("rounds mix different rings or observers")
-    if observer not in ring:
-        raise SolveFailure(f"observer {observer} not on the ring")
+    position = {p: i for i, p in enumerate(ring)}
+    for o in observers:
+        if o not in position:
+            raise SolveFailure(f"observer {o} not on the ring")
+    if len(set(observers)) < len(observers):
+        raise SolveFailure(f"observers {observers} name one node twice")
     n = len(ring)
     if n < 3:
         raise SolveFailure(f"a ring of {n} has no snake to solve")
-    for rt in rounds:
-        if len(rt.arrivals) != 2 * n:
-            raise SolveFailure(
-                f"round has {len(rt.arrivals)} message slots, its snake has {2 * n} sends"
-            )
-    q = ring.index(observer)
-    inverse = _snake_inverse(n)
-    stamps = np.array([rt.arrivals for rt in rounds], dtype=float)
-    steps = inverse.steps[q]
-    logged = stamps[:, steps]
-    stamp_max = float(_largest(logged))
+    if stamps.shape[1] != 2 * n:
+        raise SolveFailure(
+            f"round has {stamps.shape[1]} message slots, its snake has {2 * n} sends")
+    index = np.array([position[o] for o in observers], dtype=np.intp)
+    steps = _snake_inverse(n).steps[index]
+    # (observers, rounds, logged) with the logged axis contiguous, as the
+    # per-round sums in solve_tof need it
+    columns = np.arange(len(observers))[:, None, None]
+    logged = np.ascontiguousarray(stamps[np.arange(n_rounds)[:, None], steps[:, None, :], columns])
+    stamp_max = _largest(logged, axis=(1, 2))
     # NaN propagates into the largest stamp, so it is finite iff every
     # logged slot holds a reading; then each NaN must be an own send
-    if math.isnan(stamp_max) or np.add.reduce(np.isnan(stamps), axis=None) != 2 * len(rounds):
-        own = [q, 2 * n - q if q else n]
-        heard = ~np.isnan(stamps[:, own])
-        if heard.any():
-            m = own[np.flatnonzero(heard.any(axis=0))[0]] + 1
-            raise SolveFailure(f"arrival logged for the observer's own send m={m}")
-        raise IncompleteCycle(
-            f"round logged {2 * n - 2 - np.isnan(logged).sum(axis=1).max()} arrivals, "
-            f"cycle has {2 * n - 2}"
-        )
-    alpha = np.array([[rt.alpha] for rt in rounds])
-    rhs = (logged - logged[:, :1]) - steps * alpha
-    near = (ring[q - 1], observer, ring[(q + 1) % n])
-    unknowns = [*_edge_unknowns(ring)] + [
-        ("edge", (p, observer) if p <= observer else (observer, p)) for p in ring if p not in near
-    ]
-    unknowns += [("anchor", r) for r in range(len(rounds))]
-    return TofSystem(ring=ring, observer=observer, unknowns=unknowns, rhs=rhs,
-                     stamp_max=stamp_max)
+    unheard = np.add.reduce(np.isnan(stamps), axis=(0, 1))
+    bad = np.flatnonzero(np.isnan(stamp_max) | (unheard != 2 * n_rounds)).tolist()
+    failures = {observers[k]: _stamp_failure(stamps[:, :, k], logged[k], int(index[k]), n)
+                for k in bad}
+    alpha = np.reshape(np.asarray(alpha, dtype=float), (-1, 1))
+    rhs = (logged - logged[:, :, :1]) - steps[:, None, :] * alpha
+    return TofSystem(ring=ring, observers=observers, index=index, rhs=rhs,
+                     stamp_max=stamp_max, failures=failures)
+
+
+def _ulps(values: np.ndarray) -> np.ndarray:
+    return np.array([math.ulp(v) for v in values.tolist()])
 
 
 def solve_tof(system: TofSystem, residual_tol: float = 1e-10) -> TofSolution:
-    """Flight times by elimination on the snake; SolveFailure when inconsistent.
+    """Every observer's flight times by elimination on the snake, in one pass.
+
+    An observer whose rounds disagree by more than residual_tol joins
+    the build's failures; the others solve as if alone.  Each
+    observer's numbers come out bit for bit as a solve of that observer
+    by itself would give them: every sum adds the same numbers in the
+    same order, over rounds, over one round's stamps (a contiguous axis,
+    which numpy sums pairwise) and over each row's four terms.
 
     Rounds pool by averaging: least squares over rounds that share every
     flight time but each have their own anchor is the square solve on
@@ -465,9 +506,9 @@ def solve_tof(system: TofSystem, residual_tol: float = 1e-10) -> TofSolution:
     anchor absorbs a round-wide shift), so a residual above residual_tol
     needs no solve to find.
 
-    The square solve is O(N).  With the observer at ring index q, and
-    f_j, g_j the rebased stamps of ring index j's two sends (p0's second
-    send is message N + 1):
+    The square solve is O(N) per observer.  With the observer at ring
+    index q, and f_j, g_j the rebased stamps of ring index j's two sends
+    (p0's second send is message N + 1):
 
     - g_j - f_j = 2 T_j for j >= 1, and g_0 - f_0 = T_0, where T_j is
       the suffix sum e_j + ... + e_{N-1} of ring edges (T_N = 0), so
@@ -503,30 +544,65 @@ def solve_tof(system: TofSystem, residual_tol: float = 1e-10) -> TofSolution:
       the flight time, at most the norm times the largest stamp.
     """
     n = len(system.ring)
-    q = system.ring.index(system.observer)
+    q = system.index
     rhs = system.rhs
-    dev = rhs - rhs[0]
-    mean_dev = np.add.reduce(dev) / len(rhs)
-    spread = dev - mean_dev
-    shift = np.add.reduce(spread, axis=1, keepdims=True) / spread.shape[1]
-    residual = float(_largest(spread - shift))
-    if residual > residual_tol:
-        raise SolveFailure(f"residual {residual} exceeds {residual_tol}")
+    n_rounds, width = rhs.shape[1:]
+    dev = rhs - rhs[:, :1]
+    mean_dev = np.add.reduce(dev, axis=1) / n_rounds
+    spread = dev - mean_dev[:, None]
+    shift = np.add.reduce(spread, axis=2, keepdims=True) / width
+    residual = _largest(spread - shift, axis=(1, 2)).tolist()
+    failures = {}
+    for k, o in enumerate(system.observers):
+        failure = system.failures.get(o)
+        if failure is None and residual[k] > residual_tol:
+            failure = SolveFailure(f"residual {residual[k]} exceeds {residual_tol}")
+        if failure is not None:
+            failures[o] = failure
 
     inverse = _snake_inverse(n)
-    b = rhs[0] + mean_dev
-    x = np.add.reduce(inverse.weights[q] * b[inverse.cols[q]], axis=1).tolist()
-    h = 0.5 * math.ulp(system.stamp_max)
-    pooled = h + (len(rhs) + 1) * math.ulp(float(_largest(dev))) if len(rhs) > 1 else 0.0
-    chain, norm = (n - 1, 2) if q < 2 else (n, 3)
+    b = rhs[:, 0] + mean_dev
+    # the whole table at once, with each observer's stamps at its ring
+    # index; ring indices that observe nothing solve zeros, unread
+    by_ring = np.zeros((n, width))
+    by_ring[q] = b
+    terms = np.take(by_ring, inverse.cols)
+    terms *= inverse.weights
+    x = np.add.reduce(terms, axis=2)[q]
+    h = 0.5 * _ulps(system.stamp_max)
+    pooled = h + (n_rounds + 1) * _ulps(_largest(dev, axis=(1, 2))) if n_rounds > 1 else 0.0
+    # N and 3, or N - 1 and 2 when e_0 is one of the observer's own edges
+    chain, norm = n - (q < 2), 3 - (q < 2)
     # |flight time| <= norm * max |b|
     error = (2 * h * chain + (5 * h + pooled) * norm
-             + 6 * _UNIT_ROUNDOFF * norm * float(_largest(b)))
-    anchors = [x[-1] + d for d in shift[:, 0].tolist()]
-    values = dict(zip(system.unknowns, x[:-1] + anchors))
-    return TofSolution(values, error)
+             + 6 * _UNIT_ROUNDOFF * norm * _largest(b, axis=1))
+    return TofSolution(flights=x[:, :-1], anchors=x[:, -1:] + shift[:, :, 0],
+                       error_s=error, failures=failures)
 
 
-def edge_times(solution: TofSolution) -> Dict[Tuple[NodeId, NodeId], float]:
-    """Just the edge unknowns of a solve, keyed by (low id, high id)."""
-    return {key[1]: v for key, v in solution.values.items() if key[0] == "edge"}
+def edge_times(
+    system: TofSystem, solution: TofSolution
+) -> Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]]:
+    """Each solved observer's flight times, keyed by (low id, high id)."""
+    return {
+        o: dict(zip(keys, flights))
+        for o, keys, flights in zip(system.observers, system.flight_keys(),
+                                    solution.flights.tolist())
+        if o not in solution.failures
+    }
+
+
+def ring_bounds(system: TofSystem, solution: TofSolution, c: float) -> np.ndarray:
+    """The (observers x observers) bound matrix, metres.
+
+    bounds[k, l] is c times observer k's flight time to observers[l],
+    floored at 0.0 as max(c * t, 0.0) floors it; one gather through
+    the per-ring-size target table.  The diagonal and a failed
+    observer's row are NaN: no bound.
+    """
+    q = system.index
+    cols = _snake_inverse(len(system.ring)).targets[q[:, None], q]
+    bounds = _floor_zero(c * np.take_along_axis(solution.flights, cols, axis=1))
+    np.fill_diagonal(bounds, np.nan)
+    bounds[[k for k, o in enumerate(system.observers) if o in solution.failures]] = np.nan
+    return bounds

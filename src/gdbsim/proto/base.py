@@ -186,8 +186,9 @@ def start_run(scenario: Scenario) -> RunContext:
     offsets = {nid: rng.random() for nid in node_ids}
     channel = BroadcastChannel(positions, scenario.config.c, offsets)
     registry = KeyRegistry()
+    certified = {n.id for n in scenario.nodes if n.has_cert}
     for nid in node_ids:
-        if scenario.node(nid).has_cert:
+        if nid in certified:
             registry.register(nid, rng)
     # flight times are symmetric and x*c is monotone, so this is the largest distance
     max_d = channel.reach() * scenario.config.c

@@ -20,15 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core import NodeId, Role, Scenario
 from ..crypto import Commitment, UnknownKey, hash_bytes
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
-from ..estimate import (
-    RingTiming,
-    SolveFailure,
-    _edge_key,
-    build_tof_system,
-    edge_times,
-    snake_order,
-    solve_tof,
-)
+from ..estimate import build_tof_system, edge_times, ring_bounds, snake_order, solve_tof
 from ..scenarios import regular_ring_scenario
 from ..threat import SelectiveDelay, cross_check_detect
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
@@ -117,8 +109,6 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     digest_hex = transcript_digest(rapid_emissions)
     digest_bytes = bytes.fromhex(digest_hex)
 
-    ring_solutions: Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]] = {}
-    bound_error: Dict[NodeId, float] = {}
     rejections: List[str] = []
     estimates: List[DbEstimate] = []
     signed_ok: Dict[NodeId, bool] = {}
@@ -136,39 +126,30 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
         chan.broadcast(p, t, "report", "report", payload=payload)
         t += ctx.slot_s
 
-    stamps = chan.trace.local_arrivals(seqs, peers)
-    unsolved: List[NodeId] = []
+    system = build_tof_system(ring, peers, chan.trace.local_arrivals(seqs, peers), cfg.alpha)
+    solution = solve_tof(system)
+    failures = solution.failures
+    for o, exc in failures.items():
+        rejections.append(f"node {o}: flight-time solve failed: {exc}")
+    ring_solutions = edge_times(system, solution)
+    bounds = ring_bounds(system, solution, cfg.c)
+    errors = (cfg.c * solution.error_s).tolist()
+    bound_error: Dict[NodeId, float] = {}
+    # both endpoints signed the report a bound was derived from
+    signed = [signed_ok.get(p, False) for p in peers]
     for k, o in enumerate(peers):
-        rounds_data = [
-            RingTiming(ring=ring, observer=o, arrivals=stamps[r, :, k], alpha=cfg.alpha)
-            for r in range(n)
-        ]
-        try:
-            solution = solve_tof(build_tof_system(rounds_data))
-        except SolveFailure as exc:
-            rejections.append(f"node {o}: flight-time solve failed: {exc}")
-            unsolved.append(o)
+        if o in failures:
             continue
-        edges = edge_times(solution)
-        ring_solutions[o] = edges
-        bound_error[o] = cfg.c * solution.error_s
-        for x in peers:
-            if x == o:
-                continue
-            bound = max(cfg.c * edges[_edge_key(o, x)], 0.0)
-            # both endpoints signed the report this bound was derived from
-            auth = signed_ok.get(o, False) and signed_ok.get(x, False)
-            estimates.append(DbEstimate(
-                measurer=o, target=x, bound_m=bound,
-                method=METHOD_MULTIPARTY, rounds_used=n, verified_auth=auth,
-            ))
+        bound_error[o] = errors[k]
+        auth = signed[k]
+        estimates += [
+            DbEstimate(o, x, bound, METHOD_MULTIPARTY, n, auth and signed_x)
+            for x, bound, signed_x in zip(peers, bounds[k].tolist(), signed) if x != o
+        ]
 
-    bounds: Dict[NodeId, Dict[NodeId, float]] = {}
-    for est in estimates:
-        bounds.setdefault(est.measurer, {})[est.target] = est.bound_m
     detection = cross_check_detect(
-        bounds, {p: digest_bytes for p in peers}, bound_error_m=bound_error,
-        unsolved=unsolved,
+        peers, bounds, {p: digest_bytes for p in peers}, bound_error_m=bound_error,
+        unsolved=list(failures),
     )
     unauth = [p for p, ok in signed_ok.items() if not ok]
     if unauth:

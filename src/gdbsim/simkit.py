@@ -22,13 +22,14 @@ each arrival itself as t_send + tof[sender][r].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GdbSimError, NodeId, distance
+from .core import GdbSimError, NodeId
 
 PHASES = ("pre", "rapid", "post", "report")
 
@@ -194,10 +195,14 @@ class BroadcastChannel:
         self.node_ids: Tuple[NodeId, ...] = tuple(sorted(positions))
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.c = c
-        self._tof = np.array([
-            [distance(positions[a], positions[b]) / c if a != b else 0.0 for b in self.node_ids]
-            for a in self.node_ids
-        ])
+        pts = [positions[a] for a in self.node_ids]
+        tof = [[0.0] * len(pts) for _ in pts]
+        for i, (a, row) in enumerate(zip(pts, tof)):
+            for j in range(i + 1, len(pts)):
+                b = pts[j]
+                # core.distance's hypot, once per unordered pair: hypot(-dx, -dy) is hypot(dx, dy)
+                row[j] = tof[j][i] = math.hypot(a[0] - b[0], a[1] - b[1]) / c
+        self._tof = np.array(tof)
         self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
         self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets), tof=self._tof)
         self._emissions = self.trace.emissions

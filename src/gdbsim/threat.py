@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 # Floor of the detection threshold for pairwise bound disagreement, in
 # meters: three times the ideal-channel distance tolerance used elsewhere.
 EPS_DETECT_M = 3.0e-6
@@ -252,7 +254,8 @@ class DetectionReport:
 
 
 def cross_check_detect(
-    bounds: Mapping[int, Mapping[int, float]],
+    nodes: Sequence[int],
+    bounds: np.ndarray,
     digests: Optional[Mapping[int, bytes]] = None,
     eps_detect: float = EPS_DETECT_M,
     bound_error_m: Optional[Mapping[int, float]] = None,
@@ -260,25 +263,34 @@ def cross_check_detect(
 ) -> DetectionReport:
     """Compare each pair's two directional bounds and the transcript digests.
 
-    bounds[x][y] is the bound x derived for its distance to y, in meters.
-    bound_error_m[x], when given, bounds the rounding error of every
-    bound x derived.  A pair is flagged when its two views differ by
-    more than both endpoints' errors together, and at least eps_detect.
-    Digest comparison flags any node whose transcript digest disagrees
-    with the strict majority.  unsolved lists observers that published
-    no bounds because their own solve failed; they get the verdict
-    "unsolved" and make the report inconsistent without being accused.
+    bounds[i, j] is the bound nodes[i] derived for its distance to
+    nodes[j], in meters, NaN where it derived none.  bound_error_m[x],
+    when given, bounds the rounding error of every bound x derived.  A
+    pair is flagged when its two views differ by more than both
+    endpoints' errors together, and at least eps_detect; the whole
+    matrix is compared with its transpose in one array pass, and
+    mismatches come out in (lower id, higher id) order.  Digest
+    comparison flags any node whose transcript digest disagrees with the
+    strict majority.  unsolved lists observers that published no bounds
+    because their own solve failed; they get the verdict "unsolved" and
+    make the report inconsistent without being accused.
     """
     report = DetectionReport(eps_detect_m=eps_detect, bound_error_m=dict(bound_error_m or {}),
                              unsolved=sorted(unsolved))
-    nodes = sorted(bounds)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if b in bounds.get(a, {}) and a in bounds.get(b, {}):
-                ab = bounds[a][b]
-                ba = bounds[b][a]
-                if abs(ab - ba) > report.threshold_m(a, b):
-                    report.mismatches.append(PairMismatch(a, b, ab, ba))
+    ids = np.asarray(nodes)
+    bounds = np.asarray(bounds, dtype=float)
+    err = np.array([report.bound_error_m.get(x, 0.0) for x in nodes])
+    both = err[:, None] + err
+    # threshold_m's max(eps, both): eps unless both exceeds it, also for NaN
+    threshold = np.where(both > eps_detect, both, eps_detect)
+    # a NaN bound on either side compares false: nothing to cross-check
+    flagged = (ids[:, None] < ids) & (np.abs(bounds - bounds.T) > threshold)
+    rows, cols = np.nonzero(flagged)
+    report.mismatches = [
+        PairMismatch(a, b, ab, ba) for a, b, ab, ba in sorted(zip(
+            ids[rows].tolist(), ids[cols].tolist(),
+            bounds[rows, cols].tolist(), bounds[cols, rows].tolist()))
+    ]
     if digests:
         tally: Dict[bytes, int] = {}
         for d in digests.values():
@@ -288,15 +300,12 @@ def cross_check_detect(
             report.digest_outliers = sorted(
                 n for n, d in digests.items() if d != majority
             )
-    implicated = set(report.digest_outliers)
-    for m in report.mismatches:
-        implicated.add(m.node_a)
-        implicated.add(m.node_b)
-    report.accused = frozenset(implicated)
+    disputed = {m.node_a for m in report.mismatches} | {m.node_b for m in report.mismatches}
+    report.accused = frozenset(disputed | set(report.digest_outliers))
     for n in sorted(set(nodes) | set(report.unsolved)):
         if n in report.digest_outliers:
             report.verdicts[n] = "bad_digest"
-        elif any(n in (m.node_a, m.node_b) for m in report.mismatches):
+        elif n in disputed:
             report.verdicts[n] = "disputed"
         elif n in report.unsolved:
             report.verdicts[n] = "unsolved"

@@ -1,20 +1,22 @@
 """Distance estimation: round trips, overheard geometry, ring solver."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdbsim.core import EPS_DIST, SPEED_OF_LIGHT, distance
+import ring_oracle
+from gdbsim.core import EPS_DIST, SPEED_OF_LIGHT, Protocol, distance
 from gdbsim.estimate import (
     IncompleteCycle,
     NegativeBound,
     NegativeTimeOfFlight,
     NoIntersection,
     PassiveObservation,
-    RingTiming,
     SolveFailure,
+    _edge_key,
     active_distance,
     build_tof_system,
     candidate_positions,
@@ -29,6 +31,9 @@ from gdbsim.estimate import (
     solve_tof,
     verifier_prover_distance,
 )
+from gdbsim.proto import run_scenario
+from gdbsim.scenarios import peer_scenario, with_policy
+from gdbsim.threat import SelectiveDelay
 
 C = SPEED_OF_LIGHT
 
@@ -206,8 +211,22 @@ def snake_round(tof, ring, observer, t0=0.0, alpha=0.0, offset=0.0, delays=None)
 
 
 def square_round(observer, alpha=0.0, offset=0.0, t0=0.0):
+    """One round on the square as observer logs it: a (1 x 8 x 1) stamp block."""
     arrivals, _ = snake_round(flight_times(SQUARE), RING, observer, t0, alpha, offset)
-    return RingTiming(ring=RING, observer=observer, arrivals=arrivals, alpha=alpha)
+    return arrivals[None, :, None]
+
+
+def snake_block(tof, ring, observers, n_rounds=1, t0=0.0, alpha=0.0, offsets=None, delays=None):
+    """n_rounds rounds as every observer logs them: (rounds x 2N x observers)."""
+    offsets = offsets or {}
+    delays = delays or {}
+    rounds = []
+    for r in range(n_rounds):
+        cols = [snake_round(tof, ring, o, t0, alpha, offsets.get(o, 0.0), delays.get(r))
+                for o in observers]
+        rounds.append(np.stack([arrivals for arrivals, _ in cols], axis=-1))
+        t0 = cols[0][1]
+    return np.array(rounds)
 
 
 def true_edge_tofs():
@@ -219,9 +238,9 @@ def true_edge_tofs():
 
 @pytest.mark.parametrize("observer", [1, 2, 3, 4])
 def test_square_ring_edges_recovered(observer):
-    rt = square_round(observer, alpha=2e-7, offset=0.11)
-    solution = solve_tof(build_tof_system([rt]))
-    solved = edge_times(solution)
+    system = build_tof_system(RING, [observer], square_round(observer, alpha=2e-7, offset=0.11),
+                              2e-7)
+    solved = edge_times(system, solve_tof(system))[observer]
     for e, t in true_edge_tofs().items():
         assert solved[e] == pytest.approx(t, abs=1e-15)
     # the chord to the opposite corner comes out too
@@ -232,35 +251,38 @@ def test_square_ring_edges_recovered(observer):
 
 
 def test_multiple_rounds_pool_into_one_system():
-    rounds = [square_round(2, t0=0.0), square_round(2, t0=1e-3)]
-    solution = solve_tof(build_tof_system(rounds))
-    solved = edge_times(solution)
+    block = np.concatenate([square_round(2, t0=0.0), square_round(2, t0=1e-3)])
+    system = build_tof_system(RING, [2], block, 0.0)
+    solved = edge_times(system, solve_tof(system))[2]
     assert solved[(1, 2)] == pytest.approx(400.0 / C, abs=1e-15)
 
 
-def hop_walk(system, rounds):
-    """The system's equations written out hop by hop, as a dense matrix.
+def hop_walk(system, k, stamps, alphas):
+    """Observer k's equations written out hop by hop, as a dense matrix.
 
     Row order is each round's logged messages in send order; columns
-    follow system.unknowns.  The right-hand side rebases each round on
-    its first stamp and takes off (m - 1) * alpha.
+    follow the observer's flights (system.flight_keys()[k]), then one
+    anchor per round.  The right-hand side rebases each round on its
+    first stamp and takes off (m - 1) * alpha.
     """
-    ring, observer = system.ring, system.observer
+    ring, observer = system.ring, system.observers[k]
     order = snake_order(ring)
     hops = snake_hops(ring)
-    col = {key: i for i, key in enumerate(system.unknowns)}
+    keys = system.flight_keys()[k]
+    col = {key: i for i, key in enumerate(keys)}
     rows, rhs = [], []
-    for r, rt in enumerate(rounds):
+    for r, alpha in enumerate(alphas):
+        arrivals = stamps[r, :, k]
         logged = [m for m in range(1, len(order) + 1) if order[m - 1] != observer]
-        base = rt.arrivals[logged[0] - 1]
+        base = arrivals[logged[0] - 1]
         for m in logged:
-            row = [0.0] * len(col)
+            row = [0.0] * (len(keys) + len(alphas))
             for a, b in hops[: m - 1]:
-                row[col[("edge", tuple(sorted((a, b))))]] += 1.0
-            row[col[("edge", tuple(sorted((order[m - 1], observer))))]] += 1.0
-            row[col[("anchor", r)]] = 1.0
+                row[col[tuple(sorted((a, b)))]] += 1.0
+            row[col[tuple(sorted((order[m - 1], observer)))]] += 1.0
+            row[len(keys) + r] = 1.0
             rows.append(row)
-            rhs.append((rt.arrivals[m - 1] - base) - (m - 1) * rt.alpha)
+            rhs.append((arrivals[m - 1] - base) - (m - 1) * alpha)
     return np.array(rows), np.array(rhs)
 
 
@@ -270,22 +292,23 @@ def test_rows_match_a_walk_over_the_hops(n_nodes):
     solves them in the least-squares sense even when rounds disagree."""
     ring = tuple(range(10, 10 + n_nodes))
     order = snake_order(ring)
-    for observer in ring:
-        rounds = [
-            RingTiming(ring=ring, observer=observer, alpha=1e-7 * (r + 1),
-                       arrivals=np.array([np.nan if order[m - 1] == observer
-                                          else 0.3 + 1e-3 * r + 1e-6 * m + 1e-9 * m * m * r
-                                          for m in range(1, 2 * n_nodes + 1)]))
-            for r in range(3)
-        ]
-        system = build_tof_system(rounds)
-        rows, rhs = hop_walk(system, rounds)
-        assert len(system.rows) == len(rows)
-        assert len(system.unknowns) == rows.shape[1] == 2 * n_nodes - 3 + len(rounds)
-        assert system.rhs.ravel().tolist() == rhs.tolist()
-        assert system.stamp_max == np.nanmax([rt.arrivals for rt in rounds])
-        solution = solve_tof(system, residual_tol=np.inf)
-        x = np.array([solution.values[k] for k in system.unknowns])
+    alphas = [1e-7 * (r + 1) for r in range(3)]
+    stamps = np.array([
+        [[np.nan if order[m - 1] == o else 0.3 + 1e-3 * r + 1e-6 * m + 1e-9 * m * m * r
+          for o in ring] for m in range(1, 2 * n_nodes + 1)]
+        for r in range(3)
+    ])
+    system = build_tof_system(ring, ring, stamps, alphas)
+    solution = solve_tof(system, residual_tol=np.inf)
+    assert not solution.failures
+    assert len(system.rows) == n_nodes * 3 * (2 * n_nodes - 2)
+    assert len(system.unknowns) == n_nodes * (2 * n_nodes - 3 + 3)
+    for k in range(n_nodes):
+        rows, rhs = hop_walk(system, k, stamps, alphas)
+        assert rows.shape == (3 * (2 * n_nodes - 2), 2 * n_nodes - 3 + 3)
+        assert system.rhs[k].ravel().tolist() == rhs.tolist()
+        assert system.stamp_max[k] == np.nanmax(stamps[:, :, k])
+        x = np.concatenate((solution.flights[k], solution.anchors[k]))
         # the normal equations: the residual is orthogonal to every column
         assert np.max(np.abs(rows.T @ (rows @ x - rhs))) < 1e-15
 
@@ -298,10 +321,10 @@ def test_error_weights_match_the_dense_inverse(n_nodes):
     ring = tuple(range(1, n_nodes + 1))
     order = snake_order(ring)
     tof = flight_times({nid: (float(nid), float(nid * nid % 7)) for nid in ring})
+    stamps = snake_block(tof, ring, ring)
+    system = build_tof_system(ring, ring, stamps, 0.0)
     for q, observer in enumerate(ring):
-        arrivals, _ = snake_round(tof, ring, observer)
-        rounds = [RingTiming(ring=ring, observer=observer, arrivals=arrivals, alpha=0.0)]
-        rows, _ = hop_walk(build_tof_system(rounds), rounds)
+        rows, _ = hop_walk(system, q, stamps, [0.0])
         flights = np.linalg.inv(rows)[:-1]
         logged = [m for m in range(1, 2 * n_nodes + 1) if order[m - 1] != observer]
         # a rounding at hop k shifts every stamp sent after it
@@ -313,34 +336,42 @@ def test_error_weights_match_the_dense_inverse(n_nodes):
 
 
 def test_missing_arrival_is_incomplete_cycle():
-    arrivals = square_round(2).arrivals.copy()
-    arrivals[0] = np.nan
-    with pytest.raises(IncompleteCycle):
-        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=arrivals, alpha=0.0)])
+    block = np.concatenate([square_round(1), square_round(2)], axis=2)
+    block[0, 0, 1] = np.nan
+    system = build_tof_system(RING, [1, 2], block, 0.0)
+    assert list(system.failures) == [2]
+    assert isinstance(system.failures[2], IncompleteCycle)
+    assert str(system.failures[2]) == "round logged 5 arrivals, cycle has 6"
+    solution = solve_tof(system)
+    assert list(solution.failures) == [2]
+    # the other observer solves as it would alone
+    alone = solve_tof(build_tof_system(RING, [1], block[:, :, :1], 0.0))
+    assert solution.flights[0].tolist() == alone.flights[0].tolist()
+    assert list(edge_times(system, solution)) == [1]
 
 
 def test_own_send_logged_is_rejected():
-    arrivals = square_round(2).arrivals.copy()
-    arrivals[1] = 0.5  # message 2 is observer 2's own first send
-    with pytest.raises(SolveFailure, match="own send m=2"):
-        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=arrivals, alpha=0.0)])
+    block = square_round(2)
+    block[0, 1, 0] = 0.5  # message 2 is observer 2's own first send
+    failure = build_tof_system(RING, [2], block, 0.0).failures[2]
+    assert type(failure) is SolveFailure
+    assert str(failure) == "arrival logged for the observer's own send m=2"
 
 
 def test_short_round_is_rejected():
-    arrivals = square_round(2).arrivals[:-1]
     with pytest.raises(SolveFailure, match="7 message slots"):
-        build_tof_system([RingTiming(ring=RING, observer=2, arrivals=arrivals, alpha=0.0)])
+        build_tof_system(RING, [2], square_round(2)[:, :-1], 0.0)
 
 
 def test_mixed_observers_rejected():
-    with pytest.raises(SolveFailure, match="mix"):
-        build_tof_system([square_round(1), square_round(2)])
+    # one observer's column cannot stand for two observers
+    with pytest.raises(SolveFailure, match="not rounds x 2N x 2 observers"):
+        build_tof_system(RING, [1, 2], square_round(1), 0.0)
 
 
 def test_observer_off_ring_rejected():
-    rt = square_round(2)
     with pytest.raises(SolveFailure, match="not on the ring"):
-        build_tof_system([RingTiming(ring=RING, observer=9, arrivals=rt.arrivals, alpha=0.0)])
+        build_tof_system(RING, [9], square_round(2), 0.0)
 
 
 def test_inconsistent_stamps_fail_residual_check():
@@ -348,14 +379,14 @@ def test_inconsistent_stamps_fail_residual_check():
     # message 4 is bent cannot share the first round's flight times
     plain = square_round(1)
     bent = square_round(1, t0=1e-3)
-    arrivals = bent.arrivals.copy()
-    arrivals[3] += 1e-6
-    system = build_tof_system([plain, RingTiming(ring=RING, observer=1, arrivals=arrivals,
-                                                 alpha=0.0)])
-    with pytest.raises(SolveFailure, match="residual"):
-        solve_tof(system)
+    bent[0, 3, 0] += 1e-6
+    system = build_tof_system(RING, [1], np.concatenate([plain, bent]), 0.0)
+    assert not system.failures
+    failure = solve_tof(system).failures[1]
+    assert str(failure).startswith("residual ") and str(failure).endswith(" exceeds 1e-10")
     # unbent, the same two rounds solve
-    solve_tof(build_tof_system([plain, bent]))
+    unbent = np.concatenate([plain, square_round(1, t0=1e-3)])
+    assert not solve_tof(build_tof_system(RING, [1], unbent, 0.0)).failures
 
 
 def test_snake_order_shape():
@@ -388,21 +419,108 @@ def test_elimination_matches_lstsq_on_the_hop_walk(n_nodes, n_rounds, alpha, off
     for k, d in delayed:
         k %= 2 * n_nodes * n_rounds
         delays.setdefault(k // (2 * n_nodes), {})[k % (2 * n_nodes)] = d
-    for observer in {ring[0], ring[1], ring[-1], ring[int(rng.integers(n_nodes))]}:
-        rounds, t0 = [], float(rng.uniform(0.0, 1.0))
-        for r in range(n_rounds):
-            arrivals, t0 = snake_round(tof, ring, observer, t0, alpha, offset, delays.get(r))
-            rounds.append(RingTiming(ring=ring, observer=observer, arrivals=arrivals,
-                                     alpha=alpha))
-        system = build_tof_system(rounds)
-        solution = solve_tof(system, residual_tol=np.inf)
-        rows, rhs = hop_walk(system, rounds)
+    observers = sorted({ring[0], ring[1], ring[-1], ring[int(rng.integers(n_nodes))]})
+    stamps = snake_block(tof, ring, observers, n_rounds, float(rng.uniform(0.0, 1.0)), alpha,
+                         dict.fromkeys(observers, offset), delays)
+    system = build_tof_system(ring, observers, stamps, alpha)
+    solution = solve_tof(system, residual_tol=np.inf)
+    assert not solution.failures
+    for k, keys in enumerate(system.flight_keys()):
+        rows, rhs = hop_walk(system, k, stamps, [alpha] * n_rounds)
         x, _, rank, sigma = np.linalg.lstsq(rows, rhs, rcond=None)
         assert rank == rows.shape[1]
-        lstsq_error = 0.5 * np.spacing(system.stamp_max) * len(rows) ** 0.5 / sigma[-1]
-        for key, want in zip(system.unknowns, x):
-            if key[0] == "edge":
-                assert abs(solution.values[key] - want) <= solution.error_s + lstsq_error
-                if not delays:
-                    a, b = key[1]
-                    assert abs(solution.values[key] - tof[a][b]) <= solution.error_s
+        lstsq_error = 0.5 * np.spacing(system.stamp_max[k]) * len(rows) ** 0.5 / sigma[-1]
+        error_s = solution.error_s[k]
+        for (a, b), got, want in zip(keys, solution.flights[k], x):
+            assert abs(got - want) <= error_s + lstsq_error
+            if not delays:
+                assert abs(got - tof[a][b]) <= error_s
+
+
+def ring_run(n_nodes, n_rounds, alpha, seed, colluders):
+    """A ring over random positions whose colluders (ring positions) delay
+    their two sends per round by unequal amounts; returns the run and the
+    stamp block its solve read."""
+    rng = np.random.default_rng(seed)
+    pts = [tuple(p) for p in rng.uniform(0.0, 1e3, size=(n_nodes, 2)).tolist()]
+    scn = peer_scenario(Protocol.MULTI_PARTY_RING, positions=pts, n=n_rounds, seed=seed)
+    scn = replace(scn, config=replace(scn.config, alpha=alpha))
+    ring = run_scenario(scn).ring_order
+    for pos in colluders:
+        per = tuple((i, float(d)) for i, d in enumerate(rng.uniform(0.0, 5e-8, 2 * n_rounds)))
+        scn = with_policy(scn, ring[pos % n_nodes], SelectiveDelay(per_message=per))
+    res = run_scenario(scn)
+    peers = sorted(ring)
+    seqs = [[em.seq for em in res.trace.emissions if em.phase == "rapid" and em.round_index == r]
+            for r in range(1, n_rounds + 1)]
+    return res, peers, res.trace.local_arrivals(seqs, peers)
+
+
+def assert_same_solve(system, solution, reference):
+    """Batched and per-observer solves agree bit for bit, failures and their text too."""
+    failed = [o for o, ref in reference.items() if isinstance(ref, SolveFailure)]
+    assert list(solution.failures) == failed
+    edges = edge_times(system, solution)
+    for k, o in enumerate(system.observers):
+        ref = reference[o]
+        if o in failed:
+            got = solution.failures[o]
+            assert (type(got), str(got)) == (type(ref), str(ref))
+            continue
+        want = [(key, v.hex()) for key, v in ring_oracle.edge_times(ref).items()]
+        assert [(key, v.hex()) for key, v in edges[o].items()] == want
+        assert float(solution.error_s[k]).hex() == ref.error_s.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(4, 40), n_rounds=st.integers(1, 3),
+       alpha=st.sampled_from([0.0, 1e-7]) | st.floats(0.0, 1e-3), seed=st.integers(0, 2**16),
+       spoil=st.sampled_from(["residual", "missing", "own send"]))
+@example(n_nodes=4, n_rounds=2, alpha=0.0, seed=7, spoil="residual")
+@example(n_nodes=40, n_rounds=3, alpha=1e-7, seed=8, spoil="own send")
+def test_batched_solve_matches_the_per_observer_reference(n_nodes, n_rounds, alpha, seed, spoil):
+    """One batched solve gives every observer what solving it alone gives:
+    the same flight times and error bound by float.hex, and the same
+    failures with the same text.  The run has a colluding pair of ring
+    neighbours; then one observer's stamps are spoiled, and only that
+    observer may fail."""
+    res, peers, stamps = ring_run(n_nodes, n_rounds, alpha, seed, colluders=(seed, seed + 1))
+    ring = res.ring_order
+    reference = ring_oracle.solve_each(ring, peers, stamps, alpha)
+    system = build_tof_system(ring, peers, stamps, alpha)
+    solution = solve_tof(system)
+    assert_same_solve(system, solution, reference)
+    # the run itself published exactly these solves and bounds
+    assert res.detection.unsolved == sorted(solution.failures)
+    assert [f"node {o}: flight-time solve failed: {exc}" for o, exc in reference.items()
+            if isinstance(exc, SolveFailure)] == res.rejections
+    for o, edges in edge_times(system, solution).items():
+        assert [(k, v.hex()) for k, v in res.ring_solutions[o].items()] == [
+            (k, v.hex()) for k, v in edges.items()]
+        assert res.detection.bound_error_m[o].hex() == (
+            res.scenario.config.c * reference[o].error_s).hex()
+    for est in res.estimates:
+        t = ring_oracle.edge_times(reference[est.measurer])[_edge_key(est.measurer, est.target)]
+        assert est.bound_m.hex() == max(res.scenario.config.c * t, 0.0).hex()
+
+    rng = np.random.default_rng(seed + 1)
+    k = int(rng.integers(n_nodes))
+    q = ring.index(peers[k])
+    own = (q, 2 * n_nodes - q if q else n_nodes)
+    logged = [m for m in range(2 * n_nodes) if m not in own]
+    spoilt = stamps.copy()
+    if spoil == "residual":
+        spoilt[-1, logged[int(rng.integers(len(logged)))], k] += 1e-6
+    elif spoil == "missing":
+        spoilt[int(rng.integers(n_rounds)), logged[int(rng.integers(len(logged)))], k] = np.nan
+    else:
+        spoilt[int(rng.integers(n_rounds)), own[int(rng.integers(2))], k] = 0.5
+    reference_spoilt = ring_oracle.solve_each(ring, peers, spoilt, alpha)
+    system = build_tof_system(ring, peers, spoilt, alpha)
+    assert_same_solve(system, solve_tof(system), reference_spoilt)
+    # only the spoilt observer changed; a single round fits any stamps
+    for o in peers:
+        if o != peers[k]:
+            assert type(reference_spoilt[o]) is type(reference[o])
+    if spoil != "residual" or n_rounds > 1:
+        assert isinstance(reference_spoilt[peers[k]], SolveFailure)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import gdbsim
 import gdbsim.cli  # noqa: F401  (loads the module the recorder patches)
+import ring_oracle
 from gdbsim.core import scenario_to_json
 from gdbsim.scenarios import mpnv_scenario
 
@@ -58,6 +59,36 @@ def test_traced_mpnv_run_records_every_layer_it_crosses():
     # 2 active verifiers x 3 provers, each exchange 2 rounds plus a closing
     assert recorder.calls["proto.exchange"] == 6
     assert recorder.calls["simkit.broadcast"] == result.trace.count()
+
+
+def test_traced_ring_run_records_the_batched_solve_and_cross_check():
+    """The ring's one batched build and solve and its cross-check are
+    seen, and the rows and unknowns counted are every observer's."""
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    patches = tracing.Patches(gdbsim, recorder)
+    scenario = gdbsim.core.load_scenario(str(GOLDEN / "ring_colluding.json"))
+    patches.install()
+    try:
+        result = gdbsim.proto.run_scenario(scenario)
+    finally:
+        patches.remove()
+    assert result.detection.mismatches
+    spans = ("threat.cross_check", "estimate.tof_build", "estimate.tof_solve")
+    assert {name: recorder.calls[name] for name in spans} == dict.fromkeys(spans, 1)
+    peers = sorted(result.ring_order)
+    n = scenario.config.n
+    seqs = [[em.seq for em in result.trace.emissions
+             if em.phase == "rapid" and em.round_index == r] for r in range(1, n + 1)]
+    stamps = result.trace.local_arrivals(seqs, peers)
+    systems = [
+        ring_oracle.build_tof_system([
+            ring_oracle.RingTiming(result.ring_order, o, stamps[r, :, k], scenario.config.alpha)
+            for r in range(n)])
+        for k, o in enumerate(peers)
+    ]
+    assert recorder.counts["tof_rows"] == sum(len(system.rows) for system in systems)
+    assert recorder.counts["tof_unknowns"] == sum(len(system.unknowns) for system in systems)
 
 
 def test_traced_artifact_write_records_one_export(tmp_path):

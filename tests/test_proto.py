@@ -187,6 +187,28 @@ def test_honest_ring_is_consistent(n_nodes, n_rounds, alpha, side_m, seed):
         assert abs(est.bound_m - truth) <= err[est.measurer]
 
 
+@pytest.mark.parametrize("n_nodes", [128, 256])
+def test_large_honest_ring_stays_within_its_error_model(n_nodes):
+    """At 128 and 256 members an honest ring still accuses and rejects
+    nobody, and every bound and every solved flight time sits within
+    its observer's rounding-error bound of the straight-line distance."""
+    s = regular_ring_scenario(n_nodes, 100.0, seed=n_nodes, n_rounds=2)
+    pos = s.positions()
+    r = run_scenario(s)
+    assert r.rejections == []
+    assert r.detection.consistent and not r.detection.accused
+    assert len(r.estimates) == n_nodes * (n_nodes - 1)
+    err = r.detection.bound_error_m
+    for est in r.estimates:
+        assert abs(est.bound_m - distance(pos[est.measurer], pos[est.target])) <= err[est.measurer]
+    c = s.config.c
+    assert set(r.ring_solutions) == set(pos)
+    for o, edges in r.ring_solutions.items():
+        assert len(edges) == 2 * n_nodes - 3
+        for (a, b), t in edges.items():
+            assert abs(c * t - distance(pos[a], pos[b])) <= err[o]
+
+
 def test_voided_ring_is_not_consistent():
     """A delayer that bends one round only leaves every observer's rounds
     irreconcilable: no bound is published, and the report says so

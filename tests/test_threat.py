@@ -1,8 +1,14 @@
 """Adversary policies, timing shaping, and cross-check detection."""
 import json
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ring_oracle
 
 from gdbsim.core import (
     NodeSpec,
@@ -167,16 +173,30 @@ def test_apply_policy_early_challenge_selection():
 # cross-check detection
 
 
+def as_matrix(bounds, nodes=None):
+    """The (nodes, matrix) form of {measurer: {target: bound}}, NaN where none.
+
+    nodes defaults to the measurers, the nodes the pairwise check compares.
+    """
+    nodes = sorted(bounds) if nodes is None else nodes
+    rows = [[bounds.get(a, {}).get(b, math.nan) for b in nodes] for a in nodes]
+    return nodes, np.array(rows, dtype=float).reshape(len(nodes), len(nodes))
+
+
+def check(bounds, *args, **kwargs):
+    return cross_check_detect(*as_matrix(bounds), *args, **kwargs)
+
+
 def test_consistent_bounds_pass():
     bounds = {1: {2: 10.0}, 2: {1: 10.0 + 1e-7}}
-    rep = cross_check_detect(bounds)
+    rep = check(bounds)
     assert rep.consistent and rep.accused == frozenset()
     assert rep.verdicts == {1: "consistent", 2: "consistent"}
 
 
 def test_disputed_pair_flagged():
     bounds = {1: {2: 10.0}, 2: {1: 25.0}}
-    rep = cross_check_detect(bounds)
+    rep = check(bounds)
     assert not rep.consistent
     assert rep.flags_pair(1, 2) and rep.flags_pair(2, 1)
     assert rep.mismatches[0].discrepancy_m == pytest.approx(15.0)
@@ -186,21 +206,21 @@ def test_disputed_pair_flagged():
 
 def test_one_sided_bounds_are_not_comparable():
     # nothing to cross-check without both directions
-    rep = cross_check_detect({1: {2: 10.0}, 2: {}})
+    rep = check({1: {2: 10.0}, 2: {}})
     assert rep.consistent
 
 
 def test_digest_outlier_flagged():
     bounds = {1: {2: 5.0}, 2: {1: 5.0}, 3: {}}
     digests = {1: b"aa", 2: b"aa", 3: b"zz"}
-    rep = cross_check_detect(bounds, digests)
+    rep = check(bounds, digests)
     assert rep.digest_outliers == [3]
     assert rep.verdicts[3] == "bad_digest"
     assert 3 in rep.accused
 
 
 def test_detection_report_serializes():
-    rep = cross_check_detect({1: {2: 10.0}, 2: {1: 25.0}})
+    rep = check({1: {2: 10.0}, 2: {1: 25.0}})
     d = rep.to_dict()
     assert d["consistent"] is False
     assert d["mismatches"][0]["discrepancy_m"] == pytest.approx(15.0)
@@ -209,8 +229,8 @@ def test_detection_report_serializes():
 
 def test_custom_threshold_respected():
     bounds = {1: {2: 10.0}, 2: {1: 10.5}}
-    assert cross_check_detect(bounds).consistent is False
-    assert cross_check_detect(bounds, eps_detect=1.0).consistent is True
+    assert check(bounds).consistent is False
+    assert check(bounds, eps_detect=1.0).consistent is True
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +275,7 @@ def test_ring_delay_sweep_symmetry_law():
 def test_bound_errors_raise_the_threshold_above_the_floor():
     bounds = {1: {2: 10.0, 3: 10.0}, 2: {1: 10.0 + 5e-5}, 3: {1: 10.0 + 2e-6}}
     errors = {1: 1e-6, 2: 3e-5, 3: 1e-7}
-    rep = cross_check_detect(bounds, bound_error_m=errors)
+    rep = check(bounds, bound_error_m=errors)
     # 5e-5 m exceeds 1e-6 + 3e-5 m; 2e-6 m stays under the 3 um floor
     assert [(m.node_a, m.node_b) for m in rep.mismatches] == [(1, 2)]
     assert rep.threshold_m(1, 2) == pytest.approx(3.1e-5)
@@ -264,13 +284,81 @@ def test_bound_errors_raise_the_threshold_above_the_floor():
     assert d["eps_detect_m"] == 3e-6
     assert d["bound_error_m"] == {"1": 1e-6, "2": 3e-5, "3": 1e-7}
     errors[2] = 5e-5
-    assert cross_check_detect(bounds, bound_error_m=errors).consistent
+    assert check(bounds, bound_error_m=errors).consistent
 
 
 def test_unsolved_observers_void_the_report_without_accusing_them():
-    rep = cross_check_detect({1: {2: 10.0}, 2: {1: 10.0}}, unsolved=[3])
+    rep = check({1: {2: 10.0}, 2: {1: 10.0}}, unsolved=[3])
     assert not rep.consistent
     assert rep.accused == frozenset()
     assert rep.verdicts == {1: "consistent", 2: "consistent", 3: "unsolved"}
     assert rep.to_dict()["unsolved"] == [3]
-    assert cross_check_detect({1: {2: 10.0}, 2: {1: 10.0}}).consistent
+    assert check({1: {2: 10.0}, 2: {1: 10.0}}).consistent
+
+
+def test_discrepancy_exactly_at_the_threshold_is_not_flagged():
+    bounds = {1: {2: 10.0}, 2: {1: 10.5}}
+    # 0.5 m apart against 0.25 + 0.25 m of error, and against a 0.5 m floor
+    assert check(bounds, bound_error_m={1: 0.25, 2: 0.25}).consistent
+    assert check(bounds, eps_detect=0.5).consistent
+    bounds[2][1] = math.nextafter(10.5, 11.0)
+    assert [(m.node_a, m.node_b) for m in check(bounds, eps_detect=0.5).mismatches] == [(1, 2)]
+
+
+SIXTEENTHS = st.integers(0, 48).map(lambda k: k / 16)
+
+
+@st.composite
+def cross_check_inputs(draw):
+    """Published bounds, errors, digests and unsolved observers.
+
+    Values are sixteenths, so every sum is exact and discrepancies can
+    land exactly on a threshold, an ulp above it or an ulp below.
+    """
+    ids = draw(st.lists(st.integers(1, 40), max_size=8, unique=True))
+    unsolved = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    publishers = [a for a in ids if a not in unsolved]
+    errors = {a: draw(SIXTEENTHS) for a in publishers if draw(st.booleans())}
+    eps = draw(SIXTEENTHS)
+    bounds = {a: {} for a in publishers}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            ab = draw(SIXTEENTHS) * 8
+            gap = max(eps, errors.get(a, 0.0) + errors.get(b, 0.0))
+            ba = draw(st.sampled_from([
+                ab, ab + gap, ab - gap, math.nextafter(ab + gap, math.inf),
+                math.nextafter(ab - gap, -math.inf), ab + 2 * gap + 1.0]))
+            # either direction may be missing, as from an unsolved observer
+            if a in bounds and draw(st.integers(0, 3)):
+                bounds[a][b] = ab
+            if b in bounds and draw(st.integers(0, 3)):
+                bounds[b][a] = ba
+    digests = {a: draw(st.sampled_from([b"x", b"y", b"z"])) for a in ids if draw(st.booleans())}
+    # the driver's form lists unsolved observers as all-NaN rows
+    nodes = sorted(ids) if draw(st.booleans()) else None
+    return bounds, errors, eps, digests, sorted(unsolved), nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(cross_check_inputs())
+@example(({1: {2: 10.0}, 2: {1: 10.5}}, {1: 0.25, 2: 0.25}, 0.0, {}, [], None))
+@example(({1: {2: 10.0, 3: 1.0}, 2: {1: 25.0}, 4: {1: 1.0}}, {}, 0.5,
+          {1: b"x", 2: b"x", 3: b"y"}, [3], [1, 2, 3, 4]))
+def test_array_cross_check_matches_the_pairwise_loop(inputs):
+    """The matrix cross-check reports what the pair-by-pair loop reports:
+    the same mismatches in the same (a < b) order, outliers, accused
+    nodes, verdicts and serialised report."""
+    bounds, errors, eps, digests, unsolved, nodes = inputs
+    got = cross_check_detect(*as_matrix(bounds, nodes), digests, eps, errors, unsolved)
+    want = ring_oracle.cross_check_pairwise(bounds, digests, eps, errors, unsolved)
+
+    def pairs(report):
+        return [(m.node_a, m.node_b, m.bound_ab_m.hex(), m.bound_ba_m.hex())
+                for m in report.mismatches]
+
+    assert pairs(got) == pairs(want)
+    assert got.digest_outliers == want.digest_outliers
+    assert got.accused == want.accused
+    assert list(got.verdicts.items()) == list(want.verdicts.items())
+    assert got.consistent == want.consistent
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
