@@ -43,8 +43,8 @@ O_POS = (0.0, 10.0)
 
 def observe(scenario, n):
     ctx = start_run(scenario)
-    nonces = tuple(ctx.draw_bits(1) for _ in range(n))
-    ex = run_exchange(ctx, 1, 2, nonces, 0, n, t_start=ctx.slot_s, closing=True)
+    ctx.nonces[2] = tuple(ctx.draw_bits(1) for _ in range(n))
+    ex = run_exchange(ctx, 1, 2, n, t_start=ctx.slot_s, closing=True)
     return passive_observations(ctx, ex, 9)
 
 

@@ -172,8 +172,8 @@ def check_overheard_geometry(quick: bool) -> Tuple[bool, str]:
     scn = oneway_scenario((0.0, 0.0), (-7.0, -7.0), n=3, seed=31,
                           observer_pos=(0.0, 10.0))
     ctx = start_run(scn)
-    nonces = tuple(ctx.draw_bits(scn.config.bit_len) for _ in range(scn.config.n))
-    ex = run_exchange(ctx, 1, 2, nonces, 0, scn.config.n, ctx.slot_s, closing=True)
+    ctx.nonces[2] = tuple(ctx.draw_bits(scn.config.bit_len) for _ in range(scn.config.n))
+    ex = run_exchange(ctx, 1, 2, scn.config.n, ctx.slot_s, closing=True)
     obs = passive_observations(ctx, ex, 9)
     if not obs:
         return False, "observer framed no rounds"

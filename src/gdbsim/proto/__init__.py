@@ -1,10 +1,9 @@
 """Protocol state machines driving the broadcast channel.
 
-Every driver shares one skeleton from base.py: commit_phase draws and
-commits each party's nonces, each rapid message goes out through the
-timing hook RunContext.emit, open_phase decommits (signing the commitment
-digest when auth is on), and check_responses replays every response
-against the opened nonces.  The ring family adds a signed report phase.
+Every driver shares the Brands-Chaum skeleton of base.py: commit_phase,
+rapid values from RunContext.answer sent through RunContext.emit,
+open_phase, and one check_answers replay of every answer against the
+opened nonces.  The ring family adds a signed report phase.
 
 An estimate's verified_auth (auth_ok in bounds.csv) is true iff auth is
 on and every signature the run required from either endpoint verified.
@@ -19,7 +18,6 @@ from .base import (
     NoActiveVerifier,
     ResponseMismatch,
     RunResult,
-    response_bits,
 )
 from .runner import run_scenario
 
@@ -30,6 +28,5 @@ __all__ = [
     "NoActiveVerifier",
     "ResponseMismatch",
     "RunResult",
-    "response_bits",
     "run_scenario",
 ]

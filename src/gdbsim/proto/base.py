@@ -1,10 +1,12 @@
 """Shared protocol types, the per-run bootstrap and the protocol skeleton.
 
 Every driver follows the Brands-Chaum shape: commit_phase draws and
-commits each party's rapid nonces, every timed message goes out through
-the one timing hook RunContext.emit, open_phase decommits (signing when
-auth is on), and check_responses replays every response against the
-opened nonces before any bound is published.
+commits each party's rapid nonces into the run's nonce ledger, every
+timed message goes out through the one timing hook RunContext.emit,
+every rapid value is a RunContext.answer (an operand XOR its sender's
+next committed nonce), open_phase decommits (signing when auth is on),
+and check_answers replays every answer against the opened nonces before
+any bound is published.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from ..threat import AdversaryPolicy, DetectionReport, apply_policy
 
 
 class ResponseMismatch(GdbSimError):
-    """A rapid-phase response does not match challenge XOR committed nonce."""
+    """A rapid-phase answer does not match its challenge XOR committed nonce."""
 
-    def __init__(self, round_index: int, message: str = "") -> None:
+    def __init__(self, round_index: int, node: NodeId, nonce_index: int) -> None:
         self.round_index = round_index
-        super().__init__(message or f"response mismatch in round {round_index}")
+        super().__init__(f"node {node}'s answer on nonce {nonce_index} in round "
+                         f"{round_index} is not its challenge XOR that nonce")
 
 
 class CommitMismatch(GdbSimError):
@@ -112,16 +115,17 @@ class RunResult:
 class RoundRecord:
     """One timed round as the measuring node's clock saw it."""
 
-    index: int
-    challenge: int
-    response: int
     t_send: float
     t_recv: float
 
 
 @dataclass
 class RunContext:
-    """Channel, RNG, and registry shared by one protocol execution."""
+    """Channel, RNG, registry and nonce ledger shared by one protocol execution.
+
+    nonces holds each party's committed rapid nonces; answer takes them
+    in order, answered counting them off, and logs each to answers.
+    """
 
     scenario: Scenario
     channel: BroadcastChannel
@@ -130,6 +134,10 @@ class RunContext:
     slot_s: float
     policies: Dict[NodeId, AdversaryPolicy]
     send_counters: Dict[NodeId, int] = field(default_factory=dict)
+    nonces: Dict[NodeId, Tuple[int, ...]] = field(default_factory=dict)
+    answered: Dict[NodeId, int] = field(default_factory=dict)
+    # (node, nonce index, operand, value, round index) for every answer in turn
+    answers: List[Tuple[NodeId, int, int, int, int]] = field(default_factory=list)
 
     def policy(self, node: NodeId) -> AdversaryPolicy:
         return self.policies[node]
@@ -168,6 +176,22 @@ class RunContext:
             early = True
         return self.channel.broadcast(node, t, kind, "rapid", payload, round_index, after, early)
 
+    def answer(
+        self, node: NodeId, operand: int, round_index: int, heard: Optional[int] = None
+    ) -> int:
+        """operand XOR node's next committed nonce, logged for check_answers.
+
+        heard is what a guessing prover XORed in place of operand; the log
+        keeps operand, the true challenge, so the replay catches every
+        wrong guess.
+        """
+        k = self.answered.get(node, 0)
+        self.answered[node] = k + 1
+        heard = operand if heard is None else heard
+        value = response_bits(heard, self.nonces[node][k], self.scenario.config.bit_len)
+        self.answers.append((node, k, operand, value, round_index))
+        return value
+
     def draw_bits(self, bit_len: int) -> int:
         return self.rng.getrandbits(bit_len) if bit_len else 0
 
@@ -204,24 +228,24 @@ Bundle = Tuple[Commitment, Opening]
 
 def commit_phase(
     ctx: RunContext, counts: Mapping[NodeId, int], t: float, broadcast: bool = True
-) -> Tuple[Dict[NodeId, Tuple[int, ...]], Dict[NodeId, Bundle], float]:
+) -> Tuple[Dict[NodeId, Bundle], float]:
     """Each owner in turn draws its nonces, commits, and announces the digest.
 
     counts maps every committing party, in announcement order, to the
-    number of rapid nonces it needs.  Every announcement takes its own
-    slot; with broadcast off the commitments travel outside the counted
-    messages and no slot is used.
+    number of rapid nonces it needs; the nonces go into ctx.nonces,
+    where RunContext.answer takes them in turn.  Every announcement
+    takes its own slot; with broadcast off the commitments travel
+    outside the counted messages and no slot is used.
     """
     bit_len = ctx.scenario.config.bit_len
-    nonces: Dict[NodeId, Tuple[int, ...]] = {}
     bundles: Dict[NodeId, Bundle] = {}
     for nid, count in counts.items():
-        nonces[nid] = tuple(ctx.draw_bits(bit_len) for _ in range(count))
-        bundles[nid] = commit(nonces[nid], bit_len, ctx.rng)
+        nonces = ctx.nonces[nid] = tuple(ctx.draw_bits(bit_len) for _ in range(count))
+        bundles[nid] = commit(nonces, bit_len, ctx.rng)
         if broadcast:
             ctx.channel.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
             t += ctx.slot_s
-    return nonces, bundles, t
+    return bundles, t
 
 
 def open_phase(
@@ -270,13 +294,17 @@ def beacons(ctx: RunContext, senders: Sequence[NodeId], phase: str, count: int, 
     return t
 
 
-def check_responses(
-    rounds: Sequence[RoundRecord], nonces: Sequence[int], offset: int, bit_len: int
-) -> None:
-    """Each response must be the challenge XOR the committed nonce."""
-    for r in rounds:
-        if r.response != response_bits(r.challenge, nonces[offset + r.index - 1], bit_len):
-            raise ResponseMismatch(r.index)
+def check_answers(ctx: RunContext) -> None:
+    """Replay every logged answer, in order, against the opened nonces.
+
+    The first value that is not its operand XOR the nonce it was due to
+    answer stops the run with ResponseMismatch.
+    """
+    bit_len = ctx.scenario.config.bit_len
+    nonces = ctx.nonces
+    for node, k, operand, value, round_index in ctx.answers:
+        if value != response_bits(operand, nonces[node][k], bit_len):
+            raise ResponseMismatch(round_index, node, k)
 
 
 def max_bound(rounds: Sequence[RoundRecord], alpha: float, c: float) -> float:

@@ -21,7 +21,7 @@ from .base import (
     NoActiveVerifier,
     RunContext,
     RunResult,
-    check_responses,
+    check_answers,
     commit_phase,
     open_phase,
     start_run,
@@ -72,11 +72,9 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     for watchers, _, provers, n_a, d_a in phases:
         for p in provers:
             need[p] = need.get(p, 0) + active_verifier_count(d_a, len(watchers)) * n_a
-    nonces, bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)}, ctx.slot_s)
-    cursors = dict.fromkeys(need, 0)
+    bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)}, ctx.slot_s)
     fold: Dict[Tuple[NodeId, NodeId], List] = {}  # (watcher, prover) -> [bound_m, rounds]
     actives: Set[NodeId] = set()
-    exchanges: List[Tuple[ExchangeResult, int]] = []
     for watchers, pool, provers, n_a, d_a in phases:
         selected = _select_actives(ctx, pool, len(watchers), d_a)
         actives.update(selected)
@@ -84,10 +82,7 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         for v in selected:
             row: List[ExchangeResult] = []
             for p in provers:
-                off = cursors[p]
-                ex = run_exchange(ctx, v, p, nonces[p], off, n_a, t, closing)
-                cursors[p] = off + n_a
-                exchanges.append((ex, off))
+                ex = run_exchange(ctx, v, p, n_a, t, closing)
                 row.append(ex)
                 t = ex.t_end + ctx.slot_s
             # pricing reads only the trace, so v's row is priced as one block
@@ -103,8 +98,7 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
                         entry[0] = bound
                     entry[1] += rounds
     open_phase(ctx, bundles, t)
-    for ex, off in exchanges:
-        check_responses(ex.rounds, nonces[ex.prover], off, cfg.bit_len)
+    check_answers(ctx)
     estimates = [
         DbEstimate(
             measurer=w, target=p, bound_m=bound,

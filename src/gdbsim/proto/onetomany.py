@@ -21,12 +21,11 @@ from .base import (
     RoundRecord,
     RunContext,
     RunResult,
-    check_responses,
+    check_answers,
     commit_phase,
     encode_value,
     max_bound,
     open_phase,
-    response_bits,
     start_run,
 )
 
@@ -36,55 +35,43 @@ def run_chain(
     v: NodeId,
     responders: Sequence[NodeId],
     n: int,
-    v_nonces: Sequence[int],
-    p_nonces: Mapping[NodeId, Sequence[int]],
-    p_offset: int,
     t_start: float,
 ) -> Tuple[Dict[NodeId, List[RoundRecord]], Dict[NodeId, List[RoundRecord]], float]:
     """n chained rounds of 2M+1 messages each.
 
-    Consumes the initiator's first n * (M + 1) nonces and n nonces per
-    responder from p_offset.  Returns the round records both ways plus
-    the time the chain wound down.
+    Every message answers the one before it: the initiator on n * (M + 1)
+    of its committed nonces, each responder on n.  Returns the round
+    records both ways plus the time the chain wound down.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
     m = len(responders)
     v_rounds: Dict[NodeId, List[RoundRecord]] = {p: [] for p in responders}
     p_rounds: Dict[NodeId, List[RoundRecord]] = {p: [] for p in responders}
-    v_used = 0
-    prev_value = 0
+    prev_value = 0  # the opener hears nothing, and 0 XOR nonce is the nonce
     msg_index = 0
     t_nominal = t_start
     for i in range(1, n + 1):
         # initiator emission j challenges responder j and closes responder j-1
         for j in range(m + 1):
-            v_non = v_nonces[v_used]
-            v_used += 1
-            value = v_non if msg_index == 0 else response_bits(v_non, prev_value, cfg.bit_len)
+            value = ctx.answer(v, prev_value, i)
             msg_index += 1
             em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
                           encode_value("m", msg_index, value), i)
             if j:
                 prev_p = responders[j - 1]
-                p_rounds[prev_p].append(RoundRecord(
-                    index=i, challenge=prev_value, response=value, t_send=p_sent,
-                    t_recv=chan.arrival_local(em.seq, prev_p),
-                ))
+                p_rounds[prev_p].append(RoundRecord(p_sent, chan.arrival_local(em.seq, prev_p)))
             prev_value = value
             if j == m:
                 break
 
             pj = responders[j]
             msg_index += 1
-            r_value = response_bits(prev_value, p_nonces[pj][p_offset + i - 1], cfg.bit_len)
+            r_value = ctx.answer(pj, prev_value, i)
             resp = ctx.emit(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, "response",
                             encode_value("m", msg_index, r_value), i, em.seq, v)
-            v_rounds[pj].append(RoundRecord(
-                index=i, challenge=prev_value, response=r_value,
-                t_send=em.t_send + chan.offsets[v],
-                t_recv=chan.arrival_local(resp.seq, v),
-            ))
+            v_rounds[pj].append(RoundRecord(em.t_send + chan.offsets[v],
+                                            chan.arrival_local(resp.seq, v)))
             p_sent = resp.t_send + chan.offsets[pj]
             prev_value = r_value
             t_nominal = chan.arrival_true(resp.seq, v) + cfg.alpha
@@ -121,8 +108,9 @@ def run_chains(
     """Each initiator in turn drives one chain over the responders.
 
     Every party commits once, initiators first, and opens once after
-    the last chain; only then are the responses checked.  Returns 2M
-    directional bounds per initiator.
+    the last chain; only then are the answers, the initiators' chain
+    values among them, checked.  Returns 2M directional bounds per
+    initiator.
     """
     cfg = ctx.scenario.config
     n = cfg.n
@@ -130,24 +118,18 @@ def run_chains(
         **{v: n * (len(responders) + 1) for v in initiators},
         **{p: n * len(initiators) for p in responders},
     }
-    nonces, bundles, t = commit_phase(ctx, counts, ctx.slot_s)
+    bundles, t = commit_phase(ctx, counts, ctx.slot_s)
 
     estimates: List[DbEstimate] = []
-    chains: List[Dict[NodeId, List[RoundRecord]]] = []
-    for k, v in enumerate(initiators):
-        v_rounds, p_rounds, t_end = run_chain(
-            ctx, v, responders, n, nonces[v], nonces, k * n, t
-        )
-        chains.append(v_rounds)
+    for v in initiators:
+        v_rounds, p_rounds, t_end = run_chain(ctx, v, responders, n, t)
         estimates.extend(chain_estimates(
             v, responders, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
         ))
         t = t_end + ctx.slot_s
 
     open_phase(ctx, bundles, t)
-    for k, v_rounds in enumerate(chains):
-        for p in responders:
-            check_responses(v_rounds[p], nonces[p], k * n, cfg.bit_len)
+    check_answers(ctx)
     return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
 
 

@@ -32,12 +32,11 @@ from .base import (
     RunContext,
     RunResult,
     beacons,
-    check_responses,
+    check_answers,
     commit_phase,
     encode_value,
     max_bound,
     open_phase,
-    response_bits,
     start_run,
 )
 
@@ -66,8 +65,6 @@ def run_exchange(
     ctx: RunContext,
     verifier: NodeId,
     prover: NodeId,
-    prover_nonces: Sequence[int],
-    nonce_offset: int,
     n_rounds: int,
     t_start: float,
     closing: bool,
@@ -76,15 +73,15 @@ def run_exchange(
 
     The closing emission carries no new challenge to time; it exists so
     that listeners get a schedule point after the final response.  The
-    prover consumes prover_nonces[nonce_offset : nonce_offset+n_rounds].
-    A guessing prover answers its first rounds ahead of the challenge,
-    on guessed bits.
+    prover answers on its next n_rounds committed nonces.  A guessing
+    prover answers its first rounds ahead of the challenge, on guessed
+    bits.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
     alpha = cfg.alpha
     bit_len = cfg.bit_len
-    emit, draw_bits = ctx.emit, ctx.draw_bits
+    emit, answer, draw_bits = ctx.emit, ctx.answer, ctx.draw_bits
     # the adds Trace.arrival_true makes, with the pair's flights read once
     tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
     v_offset = chan.offsets[verifier]
@@ -104,14 +101,13 @@ def run_exchange(
 
         # a guessing prover draws its bits once the challenge is out
         guess = i <= guessed
-        heard = draw_bits(bit_len) if guess else c_i
-        value = response_bits(heard, prover_nonces[nonce_offset + i - 1], bit_len)
+        value = answer(prover, c_i, i, draw_bits(bit_len) if guess else None)
         resp = emit(prover, (t_actual + tof_out) + alpha, "response",
                     encode_value("r", i, value), i, ch.seq, verifier, guess)
         response_seqs.append(resp.seq)
 
         t_back = resp.t_send + tof_back
-        rounds.append(RoundRecord(i, c_i, value, t_actual + v_offset, t_back + v_offset))
+        rounds.append(RoundRecord(t_actual + v_offset, t_back + v_offset))
         # the verifier recovers its honest timeline by adding back its own advance
         t_nominal = (t_back + (t_nominal - t_actual)) + alpha
         if t_back > t_end:
@@ -285,21 +281,16 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     partner = relay_front if relay_front is not None else provers[0]
 
     n_pre, n_post = _framing(cfg)
-    nonces, bundles, t = commit_phase(ctx, {partner: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
+    bundles, t = commit_phase(ctx, {partner: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
     t = beacons(ctx, [verifier], "pre", n_pre, t)
     if relay_front is None:
-        ex = run_exchange(
-            ctx, verifier, partner, nonces[partner], 0, cfg.n,
-            t_start=t, closing=bool(observers),
-        )
+        ex = run_exchange(ctx, verifier, partner, cfg.n, t_start=t, closing=bool(observers))
     else:
         victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
-        ex = _run_relay_exchange(
-            ctx, verifier, relay_front, victim, nonces[partner], t, bool(observers)
-        )
+        ex = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
     t = open_phase(ctx, bundles, ex.t_end + ctx.slot_s, broadcast=n_post > 0)
     beacons(ctx, [verifier], "post", n_post, t)
-    check_responses(ex.rounds, nonces[partner], 0, cfg.bit_len)
+    check_answers(ctx)
 
     # open_phase has refused any run whose required signatures did not verify
     estimates = [ex.estimate(cfg.auth_enabled)]
@@ -316,7 +307,6 @@ def _run_relay_exchange(
     verifier: NodeId,
     front: NodeId,
     victim: NodeId,
-    nonces: Sequence[int],
     t_start: float,
     closing: bool,
 ) -> ExchangeResult:
@@ -324,7 +314,8 @@ def _run_relay_exchange(
 
     The front retransmits with zero turnaround, so each round trip costs
     the full detour verifier-front-victim and back; no schedule trick
-    can make that shorter than the direct path.
+    can make that shorter than the direct path.  The victim answers on
+    the front's committed nonces, the ones the verifier checks.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
@@ -340,18 +331,15 @@ def _run_relay_exchange(
         nominal_sends.append(t_nominal)
         fwd = ctx.emit(front, chan.arrival_true(ch.seq, front), "relay", ch.payload, i,
                        ch.seq, verifier)
-        value = response_bits(c_i, nonces[i - 1], cfg.bit_len)
+        value = ctx.answer(front, c_i, i)
         vr = ctx.emit(victim, chan.arrival_true(fwd.seq, victim) + alpha, "response",
                       encode_value("r", i, value), i, fwd.seq, verifier)
         resp = ctx.emit(front, chan.arrival_true(vr.seq, front), "response", vr.payload, i,
                         vr.seq, verifier)
         response_seqs.append(resp.seq)
         t_back = chan.arrival_true(resp.seq, verifier)
-        rounds.append(RoundRecord(
-            index=i, challenge=c_i, response=value,
-            t_send=ch.t_send + chan.offsets[verifier],
-            t_recv=t_back + chan.offsets[verifier],
-        ))
+        rounds.append(RoundRecord(ch.t_send + chan.offsets[verifier],
+                                  t_back + chan.offsets[verifier]))
         t_nominal = (t_back + (t_nominal - ch.t_send)) + alpha
         t_end = max(t_end, t_back)
     if closing:
@@ -379,15 +367,12 @@ def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     cfg = scenario.config
     a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
     n_pre, n_post = _framing(cfg)
-    nonces, bundles, t = commit_phase(
-        ctx, {a: cfg.n + 1, b: cfg.n}, ctx.slot_s, broadcast=n_pre > 0
-    )
+    bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
     t = beacons(ctx, (a, b), "pre", n_pre, t)
-    ex_a, ex_b = _interleaved_rapid(ctx, a, b, nonces[a], nonces[b], t)
+    ex_a, ex_b = _interleaved_rapid(ctx, a, b, t)
     t = open_phase(ctx, bundles, ex_a.t_end + ctx.slot_s, broadcast=n_post > 0)
     beacons(ctx, (a, b), "post", n_post, t)
-    check_responses(ex_a.rounds, nonces[b], 0, cfg.bit_len)
-    check_responses(ex_b.rounds, nonces[a], 1, cfg.bit_len)
+    check_answers(ctx)
     estimates = [ex_a.estimate(cfg.auth_enabled), ex_b.estimate(cfg.auth_enabled)]
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
@@ -396,15 +381,14 @@ def _interleaved_rapid(
     ctx: RunContext,
     a: NodeId,
     b: NodeId,
-    a_nonces: Sequence[int],
-    b_nonces: Sequence[int],
     t_start: float,
 ) -> Tuple[ExchangeResult, ExchangeResult]:
     """The 2n+1 message chain; returns both directions' round records.
 
     The initiator a sends messages 1, 3, ..., 2n+1 and times b off each
-    odd-even gap; b times a off each even-odd gap.  Both results end at
-    the same t_end.
+    odd-even gap; b times a off each even-odd gap.  Each party strips
+    its own last nonce from what it hears to recover the challenge it
+    answers.  Both results end at the same t_end.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
@@ -412,24 +396,22 @@ def _interleaved_rapid(
     rounds_a: List[RoundRecord] = []
     rounds_b: List[RoundRecord] = []
 
-    prev = ctx.emit(a, t_start, "challenge", encode_value("m", 1, a_nonces[0]), 1, None, b)
+    # a opens on its first nonce, 0 XOR nonce; c is a's newest nonce, b's challenge
+    c = ctx.answer(a, 0, 1)
+    prev = ctx.emit(a, t_start, "challenge", encode_value("m", 1, c), 1, None, b)
     for k in range(1, cfg.n + 1):
-        v_b = response_bits(a_nonces[k - 1], b_nonces[k - 1], cfg.bit_len)
+        v_b = ctx.answer(b, c, k)
         em_b = ctx.emit(b, chan.arrival_true(prev.seq, b) + alpha, "response",
                         encode_value("m", 2 * k, v_b), k, prev.seq, a)
-        rounds_a.append(RoundRecord(
-            index=k, challenge=a_nonces[k - 1], response=v_b,
-            t_send=prev.t_send + chan.offsets[a],
-            t_recv=chan.arrival_local(em_b.seq, a),
-        ))
-        v_a = response_bits(a_nonces[k], b_nonces[k - 1], cfg.bit_len)
+        rounds_a.append(RoundRecord(prev.t_send + chan.offsets[a],
+                                    chan.arrival_local(em_b.seq, a)))
+        s = v_b ^ c  # b's nonce, a's challenge
+        v_a = ctx.answer(a, s, k)
         em_a = ctx.emit(a, chan.arrival_true(em_b.seq, a) + alpha, "response",
                         encode_value("m", 2 * k + 1, v_a), k, em_b.seq, b)
-        rounds_b.append(RoundRecord(
-            index=k, challenge=b_nonces[k - 1], response=v_a,
-            t_send=em_b.t_send + chan.offsets[b],
-            t_recv=chan.arrival_local(em_a.seq, b),
-        ))
+        rounds_b.append(RoundRecord(em_b.t_send + chan.offsets[b],
+                                    chan.arrival_local(em_a.seq, b)))
+        c = v_a ^ s
         prev = em_a
 
     t_last = prev.t_send + chan.reach(a)
@@ -450,61 +432,51 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     """Full mutual coverage of a peer group by one-way runs, both ways.
 
     Every unordered pair runs 2n rapid messages in each direction (4n
-    per pair); each node commits once up front and opens once at the
-    end.  This is the costliest coverage strategy and the yardstick the
-    ring protocol is compared against.
+    per pair); each node commits once up front, opens once at the end,
+    and only then are the answers checked.  This is the costliest
+    coverage strategy and the yardstick the ring protocol is compared
+    against.
     """
     ctx = start_run(scenario)
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
-    nonces, bundles, t = commit_phase(
-        ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers}, ctx.slot_s
-    )
+    bundles, t = commit_phase(ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers}, ctx.slot_s)
 
     estimates: List[DbEstimate] = []
-    used = {nid: 0 for nid in peers}
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
-                off = used[target]
-                ex = run_exchange(
-                    ctx, measurer, target, nonces[target], off, cfg.n,
-                    t_start=t, closing=False,
-                )
-                used[target] += cfg.n
-                check_responses(ex.rounds, nonces[target], off, cfg.bit_len)
+                ex = run_exchange(ctx, measurer, target, cfg.n, t_start=t, closing=False)
                 estimates.append(ex.estimate(cfg.auth_enabled))
                 t = ex.t_end + ctx.slot_s
 
     open_phase(ctx, bundles, t)
+    check_answers(ctx)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
 def run_sequential_interleaved(scenario: Scenario) -> RunResult:
-    """Full mutual coverage by per-pair interleaved chains, 2n+1 each."""
+    """Full mutual coverage by per-pair interleaved chains, 2n+1 each.
+
+    A peer opens the chain with each later peer (n+1 nonces) and answers
+    each earlier one (n nonces), so it commits exactly that many.
+    """
     ctx = start_run(scenario)
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
-    nonces, bundles, t = commit_phase(
-        ctx, {nid: (len(peers) - 1) * (cfg.n + 1) for nid in peers}, ctx.slot_s
+    last = len(peers) - 1
+    bundles, t = commit_phase(
+        ctx, {nid: (last - i) * (cfg.n + 1) + i * cfg.n for i, nid in enumerate(peers)},
+        ctx.slot_s,
     )
-    cursor = {nid: 0 for nid in peers}
-
-    def take(nid: NodeId, k: int) -> Tuple[int, ...]:
-        i = cursor[nid]
-        cursor[nid] = i + k
-        return nonces[nid][i:i + k]
 
     estimates: List[DbEstimate] = []
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
-            a_non = take(x, cfg.n + 1)
-            b_non = take(y, cfg.n)
-            ex_a, ex_b = _interleaved_rapid(ctx, x, y, a_non, b_non, t)
-            check_responses(ex_a.rounds, b_non, 0, cfg.bit_len)
-            check_responses(ex_b.rounds, a_non, 1, cfg.bit_len)
+            ex_a, ex_b = _interleaved_rapid(ctx, x, y, t)
             estimates += [ex_a.estimate(cfg.auth_enabled), ex_b.estimate(cfg.auth_enabled)]
             t = ex_a.t_end + ctx.slot_s
 
     open_phase(ctx, bundles, t)
+    check_answers(ctx)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

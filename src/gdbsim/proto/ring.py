@@ -27,12 +27,11 @@ from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches t
 from .base import (
     DbEstimate,
     METHOD_MULTIPARTY,
-    ResponseMismatch,
     RunResult,
+    check_answers,
     commit_phase,
     encode_value,
     open_phase,
-    response_bits,
     start_run,
     transcript_digest,
 )
@@ -60,30 +59,24 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     n_nodes = len(peers)
     n = cfg.n
 
-    nonces, bundles, t = commit_phase(ctx, {p: 2 * n for p in peers}, ctx.slot_s)
+    bundles, t = commit_phase(ctx, {p: 2 * n for p in peers}, ctx.slot_s)
     ring = derive_ring_order({p: bundles[p][0] for p in peers}, peers)
     order = snake_order(ring)
 
     seqs: List[List[int]] = []
-    # (sender, nonce index, value heard, value sent) for every message in turn
-    chain: List[Tuple[NodeId, int, int, int]] = []
-    nonce_cursor: Dict[NodeId, int] = {p: 0 for p in peers}
     prev_seq: Optional[int] = None
     prev_value = 0  # the first opener hears nothing, and 0 XOR nonce is the nonce
     t_round_start = t
     for r in range(n):
         round_seqs: List[int] = []
         for pos, sender in enumerate(order, start=1):
-            k = nonce_cursor[sender]
-            nonce_cursor[sender] = k + 1
-            value = response_bits(prev_value, nonces[sender][k], cfg.bit_len)
+            value = ctx.answer(sender, prev_value, r + 1)
             if pos == 1:
                 t_nominal = t_round_start
             else:
                 t_nominal = chan.arrival_true(prev_seq, sender) + cfg.alpha
             em = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
                           encode_value("m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
-            chain.append((sender, k, prev_value, value))
             prev_seq = em.seq
             prev_value = value
             round_seqs.append(em.seq)
@@ -96,14 +89,7 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     ) + ctx.slot_s
     # an unsigned node is accused through its report, not refused here
     t = open_phase(ctx, bundles, t, sign=False)
-
-    # replay every message against the opened nonces
-    for m, (sender, k, heard, sent) in enumerate(chain):
-        if sent != response_bits(heard, nonces[sender][k], cfg.bit_len):
-            r, pos = divmod(m, len(order))
-            raise ResponseMismatch(
-                r + 1, f"ring value at round {r + 1} position {pos + 1} off the chain"
-            )
+    check_answers(ctx)
 
     rapid_emissions = [em for em in chan.trace.emissions if em.phase == "rapid"]
     digest_hex = transcript_digest(rapid_emissions)

@@ -27,6 +27,8 @@ from gdbsim.proto.pairwise import (
     passive_bounds,
     passive_observations,
     run_exchange,
+    run_sequential_interleaved,
+    run_sequential_pairwise,
 )
 from gdbsim.proto.ring import run_ring_with_delays
 from gdbsim.proto.runner import run_scenario
@@ -49,6 +51,7 @@ from gdbsim.threat import (
 )
 
 C = SPEED_OF_LIGHT
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +379,38 @@ def test_guess_ahead_usually_caught():
         run_scenario(s)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), data=st.data(),
+       bit_len=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_guess_ahead_fails_exactly_on_a_wrong_guess(n, data, bit_len, seed):
+    """A guessing run is refused iff a guessed value differs from its challenge.
+
+    The challenges and the guesses are read off the channel: a challenge
+    payload carries c_i, and a response carries the guess XOR the
+    prover's committed nonce i.
+    """
+    p_rounds = data.draw(st.integers(min_value=0, max_value=n), label="p_rounds")
+    s = oneway_scenario(n=n, seed=seed, bit_len=bit_len,
+                        prover_policy=GuessAhead(p_rounds=p_rounds, advance_s=2e-8))
+    with pytest.MonkeyPatch.context() as mp:
+        contexts = ledgers(mp)
+        try:
+            run_scenario(s)
+            refused = None
+        except ResponseMismatch as exc:
+            refused = exc
+    ctx, = contexts
+    sent = {(em.kind, em.round_index): int(em.payload.split(b"|")[2])
+            for em in ctx.channel.trace.emissions if em.phase == "rapid"}
+    wrong = [i for i in range(1, p_rounds + 1)
+             if sent["response", i] ^ ctx.nonces[2][i - 1] != sent["challenge", i]]
+    if wrong:
+        assert refused is not None and refused.round_index == wrong[0]
+    else:
+        assert refused is None
+
+
 def test_guess_ahead_lucky_seed_shortens_bound():
     """A fraudster that wins its coin flips beats the true distance; the
     per-run risk assessment is what bounds how often that happens."""
@@ -473,11 +508,12 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
     row = []
     t = ctx.slot_s
     for p in prover_ids:
-        nonces = tuple(ctx.draw_bits(1) for _ in range(n))
-        row.append(run_exchange(ctx, 1, p, nonces, 0, n, t, closing))
+        nonces = ctx.nonces[p] = tuple(ctx.draw_bits(1) for _ in range(n))
+        row.append(run_exchange(ctx, 1, p, n, t, closing))
         t = row[-1].t_end + ctx.slot_s
     if relay:
-        row.append(_run_relay_exchange(ctx, 1, 30, 20, nonces, t, closing))
+        ctx.nonces[30] = nonces
+        row.append(_run_relay_exchange(ctx, 1, 30, 20, t, closing))
     return ctx, row, watchers
 
 
@@ -601,28 +637,92 @@ def test_ring_symmetric_delayer_cancels_in_the_solve():
     assert r.detection.consistent
 
 
-def test_ring_replay_names_the_message_off_the_chain(monkeypatch):
-    """A value that is not heard XOR nonce fails the replay after the open."""
+def slip_on_answer(monkeypatch, nth):
+    """Flip the nth rapid value a run computes, counting from 1."""
     calls = []
     honest = base.response_bits
 
     def slip(heard, nonce, bit_len):
         calls.append(heard)
         value = honest(heard, nonce, bit_len)
-        return value ^ 1 if len(calls) == 11 else value
+        return value ^ 1 if len(calls) == nth else value
 
-    monkeypatch.setattr("gdbsim.proto.ring.response_bits", slip)
-    # a 4-ring sends 8 messages a round, so message 11 is round 2, position 3
-    with pytest.raises(ResponseMismatch, match="round 2 position 3 off the chain") as exc:
-        run_scenario(regular_ring_scenario(4, 100.0, seed=7, n_rounds=2))
+    monkeypatch.setattr(base, "response_bits", slip)
+
+
+def test_ring_replay_names_the_message_off_the_chain(monkeypatch):
+    """A value that is not heard XOR nonce fails the replay after the open."""
+    scenario = regular_ring_scenario(4, 100.0, seed=7, n_rounds=2)
+    ring = run_scenario(scenario).ring_order
+    slip_on_answer(monkeypatch, 11)
+    # a 4-ring sends 8 messages a round, senders p1 p2 p3 p4 p1 p4 p3 p2, so
+    # message 11 is round 2, position 3: p3's third send, on its nonce 2
+    with pytest.raises(
+        ResponseMismatch, match=rf"^node {ring[2]}'s answer on nonce 2 in round 2 "
+    ) as exc:
+        run_scenario(scenario)
     assert exc.value.round_index == 2
+
+
+@pytest.mark.parametrize("scenario, estimates, initiator, nth", [
+    # 1 -> {2, 3, 4}: message 3 is initiator 1's second chain value
+    (peer_scenario(Protocol.ONE_TO_MANY, 4, n=2, seed=5), 6, 1, 3),
+    # {1, 2} -> {3, 4}: chain 1 computes 2 * 3 + 2 * 2 values, so
+    # message 13 is initiator 2's second chain value
+    (ntom_scenario(Protocol.NTOM_ONETOMANY, 2, 2, n=2, seed=5), 8, 2, 13),
+], ids=["one_to_many", "ntom_onetomany"])
+def test_chain_replay_checks_the_initiator(monkeypatch, scenario, estimates, initiator, nth):
+    """An initiator's chain value off its committed nonce fails the replay."""
+    assert len(run_scenario(scenario).estimates) == estimates
+    slip_on_answer(monkeypatch, nth)
+    with pytest.raises(
+        ResponseMismatch, match=rf"^node {initiator}'s answer on nonce 1 in round 1 "
+    ) as exc:
+        run_scenario(scenario)
+    assert exc.value.round_index == 1
+
+
+def ledgers(monkeypatch):
+    """Every RunContext that answers, in the order each first answers."""
+    contexts = []
+    honest = base.RunContext.answer
+
+    def spy(self, *args):
+        if not contexts or contexts[-1] is not self:
+            contexts.append(self)
+        return honest(self, *args)
+
+    monkeypatch.setattr(base.RunContext, "answer", spy)
+    return contexts
+
+
+def answered_once(ctx):
+    return sorted((node, k) for node, k, *_ in ctx.answers) == sorted(
+        (node, k) for node, ns in ctx.nonces.items() for k in range(len(ns)))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in GOLDEN.glob("*.json") if p.stem != "digests"))
+def test_every_committed_nonce_is_answered_once(name, monkeypatch):
+    contexts = ledgers(monkeypatch)
+    run_scenario(load_scenario(str(GOLDEN / f"{name}.json")))
+    assert len(contexts) == 1 and contexts[0].answers
+    assert answered_once(contexts[0])
+
+
+@pytest.mark.parametrize("baseline", [run_sequential_pairwise, run_sequential_interleaved])
+@pytest.mark.parametrize("count, n", [(4, 1), (5, 2), (6, 1)])
+def test_sequential_baselines_answer_every_committed_nonce_once(
+    baseline, count, n, monkeypatch
+):
+    contexts = ledgers(monkeypatch)
+    baseline(peer_scenario(Protocol.MULTI_PARTY_RING, count, n=n, seed=22))
+    assert len(contexts) == 1 and answered_once(contexts[0])
 
 
 # ---------------------------------------------------------------------------
 # the timing hook
 
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
