@@ -408,6 +408,9 @@ def _policy_issues(s: Scenario) -> List[ValidationIssue]:
             if n.role != Role.PROVER:
                 issues.append(ValidationIssue(
                     "PolicyInapplicable", fld, "Relay applies to a node posing as prover"))
+            elif s.protocol != Protocol.ONE_WAY:
+                issues.append(ValidationIssue(
+                    "PolicyInapplicable", fld, "Relay is driven only by OneWayDB"))
             if p.victim not in ids:
                 issues.append(ValidationIssue(
                     "ParamOutOfRange", fld, f"Relay victim {p.victim} not in scenario"))
@@ -549,11 +552,17 @@ def _check_mpnv_params(s: Scenario, n_verifiers: int, n_provers: int) -> List[Va
         issues.append(ValidationIssue(
             "ParamOutOfRange", "experiment.M",
             f"M={exp.M} but scenario has {n_provers} provers"))
-    if exp.n_p is not None and exp.n_a is not None and exp.n_p != s.config.n - exp.n_a:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment.n_p",
-            f"n_p must equal n - n_a = {s.config.n - exp.n_a}, got {exp.n_p}"))
+    issues.extend(_implied_n_p(s, ""))
     return issues
+
+
+def _implied_n_p(s: Scenario, group: str) -> List[ValidationIssue]:
+    """n_p<group>, when given, must be n - n_a<group>."""
+    n_a, n_p = getattr(s.experiment, "n_a" + group), getattr(s.experiment, "n_p" + group)
+    if n_p is None or n_a is None or n_p == s.config.n - n_a:
+        return []
+    return [ValidationIssue("ParamOutOfRange", f"experiment.n_p{group}",
+                            f"n_p{group} must equal n - n_a{group} = {s.config.n - n_a}, got {n_p}")]
 
 
 def _check_ntom_params(s: Scenario, n_peers: int) -> List[ValidationIssue]:
@@ -592,6 +601,7 @@ def _check_ntom_params(s: Scenario, n_peers: int) -> List[ValidationIssue]:
                 issues.append(ValidationIssue(
                     "ParamOutOfRange", f"experiment.{key}",
                     f"{key} must be in 1..n ({s.config.n}), got {v}"))
+        issues += _implied_n_p(s, "1") + _implied_n_p(s, "2")
     return issues
 
 

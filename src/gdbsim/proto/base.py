@@ -6,7 +6,9 @@ timed message goes out through the one timing hook RunContext.emit,
 every rapid value is a RunContext.answer (an operand XOR its sender's
 next committed nonce), open_phase decommits (signing when auth is on),
 and check_answers replays every answer against the opened nonces before
-any bound is published.
+any bound is published.  A driver names each timed round by its two
+emissions in RunContext.timed, and active_bounds alone reads the
+measurer's stamps for them off the trace and prices them.
 """
 
 from __future__ import annotations
@@ -111,20 +113,14 @@ class RunResult:
         raise KeyError(f"no estimate {measurer} -> {target}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One timed round as the measuring node's clock saw it."""
-
-    t_send: float
-    t_recv: float
-
-
 @dataclass
 class RunContext:
     """Channel, RNG, registry and nonce ledger shared by one protocol execution.
 
     nonces holds each party's committed rapid nonces; answer takes them
     in order, answered counting them off, and logs each to answers.
+    timed logs every timed round, in order, as (ask seq, reply seq): the
+    ask's sender measures, the reply's sender is its target.
     """
 
     scenario: Scenario
@@ -138,6 +134,7 @@ class RunContext:
     answered: Dict[NodeId, int] = field(default_factory=dict)
     # (node, nonce index, operand, value, round index) for every answer in turn
     answers: List[Tuple[NodeId, int, int, int, int]] = field(default_factory=list)
+    timed: List[Tuple[int, int]] = field(default_factory=list)
 
     def policy(self, node: NodeId) -> AdversaryPolicy:
         return self.policies[node]
@@ -307,9 +304,39 @@ def check_answers(ctx: RunContext) -> None:
             raise ResponseMismatch(round_index, node, k)
 
 
-def max_bound(rounds: Sequence[RoundRecord], alpha: float, c: float) -> float:
-    """Largest active bound over the rounds, the conservative estimate."""
-    return max(active_distance(r.t_send, r.t_recv, alpha, c) for r in rounds)
+def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId], List]:
+    """Every (measurer, target) pair's [bound_m, rounds] over ctx.timed[start:].
+
+    Each round is stamped on the measurer's own clock, its ask going out
+    and the reply coming in, and priced by active_distance; a pair's
+    bound is the largest over its rounds, the first of equal ones.  Pairs
+    come in the order they were first timed, and the first impossible
+    round, in ledger order, raises NegativeTimeOfFlight.
+    """
+    cfg = ctx.scenario.config
+    alpha, c = cfg.alpha, cfg.c
+    trace = ctx.channel.trace
+    emissions, offsets = trace.emissions, trace.offsets
+    out: Dict[Tuple[NodeId, NodeId], List] = {}
+    for ask, reply in ctx.timed[start:]:
+        m = emissions[ask].sender
+        bound = active_distance(emissions[ask].t_send + offsets[m],
+                                trace.arrival_local(reply, m), alpha, c)
+        entry = out.setdefault((m, emissions[reply].sender), [bound, 0])
+        if bound > entry[0]:
+            entry[0] = bound
+        entry[1] += 1
+    return out
+
+
+def active_estimates(ctx: RunContext, start: int = 0) -> List[DbEstimate]:
+    """active_bounds as estimates; a run whose signatures fail stops in open_phase."""
+    auth = ctx.scenario.config.auth_enabled
+    return [
+        DbEstimate(measurer=m, target=t, bound_m=bound, method=METHOD_ACTIVE,
+                   rounds_used=rounds, verified_auth=auth)
+        for (m, t), (bound, rounds) in active_bounds(ctx, start).items()
+    ]
 
 
 def encode_value(kind: str, round_index: int, value: int) -> bytes:

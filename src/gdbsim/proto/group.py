@@ -21,6 +21,7 @@ from .base import (
     NoActiveVerifier,
     RunContext,
     RunResult,
+    active_bounds,
     check_answers,
     commit_phase,
     open_phase,
@@ -56,11 +57,12 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     """Commit in ascending id order, run the listening phases in turn, open, check.
 
     In a phase every selected verifier runs its row of exchanges, one
-    per prover, and the row is then priced for every other watcher in
-    one call.  The closing emission after each exchange's last response
-    is what lets listeners frame all n_a rounds; when every watcher is
-    active for all n rounds nobody needs it and it is omitted, which
-    collapses the phase to the all-active baseline.
+    per prover; the row's rounds are then priced actively for the
+    verifier and passively for every other watcher in one call.  The
+    closing emission after each exchange's last response is what lets
+    listeners frame all n_a rounds; when every watcher is active for all
+    n rounds nobody needs it and it is omitted, which collapses the
+    phase to the all-active baseline.
 
     Each (watcher, prover) estimate is the conservative composite: the
     largest bound any source produced (the first of equal ones) and the
@@ -80,14 +82,16 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         actives.update(selected)
         closing = not (n_a == cfg.n and len(selected) == len(watchers))
         for v in selected:
+            start = len(ctx.timed)
             row: List[ExchangeResult] = []
             for p in provers:
                 ex = run_exchange(ctx, v, p, n_a, t, closing)
                 row.append(ex)
                 t = ex.t_end + ctx.slot_s
             # pricing reads only the trace, so v's row is priced as one block
+            active = active_bounds(ctx, start)
             for ex, priced in zip(row, passive_bounds(ctx, row, watchers)):
-                priced[v] = (ex.bound_m, n_a)
+                priced[v] = active[(v, ex.prover)]
                 # one bound per pair and row: max()'s first-wins ties follow selection order
                 for w, (bound, rounds) in priced.items():
                     entry = fold.get((w, ex.prover))

@@ -10,21 +10,18 @@ directions for every pair, replacing 4nM one-way messages with n(2M+1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Sequence
 
 from ..core import NodeId, Role, Scenario
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
-    DbEstimate,
-    METHOD_ACTIVE,
-    RoundRecord,
     RunContext,
     RunResult,
+    active_estimates,
     check_answers,
     commit_phase,
     encode_value,
-    max_bound,
     open_phase,
     start_run,
 )
@@ -36,18 +33,18 @@ def run_chain(
     responders: Sequence[NodeId],
     n: int,
     t_start: float,
-) -> Tuple[Dict[NodeId, List[RoundRecord]], Dict[NodeId, List[RoundRecord]], float]:
-    """n chained rounds of 2M+1 messages each.
+) -> float:
+    """n chained rounds of 2M+1 messages each; returns the time the chain wound down.
 
     Every message answers the one before it: the initiator on n * (M + 1)
-    of its committed nonces, each responder on n.  Returns the round
-    records both ways plus the time the chain wound down.
+    of its committed nonces, each responder on n.  The initiator times
+    each responder off its challenge and the response, the responder
+    times the initiator off its response and the next initiator emission.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
+    timed = ctx.timed
     m = len(responders)
-    v_rounds: Dict[NodeId, List[RoundRecord]] = {p: [] for p in responders}
-    p_rounds: Dict[NodeId, List[RoundRecord]] = {p: [] for p in responders}
     prev_value = 0  # the opener hears nothing, and 0 XOR nonce is the nonce
     msg_index = 0
     t_nominal = t_start
@@ -59,8 +56,7 @@ def run_chain(
             em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
                           encode_value("m", msg_index, value), i)
             if j:
-                prev_p = responders[j - 1]
-                p_rounds[prev_p].append(RoundRecord(p_sent, chan.arrival_local(em.seq, prev_p)))
+                timed.append((resp.seq, em.seq))
             prev_value = value
             if j == m:
                 break
@@ -70,36 +66,12 @@ def run_chain(
             r_value = ctx.answer(pj, prev_value, i)
             resp = ctx.emit(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, "response",
                             encode_value("m", msg_index, r_value), i, em.seq, v)
-            v_rounds[pj].append(RoundRecord(em.t_send + chan.offsets[v],
-                                            chan.arrival_local(resp.seq, v)))
-            p_sent = resp.t_send + chan.offsets[pj]
+            timed.append((em.seq, resp.seq))
             prev_value = r_value
             t_nominal = chan.arrival_true(resp.seq, v) + cfg.alpha
 
         t_nominal = max(chan.arrival_true(em.seq, p) for p in responders) + cfg.alpha
-    return v_rounds, p_rounds, t_nominal
-
-
-def chain_estimates(
-    v: NodeId,
-    responders: Sequence[NodeId],
-    v_rounds: Mapping[NodeId, List[RoundRecord]],
-    p_rounds: Mapping[NodeId, List[RoundRecord]],
-    alpha: float,
-    c: float,
-    auth: bool,
-) -> List[DbEstimate]:
-    """Max-over-rounds bounds, initiator first, then the responders."""
-    out: List[DbEstimate] = []
-    for measurer, target, rounds in (
-        [(v, pj, v_rounds[pj]) for pj in responders]
-        + [(pj, v, p_rounds[pj]) for pj in responders]
-    ):
-        out.append(DbEstimate(
-            measurer=measurer, target=target, bound_m=max_bound(rounds, alpha, c),
-            method=METHOD_ACTIVE, rounds_used=len(rounds), verified_auth=auth,
-        ))
-    return out
+    return t_nominal
 
 
 def run_chains(
@@ -110,23 +82,22 @@ def run_chains(
     Every party commits once, initiators first, and opens once after
     the last chain; only then are the answers, the initiators' chain
     values among them, checked.  Returns 2M directional bounds per
-    initiator.
+    initiator, its own first, then the responders'.
     """
-    cfg = ctx.scenario.config
-    n = cfg.n
+    n = ctx.scenario.config.n
     counts = {
         **{v: n * (len(responders) + 1) for v in initiators},
         **{p: n * len(initiators) for p in responders},
     }
     bundles, t = commit_phase(ctx, counts, ctx.slot_s)
 
-    estimates: List[DbEstimate] = []
+    estimates = []
     for v in initiators:
-        v_rounds, p_rounds, t_end = run_chain(ctx, v, responders, n, t)
-        estimates.extend(chain_estimates(
-            v, responders, v_rounds, p_rounds, cfg.alpha, cfg.c, cfg.auth_enabled
-        ))
-        t = t_end + ctx.slot_s
+        start = len(ctx.timed)
+        t = run_chain(ctx, v, responders, n, t) + ctx.slot_s
+        # pairs are first timed v -> p_j, p_j -> v in turn
+        chain = active_estimates(ctx, start)
+        estimates += chain[0::2] + chain[1::2]
 
     open_phase(ctx, bundles, t)
     check_answers(ctx)

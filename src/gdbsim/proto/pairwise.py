@@ -26,16 +26,14 @@ from ..threat import FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     DbEstimate,
-    METHOD_ACTIVE,
     METHOD_PASSIVE,
-    RoundRecord,
     RunContext,
     RunResult,
+    active_estimates,
     beacons,
     check_answers,
     commit_phase,
     encode_value,
-    max_bound,
     open_phase,
     start_run,
 )
@@ -43,22 +41,13 @@ from .base import (
 
 @dataclass
 class ExchangeResult:
-    """Outcome of one verifier-prover rapid exchange."""
+    """Outcome of one verifier-prover rapid exchange; its rounds are in ctx.timed."""
 
     verifier: NodeId
     prover: NodeId
-    rounds: List[RoundRecord]
     nominal_sends: List[float]      # published schedule, true clock, one per verifier emission
-    response_seqs: List[int]
-    bound_m: float
+    response_seqs: List[int]        # one per round, as the verifier heard it
     t_end: float                    # true time of the last arrival anyone needs
-
-    def estimate(self, auth: bool) -> DbEstimate:
-        """The verifier's active bound on its partner."""
-        return DbEstimate(
-            measurer=self.verifier, target=self.prover, bound_m=self.bound_m,
-            method=METHOD_ACTIVE, rounds_used=len(self.rounds), verified_auth=auth,
-        )
 
 
 def run_exchange(
@@ -81,13 +70,11 @@ def run_exchange(
     chan = ctx.channel
     alpha = cfg.alpha
     bit_len = cfg.bit_len
-    emit, answer, draw_bits = ctx.emit, ctx.answer, ctx.draw_bits
+    emit, answer, draw_bits, timed = ctx.emit, ctx.answer, ctx.draw_bits, ctx.timed
     # the adds Trace.arrival_true makes, with the pair's flights read once
     tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
-    v_offset = chan.offsets[verifier]
     p_policy = ctx.policy(prover)
     guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
-    rounds: List[RoundRecord] = []
     nominal_sends: List[float] = []
     response_seqs: List[int] = []
     t_nominal = t_start
@@ -105,9 +92,9 @@ def run_exchange(
         resp = emit(prover, (t_actual + tof_out) + alpha, "response",
                     encode_value("r", i, value), i, ch.seq, verifier, guess)
         response_seqs.append(resp.seq)
+        timed.append((ch.seq, resp.seq))
 
         t_back = resp.t_send + tof_back
-        rounds.append(RoundRecord(t_actual + v_offset, t_back + v_offset))
         # the verifier recovers its honest timeline by adding back its own advance
         t_nominal = (t_back + (t_nominal - t_actual)) + alpha
         if t_back > t_end:
@@ -121,10 +108,8 @@ def run_exchange(
     return ExchangeResult(
         verifier=verifier,
         prover=prover,
-        rounds=rounds,
         nominal_sends=nominal_sends,
         response_seqs=response_seqs,
-        bound_m=max_bound(rounds, alpha, cfg.c),
         t_end=t_end,
     )
 
@@ -142,7 +127,7 @@ def _framed(ex: ExchangeResult) -> int:
     A round needs a follow-up emission, so the last round counts only
     when the exchange was closed.
     """
-    return max(0, min(len(ex.rounds), len(ex.nominal_sends) - 1))
+    return max(0, min(len(ex.response_seqs), len(ex.nominal_sends) - 1))
 
 
 def _passive_timings(
@@ -288,12 +273,11 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     else:
         victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
         ex = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
+    estimates = active_estimates(ctx)
     t = open_phase(ctx, bundles, ex.t_end + ctx.slot_s, broadcast=n_post > 0)
     beacons(ctx, [verifier], "post", n_post, t)
     check_answers(ctx)
 
-    # open_phase has refused any run whose required signatures did not verify
-    estimates = [ex.estimate(cfg.auth_enabled)]
     for w, (bound, rounds) in passive_bounds(ctx, [ex], observers)[0].items():
         estimates.append(DbEstimate(
             measurer=w, target=partner, bound_m=bound,
@@ -320,7 +304,6 @@ def _run_relay_exchange(
     cfg = ctx.scenario.config
     chan = ctx.channel
     alpha = cfg.alpha
-    rounds: List[RoundRecord] = []
     nominal_sends: List[float] = []
     response_seqs: List[int] = []
     t_nominal = t_start
@@ -337,18 +320,17 @@ def _run_relay_exchange(
         resp = ctx.emit(front, chan.arrival_true(vr.seq, front), "response", vr.payload, i,
                         vr.seq, verifier)
         response_seqs.append(resp.seq)
+        ctx.timed.append((ch.seq, resp.seq))  # the front answers the verifier
         t_back = chan.arrival_true(resp.seq, verifier)
-        rounds.append(RoundRecord(ch.t_send + chan.offsets[verifier],
-                                  t_back + chan.offsets[verifier]))
         t_nominal = (t_back + (t_nominal - ch.t_send)) + alpha
         t_end = max(t_end, t_back)
     if closing:
-        ctx.emit(verifier, t_nominal, "closing", encode_value("x", cfg.n + 1, 0), cfg.n + 1)
+        em = ctx.emit(verifier, t_nominal, "closing", encode_value("x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
+        t_end = max(t_end, em.t_send + chan.reach(verifier))
     return ExchangeResult(
-        verifier=verifier, prover=front, rounds=rounds,
-        nominal_sends=nominal_sends, response_seqs=response_seqs,
-        bound_m=max_bound(rounds, alpha, cfg.c), t_end=t_end,
+        verifier=verifier, prover=front, nominal_sends=nominal_sends,
+        response_seqs=response_seqs, t_end=t_end,
     )
 
 
@@ -369,11 +351,11 @@ def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     n_pre, n_post = _framing(cfg)
     bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
     t = beacons(ctx, (a, b), "pre", n_pre, t)
-    ex_a, ex_b = _interleaved_rapid(ctx, a, b, t)
-    t = open_phase(ctx, bundles, ex_a.t_end + ctx.slot_s, broadcast=n_post > 0)
+    t_end = _interleaved_rapid(ctx, a, b, t)
+    estimates = active_estimates(ctx)
+    t = open_phase(ctx, bundles, t_end + ctx.slot_s, broadcast=n_post > 0)
     beacons(ctx, (a, b), "post", n_post, t)
     check_answers(ctx)
-    estimates = [ex_a.estimate(cfg.auth_enabled), ex_b.estimate(cfg.auth_enabled)]
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
@@ -382,19 +364,17 @@ def _interleaved_rapid(
     a: NodeId,
     b: NodeId,
     t_start: float,
-) -> Tuple[ExchangeResult, ExchangeResult]:
-    """The 2n+1 message chain; returns both directions' round records.
+) -> float:
+    """The 2n+1 message chain; returns the true time its last message has reached everyone.
 
     The initiator a sends messages 1, 3, ..., 2n+1 and times b off each
     odd-even gap; b times a off each even-odd gap.  Each party strips
     its own last nonce from what it hears to recover the challenge it
-    answers.  Both results end at the same t_end.
+    answers.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
     alpha = cfg.alpha
-    rounds_a: List[RoundRecord] = []
-    rounds_b: List[RoundRecord] = []
 
     # a opens on its first nonce, 0 XOR nonce; c is a's newest nonce, b's challenge
     c = ctx.answer(a, 0, 1)
@@ -403,25 +383,15 @@ def _interleaved_rapid(
         v_b = ctx.answer(b, c, k)
         em_b = ctx.emit(b, chan.arrival_true(prev.seq, b) + alpha, "response",
                         encode_value("m", 2 * k, v_b), k, prev.seq, a)
-        rounds_a.append(RoundRecord(prev.t_send + chan.offsets[a],
-                                    chan.arrival_local(em_b.seq, a)))
+        ctx.timed.append((prev.seq, em_b.seq))
         s = v_b ^ c  # b's nonce, a's challenge
         v_a = ctx.answer(a, s, k)
         em_a = ctx.emit(a, chan.arrival_true(em_b.seq, a) + alpha, "response",
                         encode_value("m", 2 * k + 1, v_a), k, em_b.seq, b)
-        rounds_b.append(RoundRecord(em_b.t_send + chan.offsets[b],
-                                    chan.arrival_local(em_a.seq, b)))
+        ctx.timed.append((em_b.seq, em_a.seq))
         c = v_a ^ s
         prev = em_a
-
-    t_last = prev.t_send + chan.reach(a)
-    ex_a = ExchangeResult(verifier=a, prover=b, rounds=rounds_a, nominal_sends=[],
-                          response_seqs=[], bound_m=max_bound(rounds_a, alpha, cfg.c),
-                          t_end=t_last)
-    ex_b = ExchangeResult(verifier=b, prover=a, rounds=rounds_b, nominal_sends=[],
-                          response_seqs=[], bound_m=max_bound(rounds_b, alpha, cfg.c),
-                          t_end=t_last)
-    return ex_a, ex_b
+    return prev.t_send + chan.reach(a)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +411,11 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
     bundles, t = commit_phase(ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers}, ctx.slot_s)
-
-    estimates: List[DbEstimate] = []
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
-                ex = run_exchange(ctx, measurer, target, cfg.n, t_start=t, closing=False)
-                estimates.append(ex.estimate(cfg.auth_enabled))
-                t = ex.t_end + ctx.slot_s
-
+                t = run_exchange(ctx, measurer, target, cfg.n, t, False).t_end + ctx.slot_s
+    estimates = active_estimates(ctx)
     open_phase(ctx, bundles, t)
     check_answers(ctx)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
@@ -470,13 +436,10 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
         ctx.slot_s,
     )
 
-    estimates: List[DbEstimate] = []
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
-            ex_a, ex_b = _interleaved_rapid(ctx, x, y, t)
-            estimates += [ex_a.estimate(cfg.auth_enabled), ex_b.estimate(cfg.auth_enabled)]
-            t = ex_a.t_end + ctx.slot_s
-
+            t = _interleaved_rapid(ctx, x, y, t) + ctx.slot_s
+    estimates = active_estimates(ctx)
     open_phase(ctx, bundles, t)
     check_answers(ctx)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

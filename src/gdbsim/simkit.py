@@ -271,6 +271,3 @@ class BroadcastChannel:
     def arrival_true(self, seq: int, receiver: NodeId) -> float:
         return self.trace.arrival_true(seq, receiver)
 
-    def arrival_local(self, seq: int, receiver: NodeId) -> float:
-        return self.trace.arrival_local(seq, receiver)
-

@@ -1,4 +1,5 @@
 """Scenario model: arithmetic helpers, strict JSON I/O, semantic validation."""
+import dataclasses
 import json
 
 import pytest
@@ -22,7 +23,13 @@ from gdbsim.core import (
     scenario_to_json,
     validate_scenario,
 )
-from gdbsim.scenarios import mpnv_scenario, ntom_scenario, oneway_scenario, peer_scenario
+from gdbsim.scenarios import (
+    mpnv_scenario,
+    ntom_scenario,
+    oneway_scenario,
+    peer_scenario,
+    with_policy,
+)
 from gdbsim.threat import (
     EarlyChallenge,
     FakeLocationReport,
@@ -303,6 +310,23 @@ def test_oneway_allows_relay_pair():
     relay = NodeSpec(id=3, pos=(40.0, 40.0), role=Role.PROVER, policy=Relay(victim=2))
     s = oneway_scenario(extra_nodes=[relay])
     assert validate_scenario(s) == []
+
+
+def test_relay_outside_oneway_is_refused():
+    s = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=2, m_provers=2)
+    relayed = with_policy(s, 3, Relay(victim=4))
+    assert [(i.code, i.fld) for i in validate_scenario(relayed)] == [
+        ("PolicyInapplicable", "nodes[2].policy")]
+
+
+@pytest.mark.parametrize("key, value", [("n_p1", 7), ("n_p2", -3)])
+def test_ntom_passive_checks_implied_passive_rounds(key, value):
+    s = ntom_scenario(Protocol.NTOM_PASSIVE, 1, 1, n=2, d_1=1.0, d_2=1.0,
+                      n_a1=1, n_a2=1, n_p1=1, n_p2=1)
+    assert validate_scenario(s) == []
+    bad = dataclasses.replace(s, experiment=dataclasses.replace(s.experiment, **{key: value}))
+    assert [(i.code, i.fld) for i in validate_scenario(bad)] == [
+        ("ParamOutOfRange", f"experiment.{key}")]
 
 
 def test_mpnv_requires_experiment_params():

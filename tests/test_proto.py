@@ -19,7 +19,7 @@ from gdbsim.core import (
     load_scenario,
 )
 from gdbsim.estimate import NegativeTimeOfFlight
-from gdbsim.proto import base
+from gdbsim.proto import base, group
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     _run_relay_exchange,
@@ -151,6 +151,23 @@ def test_chain_bounds_match_geometry():
     pos = s.positions()
     r = run_scenario(s)
     for est in r.estimates:
+        assert est.bound_m == pytest.approx(
+            distance(pos[est.measurer], pos[est.target]), abs=1e-6)
+
+
+@pytest.mark.parametrize("baseline", [run_sequential_pairwise, run_sequential_interleaved])
+def test_sequential_baselines_bound_every_ordered_pair(baseline):
+    """The criterion-2 square: each baseline bounds all 12 ordered pairs actively."""
+    s = peer_scenario(
+        Protocol.MULTI_PARTY_RING,
+        positions=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0)], n=1, seed=22,
+    )
+    pos = s.positions()
+    r = baseline(s)
+    assert sorted((e.measurer, e.target) for e in r.estimates) == [
+        (a, b) for a in sorted(pos) for b in sorted(pos) if a != b]
+    for est in r.estimates:
+        assert est.method == "active" and est.rounds_used == s.config.n
         assert est.bound_m == pytest.approx(
             distance(pos[est.measurer], pos[est.target]), abs=1e-6)
 
@@ -411,6 +428,27 @@ def test_guess_ahead_fails_exactly_on_a_wrong_guess(n, data, bit_len, seed):
         assert refused is None
 
 
+@pytest.mark.parametrize("observer_pos", [None, (30.0, 60.0)])
+def test_impossible_round_is_refused_before_a_wrong_guess(observer_pos):
+    """Active pricing runs before the replay: a 1 us head start at 90 m is
+    an impossible round trip, reported even though a guess is also wrong."""
+    s = oneway_scenario(n=3, seed=0, observer_pos=observer_pos,
+                        prover_policy=GuessAhead(p_rounds=3, advance_s=1e-6))
+    with pytest.raises(NegativeTimeOfFlight) as got:
+        run_scenario(s)
+    assert str(got.value) == "round trip -3.995846286075633e-07 s shorter than processing 0.0 s"
+
+
+def test_group_prices_active_rounds_before_passive_ones(monkeypatch):
+    priced = []
+    monkeypatch.setattr(group, "passive_bounds",
+                        lambda *args: priced.append(args) or passive_bounds(*args))
+    s = with_policy(mpnv_scenario(3, 2, 0.5, 4, 3, seed=11), 6, GuessAhead(2, 1e-5))
+    with pytest.raises(NegativeTimeOfFlight):
+        run_scenario(s)
+    assert priced == []
+
+
 def test_guess_ahead_lucky_seed_shortens_bound():
     """A fraudster that wins its coin flips beats the true distance; the
     per-run risk assessment is what bounds how often that happens."""
@@ -476,7 +514,7 @@ def priced_one_by_one(ctx, ex, watchers):
         base_tof = chan.dist(ex.verifier, w) / chan.c
         for i, o in enumerate(obs):
             assert o.t1 == ex.nominal_sends[i] + base_tof + chan.offsets[w]
-            assert o.t2 == chan.arrival_local(ex.response_seqs[i], w)
+            assert o.t2 == chan.trace.arrival_local(ex.response_seqs[i], w)
             assert o.t3 == ex.nominal_sends[i + 1] + base_tof + chan.offsets[w]
         if obs:
             out[w] = (observed_bound(obs), len(obs))
@@ -497,7 +535,8 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
     nodes = [NodeSpec(id=1, pos=v_pos, role=Role.ACTIVE_VERIFIER, policy=policy)]
     nodes += [NodeSpec(id=p, pos=rest.pop(0), role=Role.PROVER) for p in prover_ids]
     if relay:
-        nodes.append(NodeSpec(id=30, pos=rest.pop(0), role=Role.PROVER, policy=Relay(victim=20)))
+        # driven by hand below: MPNV refuses a Relay policy
+        nodes.append(NodeSpec(id=30, pos=rest.pop(0), role=Role.PROVER))
     watchers = [10 + k for k in range(len(rest))]
     nodes += [NodeSpec(id=w, pos=pos, role=Role.PASSIVE_VERIFIER)
               for w, pos in zip(watchers, rest)]

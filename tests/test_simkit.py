@@ -40,7 +40,7 @@ def test_local_readings_add_offset():
     chan = make_channel(offsets={1: 0.0, 2: 0.25, 3: 0.0})
     em = chan.broadcast(1, 0.0, "beacon", "pre")
     true_t = chan.arrival_true(em.seq, 2)
-    assert chan.arrival_local(em.seq, 2) == pytest.approx(true_t + 0.25)
+    assert chan.trace.arrival_local(em.seq, 2) == pytest.approx(true_t + 0.25)
 
 
 def test_tof_is_symmetric():
