@@ -11,25 +11,25 @@ as a shortened passive bound.
 Usage:
     python3 scripts/passive_geometry_demo.py
     python3 scripts/passive_geometry_demo.py --advance-ns 30
+    python3 scripts/passive_geometry_demo.py --advance-ns 63
     python3 scripts/passive_geometry_demo.py --advance-ns 200
 
-A small advance shaves c*tau off the recovered bound; a large one
-pushes the leg sum negative and the round is rejected outright, which
-is itself the give-away.
+A small advance shaves c*tau off the recovered bound.  A larger one
+makes the leg sum undercut the verifier-prover distance, which a live
+run scores as distance zero; a larger one still pushes the leg sum
+negative, which aborts a live run with NegativeTimeOfFlight.  Either
+rejection is itself the give-away.
 """
 import argparse
 import sys
 
-from gdbsim.core import SPEED_OF_LIGHT, distance
+from gdbsim.core import EPS_DIST, SPEED_OF_LIGHT, distance
 from gdbsim.estimate import (
-    NegativeBound,
     NegativeTimeOfFlight,
     NoIntersection,
-    candidate_positions,
-    passive_bound_annulus,
-    passive_bound_direct,
-    passive_gamma,
-    verifier_prover_distance,
+    intersect_circles,
+    leg_sums,
+    verifier_prover_distances,
 )
 from gdbsim.proto.base import start_run
 from gdbsim.proto.pairwise import passive_observations, run_exchange
@@ -42,32 +42,47 @@ O_POS = (0.0, 10.0)
 
 
 def observe(scenario, n):
+    """The observer's (rounds x 1) stamps t1, t2, t3 and its baseline."""
     ctx = start_run(scenario)
     ctx.nonces[2] = tuple(ctx.draw_bits(1) for _ in range(n))
     ex = run_exchange(ctx, 1, 2, n, t_start=ctx.slot_s, closing=True)
-    return passive_observations(ctx, ex, 9)
+    t1, t2, t3, base = passive_observations(ctx, [ex], [9])
+    return t1[0], t2[0], t3[0], base
 
 
-def report(obs_list):
+def report(scenario, stamps):
+    cfg = scenario.config
+    alpha, c = cfg.alpha, cfg.c
     d_vp_true = distance(V_POS, P_POS)
     d_op_true = distance(O_POS, P_POS)
-    for i, obs in enumerate(obs_list):
-        print(f"round {i + 1}: stamps t1={obs.t1:.9f}  t2={obs.t2:.9f}  t3={obs.t3:.9f}")
+    t1, t2, t3, base = stamps
+    for i in range(len(t1)):
+        print(f"round {i + 1}: stamps t1={t1[i, 0]:.9f}  t2={t2[i, 0]:.9f}  t3={t3[i, 0]:.9f}")
         try:
-            d_vp = verifier_prover_distance(obs)
-            gamma = passive_gamma(obs)
-            direct = passive_bound_direct(obs)
-            inner, outer = passive_bound_annulus(obs)
-            pts = candidate_positions(obs, V_POS, O_POS)
-        except (NegativeTimeOfFlight, NegativeBound, NoIntersection) as exc:
+            d_vp = float(verifier_prover_distances(t1[i], t3[i], alpha, alpha, c)[0])
+            gamma = float(leg_sums(t1[i], t2[i], alpha, base, c)[0])
+        except NegativeTimeOfFlight as exc:
             print(f"  round rejected: {exc}")
+            print("  no prover position fits these stamps; a live run raises"
+                  " this NegativeTimeOfFlight and aborts")
+            continue
+        direct = gamma - d_vp
+        if direct < -EPS_DIST:
+            print(f"  round rejected: leg sum falls {-direct!r} m short of the"
+                  " verifier-prover distance")
             print("  no prover position fits these stamps; a live run scores"
                   " the round as distance zero")
             continue
+        d = float(base[0])
         print(f"  verifier-prover distance {d_vp:10.6f} m   (true {d_vp_true:.6f})")
         print(f"  prover leg sum           {gamma:10.6f} m")
-        print(f"  observer-prover bound    {direct:10.6f} m   (true {d_op_true:.6f})")
-        print(f"  annulus without position [{inner:.6f}, {outer:.6f}] m")
+        print(f"  observer-prover bound    {max(direct, 0.0):10.6f} m   (true {d_op_true:.6f})")
+        print(f"  annulus without position [{(gamma - d) / 2.0:.6f}, {(gamma + d) / 2.0:.6f}] m")
+        try:
+            pts = intersect_circles(V_POS, d_vp, O_POS, direct)
+        except NoIntersection as exc:
+            print(f"  candidate prover spots   none: {exc}")
+            continue
         spots = "  ".join(f"({x:+.6f}, {y:+.6f})" for x, y in pts)
         print(f"  candidate prover spots   {spots}")
 
@@ -83,7 +98,7 @@ def main(argv=None) -> int:
     print("honest exchange:")
     honest = oneway_scenario(V_POS, P_POS, n=args.rounds, seed=args.seed,
                              observer_pos=O_POS)
-    report(observe(honest, args.rounds))
+    report(honest, observe(honest, args.rounds))
 
     if args.advance_ns > 0:
         tau = args.advance_ns * 1e-9
@@ -91,7 +106,7 @@ def main(argv=None) -> int:
               f"schedule (shortens the bound by c*tau = "
               f"{SPEED_OF_LIGHT * tau:.3f} m):")
         rigged = with_policy(honest, 1, EarlyChallenge(advance_s=tau, pr_ch=1.0))
-        report(observe(rigged, args.rounds))
+        report(rigged, observe(rigged, args.rounds))
     return 0
 
 

@@ -41,21 +41,8 @@ from .core import (
     Scenario,
     distance,
 )
-from .estimate import (
-    PassiveObservation,
-    candidate_positions,
-    passive_bound_annulus,
-    passive_bound_direct,
-    passive_gamma,
-    verifier_prover_distance,
-)
-from .proto.base import start_run
-from .proto.pairwise import (
-    passive_observations,
-    run_exchange,
-    run_sequential_interleaved,
-    run_sequential_pairwise,
-)
+from .estimate import intersect_circles, leg_sums, verifier_prover_distances
+from .proto.pairwise import run_sequential_interleaved, run_sequential_pairwise
 from .proto.ring import run_ring_with_delays
 from .proto.runner import run_scenario
 from .scenarios import (
@@ -162,31 +149,32 @@ def check_four_node_counts(quick: bool) -> Tuple[bool, str]:
 
 
 def check_overheard_geometry(quick: bool) -> Tuple[bool, str]:
-    """The passive pipeline recovers the worked two-verifier layout.
+    """A one-way run recovers the worked two-verifier layout.
 
     Verifier at the origin, prover at (-7, -7), observer at (0, 10):
-    the overheard timings must yield the verifier-prover distance
-    sqrt(98), leg sum 20*sqrt(2), candidate positions (+-7, -7) and
-    observer bound sqrt(338), each to a millionth of a meter.
+    the observer's stamps of the first round in the run's trace must
+    yield the verifier-prover distance sqrt(98), leg sum 20*sqrt(2) and
+    candidate positions (+-7, -7), and the run's own passive bound must
+    be their difference, sqrt(338), each to a millionth of a meter.
     """
-    scn = oneway_scenario((0.0, 0.0), (-7.0, -7.0), n=3, seed=31,
-                          observer_pos=(0.0, 10.0))
-    ctx = start_run(scn)
-    ctx.nonces[2] = tuple(ctx.draw_bits(scn.config.bit_len) for _ in range(scn.config.n))
-    ex = run_exchange(ctx, 1, 2, scn.config.n, ctx.slot_s, closing=True)
-    obs = passive_observations(ctx, ex, 9)
-    if not obs:
-        return False, "observer framed no rounds"
-    o = obs[0]
-    d_vp = verifier_prover_distance(o)
-    gamma = passive_gamma(o)
-    bound = passive_bound_direct(o)
-    pts = sorted(candidate_positions(o, (0.0, 0.0), (0.0, 10.0)))
+    v_pos, o_pos = (0.0, 0.0), (0.0, 10.0)
+    scn = oneway_scenario(v_pos, (-7.0, -7.0), n=3, seed=31, observer_pos=o_pos)
+    cfg = scn.config
+    res = run_scenario(scn)
+    rapid = [em for em in res.trace.emissions if em.phase == "rapid"]
+    sends = [em.seq for em in rapid if em.sender == 1]  # challenges, then the closing
+    responses = [em.seq for em in rapid if em.kind == "response"]
+    t1, t3, t2 = res.trace.local_arrivals([sends[0], sends[1], responses[0]], [9])
+    d_vp = float(verifier_prover_distances(t1, t3, cfg.alpha, cfg.alpha, cfg.c)[0])
+    gamma = float(leg_sums(t1, t2, cfg.alpha, distance(v_pos, o_pos), cfg.c)[0])
+    bound = res.estimate_for(9, 2).bound_m
+    pts = sorted(intersect_circles(v_pos, d_vp, o_pos, gamma - d_vp))
     tol = 1e-6
     checks = [
         ("verifier-prover distance", d_vp, 9.899495),
         ("leg sum", gamma, 28.284271),
         ("observer bound", bound, 18.384776),
+        ("leg sum minus distance", gamma - d_vp, bound),
     ]
     for name, val, want in checks:
         if abs(val - want) > tol:
@@ -372,34 +360,30 @@ def check_solver_oracle(quick: bool) -> Tuple[bool, str]:
 
 
 def check_passive_equals_active(quick: bool) -> Tuple[bool, str]:
-    """100 random placements: overhearing matches measuring.
+    """100 random one-way runs: overhearing matches measuring.
 
-    The observer's direct bound from honest timings must equal the
-    distance an active exchange of its own would report, and the
-    distance-only annulus bound must never undercut it.
+    Each run places a verifier, a prover and a listener in a 300 m box
+    with a random processing delay.  The listener's passive bound must
+    equal its true distance to the prover, and the active bound a run
+    of the same geometry reports with the listener as verifier.
     """
     rng = random.Random(88)
-    worst = 0.0
+    worst_true = worst_active = 0.0
     for trial in range(100):
         va, vp, p = _scatter(rng, 3, box_m=300.0, min_sep_m=1.0)
-        alpha_p = rng.uniform(0.0, 1e-6)
-        alpha_v = rng.uniform(0.0, 1e-6)
-        off = rng.uniform(0.0, 1.0)
-        t0 = rng.uniform(0.0, 1e-3)
-        d_vap, d_vpp, d_vavp = distance(va, p), distance(vp, p), distance(va, vp)
-        t1 = t0 + d_vavp / C + off
-        t2 = t0 + d_vap / C + alpha_p + d_vpp / C + off
-        t3 = t0 + 2.0 * d_vap / C + alpha_p + alpha_v + d_vavp / C + off
-        obs = PassiveObservation(t1=t1, t2=t2, t3=t3, alpha_p=alpha_p,
-                                 alpha_v=alpha_v, d_verifier=d_vavp)
-        direct = passive_bound_direct(obs)
-        worst = max(worst, abs(direct - d_vpp))
-        if abs(direct - d_vpp) > EPS_DIST:
-            return False, f"trial {trial}: passive {direct} vs active {d_vpp}"
-        _, outer = passive_bound_annulus(obs)
-        if outer < direct - EPS_DIST:
-            return False, f"trial {trial}: annulus {outer} under direct {direct}"
-    return True, f"100 placements, worst passive-active gap {worst:.2e} m"
+        alpha = rng.uniform(0.0, 1e-6)
+        seed = 8800 + trial
+        passive = run_scenario(oneway_scenario(va, p, seed=seed, alpha=alpha, observer_pos=vp))
+        active = run_scenario(oneway_scenario(vp, p, seed=seed, alpha=alpha))
+        got, want = passive.estimate_for(9, 2).bound_m, active.estimate_for(1, 2).bound_m
+        worst_true = max(worst_true, abs(got - distance(vp, p)))
+        worst_active = max(worst_active, abs(got - want))
+        if max(worst_true, worst_active) > EPS_DIST:
+            return False, f"trial {trial}: passive {got} vs true {distance(vp, p)}, active {want}"
+    return True, (
+        f"100 runs, worst passive gap {worst_true:.2e} m to the true distance, "
+        f"{worst_active:.2e} m to the active bound"
+    )
 
 
 # ---------------------------------------------------------------------------

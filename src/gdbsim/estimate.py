@@ -5,7 +5,10 @@ overheard arrival times into distance bounds: an observer Vp that hears
 an active verifier Va's challenge, the prover's response, and Va's
 follow-up learns both Va's distance to the prover and the sum of the
 two prover legs, and can bound (or with geometry, localize) the prover
-without ever transmitting.  The second builds and solves the linear
+without ever transmitting.  Three array kernels (leg_sums,
+verifier_prover_distances, direct_bounds) price every overheard round,
+and intersect_circles turns a distance and a leg sum into candidate
+positions.  The second builds and solves the linear
 system that recovers pairwise flight times from the rapid-phase
 arrivals of a ring run, every observer from its own clock's stamps
 alone, so that independently recovered edges can be cross-checked
@@ -31,14 +34,6 @@ Point = Tuple[float, float]
 
 class NegativeTimeOfFlight(GdbSimError):
     """Timestamps imply a signal arriving before it could have been sent."""
-
-
-class NegativeBound(GdbSimError):
-    """The overheard leg sum is shorter than the verifier-prover distance.
-
-    No honest prover can produce this; it means the verifier understated
-    its own round trip, e.g. by sending challenges ahead of schedule.
-    """
 
 
 class NoIntersection(GdbSimError):
@@ -76,35 +71,15 @@ def active_distance(
 
 # ---------------------------------------------------------------------------
 # passive observation of someone else's exchange
-
-
-@dataclass(frozen=True)
-class PassiveObservation:
-    """Arrival times, on one observer's clock, of an overheard exchange.
-
-    t1: the active verifier's challenge arrives at the observer.
-    t2: the prover's response arrives.
-    t3: the verifier's follow-up message (sent once the response reached
-        it) arrives.
-    alpha_p: prover processing between challenge in and response out.
-    alpha_v: verifier processing between response in and follow-up out.
-    d_verifier: known distance from the observer to the active verifier.
-    """
-
-    t1: float
-    t2: float
-    t3: float
-    alpha_p: float
-    alpha_v: float
-    d_verifier: float
-    c: float = SPEED_OF_LIGHT
-
-
-# The kernels below take numpy float64 scalars or arrays alike: the scalar
-# helpers price one observation (passing t1 as np.float64, so every
-# intermediate is a numpy value), passive pricing in the drivers prices a
-# whole (rounds x watchers) block.  Both run the same float64 operations in
-# the same order, so they give bit-identical bounds.
+#
+# An observer that overhears an active verifier's exchange logs three
+# arrivals on its own clock: t1, the verifier's challenge; t2, the
+# prover's response; t3, the verifier's follow-up, sent once the response
+# reached it.  alpha_p and alpha_v are the prover's and the verifier's
+# processing delays and d_verifier the observer's known distance to the
+# verifier.  The kernels take numpy float64 arrays or scalars, one stamp
+# per entry; passive pricing in the drivers runs them on a whole
+# (exchanges x rounds x watchers) block.
 
 
 def _floor_zero(x):
@@ -117,7 +92,13 @@ def _first(values, bad) -> float:
 
 
 def verifier_prover_distances(t1, t3, alpha_p, alpha_v, c):
-    """Array kernel of verifier_prover_distance; raises on any negative flight."""
+    """Distance between the active verifier and the prover.
+
+    t3 - t1 spans challenge-out to follow-up-out plus one observer leg at
+    each end; the observer legs cancel, leaving twice the verifier-prover
+    flight plus the two processing delays.  Raises NegativeTimeOfFlight
+    on any negative flight.
+    """
     tof2 = ((t3 - t1) - alpha_p) - alpha_v
     bad = tof2 < -EPS_TIME
     if bad.any():
@@ -128,33 +109,6 @@ def verifier_prover_distances(t1, t3, alpha_p, alpha_v, c):
 
 
 def leg_sums(t1, t2, alpha_p, d_verifier, c):
-    """Array kernel of passive_gamma; raises on any negative leg sum."""
-    gamma = c * ((t2 - t1) - alpha_p) + d_verifier
-    bad = gamma < 0.0
-    if bad.any():
-        raise NegativeTimeOfFlight(f"negative leg sum {_first(gamma, bad)!r} m")
-    return gamma
-
-
-def direct_bounds(t1, t2, t3, alpha_p, alpha_v, d_verifier, c):
-    """Leg sum minus verifier-prover distance, before the NegativeBound rule."""
-    gamma = leg_sums(t1, t2, alpha_p, d_verifier, c)
-    return gamma - verifier_prover_distances(t1, t3, alpha_p, alpha_v, c)
-
-
-def verifier_prover_distance(obs: PassiveObservation) -> float:
-    """Distance between the active verifier and the prover.
-
-    t3 - t1 spans challenge-out to follow-up-out plus one observer leg at
-    each end; the observer legs cancel, leaving twice the verifier-prover
-    flight plus the two processing delays.
-    """
-    return float(verifier_prover_distances(
-        np.float64(obs.t1), obs.t3, obs.alpha_p, obs.alpha_v, obs.c
-    ))
-
-
-def passive_gamma(obs: PassiveObservation) -> float:
     """Sum of the two prover legs: d(verifier, prover) + d(observer, prover).
 
     With delta1 = t2 - t1,
@@ -163,44 +117,40 @@ def passive_gamma(obs: PassiveObservation) -> float:
 
     so gamma = c * (delta1 - alpha_p) + d_verifier.  The prover lies on
     the ellipse with foci at the two verifiers and leg sum gamma.
+    Raises NegativeTimeOfFlight on any negative leg sum.
     """
-    return float(leg_sums(np.float64(obs.t1), obs.t2, obs.alpha_p, obs.d_verifier, obs.c))
+    gamma = c * ((t2 - t1) - alpha_p) + d_verifier
+    bad = gamma < 0.0
+    if bad.any():
+        raise NegativeTimeOfFlight(f"negative leg sum {_first(gamma, bad)!r} m")
+    return gamma
 
 
-def passive_bound_direct(obs: PassiveObservation) -> float:
-    """Observer-prover bound: gamma minus the verifier-prover distance.
+def direct_bounds(t1, t2, t3, alpha_p, alpha_v, d_verifier, c):
+    """Observer-prover bound: leg sum minus the verifier-prover distance.
 
     Honest timings make this exactly the distance the observer would
     have measured actively.  A prover that shortens it must also have
-    shortened the active verifier's own bound.
+    shortened the active verifier's own bound.  Nothing is floored: a
+    bound below -EPS_DIST means the leg sum undercuts the verifier-prover
+    distance, which no honest prover can produce (the verifier understated
+    its own round trip, e.g. by sending challenges ahead of schedule), and
+    the caller decides how to score it.
     """
-    bound = float(direct_bounds(
-        np.float64(obs.t1), obs.t2, obs.t3, obs.alpha_p, obs.alpha_v, obs.d_verifier, obs.c
-    ))
-    if bound < -EPS_DIST:
-        raise NegativeBound(
-            f"leg sum falls {-bound!r} m short of the verifier-prover distance"
-        )
-    return max(bound, 0.0)
-
-
-def passive_bound_annulus(obs: PassiveObservation) -> Tuple[float, float]:
-    """Distance bounds when only the baseline, not positions, is known.
-
-    The prover's distance from the observer focus of the gamma ellipse
-    lies between the near and far vertices: ((gamma - d) / 2,
-    (gamma + d) / 2) with d the verifier baseline.  The outer radius is
-    the usable bound and never undercuts the direct one.
-    """
-    gamma = passive_gamma(obs)
-    d = obs.d_verifier
-    return ((gamma - d) / 2.0, (gamma + d) / 2.0)
+    gamma = leg_sums(t1, t2, alpha_p, d_verifier, c)
+    return gamma - verifier_prover_distances(t1, t3, alpha_p, alpha_v, c)
 
 
 def intersect_circles(
     center_a: Point, r_a: float, center_b: Point, r_b: float, eps: float = EPS_DIST
 ) -> List[Point]:
-    """Intersection points of two circles, tangency collapsed to one point."""
+    """Intersection points of two circles, tangency collapsed to one point.
+
+    With the verifier-prover distance d_vp and the leg sum gamma, the
+    prover lies on the circle of radius d_vp around the verifier and, on
+    the gamma ellipse, at gamma - d_vp from the observer: intersecting
+    those two circles gives its candidate positions.
+    """
     ax, ay = center_a
     bx, by = center_b
     d = float(np.hypot(bx - ax, by - ay))
@@ -220,21 +170,6 @@ def intersect_circles(
     if h <= eps:
         return [(mx, my)]
     return [(mx + h * ux, my + h * uy), (mx - h * ux, my - h * uy)]
-
-
-def candidate_positions(
-    obs: PassiveObservation, verifier_pos: Point, observer_pos: Point
-) -> List[Point]:
-    """Prover locations consistent with the observation.
-
-    Intersects the circle around the active verifier (radius the
-    recovered verifier-prover distance) with the gamma ellipse; on that
-    ellipse the remaining leg is gamma minus the circle radius, so the
-    ellipse is replaced by the equivalent circle around the observer.
-    """
-    d_vp = verifier_prover_distance(obs)
-    gamma = passive_gamma(obs)
-    return intersect_circles(verifier_pos, d_vp, observer_pos, gamma - d_vp)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import NodeId, Role, Scenario, distance
+from ..core import NodeId, ProtocolConfig, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
-from ..estimate import NegativeBound, NegativeTimeOfFlight, PassiveObservation
-from ..estimate import direct_bounds, passive_bound_direct
+from ..estimate import NegativeTimeOfFlight, direct_bounds
 from ..threat import FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
@@ -130,7 +129,7 @@ def _framed(ex: ExchangeResult) -> int:
     return max(0, min(len(ex.response_seqs), len(ex.nominal_sends) - 1))
 
 
-def _passive_timings(
+def passive_observations(
     ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each watcher's timing triples for every fully-framed round of a row.
@@ -162,82 +161,52 @@ def _passive_timings(
     return schedule[:, :-1], t2, schedule[:, 1:], base
 
 
+def observed_bound(
+    cfg: ProtocolConfig, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """Each (exchange, watcher) bound of a passive_observations block.
+
+    The largest direct bound over the rounds, floored at zero.  A round
+    whose leg sum undercuts the verifier-prover distance is impossible
+    honestly; it scores distance zero rather than aborting the run, since
+    the cheat only ever shortens the bound.  An impossible timing raises
+    the NegativeTimeOfFlight that pricing one exchange, watcher and round
+    at a time, in that order, meets first.
+    """
+    try:
+        bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
+    except NegativeTimeOfFlight:
+        # the block names its first bad entry in round order; re-price
+        # observation by observation to raise what per-watcher pricing meets first
+        exchanges, rounds, watchers = t1.shape
+        for e, w, r in np.ndindex(exchanges, watchers, rounds):
+            direct_bounds(t1[e, r, w], t2[e, r, w], t3[e, r, w],
+                          cfg.alpha, cfg.alpha, base[w], cfg.c)
+        raise
+    # a round that scores zero has a bound below zero, which cannot raise
+    # a maximum floored at zero, so the raw maximum over rounds decides
+    best = bounds.max(axis=1)
+    return np.where(best > 0.0, best, 0.0)
+
+
 def passive_bounds(
     ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
 ) -> List[Dict[NodeId, Tuple[float, int]]]:
     """Every watcher's passive bound on each prover of a row, in one pass.
 
     row holds exchanges that share one verifier and frame the same number
-    of rounds, priced as one (exchanges x rounds x watchers) block.  For
+    of rounds, priced as one (exchanges x rounds x watchers) block: the
+    stamps passive_observations gathers, scored by observed_bound.  For
     each exchange, maps each watcher other than the verifier to its bound
     and the number of rounds it framed; an exchange that frames no round
-    prices nobody.  Per exchange and watcher this is exactly
-    observed_bound(passive_observations(...)): a round whose leg sum
-    undercuts the verifier-prover distance scores zero, the bound is the
-    largest over the rounds, floored at zero, and an impossible timing
-    raises the NegativeTimeOfFlight that pricing one exchange, watcher
-    and round at a time, in that order, meets first.
+    prices nobody.
     """
     others = [w for w in watchers if w != row[0].verifier]
     rounds = _framed(row[0])
     if not others or not rounds:
         return [{} for _ in row]
-    cfg = ctx.scenario.config
-    t1, t2, t3, base = _passive_timings(ctx, row, others)
-    try:
-        bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
-    except NegativeTimeOfFlight:
-        # the block names its first bad entry in round order; re-price
-        # observation by observation to raise what per-watcher pricing meets first
-        for e, w, r in np.ndindex(len(row), len(others), rounds):
-            direct_bounds(t1[e, r, w], t2[e, r, w], t3[e, r, w],
-                          cfg.alpha, cfg.alpha, base[w], cfg.c)
-        raise
-    # a round scored zero (NegativeBound) or below zero cannot raise a
-    # maximum floored at zero, so the raw maximum over rounds decides
-    best = bounds.max(axis=1)
-    return [
-        dict(zip(others, zip(per_watcher, repeat(rounds))))
-        for per_watcher in np.where(best > 0.0, best, 0.0).tolist()
-    ]
-
-
-def passive_observations(
-    ctx: RunContext,
-    ex: ExchangeResult,
-    observer: NodeId,
-) -> List[PassiveObservation]:
-    """The observer's timing triples for every fully-framed round.
-
-    The same stamps passive_bounds prices, one record per round, for
-    callers that inspect a single observation's geometry.
-    """
-    cfg = ctx.scenario.config
-    t1, t2, t3, base = _passive_timings(ctx, [ex], [observer])
-    return [
-        PassiveObservation(
-            t1=a, t2=b, t3=d, alpha_p=cfg.alpha, alpha_v=cfg.alpha,
-            d_verifier=float(base[0]), c=cfg.c,
-        )
-        for a, b, d in zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist())
-    ]
-
-
-def observed_bound(obs: Sequence[PassiveObservation]) -> float:
-    """Worst-case (largest) direct bound over the framed rounds.
-
-    An observation whose leg sum undercuts the verifier-prover distance
-    is impossible honestly; a live run scores it as distance zero rather
-    than aborting, since the cheat only ever shortens the bound.
-    """
-    best = 0.0
-    for o in obs:
-        try:
-            b = passive_bound_direct(o)
-        except NegativeBound:
-            b = 0.0
-        best = max(best, b)
-    return best
+    best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
+    return [dict(zip(others, zip(per_watcher, repeat(rounds)))) for per_watcher in best.tolist()]
 
 
 def _framing(cfg) -> Tuple[int, int]:

@@ -51,6 +51,8 @@ class GuessAhead:
     def __post_init__(self) -> None:
         if self.p_rounds < 0:
             raise PolicyError("GuessAhead p_rounds must be >= 0")
+        if self.advance_s < 0.0:
+            raise PolicyError("GuessAhead advance_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,8 @@ class FakeLocationReport:
             raise PolicyError(
                 "FakeLocationReport needs exactly one of claimed_pos, claimed_distance_m"
             )
+        if self.claimed_distance_m is not None and self.claimed_distance_m < 0.0:
+            raise PolicyError("FakeLocationReport claimed_distance_m must be >= 0")
 
 
 @dataclass(frozen=True)

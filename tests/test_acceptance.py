@@ -9,6 +9,7 @@ behavior ever materializes.  Everything else must pass.
 import pytest
 
 from gdbsim.acceptance import CRITERIA, format_table, run_suite, suite_ok
+from gdbsim.proto import pairwise
 
 EXPECTED_PASS = [c[0] for c in CRITERIA if c[3]]
 EXPECTED_FAIL = [c[0] for c in CRITERIA if not c[3]]
@@ -54,3 +55,17 @@ def test_suite_summary_is_honest(suite):
     assert suite_ok(results) is False
     footer = format_table(results).splitlines()[-1]
     assert footer == "9/11 criteria passed"
+
+
+def test_passive_criteria_price_through_the_one_way_driver(monkeypatch):
+    # every passive bound the one-way driver prices comes out 1 mm long
+    priced = pairwise.passive_bounds
+
+    def long_by_a_millimetre(ctx, row, watchers):
+        return [{w: (bound + 1e-3, rounds) for w, (bound, rounds) in per_exchange.items()}
+                for per_exchange in priced(ctx, row, watchers)]
+
+    monkeypatch.setattr(pairwise, "passive_bounds", long_by_a_millimetre)
+    results = run_suite(quick=True, labels=["3", "8"])
+    assert [(r.label, r.passed) for r in results] == [("3", False), ("8", False)]
+    assert not any(r.detail.startswith("raised") for r in results)

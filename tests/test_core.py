@@ -160,6 +160,18 @@ def test_parse_rejects_unknown_policy_kind():
         scenario_from_json(doc)
 
 
+@pytest.mark.parametrize("node, policy", [
+    (0, {"kind": "FakeLocationReport", "claimed_distance_m": -500.0}),
+    (1, {"kind": "GuessAhead", "p_rounds": 1, "advance_s": -1e-6}),
+])
+def test_parse_rejects_negative_policy_distance_and_advance(node, policy):
+    doc = minimal_doc()
+    doc["nodes"].append({"id": 9, "pos": [0.0, 10.0], "role": "PassiveVerifier"})
+    doc["nodes"][node]["policy"] = policy
+    with pytest.raises(ScenarioFormatError, match=rf"nodes\[{node}\]\.policy: .* must be >= 0"):
+        scenario_from_json(doc)
+
+
 def doc_with_policy(policy: dict) -> dict:
     """minimal_doc plus an experiment block, with the prover given policy."""
     doc = minimal_doc()

@@ -11,29 +11,25 @@ import ring_oracle
 from gdbsim.core import EPS_DIST, SPEED_OF_LIGHT, Protocol, distance
 from gdbsim.estimate import (
     IncompleteCycle,
-    NegativeBound,
     NegativeTimeOfFlight,
     NoIntersection,
-    PassiveObservation,
     SolveFailure,
     _edge_key,
     active_distance,
     build_tof_system,
-    candidate_positions,
+    direct_bounds,
     edge_times,
     intersect_circles,
-    passive_bound_annulus,
-    passive_bound_direct,
-    passive_gamma,
+    leg_sums,
     ring_edges,
     snake_hops,
     snake_order,
     solve_tof,
-    verifier_prover_distance,
+    verifier_prover_distances,
 )
 from gdbsim.proto import run_scenario
-from gdbsim.scenarios import peer_scenario, with_policy
-from gdbsim.threat import SelectiveDelay
+from gdbsim.scenarios import oneway_scenario, peer_scenario, with_policy
+from gdbsim.threat import EarlyChallenge, SelectiveDelay
 
 C = SPEED_OF_LIGHT
 
@@ -64,18 +60,29 @@ def test_active_distance_clamps_rounding_noise():
 
 
 def physical_observation(v_pos, p_pos, o_pos, alpha_p=0.0, alpha_v=0.0,
-                         offset=0.0, t0=0.0, c=C) -> PassiveObservation:
-    """Stamp the three arrivals exactly as the geometry dictates."""
+                         offset=0.0, t0=0.0, c=C):
+    """Stamp the three arrivals exactly as the geometry dictates.
+
+    Returns one-round arrays t1, t2, t3 and the scalars the kernels take
+    after them, keyed by the kernels' argument names.
+    """
     d_vp = distance(v_pos, p_pos)
     d_vo = distance(v_pos, o_pos)
     d_po = distance(p_pos, o_pos)
     t1 = t0 + d_vo / c
     t2 = t0 + d_vp / c + alpha_p + d_po / c
     t3 = t0 + 2 * d_vp / c + alpha_p + alpha_v + d_vo / c
-    return PassiveObservation(
-        t1=t1 + offset, t2=t2 + offset, t3=t3 + offset,
-        alpha_p=alpha_p, alpha_v=alpha_v, d_verifier=d_vo, c=c,
-    )
+    return dict(t1=np.array([t1 + offset]), t2=np.array([t2 + offset]),
+                t3=np.array([t3 + offset]), alpha_p=alpha_p, alpha_v=alpha_v,
+                d_verifier=d_vo, c=c)
+
+
+def priced(obs):
+    """Verifier-prover distance, leg sum and direct bound of a one-round observation."""
+    d_vp = verifier_prover_distances(obs["t1"], obs["t3"], obs["alpha_p"], obs["alpha_v"],
+                                     obs["c"])
+    gamma = leg_sums(obs["t1"], obs["t2"], obs["alpha_p"], obs["d_verifier"], obs["c"])
+    return float(d_vp[0]), float(gamma[0]), float(direct_bounds(**obs)[0])
 
 
 V_POS = (0.0, 0.0)
@@ -86,23 +93,21 @@ O_POS = (0.0, 10.0)
 def test_overheard_distance_oracle():
     obs = physical_observation(V_POS, P_POS, O_POS, alpha_p=1e-6, alpha_v=2e-6,
                                offset=0.37, t0=4.2)
-    assert verifier_prover_distance(obs) == pytest.approx(math.sqrt(98.0), abs=1e-6)
-    assert passive_gamma(obs) == pytest.approx(math.sqrt(98.0) + math.sqrt(338.0), abs=1e-6)
-    assert passive_bound_direct(obs) == pytest.approx(math.sqrt(338.0), abs=1e-6)
+    d_vp, gamma, direct = priced(obs)
+    assert d_vp == pytest.approx(math.sqrt(98.0), abs=1e-6)
+    assert gamma == pytest.approx(math.sqrt(98.0) + math.sqrt(338.0), abs=1e-6)
+    assert direct == pytest.approx(math.sqrt(338.0), abs=1e-6)
 
 
-def test_annulus_brackets_the_direct_bound():
-    obs = physical_observation(V_POS, P_POS, O_POS)
-    inner, outer = passive_bound_annulus(obs)
-    gamma = passive_gamma(obs)
-    assert inner == pytest.approx((gamma - 10.0) / 2.0)
-    assert outer == pytest.approx((gamma + 10.0) / 2.0)
-    assert inner - EPS_DIST <= passive_bound_direct(obs) <= outer + EPS_DIST
+def test_direct_bound_lies_in_the_leg_sum_annulus():
+    # on the gamma ellipse the observer focus is between (gamma - d) / 2 and (gamma + d) / 2 away
+    _, gamma, direct = priced(physical_observation(V_POS, P_POS, O_POS))
+    assert (gamma - 10.0) / 2.0 - EPS_DIST <= direct <= (gamma + 10.0) / 2.0 + EPS_DIST
 
 
 def test_candidate_positions_oracle():
-    obs = physical_observation(V_POS, P_POS, O_POS)
-    pts = candidate_positions(obs, V_POS, O_POS)
+    d_vp, gamma, _ = priced(physical_observation(V_POS, P_POS, O_POS))
+    pts = intersect_circles(V_POS, d_vp, O_POS, gamma - d_vp)
     assert len(pts) == 2
     pts = sorted(pts)
     assert pts[0] == pytest.approx((-7.0, -7.0), abs=1e-6)
@@ -110,22 +115,22 @@ def test_candidate_positions_oracle():
 
 
 def test_overheard_round_trip_too_short_raises():
-    obs = PassiveObservation(t1=0.0, t2=1e-9, t3=1e-9, alpha_p=1e-8, alpha_v=0.0,
-                             d_verifier=10.0)
-    with pytest.raises(NegativeTimeOfFlight):
-        verifier_prover_distance(obs)
+    with pytest.raises(NegativeTimeOfFlight, match="overheard round trip 1e-09 s"):
+        verifier_prover_distances(np.array([0.0]), np.array([1e-9]), 1e-8, 0.0, C)
 
 
-def test_impossible_leg_sum_raises_negative_bound():
+def test_short_leg_sum_scores_the_round_zero():
     # response overheard so early the leg sum undercuts d_vp (but stays positive)
-    honest = physical_observation(V_POS, P_POS, O_POS)
-    rigged = PassiveObservation(
-        t1=honest.t1, t2=honest.t1 - 5.0 / C, t3=honest.t3,
-        alpha_p=0.0, alpha_v=0.0, d_verifier=honest.d_verifier,
-    )
-    assert passive_gamma(rigged) == pytest.approx(5.0)
-    with pytest.raises(NegativeBound):
-        passive_bound_direct(rigged)
+    obs = physical_observation(V_POS, P_POS, O_POS)
+    obs["t2"] = obs["t1"] - 5.0 / C
+    _, gamma, direct = priced(obs)
+    assert gamma == pytest.approx(5.0)
+    assert direct < -EPS_DIST
+    # a live run: 63 ns early makes the leg sum fall 0.50 m short, and the round scores zero
+    run = run_scenario(with_policy(
+        oneway_scenario(V_POS, P_POS, n=1, seed=42, observer_pos=O_POS),
+        1, EarlyChallenge(advance_s=63e-9, pr_ch=1.0)))
+    assert run.estimate_for(9, 2).bound_m == 0.0
 
 
 coord = st.floats(min_value=-500.0, max_value=500.0)
@@ -140,11 +145,10 @@ def test_direct_bound_recovers_true_distance(vx, vy, px, py, ox, oy, alpha_p, of
     v, p, o = (vx, vy), (px, py), (ox, oy)
     if distance(v, p) < 1.0 or distance(v, o) < 1.0 or distance(p, o) < 1.0:
         return
-    obs = physical_observation(v, p, o, alpha_p=alpha_p, offset=offset)
-    direct = passive_bound_direct(obs)
+    _, gamma, direct = priced(physical_observation(v, p, o, alpha_p=alpha_p, offset=offset))
     assert direct == pytest.approx(distance(o, p), abs=1e-5)
-    inner, outer = passive_bound_annulus(obs)
-    assert inner - 1e-5 <= direct <= outer + 1e-5
+    d = distance(v, o)
+    assert (gamma - d) / 2.0 - 1e-5 <= direct <= (gamma + d) / 2.0 + 1e-5
 
 
 # ---------------------------------------------------------------------------

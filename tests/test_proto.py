@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import passive_oracle
 from gdbsim.core import (
     ExperimentParams,
     NodeSpec,
@@ -23,7 +24,6 @@ from gdbsim.proto import base, group
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     _run_relay_exchange,
-    observed_bound,
     passive_bounds,
     passive_observations,
     run_exchange,
@@ -506,18 +506,21 @@ verifier_policies = st.one_of(
 def priced_one_by_one(ctx, ex, watchers):
     """Per-watcher scalar pricing, each stamp checked against the trace."""
     chan = ctx.channel
+    cfg = ctx.scenario.config
     out = {}
     for w in watchers:
         if w == ex.verifier:
             continue
-        obs = passive_observations(ctx, ex, w)
+        t1, t2, t3, base = passive_observations(ctx, [ex], [w])
         base_tof = chan.dist(ex.verifier, w) / chan.c
-        for i, o in enumerate(obs):
-            assert o.t1 == ex.nominal_sends[i] + base_tof + chan.offsets[w]
-            assert o.t2 == chan.trace.arrival_local(ex.response_seqs[i], w)
-            assert o.t3 == ex.nominal_sends[i + 1] + base_tof + chan.offsets[w]
-        if obs:
-            out[w] = (observed_bound(obs), len(obs))
+        rounds = list(zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist()))
+        for i, (a, b, d) in enumerate(rounds):
+            assert a == ex.nominal_sends[i] + base_tof + chan.offsets[w]
+            assert b == chan.trace.arrival_local(ex.response_seqs[i], w)
+            assert d == ex.nominal_sends[i + 1] + base_tof + chan.offsets[w]
+        if rounds:
+            out[w] = (passive_oracle.observed_bound(rounds, cfg.alpha, float(base[0]), cfg.c),
+                      len(rounds))
     return out
 
 
@@ -575,11 +578,11 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
 def test_passive_bounds_match_per_watcher_pricing(
     places, provers, relay, n, alpha, closing, policy, seed
 ):
-    """A verifier's row priced as one block gives each watcher the scalar bound.
+    """A verifier's row priced as one block gives each watcher the oracle's bound.
 
-    Bounds and round counts match pricing each exchange in turn, one
-    watcher and one round at a time, bit for bit; when that raises, the
-    block raises the same exception with the same message.
+    Bounds and round counts match passive_oracle pricing each exchange
+    in turn, one watcher and one round at a time, bit for bit; when that
+    raises, the block raises the same exception with the same message.
     """
     ctx, row, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy, seed)
     watchers = [1] + watchers  # the exchange's own verifier is never priced

@@ -25,3 +25,17 @@ def load(name):
 def test_script_main(name, argv, expect, capsys):
     assert load(name).main(argv) == 0
     assert expect in capsys.readouterr().out
+
+
+DEMO_OUTPUT = Path(__file__).resolve().parent / "golden" / "passive_geometry_demo"
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["--rounds", "2"], "rounds_2.txt"),
+    (["--rounds", "2", "--advance-ns", "30"], "rounds_2_advance_30.txt"),
+    (["--advance-ns", "63"], "advance_63.txt"),    # leg sum short of the verifier-prover distance
+    (["--advance-ns", "200"], "advance_200.txt"),  # negative leg sum
+])
+def test_passive_geometry_demo_output_is_pinned(argv, pinned, capsys):
+    assert load("passive_geometry_demo").main(argv) == 0
+    assert capsys.readouterr().out == (DEMO_OUTPUT / pinned).read_text()

@@ -110,6 +110,12 @@ def test_policy_domains_checked_on_construction():
         GuessAhead(p_rounds=-1)
     with pytest.raises(PolicyError, match=">= 0"):
         SelectiveDelay(per_message=((2, -1e-9),))
+    # a negative advance would run as a delay, a negative claimed distance
+    # would make every listener's leg sum negative and abort the run
+    with pytest.raises(PolicyError, match="advance_s must be >= 0"):
+        GuessAhead(p_rounds=1, advance_s=-1e-6)
+    with pytest.raises(PolicyError, match="claimed_distance_m must be >= 0"):
+        FakeLocationReport(claimed_distance_m=-500.0)
 
 
 def test_per_message_send_index_appears_once():
