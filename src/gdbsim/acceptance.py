@@ -390,36 +390,36 @@ def check_passive_equals_active(quick: bool) -> Tuple[bool, str]:
 # criterion 9: property sweep
 
 
-def _non_shortening_delay(rng: random.Random, count: int) -> Tuple[int, float]:
-    worst = -math.inf
-    for trial in range(count):
-        v, p = _scatter(rng, 2, box_m=500.0, min_sep_m=1.0)
-        delay = rng.uniform(0.0, 2e-7)
-        scn = oneway_scenario(v, p, n=2, seed=9000 + trial,
-                              prover_policy=SelectiveDelay(delay_s=delay))
-        res = run_scenario(scn)
-        est = res.estimate_for(1, 2)
-        slack = est.bound_m - distance(v, p)
-        worst = min(worst, slack) if worst > -math.inf else slack
-        if slack < -EPS_DIST:
-            return trial, slack
-    return -1, worst
+def _non_shortening(rng: random.Random, count: int,
+                    case: Callable[..., Tuple[Scenario, float]]) -> Tuple[int, float]:
+    """First trial whose 1 -> 2 bound undercuts its floor, or -1 and the worst slack.
 
-
-def _non_shortening_relay(rng: random.Random, count: int) -> Tuple[int, float]:
+    case(rng, trial) draws one placement: its scenario and that floor.
+    """
     worst = math.inf
     for trial in range(count):
-        v, front, victim = _scatter(rng, 3, box_m=500.0, min_sep_m=1.0)
-        extra = NodeSpec(id=3, pos=victim, role=Role.PROVER)
-        scn = oneway_scenario(v, front, n=2, seed=9500 + trial,
-                              prover_policy=Relay(victim=3), extra_nodes=(extra,))
-        res = run_scenario(scn)
-        est = res.estimate_for(1, 2)
-        slack = est.bound_m - max(distance(v, victim), distance(v, front))
+        scn, floor = case(rng, trial)
+        slack = run_scenario(scn).estimate_for(1, 2).bound_m - floor
         worst = min(worst, slack)
         if slack < -EPS_DIST:
             return trial, slack
     return -1, worst
+
+
+def _delay_case(rng: random.Random, trial: int) -> Tuple[Scenario, float]:
+    v, p = _scatter(rng, 2, box_m=500.0, min_sep_m=1.0)
+    delay = rng.uniform(0.0, 2e-7)
+    scn = oneway_scenario(v, p, n=2, seed=9000 + trial,
+                          prover_policy=SelectiveDelay(delay_s=delay))
+    return scn, distance(v, p)
+
+
+def _relay_case(rng: random.Random, trial: int) -> Tuple[Scenario, float]:
+    v, front, victim = _scatter(rng, 3, box_m=500.0, min_sep_m=1.0)
+    extra = NodeSpec(id=3, pos=victim, role=Role.PROVER)
+    scn = oneway_scenario(v, front, n=2, seed=9500 + trial,
+                          prover_policy=Relay(victim=3), extra_nodes=(extra,))
+    return scn, max(distance(v, victim), distance(v, front))
 
 
 def _reconcile_sweep() -> Tuple[int, List[str]]:
@@ -492,10 +492,10 @@ def check_property_suite(quick: bool) -> Tuple[bool, str]:
     the closed forms across a parameter sweep of every protocol.
     """
     rng = random.Random(99)
-    bad, worst_delay = _non_shortening_delay(rng, 500)
+    bad, worst_delay = _non_shortening(rng, 500, _delay_case)
     if bad >= 0:
         return False, f"selective delay shortened a bound at trial {bad} by {-worst_delay:.2e} m"
-    bad, worst_relay = _non_shortening_relay(rng, 500)
+    bad, worst_relay = _non_shortening(rng, 500, _relay_case)
     if bad >= 0:
         return False, f"relay shortened a bound at trial {bad} by {-worst_relay:.2e} m"
 

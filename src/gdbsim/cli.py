@@ -24,6 +24,7 @@ from .core import (
     Scenario,
     ScenarioFormatError,
     ScenarioInvalid,
+    ensure_valid,
     load_scenario,
 )
 from .proto.base import RunResult
@@ -151,7 +152,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks: List[Tuple[str, int, str]] = []
     for path in args.scenarios:
         try:
-            _load(path, None)    # validate every input before fanning out
+            ensure_valid(_load(path, None))    # refuse every bad input before fanning out
         except (ScenarioFormatError, ScenarioInvalid, OSError) as exc:
             _fail(str(exc))
             return EXIT_INPUT

@@ -50,6 +50,10 @@ class ScenarioInvalid(GdbSimError, ValueError):
         self.issues = issues
         super().__init__("; ".join(str(i) for i in issues))
 
+    def __reduce__(self):
+        # rebuilt from the issues, so it crosses a process pool intact
+        return type(self), (self.issues,)
+
 
 class LengthMismatch(GdbSimError, ValueError):
     """Two sequences that must have equal length do not."""
@@ -102,7 +106,6 @@ class ProtocolConfig:
     bit_len: challenge/response width in bits per rapid message.
     alpha: processing delay a responder waits before answering, seconds.
     c: signal speed, meters per second.
-    pre_post_msgs: setup plus teardown messages per committing party.
     auth_enabled: sign and verify transcripts with registered keys.
     """
 
@@ -110,7 +113,6 @@ class ProtocolConfig:
     bit_len: int = 1
     alpha: float = 0.0
     c: float = SPEED_OF_LIGHT
-    pre_post_msgs: int = 2
     auth_enabled: bool = False
 
 
@@ -465,7 +467,7 @@ def validate_scenario(s: Scenario) -> List[ValidationIssue]:
 
     # ProtocolConfig field, lowest value, whether the lowest itself is allowed
     for name, lowest, inclusive in (("n", 1, True), ("bit_len", 1, True), ("alpha", 0, True),
-                                    ("c", 0, False), ("pre_post_msgs", 0, True)):
+                                    ("c", 0, False)):
         v = getattr(s.config, name)
         if v < lowest or (v == lowest and not inclusive):
             rule = f"{'>=' if inclusive else '>'} {lowest}"

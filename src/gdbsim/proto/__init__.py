@@ -3,9 +3,9 @@
 Every driver shares the Brands-Chaum skeleton of base.py: commit_phase,
 rapid values from RunContext.answer sent through RunContext.emit, each
 timed round named by its two emissions in RunContext.timed and priced
-by active_bounds, open_phase, and one check_answers replay of every
-answer against the opened nonces.  The ring family adds a signed report
-phase and solves its own bounds.
+by active_bounds, then open_phase, which decommits, signs when auth is
+on, and replays every answer against the opened nonces.  The ring
+family adds a signed report phase and solves its own bounds.
 
 An estimate's verified_auth (auth_ok in bounds.csv) is true iff auth is
 on and every signature the run required from either endpoint verified.

@@ -4,11 +4,11 @@ Every driver follows the Brands-Chaum shape: commit_phase draws and
 commits each party's rapid nonces into the run's nonce ledger, every
 timed message goes out through the one timing hook RunContext.emit,
 every rapid value is a RunContext.answer (an operand XOR its sender's
-next committed nonce), open_phase decommits (signing when auth is on),
-and check_answers replays every answer against the opened nonces before
-any bound is published.  A driver names each timed round by its two
-emissions in RunContext.timed, and active_bounds alone reads the
-measurer's stamps for them off the trace and prices them.
+next committed nonce), and open_phase decommits (signing when auth is
+on) and replays every answer against the opened nonces.  A driver
+names each timed round by its two emissions in RunContext.timed, and
+active_bounds alone reads the measurer's stamps for them off the trace
+and prices them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core import (
     GdbSimError,
@@ -43,9 +43,13 @@ class ResponseMismatch(GdbSimError):
     """A rapid-phase answer does not match its challenge XOR committed nonce."""
 
     def __init__(self, round_index: int, node: NodeId, nonce_index: int) -> None:
-        self.round_index = round_index
+        self.round_index, self.node, self.nonce_index = round_index, node, nonce_index
         super().__init__(f"node {node}'s answer on nonce {nonce_index} in round "
                          f"{round_index} is not its challenge XOR that nonce")
+
+    def __reduce__(self):
+        # rebuilt from the fields, so it crosses a process pool intact
+        return type(self), (self.round_index, self.node, self.nonce_index)
 
 
 class CommitMismatch(GdbSimError):
@@ -176,7 +180,7 @@ class RunContext:
     def answer(
         self, node: NodeId, operand: int, round_index: int, heard: Optional[int] = None
     ) -> int:
-        """operand XOR node's next committed nonce, logged for check_answers.
+        """operand XOR node's next committed nonce, logged for open_phase's replay.
 
         heard is what a guessing prover XORed in place of operand; the log
         keeps operand, the true challenge, so the replay catches every
@@ -224,42 +228,40 @@ Bundle = Tuple[Commitment, Opening]
 
 
 def commit_phase(
-    ctx: RunContext, counts: Mapping[NodeId, int], t: float, broadcast: bool = True
+    ctx: RunContext, counts: Mapping[NodeId, int]
 ) -> Tuple[Dict[NodeId, Bundle], float]:
     """Each owner in turn draws its nonces, commits, and announces the digest.
 
     counts maps every committing party, in announcement order, to the
     number of rapid nonces it needs; the nonces go into ctx.nonces,
-    where RunContext.answer takes them in turn.  Every announcement
-    takes its own slot; with broadcast off the commitments travel
-    outside the counted messages and no slot is used.
+    where RunContext.answer takes them in turn.  The announcements take
+    one slot each from the first; returns the bundles and the time the
+    rapid phase may start.
     """
     bit_len = ctx.scenario.config.bit_len
     bundles: Dict[NodeId, Bundle] = {}
+    t = ctx.slot_s
     for nid, count in counts.items():
         nonces = ctx.nonces[nid] = tuple(ctx.draw_bits(bit_len) for _ in range(count))
         bundles[nid] = commit(nonces, bit_len, ctx.rng)
-        if broadcast:
-            ctx.channel.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
-            t += ctx.slot_s
+        ctx.channel.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
+        t += ctx.slot_s
     return bundles, t
 
 
 def open_phase(
-    ctx: RunContext,
-    bundles: Mapping[NodeId, Bundle],
-    t: float,
-    sign: bool = True,
-    broadcast: bool = True,
+    ctx: RunContext, bundles: Mapping[NodeId, Bundle], t: float, sign: bool = True
 ) -> float:
-    """Decommit phase: every owner opens, and signs when auth is on.
+    """Every owner opens, signing when auth is on; then every answer is replayed.
 
     A signature covers the commitment digest, which binds the nonces.
     An owner without a registered key, or whose signature does not
     verify, stops the run with AuthFailure; an opening that does not
     match its commitment stops it with CommitMismatch.  The ring passes
-    sign=False because it signs its report instead.  broadcast is as in
-    commit_phase.
+    sign=False because it signs its report instead.  Once every owner
+    has opened, every logged answer is replayed, in order, against the
+    opened nonces; the first value that is not its operand XOR the nonce
+    it was due to answer stops the run with ResponseMismatch.
     """
     auth = sign and ctx.scenario.config.auth_enabled
     for nid, (commitment, opening) in bundles.items():
@@ -272,36 +274,19 @@ def open_phase(
             if not ctx.registry.verify(nid, commitment.digest, sig):
                 raise AuthFailure(f"opening signature of node {nid} rejected")
             payload += sig
-        if broadcast:
-            ctx.channel.broadcast(nid, t, "open", "post", payload=payload)
-            t += ctx.slot_s
+        ctx.channel.broadcast(nid, t, "open", "post", payload=payload)
+        t += ctx.slot_s
         try:
             open_commitment(commitment, opening)
         except OpeningMismatch as exc:
             raise CommitMismatch(f"node {nid}: {exc}") from exc
-    return t
 
-
-def beacons(ctx: RunContext, senders: Sequence[NodeId], phase: str, count: int, t: float) -> float:
-    """Framing beacons 1 .. count-1; message 0 of the phase is the commit or open."""
-    for k in range(1, count):
-        for nid in senders:
-            ctx.channel.broadcast(nid, t, "beacon", phase, payload=encode_value("b", k, 0))
-            t += ctx.slot_s
-    return t
-
-
-def check_answers(ctx: RunContext) -> None:
-    """Replay every logged answer, in order, against the opened nonces.
-
-    The first value that is not its operand XOR the nonce it was due to
-    answer stops the run with ResponseMismatch.
-    """
     bit_len = ctx.scenario.config.bit_len
     nonces = ctx.nonces
     for node, k, operand, value, round_index in ctx.answers:
         if value != response_bits(operand, nonces[node][k], bit_len):
             raise ResponseMismatch(round_index, node, k)
+    return t
 
 
 def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId], List]:

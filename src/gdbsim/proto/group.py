@@ -22,7 +22,6 @@ from .base import (
     RunContext,
     RunResult,
     active_bounds,
-    check_answers,
     commit_phase,
     open_phase,
     start_run,
@@ -54,7 +53,7 @@ def _select_actives(
 
 
 def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
-    """Commit in ascending id order, run the listening phases in turn, open, check.
+    """Commit in ascending id order, run the listening phases in turn, open.
 
     In a phase every selected verifier runs its row of exchanges, one
     per prover; the row's rounds are then priced actively for the
@@ -74,7 +73,7 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     for watchers, _, provers, n_a, d_a in phases:
         for p in provers:
             need[p] = need.get(p, 0) + active_verifier_count(d_a, len(watchers)) * n_a
-    bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)}, ctx.slot_s)
+    bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)})
     fold: Dict[Tuple[NodeId, NodeId], List] = {}  # (watcher, prover) -> [bound_m, rounds]
     actives: Set[NodeId] = set()
     for watchers, pool, provers, n_a, d_a in phases:
@@ -102,7 +101,6 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
                         entry[0] = bound
                     entry[1] += rounds
     open_phase(ctx, bundles, t)
-    check_answers(ctx)
     estimates = [
         DbEstimate(
             measurer=w, target=p, bound_m=bound,

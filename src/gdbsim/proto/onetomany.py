@@ -19,7 +19,6 @@ from .base import (
     RunContext,
     RunResult,
     active_estimates,
-    check_answers,
     commit_phase,
     encode_value,
     open_phase,
@@ -89,7 +88,7 @@ def run_chains(
         **{v: n * (len(responders) + 1) for v in initiators},
         **{p: n * len(initiators) for p in responders},
     }
-    bundles, t = commit_phase(ctx, counts, ctx.slot_s)
+    bundles, t = commit_phase(ctx, counts)
 
     estimates = []
     for v in initiators:
@@ -100,7 +99,6 @@ def run_chains(
         estimates += chain[0::2] + chain[1::2]
 
     open_phase(ctx, bundles, t)
-    check_answers(ctx)
     return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
 
 

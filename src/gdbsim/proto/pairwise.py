@@ -29,8 +29,6 @@ from .base import (
     RunContext,
     RunResult,
     active_estimates,
-    beacons,
-    check_answers,
     commit_phase,
     encode_value,
     open_phase,
@@ -209,16 +207,11 @@ def passive_bounds(
     return [dict(zip(others, zip(per_watcher, repeat(rounds)))) for per_watcher in best.tolist()]
 
 
-def _framing(cfg) -> Tuple[int, int]:
-    """pre_post_msgs split into (pre, post) messages per committing party."""
-    return cfg.pre_post_msgs - cfg.pre_post_msgs // 2, cfg.pre_post_msgs // 2
-
-
 def run_one_way_db(scenario: Scenario) -> RunResult:
     """One verifier times one prover; anyone else listens.
 
-    Emits 2n rapid messages plus the configured pre/post framing, plus
-    one closing schedule point when listeners are present.  A relaying
+    Emits 2n rapid messages, plus one closing schedule point when
+    listeners are present, between the prover's commit and open.  A relaying
     prover is driven through its victim, which lengthens every round
     trip by the detour.
     """
@@ -234,18 +227,14 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
         relay_front = [p for p in provers if isinstance(ctx.policy(p), Relay)][0]
     partner = relay_front if relay_front is not None else provers[0]
 
-    n_pre, n_post = _framing(cfg)
-    bundles, t = commit_phase(ctx, {partner: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
-    t = beacons(ctx, [verifier], "pre", n_pre, t)
+    bundles, t = commit_phase(ctx, {partner: cfg.n})
     if relay_front is None:
         ex = run_exchange(ctx, verifier, partner, cfg.n, t_start=t, closing=bool(observers))
     else:
         victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
         ex = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
     estimates = active_estimates(ctx)
-    t = open_phase(ctx, bundles, ex.t_end + ctx.slot_s, broadcast=n_post > 0)
-    beacons(ctx, [verifier], "post", n_post, t)
-    check_answers(ctx)
+    open_phase(ctx, bundles, ex.t_end + ctx.slot_s)
 
     for w, (bound, rounds) in passive_bounds(ctx, [ex], observers)[0].items():
         estimates.append(DbEstimate(
@@ -317,14 +306,10 @@ def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     ctx = start_run(scenario)
     cfg = scenario.config
     a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
-    n_pre, n_post = _framing(cfg)
-    bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n}, ctx.slot_s, broadcast=n_pre > 0)
-    t = beacons(ctx, (a, b), "pre", n_pre, t)
+    bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n})
     t_end = _interleaved_rapid(ctx, a, b, t)
     estimates = active_estimates(ctx)
-    t = open_phase(ctx, bundles, t_end + ctx.slot_s, broadcast=n_post > 0)
-    beacons(ctx, (a, b), "post", n_post, t)
-    check_answers(ctx)
+    open_phase(ctx, bundles, t_end + ctx.slot_s)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
@@ -379,14 +364,13 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     ctx = start_run(scenario)
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
-    bundles, t = commit_phase(ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers}, ctx.slot_s)
+    bundles, t = commit_phase(ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers})
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
                 t = run_exchange(ctx, measurer, target, cfg.n, t, False).t_end + ctx.slot_s
     estimates = active_estimates(ctx)
     open_phase(ctx, bundles, t)
-    check_answers(ctx)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
@@ -401,8 +385,7 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
     last = len(peers) - 1
     bundles, t = commit_phase(
-        ctx, {nid: (last - i) * (cfg.n + 1) + i * cfg.n for i, nid in enumerate(peers)},
-        ctx.slot_s,
+        ctx, {nid: (last - i) * (cfg.n + 1) + i * cfg.n for i, nid in enumerate(peers)}
     )
 
     for i, x in enumerate(peers):
@@ -410,5 +393,4 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
             t = _interleaved_rapid(ctx, x, y, t) + ctx.slot_s
     estimates = active_estimates(ctx)
     open_phase(ctx, bundles, t)
-    check_answers(ctx)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

@@ -28,7 +28,6 @@ from .base import (
     DbEstimate,
     METHOD_MULTIPARTY,
     RunResult,
-    check_answers,
     commit_phase,
     encode_value,
     open_phase,
@@ -59,7 +58,7 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     n_nodes = len(peers)
     n = cfg.n
 
-    bundles, t = commit_phase(ctx, {p: 2 * n for p in peers}, ctx.slot_s)
+    bundles, t = commit_phase(ctx, {p: 2 * n for p in peers})
     ring = derive_ring_order({p: bundles[p][0] for p in peers}, peers)
     order = snake_order(ring)
 
@@ -89,7 +88,6 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     ) + ctx.slot_s
     # an unsigned node is accused through its report, not refused here
     t = open_phase(ctx, bundles, t, sign=False)
-    check_answers(ctx)
 
     rapid_emissions = [em for em in chan.trace.emissions if em.phase == "rapid"]
     digest_hex = transcript_digest(rapid_emissions)

@@ -50,7 +50,7 @@ class Emission:
     seq: int
     sender: NodeId
     t_send: float            # true clock, seconds
-    kind: str                # challenge | response | commit | open | report | relay | beacon
+    kind: str                # challenge | response | closing | relay | commit | open | report
     phase: str               # one of PHASES
     payload: bytes = b""
     round_index: Optional[int] = None

@@ -1,6 +1,7 @@
 """Command line contract: artifacts, exit codes, reproducibility."""
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,18 @@ from trace_oracle import assert_same_trace, reference_jsonl
 
 from gdbsim.analysis import emit_figure_data
 from gdbsim.cli import main
-from gdbsim.core import Protocol, load_scenario, scenario_to_json
+from gdbsim.core import (
+    Protocol,
+    ScenarioInvalid,
+    load_scenario,
+    scenario_to_json,
+    validate_scenario,
+)
+from gdbsim.proto.base import ResponseMismatch
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import oneway_scenario, peer_scenario
 from gdbsim.simkit import Trace
+from gdbsim.threat import GuessAhead
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -144,12 +153,38 @@ def test_sweep_rejects_bad_seed_list(tmp_path, ring_file, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
-def test_sweep_validates_inputs_before_fanout(tmp_path, ring_file):
-    bad = tmp_path / "bad.json"
-    bad.write_text("[]")
-    out = tmp_path / "o"
-    assert main(["sweep", str(ring_file), str(bad), "--out", str(out)]) == 2
-    assert not out.exists()  # nothing ran
+def test_sweep_validates_inputs_before_fanout(tmp_path, ring_file, capsys):
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("[]")
+    # parses, but a ring needs four nodes
+    small_ring = write_scenario(tmp_path, peer_scenario(Protocol.MULTI_PARTY_RING, 3),
+                                "ring3.json")
+    for bad, message in ((malformed, "must be a JSON object"), (small_ring, "N must be >= 4")):
+        out = tmp_path / "o"
+        assert main(["sweep", str(ring_file), str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # nothing ran
+
+
+@pytest.mark.parametrize("error", [
+    ResponseMismatch(3, 2, 2),
+    ScenarioInvalid(validate_scenario(peer_scenario(Protocol.MULTI_PARTY_RING, 3))),
+], ids=lambda e: type(e).__name__)
+def test_package_errors_survive_pickling(error):
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is type(error) and str(again) == str(error)
+
+
+def test_sweep_with_workers_reports_the_serial_protocol_error(tmp_path, capsys):
+    guesser = write_scenario(tmp_path, oneway_scenario(n=4, prover_policy=GuessAhead(4, 0.0)),
+                             "guess.json")
+    errors = []
+    for workers in ("1", "2"):
+        argv = ["sweep", str(guesser), "--seeds", "1,2,3,4", "--workers", workers,
+                "--out", str(tmp_path / f"o{workers}")]
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "is not its challenge XOR that nonce" in errors[0]
 
 
 def test_sweep_rejects_inputs_sharing_a_stem(tmp_path, capsys):

@@ -80,7 +80,7 @@ def rich_scenario() -> Scenario:
     )
     return Scenario(
         nodes=nodes, protocol=Protocol.MPNV,
-        config=ProtocolConfig(n=4, bit_len=2, alpha=1e-6, pre_post_msgs=3),
+        config=ProtocolConfig(n=4, bit_len=2, alpha=1e-6),
         rng_seed=99,
         experiment=ExperimentParams(n_a=2, n_p=2, d_a=0.5, N=2, M=3),
     )
@@ -116,7 +116,7 @@ def minimal_doc() -> dict:
 def test_parse_minimal():
     s = scenario_from_json(minimal_doc())
     assert s.protocol is Protocol.ONE_WAY
-    assert s.config.bit_len == 1 and s.config.pre_post_msgs == 2
+    assert s.config.bit_len == 1
     assert s.experiment is None
 
 
@@ -133,10 +133,12 @@ def test_parse_names_missing_key():
 
 
 def test_parse_names_extra_key():
-    doc = minimal_doc()
-    doc["config"]["fudge"] = 1
-    with pytest.raises(ScenarioFormatError, match="unknown keys at config.*fudge"):
-        scenario_from_json(doc)
+    # a document that still sets the removed pre_post_msgs is refused like any other
+    for key in ("fudge", "pre_post_msgs"):
+        doc = minimal_doc()
+        doc["config"][key] = 1
+        with pytest.raises(ScenarioFormatError, match=f"unknown keys at config.*{key}"):
+            scenario_from_json(doc)
 
 
 def test_parse_names_bad_node_field():

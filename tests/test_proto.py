@@ -609,24 +609,12 @@ def two_party(protocol):
     return peer_scenario(Protocol.MUTUAL_INTERLEAVED, 2, n=2, radius=100.0)
 
 
-@pytest.mark.parametrize("pre_post", [0, 1, 2, 3])
 @pytest.mark.parametrize("protocol", [Protocol.ONE_WAY, Protocol.MUTUAL_INTERLEAVED])
-def test_uncertified_node_cannot_sign(protocol, pre_post):
-    s = with_config(two_party(protocol), auth_enabled=True, pre_post_msgs=pre_post)
+def test_uncertified_node_cannot_sign(protocol):
+    s = with_config(two_party(protocol), auth_enabled=True)
     s = with_policy(s, 2, NodeInsertion(), has_cert=False)
     with pytest.raises(AuthFailure):
         run_scenario(s)
-
-
-@pytest.mark.parametrize("pre_post", [0, 1, 2, 3])
-@pytest.mark.parametrize("protocol", [Protocol.ONE_WAY, Protocol.MUTUAL_INTERLEAVED])
-def test_framing_messages_follow_pre_post_msgs(protocol, pre_post):
-    # every committing party sends ceil(k/2) setup and floor(k/2) teardown messages
-    parties = 1 if protocol == Protocol.ONE_WAY else 2
-    r = run_scenario(with_config(two_party(protocol), auth_enabled=True, pre_post_msgs=pre_post))
-    assert r.trace.count(phase="pre") == parties * (pre_post - pre_post // 2)
-    assert r.trace.count(phase="post") == parties * (pre_post // 2)
-    assert all(e.verified_auth for e in r.estimates)
 
 
 # every protocol with auth on, and the committing node a NodeInsertion would replace
@@ -662,6 +650,25 @@ def test_auth_ok_means_every_required_signature_verified(protocol):
     assert r.detection.accused == {committer}
     for e in r.estimates:
         assert e.verified_auth == (committer not in (e.measurer, e.target))
+
+
+# every driver and both sequential baselines, each on a scenario it accepts
+FRAMING_CASES = [(p.value, run_scenario, AUTH_CASES[p][0]) for p in Protocol] + [
+    (baseline.__name__, baseline, peer_scenario(Protocol.MULTI_PARTY_RING, 4, n=1, seed=22))
+    for baseline in (run_sequential_pairwise, run_sequential_interleaved)
+]
+
+
+@pytest.mark.parametrize("driver, scenario", [case[1:] for case in FRAMING_CASES],
+                         ids=[case[0] for case in FRAMING_CASES])
+def test_each_committing_party_sends_one_commit_and_one_open(driver, scenario):
+    """commit_phase and open_phase are the whole framing of every run."""
+    r = driver(with_config(scenario, auth_enabled=True))
+    committers = sorted(n.id for n in scenario.nodes if n.role in (Role.PROVER, Role.PEER))
+    for phase, kind in (("pre", "commit"), ("post", "open")):
+        sent = sorted((e.kind, e.sender) for e in r.trace.emissions if e.phase == phase)
+        assert sent == [(kind, p) for p in committers]
+    assert r.estimates and all(e.verified_auth for e in r.estimates)
 
 
 def test_ring_lone_asymmetric_delayer_detected():
