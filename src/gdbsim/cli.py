@@ -12,8 +12,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,12 +60,12 @@ def _load(path: str, seed: Optional[int]) -> Scenario:
 
 
 def _bounds_csv(result: RunResult) -> str:
+    est = result.estimates
+    rows = sorted(zip(est.measurer, est.target, est.bound_m, est.method, est.verified_auth),
+                  key=itemgetter(0, 1))
     lines = ["measurer,target,bound_m,method,auth_ok"]
-    for est in sorted(result.estimates, key=lambda e: (e.measurer, e.target)):
-        lines.append(
-            f"{est.measurer},{est.target},{est.bound_m!r},{est.method},"
-            f"{str(est.verified_auth).lower()}"
-        )
+    lines += [f"{m},{t},{bound!r},{method},{'true' if auth else 'false'}"
+              for m, t, bound, method, auth in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -121,8 +123,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _sweep_task(task: Tuple[str, int, str]) -> Tuple[str, Dict[str, str]]:
     scenario_path, seed, run_dir = task
-    digests = _run_one(scenario_path, seed, Path(run_dir))
-    return run_dir, digests
+    try:
+        return run_dir, _run_one(scenario_path, seed, Path(run_dir))
+    except GdbSimError as exc:
+        raise GdbSimError(f"{scenario_path} seed {seed}: {exc}") from exc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -160,6 +164,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in seeds:
             tasks.append((path, seed, str(out / f"{stem}-seed{seed}")))
 
+    # a failed sweep removes the run directories it created, once no run is
+    # still writing, so what is left does not depend on the worker count
+    fresh = [run_dir for _, _, run_dir in tasks if not Path(run_dir).exists()]
     results: List[Tuple[str, Dict[str, str]]] = []
     try:
         if args.workers > 1:
@@ -168,6 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             results = [_sweep_task(t) for t in tasks]
     except GdbSimError as exc:
+        for run_dir in fresh:
+            shutil.rmtree(run_dir, ignore_errors=True)
         _fail(f"protocol: {exc}")
         return EXIT_PROTOCOL
 

@@ -7,8 +7,10 @@ by active_bounds, then open_phase, which decommits, signs when auth is
 on, and replays every answer against the opened nonces.  The ring
 family adds a signed report phase and solves its own bounds.
 
-An estimate's verified_auth (auth_ok in bounds.csv) is true iff auth is
-on and every signature the run required from either endpoint verified.
+A run's bounds are one columnar Estimates table; iterating it yields
+DbEstimate rows.  A row's verified_auth (auth_ok in bounds.csv) is true
+iff auth is on and every signature the run required from either
+endpoint verified.
 An uncertified party raises AuthFailure in every protocol except the
 ring family, which accuses it and marks its estimates unauthenticated.
 """
@@ -17,6 +19,7 @@ from .base import (
     AuthFailure,
     CommitMismatch,
     DbEstimate,
+    Estimates,
     NoActiveVerifier,
     ResponseMismatch,
     RunResult,
@@ -27,6 +30,7 @@ __all__ = [
     "AuthFailure",
     "CommitMismatch",
     "DbEstimate",
+    "Estimates",
     "NoActiveVerifier",
     "ResponseMismatch",
     "RunResult",

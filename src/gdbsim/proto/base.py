@@ -8,7 +8,8 @@ next committed nonce), and open_phase decommits (signing when auth is
 on) and replays every answer against the opened nonces.  A driver
 names each timed round by its two emissions in RunContext.timed, and
 active_bounds alone reads the measurer's stamps for them off the trace
-and prices them.
+and prices them.  A run hands back its bounds as one columnar Estimates
+table, written as rows or, for the ring, as one block of columns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import cached_property, partial
+from operator import indexOf
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..core import (
     GdbSimError,
@@ -34,7 +37,7 @@ from ..crypto import (
     commit,
     open_commitment,
 )
-from ..estimate import active_distance
+from ..estimate import TofSolution, TofSystem, active_distance, edge_times
 from ..simkit import BroadcastChannel, Emission, Trace
 from ..threat import AdversaryPolicy, DetectionReport, apply_policy
 
@@ -79,9 +82,8 @@ METHOD_PASSIVE = "passive"
 METHOD_MULTIPARTY = "multiparty"
 
 
-@dataclass(frozen=True)
-class DbEstimate:
-    """One directional distance bound produced by a run.
+class DbEstimate(NamedTuple):
+    """One directional distance bound produced by a run: a row of Estimates.
 
     verified_auth (auth_ok in bounds.csv) is true iff auth is on and
     every signature the run required from either endpoint verified.
@@ -98,23 +100,71 @@ class DbEstimate:
     surplus: bool = False
 
 
+_row = partial(tuple.__new__, DbEstimate)
+
+
+@dataclass
+class Estimates:
+    """Every directional bound a run produced, one list per DbEstimate field.
+
+    A driver writes its rows through from_rows, or a whole block of
+    columns at once, as the ring writes its bound matrix.  Iterating
+    yields DbEstimate rows in the order they were written.
+    """
+
+    measurer: List[NodeId] = field(default_factory=list)
+    target: List[NodeId] = field(default_factory=list)
+    bound_m: List[float] = field(default_factory=list)
+    method: List[str] = field(default_factory=list)
+    rounds_used: List[int] = field(default_factory=list)
+    verified_auth: List[bool] = field(default_factory=list)
+    surplus: List[bool] = field(default_factory=list)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Tuple]) -> "Estimates":
+        """The table of rows, each a full DbEstimate-shaped tuple."""
+        return cls(*map(list, zip(*rows)))
+
+    def columns(self) -> Tuple[List, ...]:
+        return (self.measurer, self.target, self.bound_m, self.method,
+                self.rounds_used, self.verified_auth, self.surplus)
+
+    def __len__(self) -> int:
+        return len(self.measurer)
+
+    def __iter__(self) -> Iterator[DbEstimate]:
+        return map(_row, zip(*self.columns()))
+
+
 @dataclass
 class RunResult:
-    """Everything a protocol run leaves behind."""
+    """Everything a protocol run leaves behind.
+
+    A ring run keeps its flight-time solve in ring_solve, and
+    ring_solutions reads it, on first use, as each solved observer's
+    {(low id, high id): seconds}.
+    """
 
     scenario: Scenario
     trace: Trace
-    estimates: List[DbEstimate] = field(default_factory=list)
+    estimates: Estimates = field(default_factory=Estimates)
     detection: Optional[DetectionReport] = None
     ring_order: Optional[Tuple[NodeId, ...]] = None
-    ring_solutions: Optional[Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]]] = None
+    ring_solve: Optional[Tuple[TofSystem, TofSolution]] = field(default=None, compare=False)
     rejections: List[str] = field(default_factory=list)
 
+    @cached_property
+    def ring_solutions(self) -> Optional[Dict[NodeId, Dict[Tuple[NodeId, NodeId], float]]]:
+        return edge_times(*self.ring_solve) if self.ring_solve else None
+
     def estimate_for(self, measurer: NodeId, target: NodeId) -> DbEstimate:
-        for est in self.estimates:
-            if est.measurer == measurer and est.target == target:
-                return est
-        raise KeyError(f"no estimate {measurer} -> {target}")
+        """The first (measurer, target) row; KeyError if the run has none."""
+        est = self.estimates
+        try:
+            k = indexOf(zip(est.measurer, est.target), (measurer, target))
+        except ValueError:
+            raise KeyError(f"no estimate {measurer} -> {target}") from None
+        return _row([column[k] for column in est.columns()])
 
 
 @dataclass
@@ -314,14 +364,11 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId]
     return out
 
 
-def active_estimates(ctx: RunContext, start: int = 0) -> List[DbEstimate]:
-    """active_bounds as estimates; a run whose signatures fail stops in open_phase."""
+def active_rows(ctx: RunContext, start: int = 0) -> List[Tuple]:
+    """active_bounds as estimate rows; a run whose signatures fail stops in open_phase."""
     auth = ctx.scenario.config.auth_enabled
-    return [
-        DbEstimate(measurer=m, target=t, bound_m=bound, method=METHOD_ACTIVE,
-                   rounds_used=rounds, verified_auth=auth)
-        for (m, t), (bound, rounds) in active_bounds(ctx, start).items()
-    ]
+    return [(m, t, bound, METHOD_ACTIVE, rounds, auth, False)
+            for (m, t), (bound, rounds) in active_bounds(ctx, start).items()]
 
 
 def encode_value(kind: str, round_index: int, value: int) -> bytes:

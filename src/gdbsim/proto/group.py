@@ -9,15 +9,14 @@ share one joint ring, or chain per-verifier one-to-many runs.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core import NodeId, Role, Scenario, active_verifier_count
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
-    DbEstimate,
     METHOD_ACTIVE,
     METHOD_PASSIVE,
+    Estimates,
     NoActiveVerifier,
     RunContext,
     RunResult,
@@ -101,14 +100,11 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
                         entry[0] = bound
                     entry[1] += rounds
     open_phase(ctx, bundles, t)
-    estimates = [
-        DbEstimate(
-            measurer=w, target=p, bound_m=bound,
-            method=METHOD_ACTIVE if w in actives else METHOD_PASSIVE,
-            rounds_used=rounds, verified_auth=cfg.auth_enabled,
-        )
+    estimates = Estimates.from_rows([
+        (w, p, bound, METHOD_ACTIVE if w in actives else METHOD_PASSIVE, rounds,
+         cfg.auth_enabled, False)
         for (w, p), (bound, rounds) in sorted(fold.items())
-    ]
+    ])
     return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
 
 
@@ -156,10 +152,8 @@ def run_ntom_multiparty(scenario: Scenario) -> RunResult:
     """
     result = run_multiparty_gdb(scenario)
     g1 = set(ntom_groups(scenario)[0])
-    result.estimates = [
-        replace(est, surplus=True) if (est.measurer in g1) == (est.target in g1) else est
-        for est in result.estimates
-    ]
+    est = result.estimates
+    est.surplus = [(m in g1) == (t in g1) for m, t in zip(est.measurer, est.target)]
     return result
 
 

@@ -16,9 +16,10 @@ from ..core import NodeId, Role, Scenario
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
+    Estimates,
     RunContext,
     RunResult,
-    active_estimates,
+    active_rows,
     commit_phase,
     encode_value,
     open_phase,
@@ -90,16 +91,17 @@ def run_chains(
     }
     bundles, t = commit_phase(ctx, counts)
 
-    estimates = []
+    rows = []
     for v in initiators:
         start = len(ctx.timed)
         t = run_chain(ctx, v, responders, n, t) + ctx.slot_s
         # pairs are first timed v -> p_j, p_j -> v in turn
-        chain = active_estimates(ctx, start)
-        estimates += chain[0::2] + chain[1::2]
+        chain = active_rows(ctx, start)
+        rows += chain[0::2] + chain[1::2]
 
     open_phase(ctx, bundles, t)
-    return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
+    return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace,
+                     estimates=Estimates.from_rows(rows))
 
 
 def run_one_to_many(scenario: Scenario) -> RunResult:

@@ -24,11 +24,11 @@ from ..estimate import NegativeTimeOfFlight, direct_bounds
 from ..threat import FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
-    DbEstimate,
     METHOD_PASSIVE,
+    Estimates,
     RunContext,
     RunResult,
-    active_estimates,
+    active_rows,
     commit_phase,
     encode_value,
     open_phase,
@@ -233,15 +233,12 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     else:
         victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
         ex = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
-    estimates = active_estimates(ctx)
+    rows = active_rows(ctx)
     open_phase(ctx, bundles, ex.t_end + ctx.slot_s)
 
-    for w, (bound, rounds) in passive_bounds(ctx, [ex], observers)[0].items():
-        estimates.append(DbEstimate(
-            measurer=w, target=partner, bound_m=bound,
-            method=METHOD_PASSIVE, rounds_used=rounds, verified_auth=cfg.auth_enabled,
-        ))
-    return RunResult(scenario=s, trace=ctx.channel.trace, estimates=estimates)
+    rows += [(w, partner, bound, METHOD_PASSIVE, rounds, cfg.auth_enabled, False)
+             for w, (bound, rounds) in passive_bounds(ctx, [ex], observers)[0].items()]
+    return RunResult(scenario=s, trace=ctx.channel.trace, estimates=Estimates.from_rows(rows))
 
 
 def _run_relay_exchange(
@@ -308,7 +305,7 @@ def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
     bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n})
     t_end = _interleaved_rapid(ctx, a, b, t)
-    estimates = active_estimates(ctx)
+    estimates = Estimates.from_rows(active_rows(ctx))
     open_phase(ctx, bundles, t_end + ctx.slot_s)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
@@ -369,7 +366,7 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
                 t = run_exchange(ctx, measurer, target, cfg.n, t, False).t_end + ctx.slot_s
-    estimates = active_estimates(ctx)
+    estimates = Estimates.from_rows(active_rows(ctx))
     open_phase(ctx, bundles, t)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
@@ -391,6 +388,6 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             t = _interleaved_rapid(ctx, x, y, t) + ctx.slot_s
-    estimates = active_estimates(ctx)
+    estimates = Estimates.from_rows(active_rows(ctx))
     open_phase(ctx, bundles, t)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

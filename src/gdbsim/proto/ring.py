@@ -17,16 +17,18 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import NodeId, Role, Scenario
 from ..crypto import Commitment, UnknownKey, hash_bytes
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
-from ..estimate import build_tof_system, edge_times, ring_bounds, snake_order, solve_tof
+from ..estimate import build_tof_system, ring_bounds, snake_order, solve_tof
 from ..scenarios import regular_ring_scenario
 from ..threat import SelectiveDelay, cross_check_detect
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
-    DbEstimate,
     METHOD_MULTIPARTY,
+    Estimates,
     RunResult,
     commit_phase,
     encode_value,
@@ -94,7 +96,6 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     digest_bytes = bytes.fromhex(digest_hex)
 
     rejections: List[str] = []
-    estimates: List[DbEstimate] = []
     signed_ok: Dict[NodeId, bool] = {}
 
     for p in peers:
@@ -115,21 +116,18 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     failures = solution.failures
     for o, exc in failures.items():
         rejections.append(f"node {o}: flight-time solve failed: {exc}")
-    ring_solutions = edge_times(system, solution)
     bounds = ring_bounds(system, solution, cfg.c)
     errors = (cfg.c * solution.error_s).tolist()
-    bound_error: Dict[NodeId, float] = {}
-    # both endpoints signed the report a bound was derived from
-    signed = [signed_ok.get(p, False) for p in peers]
-    for k, o in enumerate(peers):
-        if o in failures:
-            continue
-        bound_error[o] = errors[k]
-        auth = signed[k]
-        estimates += [
-            DbEstimate(o, x, bound, METHOD_MULTIPARTY, n, auth and signed_x)
-            for x, bound, signed_x in zip(peers, bounds[k].tolist(), signed) if x != o
-        ]
+    bound_error = {o: e for o, e in zip(peers, errors) if o not in failures}
+    # every solved observer bounds every other member, observer-major; both
+    # endpoints signed the report a bound was derived from
+    published = ~np.eye(n_nodes, dtype=bool)
+    published[[k for k, o in enumerate(peers) if o in failures]] = False
+    k, x = np.nonzero(published)
+    ids, signed = np.array(peers), np.array([signed_ok.get(p, False) for p in peers])
+    estimates = Estimates(ids[k].tolist(), ids[x].tolist(), bounds[published].tolist(),
+                          [METHOD_MULTIPARTY] * len(k), [n] * len(k),
+                          (signed[k] & signed[x]).tolist(), [False] * len(k))
 
     detection = cross_check_detect(
         peers, bounds, {p: digest_bytes for p in peers}, bound_error_m=bound_error,
@@ -143,7 +141,7 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
 
     return RunResult(
         scenario=s, trace=chan.trace, estimates=estimates,
-        detection=detection, ring_order=ring, ring_solutions=ring_solutions,
+        detection=detection, ring_order=ring, ring_solve=(system, solution),
         rejections=rejections,
     )
 

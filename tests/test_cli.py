@@ -187,6 +187,25 @@ def test_sweep_with_workers_reports_the_serial_protocol_error(tmp_path, capsys):
     assert errors[0] == errors[1] and "is not its challenge XOR that nonce" in errors[0]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_sweep_names_the_run_and_removes_what_it_made(tmp_path, capsys, workers):
+    """Seeds 1-3 and 6 run clean, 4 and 5 fail: the first failure in seed
+    order is reported with its scenario and seed, and only the run
+    directories the sweep itself made are gone, whatever the worker count."""
+    guesser = write_scenario(tmp_path, oneway_scenario(n=4, prover_policy=GuessAhead(1, 0.0)),
+                             "g.json")
+    out = tmp_path / "o"
+    earlier = out / "g-seed2"
+    earlier.mkdir(parents=True)
+    argv = ["sweep", str(guesser), "--seeds", "1,2,3,4,5,6", "--workers", workers,
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: protocol: {guesser} seed 4: node 2's answer on nonce 0 in round 1 "
+        "is not its challenge XOR that nonce\n")
+    assert [p.name for p in out.iterdir()] == ["g-seed2"]
+
+
 def test_sweep_rejects_inputs_sharing_a_stem(tmp_path, capsys):
     a = write_scenario(tmp_path, oneway_scenario(n=2), "a.json")
     (tmp_path / "b").mkdir()

@@ -19,8 +19,9 @@ from gdbsim.core import (
     distance,
     load_scenario,
 )
-from gdbsim.estimate import NegativeTimeOfFlight
+from gdbsim.estimate import NegativeTimeOfFlight, SolveFailure
 from gdbsim.proto import base, group
+from gdbsim.proto import ring as ring_driver
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     _run_relay_exchange,
@@ -237,7 +238,7 @@ def test_voided_ring_is_not_consistent():
     ring = run_scenario(s).ring_order
     # the node's sends 2 and 3 are its two sends of round 2
     r = run_scenario(with_policy(s, ring[2], SelectiveDelay(per_message=((2, 5e-8), (3, 5e-8)))))
-    assert r.estimates == []
+    assert not r.estimates
     assert len(r.rejections) == 6
     assert not r.detection.consistent
     assert r.detection.unsolved == sorted(ring)
@@ -250,6 +251,66 @@ def test_ring_order_is_seed_stable():
     a = run_scenario(regular_ring_scenario(4, 400.0, seed=21)).ring_order
     b = run_scenario(regular_ring_scenario(4, 400.0, seed=21)).ring_order
     assert a == b and set(a) == {1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# the estimates table
+
+
+def rows(result):
+    return [(e.measurer, e.target, e.method) for e in result.estimates]
+
+
+def test_estimate_rows_keep_each_driver_shapes_order():
+    """Rows iterate in the order each driver shape writes them."""
+    # one-way: the active row, then the listeners in scenario order
+    listener = NodeSpec(id=12, pos=(40.0, -50.0), role=Role.PASSIVE_VERIFIER)
+    oneway = run_scenario(oneway_scenario(n=2, observer_pos=(30.0, 60.0),
+                                          extra_nodes=[listener]))
+    assert rows(oneway) == [(1, 2, "active"), (12, 2, "passive"), (9, 2, "passive")]
+    # group: the folded pairs, sorted
+    mpnv = run_scenario(mpnv_scenario(n=2, n_a=1, d_a=0.5, n_verifiers=3, m_provers=2))
+    assert [r[:2] for r in rows(mpnv)] == [(v, p) for v in (1, 2, 3) for p in (4, 5)]
+    # chain: each initiator's own bounds, then the responders' on it
+    chain = run_scenario(ntom_scenario(Protocol.NTOM_ONETOMANY, 2, 3, n=2))
+    assert [r[:2] for r in rows(chain)] == [
+        (1, 3), (1, 4), (1, 5), (3, 1), (4, 1), (5, 1),
+        (2, 3), (2, 4), (2, 5), (3, 2), (4, 2), (5, 2)]
+    # ring: observer-major, both in id order
+    ring = run_scenario(regular_ring_scenario(5, 300.0, seed=2))
+    ids = range(1, 6)
+    assert rows(ring) == [(o, x, "multiparty") for o in ids for x in ids if x != o]
+    for r in (oneway, mpnv, chain, ring):
+        assert len(r.estimates) == len(list(r.estimates))
+        first = next(iter(r.estimates))
+        assert r.estimate_for(first.measurer, first.target) == first
+
+
+def test_estimate_for_raises_for_a_missing_pair():
+    r = run_scenario(oneway_scenario(n=2))
+    with pytest.raises(KeyError, match="no estimate 2 -> 1"):
+        r.estimate_for(2, 1)
+
+
+def test_ring_publishes_no_row_for_a_failed_observer(monkeypatch):
+    """An observer whose solve fails drops out of the table and of
+    ring_solutions; every other row is what the clean run published."""
+    s = regular_ring_scenario(5, 300.0, seed=2)
+    clean = run_scenario(s)
+    solve = ring_driver.solve_tof
+
+    def fail_node_3(system):
+        return dataclasses.replace(solve(system), failures={3: SolveFailure("injected")})
+
+    monkeypatch.setattr(ring_driver, "solve_tof", fail_node_3)
+    r = run_scenario(s)
+    assert r.rejections == ["node 3: flight-time solve failed: injected"]
+    with pytest.raises(KeyError, match="no estimate 3 -> 1"):
+        r.estimate_for(3, 1)
+    assert list(r.estimates) == [e for e in clean.estimates if e.measurer != 3]
+    assert len(r.estimates) == 4 * 4
+    assert list(r.ring_solutions) == [1, 2, 4, 5]
+    assert r.ring_solutions[4] == clean.ring_solutions[4]
 
 
 def test_mpnv_passive_watchers_cover_all_pairs():
