@@ -174,11 +174,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 results = list(pool.map(_sweep_task, tasks))
         else:
             results = [_sweep_task(t) for t in tasks]
-    except GdbSimError as exc:
+    except (GdbSimError, OSError) as exc:
         for run_dir in fresh:
             shutil.rmtree(run_dir, ignore_errors=True)
-        _fail(f"protocol: {exc}")
-        return EXIT_PROTOCOL
+        if isinstance(exc, GdbSimError):
+            _fail(f"protocol: {exc}")
+            return EXIT_PROTOCOL
+        _fail(str(exc))    # a run directory that cannot be written, as gdbsim run reports it
+        return EXIT_INPUT
 
     merged_rows = ["run,measurer,target,bound_m,method,auth_ok"]
     for run_dir, _ in sorted(results):

@@ -315,7 +315,7 @@ def open_phase(
     """
     auth = sign and ctx.scenario.config.auth_enabled
     for nid, (commitment, opening) in bundles.items():
-        payload = opening.blinding + encode_value("o", 0, 0)
+        payload = opening.blinding + encode_value(b"o", 0, 0)
         if auth:
             try:
                 sig = ctx.registry.sign(nid, commitment.digest)
@@ -371,9 +371,9 @@ def active_rows(ctx: RunContext, start: int = 0) -> List[Tuple]:
             for (m, t), (bound, rounds) in active_bounds(ctx, start).items()]
 
 
-def encode_value(kind: str, round_index: int, value: int) -> bytes:
-    """Canonical payload bytes for a rapid-phase message."""
-    return f"{kind}|{round_index}|{value}".encode("ascii")
+def encode_value(kind: bytes, round_index: int, value: int) -> bytes:
+    """Canonical payload bytes for a rapid-phase message: kind|round|value in ASCII."""
+    return b"%s|%d|%d" % (kind, round_index, value)
 
 
 def transcript_digest(emissions: List[Emission]) -> str:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core import NodeId, Role, Scenario, active_verifier_count
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
@@ -51,21 +53,36 @@ def _select_actives(
     return sorted(ctx.rng.sample(sorted(pool), want))
 
 
+def _fold(bound: np.ndarray, rounds: np.ndarray, block, new: np.ndarray, n_rounds) -> None:
+    """Fold a block of bounds into the matrices: the larger wins, rounds add.
+
+    The strict > keeps the bound already there when the two are equal,
+    signed zero included, so the first of equal bounds wins.
+    """
+    cur = bound[block]
+    bound[block] = np.where(new > cur, new, cur)
+    rounds[block] += n_rounds
+
+
 def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     """Commit in ascending id order, run the listening phases in turn, open.
 
     In a phase every selected verifier runs its row of exchanges, one
     per prover; the row's rounds are then priced actively for the
-    verifier and passively for every other watcher in one call.  The
-    closing emission after each exchange's last response is what lets
-    listeners frame all n_a rounds; when every watcher is active for all
-    n rounds nobody needs it and it is omitted, which collapses the
-    phase to the all-active baseline.
+    verifier and passively for every other watcher.  The closing
+    emission after each exchange's last response is what lets listeners
+    frame all n_a rounds; when every watcher is active for all n rounds
+    nobody needs it and it is omitted, which collapses the phase to the
+    all-active baseline.
 
     Each (watcher, prover) estimate is the conservative composite: the
-    largest bound any source produced (the first of equal ones) and the
-    rounds of all sources, active if the watcher ran rounds itself.
-    Bounds are folded in as they are priced.
+    largest bound any source produced (the first of equal ones, so ties
+    follow selection order) and the rounds of all sources, active if the
+    watcher ran rounds itself.  One bound matrix (from -inf) and one
+    rounds matrix, indexed by the channel's node ids, take each row's
+    active column and passive (watchers x provers) block as it is
+    priced; the estimates are their nonzero-rounds entries, row-major,
+    which is sorted (watcher, prover) order.
     """
     cfg = ctx.scenario.config
     need: Dict[NodeId, int] = {}
@@ -73,12 +90,16 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         for p in provers:
             need[p] = need.get(p, 0) + active_verifier_count(d_a, len(watchers)) * n_a
     bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)})
-    fold: Dict[Tuple[NodeId, NodeId], List] = {}  # (watcher, prover) -> [bound_m, rounds]
+    ids = ctx.channel.node_ids
+    at = {nid: i for i, nid in enumerate(ids)}
+    bound = np.full((len(ids), len(ids)), -np.inf)
+    rounds = np.zeros((len(ids), len(ids)), dtype=np.int64)
     actives: Set[NodeId] = set()
     for watchers, pool, provers, n_a, d_a in phases:
         selected = _select_actives(ctx, pool, len(watchers), d_a)
         actives.update(selected)
         closing = not (n_a == cfg.n and len(selected) == len(watchers))
+        cols = [at[p] for p in provers]
         for v in selected:
             start = len(ctx.timed)
             row: List[ExchangeResult] = []
@@ -88,23 +109,20 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
                 t = ex.t_end + ctx.slot_s
             # pricing reads only the trace, so v's row is priced as one block
             active = active_bounds(ctx, start)
-            for ex, priced in zip(row, passive_bounds(ctx, row, watchers)):
-                priced[v] = active[(v, ex.prover)]
-                # one bound per pair and row: max()'s first-wins ties follow selection order
-                for w, (bound, rounds) in priced.items():
-                    entry = fold.get((w, ex.prover))
-                    if entry is None:
-                        fold[(w, ex.prover)] = [bound, rounds]
-                        continue
-                    if bound > entry[0]:
-                        entry[0] = bound
-                    entry[1] += rounds
+            own_bound, own_rounds = zip(*(active[(v, p)] for p in provers))
+            _fold(bound, rounds, np.ix_([at[v]], cols), np.array([own_bound]),
+                  np.array([own_rounds]))
+            others, best, framed = passive_bounds(ctx, row, watchers)
+            _fold(bound, rounds, np.ix_([at[w] for w in others], cols), best.T, framed)
     open_phase(ctx, bundles, t)
-    estimates = Estimates.from_rows([
-        (w, p, bound, METHOD_ACTIVE if w in actives else METHOD_PASSIVE, rounds,
-         cfg.auth_enabled, False)
-        for (w, p), (bound, rounds) in sorted(fold.items())
-    ])
+    w, p = np.nonzero(rounds)
+    node = np.array(ids)
+    measurer = node[w].tolist()
+    n = len(measurer)
+    estimates = Estimates(
+        measurer, node[p].tolist(), bound[w, p].tolist(),
+        [METHOD_ACTIVE if m in actives else METHOD_PASSIVE for m in measurer],
+        rounds[w, p].tolist(), [cfg.auth_enabled] * n, [False] * n)
     return RunResult(scenario=ctx.scenario, trace=ctx.channel.trace, estimates=estimates)
 
 

@@ -54,7 +54,7 @@ def run_chain(
             value = ctx.answer(v, prev_value, i)
             msg_index += 1
             em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
-                          encode_value("m", msg_index, value), i)
+                          encode_value(b"m", msg_index, value), i)
             if j:
                 timed.append((resp.seq, em.seq))
             prev_value = value
@@ -65,7 +65,7 @@ def run_chain(
             msg_index += 1
             r_value = ctx.answer(pj, prev_value, i)
             resp = ctx.emit(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, "response",
-                            encode_value("m", msg_index, r_value), i, em.seq, v)
+                            encode_value(b"m", msg_index, r_value), i, em.seq, v)
             timed.append((em.seq, resp.seq))
             prev_value = r_value
             t_nominal = chan.arrival_true(resp.seq, v) + cfg.alpha

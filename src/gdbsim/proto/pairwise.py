@@ -13,8 +13,7 @@ schedule-advancing challenger exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +78,7 @@ def run_exchange(
 
     for i in range(1, n_rounds + 1):
         c_i = draw_bits(bit_len)
-        ch = emit(verifier, t_nominal, "challenge", encode_value("c", i, c_i), i)
+        ch = emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         t_actual = ch.t_send
         nominal_sends.append(t_nominal)
 
@@ -87,7 +86,7 @@ def run_exchange(
         guess = i <= guessed
         value = answer(prover, c_i, i, draw_bits(bit_len) if guess else None)
         resp = emit(prover, (t_actual + tof_out) + alpha, "response",
-                    encode_value("r", i, value), i, ch.seq, verifier, guess)
+                    encode_value(b"r", i, value), i, ch.seq, verifier, guess)
         response_seqs.append(resp.seq)
         timed.append((ch.seq, resp.seq))
 
@@ -98,7 +97,7 @@ def run_exchange(
             t_end = t_back
 
     if closing:
-        em = emit(verifier, t_nominal, "closing", encode_value("x", n_rounds + 1, 0), n_rounds + 1)
+        em = emit(verifier, t_nominal, "closing", encode_value(b"x", n_rounds + 1, 0), n_rounds + 1)
         nominal_sends.append(t_nominal)
         t_end = max(t_end, em.t_send + chan.reach(verifier))
 
@@ -189,22 +188,22 @@ def observed_bound(
 
 def passive_bounds(
     ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
-) -> List[Dict[NodeId, Tuple[float, int]]]:
+) -> Tuple[List[NodeId], np.ndarray, int]:
     """Every watcher's passive bound on each prover of a row, in one pass.
 
     row holds exchanges that share one verifier and frame the same number
     of rounds, priced as one (exchanges x rounds x watchers) block: the
-    stamps passive_observations gathers, scored by observed_bound.  For
-    each exchange, maps each watcher other than the verifier to its bound
-    and the number of rounds it framed; an exchange that frames no round
-    prices nobody.
+    stamps passive_observations gathers, scored by observed_bound.
+    Returns (others, best, rounds): the watchers other than the verifier,
+    their (exchanges x others) bounds, and the number of rounds each
+    framed.  A row that frames no round prices nobody: others is empty.
     """
     others = [w for w in watchers if w != row[0].verifier]
     rounds = _framed(row[0])
     if not others or not rounds:
-        return [{} for _ in row]
+        return [], np.empty((len(row), 0)), 0
     best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
-    return [dict(zip(others, zip(per_watcher, repeat(rounds)))) for per_watcher in best.tolist()]
+    return others, best, rounds
 
 
 def run_one_way_db(scenario: Scenario) -> RunResult:
@@ -236,8 +235,9 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     rows = active_rows(ctx)
     open_phase(ctx, bundles, ex.t_end + ctx.slot_s)
 
+    others, best, rounds = passive_bounds(ctx, [ex], observers)
     rows += [(w, partner, bound, METHOD_PASSIVE, rounds, cfg.auth_enabled, False)
-             for w, (bound, rounds) in passive_bounds(ctx, [ex], observers)[0].items()]
+             for w, bound in zip(others, best[0].tolist())]
     return RunResult(scenario=s, trace=ctx.channel.trace, estimates=Estimates.from_rows(rows))
 
 
@@ -265,13 +265,13 @@ def _run_relay_exchange(
     t_end = t_start
     for i in range(1, cfg.n + 1):
         c_i = ctx.draw_bits(cfg.bit_len)
-        ch = ctx.emit(verifier, t_nominal, "challenge", encode_value("c", i, c_i), i)
+        ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         nominal_sends.append(t_nominal)
         fwd = ctx.emit(front, chan.arrival_true(ch.seq, front), "relay", ch.payload, i,
                        ch.seq, verifier)
         value = ctx.answer(front, c_i, i)
         vr = ctx.emit(victim, chan.arrival_true(fwd.seq, victim) + alpha, "response",
-                      encode_value("r", i, value), i, fwd.seq, verifier)
+                      encode_value(b"r", i, value), i, fwd.seq, verifier)
         resp = ctx.emit(front, chan.arrival_true(vr.seq, front), "response", vr.payload, i,
                         vr.seq, verifier)
         response_seqs.append(resp.seq)
@@ -280,7 +280,7 @@ def _run_relay_exchange(
         t_nominal = (t_back + (t_nominal - ch.t_send)) + alpha
         t_end = max(t_end, t_back)
     if closing:
-        em = ctx.emit(verifier, t_nominal, "closing", encode_value("x", cfg.n + 1, 0), cfg.n + 1)
+        em = ctx.emit(verifier, t_nominal, "closing", encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
         t_end = max(t_end, em.t_send + chan.reach(verifier))
     return ExchangeResult(
@@ -329,16 +329,16 @@ def _interleaved_rapid(
 
     # a opens on its first nonce, 0 XOR nonce; c is a's newest nonce, b's challenge
     c = ctx.answer(a, 0, 1)
-    prev = ctx.emit(a, t_start, "challenge", encode_value("m", 1, c), 1, None, b)
+    prev = ctx.emit(a, t_start, "challenge", encode_value(b"m", 1, c), 1, None, b)
     for k in range(1, cfg.n + 1):
         v_b = ctx.answer(b, c, k)
         em_b = ctx.emit(b, chan.arrival_true(prev.seq, b) + alpha, "response",
-                        encode_value("m", 2 * k, v_b), k, prev.seq, a)
+                        encode_value(b"m", 2 * k, v_b), k, prev.seq, a)
         ctx.timed.append((prev.seq, em_b.seq))
         s = v_b ^ c  # b's nonce, a's challenge
         v_a = ctx.answer(a, s, k)
         em_a = ctx.emit(a, chan.arrival_true(em_b.seq, a) + alpha, "response",
-                        encode_value("m", 2 * k + 1, v_a), k, em_b.seq, b)
+                        encode_value(b"m", 2 * k + 1, v_a), k, em_b.seq, b)
         ctx.timed.append((em_b.seq, em_a.seq))
         c = v_a ^ s
         prev = em_a

@@ -77,7 +77,7 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
             else:
                 t_nominal = chan.arrival_true(prev_seq, sender) + cfg.alpha
             em = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
-                          encode_value("m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
+                          encode_value(b"m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
             prev_seq = em.seq
             prev_value = value
             round_seqs.append(em.seq)

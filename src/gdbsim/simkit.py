@@ -9,11 +9,16 @@ node derives must come out identical whatever the offsets are.
 
 The trace stores emissions only.  Arrivals are derived, never stored:
 message seq reaches receiver r at t_send + tof[sender, r], one float64
-add on the channel's flight-time matrix.  The export, trace format 2,
-is JSON lines: a meta line {"kind": "meta", "node_ids", "offsets",
-"tof", "trace_format": 2}, then one line per emission in seq order,
-{"kind", "payload" (hex), "phase", "round_index", "sender", "seq",
-"t_send"}.  Keys are sorted and floats written as repr, so the text is
+add on the channel's flight-time matrix.  The channel also keeps that
+matrix as rows of Python floats, the same doubles, and every per-send
+read (tof, and broadcast's check that a reply does not precede its
+trigger's arrival) makes the add from those, with no numpy scalar on
+the send path; an Emission is a slotted record.
+
+The export, trace format 2, is JSON lines: a meta line {"kind":
+"meta", "node_ids", "offsets", "tof", "trace_format": 2}, then one
+line per emission in seq order, {"kind", "payload" (hex), "phase",
+"round_index", "sender", "seq", "t_send"}.  Keys are sorted and floats written as repr, so the text is
 byte-identical across platforms for a given scenario and seed, and
 Trace.from_jsonl rebuilds the same trace bit for bit; a reader derives
 each arrival itself as t_send + tof[sender][r].
@@ -45,7 +50,7 @@ class TraceFormatError(GdbSimError):
     """A trace text that Trace.from_jsonl cannot read back."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Emission:
     seq: int
     sender: NodeId
@@ -203,13 +208,14 @@ class BroadcastChannel:
                 # core.distance's hypot, once per unordered pair: hypot(-dx, -dy) is hypot(dx, dy)
                 row[j] = tof[j][i] = math.hypot(a[0] - b[0], a[1] - b[1]) / c
         self._tof = np.array(tof)
+        self._tof_rows = tof
         self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
         self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets), tof=self._tof)
         self._emissions = self.trace.emissions
         self._last_send: Dict[NodeId, float] = {}
 
     def tof(self, a: NodeId, b: NodeId) -> float:
-        return float(self._tof[self._index[a], self._index[b]])
+        return self._tof_rows[self._index[a]][self._index[b]]
 
     def dist(self, a: NodeId, b: NodeId) -> float:
         return self.tof(a, b) * self.c
@@ -252,7 +258,12 @@ class BroadcastChannel:
         prev = last_send.get(sender)
         if not allow_early:
             if after is not None:
-                t_trigger = self.trace.arrival_true(after, sender)
+                # Trace.arrival_true(after, sender), read off the flight-time lists
+                trig = self._emissions[after]
+                if trig.sender == sender:
+                    raise KeyError(f"node {sender} sent message {after}, it does not receive it")
+                index = self._index
+                t_trigger = trig.t_send + self._tof_rows[index[trig.sender]][index[sender]]
                 if t_send < t_trigger - SEND_SLACK_S:
                     raise CausalityViolation(
                         f"node {sender} sends at {t_send} before message "

@@ -62,8 +62,8 @@ def test_passive_criteria_price_through_the_one_way_driver(monkeypatch):
     priced = pairwise.passive_bounds
 
     def long_by_a_millimetre(ctx, row, watchers):
-        return [{w: (bound + 1e-3, rounds) for w, (bound, rounds) in per_exchange.items()}
-                for per_exchange in priced(ctx, row, watchers)]
+        others, best, rounds = priced(ctx, row, watchers)
+        return others, best + 1e-3, rounds
 
     monkeypatch.setattr(pairwise, "passive_bounds", long_by_a_millimetre)
     results = run_suite(quick=True, labels=["3", "8"])

@@ -206,6 +206,26 @@ def test_failed_sweep_names_the_run_and_removes_what_it_made(tmp_path, capsys, w
     assert [p.name for p in out.iterdir()] == ["g-seed2"]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_that_cannot_write_a_run_exits_2_and_removes_what_it_made(
+    tmp_path, capsys, workers
+):
+    """A run directory that is already a file stops the sweep with one
+    error line and exit 2, as gdbsim run does; the run directories the
+    sweep made are gone and the file is left."""
+    scn = write_scenario(tmp_path, oneway_scenario(n=2), "p.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "p-seed2").write_text("not a directory\n")
+    argv = ["sweep", str(scn), "--seeds", "1,2,3", "--workers", workers, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out / "p-seed2") in err
+    assert [p.name for p in out.iterdir()] == ["p-seed2"]
+    assert (out / "p-seed2").read_text() == "not a directory\n"
+
+
 def test_sweep_rejects_inputs_sharing_a_stem(tmp_path, capsys):
     a = write_scenario(tmp_path, oneway_scenario(n=2), "a.json")
     (tmp_path / "b").mkdir()

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import group_oracle
+import numpy as np
 import passive_oracle
 from gdbsim.core import (
     ExperimentParams,
@@ -510,6 +512,63 @@ def test_group_prices_active_rounds_before_passive_ones(monkeypatch):
     assert priced == []
 
 
+GROUP_GOLDEN = [p.stem for p in sorted((Path(__file__).parent / "golden").glob("*.json"))
+                if p.name != "digests.json"
+                and load_scenario(str(p)).protocol in (Protocol.MPNV, Protocol.NTOM_PASSIVE)]
+
+
+def folded_rows(monkeypatch, scenario, signed_zero=False):
+    """Run scenario, recording each verifier row as the group driver priced it.
+
+    With signed_zero every active bound reads 0.0 and every passive one
+    -0.0, so a pair that both priced holds equal bounds from two rows.
+    """
+    rows, actives = [], []
+
+    def active(ctx, start=0):
+        out = base.active_bounds(ctx, start)
+        if signed_zero:
+            out = {pair: [0.0, rounds] for pair, (_, rounds) in out.items()}
+        actives.append(out)
+        return out
+
+    def passive(ctx, row, watchers):
+        others, best, framed = passive_bounds(ctx, row, watchers)
+        if signed_zero:
+            best = np.full_like(best, -0.0)
+        rows.append((row[0].verifier, [ex.prover for ex in row], actives[-1], others,
+                     best.tolist(), framed))
+        return others, best, framed
+
+    monkeypatch.setattr(group, "active_bounds", active)
+    monkeypatch.setattr(group, "passive_bounds", passive)
+    return run_scenario(scenario), rows
+
+
+@pytest.mark.parametrize("signed_zero", [False, True])
+@pytest.mark.parametrize("name", GROUP_GOLDEN)
+def test_group_fold_matches_the_dict_fold(monkeypatch, name, signed_zero):
+    """The bound and rounds matrices give the dict fold's estimates bit for bit.
+
+    Every bound's repr (so -0.0 apart from 0.0), then rounds, method and
+    row order, on every MPNV and NtoM-passive golden scenario; with
+    signed_zero each active verifier also holds equal bounds from two
+    rows, and the first row's must win.
+    """
+    scenario = load_scenario(str(Path(__file__).parent / "golden" / f"{name}.json"))
+    result, rows = folded_rows(monkeypatch, scenario, signed_zero)
+    want = group_oracle.estimate_rows(group_oracle.fold_rows(rows), {v for v, *_ in rows})
+    est = result.estimates
+    assert [repr(b) for b in est.bound_m] == [repr(b) for _, _, b, _, _ in want]
+    assert [type(r) for r in est.rounds_used] == [int] * len(want)
+    assert list(zip(est.measurer, est.target, est.method, est.rounds_used)) == [
+        (w, p, method, rounds) for w, p, _, method, rounds in want]
+    assert est.verified_auth == [scenario.config.auth_enabled] * len(want)
+    assert est.surplus == [False] * len(want)
+    if signed_zero and len(rows) > 1:
+        assert {repr(b) for b in est.bound_m} == {"0.0", "-0.0"}
+
+
 def test_guess_ahead_lucky_seed_shortens_bound():
     """A fraudster that wins its coin flips beats the true distance; the
     per-run risk assessment is what bounds how often that happens."""
@@ -654,8 +713,8 @@ def test_passive_bounds_match_per_watcher_pricing(
             passive_bounds(ctx, row, watchers)
         assert str(got.value) == str(exc)
         return
-    got = passive_bounds(ctx, row, watchers)
-    assert [[(w, b.hex(), k) for w, (b, k) in g.items()] for g in got] == [
+    others, best, rounds = passive_bounds(ctx, row, watchers)
+    assert [[(w, b.hex(), rounds) for w, b in zip(others, g)] for g in best.tolist()] == [
         [(w, b.hex(), k) for w, (b, k) in g.items()] for g in want
     ]
 

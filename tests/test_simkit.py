@@ -1,5 +1,7 @@
 """Broadcast channel: propagation, causality, trace export and read-back."""
 import json
+import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,14 @@ from gdbsim.core import SPEED_OF_LIGHT, load_scenario
 from gdbsim.proto.base import start_run
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import on_circle, oneway_scenario
-from gdbsim.simkit import PHASES, BroadcastChannel, CausalityViolation, Trace, TraceFormatError
+from gdbsim.simkit import (
+    PHASES,
+    SEND_SLACK_S,
+    BroadcastChannel,
+    CausalityViolation,
+    Trace,
+    TraceFormatError,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,6 +70,28 @@ def test_reply_before_arrival_is_a_violation():
     too_soon = chan.arrival_true(em.seq, 2) * 0.5
     with pytest.raises(CausalityViolation):
         chan.broadcast(2, too_soon, "response", "rapid", after=em.seq)
+
+
+def test_reply_to_its_own_message_is_a_key_error():
+    chan = make_channel()
+    em = chan.broadcast(1, 0.0, "challenge", "rapid")
+    with pytest.raises(KeyError) as got:
+        chan.broadcast(1, 1.0, "response", "rapid", after=em.seq)
+    assert got.value.args == ("node 1 sent message 0, it does not receive it",)
+    assert len(chan.trace.emissions) == 1
+
+
+def test_causality_slack_is_exact_to_the_ulp():
+    """A reply may precede its trigger's arrival by SEND_SLACK_S and no more."""
+    chan = make_channel()
+    em = chan.broadcast(1, 0.0, "challenge", "rapid")
+    t_trigger = chan.arrival_true(em.seq, 2)
+    too_soon = math.nextafter(t_trigger - SEND_SLACK_S, -math.inf)
+    with pytest.raises(CausalityViolation) as got:
+        chan.broadcast(2, too_soon, "response", "rapid", after=em.seq)
+    assert str(got.value) == f"node 2 sends at {too_soon} before message 0 arrives at {t_trigger}"
+    ok = chan.broadcast(2, t_trigger - SEND_SLACK_S, "response", "rapid", after=em.seq)
+    assert ok.seq == 1
 
 
 def test_reply_at_arrival_is_allowed():
@@ -205,6 +236,13 @@ def test_golden_trace_reads_back(name):
     copy = Trace.from_jsonl(trace.to_jsonl())
     assert_same_trace(copy, trace)
     assert reference_jsonl(copy) == reference_jsonl(trace)
+
+
+def test_slotted_emissions_pickle_and_read_back_equal():
+    trace = run_scenario(load_scenario(str(GOLDEN / "oneway_relay.json"))).trace
+    assert not hasattr(trace.emissions[0], "__dict__")
+    for copy in (pickle.loads(pickle.dumps(trace)), Trace.from_jsonl(trace.to_jsonl())):
+        assert_same_trace(copy, trace)
 
 
 @pytest.fixture(scope="module")
