@@ -3,11 +3,12 @@
 Every driver follows the Brands-Chaum shape: commit_phase draws and
 commits each party's rapid nonces into the run's nonce ledger, every
 timed message goes out through the one timing hook RunContext.emit,
-every rapid value is a RunContext.answer (an operand XOR its sender's
-next committed nonce), and open_phase decommits (signing when auth is
-on) and replays every answer against the opened nonces.  A driver
-names each timed round by its two emissions in RunContext.timed, and
-active_bounds alone reads the measurer's stamps for them off the trace
+which makes one broadcast and returns its seq, every rapid value is a
+RunContext.answer (an operand XOR its sender's next committed nonce),
+and open_phase decommits (signing when auth is on) and replays every
+answer against the opened nonces.  A driver names each timed round by
+its two seqs in RunContext.timed, and active_bounds alone reads the
+measurer's stamps for them off the trace's columns and flight-time rows
 and prices them.  A run hands back its bounds as one columnar Estimates
 table, written as rows or, for the ring, as one block of columns.
 """
@@ -38,7 +39,7 @@ from ..crypto import (
     open_commitment,
 )
 from ..estimate import TofSolution, TofSystem, active_distance, edge_times
-from ..simkit import BroadcastChannel, Emission, Trace
+from ..simkit import SEND_SLACK_S, BroadcastChannel, Trace
 from ..threat import AdversaryPolicy, DetectionReport, apply_policy
 
 
@@ -174,7 +175,8 @@ class RunContext:
     nonces holds each party's committed rapid nonces; answer takes them
     in order, answered counting them off, and logs each to answers.
     timed logs every timed round, in order, as (ask seq, reply seq): the
-    ask's sender measures, the reply's sender is its target.
+    ask's sender measures, the reply's sender is its target.  bit_len is
+    the scenario's, held here for answer.
     """
 
     scenario: Scenario
@@ -189,6 +191,10 @@ class RunContext:
     # (node, nonce index, operand, value, round index) for every answer in turn
     answers: List[Tuple[NodeId, int, int, int, int]] = field(default_factory=list)
     timed: List[Tuple[int, int]] = field(default_factory=list)
+    bit_len: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.bit_len = self.scenario.config.bit_len
 
     def policy(self, node: NodeId) -> AdversaryPolicy:
         return self.policies[node]
@@ -203,25 +209,30 @@ class RunContext:
         after: Optional[int] = None,
         measurer: Optional[NodeId] = None,
         guess: bool = False,
-    ) -> Emission:
-        """Send one rapid-phase message; the timing hook every such send goes through.
+    ) -> int:
+        """Send one rapid-phase message and return its seq; every such send goes through here.
 
         Counts the send against the node's own rapid-phase counter and
         lets its policy shift t_nominal through apply_policy; measurer
         names the node whose measurement the send answers, which a
         targeted delay keys on.  A send the policy did not make early
-        never precedes the node's previous send: an early challenge can
+        is held back to the node's previous send (the channel's
+        last_send) when it would precede it: an early challenge can
         reach a prover before it has answered the last one, and the
         answer then waits for it.  A guessed answer (guess) then leaves
         its GuessAhead policy's advance_s earlier still, ahead of its
-        trigger.  after names the message the send reacts to.
+        trigger.  after names the message the send reacts to.  The
+        message goes out in one broadcast; a driver reads its send time
+        as channel.trace.t_send[seq].
         """
         index = self.send_counters.get(node, 0)
         self.send_counters[node] = index + 1
         policy = self.policies[node]
         t, early = apply_policy(policy, node, index, t_nominal, measurer, self.rng)
         if not early:
-            t = self.channel.in_order(node, t)
+            prev = self.channel.last_send.get(node)
+            if prev is not None and t < prev - SEND_SLACK_S:
+                t = prev
         if guess:
             t -= policy.advance_s
             early = True
@@ -239,7 +250,7 @@ class RunContext:
         k = self.answered.get(node, 0)
         self.answered[node] = k + 1
         heard = operand if heard is None else heard
-        value = response_bits(heard, self.nonces[node][k], self.scenario.config.bit_len)
+        value = response_bits(heard, self.nonces[node][k], self.bit_len)
         self.answers.append((node, k, operand, value, round_index))
         return value
 
@@ -351,13 +362,16 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId]
     cfg = ctx.scenario.config
     alpha, c = cfg.alpha, cfg.c
     trace = ctx.channel.trace
-    emissions, offsets = trace.emissions, trace.offsets
+    sender, t_send, offsets = trace.sender, trace.t_send, trace.offsets
+    rows, index = trace.tof_rows, trace.index
     out: Dict[Tuple[NodeId, NodeId], List] = {}
     for ask, reply in ctx.timed[start:]:
-        m = emissions[ask].sender
-        bound = active_distance(emissions[ask].t_send + offsets[m],
-                                trace.arrival_local(reply, m), alpha, c)
-        entry = out.setdefault((m, emissions[reply].sender), [bound, 0])
+        m, target = sender[ask], sender[reply]
+        off = offsets[m]
+        # the receive stamp is Trace.arrival_local(reply, m): (t_send + flight) + offset
+        bound = active_distance(t_send[ask] + off,
+                                (t_send[reply] + rows[index[target]][index[m]]) + off, alpha, c)
+        entry = out.setdefault((m, target), [bound, 0])
         if bound > entry[0]:
             entry[0] = bound
         entry[1] += 1
@@ -376,11 +390,12 @@ def encode_value(kind: bytes, round_index: int, value: int) -> bytes:
     return b"%s|%d|%d" % (kind, round_index, value)
 
 
-def transcript_digest(emissions: List[Emission]) -> str:
-    """Digest of the ordered rapid-phase payloads, as any receiver saw them."""
+def transcript_digest(trace: Trace) -> str:
+    """Digest of the trace's ordered rapid-phase payloads, as any receiver saw them."""
     h = hashlib.sha256()
-    for em in emissions:
-        h.update(f"{em.seq}|{em.sender}|".encode("ascii"))
-        h.update(em.payload)
-        h.update(b"\x00")
+    for seq, (sender, phase, payload) in enumerate(zip(trace.sender, trace.phase, trace.payload)):
+        if phase == "rapid":
+            h.update(f"{seq}|{sender}|".encode("ascii"))
+            h.update(payload)
+            h.update(b"\x00")
     return h.hexdigest()

@@ -56,7 +56,7 @@ def run_chain(
             em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
                           encode_value(b"m", msg_index, value), i)
             if j:
-                timed.append((resp.seq, em.seq))
+                timed.append((resp, em))
             prev_value = value
             if j == m:
                 break
@@ -64,13 +64,13 @@ def run_chain(
             pj = responders[j]
             msg_index += 1
             r_value = ctx.answer(pj, prev_value, i)
-            resp = ctx.emit(pj, chan.arrival_true(em.seq, pj) + cfg.alpha, "response",
-                            encode_value(b"m", msg_index, r_value), i, em.seq, v)
-            timed.append((em.seq, resp.seq))
+            resp = ctx.emit(pj, chan.arrival_true(em, pj) + cfg.alpha, "response",
+                            encode_value(b"m", msg_index, r_value), i, em, v)
+            timed.append((em, resp))
             prev_value = r_value
-            t_nominal = chan.arrival_true(resp.seq, v) + cfg.alpha
+            t_nominal = chan.arrival_true(resp, v) + cfg.alpha
 
-        t_nominal = max(chan.arrival_true(em.seq, p) for p in responders) + cfg.alpha
+        t_nominal = max(chan.arrival_true(em, p) for p in responders) + cfg.alpha
     return t_nominal
 
 

@@ -67,6 +67,7 @@ def run_exchange(
     alpha = cfg.alpha
     bit_len = cfg.bit_len
     emit, answer, draw_bits, timed = ctx.emit, ctx.answer, ctx.draw_bits, ctx.timed
+    t_sends = chan.trace.t_send
     # the adds Trace.arrival_true makes, with the pair's flights read once
     tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
     p_policy = ctx.policy(prover)
@@ -79,18 +80,18 @@ def run_exchange(
     for i in range(1, n_rounds + 1):
         c_i = draw_bits(bit_len)
         ch = emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
-        t_actual = ch.t_send
+        t_actual = t_sends[ch]
         nominal_sends.append(t_nominal)
 
         # a guessing prover draws its bits once the challenge is out
         guess = i <= guessed
         value = answer(prover, c_i, i, draw_bits(bit_len) if guess else None)
         resp = emit(prover, (t_actual + tof_out) + alpha, "response",
-                    encode_value(b"r", i, value), i, ch.seq, verifier, guess)
-        response_seqs.append(resp.seq)
-        timed.append((ch.seq, resp.seq))
+                    encode_value(b"r", i, value), i, ch, verifier, guess)
+        response_seqs.append(resp)
+        timed.append((ch, resp))
 
-        t_back = resp.t_send + tof_back
+        t_back = t_sends[resp] + tof_back
         # the verifier recovers its honest timeline by adding back its own advance
         t_nominal = (t_back + (t_nominal - t_actual)) + alpha
         if t_back > t_end:
@@ -99,7 +100,7 @@ def run_exchange(
     if closing:
         em = emit(verifier, t_nominal, "closing", encode_value(b"x", n_rounds + 1, 0), n_rounds + 1)
         nominal_sends.append(t_nominal)
-        t_end = max(t_end, em.t_send + chan.reach(verifier))
+        t_end = max(t_end, t_sends[em] + chan.reach(verifier))
 
     return ExchangeResult(
         verifier=verifier,
@@ -258,6 +259,7 @@ def _run_relay_exchange(
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
+    t_sends, payloads = chan.trace.t_send, chan.trace.payload
     alpha = cfg.alpha
     nominal_sends: List[float] = []
     response_seqs: List[int] = []
@@ -267,22 +269,22 @@ def _run_relay_exchange(
         c_i = ctx.draw_bits(cfg.bit_len)
         ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         nominal_sends.append(t_nominal)
-        fwd = ctx.emit(front, chan.arrival_true(ch.seq, front), "relay", ch.payload, i,
-                       ch.seq, verifier)
+        fwd = ctx.emit(front, chan.arrival_true(ch, front), "relay", payloads[ch], i,
+                       ch, verifier)
         value = ctx.answer(front, c_i, i)
-        vr = ctx.emit(victim, chan.arrival_true(fwd.seq, victim) + alpha, "response",
-                      encode_value(b"r", i, value), i, fwd.seq, verifier)
-        resp = ctx.emit(front, chan.arrival_true(vr.seq, front), "response", vr.payload, i,
-                        vr.seq, verifier)
-        response_seqs.append(resp.seq)
-        ctx.timed.append((ch.seq, resp.seq))  # the front answers the verifier
-        t_back = chan.arrival_true(resp.seq, verifier)
-        t_nominal = (t_back + (t_nominal - ch.t_send)) + alpha
+        vr = ctx.emit(victim, chan.arrival_true(fwd, victim) + alpha, "response",
+                      encode_value(b"r", i, value), i, fwd, verifier)
+        resp = ctx.emit(front, chan.arrival_true(vr, front), "response", payloads[vr], i,
+                        vr, verifier)
+        response_seqs.append(resp)
+        ctx.timed.append((ch, resp))  # the front answers the verifier
+        t_back = chan.arrival_true(resp, verifier)
+        t_nominal = (t_back + (t_nominal - t_sends[ch])) + alpha
         t_end = max(t_end, t_back)
     if closing:
         em = ctx.emit(verifier, t_nominal, "closing", encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
-        t_end = max(t_end, em.t_send + chan.reach(verifier))
+        t_end = max(t_end, t_sends[em] + chan.reach(verifier))
     return ExchangeResult(
         verifier=verifier, prover=front, nominal_sends=nominal_sends,
         response_seqs=response_seqs, t_end=t_end,
@@ -332,17 +334,17 @@ def _interleaved_rapid(
     prev = ctx.emit(a, t_start, "challenge", encode_value(b"m", 1, c), 1, None, b)
     for k in range(1, cfg.n + 1):
         v_b = ctx.answer(b, c, k)
-        em_b = ctx.emit(b, chan.arrival_true(prev.seq, b) + alpha, "response",
-                        encode_value(b"m", 2 * k, v_b), k, prev.seq, a)
-        ctx.timed.append((prev.seq, em_b.seq))
+        em_b = ctx.emit(b, chan.arrival_true(prev, b) + alpha, "response",
+                        encode_value(b"m", 2 * k, v_b), k, prev, a)
+        ctx.timed.append((prev, em_b))
         s = v_b ^ c  # b's nonce, a's challenge
         v_a = ctx.answer(a, s, k)
-        em_a = ctx.emit(a, chan.arrival_true(em_b.seq, a) + alpha, "response",
-                        encode_value(b"m", 2 * k + 1, v_a), k, em_b.seq, b)
-        ctx.timed.append((em_b.seq, em_a.seq))
+        em_a = ctx.emit(a, chan.arrival_true(em_b, a) + alpha, "response",
+                        encode_value(b"m", 2 * k + 1, v_a), k, em_b, b)
+        ctx.timed.append((em_b, em_a))
         c = v_a ^ s
         prev = em_a
-    return prev.t_send + chan.reach(a)
+    return chan.trace.t_send[prev] + chan.reach(a)
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,10 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
                 t_nominal = t_round_start
             else:
                 t_nominal = chan.arrival_true(prev_seq, sender) + cfg.alpha
-            em = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
-                          encode_value(b"m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
-            prev_seq = em.seq
+            prev_seq = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
+                                encode_value(b"m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
             prev_value = value
-            round_seqs.append(em.seq)
+            round_seqs.append(prev_seq)
         seqs.append(round_seqs)
         t_round_start = chan.arrival_true(prev_seq, ring[0]) + cfg.alpha
 
@@ -91,9 +90,7 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     # an unsigned node is accused through its report, not refused here
     t = open_phase(ctx, bundles, t, sign=False)
 
-    rapid_emissions = [em for em in chan.trace.emissions if em.phase == "rapid"]
-    digest_hex = transcript_digest(rapid_emissions)
-    digest_bytes = bytes.fromhex(digest_hex)
+    digest_bytes = bytes.fromhex(transcript_digest(chan.trace))
 
     rejections: List[str] = []
     signed_ok: Dict[NodeId, bool] = {}

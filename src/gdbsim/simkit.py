@@ -1,19 +1,23 @@
 """Deterministic broadcast-channel simulator.
 
-Every transmission is an Emission on a shared true clock; it reaches
+Every transmission is an emission on a shared true clock; it reaches
 every other node after exactly distance / c seconds.  There is no loss,
 no interference, and no queueing, so a run is a pure function of the
 scenario and its seed.  Each node also carries a fixed local clock
 offset; nodes only ever reason about local readings, and any quantity a
 node derives must come out identical whatever the offsets are.
 
-The trace stores emissions only.  Arrivals are derived, never stored:
-message seq reaches receiver r at t_send + tof[sender, r], one float64
-add on the channel's flight-time matrix.  The channel also keeps that
-matrix as rows of Python floats, the same doubles, and every per-send
-read (tof, and broadcast's check that a reply does not precede its
-trigger's arrival) makes the add from those, with no numpy scalar on
-the send path; an Emission is a slotted record.
+The trace stores emissions only, as columns: one list each for sender,
+t_send, kind, phase, payload and round_index, an emission's seq being
+its position.  broadcast appends to them and returns the seq, so no
+object is built per send; Trace.emissions reads the columns as
+Emission rows, built only when iterated or indexed.  Arrivals are
+derived, never stored: message seq reaches receiver r at t_send +
+tof[sender, r], one float64 add on the channel's flight-time matrix.
+The trace also keeps that matrix as rows of Python floats, the same
+doubles, and every per-send read (arrival_true, broadcast's check that
+a reply does not precede its trigger's arrival, reach) makes the add
+from those, with no numpy scalar on the send path.
 
 The export, trace format 2, is JSON lines: a meta line {"kind":
 "meta", "node_ids", "offsets", "tof", "trace_format": 2}, then one
@@ -28,9 +32,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +58,9 @@ class TraceFormatError(GdbSimError):
     """A trace text that Trace.from_jsonl cannot read back."""
 
 
-@dataclass(slots=True)
-class Emission:
+class Emission(NamedTuple):
+    """One transmission: a row of the trace's columns."""
+
     seq: int
     sender: NodeId
     t_send: float            # true clock, seconds
@@ -61,31 +70,78 @@ class Emission:
     round_index: Optional[int] = None
 
 
+_emission = partial(tuple.__new__, Emission)
+
 # the trace format to_jsonl writes and from_jsonl reads
 TRACE_FORMAT = 2
+
+
+class Emissions(SequenceABC):
+    """A trace's columns read as Emission rows, each built on access."""
+
+    def __init__(self, trace: "Trace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.sender)
+
+    def __getitem__(self, i: int) -> Emission:
+        columns = self._trace.columns()
+        seq = range(len(columns[0]))[i]  # a negative i counts from the end, as in a list
+        return _emission((seq, *(column[seq] for column in columns)))
+
+    def __iter__(self) -> Iterator[Emission]:
+        return map(_emission, zip(count(), *self._trace.columns()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Emissions, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Emissions({list(self)!r})"
 
 
 @dataclass
 class Trace:
     """Everything that happened on the channel during one run.
 
-    Only emissions are stored; an arrival is derived on demand as
-    t_send + tof[sender, receiver] from the channel's flight-time matrix.
+    Only emissions are stored, one list per Emission field after seq;
+    an arrival is derived on demand as t_send + tof[sender, receiver].
+    tof_rows holds the flight-time matrix as rows of Python floats (the
+    channel passes its own; otherwise they are read off tof), and index
+    maps a node id to its row.
     """
 
     node_ids: Tuple[NodeId, ...]
     offsets: Dict[NodeId, float]
     tof: np.ndarray          # flight seconds, indexed like node_ids
-    emissions: List[Emission] = field(default_factory=list)
+    sender: List[NodeId] = field(default_factory=list)
+    t_send: List[float] = field(default_factory=list)
+    kind: List[str] = field(default_factory=list)
+    phase: List[str] = field(default_factory=list)
+    payload: List[bytes] = field(default_factory=list)
+    round_index: List[Optional[int]] = field(default_factory=list)
+    tof_rows: Optional[List[List[float]]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._index = {nid: i for i, nid in enumerate(self.node_ids)}
+        self.index = {nid: i for i, nid in enumerate(self.node_ids)}
+        if self.tof_rows is None:
+            self.tof_rows = self.tof.tolist()
+
+    @property
+    def emissions(self) -> Emissions:
+        return Emissions(self)
+
+    def columns(self) -> Tuple[List, ...]:
+        return (self.sender, self.t_send, self.kind, self.phase, self.payload, self.round_index)
 
     def arrival_true(self, seq: int, receiver: NodeId) -> float:
-        em = self.emissions[seq]
-        if receiver == em.sender:
+        sender = self.sender[seq]
+        if receiver == sender:
             raise KeyError(f"node {receiver} sent message {seq}, it does not receive it")
-        return em.t_send + self.tof.item(self._index[em.sender], self._index[receiver])
+        index = self.index
+        return self.t_send[seq] + self.tof_rows[index[sender]][index[receiver]]
 
     def arrival_local(self, seq: int, receiver: NodeId) -> float:
         return self.arrival_true(seq, receiver) + self.offsets[receiver]
@@ -98,21 +154,22 @@ class Trace:
         bit for bit the same; a message's own sender reads NaN.
         """
         seqs = np.asarray(seqs)
-        ems = [self.emissions[s] for s in seqs.ravel().tolist()]
-        cols = np.array([self._index[r] for r in receivers], dtype=np.intp)
-        sender = np.array([self._index[em.sender] for em in ems], dtype=np.intp)
-        t_send = np.array([em.t_send for em in ems], dtype=float)
+        flat = seqs.ravel().tolist()
+        index, senders, t_sends = self.index, self.sender, self.t_send
+        cols = np.array([index[r] for r in receivers], dtype=np.intp)
+        sender = np.array([index[senders[s]] for s in flat], dtype=np.intp)
+        t_send = np.array([t_sends[s] for s in flat], dtype=float)
         offsets = np.array([self.offsets[r] for r in receivers], dtype=float)
         out = (t_send[:, None] + self.tof[sender][:, cols]) + offsets
         out[sender[:, None] == cols] = np.nan
         return out.reshape(seqs.shape + (len(cols),))
 
     def count(self, phase: Optional[str] = None, kind: Optional[str] = None) -> int:
-        return sum(
-            1
-            for em in self.emissions
-            if (phase is None or em.phase == phase) and (kind is None or em.kind == kind)
-        )
+        if kind is None:
+            return len(self.phase) if phase is None else self.phase.count(phase)
+        if phase is None:
+            return self.kind.count(kind)
+        return sum(p == phase and k == kind for p, k in zip(self.phase, self.kind))
 
     def to_jsonl(self) -> str:
         """The trace as format-2 JSON lines (see the module docstring).
@@ -127,17 +184,17 @@ class Trace:
             "trace_format": TRACE_FORMAT,
         }, sort_keys=True)
         lines = [meta]
-        for em in self.emissions:
-            r = "null" if em.round_index is None else em.round_index
-            lines.append(f'{{"kind": {_json_str(em.kind)}, "payload": "{em.payload.hex()}", '
-                         f'"phase": {_json_str(em.phase)}, "round_index": {r}, '
-                         f'"sender": {em.sender}, "seq": {em.seq}, "t_send": {em.t_send!r}}}')
+        for seq, (sender, t_send, kind, phase, payload, r) in enumerate(zip(*self.columns())):
+            r = "null" if r is None else r
+            lines.append(f'{{"kind": {_json_str(kind)}, "payload": "{payload.hex()}", '
+                         f'"phase": {_json_str(phase)}, "round_index": {r}, '
+                         f'"sender": {sender}, "seq": {seq}, "t_send": {t_send!r}}}')
         lines.append("")
         return "\n".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """The Trace that to_jsonl wrote; raises TraceFormatError naming the bad line."""
+        """The Trace that to_jsonl wrote; raises TraceFormatError naming the bad line and field."""
         lines = text.splitlines() or [""]
         meta = _record(lines[0], 1)
         if meta.get("kind") != "meta":
@@ -150,31 +207,79 @@ class Trace:
         if fmt != TRACE_FORMAT:
             raise TraceFormatError(
                 f"line 1: unknown trace_format {fmt!r}; this reader reads {TRACE_FORMAT}")
-        try:
-            node_ids = tuple(meta["node_ids"])
-            offsets = {int(k): v for k, v in meta["offsets"].items()}
-            n = len(node_ids)
-            shape_ok = len(meta["tof"]) == n and all(len(row) == n for row in meta["tof"])
-            tof = np.array(meta["tof"], dtype=float).reshape(n, n) if shape_ok else None
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"line 1: bad meta record: {exc!r}") from None
-        if tof is None:
-            raise TraceFormatError(
-                f"line 1: tof is not {n} x {n}, one row and column per node in node_ids")
-        trace = cls(node_ids, offsets, tof)
+        trace = cls(*_meta_fields(meta))
+        columns = trace.columns()
         for i in range(1, len(lines)):
-            rec = _record(lines[i], i + 1)
+            number = i + 1
+            rec = _record(lines[i], number)
             try:
-                em = Emission(rec["seq"], rec["sender"], rec["t_send"], rec["kind"],
-                              rec["phase"], bytes.fromhex(rec["payload"]), rec["round_index"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"line {i + 1}: bad emission record: {exc!r}") from None
-            if em.seq != i - 1:
-                raise TraceFormatError(f"line {i + 1}: seq {em.seq!r} where {i - 1} was due")
-            if em.sender not in trace._index:
-                raise TraceFormatError(f"line {i + 1}: sender {em.sender!r} is not in node_ids")
-            trace.emissions.append(em)
+                seq, *row = (rec[key] for key in ("seq", *_EMISSION_FIELDS))
+            except KeyError as exc:
+                raise TraceFormatError(f"line {number}: bad emission record: no {exc}") from None
+            if not _is_int(seq) or seq != i - 1:
+                raise TraceFormatError(f"line {number}: seq {seq!r} where {i - 1} was due")
+            for key, value, (ok, what) in zip(_EMISSION_FIELDS, row, _EMISSION_FIELDS.values()):
+                if not ok(value):
+                    raise TraceFormatError(f"line {number}: {key} {value!r} is not {what}")
+            sender, t_send, kind, phase, payload, r = row
+            if sender not in trace.index:
+                raise TraceFormatError(f"line {number}: sender {sender!r} is not in node_ids")
+            for column, value in zip(columns, (sender, t_send, kind, phase,
+                                               bytes.fromhex(payload), r)):
+                column.append(value)
         return trace
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON's true and false read as bools, which are not ids
+
+
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+_HEX = re.compile("(?:[0-9a-f]{2})*")
+
+# what from_jsonl requires of each emission field after seq, in column order
+_EMISSION_FIELDS = {
+    "sender": (_is_int, "an integer"),
+    "t_send": (_is_finite, "a finite number"),
+    "kind": (lambda v: type(v) is str, "a string"),
+    "phase": (lambda v: type(v) is str and v in PHASES, f"one of {', '.join(PHASES)}"),
+    "payload": (lambda v: type(v) is str and _HEX.fullmatch(v) is not None, "lowercase hex"),
+    "round_index": (lambda v: v is None or _is_int(v), "an integer or null"),
+}
+
+
+def _meta_fields(meta: dict) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, float], np.ndarray]:
+    """node_ids, offsets and tof of a format-2 meta record, every entry checked."""
+    try:
+        node_ids, offsets, tof = meta["node_ids"], meta["offsets"], meta["tof"]
+        seen = set()
+        for nid in node_ids:
+            if not _is_int(nid):
+                raise TraceFormatError(f"line 1: node id {nid!r} in node_ids is not an integer")
+            if nid in seen:
+                raise TraceFormatError(f"line 1: node id {nid} appears twice in node_ids")
+            seen.add(nid)
+        read_offsets = {int(key): offset for key, offset in offsets.items()}
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"line 1: bad meta record: {exc!r}") from None
+    bad = [(key, offset) for key, offset in offsets.items() if not _is_finite(offset)]
+    if bad:
+        raise TraceFormatError(f"line 1: offset {bad[0][1]!r} of node {bad[0][0]} "
+                               "is not a finite number")
+    if read_offsets.keys() != set(node_ids):
+        raise TraceFormatError("line 1: offsets do not name exactly the nodes in node_ids")
+    n = len(node_ids)
+    if type(tof) is not list or len(tof) != n or any(
+            type(row) is not list or len(row) != n for row in tof):
+        raise TraceFormatError(
+            f"line 1: tof is not {n} x {n}, one row and column per node in node_ids")
+    bad = [flight for row in tof for flight in row if not _is_finite(flight)]
+    if bad:
+        raise TraceFormatError(f"line 1: tof entry {bad[0]!r} is not a finite number")
+    return tuple(node_ids), read_offsets, np.array(tof, dtype=float)
 
 
 def _record(line: str, number: int) -> dict:
@@ -189,7 +294,11 @@ def _record(line: str, number: int) -> dict:
 
 
 class BroadcastChannel:
-    """Single shared medium connecting every node in a scenario."""
+    """Single shared medium connecting every node in a scenario.
+
+    last_send holds each node's latest send time, which no later send of
+    that node may precede.
+    """
 
     def __init__(
         self,
@@ -198,7 +307,6 @@ class BroadcastChannel:
         offsets: Optional[Dict[NodeId, float]] = None,
     ) -> None:
         self.node_ids: Tuple[NodeId, ...] = tuple(sorted(positions))
-        self._index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.c = c
         pts = [positions[a] for a in self.node_ids]
         tof = [[0.0] * len(pts) for _ in pts]
@@ -208,11 +316,13 @@ class BroadcastChannel:
                 # core.distance's hypot, once per unordered pair: hypot(-dx, -dy) is hypot(dx, dy)
                 row[j] = tof[j][i] = math.hypot(a[0] - b[0], a[1] - b[1]) / c
         self._tof = np.array(tof)
-        self._tof_rows = tof
         self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
-        self.trace = Trace(node_ids=self.node_ids, offsets=dict(self.offsets), tof=self._tof)
-        self._emissions = self.trace.emissions
-        self._last_send: Dict[NodeId, float] = {}
+        self.trace = Trace(self.node_ids, dict(self.offsets), self._tof, tof_rows=tof)
+        self._index = self.trace.index
+        self._tof_rows = tof
+        self._reach: Dict[Optional[NodeId], float] = {}
+        self.last_send: Dict[NodeId, float] = {}
+        self.arrival_true = self.trace.arrival_true  # one call, no hop through the channel
 
     def tof(self, a: NodeId, b: NodeId) -> float:
         return self._tof_rows[self._index[a]][self._index[b]]
@@ -226,14 +336,13 @@ class BroadcastChannel:
         return self._tof[idx[sender]][[idx[r] for r in receivers]]
 
     def reach(self, node: Optional[NodeId] = None) -> float:
-        """Longest flight time from node, or between any two nodes."""
-        tof = self._tof if node is None else self._tof[self._index[node]]
-        return float(tof.max())
-
-    def in_order(self, node: NodeId, t: float) -> float:
-        """t, or node's latest send when t would precede it: a node sends in order."""
-        prev = self._last_send.get(node)
-        return prev if prev is not None and t < prev - SEND_SLACK_S else t
+        """Longest flight time from node, or between any two nodes; memoised per node."""
+        longest = self._reach.get(node)
+        if longest is None:
+            rows = self._tof_rows
+            longest = self._reach[node] = (
+                max(map(max, rows)) if node is None else max(rows[self._index[node]]))
+        return longest
 
     def broadcast(
         self,
@@ -245,8 +354,8 @@ class BroadcastChannel:
         round_index: Optional[int] = None,
         after: Optional[int] = None,
         allow_early: bool = False,
-    ) -> Emission:
-        """Emit a message; it arrives everywhere after the flight time.
+    ) -> int:
+        """Emit a message and return its seq; it arrives everywhere after the flight time.
 
         after names the message this send reacts to; the send must not
         precede that message's arrival at the sender.  Policies that
@@ -254,16 +363,17 @@ class BroadcastChannel:
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        last_send = self._last_send
+        trace = self.trace
+        last_send = self.last_send
         prev = last_send.get(sender)
         if not allow_early:
             if after is not None:
-                # Trace.arrival_true(after, sender), read off the flight-time lists
-                trig = self._emissions[after]
-                if trig.sender == sender:
+                # Trace.arrival_true(after, sender), read off the columns and flight-time rows
+                trigger = trace.sender[after]
+                if trigger == sender:
                     raise KeyError(f"node {sender} sent message {after}, it does not receive it")
                 index = self._index
-                t_trigger = trig.t_send + self._tof_rows[index[trig.sender]][index[sender]]
+                t_trigger = trace.t_send[after] + self._tof_rows[index[trigger]][index[sender]]
                 if t_send < t_trigger - SEND_SLACK_S:
                     raise CausalityViolation(
                         f"node {sender} sends at {t_send} before message "
@@ -274,11 +384,11 @@ class BroadcastChannel:
                     f"node {sender} send at {t_send} precedes its own last send at {prev}"
                 )
         last_send[sender] = prev if prev is not None and prev > t_send else t_send
-        emissions = self._emissions
-        em = Emission(len(emissions), sender, t_send, kind, phase, payload, round_index)
-        emissions.append(em)
-        return em
-
-    def arrival_true(self, seq: int, receiver: NodeId) -> float:
-        return self.trace.arrival_true(seq, receiver)
-
+        seq = len(trace.sender)
+        trace.sender.append(sender)
+        trace.t_send.append(t_send)
+        trace.kind.append(kind)
+        trace.phase.append(phase)
+        trace.payload.append(payload)
+        trace.round_index.append(round_index)
+        return seq

@@ -909,6 +909,20 @@ def test_every_rapid_message_passes_the_timing_hook_once(name, monkeypatch):
     assert len(calls) == r.trace.count(phase="rapid")
 
 
+def test_emit_holds_a_send_back_to_the_last_one():
+    ctx = start_run(oneway_scenario())
+    t_send = ctx.channel.trace.t_send
+
+    def sent(node, t):
+        return t_send[ctx.emit(node, t, "challenge", b"", 1)]
+
+    assert sent(1, 0.5) == 0.5
+    assert sent(1, 1.0) == 1.0
+    assert sent(1, 0.5) == 1.0
+    assert sent(1, 1.0 - 1e-16) == 1.0 - 1e-16  # inside the float slack
+    assert sent(2, 0.5) == 0.5
+
+
 def test_held_guess_leaves_one_advance_before_the_answer_it_waited_for():
     """An early challenge reaches the guesser before its last answer left;
     the in-order hold comes first, then the guess's advance."""

@@ -2,6 +2,7 @@
 import json
 import math
 import pickle
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from gdbsim.simkit import (
     SEND_SLACK_S,
     BroadcastChannel,
     CausalityViolation,
+    Emission,
     Trace,
     TraceFormatError,
 )
@@ -33,23 +35,23 @@ def make_channel(offsets=None):
 
 def test_arrival_is_distance_over_c():
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "beacon", "pre")
-    assert chan.arrival_true(em.seq, 2) == pytest.approx(300.0 / SPEED_OF_LIGHT, rel=0, abs=1e-18)
-    assert chan.arrival_true(em.seq, 3) == pytest.approx(400.0 / SPEED_OF_LIGHT, rel=0, abs=1e-18)
+    seq = chan.broadcast(1, 0.0, "beacon", "pre")
+    assert chan.arrival_true(seq, 2) == pytest.approx(300.0 / SPEED_OF_LIGHT, rel=0, abs=1e-18)
+    assert chan.arrival_true(seq, 3) == pytest.approx(400.0 / SPEED_OF_LIGHT, rel=0, abs=1e-18)
 
 
 def test_sender_does_not_hear_itself():
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "beacon", "pre")
+    seq = chan.broadcast(1, 0.0, "beacon", "pre")
     with pytest.raises(KeyError):
-        chan.arrival_true(em.seq, 1)
+        chan.arrival_true(seq, 1)
 
 
 def test_local_readings_add_offset():
     chan = make_channel(offsets={1: 0.0, 2: 0.25, 3: 0.0})
-    em = chan.broadcast(1, 0.0, "beacon", "pre")
-    true_t = chan.arrival_true(em.seq, 2)
-    assert chan.trace.arrival_local(em.seq, 2) == pytest.approx(true_t + 0.25)
+    seq = chan.broadcast(1, 0.0, "beacon", "pre")
+    true_t = chan.arrival_true(seq, 2)
+    assert chan.trace.arrival_local(seq, 2) == pytest.approx(true_t + 0.25)
 
 
 def test_tof_is_symmetric():
@@ -66,17 +68,17 @@ def test_unknown_phase_rejected():
 
 def test_reply_before_arrival_is_a_violation():
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "challenge", "rapid")
-    too_soon = chan.arrival_true(em.seq, 2) * 0.5
+    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
+    too_soon = chan.arrival_true(seq, 2) * 0.5
     with pytest.raises(CausalityViolation):
-        chan.broadcast(2, too_soon, "response", "rapid", after=em.seq)
+        chan.broadcast(2, too_soon, "response", "rapid", after=seq)
 
 
 def test_reply_to_its_own_message_is_a_key_error():
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "challenge", "rapid")
+    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
     with pytest.raises(KeyError) as got:
-        chan.broadcast(1, 1.0, "response", "rapid", after=em.seq)
+        chan.broadcast(1, 1.0, "response", "rapid", after=seq)
     assert got.value.args == ("node 1 sent message 0, it does not receive it",)
     assert len(chan.trace.emissions) == 1
 
@@ -84,30 +86,30 @@ def test_reply_to_its_own_message_is_a_key_error():
 def test_causality_slack_is_exact_to_the_ulp():
     """A reply may precede its trigger's arrival by SEND_SLACK_S and no more."""
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "challenge", "rapid")
-    t_trigger = chan.arrival_true(em.seq, 2)
+    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
+    t_trigger = chan.arrival_true(seq, 2)
     too_soon = math.nextafter(t_trigger - SEND_SLACK_S, -math.inf)
     with pytest.raises(CausalityViolation) as got:
-        chan.broadcast(2, too_soon, "response", "rapid", after=em.seq)
+        chan.broadcast(2, too_soon, "response", "rapid", after=seq)
     assert str(got.value) == f"node 2 sends at {too_soon} before message 0 arrives at {t_trigger}"
-    ok = chan.broadcast(2, t_trigger - SEND_SLACK_S, "response", "rapid", after=em.seq)
-    assert ok.seq == 1
+    ok = chan.broadcast(2, t_trigger - SEND_SLACK_S, "response", "rapid", after=seq)
+    assert ok == 1
 
 
 def test_reply_at_arrival_is_allowed():
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "challenge", "rapid")
-    t = chan.arrival_true(em.seq, 2)
-    chan.broadcast(2, t, "response", "rapid", after=em.seq)
+    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
+    t = chan.arrival_true(seq, 2)
+    chan.broadcast(2, t, "response", "rapid", after=seq)
 
 
 def test_allow_early_bypasses_the_check():
     # adversarial sends opt out explicitly; the trace still records truth
     chan = make_channel()
-    em = chan.broadcast(1, 0.0, "challenge", "rapid")
-    early = chan.arrival_true(em.seq, 2) * 0.5
-    em2 = chan.broadcast(2, early, "response", "rapid", after=em.seq, allow_early=True)
-    assert em2.t_send == early
+    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
+    early = chan.arrival_true(seq, 2) * 0.5
+    seq2 = chan.broadcast(2, early, "response", "rapid", after=seq, allow_early=True)
+    assert chan.trace.t_send[seq2] == early
 
 
 def test_own_sends_must_not_go_backwards():
@@ -117,13 +119,20 @@ def test_own_sends_must_not_go_backwards():
         chan.broadcast(1, 0.5, "beacon", "pre")
 
 
-def test_in_order_holds_a_send_back_to_the_last_one():
+def test_broadcast_returns_the_seq_as_an_int():
     chan = make_channel()
-    assert chan.in_order(1, 0.5) == 0.5
-    chan.broadcast(1, 1.0, "beacon", "pre")
-    assert chan.in_order(1, 0.5) == 1.0
-    assert chan.in_order(1, 1.0 - 1e-16) == 1.0 - 1e-16  # inside the float slack
-    assert chan.in_order(2, 0.5) == 0.5
+    seqs = [chan.broadcast(1, 0.0, "commit", "pre"), chan.broadcast(2, 1.0, "commit", "pre")]
+    assert seqs == [0, 1] and all(type(seq) is int for seq in seqs)
+    assert [em.seq for em in chan.trace.emissions] == seqs
+
+
+def test_reach_is_the_numpy_row_max_for_every_node():
+    chan = BroadcastChannel({1: (0.0, 0.0), 2: (3.0, 4.0), 3: (-6.0, 8.0), 4: (3.0, 4.0)}, c=7.0)
+    for k, node in enumerate(chan.node_ids):
+        want = float(chan.trace.tof[k].max())
+        assert chan.reach(node) == want
+        assert chan.reach(node) == want  # memoised, same value
+    assert chan.reach() == float(chan.trace.tof.max())
 
 
 def test_trace_counts_by_phase_and_kind():
@@ -204,11 +213,11 @@ def tied_traces(draw):
     chan = BroadcastChannel(dict(zip(ids, pts)), c=1.0, offsets=offsets)
     for _ in range(draw(st.integers(0, 10))):
         sender = draw(st.sampled_from(chan.node_ids))
-        if chan.trace.emissions and draw(st.booleans()):
+        if chan.trace.sender and draw(st.booleans()):
             # send at the instant an earlier message arrives somewhere
-            prev = draw(st.sampled_from(chan.trace.emissions))
-            at = draw(st.sampled_from([r for r in chan.node_ids if r != prev.sender]))
-            t = chan.arrival_true(prev.seq, at)
+            prev = draw(st.integers(0, len(chan.trace.sender) - 1))
+            at = draw(st.sampled_from([r for r in chan.node_ids if r != chan.trace.sender[prev]]))
+            t = chan.arrival_true(prev, at)
         else:
             t = draw(st.sampled_from(INSTANTS))
         chan.broadcast(sender, t, draw(st.sampled_from(("beacon", "challenge", "response"))),
@@ -229,13 +238,48 @@ def test_jsonl_matches_reference_export(trace):
     assert copy.to_jsonl() == text
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")
-                                        if p.name != "digests.json"))
+GOLDEN_NAMES = sorted(p.stem for p in GOLDEN.glob("*.json") if p.name != "digests.json")
+
+
+@lru_cache(maxsize=None)
+def golden_trace(name):
+    return run_scenario(load_scenario(str(GOLDEN / f"{name}.json"))).trace
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_trace_reads_back(name):
-    trace = run_scenario(load_scenario(str(GOLDEN / f"{name}.json"))).trace
+    trace = golden_trace(name)
     copy = Trace.from_jsonl(trace.to_jsonl())
     assert_same_trace(copy, trace)
     assert reference_jsonl(copy) == reference_jsonl(trace)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_count_equals_a_row_by_row_count(name):
+    trace = golden_trace(name)
+    for phase in (None, *PHASES):
+        for kind in (None, *sorted(set(trace.kind))):
+            rows = sum(1 for em in trace.emissions if (phase is None or em.phase == phase)
+                       and (kind is None or em.kind == kind))
+            assert trace.count(phase, kind) == rows, (phase, kind)
+
+
+def test_emission_rows_are_a_view_of_the_columns():
+    trace = golden_trace("oneway")
+    rows = trace.emissions
+    n = len(trace.sender)
+    assert len(rows) == n == 11
+    assert rows[4] == Emission(4, trace.sender[4], trace.t_send[4], trace.kind[4],
+                               trace.phase[4], trace.payload[4], trace.round_index[4])
+    assert rows[-1] == rows[n - 1] and rows[-1].seq == n - 1 and rows[-n] == rows[0]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[bad]
+    assert [em.seq for em in rows] == list(range(n))
+    assert list(rows) == [rows[k] for k in range(n)]
+    assert rows == list(rows) and rows == Trace.from_jsonl(trace.to_jsonl()).emissions
+    assert rows != list(rows)[:-1]
+    assert pickle.loads(pickle.dumps(rows)) == rows
 
 
 def test_slotted_emissions_pickle_and_read_back_equal():
@@ -296,6 +340,60 @@ def test_reader_rejects_an_unknown_sender(golden_lines):
     lines = list(golden_lines)
     lines[3] = _edit(lines[3], sender=999)
     _reject(lines, r"^line 4: sender 999 is not in node_ids")
+
+
+@pytest.fixture(scope="module")
+def oneway_lines():
+    """The oneway golden trace's format-2 lines: nodes 1, 2 and 9, 11 emissions."""
+    return golden_trace("oneway").to_jsonl().splitlines()
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("t_send", "x", r"t_send 'x' is not a finite number"),
+    ("t_send", math.nan, r"t_send nan is not a finite number"),
+    ("t_send", math.inf, r"t_send inf is not a finite number"),
+    ("phase", "warp", r"phase 'warp' is not one of pre, rapid, post, report"),
+    ("kind", 7, r"kind 7 is not a string"),
+    ("round_index", "r", r"round_index 'r' is not an integer or null"),
+    ("sender", True, r"sender True is not an integer"),
+])
+def test_reader_rejects_a_wrong_typed_emission_field(oneway_lines, field, value, match):
+    lines = list(oneway_lines)
+    lines[5] = _edit(lines[5], **{field: value})
+    _reject(lines, "^line 6: " + match)
+
+
+def _meta_edit(lines, edit):
+    meta = json.loads(lines[0])
+    edit(meta)
+    return [json.dumps(meta, sort_keys=True)] + lines[1:]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: meta["offsets"].update({"2": "zero"}),
+     r"offset 'zero' of node 2 is not a finite number"),
+    (lambda meta: meta["tof"][0].__setitem__(1, "1e-7"),
+     r"tof entry '1e-7' is not a finite number"),
+    (lambda meta: meta["tof"][2].__setitem__(0, math.nan), r"tof entry nan is not a finite number"),
+    (lambda meta: meta["node_ids"].__setitem__(0, True),
+     r"node id True in node_ids is not an integer"),
+], ids=["offset-string", "tof-string", "tof-nan", "node-id-bool"])
+def test_reader_rejects_a_wrong_typed_meta_field(oneway_lines, edit, match):
+    _reject(_meta_edit(oneway_lines, edit), "^line 1: " + match)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["offsets"].pop("9"),
+    lambda meta: meta["offsets"].update({"4": 0.5}),
+], ids=["missing", "extra"])
+def test_reader_rejects_offsets_not_naming_every_node(oneway_lines, edit):
+    _reject(_meta_edit(oneway_lines, edit),
+            r"^line 1: offsets do not name exactly the nodes in node_ids")
+
+
+def test_reader_rejects_a_duplicated_node_id(oneway_lines):
+    _reject(_meta_edit(oneway_lines, lambda meta: meta["node_ids"].__setitem__(2, 2)),
+            r"^line 1: node id 2 appears twice in node_ids")
 
 
 def test_reader_rejects_malformed_lines(golden_lines):
