@@ -1,7 +1,7 @@
 """Protocol state machines driving the broadcast channel.
 
 Every driver shares the Brands-Chaum skeleton of base.py: commit_phase,
-rapid values from RunContext.answer sent through RunContext.emit, each
+rapid values from RunContext.answer timed by RunContext.sender, each
 timed round named by its two emissions in RunContext.timed and priced
 by active_bounds, then open_phase, which decommits, signs when auth is
 on, and replays every answer against the opened nonces.  The ring

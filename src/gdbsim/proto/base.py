@@ -2,15 +2,15 @@
 
 Every driver follows the Brands-Chaum shape: commit_phase draws and
 commits each party's rapid nonces into the run's nonce ledger, every
-timed message goes out through the one timing hook RunContext.emit,
-which makes one broadcast and returns its seq, every rapid value is a
-RunContext.answer (an operand XOR its sender's next committed nonce),
-and open_phase decommits (signing when auth is on) and replays every
-answer against the opened nonces.  A driver names each timed round by
-its two seqs in RunContext.timed, and active_bounds alone reads the
-measurer's stamps for them off the trace's columns and flight-time rows
-and prices them.  A run hands back its bounds as one columnar Estimates
-table, written as rows or, for the ring, as one block of columns.
+timed message's send time comes from one per-send step,
+RunContext.sender, every rapid value is a RunContext.answer (an operand
+XOR its sender's next committed nonce), and open_phase decommits
+(signing when auth is on) and replays every answer against the opened
+nonces.  A driver names each timed round by its two seqs in
+RunContext.timed, and active_bounds alone reads the measurer's stamps
+for them off the trace's columns and flight-time rows and prices them.
+A run hands back its bounds as one columnar Estimates table, written as
+rows or, for the ring, as one block of columns.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import repeat
 from operator import indexOf
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..core import (
+    EPS_TIME,
     GdbSimError,
     LengthMismatch,
     NodeId,
@@ -38,9 +40,9 @@ from ..crypto import (
     commit,
     open_commitment,
 )
-from ..estimate import TofSolution, TofSystem, active_distance, edge_times
-from ..simkit import SEND_SLACK_S, BroadcastChannel, Trace
-from ..threat import AdversaryPolicy, DetectionReport, apply_policy
+from ..estimate import NegativeTimeOfFlight, TofSolution, TofSystem, edge_times
+from ..simkit import SEND_SLACK_S, BroadcastChannel, Trace, check_send
+from ..threat import AdversaryPolicy, DetectionReport, EarlyChallenge, SelectiveDelay, apply_policy
 
 
 class ResponseMismatch(GdbSimError):
@@ -176,7 +178,8 @@ class RunContext:
     in order, answered counting them off, and logs each to answers.
     timed logs every timed round, in order, as (ask seq, reply seq): the
     ask's sender measures, the reply's sender is its target.  bit_len is
-    the scenario's, held here for answer.
+    the scenario's, held here for answer; _steps holds the per-send
+    steps sender has made.
     """
 
     scenario: Scenario
@@ -192,51 +195,62 @@ class RunContext:
     answers: List[Tuple[NodeId, int, int, int, int]] = field(default_factory=list)
     timed: List[Tuple[int, int]] = field(default_factory=list)
     bit_len: int = field(init=False)
+    _steps: Dict[NodeId, Callable[..., float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.bit_len = self.scenario.config.bit_len
 
-    def policy(self, node: NodeId) -> AdversaryPolicy:
-        return self.policies[node]
+    def sender(self, node: NodeId) -> Callable[..., float]:
+        """node's per-send step, send(t_nominal, after, t_trigger, guess, measurer) -> t_send.
 
-    def emit(
-        self,
-        node: NodeId,
-        t_nominal: float,
-        kind: str,
-        payload: bytes,
-        round_index: int,
-        after: Optional[int] = None,
-        measurer: Optional[NodeId] = None,
-        guess: bool = False,
-    ) -> int:
-        """Send one rapid-phase message and return its seq; every such send goes through here.
-
-        Counts the send against the node's own rapid-phase counter and
-        lets its policy shift t_nominal through apply_policy; measurer
-        names the node whose measurement the send answers, which a
-        targeted delay keys on.  A send the policy did not make early
-        is held back to the node's previous send (the channel's
-        last_send) when it would precede it: an early challenge can
-        reach a prover before it has answered the last one, and the
-        answer then waits for it.  A guessed answer (guess) then leaves
-        its GuessAhead policy's advance_s earlier still, ahead of its
-        trigger.  after names the message the send reacts to.  The
-        message goes out in one broadcast; a driver reads its send time
-        as channel.trace.t_send[seq].
+        Made once per node and run, it counts the send (send_counters)
+        and lets apply_policy shift it, which only SelectiveDelay (a
+        delay targeted at one measurer, the node whose measurement the
+        send answers) and EarlyChallenge do.  A send not made early waits
+        for the node's last send (last_send): an early challenge can
+        reach a prover before it has answered the last one.  A guessed
+        answer then leaves its GuessAhead advance_s earlier still.  Any
+        other send must not precede t_trigger, the arrival of message
+        after (check_send).
         """
-        index = self.send_counters.get(node, 0)
-        self.send_counters[node] = index + 1
+        step = self._steps.get(node)
+        if step is not None:
+            return step
+        counters, last_send, rng = self.send_counters, self.channel.last_send, self.rng
         policy = self.policies[node]
-        t, early = apply_policy(policy, node, index, t_nominal, measurer, self.rng)
-        if not early:
-            prev = self.channel.last_send.get(node)
-            if prev is not None and t < prev - SEND_SLACK_S:
+        # apply_policy is the identity for every other policy
+        timing = isinstance(policy, (SelectiveDelay, EarlyChallenge))
+        transform = partial(apply_policy, policy, node) if timing else None
+
+        def send(t: float, after: Optional[int] = None, t_trigger: Optional[float] = None,
+                 guess: bool = False, measurer: Optional[NodeId] = None) -> float:
+            index = counters.get(node, 0)
+            counters[node] = index + 1
+            early = False
+            if transform is not None:
+                t, early = transform(index, t, measurer, rng)
+            prev = last_send.get(node)
+            if not early and prev is not None and t < prev - SEND_SLACK_S:
                 t = prev
-        if guess:
-            t -= policy.advance_s
-            early = True
-        return self.channel.broadcast(node, t, kind, "rapid", payload, round_index, after, early)
+            if guess:
+                t -= policy.advance_s
+            elif not early and t_trigger is not None and t < t_trigger - SEND_SLACK_S:
+                # the hold keeps a send from preceding the last one: only a reply can be late
+                check_send(node, t, after, t_trigger, prev)
+            last_send[node] = prev if prev is not None and prev > t else t
+            return t
+
+        self._steps[node] = send
+        return send
+
+    def emit(self, node: NodeId, t_nominal: float, kind: str, payload: bytes, round_index: int,
+             after: Optional[int] = None, measurer: Optional[NodeId] = None) -> int:
+        """The per-send step plus one row for a send reacting to message after; returns its seq."""
+        step = self._steps.get(node) or self.sender(node)
+        chan = self.channel
+        trigger = None if after is None else chan.arrival_true(after, node)
+        return chan.trace.append(node, step(t_nominal, after, trigger, False, measurer), kind,
+                                 "rapid", payload, round_index)
 
     def answer(
         self, node: NodeId, operand: int, round_index: int, heard: Optional[int] = None
@@ -255,7 +269,7 @@ class RunContext:
         return value
 
     def draw_bits(self, bit_len: int) -> int:
-        return self.rng.getrandbits(bit_len) if bit_len else 0
+        return self.rng.getrandbits(bit_len)  # getrandbits(0) is 0 and draws nothing
 
 
 def start_run(scenario: Scenario) -> RunContext:
@@ -303,7 +317,7 @@ def commit_phase(
     bundles: Dict[NodeId, Bundle] = {}
     t = ctx.slot_s
     for nid, count in counts.items():
-        nonces = ctx.nonces[nid] = tuple(ctx.draw_bits(bit_len) for _ in range(count))
+        nonces = ctx.nonces[nid] = tuple(map(ctx.rng.getrandbits, repeat(bit_len, count)))
         bundles[nid] = commit(nonces, bit_len, ctx.rng)
         ctx.channel.broadcast(nid, t, "commit", "pre", payload=bundles[nid][0].digest)
         t += ctx.slot_s
@@ -343,9 +357,13 @@ def open_phase(
             raise CommitMismatch(f"node {nid}: {exc}") from exc
 
     bit_len = ctx.scenario.config.bit_len
+    top = 1 << bit_len
     nonces = ctx.nonces
     for node, k, operand, value, round_index in ctx.answers:
-        if value != response_bits(operand, nonces[node][k], bit_len):
+        nonce = nonces[node][k]  # response_bits, inline
+        if not (0 <= operand < top and 0 <= nonce < top):
+            raise LengthMismatch(f"values {operand}, {nonce} do not fit {bit_len} bits")
+        if value != operand ^ nonce:
             raise ResponseMismatch(round_index, node, k)
     return t
 
@@ -354,10 +372,11 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId]
     """Every (measurer, target) pair's [bound_m, rounds] over ctx.timed[start:].
 
     Each round is stamped on the measurer's own clock, its ask going out
-    and the reply coming in, and priced by active_distance; a pair's
-    bound is the largest over its rounds, the first of equal ones.  Pairs
-    come in the order they were first timed, and the first impossible
-    round, in ledger order, raises NegativeTimeOfFlight.
+    and the reply coming in, and priced as estimate.active_distance
+    prices it, its float operations inline; a pair's bound is the
+    largest over its rounds, the first of equal ones.  Pairs come in the
+    order they were first timed, and the first impossible round, in
+    ledger order, raises active_distance's NegativeTimeOfFlight.
     """
     cfg = ctx.scenario.config
     alpha, c = cfg.alpha, cfg.c
@@ -365,14 +384,21 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId]
     sender, t_send, offsets = trace.sender, trace.t_send, trace.offsets
     rows, index = trace.tof_rows, trace.index
     out: Dict[Tuple[NodeId, NodeId], List] = {}
+    pair = entry = None
     for ask, reply in ctx.timed[start:]:
         m, target = sender[ask], sender[reply]
-        off = offsets[m]
-        # the receive stamp is Trace.arrival_local(reply, m): (t_send + flight) + offset
-        bound = active_distance(t_send[ask] + off,
-                                (t_send[reply] + rows[index[target]][index[m]]) + off, alpha, c)
-        entry = out.setdefault((m, target), [bound, 0])
-        if bound > entry[0]:
+        if (m, target) != pair:  # a run of one pair's rounds reads these once
+            pair = (m, target)
+            off, flight = offsets[m], rows[index[target]][index[m]]
+            entry = out.setdefault(pair, [None, 0])
+        # active_distance on t_send + offset and Trace.arrival_local(reply, m)
+        t_sent, t_back = t_send[ask] + off, (t_send[reply] + flight) + off
+        tof2 = (t_back - t_sent) - alpha
+        if tof2 < -EPS_TIME:
+            raise NegativeTimeOfFlight(
+                f"round trip {t_back - t_sent!r} s shorter than processing {alpha!r} s")
+        bound = max(c * tof2 / 2.0, 0.0)
+        if entry[0] is None or bound > entry[0]:
             entry[0] = bound
         entry[1] += 1
     return out

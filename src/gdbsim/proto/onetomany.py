@@ -43,7 +43,10 @@ def run_chain(
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
+    trace = chan.trace
     timed = ctx.timed
+    # the per-send steps, called directly: a chain is most of a 1toM run
+    v_send, sends = ctx.sender(v), [ctx.sender(pj) for pj in responders]
     m = len(responders)
     prev_value = 0  # the opener hears nothing, and 0 XOR nonce is the nonce
     msg_index = 0
@@ -53,8 +56,8 @@ def run_chain(
         for j in range(m + 1):
             value = ctx.answer(v, prev_value, i)
             msg_index += 1
-            em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
-                          encode_value(b"m", msg_index, value), i)
+            em = trace.append(v, v_send(t_nominal), "challenge" if j < m else "closing",
+                              "rapid", encode_value(b"m", msg_index, value), i)
             if j:
                 timed.append((resp, em))
             prev_value = value
@@ -64,8 +67,9 @@ def run_chain(
             pj = responders[j]
             msg_index += 1
             r_value = ctx.answer(pj, prev_value, i)
-            resp = ctx.emit(pj, chan.arrival_true(em, pj) + cfg.alpha, "response",
-                            encode_value(b"m", msg_index, r_value), i, em, v)
+            t_in = chan.arrival_true(em, pj)
+            resp = trace.append(pj, sends[j](t_in + cfg.alpha, em, t_in, False, v), "response",
+                                "rapid", encode_value(b"m", msg_index, r_value), i)
             timed.append((em, resp))
             prev_value = r_value
             t_nominal = chan.arrival_true(resp, v) + cfg.alpha

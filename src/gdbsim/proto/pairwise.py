@@ -31,6 +31,7 @@ from .base import (
     commit_phase,
     encode_value,
     open_phase,
+    response_bits,
     start_run,
 )
 
@@ -60,53 +61,78 @@ def run_exchange(
     that listeners get a schedule point after the final response.  The
     prover answers on its next n_rounds committed nonces.  A guessing
     prover answers its first rounds ahead of the challenge, on guessed
-    bits.
+    bits.  The rows, answers and timed rounds are written with one extend
+    per column and log, also when a send raises.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
+    trace = chan.trace
     alpha = cfg.alpha
     bit_len = cfg.bit_len
-    emit, answer, draw_bits, timed = ctx.emit, ctx.answer, ctx.draw_bits, ctx.timed
-    t_sends = chan.trace.t_send
+    draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing, as in ctx.draw_bits
+    v_send, p_send = ctx.sender(verifier), ctx.sender(prover)
     # the adds Trace.arrival_true makes, with the pair's flights read once
     tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
-    p_policy = ctx.policy(prover)
+    p_policy = ctx.policies[prover]
     guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
+    # RunContext.answer on the prover's next nonces, logged here
+    nonces, answered = ctx.nonces[prover], ctx.answered.get(prover, 0)
+    first = answered
+    seq = len(trace.sender)
     nominal_sends: List[float] = []
-    response_seqs: List[int] = []
-    t_nominal = t_start
-    t_end = t_start
+    t_sends, payloads, answers, timed = [], [], [], []  # the exchange's rows and logs
+    t_nominal = t_end = t_start
 
-    for i in range(1, n_rounds + 1):
-        c_i = draw_bits(bit_len)
-        ch = emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
-        t_actual = t_sends[ch]
-        nominal_sends.append(t_nominal)
+    try:
+        for i in range(1, n_rounds + 1):
+            c_i = draw(bit_len)
+            t_actual = v_send(t_nominal)
+            t_sends.append(t_actual)
+            payloads.append(encode_value(b"c", i, c_i))
+            nominal_sends.append(t_nominal)
 
-        # a guessing prover draws its bits once the challenge is out
-        guess = i <= guessed
-        value = answer(prover, c_i, i, draw_bits(bit_len) if guess else None)
-        resp = emit(prover, (t_actual + tof_out) + alpha, "response",
-                    encode_value(b"r", i, value), i, ch, verifier, guess)
-        response_seqs.append(resp)
-        timed.append((ch, resp))
+            # a guessing prover draws its bits once the challenge is out
+            guess = i <= guessed
+            heard = draw(bit_len) if guess else c_i
+            k = answered
+            answered += 1
+            value = response_bits(heard, nonces[k], bit_len)
+            answers.append((prover, k, c_i, value, i))
+            t_arrival = t_actual + tof_out
+            t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
+            t_sends.append(t_resp)
+            payloads.append(encode_value(b"r", i, value))
+            timed.append((seq, seq + 1))
+            seq += 2
 
-        t_back = t_sends[resp] + tof_back
-        # the verifier recovers its honest timeline by adding back its own advance
-        t_nominal = (t_back + (t_nominal - t_actual)) + alpha
-        if t_back > t_end:
-            t_end = t_back
+            t_back = t_resp + tof_back
+            # the verifier recovers its honest timeline by adding back its own advance
+            t_nominal = (t_back + (t_nominal - t_actual)) + alpha
+            if t_back > t_end:
+                t_end = t_back
 
-    if closing:
-        em = emit(verifier, t_nominal, "closing", encode_value(b"x", n_rounds + 1, 0), n_rounds + 1)
-        nominal_sends.append(t_nominal)
-        t_end = max(t_end, t_sends[em] + chan.reach(verifier))
+        if closing:
+            t_close = v_send(t_nominal)
+            t_sends.append(t_close)
+            payloads.append(encode_value(b"x", n_rounds + 1, 0))
+            nominal_sends.append(t_nominal)
+            t_end = max(t_end, t_close + chan.reach(verifier))
+    finally:
+        sent = len(t_sends)
+        # rows alternate challenge and response, round by round, then the closing
+        trace.extend(([verifier, prover] * n_rounds + [verifier])[:sent], t_sends,
+                     (["challenge", "response"] * n_rounds + ["closing"])[:sent],
+                     ["rapid"] * sent, payloads, [j // 2 + 1 for j in range(sent)])
+        if answered > first:
+            ctx.answered[prover] = answered
+        ctx.answers.extend(answers)
+        ctx.timed.extend(timed)
 
     return ExchangeResult(
         verifier=verifier,
         prover=prover,
         nominal_sends=nominal_sends,
-        response_seqs=response_seqs,
+        response_seqs=[reply for _, reply in timed],
         t_end=t_end,
     )
 
@@ -147,7 +173,7 @@ def passive_observations(
     off = np.array([chan.offsets[w] for w in watchers])
     dist = chan.flights(verifier, watchers) * c
     base_tof = dist / c  # physical flight for schedule anchoring
-    pol = ctx.policy(verifier)
+    pol = ctx.policies[verifier]
     if isinstance(pol, FakeLocationReport):
         base = np.array([_claimed_baseline(ctx, pol, w) for w in watchers])
     else:
@@ -224,14 +250,14 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
 
     relay_front: Optional[NodeId] = None
     if len(provers) == 2:
-        relay_front = [p for p in provers if isinstance(ctx.policy(p), Relay)][0]
+        relay_front = [p for p in provers if isinstance(ctx.policies[p], Relay)][0]
     partner = relay_front if relay_front is not None else provers[0]
 
     bundles, t = commit_phase(ctx, {partner: cfg.n})
     if relay_front is None:
         ex = run_exchange(ctx, verifier, partner, cfg.n, t_start=t, closing=bool(observers))
     else:
-        victim = ctx.policy(relay_front).victim  # type: ignore[union-attr]
+        victim = ctx.policies[relay_front].victim  # type: ignore[union-attr]
         ex = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
     rows = active_rows(ctx)
     open_phase(ctx, bundles, ex.t_end + ctx.slot_s)

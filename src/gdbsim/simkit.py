@@ -9,15 +9,15 @@ node derives must come out identical whatever the offsets are.
 
 The trace stores emissions only, as columns: one list each for sender,
 t_send, kind, phase, payload and round_index, an emission's seq being
-its position.  broadcast appends to them and returns the seq, so no
-object is built per send; Trace.emissions reads the columns as
-Emission rows, built only when iterated or indexed.  Arrivals are
-derived, never stored: message seq reaches receiver r at t_send +
-tof[sender, r], one float64 add on the channel's flight-time matrix.
-The trace also keeps that matrix as rows of Python floats, the same
-doubles, and every per-send read (arrival_true, broadcast's check that
-a reply does not precede its trigger's arrival, reach) makes the add
-from those, with no numpy scalar on the send path.
+its position.  Trace.append writes one row and returns its seq, and
+Trace.extend writes a block of rows, so no object is built per send;
+Trace.emissions reads the columns as Emission rows, built only when
+iterated or indexed.  Arrivals are derived, never stored: message seq
+reaches receiver r at t_send + tof[sender, r], one float64 add on the
+channel's flight-time matrix.  The trace also keeps that matrix as rows
+of Python floats, the same doubles, and every per-send read
+(arrival_true, check_send's trigger arrival, reach) makes the add from
+those, with no numpy scalar on the send path.
 
 The export, trace format 2, is JSON lines: a meta line {"kind":
 "meta", "node_ids", "offsets", "tof", "trace_format": 2}, then one
@@ -52,6 +52,19 @@ SEND_SLACK_S = 1e-15
 
 class CausalityViolation(GdbSimError):
     """A node tried to transmit before the event that triggers the send."""
+
+
+def check_send(sender: NodeId, t_send: float, after: Optional[int],
+               t_trigger: Optional[float], prev: Optional[float]) -> None:
+    """Raise CausalityViolation for a send before t_trigger, message after's arrival, or prev."""
+    if t_trigger is not None and t_send < t_trigger - SEND_SLACK_S:
+        raise CausalityViolation(
+            f"node {sender} sends at {t_send} before message {after} arrives at {t_trigger}"
+        )
+    if prev is not None and t_send < prev - SEND_SLACK_S:
+        raise CausalityViolation(
+            f"node {sender} send at {t_send} precedes its own last send at {prev}"
+        )
 
 
 class TraceFormatError(GdbSimError):
@@ -110,19 +123,20 @@ class Trace:
     an arrival is derived on demand as t_send + tof[sender, receiver].
     tof_rows holds the flight-time matrix as rows of Python floats (the
     channel passes its own; otherwise they are read off tof), and index
-    maps a node id to its row.
+    maps a node id to its row.  Two traces compare equal by their
+    fields, the flight times by tof_rows, so two runs compare as values.
     """
 
     node_ids: Tuple[NodeId, ...]
     offsets: Dict[NodeId, float]
-    tof: np.ndarray          # flight seconds, indexed like node_ids
+    tof: np.ndarray = field(compare=False)  # flight seconds, indexed like node_ids
     sender: List[NodeId] = field(default_factory=list)
     t_send: List[float] = field(default_factory=list)
     kind: List[str] = field(default_factory=list)
     phase: List[str] = field(default_factory=list)
     payload: List[bytes] = field(default_factory=list)
     round_index: List[Optional[int]] = field(default_factory=list)
-    tof_rows: Optional[List[List[float]]] = field(default=None, repr=False, compare=False)
+    tof_rows: Optional[List[List[float]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.index = {nid: i for i, nid in enumerate(self.node_ids)}
@@ -135,6 +149,23 @@ class Trace:
 
     def columns(self) -> Tuple[List, ...]:
         return (self.sender, self.t_send, self.kind, self.phase, self.payload, self.round_index)
+
+    def append(self, sender: NodeId, t_send: float, kind: str, phase: str, payload: bytes,
+               round_index: Optional[int]) -> int:
+        """Write one emission row and return its seq."""
+        seq = len(self.sender)
+        self.sender.append(sender)
+        self.t_send.append(t_send)
+        self.kind.append(kind)
+        self.phase.append(phase)
+        self.payload.append(payload)
+        self.round_index.append(round_index)
+        return seq
+
+    def extend(self, *columns: Sequence) -> None:
+        """Write a block of rows, given as one sequence per column in columns() order."""
+        for column, values in zip(self.columns(), columns):
+            column.extend(values)
 
     def arrival_true(self, seq: int, receiver: NodeId) -> float:
         sender = self.sender[seq]
@@ -363,32 +394,9 @@ class BroadcastChannel:
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        trace = self.trace
-        last_send = self.last_send
-        prev = last_send.get(sender)
+        prev = self.last_send.get(sender)
         if not allow_early:
-            if after is not None:
-                # Trace.arrival_true(after, sender), read off the columns and flight-time rows
-                trigger = trace.sender[after]
-                if trigger == sender:
-                    raise KeyError(f"node {sender} sent message {after}, it does not receive it")
-                index = self._index
-                t_trigger = trace.t_send[after] + self._tof_rows[index[trigger]][index[sender]]
-                if t_send < t_trigger - SEND_SLACK_S:
-                    raise CausalityViolation(
-                        f"node {sender} sends at {t_send} before message "
-                        f"{after} arrives at {t_trigger}"
-                    )
-            if prev is not None and t_send < prev - SEND_SLACK_S:
-                raise CausalityViolation(
-                    f"node {sender} send at {t_send} precedes its own last send at {prev}"
-                )
-        last_send[sender] = prev if prev is not None and prev > t_send else t_send
-        seq = len(trace.sender)
-        trace.sender.append(sender)
-        trace.t_send.append(t_send)
-        trace.kind.append(kind)
-        trace.phase.append(phase)
-        trace.payload.append(payload)
-        trace.round_index.append(round_index)
-        return seq
+            t_trigger = None if after is None else self.trace.arrival_true(after, sender)
+            check_send(sender, t_send, after, t_trigger, prev)
+        self.last_send[sender] = prev if prev is not None and prev > t_send else t_send
+        return self.trace.append(sender, t_send, kind, phase, payload, round_index)

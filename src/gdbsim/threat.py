@@ -172,9 +172,10 @@ def apply_policy(
     measurer the node whose measurement the send answers.  Returns
     (t, allow_early): t is t_nominal with the policy's timing shift
     applied, and allow_early is true only for a send the policy moved
-    ahead of its trigger.  RunContext.emit, which every rapid send goes
-    through, then holds a send that is not early behind its node's last
-    send and applies a guessed answer's GuessAhead advance; the
+    ahead of its trigger.  The per-send step RunContext.sender, which
+    every rapid send goes through, then holds a send that is not early
+    behind its node's last send and applies a guessed answer's GuessAhead
+    advance; the
     content-level deviations (guessed bits, relaying, fake reports) stay
     with the protocol drivers.
     """

@@ -1,0 +1,169 @@
+"""The one-way exchange message by message, and per-round active pricing, as test oracles.
+
+gdbsim takes every rapid send's time from one per-send step, and its
+one-way exchange keeps its rows, answers and timed rounds in local lists
+that it writes with one extend per trace column and log; active_bounds
+prices each pair's rounds with active_distance's float operations
+inline.  This module keeps the earlier path: every send goes through
+emit, which counts it, lets apply_policy shift it, holds it behind its
+node's last send, applies a guess's advance and makes one broadcast that
+checks causality and appends one row; every value goes through answer;
+and every round is priced by estimate.active_distance.  So the tests can
+demand that the writer leave the same trace, logs, counters and errors,
+bit for bit.
+"""
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from gdbsim.estimate import active_distance
+from gdbsim.proto.base import RunContext, response_bits
+from gdbsim.proto.pairwise import ExchangeResult, encode_value
+from gdbsim.simkit import SEND_SLACK_S, CausalityViolation
+from gdbsim.threat import GuessAhead, apply_policy
+
+
+def broadcast(ctx: RunContext, sender, t_send: float, kind: str, payload: bytes,
+              round_index: int, after: Optional[int], allow_early: bool) -> int:
+    """One rapid-phase row, checked against its trigger and its sender's last send."""
+    chan = ctx.channel
+    trace = chan.trace
+    prev = chan.last_send.get(sender)
+    if not allow_early:
+        if after is not None:
+            trigger = trace.sender[after]
+            if trigger == sender:
+                raise KeyError(f"node {sender} sent message {after}, it does not receive it")
+            t_trigger = trace.t_send[after] + float(chan.flights(trigger, [sender])[0])
+            if t_send < t_trigger - SEND_SLACK_S:
+                raise CausalityViolation(
+                    f"node {sender} sends at {t_send} before message "
+                    f"{after} arrives at {t_trigger}"
+                )
+        if prev is not None and t_send < prev - SEND_SLACK_S:
+            raise CausalityViolation(
+                f"node {sender} send at {t_send} precedes its own last send at {prev}"
+            )
+    chan.last_send[sender] = prev if prev is not None and prev > t_send else t_send
+    seq = len(trace.sender)
+    for column, value in zip(trace.columns(),
+                             (sender, t_send, kind, "rapid", payload, round_index)):
+        column.append(value)
+    return seq
+
+
+def emit(ctx: RunContext, node, t_nominal: float, kind: str, payload: bytes, round_index: int,
+         after: Optional[int] = None, measurer=None, guess: bool = False) -> int:
+    """One rapid send: count, policy shift, in-order hold, guess advance, broadcast."""
+    index = ctx.send_counters.get(node, 0)
+    ctx.send_counters[node] = index + 1
+    policy = ctx.policies[node]
+    t, early = apply_policy(policy, node, index, t_nominal, measurer, ctx.rng)
+    if not early:
+        prev = ctx.channel.last_send.get(node)
+        if prev is not None and t < prev - SEND_SLACK_S:
+            t = prev
+    if guess:
+        t -= policy.advance_s
+        early = True
+    return broadcast(ctx, node, t, kind, payload, round_index, after, early)
+
+
+def answer(ctx: RunContext, node, operand: int, round_index: int,
+           heard: Optional[int] = None) -> int:
+    """operand XOR node's next committed nonce, logged with the true operand."""
+    k = ctx.answered.get(node, 0)
+    ctx.answered[node] = k + 1
+    heard = operand if heard is None else heard
+    value = response_bits(heard, ctx.nonces[node][k], ctx.scenario.config.bit_len)
+    ctx.answers.append((node, k, operand, value, round_index))
+    return value
+
+
+def draw_bits(ctx: RunContext, bit_len: int) -> int:
+    return ctx.rng.getrandbits(bit_len) if bit_len else 0
+
+
+def arrival(ctx: RunContext, seq: int, receiver) -> float:
+    trace = ctx.channel.trace
+    return trace.t_send[seq] + float(ctx.channel.flights(trace.sender[seq], [receiver])[0])
+
+
+def run_exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float,
+                 closing: bool) -> ExchangeResult:
+    """n_rounds challenge/response rounds, one emit and one answer at a time."""
+    cfg = ctx.scenario.config
+    t_sends = ctx.channel.trace.t_send
+    p_policy = ctx.policies[prover]
+    guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
+    nominal_sends: List[float] = []
+    response_seqs: List[int] = []
+    t_nominal = t_end = t_start
+    for i in range(1, n_rounds + 1):
+        c_i = draw_bits(ctx, cfg.bit_len)
+        ch = emit(ctx, verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
+        t_actual = t_sends[ch]
+        nominal_sends.append(t_nominal)
+        guess = i <= guessed
+        value = answer(ctx, prover, c_i, i, draw_bits(ctx, cfg.bit_len) if guess else None)
+        resp = emit(ctx, prover, arrival(ctx, ch, prover) + cfg.alpha, "response",
+                    encode_value(b"r", i, value), i, ch, verifier, guess)
+        response_seqs.append(resp)
+        ctx.timed.append((ch, resp))
+        t_back = arrival(ctx, resp, verifier)
+        t_nominal = (t_back + (t_nominal - t_actual)) + cfg.alpha
+        t_end = max(t_end, t_back)
+    if closing:
+        em = emit(ctx, verifier, t_nominal, "closing",
+                  encode_value(b"x", n_rounds + 1, 0), n_rounds + 1)
+        nominal_sends.append(t_nominal)
+        t_end = max(t_end, t_sends[em] + ctx.channel.reach(verifier))
+    return ExchangeResult(verifier, prover, nominal_sends, response_seqs, t_end)
+
+
+def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
+                       closing: bool) -> ExchangeResult:
+    """The relayed rounds, the front forwarding both ways, one emit at a time."""
+    cfg = ctx.scenario.config
+    trace = ctx.channel.trace
+    nominal_sends: List[float] = []
+    response_seqs: List[int] = []
+    t_nominal = t_end = t_start
+    for i in range(1, cfg.n + 1):
+        c_i = draw_bits(ctx, cfg.bit_len)
+        ch = emit(ctx, verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
+        nominal_sends.append(t_nominal)
+        fwd = emit(ctx, front, arrival(ctx, ch, front), "relay", trace.payload[ch], i,
+                   ch, verifier)
+        value = answer(ctx, front, c_i, i)
+        vr = emit(ctx, victim, arrival(ctx, fwd, victim) + cfg.alpha, "response",
+                  encode_value(b"r", i, value), i, fwd, verifier)
+        resp = emit(ctx, front, arrival(ctx, vr, front), "response", trace.payload[vr], i,
+                    vr, verifier)
+        response_seqs.append(resp)
+        ctx.timed.append((ch, resp))
+        t_back = arrival(ctx, resp, verifier)
+        t_nominal = (t_back + (t_nominal - trace.t_send[ch])) + cfg.alpha
+        t_end = max(t_end, t_back)
+    if closing:
+        em = emit(ctx, verifier, t_nominal, "closing",
+                  encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
+        nominal_sends.append(t_nominal)
+        t_end = max(t_end, trace.t_send[em] + ctx.channel.reach(verifier))
+    return ExchangeResult(verifier, front, nominal_sends, response_seqs, t_end)
+
+
+def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
+    """Every pair's [bound_m, rounds], each round priced by active_distance in ledger order."""
+    cfg = ctx.scenario.config
+    trace = ctx.channel.trace
+    out: Dict[Tuple, List] = {}
+    for ask, reply in ctx.timed[start:]:
+        m, target = trace.sender[ask], trace.sender[reply]
+        bound = active_distance(trace.t_send[ask] + trace.offsets[m],
+                                trace.arrival_local(reply, m), cfg.alpha, cfg.c)
+        entry = out.setdefault((m, target), [bound, 0])
+        if bound > entry[0]:
+            entry[0] = bound
+        entry[1] += 1
+    return out

@@ -1,7 +1,10 @@
 """Command line contract: artifacts, exit codes, reproducibility."""
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,3 +290,14 @@ def test_verify_reports_and_exits_nonzero_on_red(capsys):
     assert "FAIL  6a" in out and "FAIL  6b" in out
     assert "expected failure" in out
     assert "9/11 criteria passed" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    """python -m gdbsim is the gdbsim console script."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "gdbsim", "verify", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ") and "verify" in done.stdout

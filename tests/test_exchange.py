@@ -1,0 +1,237 @@
+"""The rapid-phase writer against the message-by-message oracle.
+
+Every one-way and MPNV run is made twice: once as gdbsim makes it, with
+each send's time from its node's per-send step and each exchange's rows
+written one column at a time, and once with exchange_oracle's emit,
+broadcast, answer and per-round active_distance pricing patched in.
+Both must leave the same trace, logs, counters and error, bit for bit.
+"""
+import dataclasses
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import exchange_oracle
+from gdbsim.core import NodeSpec, Role, validate_scenario
+from gdbsim.estimate import NegativeTimeOfFlight
+from gdbsim.proto import base, group, pairwise
+from gdbsim.proto.base import start_run
+from gdbsim.proto.runner import run_scenario
+from gdbsim.scenarios import mpnv_scenario, oneway_scenario, with_policy
+from gdbsim.simkit import CausalityViolation
+from gdbsim.threat import EarlyChallenge, GuessAhead, Honest, Relay, SelectiveDelay
+
+ORACLE = [
+    (pairwise, "run_exchange", exchange_oracle.run_exchange),
+    (group, "run_exchange", exchange_oracle.run_exchange),
+    (pairwise, "_run_relay_exchange", exchange_oracle.run_relay_exchange),
+    (base, "active_bounds", exchange_oracle.active_bounds),
+    (group, "active_bounds", exchange_oracle.active_bounds),
+]
+
+
+def run(scenario, oracle):
+    """(context, result, error) of one run, by the writer or by the oracle.
+
+    A scenario must declare bit_len >= 1; the runs here may have 0, for
+    which no bits are drawn, so validation sees the scenario with 1.
+    """
+    contexts = []
+    config = scenario.config
+    assert validate_scenario(dataclasses.replace(
+        scenario, config=dataclasses.replace(config, bit_len=max(config.bit_len, 1)))) == []
+
+    def spy(s):
+        contexts.append(start_run(s))
+        return contexts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base, "ensure_valid", lambda s: s)
+        for module in (pairwise, group):
+            mp.setattr(module, "start_run", spy)
+        if oracle:
+            for module, name, reference in ORACLE:
+                mp.setattr(module, name, reference)
+        try:
+            result, error = run_scenario(scenario), None
+        except Exception as exc:  # compared below, type and text
+            result, error = None, exc
+    ctx, = contexts
+    return ctx, result, error
+
+
+def state(ctx, result, error):
+    """Everything the writer must reproduce, floats by repr."""
+    trace = ctx.channel.trace
+    return {
+        "columns": [trace.sender, list(map(repr, trace.t_send)), trace.kind, trace.phase,
+                    trace.payload, trace.round_index],
+        "timed": ctx.timed,
+        "answers": ctx.answers,
+        "answered": ctx.answered,
+        "send_counters": ctx.send_counters,
+        "last_send": {node: repr(t) for node, t in ctx.channel.last_send.items()},
+        "estimates": None if result is None else [repr(row) for row in result.estimates],
+        "error": None if error is None else (type(error), str(error)),
+    }
+
+
+def assert_writer_matches_oracle(scenario):
+    writer, oracle = run(scenario, False), run(scenario, True)
+    assert state(*writer) == state(*oracle)
+    if writer[1] is not None:
+        assert writer[1] == oracle[1]
+
+
+delays = st.floats(min_value=0.0, max_value=2e-6)
+early_challenges = st.builds(EarlyChallenge, advance_s=delays,
+                             pr_ch=st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def selective_delays(draw, targets):
+    indices = draw(st.lists(st.integers(min_value=0, max_value=12), unique=True, max_size=4))
+    return SelectiveDelay(
+        delay_s=draw(st.sampled_from([0.0, 3e-8]) | delays),
+        per_message=tuple((i, draw(delays)) for i in indices),
+        target=draw(st.sampled_from([None, *targets])),
+    )
+
+
+@st.composite
+def prover_policies(draw, n, targets):
+    guesses = st.builds(GuessAhead, p_rounds=st.integers(min_value=0, max_value=n),
+                        advance_s=delays)
+    return draw(st.just(Honest()) | guesses | selective_delays(targets))
+
+
+@st.composite
+def one_way_runs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    coord = st.floats(min_value=-300.0, max_value=300.0)
+    places = draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=4, unique=True))
+    relay = draw(st.booleans())
+    scenario = oneway_scenario(
+        v_pos=places[0], p_pos=places[1], n=n, seed=draw(st.integers(0, 2**16)),
+        alpha=draw(st.sampled_from([0.0, 1e-8])),
+        observer_pos=draw(st.sampled_from([None, places[2]])),
+        prover_policy=draw(prover_policies(n, [1, 3] if relay else [1])),
+        extra_nodes=[NodeSpec(id=3, pos=places[3], role=Role.PROVER, policy=Relay(victim=2))]
+        if relay else (),
+        bit_len=draw(st.integers(min_value=0, max_value=3)),
+    )
+    if relay:
+        # the victim answers honestly: a relayed exchange has no guessed rounds
+        scenario = with_policy(scenario, 2, Honest())
+    return with_policy(scenario, 1, draw(st.just(Honest()) | early_challenges))
+
+
+@st.composite
+def mpnv_runs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    n_v = draw(st.integers(min_value=2, max_value=4))
+    m_p = draw(st.integers(min_value=1, max_value=3))
+    scenario = mpnv_scenario(n=n, n_a=draw(st.integers(min_value=1, max_value=n)),
+                             d_a=draw(st.sampled_from([0.5, 1.0])), n_verifiers=n_v,
+                             m_provers=m_p, seed=draw(st.integers(0, 2**16)))
+    scenario = dataclasses.replace(scenario, config=dataclasses.replace(
+        scenario.config, bit_len=draw(st.integers(min_value=0, max_value=3))))
+    verifiers = list(range(1, n_v + 1))
+    for v in draw(st.lists(st.sampled_from(verifiers), unique=True, max_size=2)):
+        scenario = with_policy(scenario, v, draw(early_challenges))
+    for p in draw(st.lists(st.sampled_from(range(n_v + 1, n_v + m_p + 1)), unique=True,
+                           max_size=2)):
+        scenario = with_policy(scenario, p, draw(prover_policies(n, verifiers)))
+    return scenario
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=one_way_runs())
+# an early challenge reaches the guesser before its last answer left: held guesses
+@example(scenario=with_policy(
+    oneway_scenario(v_pos=(0.0, 0.0), p_pos=(30.0, 0.0), n=3, seed=213,
+                    prover_policy=GuessAhead(p_rounds=3, advance_s=20e-9)),
+    1, EarlyChallenge(advance_s=1e-6, pr_ch=0.5)))
+# the passive pricing refuses the run with NegativeTimeOfFlight
+@example(scenario=with_policy(
+    oneway_scenario(n=8, seed=3, observer_pos=(40.0, 30.0)),
+    1, EarlyChallenge(advance_s=1e-6, pr_ch=1.0)))
+def test_one_way_writer_matches_the_oracle(scenario):
+    assert_writer_matches_oracle(scenario)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario=mpnv_runs())
+def test_mpnv_writer_matches_the_oracle(scenario):
+    assert_writer_matches_oracle(scenario)
+
+
+def test_refused_runs_match_the_oracle():
+    """A run refused by active or by passive pricing leaves the same state and text."""
+    held = with_policy(
+        oneway_scenario(v_pos=(0.0, 0.0), p_pos=(30.0, 0.0), n=3, seed=213, alpha=1e-8,
+                        prover_policy=GuessAhead(p_rounds=3, advance_s=1e-6)),
+        1, EarlyChallenge(advance_s=1e-6, pr_ch=1.0))
+    passive = with_policy(oneway_scenario(n=8, seed=3, observer_pos=(40.0, 30.0)),
+                          1, EarlyChallenge(advance_s=1e-6, pr_ch=1.0))
+    for scenario in (held, passive):
+        assert isinstance(run(scenario, True)[2], NegativeTimeOfFlight)
+        assert_writer_matches_oracle(scenario)
+
+
+def test_a_late_reply_raises_what_broadcast_raised():
+    """The per-send step's causality check: same error, same text, same counters."""
+    got = []
+    for oracle in (False, True):
+        ctx = start_run(oneway_scenario())
+        chan = ctx.channel
+        ask = chan.broadcast(1, 1.0, "challenge", "rapid", b"", 1)
+        t_in = chan.arrival_true(ask, 2)
+        with pytest.raises(CausalityViolation) as exc:
+            if oracle:
+                exchange_oracle.emit(ctx, 2, t_in - 1e-9, "response", b"", 1, ask, 1)
+            else:
+                ctx.sender(2)(t_in - 1e-9, ask, t_in, False, 1)
+        got.append((str(exc.value), ctx.send_counters, chan.last_send, chan.trace.count()))
+    assert got[0] == got[1]
+    assert got[0][0].startswith("node 2 sends at ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=one_way_runs() | mpnv_runs(), data=st.data())
+def test_active_bounds_match_per_round_pricing(scenario, data):
+    """Any ledger of rapid rounds, impossible ones included, prices as active_distance does."""
+    ctx, _, _ = run(scenario, False)
+    trace = ctx.channel.trace
+    rapid = [seq for seq, phase in enumerate(trace.phase) if phase == "rapid"]
+    pairs = st.tuples(st.sampled_from(rapid), st.sampled_from(rapid)).filter(
+        lambda pair: trace.sender[pair[0]] != trace.sender[pair[1]])
+    ctx.timed = data.draw(st.lists(pairs, max_size=12), label="timed")
+    start = data.draw(st.integers(min_value=0, max_value=len(ctx.timed)), label="start")
+    priced = []
+    for active_bounds in (base.active_bounds, exchange_oracle.active_bounds):
+        try:
+            priced.append(repr(active_bounds(ctx, start)))
+        except NegativeTimeOfFlight as exc:
+            priced.append((type(exc), str(exc)))
+    assert priced[0] == priced[1]
+
+
+@pytest.mark.parametrize("short_s", [1.5e-12, 0.5e-12, 0.0, -3e-9])
+def test_active_bounds_refuse_exactly_past_eps_time(short_s):
+    """A round trip short of alpha by more than EPS_TIME is refused, as per round."""
+    ctx = start_run(oneway_scenario(n=1, alpha=1e-8))
+    trace = ctx.channel.trace
+    ask = trace.append(1, 1.0, "challenge", "rapid", b"", 1)
+    back = 1.0 + 1e-8 - short_s  # the reply's arrival at node 1
+    reply = trace.append(2, back - ctx.channel.tof(2, 1), "response", "rapid", b"", 1)
+    ctx.timed.append((ask, reply))
+    priced = []
+    for active_bounds in (base.active_bounds, exchange_oracle.active_bounds):
+        try:
+            priced.append(repr(active_bounds(ctx)))
+        except NegativeTimeOfFlight as exc:
+            priced.append(str(exc))
+    assert priced[0] == priced[1]
+    assert priced[0].startswith("round trip") == (short_s > 1e-12)

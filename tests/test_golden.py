@@ -70,6 +70,15 @@ def test_golden_digests(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
+def test_a_run_made_twice_compares_equal(name):
+    """RunResult and Trace compare as values; a numpy field would make == raise."""
+    scn = load_scenario(str(GOLDEN / f"{name}.json"))
+    first, second = run_scenario(scn), run_scenario(scn)
+    assert first == second
+    assert first.trace == second.trace and first.trace is not second.trace
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
 def test_golden_scenario_is_a_codec_fixed_point(name):
     path = GOLDEN / f"{name}.json"
     assert scenario_to_json(load_scenario(str(path))) == json.loads(path.read_text())

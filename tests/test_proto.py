@@ -23,6 +23,8 @@ from gdbsim.core import (
 )
 from gdbsim.estimate import NegativeTimeOfFlight, SolveFailure
 from gdbsim.proto import base, group
+from gdbsim.proto import onetomany as onetomany_driver
+from gdbsim.proto import pairwise as pairwise_driver
 from gdbsim.proto import ring as ring_driver
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
@@ -852,16 +854,15 @@ def test_chain_replay_checks_the_initiator(monkeypatch, scenario, estimates, ini
 
 
 def ledgers(monkeypatch):
-    """Every RunContext that answers, in the order each first answers."""
+    """Every RunContext a run starts, in order, captured from start_run."""
     contexts = []
-    honest = base.RunContext.answer
 
-    def spy(self, *args):
-        if not contexts or contexts[-1] is not self:
-            contexts.append(self)
-        return honest(self, *args)
+    def spy(scenario):
+        contexts.append(start_run(scenario))
+        return contexts[-1]
 
-    monkeypatch.setattr(base.RunContext, "answer", spy)
+    for module in (pairwise_driver, group, ring_driver, onetomany_driver):
+        monkeypatch.setattr(module, "start_run", spy)
     return contexts
 
 
@@ -897,6 +898,9 @@ def test_sequential_baselines_answer_every_committed_nonce_once(
 @pytest.mark.parametrize(
     "name", sorted(p.stem for p in GOLDEN.glob("*.json") if p.stem != "digests"))
 def test_every_rapid_message_passes_the_timing_hook_once(name, monkeypatch):
+    """Every rapid send is counted once, and every rapid send of a node
+    with a timing policy passes apply_policy once; apply_policy is the
+    identity for every other policy, so their sends skip it."""
     calls = []
     hook = base.apply_policy
 
@@ -905,8 +909,14 @@ def test_every_rapid_message_passes_the_timing_hook_once(name, monkeypatch):
         return hook(*args)
 
     monkeypatch.setattr(base, "apply_policy", counted)
+    contexts = ledgers(monkeypatch)
     r = run_scenario(load_scenario(str(GOLDEN / f"{name}.json")))
-    assert len(calls) == r.trace.count(phase="rapid")
+    ctx, = contexts
+    timing = {nid for nid, policy in ctx.policies.items()
+              if isinstance(policy, (SelectiveDelay, EarlyChallenge))}
+    rapid = [em.sender for em in r.trace.emissions if em.phase == "rapid"]
+    assert sorted(args[1] for args in calls) == sorted(n for n in rapid if n in timing)
+    assert sum(ctx.send_counters.values()) == len(rapid)
 
 
 def test_emit_holds_a_send_back_to_the_last_one():
@@ -921,6 +931,8 @@ def test_emit_holds_a_send_back_to_the_last_one():
     assert sent(1, 0.5) == 1.0
     assert sent(1, 1.0 - 1e-16) == 1.0 - 1e-16  # inside the float slack
     assert sent(2, 0.5) == 0.5
+    assert ctx.send_counters == {1: 4, 2: 1}
+    assert ctx.channel.last_send == {1: 1.0, 2: 0.5}
 
 
 def test_held_guess_leaves_one_advance_before_the_answer_it_waited_for():
