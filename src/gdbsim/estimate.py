@@ -7,12 +7,13 @@ follow-up learns both Va's distance to the prover and the sum of the
 two prover legs, and can bound (or with geometry, localize) the prover
 without ever transmitting.  Three array kernels (leg_sums,
 verifier_prover_distances, direct_bounds) price every overheard round,
-and intersect_circles turns a distance and a leg sum into candidate
-positions.  The second builds and solves the linear
-system that recovers pairwise flight times from the rapid-phase
-arrivals of a ring run, every observer from its own clock's stamps
-alone, so that independently recovered edges can be cross-checked
-between observers; all observers are solved in one batched pass.
+active_distances a verifier's own rounds, and intersect_circles turns
+a distance and a leg sum into candidate positions.  The second builds
+and solves the linear system that recovers pairwise flight times from
+the rapid-phase arrivals of a ring run, every observer from its own
+clock's stamps alone, so that independently recovered edges can be
+cross-checked between observers; all observers are solved in one
+batched pass.
 
 Every estimator consumes local clock readings only and is offset-free
 by construction: only differences of same-clock readings enter.
@@ -89,6 +90,21 @@ def _floor_zero(x):
 
 def _first(values, bad) -> float:
     return float(np.asarray(values)[bad][0])
+
+
+def active_distances(t_sent, t_back, alpha_p, c):
+    """active_distance on arrays of rounds, entry by entry, with its float operations.
+
+    Raises the NegativeTimeOfFlight that pricing the entries one at a
+    time, in row-major order, meets first.
+    """
+    span = t_back - t_sent
+    tof2 = span - alpha_p
+    bad = tof2 < -EPS_TIME
+    if bad.any():
+        raise NegativeTimeOfFlight(
+            f"round trip {_first(span, bad)!r} s shorter than processing {alpha_p!r} s")
+    return _floor_zero(c * tof2 / 2.0)
 
 
 def verifier_prover_distances(t1, t3, alpha_p, alpha_v, c):

@@ -7,8 +7,10 @@ RunContext.sender, every rapid value is a RunContext.answer (an operand
 XOR its sender's next committed nonce), and open_phase decommits
 (signing when auth is on) and replays every answer against the opened
 nonces.  A driver names each timed round by its two seqs in
-RunContext.timed, and active_bounds alone reads the measurer's stamps
-for them off the trace's columns and flight-time rows and prices them.
+RunContext.timed, and active_bounds reads the measurer's stamps for
+them off the trace's columns and flight-time rows and prices them; the
+group driver prices a verifier's row from its own arrays instead
+(pairwise.active_row_bounds), with the same float operations.
 A run hands back its bounds as one columnar Estimates table, written as
 rows or, for the ring, as one block of columns.
 """
@@ -244,27 +246,21 @@ class RunContext:
         return send
 
     def emit(self, node: NodeId, t_nominal: float, kind: str, payload: bytes, round_index: int,
-             after: Optional[int] = None, measurer: Optional[NodeId] = None) -> int:
-        """The per-send step plus one row for a send reacting to message after; returns its seq."""
-        step = self._steps.get(node) or self.sender(node)
-        chan = self.channel
-        trigger = None if after is None else chan.arrival_true(after, node)
-        return chan.trace.append(node, step(t_nominal, after, trigger, False, measurer), kind,
-                                 "rapid", payload, round_index)
+             after: Optional[int] = None, t_trigger: Optional[float] = None,
+             measurer: Optional[NodeId] = None) -> int:
+        """The per-send step plus one row for a send reacting to message after; returns its seq.
 
-    def answer(
-        self, node: NodeId, operand: int, round_index: int, heard: Optional[int] = None
-    ) -> int:
-        """operand XOR node's next committed nonce, logged for open_phase's replay.
-
-        heard is what a guessing prover XORed in place of operand; the log
-        keeps operand, the true challenge, so the replay catches every
-        wrong guess.
+        t_trigger is after's arrival at node, as the caller read it to schedule the send.
         """
+        step = self._steps.get(node) or self.sender(node)
+        return self.channel.trace.append(node, step(t_nominal, after, t_trigger, False, measurer),
+                                         kind, "rapid", payload, round_index)
+
+    def answer(self, node: NodeId, operand: int, round_index: int) -> int:
+        """operand XOR node's next committed nonce, logged for open_phase's replay."""
         k = self.answered.get(node, 0)
         self.answered[node] = k + 1
-        heard = operand if heard is None else heard
-        value = response_bits(heard, self.nonces[node][k], self.bit_len)
+        value = response_bits(operand, self.nonces[node][k], self.bit_len)
         self.answers.append((node, k, operand, value, round_index))
         return value
 

@@ -1,8 +1,9 @@
 """Group protocols built from shared one-way rapid rounds.
 
 A fraction of the verifier group is drawn at random to run active
-exchanges; everyone else prices the same exchanges passively from the
-published schedule, trading rounds of their own for overheard ones.
+exchanges, each one row (pairwise.run_exchange) priced as arrays as
+soon as it has run; everyone else prices the same row passively from
+the published schedule, trading rounds of their own for overheard ones.
 The two-group variants either run that machinery in both directions,
 share one joint ring, or chain per-verifier one-to-many runs.
 """
@@ -22,14 +23,13 @@ from .base import (
     NoActiveVerifier,
     RunContext,
     RunResult,
-    active_bounds,
     commit_phase,
     open_phase,
     start_run,
 )
 from .onetomany import run_chains
 from .onetomany import run_chain  # noqa: F401  (perfbench/tracing.py patches this name here)
-from .pairwise import ExchangeResult, passive_bounds, run_exchange
+from .pairwise import active_row_bounds, passive_bounds, run_exchange
 from .pairwise import observed_bound, passive_observations  # noqa: F401  (perfbench/tracing.py patches these names here)
 from .ring import run_multiparty_gdb
 
@@ -68,8 +68,9 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     """Commit in ascending id order, run the listening phases in turn, open.
 
     In a phase every selected verifier runs its row of exchanges, one
-    per prover; the row's rounds are then priced actively for the
-    verifier and passively for every other watcher.  The closing
+    per prover, in one run_exchange call; the row is then priced from
+    its own arrays, actively for the verifier and passively for every
+    other watcher, before the next row runs.  The closing
     emission after each exchange's last response is what lets listeners
     frame all n_a rounds; when every watcher is active for all n rounds
     nobody needs it and it is omitted, which collapses the phase to the
@@ -101,17 +102,9 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         closing = not (n_a == cfg.n and len(selected) == len(watchers))
         cols = [at[p] for p in provers]
         for v in selected:
-            start = len(ctx.timed)
-            row: List[ExchangeResult] = []
-            for p in provers:
-                ex = run_exchange(ctx, v, p, n_a, t, closing)
-                row.append(ex)
-                t = ex.t_end + ctx.slot_s
-            # pricing reads only the trace, so v's row is priced as one block
-            active = active_bounds(ctx, start)
-            own_bound, own_rounds = zip(*(active[(v, p)] for p in provers))
-            _fold(bound, rounds, np.ix_([at[v]], cols), np.array([own_bound]),
-                  np.array([own_rounds]))
+            row = run_exchange(ctx, v, provers, n_a, t, closing)
+            t = row.t_end + ctx.slot_s
+            _fold(bound, rounds, (at[v], cols), active_row_bounds(ctx, row), n_a)
             others, best, framed = passive_bounds(ctx, row, watchers)
             _fold(bound, rounds, np.ix_([at[w] for w in others], cols), best.T, framed)
     open_phase(ctx, bundles, t)

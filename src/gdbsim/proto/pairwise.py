@@ -1,10 +1,14 @@
 """Two-party distance bounding and its sequential baselines.
 
-The one-way driver runs a single timed verifier against a prover, with
-optional eavesdropping observers; the mutual driver interleaves both
-directions into 2n+1 rapid messages.  Both schedule the challenger's
-emissions on an arrival-chained nominal timeline: each emission is due
-one processing delay after the previous reply arrives.  The challenger
+A verifier's row, its exchanges with each prover in turn, is one
+run_exchange call that writes the row's trace rows in one block and
+returns it as a Row of (exchanges x rounds) arrays, priced from those:
+active_row_bounds for the verifier, passive_bounds for its listeners.
+The one-way driver runs a row of one prover, with optional
+eavesdropping observers; the mutual driver interleaves both directions
+into 2n+1 rapid messages.  Both schedule the challenger's emissions on
+an arrival-chained nominal timeline: each emission is due one
+processing delay after the previous reply arrives.  The challenger
 publishes those nominal times, and observers price their overheard
 timings against the published schedule, which is exactly what a
 schedule-advancing challenger exploits.
@@ -12,14 +16,13 @@ schedule-advancing challenger exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import NodeId, ProtocolConfig, Role, Scenario, distance
+from ..core import LengthMismatch, NodeId, ProtocolConfig, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
-from ..estimate import NegativeTimeOfFlight, direct_bounds
+from ..estimate import NegativeTimeOfFlight, active_distances, direct_bounds
 from ..threat import FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
@@ -31,110 +34,124 @@ from .base import (
     commit_phase,
     encode_value,
     open_phase,
-    response_bits,
     start_run,
 )
 
 
-@dataclass
-class ExchangeResult:
-    """Outcome of one verifier-prover rapid exchange; its rounds are in ctx.timed."""
+class Row(NamedTuple):
+    """A verifier's exchanges, one per responder in run order, as true-clock blocks.
+
+    responders[e] sent exchange e's replies (a relayed exchange's front);
+    t_end is the true time of the last arrival anyone needs.
+    """
 
     verifier: NodeId
-    prover: NodeId
-    nominal_sends: List[float]      # published schedule, true clock, one per verifier emission
-    response_seqs: List[int]        # one per round, as the verifier heard it
-    t_end: float                    # true time of the last arrival anyone needs
+    responders: List[NodeId]
+    schedule: np.ndarray    # (exchanges x sends) the verifier's published schedule
+    asks: np.ndarray        # (exchanges x rounds) each timed round's ask send time
+    replies: np.ndarray     # (exchanges x rounds) each timed round's reply send time
+    t_end: float
 
 
 def run_exchange(
     ctx: RunContext,
     verifier: NodeId,
-    prover: NodeId,
+    provers: Sequence[NodeId],
     n_rounds: int,
     t_start: float,
     closing: bool,
-) -> ExchangeResult:
-    """n_rounds timed challenge/response rounds, optionally closed.
+) -> Row:
+    """The verifier's row: n_rounds timed rounds with each prover in turn, optionally closed.
 
-    The closing emission carries no new challenge to time; it exists so
-    that listeners get a schedule point after the final response.  The
-    prover answers on its next n_rounds committed nonces.  A guessing
+    Each exchange starts one slot after the last one's t_end.  The
+    closing emission carries no new challenge to time; it exists so
+    that listeners get a schedule point after the final response.  A
+    prover answers on its next n_rounds committed nonces; a guessing
     prover answers its first rounds ahead of the challenge, on guessed
-    bits.  The rows, answers and timed rounds are written with one extend
-    per column and log, also when a send raises.
+    bits.  The row's trace rows, answers and timed rounds are written
+    with one extend per column and log, also when a send raises.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
-    trace = chan.trace
-    alpha = cfg.alpha
-    bit_len = cfg.bit_len
+    alpha, bit_len = cfg.alpha, cfg.bit_len
+    top = 1 << bit_len
     draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing, as in ctx.draw_bits
-    v_send, p_send = ctx.sender(verifier), ctx.sender(prover)
-    # the adds Trace.arrival_true makes, with the pair's flights read once
-    tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
-    p_policy = ctx.policies[prover]
-    guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
-    # RunContext.answer on the prover's next nonces, logged here
-    nonces, answered = ctx.nonces[prover], ctx.answered.get(prover, 0)
-    first = answered
-    seq = len(trace.sender)
-    nominal_sends: List[float] = []
-    t_sends, payloads, answers, timed = [], [], [], []  # the exchange's rows and logs
-    t_nominal = t_end = t_start
-
+    v_send = ctx.sender(verifier)
+    seq = len(chan.trace.sender)
+    # the row's schedule, rows and logs
+    nominal_sends, t_sends, payloads, answers, timed = [], [], [], [], []
+    prover, answered, first = None, 0, 0
+    t_next = t_end = t_start
     try:
-        for i in range(1, n_rounds + 1):
-            c_i = draw(bit_len)
-            t_actual = v_send(t_nominal)
-            t_sends.append(t_actual)
-            payloads.append(encode_value(b"c", i, c_i))
-            nominal_sends.append(t_nominal)
+        for prover in provers:
+            p_send = ctx.sender(prover)
+            # the adds Trace.arrival_true makes, with the pair's flights read once
+            tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
+            p_policy = ctx.policies[prover]
+            guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
+            # RunContext.answer on the prover's next nonces, logged here
+            nonces, answered = ctx.nonces[prover], ctx.answered.get(prover, 0)
+            first = answered
+            t_nominal = t_end = t_next
+            for i in range(1, n_rounds + 1):
+                c_i = draw(bit_len)
+                t_actual = v_send(t_nominal)
+                t_sends.append(t_actual)
+                payloads.append(b"c|%d|%d" % (i, c_i))  # encode_value, inline
+                nominal_sends.append(t_nominal)
 
-            # a guessing prover draws its bits once the challenge is out
-            guess = i <= guessed
-            heard = draw(bit_len) if guess else c_i
-            k = answered
-            answered += 1
-            value = response_bits(heard, nonces[k], bit_len)
-            answers.append((prover, k, c_i, value, i))
-            t_arrival = t_actual + tof_out
-            t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
-            t_sends.append(t_resp)
-            payloads.append(encode_value(b"r", i, value))
-            timed.append((seq, seq + 1))
-            seq += 2
+                # a guessing prover draws its bits once the challenge is out
+                guess = i <= guessed
+                heard = draw(bit_len) if guess else c_i
+                k = answered
+                answered += 1
+                nonce = nonces[k]  # response_bits, inline
+                if not (0 <= heard < top and 0 <= nonce < top):
+                    raise LengthMismatch(f"values {heard}, {nonce} do not fit {bit_len} bits")
+                value = heard ^ nonce
+                answers.append((prover, k, c_i, value, i))
+                t_arrival = t_actual + tof_out
+                t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
+                t_sends.append(t_resp)
+                payloads.append(b"r|%d|%d" % (i, value))
+                timed.append((seq, seq + 1))
+                seq += 2
 
-            t_back = t_resp + tof_back
-            # the verifier recovers its honest timeline by adding back its own advance
-            t_nominal = (t_back + (t_nominal - t_actual)) + alpha
-            if t_back > t_end:
-                t_end = t_back
+                t_back = t_resp + tof_back
+                # the verifier recovers its honest timeline by adding back its own advance
+                t_nominal = (t_back + (t_nominal - t_actual)) + alpha
+                if t_back > t_end:
+                    t_end = t_back
 
-        if closing:
-            t_close = v_send(t_nominal)
-            t_sends.append(t_close)
-            payloads.append(encode_value(b"x", n_rounds + 1, 0))
-            nominal_sends.append(t_nominal)
-            t_end = max(t_end, t_close + chan.reach(verifier))
+            if closing:
+                t_close = v_send(t_nominal)
+                t_sends.append(t_close)
+                payloads.append(encode_value(b"x", n_rounds + 1, 0))
+                nominal_sends.append(t_nominal)
+                seq += 1
+                t_end = max(t_end, t_close + chan.reach(verifier))
+            if answered > first:
+                ctx.answered[prover] = first = answered
+            t_next = t_end + ctx.slot_s
     finally:
         sent = len(t_sends)
-        # rows alternate challenge and response, round by round, then the closing
-        trace.extend(([verifier, prover] * n_rounds + [verifier])[:sent], t_sends,
-                     (["challenge", "response"] * n_rounds + ["closing"])[:sent],
-                     ["rapid"] * sent, payloads, [j // 2 + 1 for j in range(sent)])
+        per = 2 * n_rounds + closing
+        # an exchange's rows alternate challenge and response, round by round, then the closing
+        senders = [node for p in provers
+                   for node in [verifier, p] * n_rounds + [verifier] * closing]
+        kinds = (["challenge", "response"] * n_rounds + ["closing"] * closing) * len(provers)
+        indices = [j // 2 + 1 for j in range(per)] * len(provers)
+        chan.trace.extend(senders[:sent], t_sends, kinds[:sent], ["rapid"] * sent, payloads,
+                          indices[:sent])
         if answered > first:
             ctx.answered[prover] = answered
         ctx.answers.extend(answers)
         ctx.timed.extend(timed)
 
-    return ExchangeResult(
-        verifier=verifier,
-        prover=prover,
-        nominal_sends=nominal_sends,
-        response_seqs=[reply for _, reply in timed],
-        t_end=t_end,
-    )
+    stamps = np.array(t_sends).reshape(len(provers), per)
+    return Row(verifier, list(provers),
+               np.array(nominal_sends).reshape(len(provers), n_rounds + closing),
+               stamps[:, 0:2 * n_rounds:2], stamps[:, 1:2 * n_rounds:2], t_end)
 
 
 def _claimed_baseline(ctx: RunContext, pol: FakeLocationReport, observer: NodeId) -> float:
@@ -144,44 +161,53 @@ def _claimed_baseline(ctx: RunContext, pol: FakeLocationReport, observer: NodeId
     return distance(pol.claimed_pos, ctx.scenario.node(observer).pos)
 
 
-def _framed(ex: ExchangeResult) -> int:
-    """Rounds a listener can frame.
+def active_row_bounds(ctx: RunContext, row: Row) -> np.ndarray:
+    """The verifier's bound on each responder of a row, as active_bounds prices it, as arrays.
 
-    A round needs a follow-up emission, so the last round counts only
-    when the exchange was closed.
+    A responder's bound is its largest round's, the first of equal ones;
+    the first impossible round, exchange by exchange, raises.
     """
-    return max(0, min(len(ex.response_seqs), len(ex.nominal_sends) - 1))
+    cfg = ctx.scenario.config
+    trace = ctx.channel.trace
+    index, off = trace.index, trace.offsets[row.verifier]
+    flight = trace.tof[[index[p] for p in row.responders], index[row.verifier]]
+    bounds = active_distances(row.asks + off, (row.replies + flight[:, None]) + off,
+                              cfg.alpha, cfg.c)
+    return np.take_along_axis(bounds, bounds.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
 def passive_observations(
-    ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
+    ctx: RunContext, row: Row, watchers: Sequence[NodeId]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each watcher's timing triples for every fully-framed round of a row.
 
-    The row's exchanges share one verifier and frame the same number of
-    rounds.  Returns (exchanges x rounds x watchers) arrays t1, t2, t3 on
-    each watcher's own clock, and each watcher's advertised baseline.
-    T1 and T3 come from the verifier's published schedule plus the
-    physical flight to the watcher; T2 is the physically overheard
-    response.  The baseline is the true verifier-watcher distance unless
-    the verifier advertises a fake location or distance, which poisons it.
+    A round needs a follow-up emission, so the last round counts only
+    when the exchange was closed.  Returns (exchanges x rounds x
+    watchers) arrays t1, t2, t3 on each watcher's own clock, and each
+    watcher's advertised baseline.  T1 and T3 are the verifier's
+    published schedule plus the physical flight to the watcher; T2 is
+    the overheard reply, read off the row as Trace.arrival_local adds.
+    The baseline is the true verifier-watcher distance unless the
+    verifier advertises a fake location or distance, which poisons it.
     """
     chan = ctx.channel
     c = ctx.scenario.config.c
-    verifier = row[0].verifier
-    n_framed = _framed(row[0])
+    verifier = row.verifier
+    framed = row.schedule.shape[1] - 1
+    index = chan.trace.index
     off = np.array([chan.offsets[w] for w in watchers])
-    dist = chan.flights(verifier, watchers) * c
+    # the verifier's flights to the watchers, then each responder's
+    flights = chan.trace.tof[[index[verifier]] + [index[p] for p in row.responders]][
+        :, [index[w] for w in watchers]]
+    dist = flights[0] * c
     base_tof = dist / c  # physical flight for schedule anchoring
     pol = ctx.policies[verifier]
     if isinstance(pol, FakeLocationReport):
         base = np.array([_claimed_baseline(ctx, pol, w) for w in watchers])
     else:
         base = dist
-    nominal = np.array([ex.nominal_sends[:n_framed + 1] for ex in row])
-    schedule = (nominal[:, :, None] + base_tof) + off
-    # the prover sends every response, relayed ones included
-    t2 = chan.trace.local_arrivals([ex.response_seqs[:n_framed] for ex in row], watchers)
+    schedule = (row.schedule[:, :, None] + base_tof) + off
+    t2 = (row.replies[:, :framed, None] + flights[1:, None]) + off
     return schedule[:, :-1], t2, schedule[:, 1:], base
 
 
@@ -214,21 +240,20 @@ def observed_bound(
 
 
 def passive_bounds(
-    ctx: RunContext, row: Sequence[ExchangeResult], watchers: Sequence[NodeId]
+    ctx: RunContext, row: Row, watchers: Sequence[NodeId]
 ) -> Tuple[List[NodeId], np.ndarray, int]:
-    """Every watcher's passive bound on each prover of a row, in one pass.
+    """Every watcher's passive bound on each responder of a row, in one pass.
 
-    row holds exchanges that share one verifier and frame the same number
-    of rounds, priced as one (exchanges x rounds x watchers) block: the
-    stamps passive_observations gathers, scored by observed_bound.
+    One (exchanges x rounds x watchers) block: the stamps
+    passive_observations reads off the row, scored by observed_bound.
     Returns (others, best, rounds): the watchers other than the verifier,
     their (exchanges x others) bounds, and the number of rounds each
     framed.  A row that frames no round prices nobody: others is empty.
     """
-    others = [w for w in watchers if w != row[0].verifier]
-    rounds = _framed(row[0])
-    if not others or not rounds:
-        return [], np.empty((len(row), 0)), 0
+    others = [w for w in watchers if w != row.verifier]
+    rounds = row.schedule.shape[1] - 1
+    if not others or rounds < 1:
+        return [], np.empty((len(row.responders), 0)), 0
     best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
     return others, best, rounds
 
@@ -255,14 +280,14 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
 
     bundles, t = commit_phase(ctx, {partner: cfg.n})
     if relay_front is None:
-        ex = run_exchange(ctx, verifier, partner, cfg.n, t_start=t, closing=bool(observers))
+        row = run_exchange(ctx, verifier, [partner], cfg.n, t_start=t, closing=bool(observers))
     else:
         victim = ctx.policies[relay_front].victim  # type: ignore[union-attr]
-        ex = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
+        row = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
     rows = active_rows(ctx)
-    open_phase(ctx, bundles, ex.t_end + ctx.slot_s)
+    open_phase(ctx, bundles, row.t_end + ctx.slot_s)
 
-    others, best, rounds = passive_bounds(ctx, [ex], observers)
+    others, best, rounds = passive_bounds(ctx, row, observers)
     rows += [(w, partner, bound, METHOD_PASSIVE, rounds, cfg.auth_enabled, False)
              for w, bound in zip(others, best[0].tolist())]
     return RunResult(scenario=s, trace=ctx.channel.trace, estimates=Estimates.from_rows(rows))
@@ -275,8 +300,8 @@ def _run_relay_exchange(
     victim: NodeId,
     t_start: float,
     closing: bool,
-) -> ExchangeResult:
-    """Rapid rounds where the front forwards both directions verbatim.
+) -> Row:
+    """Rapid rounds where the front forwards both directions verbatim; a row of one.
 
     The front retransmits with zero turnaround, so each round trip costs
     the full detour verifier-front-victim and back; no schedule trick
@@ -288,21 +313,20 @@ def _run_relay_exchange(
     t_sends, payloads = chan.trace.t_send, chan.trace.payload
     alpha = cfg.alpha
     nominal_sends: List[float] = []
-    response_seqs: List[int] = []
-    t_nominal = t_start
-    t_end = t_start
+    start = len(ctx.timed)
+    t_nominal = t_end = t_start
     for i in range(1, cfg.n + 1):
         c_i = ctx.draw_bits(cfg.bit_len)
         ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         nominal_sends.append(t_nominal)
-        fwd = ctx.emit(front, chan.arrival_true(ch, front), "relay", payloads[ch], i,
-                       ch, verifier)
+        t_in = chan.arrival_true(ch, front)
+        fwd = ctx.emit(front, t_in, "relay", payloads[ch], i, ch, t_in, verifier)
         value = ctx.answer(front, c_i, i)
-        vr = ctx.emit(victim, chan.arrival_true(fwd, victim) + alpha, "response",
-                      encode_value(b"r", i, value), i, fwd, verifier)
-        resp = ctx.emit(front, chan.arrival_true(vr, front), "response", payloads[vr], i,
-                        vr, verifier)
-        response_seqs.append(resp)
+        t_in = chan.arrival_true(fwd, victim)
+        vr = ctx.emit(victim, t_in + alpha, "response", encode_value(b"r", i, value), i,
+                      fwd, t_in, verifier)
+        t_in = chan.arrival_true(vr, front)
+        resp = ctx.emit(front, t_in, "response", payloads[vr], i, vr, t_in, verifier)
         ctx.timed.append((ch, resp))  # the front answers the verifier
         t_back = chan.arrival_true(resp, verifier)
         t_nominal = (t_back + (t_nominal - t_sends[ch])) + alpha
@@ -311,10 +335,8 @@ def _run_relay_exchange(
         em = ctx.emit(verifier, t_nominal, "closing", encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
         t_end = max(t_end, t_sends[em] + chan.reach(verifier))
-    return ExchangeResult(
-        verifier=verifier, prover=front, nominal_sends=nominal_sends,
-        response_seqs=response_seqs, t_end=t_end,
-    )
+    stamps = np.array([[t_sends[a], t_sends[r]] for a, r in ctx.timed[start:]]).reshape(-1, 2).T
+    return Row(verifier, [front], np.array([nominal_sends]), stamps[:1], stamps[1:], t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +379,18 @@ def _interleaved_rapid(
 
     # a opens on its first nonce, 0 XOR nonce; c is a's newest nonce, b's challenge
     c = ctx.answer(a, 0, 1)
-    prev = ctx.emit(a, t_start, "challenge", encode_value(b"m", 1, c), 1, None, b)
+    prev = ctx.emit(a, t_start, "challenge", encode_value(b"m", 1, c), 1, measurer=b)
     for k in range(1, cfg.n + 1):
         v_b = ctx.answer(b, c, k)
-        em_b = ctx.emit(b, chan.arrival_true(prev, b) + alpha, "response",
-                        encode_value(b"m", 2 * k, v_b), k, prev, a)
+        t_in = chan.arrival_true(prev, b)
+        em_b = ctx.emit(b, t_in + alpha, "response", encode_value(b"m", 2 * k, v_b), k,
+                        prev, t_in, a)
         ctx.timed.append((prev, em_b))
         s = v_b ^ c  # b's nonce, a's challenge
         v_a = ctx.answer(a, s, k)
-        em_a = ctx.emit(a, chan.arrival_true(em_b, a) + alpha, "response",
-                        encode_value(b"m", 2 * k + 1, v_a), k, em_b, b)
+        t_in = chan.arrival_true(em_b, a)
+        em_a = ctx.emit(a, t_in + alpha, "response", encode_value(b"m", 2 * k + 1, v_a), k,
+                        em_b, t_in, b)
         ctx.timed.append((em_b, em_a))
         c = v_a ^ s
         prev = em_a
@@ -393,7 +417,7 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
-                t = run_exchange(ctx, measurer, target, cfg.n, t, False).t_end + ctx.slot_s
+                t = run_exchange(ctx, measurer, [target], cfg.n, t, False).t_end + ctx.slot_s
     estimates = Estimates.from_rows(active_rows(ctx))
     open_phase(ctx, bundles, t)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

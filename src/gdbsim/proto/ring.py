@@ -72,12 +72,11 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
         round_seqs: List[int] = []
         for pos, sender in enumerate(order, start=1):
             value = ctx.answer(sender, prev_value, r + 1)
-            if pos == 1:
-                t_nominal = t_round_start
-            else:
-                t_nominal = chan.arrival_true(prev_seq, sender) + cfg.alpha
+            t_in = None if prev_seq is None else chan.arrival_true(prev_seq, sender)
+            t_nominal = t_round_start if pos == 1 else t_in + cfg.alpha
             prev_seq = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
-                                encode_value(b"m", 2 * n_nodes * r + pos, value), r + 1, prev_seq)
+                                encode_value(b"m", 2 * n_nodes * r + pos, value), r + 1,
+                                prev_seq, t_in)
             prev_value = value
             round_seqs.append(prev_seq)
         seqs.append(round_seqs)

@@ -361,11 +361,6 @@ class BroadcastChannel:
     def dist(self, a: NodeId, b: NodeId) -> float:
         return self.tof(a, b) * self.c
 
-    def flights(self, sender: NodeId, receivers: Sequence[NodeId]) -> np.ndarray:
-        """Flight times from sender to each receiver, as broadcast adds them to t_send."""
-        idx = self._index
-        return self._tof[idx[sender]][[idx[r] for r in receivers]]
-
     def reach(self, node: Optional[NodeId] = None) -> float:
         """Longest flight time from node, or between any two nodes; memoised per node."""
         longest = self._reach.get(node)

@@ -1,24 +1,28 @@
-"""The one-way exchange message by message, and per-round active pricing, as test oracles.
+"""A verifier's row message by message, and per-round active pricing, as test oracles.
 
-gdbsim takes every rapid send's time from one per-send step, and its
-one-way exchange keeps its rows, answers and timed rounds in local lists
-that it writes with one extend per trace column and log; active_bounds
-prices each pair's rounds with active_distance's float operations
-inline.  This module keeps the earlier path: every send goes through
-emit, which counts it, lets apply_policy shift it, holds it behind its
-node's last send, applies a guess's advance and makes one broadcast that
-checks causality and appends one row; every value goes through answer;
-and every round is priced by estimate.active_distance.  So the tests can
-demand that the writer leave the same trace, logs, counters and errors,
-bit for bit.
+gdbsim runs a verifier's exchanges with every prover in one writer call
+that takes every rapid send's time from one per-send step, keeps the
+row's rows, answers and timed rounds in local lists and writes them with
+one extend per trace column and log; it prices a row's active rounds as
+arrays and the sequential drivers' with active_bounds' inline loop.
+This module keeps the earlier path: a row is one exchange per prover in
+turn, every send goes through emit, which counts it, lets apply_policy
+shift it, holds it behind its node's last send, applies a guess's
+advance and makes one broadcast that checks causality and appends one
+row; every value goes through answer; and every round is priced by
+estimate.active_distance, off the trace and the timed-round ledger.  So
+the tests can demand that the writer leave the same trace, logs,
+counters, row record and errors, bit for bit.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from gdbsim.estimate import active_distance
 from gdbsim.proto.base import RunContext, response_bits
-from gdbsim.proto.pairwise import ExchangeResult, encode_value
+from gdbsim.proto.pairwise import Row, encode_value
 from gdbsim.simkit import SEND_SLACK_S, CausalityViolation
 from gdbsim.threat import GuessAhead, apply_policy
 
@@ -34,7 +38,7 @@ def broadcast(ctx: RunContext, sender, t_send: float, kind: str, payload: bytes,
             trigger = trace.sender[after]
             if trigger == sender:
                 raise KeyError(f"node {sender} sent message {after}, it does not receive it")
-            t_trigger = trace.t_send[after] + float(chan.flights(trigger, [sender])[0])
+            t_trigger = arrival(ctx, after, sender)
             if t_send < t_trigger - SEND_SLACK_S:
                 raise CausalityViolation(
                     f"node {sender} sends at {t_send} before message "
@@ -85,19 +89,42 @@ def draw_bits(ctx: RunContext, bit_len: int) -> int:
 
 
 def arrival(ctx: RunContext, seq: int, receiver) -> float:
+    """t_send plus the flight, read off the channel's flight-time array, not its rows."""
     trace = ctx.channel.trace
-    return trace.t_send[seq] + float(ctx.channel.flights(trace.sender[seq], [receiver])[0])
+    return trace.t_send[seq] + float(trace.tof[trace.index[trace.sender[seq]],
+                                               trace.index[receiver]])
 
 
-def run_exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float,
-                 closing: bool) -> ExchangeResult:
-    """n_rounds challenge/response rounds, one emit and one answer at a time."""
+def run_exchange(ctx: RunContext, verifier, provers, n_rounds: int, t_start: float,
+                 closing: bool) -> Row:
+    """The verifier's row: each prover's exchange in turn, one slot after the last one's t_end."""
+    schedule, asks, replies = [], [], []
+    t_end = t_start
+    for k, prover in enumerate(provers):
+        sends, ask, reply, t_end = exchange(ctx, verifier, prover, n_rounds,
+                                            t_end + ctx.slot_s if k else t_start, closing)
+        schedule.append(sends)
+        asks.append(ask)
+        replies.append(reply)
+    rounds = (len(provers), n_rounds)
+    return Row(verifier, list(provers),
+               np.array(schedule).reshape(len(provers), n_rounds + closing),
+               np.array(asks).reshape(rounds), np.array(replies).reshape(rounds), t_end)
+
+
+def exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float, closing: bool):
+    """n_rounds challenge/response rounds, one emit and one answer at a time.
+
+    Returns the published schedule, each round's ask and reply send
+    times, and the exchange's t_end.
+    """
     cfg = ctx.scenario.config
     t_sends = ctx.channel.trace.t_send
     p_policy = ctx.policies[prover]
     guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
     nominal_sends: List[float] = []
-    response_seqs: List[int] = []
+    asks: List[float] = []
+    replies: List[float] = []
     t_nominal = t_end = t_start
     for i in range(1, n_rounds + 1):
         c_i = draw_bits(ctx, cfg.bit_len)
@@ -108,8 +135,9 @@ def run_exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: floa
         value = answer(ctx, prover, c_i, i, draw_bits(ctx, cfg.bit_len) if guess else None)
         resp = emit(ctx, prover, arrival(ctx, ch, prover) + cfg.alpha, "response",
                     encode_value(b"r", i, value), i, ch, verifier, guess)
-        response_seqs.append(resp)
         ctx.timed.append((ch, resp))
+        asks.append(t_actual)
+        replies.append(t_sends[resp])
         t_back = arrival(ctx, resp, verifier)
         t_nominal = (t_back + (t_nominal - t_actual)) + cfg.alpha
         t_end = max(t_end, t_back)
@@ -118,16 +146,17 @@ def run_exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: floa
                   encode_value(b"x", n_rounds + 1, 0), n_rounds + 1)
         nominal_sends.append(t_nominal)
         t_end = max(t_end, t_sends[em] + ctx.channel.reach(verifier))
-    return ExchangeResult(verifier, prover, nominal_sends, response_seqs, t_end)
+    return nominal_sends, asks, replies, t_end
 
 
 def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
-                       closing: bool) -> ExchangeResult:
+                       closing: bool) -> Row:
     """The relayed rounds, the front forwarding both ways, one emit at a time."""
     cfg = ctx.scenario.config
     trace = ctx.channel.trace
     nominal_sends: List[float] = []
-    response_seqs: List[int] = []
+    asks: List[float] = []
+    replies: List[float] = []
     t_nominal = t_end = t_start
     for i in range(1, cfg.n + 1):
         c_i = draw_bits(ctx, cfg.bit_len)
@@ -140,8 +169,9 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
                   encode_value(b"r", i, value), i, fwd, verifier)
         resp = emit(ctx, front, arrival(ctx, vr, front), "response", trace.payload[vr], i,
                     vr, verifier)
-        response_seqs.append(resp)
         ctx.timed.append((ch, resp))
+        asks.append(trace.t_send[ch])
+        replies.append(trace.t_send[resp])
         t_back = arrival(ctx, resp, verifier)
         t_nominal = (t_back + (t_nominal - trace.t_send[ch])) + cfg.alpha
         t_end = max(t_end, t_back)
@@ -150,7 +180,8 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
                   encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
         t_end = max(t_end, trace.t_send[em] + ctx.channel.reach(verifier))
-    return ExchangeResult(verifier, front, nominal_sends, response_seqs, t_end)
+    return Row(verifier, [front], np.array([nominal_sends]), np.array([asks]),
+               np.array([replies]), t_end)
 
 
 def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
@@ -167,3 +198,10 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
             entry[0] = bound
         entry[1] += 1
     return out
+
+
+def active_row_bounds(ctx: RunContext, row: Row):
+    """The row's active bounds from the timed-round ledger, the row's rounds being its last."""
+    rounds = row.asks.size
+    priced = active_bounds(ctx, len(ctx.timed) - rounds) if rounds else {}
+    return np.array([priced[(row.verifier, p)][0] for p in row.responders])

@@ -150,6 +150,30 @@ def test_sweep_workers_agree_with_serial(tmp_path, ring_file):
     assert sha(serial / "merged_bounds.csv") == sha(parallel / "merged_bounds.csv")
 
 
+def written_tree(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_whole_corpus_sweeps_byte_identically_serially_and_with_workers(tmp_path):
+    """Every golden scenario over seeds 1, 2 and 3, swept serially and then
+    with two workers into the same --out path, the first tree moved aside
+    in between, writes the same files byte for byte.  Each run's manifest
+    records its absolute out_dir, so the two sweeps share one path."""
+    scenarios = sorted(str(p) for p in GOLDEN.glob("*.json") if p.name != "digests.json")
+    out = tmp_path / "sweep"
+    argv = ["sweep", *scenarios, "--seeds", "1,2,3", "--out", str(out)]
+    assert main(argv) == 0
+    serial = written_tree(out)
+    out.rename(tmp_path / "serial")
+    assert main(argv + ["--workers", "2"]) == 0
+    parallel = written_tree(out)
+    # four artifacts a run, then the merged bounds and the sweep manifest
+    assert len(serial) == 3 * len(scenarios) * 4 + 2
+    assert list(parallel) == list(serial)
+    assert [name for name in serial if parallel[name] != serial[name]] == []
+
+
 def test_sweep_rejects_bad_seed_list(tmp_path, ring_file, capsys):
     assert main(["sweep", str(ring_file), "--seeds", "1,x",
                  "--out", str(tmp_path / "o")]) == 2

@@ -1,22 +1,25 @@
-"""The rapid-phase writer against the message-by-message oracle.
+"""The rapid-phase row writer against the message-by-message oracle.
 
 Every one-way and MPNV run is made twice: once as gdbsim makes it, with
-each send's time from its node's per-send step and each exchange's rows
-written one column at a time, and once with exchange_oracle's emit,
-broadcast, answer and per-round active_distance pricing patched in.
-Both must leave the same trace, logs, counters and error, bit for bit.
+each send's time from its node's per-send step, a verifier's whole row
+written one column at a time and priced as arrays, and once with
+exchange_oracle's emit, broadcast, answer, one exchange per prover and
+per-round active_distance pricing patched in.  Both must leave the same
+trace, logs, counters, row records and error, bit for bit.
 """
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exchange_oracle
-from gdbsim.core import NodeSpec, Role, validate_scenario
+from gdbsim.core import LengthMismatch, NodeSpec, Role, validate_scenario
 from gdbsim.estimate import NegativeTimeOfFlight
 from gdbsim.proto import base, group, pairwise
 from gdbsim.proto.base import start_run
+from gdbsim.proto.pairwise import Row
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import mpnv_scenario, oneway_scenario, with_policy
 from gdbsim.simkit import CausalityViolation
@@ -27,17 +30,19 @@ ORACLE = [
     (group, "run_exchange", exchange_oracle.run_exchange),
     (pairwise, "_run_relay_exchange", exchange_oracle.run_relay_exchange),
     (base, "active_bounds", exchange_oracle.active_bounds),
-    (group, "active_bounds", exchange_oracle.active_bounds),
+    (group, "active_row_bounds", exchange_oracle.active_row_bounds),
 ]
+WRITERS = [(pairwise, "run_exchange"), (group, "run_exchange"), (pairwise, "_run_relay_exchange")]
 
 
-def run(scenario, oracle):
-    """(context, result, error) of one run, by the writer or by the oracle.
+def run(scenario, oracle, patches=()):
+    """(context, result, error, row records) of one run, by the writer or by the oracle.
 
     A scenario must declare bit_len >= 1; the runs here may have 0, for
     which no bits are drawn, so validation sees the scenario with 1.
+    patches are (module, name, value) to set for the run as well.
     """
-    contexts = []
+    contexts, records = [], []
     config = scenario.config
     assert validate_scenario(dataclasses.replace(
         scenario, config=dataclasses.replace(config, bit_len=max(config.bit_len, 1)))) == []
@@ -50,21 +55,37 @@ def run(scenario, oracle):
         mp.setattr(base, "ensure_valid", lambda s: s)
         for module in (pairwise, group):
             mp.setattr(module, "start_run", spy)
-        if oracle:
-            for module, name, reference in ORACLE:
-                mp.setattr(module, name, reference)
+        for module, name, value in [*patches, *(ORACLE if oracle else ())]:
+            mp.setattr(module, name, value)
+        for module, name in WRITERS:
+            mp.setattr(module, name, recorded(getattr(module, name), records))
         try:
             result, error = run_scenario(scenario), None
         except Exception as exc:  # compared below, type and text
             result, error = None, exc
     ctx, = contexts
-    return ctx, result, error
+    return ctx, result, error, records
 
 
-def state(ctx, result, error):
+def recorded(writer, records):
+    def run_and_record(*args, **kwargs):
+        records.append(writer(*args, **kwargs))
+        return records[-1]
+    return run_and_record
+
+
+def floats(values):
+    """An array's shape and its entries by repr, so -0.0 and 0.0 differ."""
+    values = np.asarray(values)
+    return values.shape, list(map(repr, values.ravel().tolist()))
+
+
+def state(ctx, result, error, records):
     """Everything the writer must reproduce, floats by repr."""
     trace = ctx.channel.trace
     return {
+        "rows": [(row.verifier, row.responders, floats(row.schedule), floats(row.asks),
+                  floats(row.replies), repr(row.t_end)) for row in records],
         "columns": [trace.sender, list(map(repr, trace.t_send)), trace.kind, trace.phase,
                     trace.payload, trace.round_index],
         "timed": ctx.timed,
@@ -180,6 +201,29 @@ def test_refused_runs_match_the_oracle():
         assert_writer_matches_oracle(scenario)
 
 
+@pytest.mark.parametrize("scenario, node", [
+    (oneway_scenario(n=3, observer_pos=(40.0, 30.0)), 2),
+    # the second prover of the first row: the row stops mid-way
+    (mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=3), 6),
+])
+def test_an_oversized_nonce_raises_what_the_oracle_raises(scenario, node):
+    """A committed nonce wider than bit_len stops the row with the oracle's
+    LengthMismatch, its text, and the trace and logs written up to it."""
+    def widened(commit_phase):
+        def commit_and_widen(ctx, counts):
+            out = commit_phase(ctx, counts)
+            nonces = ctx.nonces[node]
+            ctx.nonces[node] = nonces[:1] + (1 << ctx.bit_len,) + nonces[2:]
+            return out
+        return commit_and_widen
+
+    patches = [(module, "commit_phase", widened(module.commit_phase))
+               for module in (pairwise, group)]
+    writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
+    assert isinstance(writer[2], LengthMismatch)
+    assert state(*writer) == state(*oracle)
+
+
 def test_a_late_reply_raises_what_broadcast_raised():
     """The per-send step's causality check: same error, same text, same counters."""
     got = []
@@ -202,7 +246,7 @@ def test_a_late_reply_raises_what_broadcast_raised():
 @given(scenario=one_way_runs() | mpnv_runs(), data=st.data())
 def test_active_bounds_match_per_round_pricing(scenario, data):
     """Any ledger of rapid rounds, impossible ones included, prices as active_distance does."""
-    ctx, _, _ = run(scenario, False)
+    ctx = run(scenario, False)[0]
     trace = ctx.channel.trace
     rapid = [seq for seq, phase in enumerate(trace.phase) if phase == "rapid"]
     pairs = st.tuples(st.sampled_from(rapid), st.sampled_from(rapid)).filter(
@@ -235,3 +279,70 @@ def test_active_bounds_refuse_exactly_past_eps_time(short_s):
             priced.append(str(exc))
     assert priced[0] == priced[1]
     assert priced[0].startswith("round trip") == (short_s > 1e-12)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def timed_rows(draw):
+    """(alpha, verifier offset, each responder's flight, asks, replies) of a verifier row.
+
+    Stamps near zero, with both signed zeros, so that rounds tie at
+    -0.0 and 0.0 and some are impossible.
+    """
+    exchanges = draw(st.integers(min_value=1, max_value=3))
+    rounds = draw(st.integers(min_value=1, max_value=4))
+    stamp = signed_zeros | st.sampled_from([1e-8, 1e-6]) | st.floats(0.0, 2e-6)
+    block = st.lists(st.lists(stamp, min_size=rounds, max_size=rounds),
+                     min_size=exchanges, max_size=exchanges)
+    return (draw(st.sampled_from([0.0, 1e-8])), draw(signed_zeros | st.floats(0.0, 1.0)),
+            draw(st.lists(signed_zeros | st.floats(0.0, 1e-6), min_size=exchanges,
+                          max_size=exchanges)),
+            draw(block), draw(block))
+
+
+@settings(max_examples=300, deadline=None)
+@given(timed=timed_rows())
+# a round reads -0.0, then one reads 0.0, or the other way round: the first of equal bounds wins
+@example(timed=(0.0, -0.0, [-0.0], [[0.0, 1e-8]], [[-0.0, 1e-8]]))
+@example(timed=(0.0, -0.0, [-0.0, -0.0], [[0.0, 0.0], [0.0, 0.0]], [[-0.0, 0.0], [0.0, -0.0]]))
+# the second exchange's first round and the first's second are impossible
+@example(timed=(1e-8, 0.5, [1e-7, 1e-7], [[0.0, 1e-6], [1e-6, 0.0]], [[0.0, 0.0], [0.0, 0.0]]))
+def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
+    """A row's rounds priced as arrays give active_bounds' loop and active_distance, by repr.
+
+    Each responder's bound is the first of its largest rounds', signed
+    zeros told apart; an impossible round raises the same first error,
+    with the same text, as pricing the ledger round by round.
+    """
+    alpha, offset, flights, asks, replies = timed
+    exchanges, rounds = len(asks), len(asks[0])
+    scenario = mpnv_scenario(n=rounds, n_a=rounds, d_a=1.0, n_verifiers=1,
+                             m_provers=exchanges)
+    ctx = start_run(dataclasses.replace(
+        scenario, config=dataclasses.replace(scenario.config, alpha=alpha)))
+    trace = ctx.channel.trace
+    responders = list(range(2, exchanges + 2))
+    trace.offsets[1] = offset
+    for p, flight in zip(responders, flights):
+        trace.tof[trace.index[p], trace.index[1]] = flight
+        trace.tof_rows[trace.index[p]][trace.index[1]] = flight
+        for ask, reply in zip(asks[p - 2], replies[p - 2]):
+            ctx.timed.append((trace.append(1, ask, "challenge", "rapid", b"", 1),
+                              trace.append(p, reply, "response", "rapid", b"", 1)))
+    row = Row(1, responders, np.zeros((exchanges, rounds + 1)), np.array(asks),
+              np.array(replies), 0.0)
+    priced = []
+    for active_bounds in (base.active_bounds, exchange_oracle.active_bounds, None):
+        try:
+            if active_bounds is None:
+                bounds = pairwise.active_row_bounds(ctx, row).tolist()
+            else:
+                out = active_bounds(ctx)
+                assert [out[(1, p)][1] for p in responders] == [rounds] * exchanges
+                bounds = [out[(1, p)][0] for p in responders]
+            priced.append(list(map(repr, bounds)))
+        except NegativeTimeOfFlight as exc:
+            priced.append((type(exc), str(exc)))
+    assert priced[0] == priced[1] == priced[2]

@@ -28,7 +28,9 @@ from gdbsim.proto import pairwise as pairwise_driver
 from gdbsim.proto import ring as ring_driver
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
+    Row,
     _run_relay_exchange,
+    active_row_bounds,
     passive_bounds,
     passive_observations,
     run_exchange,
@@ -527,22 +529,23 @@ def folded_rows(monkeypatch, scenario, signed_zero=False):
     """
     rows, actives = [], []
 
-    def active(ctx, start=0):
-        out = base.active_bounds(ctx, start)
+    def active(ctx, row):
+        bounds = active_row_bounds(ctx, row)
         if signed_zero:
-            out = {pair: [0.0, rounds] for pair, (_, rounds) in out.items()}
-        actives.append(out)
-        return out
+            bounds = np.zeros_like(bounds)
+        rounds = row.asks.shape[1]
+        actives.append({(row.verifier, p): [b, rounds]
+                        for p, b in zip(row.responders, bounds.tolist())})
+        return bounds
 
     def passive(ctx, row, watchers):
         others, best, framed = passive_bounds(ctx, row, watchers)
         if signed_zero:
             best = np.full_like(best, -0.0)
-        rows.append((row[0].verifier, [ex.prover for ex in row], actives[-1], others,
-                     best.tolist(), framed))
+        rows.append((row.verifier, row.responders, actives[-1], others, best.tolist(), framed))
         return others, best, framed
 
-    monkeypatch.setattr(group, "active_bounds", active)
+    monkeypatch.setattr(group, "active_row_bounds", active)
     monkeypatch.setattr(group, "passive_bounds", passive)
     return run_scenario(scenario), rows
 
@@ -625,33 +628,39 @@ verifier_policies = st.one_of(
 )
 
 
-def priced_one_by_one(ctx, ex, watchers):
-    """Per-watcher scalar pricing, each stamp checked against the trace."""
+def priced_one_by_one(ctx, row, e, rounds, watchers):
+    """Per-watcher scalar pricing of exchange e, each stamp checked against the trace.
+
+    rounds holds the row's timed rounds, (ask seq, reply seq), exchange by exchange.
+    """
     chan = ctx.channel
     cfg = ctx.scenario.config
+    one = row._replace(**{name: getattr(row, name)[e:e + 1]
+                          for name in ("responders", "schedule", "asks", "replies")})
     out = {}
     for w in watchers:
-        if w == ex.verifier:
+        if w == row.verifier:
             continue
-        t1, t2, t3, base = passive_observations(ctx, [ex], [w])
-        base_tof = chan.dist(ex.verifier, w) / chan.c
-        rounds = list(zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist()))
-        for i, (a, b, d) in enumerate(rounds):
-            assert a == ex.nominal_sends[i] + base_tof + chan.offsets[w]
-            assert b == chan.trace.arrival_local(ex.response_seqs[i], w)
-            assert d == ex.nominal_sends[i + 1] + base_tof + chan.offsets[w]
-        if rounds:
-            out[w] = (passive_oracle.observed_bound(rounds, cfg.alpha, float(base[0]), cfg.c),
-                      len(rounds))
+        t1, t2, t3, base = passive_observations(ctx, one, [w])
+        base_tof = chan.dist(row.verifier, w) / chan.c
+        stamps = list(zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist()))
+        for i, (a, b, d) in enumerate(stamps):
+            assert a == row.schedule[e, i] + base_tof + chan.offsets[w]
+            assert b == chan.trace.arrival_local(rounds[e][i][1], w)
+            assert d == row.schedule[e, i + 1] + base_tof + chan.offsets[w]
+        if stamps:
+            out[w] = (passive_oracle.observed_bound(stamps, cfg.alpha, float(base[0]), cfg.c),
+                      len(stamps))
     return out
 
 
 def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
-    """One verifier's exchanges, one per prover, run in turn; and its watchers.
+    """One verifier's row, one exchange per prover; its timed rounds; and its watchers.
 
     places[0] is verifier 1, then come provers 20, 21, ..., a front 30
     relaying to prover 20 when relay is set, and passive watchers 10,
-    11, ... on whatever places are left.
+    11, ... on whatever places are left.  A relayed exchange runs after
+    the others and is stacked onto their row.
     """
     v_pos, *rest = places
     relay = relay and len(rest) >= 3
@@ -669,16 +678,17 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
         nodes=tuple(nodes), protocol=Protocol.MPNV, config=ProtocolConfig(n=n, alpha=alpha),
         experiment=ExperimentParams(n_a=n, d_a=1.0), rng_seed=seed,
     ))
-    row = []
-    t = ctx.slot_s
     for p in prover_ids:
         nonces = ctx.nonces[p] = tuple(ctx.draw_bits(1) for _ in range(n))
-        row.append(run_exchange(ctx, 1, p, n, t, closing))
-        t = row[-1].t_end + ctx.slot_s
+    row = run_exchange(ctx, 1, prover_ids, n, ctx.slot_s, closing)
     if relay:
         ctx.nonces[30] = nonces
-        row.append(_run_relay_exchange(ctx, 1, 30, 20, t, closing))
-    return ctx, row, watchers
+        relayed = _run_relay_exchange(ctx, 1, 30, 20, row.t_end + ctx.slot_s, closing)
+        row = Row(1, row.responders + relayed.responders,
+                  *(np.vstack((getattr(row, block), getattr(relayed, block)))
+                    for block in ("schedule", "asks", "replies")), relayed.t_end)
+    rounds = np.reshape(ctx.timed, (len(row.responders), n, 2)).tolist()
+    return ctx, row, rounds, watchers
 
 
 @settings(max_examples=150, deadline=None)
@@ -693,10 +703,10 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
 @example(places=[(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 32.0)], provers=1, relay=False,
          n=3, alpha=0.0, closing=False, policy=EarlyChallenge(advance_s=2e-08, pr_ch=0.5),
          seed=0)
-# one watcher at a time, watcher 10's bad round 2 comes before watcher 11's bad round 1
+# one watcher at a time, watcher 10's bad round 4 comes before watcher 11's bad round 3
 @example(places=[(5.0, 6.0), (4.0, 2.0), (-4.0, -1.0), (-6.0, 2.0), (5.0, -2.0), (-3.0, -4.0)],
          provers=2, relay=False, n=4, alpha=0.0, closing=True,
-         policy=EarlyChallenge(advance_s=1e-6, pr_ch=0.5), seed=180)
+         policy=EarlyChallenge(advance_s=1e-6, pr_ch=0.5), seed=14)
 def test_passive_bounds_match_per_watcher_pricing(
     places, provers, relay, n, alpha, closing, policy, seed
 ):
@@ -706,10 +716,12 @@ def test_passive_bounds_match_per_watcher_pricing(
     in turn, one watcher and one round at a time, bit for bit; when that
     raises, the block raises the same exception with the same message.
     """
-    ctx, row, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy, seed)
+    ctx, row, rounds, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy,
+                                              seed)
     watchers = [1] + watchers  # the exchange's own verifier is never priced
     try:
-        want = [priced_one_by_one(ctx, ex, watchers) for ex in row]
+        want = [priced_one_by_one(ctx, row, e, rounds, watchers)
+                for e in range(len(row.responders))]
     except NegativeTimeOfFlight as exc:
         with pytest.raises(NegativeTimeOfFlight) as got:
             passive_bounds(ctx, row, watchers)
