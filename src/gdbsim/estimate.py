@@ -60,7 +60,8 @@ def active_distance(
 
     t_sent and t_back are the challenger's own clock readings for
     challenge out and response in; alpha_p is the responder's known
-    processing delay.
+    processing delay.  No driver calls it: it is the per-round reference
+    that active_distances and tests/exchange_oracle.py are held to.
     """
     tof2 = (t_back - t_sent) - alpha_p
     if tof2 < -EPS_TIME:

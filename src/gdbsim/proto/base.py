@@ -9,7 +9,7 @@ XOR its sender's next committed nonce), and open_phase decommits
 nonces.  A driver names each timed round by its two seqs in
 RunContext.timed, and active_bounds reads the measurer's stamps for
 them off the trace's columns and flight-time rows and prices them; the
-group driver prices a verifier's row from its own arrays instead
+group driver prices a verifier's row from its own stamps instead
 (pairwise.active_row_bounds), with the same float operations.
 A run hands back its bounds as one columnar Estimates table, written as
 rows or, for the ring, as one block of columns.
@@ -378,7 +378,7 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId]
     alpha, c = cfg.alpha, cfg.c
     trace = ctx.channel.trace
     sender, t_send, offsets = trace.sender, trace.t_send, trace.offsets
-    rows, index = trace.tof_rows, trace.index
+    rows, index = trace.tof, trace.index
     out: Dict[Tuple[NodeId, NodeId], List] = {}
     pair = entry = None
     for ask, reply in ctx.timed[start:]:
@@ -387,7 +387,7 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId]
             pair = (m, target)
             off, flight = offsets[m], rows[index[target]][index[m]]
             entry = out.setdefault(pair, [None, 0])
-        # active_distance on t_send + offset and Trace.arrival_local(reply, m)
+        # active_distance on t_send + offset and arrival_true(reply, m) + offset
         t_sent, t_back = t_send[ask] + off, (t_send[reply] + flight) + off
         tof2 = (t_back - t_sent) - alpha
         if tof2 < -EPS_TIME:

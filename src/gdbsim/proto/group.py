@@ -91,7 +91,7 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         for p in provers:
             need[p] = need.get(p, 0) + active_verifier_count(d_a, len(watchers)) * n_a
     bundles, t = commit_phase(ctx, {p: need[p] for p in sorted(need)})
-    ids = ctx.channel.node_ids
+    ids = ctx.channel.trace.node_ids
     at = {nid: i for i, nid in enumerate(ids)}
     bound = np.full((len(ids), len(ids)), -np.inf)
     rounds = np.zeros((len(ids), len(ids)), dtype=np.int64)

@@ -2,7 +2,7 @@
 
 A verifier's row, its exchanges with each prover in turn, is one
 run_exchange call that writes the row's trace rows in one block and
-returns it as a Row of (exchanges x rounds) arrays, priced from those:
+returns it as a Row of lists, shaped into arrays only where priced:
 active_row_bounds for the verifier, passive_bounds for its listeners.
 The one-way driver runs a row of one prover, with optional
 eavesdropping observers; the mutual driver interleaves both directions
@@ -16,7 +16,9 @@ schedule-advancing challenger exploits.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +40,9 @@ from .base import (
 )
 
 
-class Row(NamedTuple):
-    """A verifier's exchanges, one per responder in run order, as true-clock blocks.
+@dataclass
+class Row:
+    """A verifier's exchanges, one per responder in run order, as true-clock lists.
 
     responders[e] sent exchange e's replies (a relayed exchange's front);
     t_end is the true time of the last arrival anyone needs.
@@ -47,10 +50,16 @@ class Row(NamedTuple):
 
     verifier: NodeId
     responders: List[NodeId]
-    schedule: np.ndarray    # (exchanges x sends) the verifier's published schedule
-    asks: np.ndarray        # (exchanges x rounds) each timed round's ask send time
-    replies: np.ndarray     # (exchanges x rounds) each timed round's reply send time
+    schedule: List[float]   # the verifier's published schedule, exchange by exchange
+    stamps: List[float]     # each round's ask and reply send times, then any closing's
     t_end: float
+
+    @cached_property
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (exchanges x sends) schedule, (exchanges x rounds) asks and replies; built once."""
+        schedule = np.array(self.schedule).reshape(len(self.responders), -1)
+        stamps = np.array(self.stamps).reshape(len(self.responders), -1)
+        return schedule, stamps[:, 0:-1:2], stamps[:, 1::2]  # a closing, if any, is last
 
 
 def run_exchange(
@@ -135,12 +144,11 @@ def run_exchange(
             t_next = t_end + ctx.slot_s
     finally:
         sent = len(t_sends)
-        per = 2 * n_rounds + closing
         # an exchange's rows alternate challenge and response, round by round, then the closing
         senders = [node for p in provers
                    for node in [verifier, p] * n_rounds + [verifier] * closing]
         kinds = (["challenge", "response"] * n_rounds + ["closing"] * closing) * len(provers)
-        indices = [j // 2 + 1 for j in range(per)] * len(provers)
+        indices = [j // 2 + 1 for j in range(2 * n_rounds + closing)] * len(provers)
         chan.trace.extend(senders[:sent], t_sends, kinds[:sent], ["rapid"] * sent, payloads,
                           indices[:sent])
         if answered > first:
@@ -148,10 +156,7 @@ def run_exchange(
         ctx.answers.extend(answers)
         ctx.timed.extend(timed)
 
-    stamps = np.array(t_sends).reshape(len(provers), per)
-    return Row(verifier, list(provers),
-               np.array(nominal_sends).reshape(len(provers), n_rounds + closing),
-               stamps[:, 0:2 * n_rounds:2], stamps[:, 1:2 * n_rounds:2], t_end)
+    return Row(verifier, list(provers), nominal_sends, t_sends, t_end)
 
 
 def _claimed_baseline(ctx: RunContext, pol: FakeLocationReport, observer: NodeId) -> float:
@@ -170,9 +175,9 @@ def active_row_bounds(ctx: RunContext, row: Row) -> np.ndarray:
     cfg = ctx.scenario.config
     trace = ctx.channel.trace
     index, off = trace.index, trace.offsets[row.verifier]
-    flight = trace.tof[[index[p] for p in row.responders], index[row.verifier]]
-    bounds = active_distances(row.asks + off, (row.replies + flight[:, None]) + off,
-                              cfg.alpha, cfg.c)
+    flight = trace.tof_array[[index[p] for p in row.responders], index[row.verifier]]
+    _, asks, replies = row.blocks
+    bounds = active_distances(asks + off, (replies + flight[:, None]) + off, cfg.alpha, cfg.c)
     return np.take_along_axis(bounds, bounds.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
@@ -186,28 +191,26 @@ def passive_observations(
     watchers) arrays t1, t2, t3 on each watcher's own clock, and each
     watcher's advertised baseline.  T1 and T3 are the verifier's
     published schedule plus the physical flight to the watcher; T2 is
-    the overheard reply, read off the row as Trace.arrival_local adds.
+    the overheard reply, arrival_true plus the watcher's offset.
     The baseline is the true verifier-watcher distance unless the
     verifier advertises a fake location or distance, which poisons it.
     """
-    chan = ctx.channel
+    trace = ctx.channel.trace
     c = ctx.scenario.config.c
-    verifier = row.verifier
-    framed = row.schedule.shape[1] - 1
-    index = chan.trace.index
-    off = np.array([chan.offsets[w] for w in watchers])
+    sends, _, replies = row.blocks
+    index, off = trace.index, np.array([trace.offsets[w] for w in watchers])
     # the verifier's flights to the watchers, then each responder's
-    flights = chan.trace.tof[[index[verifier]] + [index[p] for p in row.responders]][
+    flights = trace.tof_array[[index[row.verifier]] + [index[p] for p in row.responders]][
         :, [index[w] for w in watchers]]
     dist = flights[0] * c
     base_tof = dist / c  # physical flight for schedule anchoring
-    pol = ctx.policies[verifier]
+    pol = ctx.policies[row.verifier]
     if isinstance(pol, FakeLocationReport):
         base = np.array([_claimed_baseline(ctx, pol, w) for w in watchers])
     else:
         base = dist
-    schedule = (row.schedule[:, :, None] + base_tof) + off
-    t2 = (row.replies[:, :framed, None] + flights[1:, None]) + off
+    schedule = (sends[:, :, None] + base_tof) + off
+    t2 = (replies[:, :sends.shape[1] - 1, None] + flights[1:, None]) + off  # the framed rounds
     return schedule[:, :-1], t2, schedule[:, 1:], base
 
 
@@ -251,7 +254,7 @@ def passive_bounds(
     framed.  A row that frames no round prices nobody: others is empty.
     """
     others = [w for w in watchers if w != row.verifier]
-    rounds = row.schedule.shape[1] - 1
+    rounds = len(row.schedule) // len(row.responders) - 1
     if not others or rounds < 1:
         return [], np.empty((len(row.responders), 0)), 0
     best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
@@ -312,8 +315,7 @@ def _run_relay_exchange(
     chan = ctx.channel
     t_sends, payloads = chan.trace.t_send, chan.trace.payload
     alpha = cfg.alpha
-    nominal_sends: List[float] = []
-    start = len(ctx.timed)
+    nominal_sends, stamps = [], []
     t_nominal = t_end = t_start
     for i in range(1, cfg.n + 1):
         c_i = ctx.draw_bits(cfg.bit_len)
@@ -328,15 +330,16 @@ def _run_relay_exchange(
         t_in = chan.arrival_true(vr, front)
         resp = ctx.emit(front, t_in, "response", payloads[vr], i, vr, t_in, verifier)
         ctx.timed.append((ch, resp))  # the front answers the verifier
+        stamps += t_sends[ch], t_sends[resp]
         t_back = chan.arrival_true(resp, verifier)
         t_nominal = (t_back + (t_nominal - t_sends[ch])) + alpha
         t_end = max(t_end, t_back)
     if closing:
         em = ctx.emit(verifier, t_nominal, "closing", encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
+        stamps.append(t_sends[em])
         t_end = max(t_end, t_sends[em] + chan.reach(verifier))
-    stamps = np.array([[t_sends[a], t_sends[r]] for a, r in ctx.timed[start:]]).reshape(-1, 2).T
-    return Row(verifier, [front], np.array([nominal_sends]), stamps[:1], stamps[1:], t_end)
+    return Row(verifier, [front], nominal_sends, stamps, t_end)
 
 
 # ---------------------------------------------------------------------------

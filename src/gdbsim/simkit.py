@@ -13,11 +13,10 @@ its position.  Trace.append writes one row and returns its seq, and
 Trace.extend writes a block of rows, so no object is built per send;
 Trace.emissions reads the columns as Emission rows, built only when
 iterated or indexed.  Arrivals are derived, never stored: message seq
-reaches receiver r at t_send + tof[sender, r], one float64 add on the
-channel's flight-time matrix.  The trace also keeps that matrix as rows
-of Python floats, the same doubles, and every per-send read
-(arrival_true, check_send's trigger arrival, reach) makes the add from
-those, with no numpy scalar on the send path.
+reaches receiver r at t_send + tof[sender][r], a float add on the
+trace's flight-time rows, the run's one copy, so no numpy scalar is on
+the send path; the block pricers read Trace.tof_array, the same doubles
+as a float64 array derived from the rows on first use.
 
 The export, trace format 2, is JSON lines: a meta line {"kind":
 "meta", "node_ids", "offsets", "tof", "trace_format": 2}, then one
@@ -35,7 +34,7 @@ import math
 import re
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import count
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -120,32 +119,33 @@ class Trace:
     """Everything that happened on the channel during one run.
 
     Only emissions are stored, one list per Emission field after seq;
-    an arrival is derived on demand as t_send + tof[sender, receiver].
-    tof_rows holds the flight-time matrix as rows of Python floats (the
-    channel passes its own; otherwise they are read off tof), and index
-    maps a node id to its row.  Two traces compare equal by their
-    fields, the flight times by tof_rows, so two runs compare as values.
+    an arrival is derived on demand as t_send + tof[sender][receiver].
+    tof, the run's one copy of the flight times, holds rows of Python
+    floats, fixed once built, and index maps a node id to its row.  Two
+    traces compare equal by their fields, so two runs compare as values.
     """
 
     node_ids: Tuple[NodeId, ...]
     offsets: Dict[NodeId, float]
-    tof: np.ndarray = field(compare=False)  # flight seconds, indexed like node_ids
+    tof: List[List[float]] = field(repr=False)  # flight seconds
     sender: List[NodeId] = field(default_factory=list)
     t_send: List[float] = field(default_factory=list)
     kind: List[str] = field(default_factory=list)
     phase: List[str] = field(default_factory=list)
     payload: List[bytes] = field(default_factory=list)
     round_index: List[Optional[int]] = field(default_factory=list)
-    tof_rows: Optional[List[List[float]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.index = {nid: i for i, nid in enumerate(self.node_ids)}
-        if self.tof_rows is None:
-            self.tof_rows = self.tof.tolist()
 
     @property
     def emissions(self) -> Emissions:
         return Emissions(self)
+
+    @cached_property
+    def tof_array(self) -> np.ndarray:
+        """tof as a float64 array for the block pricers, built on first use; nothing writes it."""
+        return np.array(self.tof, dtype=float)
 
     def columns(self) -> Tuple[List, ...]:
         return (self.sender, self.t_send, self.kind, self.phase, self.payload, self.round_index)
@@ -172,17 +172,14 @@ class Trace:
         if receiver == sender:
             raise KeyError(f"node {receiver} sent message {seq}, it does not receive it")
         index = self.index
-        return self.t_send[seq] + self.tof_rows[index[sender]][index[receiver]]
-
-    def arrival_local(self, seq: int, receiver: NodeId) -> float:
-        return self.arrival_true(seq, receiver) + self.offsets[receiver]
+        return self.t_send[seq] + self.tof[index[sender]][index[receiver]]
 
     def local_arrivals(self, seqs, receivers: Sequence[NodeId]) -> np.ndarray:
-        """arrival_local of every message in seqs at every receiver, as one array.
+        """Every message in seqs' arrival at every receiver, on the receiver's clock.
 
         The shape is seqs' shape plus one axis over receivers.  Each entry
-        is (t_send + tof) + offset, the adds arrival_local makes, so it is
-        bit for bit the same; a message's own sender reads NaN.
+        is (t_send + tof) + offset, arrival_true plus the receiver's
+        offset, bit for bit; a message's own sender reads NaN.
         """
         seqs = np.asarray(seqs)
         flat = seqs.ravel().tolist()
@@ -191,7 +188,7 @@ class Trace:
         sender = np.array([index[senders[s]] for s in flat], dtype=np.intp)
         t_send = np.array([t_sends[s] for s in flat], dtype=float)
         offsets = np.array([self.offsets[r] for r in receivers], dtype=float)
-        out = (t_send[:, None] + self.tof[sender][:, cols]) + offsets
+        out = (t_send[:, None] + self.tof_array[sender][:, cols]) + offsets
         out[sender[:, None] == cols] = np.nan
         return out.reshape(seqs.shape + (len(cols),))
 
@@ -211,7 +208,7 @@ class Trace:
             "kind": "meta",
             "node_ids": list(self.node_ids),
             "offsets": {str(k): v for k, v in sorted(self.offsets.items())},
-            "tof": self.tof.tolist(),
+            "tof": self.tof,
             "trace_format": TRACE_FORMAT,
         }, sort_keys=True)
         lines = [meta]
@@ -282,8 +279,8 @@ _EMISSION_FIELDS = {
 }
 
 
-def _meta_fields(meta: dict) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, float], np.ndarray]:
-    """node_ids, offsets and tof of a format-2 meta record, every entry checked."""
+def _meta_fields(meta: dict) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, float], List[List[float]]]:
+    """node_ids, offsets and tof (floats) of a format-2 meta record, every entry checked."""
     try:
         node_ids, offsets, tof = meta["node_ids"], meta["offsets"], meta["tof"]
         seen = set()
@@ -310,7 +307,7 @@ def _meta_fields(meta: dict) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, float], n
     bad = [flight for row in tof for flight in row if not _is_finite(flight)]
     if bad:
         raise TraceFormatError(f"line 1: tof entry {bad[0]!r} is not a finite number")
-    return tuple(node_ids), read_offsets, np.array(tof, dtype=float)
+    return tuple(node_ids), read_offsets, [list(map(float, row)) for row in tof]
 
 
 def _record(line: str, number: int) -> dict:
@@ -327,8 +324,10 @@ def _record(line: str, number: int) -> dict:
 class BroadcastChannel:
     """Single shared medium connecting every node in a scenario.
 
-    last_send holds each node's latest send time, which no later send of
-    that node may precede.
+    It builds the flight-time rows and hands them, with the node ids and
+    clock offsets, to its trace, the one copy; they are fixed from then
+    on, as reach's memo and Trace.tof_array assume.  last_send holds each
+    node's latest send time, which no later send of that node may precede.
     """
 
     def __init__(
@@ -337,37 +336,30 @@ class BroadcastChannel:
         c: float,
         offsets: Optional[Dict[NodeId, float]] = None,
     ) -> None:
-        self.node_ids: Tuple[NodeId, ...] = tuple(sorted(positions))
-        self.c = c
-        pts = [positions[a] for a in self.node_ids]
+        node_ids = tuple(sorted(positions))
+        pts = [positions[a] for a in node_ids]
         tof = [[0.0] * len(pts) for _ in pts]
         for i, (a, row) in enumerate(zip(pts, tof)):
             for j in range(i + 1, len(pts)):
                 b = pts[j]
                 # core.distance's hypot, once per unordered pair: hypot(-dx, -dy) is hypot(dx, dy)
                 row[j] = tof[j][i] = math.hypot(a[0] - b[0], a[1] - b[1]) / c
-        self._tof = np.array(tof)
-        self.offsets = dict(offsets) if offsets else {nid: 0.0 for nid in self.node_ids}
-        self.trace = Trace(self.node_ids, dict(self.offsets), self._tof, tof_rows=tof)
-        self._index = self.trace.index
-        self._tof_rows = tof
+        offsets = dict(offsets) if offsets else dict.fromkeys(node_ids, 0.0)
+        self.trace = Trace(node_ids, offsets, tof)
         self._reach: Dict[Optional[NodeId], float] = {}
         self.last_send: Dict[NodeId, float] = {}
         self.arrival_true = self.trace.arrival_true  # one call, no hop through the channel
 
     def tof(self, a: NodeId, b: NodeId) -> float:
-        return self._tof_rows[self._index[a]][self._index[b]]
-
-    def dist(self, a: NodeId, b: NodeId) -> float:
-        return self.tof(a, b) * self.c
+        return self.trace.tof[self.trace.index[a]][self.trace.index[b]]
 
     def reach(self, node: Optional[NodeId] = None) -> float:
         """Longest flight time from node, or between any two nodes; memoised per node."""
         longest = self._reach.get(node)
         if longest is None:
-            rows = self._tof_rows
+            rows = self.trace.tof
             longest = self._reach[node] = (
-                max(map(max, rows)) if node is None else max(rows[self._index[node]]))
+                max(map(max, rows)) if node is None else max(rows[self.trace.index[node]]))
         return longest
 
     def broadcast(

@@ -89,42 +89,38 @@ def draw_bits(ctx: RunContext, bit_len: int) -> int:
 
 
 def arrival(ctx: RunContext, seq: int, receiver) -> float:
-    """t_send plus the flight, read off the channel's flight-time array, not its rows."""
+    """t_send plus the flight, read off the trace's derived flight-time array, not its rows."""
     trace = ctx.channel.trace
-    return trace.t_send[seq] + float(trace.tof[trace.index[trace.sender[seq]],
-                                               trace.index[receiver]])
+    return trace.t_send[seq] + float(trace.tof_array[trace.index[trace.sender[seq]],
+                                                     trace.index[receiver]])
 
 
 def run_exchange(ctx: RunContext, verifier, provers, n_rounds: int, t_start: float,
                  closing: bool) -> Row:
     """The verifier's row: each prover's exchange in turn, one slot after the last one's t_end."""
-    schedule, asks, replies = [], [], []
+    schedule: List[float] = []
+    stamps: List[float] = []
     t_end = t_start
     for k, prover in enumerate(provers):
-        sends, ask, reply, t_end = exchange(ctx, verifier, prover, n_rounds,
-                                            t_end + ctx.slot_s if k else t_start, closing)
-        schedule.append(sends)
-        asks.append(ask)
-        replies.append(reply)
-    rounds = (len(provers), n_rounds)
-    return Row(verifier, list(provers),
-               np.array(schedule).reshape(len(provers), n_rounds + closing),
-               np.array(asks).reshape(rounds), np.array(replies).reshape(rounds), t_end)
+        sends, sent, t_end = exchange(ctx, verifier, prover, n_rounds,
+                                      t_end + ctx.slot_s if k else t_start, closing)
+        schedule += sends
+        stamps += sent
+    return Row(verifier, list(provers), schedule, stamps, t_end)
 
 
 def exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float, closing: bool):
     """n_rounds challenge/response rounds, one emit and one answer at a time.
 
     Returns the published schedule, each round's ask and reply send
-    times, and the exchange's t_end.
+    times and then the closing's, and the exchange's t_end.
     """
     cfg = ctx.scenario.config
     t_sends = ctx.channel.trace.t_send
     p_policy = ctx.policies[prover]
     guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
     nominal_sends: List[float] = []
-    asks: List[float] = []
-    replies: List[float] = []
+    stamps: List[float] = []
     t_nominal = t_end = t_start
     for i in range(1, n_rounds + 1):
         c_i = draw_bits(ctx, cfg.bit_len)
@@ -136,8 +132,7 @@ def exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float, c
         resp = emit(ctx, prover, arrival(ctx, ch, prover) + cfg.alpha, "response",
                     encode_value(b"r", i, value), i, ch, verifier, guess)
         ctx.timed.append((ch, resp))
-        asks.append(t_actual)
-        replies.append(t_sends[resp])
+        stamps += [t_actual, t_sends[resp]]
         t_back = arrival(ctx, resp, verifier)
         t_nominal = (t_back + (t_nominal - t_actual)) + cfg.alpha
         t_end = max(t_end, t_back)
@@ -145,8 +140,9 @@ def exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float, c
         em = emit(ctx, verifier, t_nominal, "closing",
                   encode_value(b"x", n_rounds + 1, 0), n_rounds + 1)
         nominal_sends.append(t_nominal)
+        stamps.append(t_sends[em])
         t_end = max(t_end, t_sends[em] + ctx.channel.reach(verifier))
-    return nominal_sends, asks, replies, t_end
+    return nominal_sends, stamps, t_end
 
 
 def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
@@ -155,8 +151,7 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
     cfg = ctx.scenario.config
     trace = ctx.channel.trace
     nominal_sends: List[float] = []
-    asks: List[float] = []
-    replies: List[float] = []
+    stamps: List[float] = []
     t_nominal = t_end = t_start
     for i in range(1, cfg.n + 1):
         c_i = draw_bits(ctx, cfg.bit_len)
@@ -170,8 +165,7 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
         resp = emit(ctx, front, arrival(ctx, vr, front), "response", trace.payload[vr], i,
                     vr, verifier)
         ctx.timed.append((ch, resp))
-        asks.append(trace.t_send[ch])
-        replies.append(trace.t_send[resp])
+        stamps += [trace.t_send[ch], trace.t_send[resp]]
         t_back = arrival(ctx, resp, verifier)
         t_nominal = (t_back + (t_nominal - trace.t_send[ch])) + cfg.alpha
         t_end = max(t_end, t_back)
@@ -179,9 +173,9 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
         em = emit(ctx, verifier, t_nominal, "closing",
                   encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
         nominal_sends.append(t_nominal)
+        stamps.append(trace.t_send[em])
         t_end = max(t_end, trace.t_send[em] + ctx.channel.reach(verifier))
-    return Row(verifier, [front], np.array([nominal_sends]), np.array([asks]),
-               np.array([replies]), t_end)
+    return Row(verifier, [front], nominal_sends, stamps, t_end)
 
 
 def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
@@ -192,7 +186,8 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
     for ask, reply in ctx.timed[start:]:
         m, target = trace.sender[ask], trace.sender[reply]
         bound = active_distance(trace.t_send[ask] + trace.offsets[m],
-                                trace.arrival_local(reply, m), cfg.alpha, cfg.c)
+                                trace.arrival_true(reply, m) + trace.offsets[m],
+                                cfg.alpha, cfg.c)
         entry = out.setdefault((m, target), [bound, 0])
         if bound > entry[0]:
             entry[0] = bound
@@ -202,6 +197,6 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
 
 def active_row_bounds(ctx: RunContext, row: Row):
     """The row's active bounds from the timed-round ledger, the row's rounds being its last."""
-    rounds = row.asks.size
+    rounds = row.blocks[1].size
     priced = active_bounds(ctx, len(ctx.timed) - rounds) if rounds else {}
     return np.array([priced[(row.verifier, p)][0] for p in row.responders])

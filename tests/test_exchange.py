@@ -84,8 +84,8 @@ def state(ctx, result, error, records):
     """Everything the writer must reproduce, floats by repr."""
     trace = ctx.channel.trace
     return {
-        "rows": [(row.verifier, row.responders, floats(row.schedule), floats(row.asks),
-                  floats(row.replies), repr(row.t_end)) for row in records],
+        "rows": [(row.verifier, row.responders, floats(row.schedule), floats(row.stamps),
+                  repr(row.t_end)) for row in records],
         "columns": [trace.sender, list(map(repr, trace.t_send)), trace.kind, trace.phase,
                     trace.payload, trace.round_index],
         "timed": ctx.timed,
@@ -314,7 +314,9 @@ def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
 
     Each responder's bound is the first of its largest rounds', signed
     zeros told apart; an impossible round raises the same first error,
-    with the same text, as pricing the ledger round by round.
+    with the same text, as pricing the ledger round by round.  Each
+    flight is injected in one place, the trace's rows, before anything
+    reads them, and every reader sees it.
     """
     alpha, offset, flights, asks, replies = timed
     exchanges, rounds = len(asks), len(asks[0])
@@ -325,14 +327,20 @@ def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
     trace = ctx.channel.trace
     responders = list(range(2, exchanges + 2))
     trace.offsets[1] = offset
+    stamps = []
     for p, flight in zip(responders, flights):
-        trace.tof[trace.index[p], trace.index[1]] = flight
-        trace.tof_rows[trace.index[p]][trace.index[1]] = flight
+        trace.tof[trace.index[p]][trace.index[1]] = flight
         for ask, reply in zip(asks[p - 2], replies[p - 2]):
             ctx.timed.append((trace.append(1, ask, "challenge", "rapid", b"", 1),
                               trace.append(p, reply, "response", "rapid", b"", 1)))
-    row = Row(1, responders, np.zeros((exchanges, rounds + 1)), np.array(asks),
-              np.array(replies), 0.0)
+            stamps += [ask, reply]
+        stamps.append(0.0)  # the exchange's closing
+    for p, flight in zip(responders, flights):
+        _, reply = ctx.timed[(p - 2) * rounds]
+        at = trace.index[p], trace.index[1]
+        assert repr(ctx.channel.tof(p, 1)) == repr(float(trace.tof_array[at])) == repr(flight)
+        assert repr(trace.arrival_true(reply, 1)) == repr(trace.t_send[reply] + flight)
+    row = Row(1, responders, [0.0] * (exchanges * (rounds + 1)), stamps, 0.0)
     priced = []
     for active_bounds in (base.active_bounds, exchange_oracle.active_bounds, None):
         try:

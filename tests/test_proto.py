@@ -533,7 +533,7 @@ def folded_rows(monkeypatch, scenario, signed_zero=False):
         bounds = active_row_bounds(ctx, row)
         if signed_zero:
             bounds = np.zeros_like(bounds)
-        rounds = row.asks.shape[1]
+        rounds = row.blocks[1].shape[1]
         actives.append({(row.verifier, p): [b, rounds]
                         for p, b in zip(row.responders, bounds.tolist())})
         return bounds
@@ -634,20 +634,25 @@ def priced_one_by_one(ctx, row, e, rounds, watchers):
     rounds holds the row's timed rounds, (ask seq, reply seq), exchange by exchange.
     """
     chan = ctx.channel
+    trace = chan.trace
     cfg = ctx.scenario.config
-    one = row._replace(**{name: getattr(row, name)[e:e + 1]
-                          for name in ("responders", "schedule", "asks", "replies")})
+    exchanges = len(row.responders)
+    sends, sent = len(row.schedule) // exchanges, len(row.stamps) // exchanges
+    one = dataclasses.replace(row, responders=row.responders[e:e + 1],
+                              schedule=row.schedule[e * sends:(e + 1) * sends],
+                              stamps=row.stamps[e * sent:(e + 1) * sent])
+    schedule = row.blocks[0]
     out = {}
     for w in watchers:
         if w == row.verifier:
             continue
         t1, t2, t3, base = passive_observations(ctx, one, [w])
-        base_tof = chan.dist(row.verifier, w) / chan.c
+        base_tof = chan.tof(row.verifier, w) * cfg.c / cfg.c
         stamps = list(zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist()))
         for i, (a, b, d) in enumerate(stamps):
-            assert a == row.schedule[e, i] + base_tof + chan.offsets[w]
-            assert b == chan.trace.arrival_local(rounds[e][i][1], w)
-            assert d == row.schedule[e, i + 1] + base_tof + chan.offsets[w]
+            assert a == schedule[e, i] + base_tof + trace.offsets[w]
+            assert b == trace.arrival_true(rounds[e][i][1], w) + trace.offsets[w]
+            assert d == schedule[e, i + 1] + base_tof + trace.offsets[w]
         if stamps:
             out[w] = (passive_oracle.observed_bound(stamps, cfg.alpha, float(base[0]), cfg.c),
                       len(stamps))
@@ -684,9 +689,8 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
     if relay:
         ctx.nonces[30] = nonces
         relayed = _run_relay_exchange(ctx, 1, 30, 20, row.t_end + ctx.slot_s, closing)
-        row = Row(1, row.responders + relayed.responders,
-                  *(np.vstack((getattr(row, block), getattr(relayed, block)))
-                    for block in ("schedule", "asks", "replies")), relayed.t_end)
+        row = Row(1, row.responders + relayed.responders, row.schedule + relayed.schedule,
+                  row.stamps + relayed.stamps, relayed.t_end)
     rounds = np.reshape(ctx.timed, (len(row.responders), n, 2)).tolist()
     return ctx, row, rounds, watchers
 

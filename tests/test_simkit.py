@@ -51,13 +51,14 @@ def test_local_readings_add_offset():
     chan = make_channel(offsets={1: 0.0, 2: 0.25, 3: 0.0})
     seq = chan.broadcast(1, 0.0, "beacon", "pre")
     true_t = chan.arrival_true(seq, 2)
-    assert chan.trace.arrival_local(seq, 2) == pytest.approx(true_t + 0.25)
+    assert chan.trace.offsets[2] == 0.25
+    assert chan.trace.local_arrivals([seq], [2])[0, 0] == true_t + 0.25
 
 
 def test_tof_is_symmetric():
     chan = make_channel()
     assert chan.tof(2, 3) == chan.tof(3, 2)
-    assert chan.dist(2, 3) == pytest.approx(500.0)
+    assert chan.tof(2, 3) * SPEED_OF_LIGHT == pytest.approx(500.0)
 
 
 def test_unknown_phase_rejected():
@@ -128,11 +129,11 @@ def test_broadcast_returns_the_seq_as_an_int():
 
 def test_reach_is_the_numpy_row_max_for_every_node():
     chan = BroadcastChannel({1: (0.0, 0.0), 2: (3.0, 4.0), 3: (-6.0, 8.0), 4: (3.0, 4.0)}, c=7.0)
-    for k, node in enumerate(chan.node_ids):
-        want = float(chan.trace.tof[k].max())
+    for k, node in enumerate(chan.trace.node_ids):
+        want = float(chan.trace.tof_array[k].max())
         assert chan.reach(node) == want
         assert chan.reach(node) == want  # memoised, same value
-    assert chan.reach() == float(chan.trace.tof.max())
+    assert chan.reach() == float(chan.trace.tof_array.max())
 
 
 def test_trace_counts_by_phase_and_kind():
@@ -157,7 +158,7 @@ def test_records_are_json_safe_and_ordered():
     assert len(rows) == 3
     assert [json.dumps(r, sort_keys=True) for r in rows] == lines
     assert rows[0]["trace_format"] == 2
-    assert rows[0]["tof"] == chan.trace.tof.tolist()
+    assert rows[0]["tof"] == chan.trace.tof
     assert rows[1:] == [
         {"kind": "beacon", "payload": "78", "phase": "pre", "round_index": None,
          "sender": 1, "seq": 0, "t_send": 0.0},
@@ -190,7 +191,7 @@ def test_different_seed_different_trace():
 def test_run_channel_uses_config_speed():
     s = oneway_scenario()
     chan = start_run(s).channel
-    assert chan.dist(1, 2) == pytest.approx(90.0)
+    assert chan.tof(1, 2) * s.config.c == pytest.approx(90.0)
     assert chan.tof(1, 2) == pytest.approx(90.0 / s.config.c)
 
 
@@ -212,11 +213,12 @@ def tied_traces(draw):
     offsets = {i: draw(st.sampled_from((0.0, 0.25, -1e-9))) for i in ids}
     chan = BroadcastChannel(dict(zip(ids, pts)), c=1.0, offsets=offsets)
     for _ in range(draw(st.integers(0, 10))):
-        sender = draw(st.sampled_from(chan.node_ids))
+        sender = draw(st.sampled_from(chan.trace.node_ids))
         if chan.trace.sender and draw(st.booleans()):
             # send at the instant an earlier message arrives somewhere
             prev = draw(st.integers(0, len(chan.trace.sender) - 1))
-            at = draw(st.sampled_from([r for r in chan.node_ids if r != chan.trace.sender[prev]]))
+            at = draw(st.sampled_from([r for r in chan.trace.node_ids
+                                       if r != chan.trace.sender[prev]]))
             t = chan.arrival_true(prev, at)
         else:
             t = draw(st.sampled_from(INSTANTS))
@@ -389,6 +391,21 @@ def test_reader_rejects_a_wrong_typed_meta_field(oneway_lines, edit, match):
 def test_reader_rejects_offsets_not_naming_every_node(oneway_lines, edit):
     _reject(_meta_edit(oneway_lines, edit),
             r"^line 1: offsets do not name exactly the nodes in node_ids")
+
+
+def test_integer_flight_times_read_back_as_floats():
+    """A meta line's integer flights read back as floats and write back as 0.0 and 1.0."""
+    chan = BroadcastChannel({1: (0.0, 0.0), 2: (1.0, 0.0)}, c=1.0)
+    chan.broadcast(1, 0.0, "beacon", "pre")
+    text = chan.trace.to_jsonl()
+    assert '"tof": [[0.0, 1.0], [1.0, 0.0]]' in text
+    lines = _meta_edit(text.splitlines(), lambda meta: meta.update(tof=[[0, 1], [1, 0]]))
+    assert '"tof": [[0, 1], [1, 0]]' in lines[0]
+    copy = Trace.from_jsonl("\n".join(lines) + "\n")
+    assert [[(repr(f), type(f)) for f in row] for row in copy.tof] == \
+        [[("0.0", float), ("1.0", float)], [("1.0", float), ("0.0", float)]]
+    assert copy.to_jsonl() == text
+    assert_same_trace(copy, chan.trace)
 
 
 def test_reader_rejects_a_duplicated_node_id(oneway_lines):

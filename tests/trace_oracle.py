@@ -41,13 +41,14 @@ def assert_same_trace(copy, trace) -> None:
     """copy holds trace's nodes, offsets, flight times and emissions, floats bit for bit.
 
     repr is the shortest text that reads back as the same float, so equal
-    reprs mean equal bits, -0.0 apart from 0.0 included.
+    reprs mean equal bits, -0.0 apart from 0.0 included; the flight
+    times are compared row by row, each entry's repr and type.
     """
     assert copy.node_ids == trace.node_ids
     assert {k: repr(v) for k, v in copy.offsets.items()} == \
         {k: repr(v) for k, v in trace.offsets.items()}
-    assert copy.tof.dtype == trace.tof.dtype and copy.tof.shape == trace.tof.shape
-    assert copy.tof.tobytes() == trace.tof.tobytes()
+    assert [[(repr(f), type(f)) for f in row] for row in copy.tof] == \
+        [[(repr(f), type(f)) for f in row] for row in trace.tof]
     assert copy.emissions == trace.emissions
     assert [repr(em.t_send) for em in copy.emissions] == \
         [repr(em.t_send) for em in trace.emissions]
