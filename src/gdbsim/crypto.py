@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from itertools import repeat
 from random import Random
 from typing import Dict, Sequence, Tuple
 
@@ -42,7 +43,7 @@ def _encode_values(values: Sequence[int], bit_len: int) -> bytes:
     # Fixed-width encoding keeps the digest canonical for any bit_len.
     width = (bit_len + 7) // 8
     head = bit_len.to_bytes(4, "big") + len(values).to_bytes(4, "big")
-    return head + b"".join(v.to_bytes(width, "big") for v in values)
+    return head + b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def commit(values: Sequence[int], bit_len: int, rng: Random) -> Tuple[Commitment
     The blinding is drawn from the caller's RNG stream so a run is
     reproducible from its seed.
     """
-    if any(not 0 <= v < (1 << bit_len) for v in values):
+    if values and not (0 <= min(values) and max(values) < 1 << bit_len):
         raise ValueError(f"committed values must fit in {bit_len} bits")
     blinding = rng.randbytes(BLINDING_BYTES)
     opening = Opening(values=tuple(values), bit_len=bit_len, blinding=blinding)
@@ -87,9 +88,6 @@ class KeyRegistry:
 
     def register(self, node_id: NodeId, rng: Random) -> None:
         self._keys[node_id] = rng.randbytes(32)
-
-    def is_registered(self, node_id: NodeId) -> bool:
-        return node_id in self._keys
 
     def sign(self, node_id: NodeId, message: bytes) -> bytes:
         if node_id not in self._keys:

@@ -3,7 +3,9 @@
 Every driver follows the Brands-Chaum shape: commit_phase draws and
 commits each party's rapid nonces into the run's nonce ledger, every
 timed message's send time comes from one per-send step,
-RunContext.sender, every rapid value is a RunContext.answer (an operand
+RunContext.sender (or is its nominal time, where RunContext.unstepped
+shows no step would move it, and RunContext.sent records it as the
+steps would), every rapid value is a RunContext.answer (an operand
 XOR its sender's next committed nonce), and open_phase decommits
 (signing when auth is on) and replays every answer against the opened
 nonces.  A driver names each timed round by its two seqs in
@@ -45,6 +47,10 @@ from ..crypto import (
 from ..estimate import NegativeTimeOfFlight, TofSolution, TofSystem, edge_times
 from ..simkit import SEND_SLACK_S, BroadcastChannel, Trace, check_send
 from ..threat import AdversaryPolicy, DetectionReport, EarlyChallenge, SelectiveDelay, apply_policy
+
+
+# the policies apply_policy shifts a send for; it is the identity for every other
+TIMING_POLICIES = (SelectiveDelay, EarlyChallenge)
 
 
 class ResponseMismatch(GdbSimError):
@@ -213,15 +219,16 @@ class RunContext:
         reach a prover before it has answered the last one.  A guessed
         answer then leaves its GuessAhead advance_s earlier still.  Any
         other send must not precede t_trigger, the arrival of message
-        after (check_send).
+        after (check_send).  A writer may skip the step for a run of
+        sends that unstepped shows it would leave as they are, and then
+        records them with sent, which leaves what the steps would.
         """
         step = self._steps.get(node)
         if step is not None:
             return step
         counters, last_send, rng = self.send_counters, self.channel.last_send, self.rng
         policy = self.policies[node]
-        # apply_policy is the identity for every other policy
-        timing = isinstance(policy, (SelectiveDelay, EarlyChallenge))
+        timing = isinstance(policy, TIMING_POLICIES)
         transform = partial(apply_policy, policy, node) if timing else None
 
         def send(t: float, after: Optional[int] = None, t_trigger: Optional[float] = None,
@@ -244,6 +251,32 @@ class RunContext:
 
         self._steps[node] = send
         return send
+
+    def unstepped(self, node: NodeId, t_first: float) -> bool:
+        """Whether node's step would leave its sends from t_first on as they are.
+
+        So it is when node has no timing policy and its last send cannot
+        hold a send at t_first, for a run of sends none of which precedes
+        an earlier one or its trigger, or is guessed.  A writer whose sends
+        are such may time them itself and record them with sent.
+        """
+        prev = self.channel.last_send.get(node)
+        return not isinstance(self.policies[node], TIMING_POLICIES) and (
+            prev is None or t_first >= prev - SEND_SLACK_S)
+
+    def sent(self, asker: NodeId, replier: NodeId, sends: Sequence[float]) -> None:
+        """Record rounds timed without the steps as the steps record them.
+
+        sends alternate asker's and replier's, ask first, each node's in
+        time order.  Each node's are counted, and its last_send keeps the
+        later of its own value and its last send.
+        """
+        counters, last_send = self.send_counters, self.channel.last_send
+        for node, own in ((asker, sends[0::2]), (replier, sends[1::2])):
+            if own:
+                counters[node] = counters.get(node, 0) + len(own)
+                t, prev = own[-1], last_send.get(node)
+                last_send[node] = prev if prev is not None and prev > t else t
 
     def emit(self, node: NodeId, t_nominal: float, kind: str, payload: bytes, round_index: int,
              after: Optional[int] = None, t_trigger: Optional[float] = None,

@@ -4,6 +4,10 @@ A verifier's row, its exchanges with each prover in turn, is one
 run_exchange call that writes the row's trace rows in one block and
 returns it as a Row of lists, shaped into arrays only where priced:
 active_row_bounds for the verifier, passive_bounds for its listeners.
+A plain exchange, one that no timing policy, guess or held first send
+touches, makes no per-send step call (RunContext.unstepped and
+RunContext.sent in base hold that contract), and takes its payloads
+from a table of the row's, each (round, value) formatted once.
 The one-way driver runs a row of one prover, with optional
 eavesdropping observers; the mutual driver interleaves both directions
 into 2n+1 rapid messages.  Both schedule the challenger's emissions on
@@ -77,8 +81,15 @@ def run_exchange(
     that listeners get a schedule point after the final response.  A
     prover answers on its next n_rounds committed nonces; a guessing
     prover answers its first rounds ahead of the challenge, on guessed
-    bits.  The row's trace rows, answers and timed rounds are written
-    with one extend per column and log, also when a send raises.
+    bits.  An exchange is plain when neither party's step can move its
+    rounds' sends (RunContext.unstepped) and nothing is guessed: its
+    rounds are timed here, with no step calls, recorded with
+    RunContext.sent once they are over or when one raises, and their
+    payloads come from a table that formats each (round, value) once
+    per row.  Every other exchange, and every closing, goes through the
+    steps and formats as it goes.  The row's trace rows, answers and
+    timed rounds are written with one extend per column and log, also
+    when a send raises.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
@@ -89,11 +100,13 @@ def run_exchange(
     seq = len(chan.trace.sender)
     # the row's schedule, rows and logs
     nominal_sends, t_sends, payloads, answers, timed = [], [], [], [], []
-    prover, answered, first = None, 0, 0
+    # a plain exchange's challenge and response payloads (encode_value) by
+    # round << bit_len | value, made once per row
+    asked, replied = {}, {}
+    prover, answered, first, plain, mark = None, 0, 0, False, 0
     t_next = t_end = t_start
     try:
         for prover in provers:
-            p_send = ctx.sender(prover)
             # the adds Trace.arrival_true makes, with the pair's flights read once
             tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
             p_policy = ctx.policies[prover]
@@ -102,35 +115,73 @@ def run_exchange(
             nonces, answered = ctx.nonces[prover], ctx.answered.get(prover, 0)
             first = answered
             t_nominal = t_end = t_next
-            for i in range(1, n_rounds + 1):
-                c_i = draw(bit_len)
-                t_actual = v_send(t_nominal)
-                t_sends.append(t_actual)
-                payloads.append(b"c|%d|%d" % (i, c_i))  # encode_value, inline
-                nominal_sends.append(t_nominal)
+            if not guessed and ctx.unstepped(verifier, t_nominal) and ctx.unstepped(
+                    prover, (t_nominal + tof_out) + alpha):
+                # the rounds leave at their nominal times: the sums below only grow
+                # (alpha >= 0, as validated), so no hold or trigger check would move one
+                plain = True
+                mark = len(t_sends)
+                for i in range(1, n_rounds + 1):
+                    c_i = draw(bit_len)  # below top: only the nonce needs checking
+                    key = i << bit_len
+                    t_sends.append(t_nominal)
+                    payload = asked.get(key | c_i)
+                    if payload is None:
+                        payload = asked[key | c_i] = b"c|%d|%d" % (i, c_i)
+                    payloads.append(payload)
+                    nominal_sends.append(t_nominal)
+                    k = answered
+                    answered += 1
+                    nonce = nonces[k]  # response_bits, inline
+                    if not 0 <= nonce < top:
+                        raise LengthMismatch(f"values {c_i}, {nonce} do not fit {bit_len} bits")
+                    value = c_i ^ nonce
+                    answers.append((prover, k, c_i, value, i))
+                    t_resp = (t_nominal + tof_out) + alpha
+                    t_sends.append(t_resp)
+                    payload = replied.get(key | value)
+                    if payload is None:
+                        payload = replied[key | value] = b"r|%d|%d" % (i, value)
+                    payloads.append(payload)
+                    timed.append((seq, seq + 1))
+                    seq += 2
+                    t_back = t_resp + tof_back
+                    t_nominal = t_back + alpha  # as below, t_actual being t_nominal
+                    if t_back > t_end:
+                        t_end = t_back
+                plain = False
+                ctx.sent(verifier, prover, t_sends[mark:])
+            else:
+                p_send = ctx.sender(prover)
+                for i in range(1, n_rounds + 1):
+                    c_i = draw(bit_len)
+                    t_actual = v_send(t_nominal)
+                    t_sends.append(t_actual)
+                    payloads.append(b"c|%d|%d" % (i, c_i))  # encode_value, inline
+                    nominal_sends.append(t_nominal)
 
-                # a guessing prover draws its bits once the challenge is out
-                guess = i <= guessed
-                heard = draw(bit_len) if guess else c_i
-                k = answered
-                answered += 1
-                nonce = nonces[k]  # response_bits, inline
-                if not (0 <= heard < top and 0 <= nonce < top):
-                    raise LengthMismatch(f"values {heard}, {nonce} do not fit {bit_len} bits")
-                value = heard ^ nonce
-                answers.append((prover, k, c_i, value, i))
-                t_arrival = t_actual + tof_out
-                t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
-                t_sends.append(t_resp)
-                payloads.append(b"r|%d|%d" % (i, value))
-                timed.append((seq, seq + 1))
-                seq += 2
+                    # a guessing prover draws its bits once the challenge is out
+                    guess = i <= guessed
+                    heard = draw(bit_len) if guess else c_i
+                    k = answered
+                    answered += 1
+                    nonce = nonces[k]  # response_bits, inline
+                    if not (0 <= heard < top and 0 <= nonce < top):
+                        raise LengthMismatch(f"values {heard}, {nonce} do not fit {bit_len} bits")
+                    value = heard ^ nonce
+                    answers.append((prover, k, c_i, value, i))
+                    t_arrival = t_actual + tof_out
+                    t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
+                    t_sends.append(t_resp)
+                    payloads.append(b"r|%d|%d" % (i, value))
+                    timed.append((seq, seq + 1))
+                    seq += 2
 
-                t_back = t_resp + tof_back
-                # the verifier recovers its honest timeline by adding back its own advance
-                t_nominal = (t_back + (t_nominal - t_actual)) + alpha
-                if t_back > t_end:
-                    t_end = t_back
+                    t_back = t_resp + tof_back
+                    # the verifier recovers its honest timeline by adding back its own advance
+                    t_nominal = (t_back + (t_nominal - t_actual)) + alpha
+                    if t_back > t_end:
+                        t_end = t_back
 
             if closing:
                 t_close = v_send(t_nominal)
@@ -143,6 +194,8 @@ def run_exchange(
                 ctx.answered[prover] = first = answered
             t_next = t_end + ctx.slot_s
     finally:
+        if plain:  # a plain round raised: record its sends so far
+            ctx.sent(verifier, prover, t_sends[mark:])
         sent = len(t_sends)
         # an exchange's rows alternate challenge and response, round by round, then the closing
         senders = [node for p in provers

@@ -337,13 +337,14 @@ class BroadcastChannel:
         offsets: Optional[Dict[NodeId, float]] = None,
     ) -> None:
         node_ids = tuple(sorted(positions))
-        pts = [positions[a] for a in node_ids]
-        tof = [[0.0] * len(pts) for _ in pts]
-        for i, (a, row) in enumerate(zip(pts, tof)):
-            for j in range(i + 1, len(pts)):
-                b = pts[j]
+        xs = [positions[a][0] for a in node_ids]
+        ys = [positions[a][1] for a in node_ids]
+        hypot, n = math.hypot, len(node_ids)
+        tof = [[0.0] * n for _ in node_ids]
+        for i, (x, y, row) in enumerate(zip(xs, ys, tof)):
+            for j in range(i + 1, n):
                 # core.distance's hypot, once per unordered pair: hypot(-dx, -dy) is hypot(dx, dy)
-                row[j] = tof[j][i] = math.hypot(a[0] - b[0], a[1] - b[1]) / c
+                row[j] = tof[j][i] = hypot(x - xs[j], y - ys[j]) / c
         offsets = dict(offsets) if offsets else dict.fromkeys(node_ids, 0.0)
         self.trace = Trace(node_ids, offsets, tof)
         self._reach: Dict[Optional[NodeId], float] = {}

@@ -11,6 +11,7 @@ from gdbsim.crypto import (
     Opening,
     OpeningMismatch,
     UnknownKey,
+    _encode_values,
     commit,
     hash_bytes,
     open_commitment,
@@ -36,8 +37,25 @@ def test_blinding_hides_values():
 
 
 def test_commit_rejects_oversized_values():
-    with pytest.raises(ValueError):
-        commit([2], bit_len=1, rng=random.Random(0))
+    for values in ([2], [-1], [0, 1, 2], [1, -1, 0]):
+        with pytest.raises(ValueError, match="must fit in 1 bits"):
+            commit(values, bit_len=1, rng=random.Random(0))
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=2**17), max_size=6),
+       st.integers(min_value=0, max_value=17))
+def test_encoding_is_each_value_spelled_out(values, bit_len):
+    """The committed bytes are the header, then each value big-endian at the
+    fixed width; a value that does not fit raises int.to_bytes' OverflowError."""
+    width = (bit_len + 7) // 8
+    try:
+        want = (bit_len.to_bytes(4, "big") + len(values).to_bytes(4, "big")
+                + b"".join(v.to_bytes(width, "big") for v in values))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _encode_values(values, bit_len)
+    else:
+        assert _encode_values(values, bit_len) == want
 
 
 def test_tampered_values_rejected():
@@ -86,8 +104,9 @@ def test_registry_keys_differ_per_node():
 
 def test_registry_unknown_identity():
     reg = KeyRegistry()
-    assert not reg.is_registered(9)
-    with pytest.raises(UnknownKey):
+    reg.register(5, random.Random(0))
+    tag = reg.sign(5, b"m")
+    with pytest.raises(UnknownKey, match="node 9 holds no registered key"):
         reg.sign(9, b"m")
-    with pytest.raises(UnknownKey):
-        reg.verify(9, b"m", b"\x00" * 32)
+    with pytest.raises(UnknownKey, match="node 9 holds no registered key"):
+        reg.verify(9, b"m", tag)

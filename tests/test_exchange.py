@@ -8,6 +8,8 @@ per-round active_distance pricing patched in.  Both must leave the same
 trace, logs, counters, row records and error, bit for bit.
 """
 import dataclasses
+from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -91,8 +93,9 @@ def state(ctx, result, error, records):
         "timed": ctx.timed,
         "answers": ctx.answers,
         "answered": ctx.answered,
-        "send_counters": ctx.send_counters,
-        "last_send": {node: repr(t) for node, t in ctx.channel.last_send.items()},
+        # by repr: the order each node was first counted or held in, and each time's bits
+        "send_counters": repr(ctx.send_counters),
+        "last_send": repr(ctx.channel.last_send),
         "estimates": None if result is None else [repr(row) for row in result.estimates],
         "error": None if error is None else (type(error), str(error)),
     }
@@ -208,7 +211,8 @@ def test_refused_runs_match_the_oracle():
 ])
 def test_an_oversized_nonce_raises_what_the_oracle_raises(scenario, node):
     """A committed nonce wider than bit_len stops the row with the oracle's
-    LengthMismatch, its text, and the trace and logs written up to it."""
+    LengthMismatch, its text, and the trace, logs, send counters and last
+    sends written up to it, also inside a plain exchange."""
     def widened(commit_phase):
         def commit_and_widen(ctx, counts):
             out = commit_phase(ctx, counts)
@@ -222,6 +226,136 @@ def test_an_oversized_nonce_raises_what_the_oracle_raises(scenario, node):
     writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
     assert isinstance(writer[2], LengthMismatch)
     assert state(*writer) == state(*oracle)
+    # the nonce sits in a plain exchange: only the closings before it stepped
+    calls, ctx = step_calls(scenario, patches)
+    assert Counter(calls) == expected_step_calls(ctx)
+
+
+def step_calls(scenario, patches=()):
+    """The node of every step call a run by the writer makes, in order, and its context."""
+    calls = []
+    sender = base.RunContext.sender
+
+    def spied(ctx, node):
+        step = sender(ctx, node)
+
+        def send(*args):
+            calls.append(node)
+            return step(*args)
+        return send
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base.RunContext, "sender", spied)
+        ctx = run(scenario, False, patches)[0]
+    return calls, ctx
+
+
+def stepping(policy):
+    return isinstance(policy, (SelectiveDelay, EarlyChallenge)) or (
+        isinstance(policy, GuessAhead) and policy.p_rounds > 0)
+
+
+def expected_step_calls(ctx):
+    """Each node's step calls, as many as its closings and its sends in exchanges
+    where either party has a timing policy or guesses."""
+    trace = ctx.channel.trace
+    want = Counter(node for node, kind in zip(trace.sender, trace.kind) if kind == "closing")
+    for ask, reply in ctx.timed:
+        v, p = trace.sender[ask], trace.sender[reply]
+        if stepping(ctx.policies[v]) or stepping(ctx.policies[p]):
+            want.update([v, p])
+    return want
+
+
+MPNV = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=3)
+
+
+@pytest.mark.parametrize("scenario", [
+    # plain rows: every exchange is honest, only the closings step
+    MPNV,
+    oneway_scenario(n=4, observer_pos=(40.0, 30.0)),
+    # mixed rows: one prover's exchange in each row steps, the others are plain
+    with_policy(MPNV, 6, SelectiveDelay(delay_s=3e-8)),
+    with_policy(MPNV, 5, GuessAhead(p_rounds=1, advance_s=1e-9)),
+    # stepped rows: every verifier may challenge early
+    reduce(lambda s, v: with_policy(s, v, EarlyChallenge(1e-8, 0.5)), [1, 2, 3, 4], MPNV),
+    with_policy(oneway_scenario(n=4, observer_pos=(40.0, 30.0)), 2, SelectiveDelay(3e-8)),
+], ids=["mpnv-plain", "oneway-plain", "mpnv-mixed-delay", "mpnv-mixed-guess",
+        "mpnv-stepped", "oneway-stepped"])
+def test_plain_stepped_and_mixed_rows_match_the_oracle(scenario):
+    """Rows of plain exchanges, of stepped ones and of both leave the oracle's
+    state; a send calls its step exactly when a closing or a stepped round."""
+    assert_writer_matches_oracle(scenario)
+    calls, ctx = step_calls(scenario)
+    assert Counter(calls) == expected_step_calls(ctx)
+
+
+def test_an_honest_mpnv_row_makes_no_step_calls():
+    """With every verifier active for all n rounds there is no closing, so an
+    honest run's rapid phase calls no step at all: the plain path ran."""
+    scenario = mpnv_scenario(n=3, n_a=3, d_a=1.0, n_verifiers=3, m_provers=4)
+    assert step_calls(scenario)[0] == []
+    assert_writer_matches_oracle(scenario)
+
+
+@pytest.mark.parametrize("held", ["prover", "verifiers"])
+def test_a_held_first_send_takes_the_stepped_path(held):
+    """An exchange whose first send its node's last_send holds goes through the
+    steps, which hold that send: the oracle's state, and only that exchange steps."""
+    nodes = [4] if held == "prover" else [1, 2, 3]  # 4 is every row's first prover
+    holds = []
+
+    def holding(commit_phase):
+        def commit_and_hold(ctx, counts):
+            bundles, t = commit_phase(ctx, counts)
+            holds.append(t + 1e-6)
+            for node in nodes:
+                ctx.channel.last_send[node] = holds[-1]
+            return bundles, t
+        return commit_and_hold
+
+    scenario = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=3, m_provers=3)
+    patches = [(group, "commit_phase", holding(group.commit_phase))]
+    writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
+    assert state(*writer) == state(*oracle)
+    calls = step_calls(scenario, patches)[0]
+    ctx, trace = writer[0], writer[0].channel.trace
+    ask, reply = ctx.timed[0]
+    first = reply if held == "prover" else ask
+    assert trace.sender[first] in nodes and trace.t_send[first] == holds[-1]
+    # the held exchange's two rounds stepped, both ways; every other one ran plain
+    assert Counter(calls) - expected_step_calls(ctx) == Counter(
+        {trace.sender[ask]: 2, trace.sender[reply]: 2})
+
+
+@settings(max_examples=300, deadline=None)
+@given(prevs=st.lists(st.none() | st.sampled_from([1.0, 1.0 + 1e-15, 2.0]), min_size=2,
+                      max_size=2),
+       gaps=st.lists(st.sampled_from([0.0, 1e-16, 1e-15, 2e-15, 1e-9, 1.0]), max_size=6),
+       start=st.sampled_from([-1e-15, -5e-16, 0.0, 1e-16, -1e-9]))
+def test_sent_records_what_the_steps_record(prevs, gaps, start):
+    """RunContext.unstepped says the steps leave every send of a non-decreasing
+    run of rounds as it is exactly when they do, and then RunContext.sent
+    leaves the counters and last_send the steps leave, by repr, the slack
+    included.  Node 1 asks, node 2 replies."""
+    t, sends = 1.0 + start, []
+    for gap in gaps:
+        t += gap
+        sends.append(t)
+    contexts = []
+    for _ in range(2):
+        contexts.append(start_run(oneway_scenario()))
+        for node, prev in zip((1, 2), prevs):
+            if prev is not None:
+                contexts[-1].channel.last_send[node] = prev
+    stepped, recorded = contexts
+    unstepped = all(stepped.unstepped(node, first) for node, first in zip((1, 2), sends))
+    steps = [stepped.sender(1), stepped.sender(2)]
+    assert ([steps[k % 2](t) for k, t in enumerate(sends)] == sends) == unstepped
+    recorded.sent(1, 2, sends)
+    if unstepped:
+        assert repr((stepped.send_counters, stepped.channel.last_send)) == repr(
+            (recorded.send_counters, recorded.channel.last_send))
 
 
 def test_a_late_reply_raises_what_broadcast_raised():

@@ -61,6 +61,23 @@ def test_tof_is_symmetric():
     assert chan.tof(2, 3) * SPEED_OF_LIGHT == pytest.approx(500.0)
 
 
+coords = st.floats(min_value=-1e4, max_value=1e4, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(coords, coords), min_size=3, max_size=257),
+       c=st.sampled_from([SPEED_OF_LIGHT, 1.0, 7.0]) | st.floats(1e-3, 1e9))
+def test_every_flight_is_hypot_over_c_to_the_bit(points, c):
+    """Every Trace.tof entry is math.hypot(xa - xb, ya - yb) / c, compared by float.hex,
+    and the diagonal is 0.0; placements may repeat."""
+    chan = BroadcastChannel({k + 1: p for k, p in enumerate(points)}, c=c)
+    tof = chan.trace.tof
+    want = [[0.0 if a == b else math.hypot(xa - xb, ya - yb) / c
+             for b, (xb, yb) in enumerate(points)] for a, (xa, ya) in enumerate(points)]
+    assert [list(map(float.hex, row)) for row in tof] == [list(map(float.hex, row))
+                                                          for row in want]
+
+
 def test_unknown_phase_rejected():
     chan = make_channel()
     with pytest.raises(ValueError, match="phase"):
