@@ -152,6 +152,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _fail(f"{' and '.join(paths)} share the run directory name {stem!r}; "
                   f"rename all but one")
             return EXIT_INPUT
+    if args.workers < 1:
+        _fail(f"--workers must be at least 1, got {args.workers}")
+        return EXIT_INPUT
     out = Path(args.out)
     tasks: List[Tuple[str, int, str]] = []
     for path in args.scenarios:

@@ -45,12 +45,8 @@ from ..crypto import (
     open_commitment,
 )
 from ..estimate import NegativeTimeOfFlight, TofSolution, TofSystem, edge_times
-from ..simkit import SEND_SLACK_S, BroadcastChannel, Trace, check_send
-from ..threat import AdversaryPolicy, DetectionReport, EarlyChallenge, SelectiveDelay, apply_policy
-
-
-# the policies apply_policy shifts a send for; it is the identity for every other
-TIMING_POLICIES = (SelectiveDelay, EarlyChallenge)
+from ..simkit import SEND_SLACK_S, BroadcastChannel, CausalityViolation, Trace
+from ..threat import TIMING_POLICIES, AdversaryPolicy, DetectionReport, apply_policy
 
 
 class ResponseMismatch(GdbSimError):
@@ -196,7 +192,6 @@ class RunContext:
     registry: KeyRegistry
     slot_s: float
     policies: Dict[NodeId, AdversaryPolicy]
-    send_counters: Dict[NodeId, int] = field(default_factory=dict)
     nonces: Dict[NodeId, Tuple[int, ...]] = field(default_factory=dict)
     answered: Dict[NodeId, int] = field(default_factory=dict)
     # (node, nonce index, operand, value, round index) for every answer in turn
@@ -211,32 +206,32 @@ class RunContext:
     def sender(self, node: NodeId) -> Callable[..., float]:
         """node's per-send step, send(t_nominal, after, t_trigger, guess, measurer) -> t_send.
 
-        Made once per node and run, it counts the send (send_counters)
-        and lets apply_policy shift it, which only SelectiveDelay (a
-        delay targeted at one measurer, the node whose measurement the
-        send answers) and EarlyChallenge do.  A send not made early waits
-        for the node's last send (last_send): an early challenge can
-        reach a prover before it has answered the last one.  A guessed
-        answer then leaves its GuessAhead advance_s earlier still.  Any
-        other send must not precede t_trigger, the arrival of message
-        after (check_send).  A writer may skip the step for a run of
-        sends that unstepped shows it would leave as they are, and then
-        records them with sent, which leaves what the steps would.
+        Made once per node and run.  A node with one of the
+        TIMING_POLICIES counts its sends here, and apply_policy shifts each
+        by its index (SelectiveDelay, toward measurer, the node whose
+        measurement the send answers) or sends it early (EarlyChallenge).
+        A send not made early waits for the node's last send: an early
+        challenge can reach a prover before it answered the last one.  A
+        guessed answer then leaves advance_s earlier still.  Any other
+        send before t_trigger, message after's arrival, raises
+        CausalityViolation.  A writer may skip the step for sends that
+        unstepped shows it would leave as they are, recording them with sent.
         """
         step = self._steps.get(node)
         if step is not None:
             return step
-        counters, last_send, rng = self.send_counters, self.channel.last_send, self.rng
+        last_send, rng = self.channel.last_send, self.rng
         policy = self.policies[node]
         timing = isinstance(policy, TIMING_POLICIES)
         transform = partial(apply_policy, policy, node) if timing else None
+        index = -1  # apply_policy's last send_index; the node's first send gets 0
 
         def send(t: float, after: Optional[int] = None, t_trigger: Optional[float] = None,
                  guess: bool = False, measurer: Optional[NodeId] = None) -> float:
-            index = counters.get(node, 0)
-            counters[node] = index + 1
+            nonlocal index
             early = False
             if transform is not None:
+                index += 1
                 t, early = transform(index, t, measurer, rng)
             prev = last_send.get(node)
             if not early and prev is not None and t < prev - SEND_SLACK_S:
@@ -245,7 +240,8 @@ class RunContext:
                 t -= policy.advance_s
             elif not early and t_trigger is not None and t < t_trigger - SEND_SLACK_S:
                 # the hold keeps a send from preceding the last one: only a reply can be late
-                check_send(node, t, after, t_trigger, prev)
+                raise CausalityViolation(
+                    f"node {node} sends at {t} before message {after} arrives at {t_trigger}")
             last_send[node] = prev if prev is not None and prev > t else t
             return t
 
@@ -268,13 +264,11 @@ class RunContext:
         """Record rounds timed without the steps as the steps record them.
 
         sends alternate asker's and replier's, ask first, each node's in
-        time order.  Each node's are counted, and its last_send keeps the
-        later of its own value and its last send.
+        time order; a node's last_send keeps the later of it and its last.
         """
-        counters, last_send = self.send_counters, self.channel.last_send
+        last_send = self.channel.last_send
         for node, own in ((asker, sends[0::2]), (replier, sends[1::2])):
             if own:
-                counters[node] = counters.get(node, 0) + len(own)
                 t, prev = own[-1], last_send.get(node)
                 last_send[node] = prev if prev is not None and prev > t else t
 
@@ -296,9 +290,6 @@ class RunContext:
         value = response_bits(operand, self.nonces[node][k], self.bit_len)
         self.answers.append((node, k, operand, value, round_index))
         return value
-
-    def draw_bits(self, bit_len: int) -> int:
-        return self.rng.getrandbits(bit_len)  # getrandbits(0) is 0 and draws nothing
 
 
 def start_run(scenario: Scenario) -> RunContext:

@@ -95,7 +95,7 @@ def run_exchange(
     chan = ctx.channel
     alpha, bit_len = cfg.alpha, cfg.bit_len
     top = 1 << bit_len
-    draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing, as in ctx.draw_bits
+    draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing
     v_send = ctx.sender(verifier)
     seq = len(chan.trace.sender)
     # the row's schedule, rows and logs
@@ -371,7 +371,7 @@ def _run_relay_exchange(
     nominal_sends, stamps = [], []
     t_nominal = t_end = t_start
     for i in range(1, cfg.n + 1):
-        c_i = ctx.draw_bits(cfg.bit_len)
+        c_i = ctx.rng.getrandbits(cfg.bit_len)
         ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         nominal_sends.append(t_nominal)
         t_in = chan.arrival_true(ch, front)

@@ -18,6 +18,11 @@ trace's flight-time rows, the run's one copy, so no numpy scalar is on
 the send path; the block pricers read Trace.tof_array, the same doubles
 as a float64 array derived from the rows on first use.
 
+No send may precede its node's last send, nor a reply its trigger's
+arrival, by more than SEND_SLACK_S: broadcast raises CausalityViolation
+on the first, and a rapid send's step, proto.base.RunContext.sender,
+holds it to the first and raises on the second unless it is sent early.
+
 The export, trace format 2, is JSON lines: a meta line {"kind":
 "meta", "node_ids", "offsets", "tof", "trace_format": 2}, then one
 line per emission in seq order, {"kind", "payload" (hex), "phase",
@@ -53,19 +58,6 @@ class CausalityViolation(GdbSimError):
     """A node tried to transmit before the event that triggers the send."""
 
 
-def check_send(sender: NodeId, t_send: float, after: Optional[int],
-               t_trigger: Optional[float], prev: Optional[float]) -> None:
-    """Raise CausalityViolation for a send before t_trigger, message after's arrival, or prev."""
-    if t_trigger is not None and t_send < t_trigger - SEND_SLACK_S:
-        raise CausalityViolation(
-            f"node {sender} sends at {t_send} before message {after} arrives at {t_trigger}"
-        )
-    if prev is not None and t_send < prev - SEND_SLACK_S:
-        raise CausalityViolation(
-            f"node {sender} send at {t_send} precedes its own last send at {prev}"
-        )
-
-
 class TraceFormatError(GdbSimError):
     """A trace text that Trace.from_jsonl cannot read back."""
 
@@ -97,9 +89,11 @@ class Emissions(SequenceABC):
     def __len__(self) -> int:
         return len(self._trace.sender)
 
-    def __getitem__(self, i: int) -> Emission:
+    def __getitem__(self, i):
         columns = self._trace.columns()
-        seq = range(len(columns[0]))[i]  # a negative i counts from the end, as in a list
+        seq = range(len(columns[0]))[i]  # a negative i or a slice selects as in a list
+        if isinstance(i, slice):  # a list of the rows, as a list's slice is
+            return list(map(_emission, zip(seq, *(column[i] for column in columns))))
         return _emission((seq, *(column[seq] for column in columns)))
 
     def __iter__(self) -> Iterator[Emission]:
@@ -363,28 +357,18 @@ class BroadcastChannel:
                 max(map(max, rows)) if node is None else max(rows[self.trace.index[node]]))
         return longest
 
-    def broadcast(
-        self,
-        sender: NodeId,
-        t_send: float,
-        kind: str,
-        phase: str,
-        payload: bytes = b"",
-        round_index: Optional[int] = None,
-        after: Optional[int] = None,
-        allow_early: bool = False,
-    ) -> int:
+    def broadcast(self, sender: NodeId, t_send: float, kind: str, phase: str,
+                  payload: bytes = b"") -> int:
         """Emit a message and return its seq; it arrives everywhere after the flight time.
 
-        after names the message this send reacts to; the send must not
-        precede that message's arrival at the sender.  Policies that
-        deliberately jump the gun pass allow_early.
+        The send must not precede sender's last send, and its row's
+        round_index is None: no rapid send is written here.
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
         prev = self.last_send.get(sender)
-        if not allow_early:
-            t_trigger = None if after is None else self.trace.arrival_true(after, sender)
-            check_send(sender, t_send, after, t_trigger, prev)
+        if prev is not None and t_send < prev - SEND_SLACK_S:
+            raise CausalityViolation(
+                f"node {sender} send at {t_send} precedes its own last send at {prev}")
         self.last_send[sender] = prev if prev is not None and prev > t_send else t_send
-        return self.trace.append(sender, t_send, kind, phase, payload, round_index)
+        return self.trace.append(sender, t_send, kind, phase, payload, None)

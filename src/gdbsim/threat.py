@@ -157,6 +157,9 @@ AdversaryPolicy = (
 )
 
 
+TIMING_POLICIES = (SelectiveDelay, EarlyChallenge)  # apply_policy is the identity for others
+
+
 def apply_policy(
     policy: AdversaryPolicy,
     node: int,
@@ -167,17 +170,15 @@ def apply_policy(
 ) -> Tuple[float, bool]:
     """The emission time policy gives node's send, and whether it may be early.
 
-    node is the sender, send_index its own transmission counter in the
-    rapid phase, t_nominal the honest emission time on the true clock, and
-    measurer the node whose measurement the send answers.  Returns
-    (t, allow_early): t is t_nominal with the policy's timing shift
-    applied, and allow_early is true only for a send the policy moved
-    ahead of its trigger.  The per-send step RunContext.sender, which
-    every rapid send goes through, then holds a send that is not early
-    behind its node's last send and applies a guessed answer's GuessAhead
-    advance; the
-    content-level deviations (guessed bits, relaying, fake reports) stay
-    with the protocol drivers.
+    node is the sender; send_index counts node's earlier rapid sends in
+    the run; t_nominal is the honest emission time on the true clock;
+    measurer is the node whose measurement the send answers.  Returns
+    (t, early): t_nominal with the policy's timing shift applied, and
+    whether the policy moved the send ahead of its trigger.  Every rapid
+    send of a node with one of the TIMING_POLICIES goes through its
+    per-send step, RunContext.sender, which counts send_index, holds a
+    send not made early behind the node's last send and applies a
+    guess's advance; content-level deviations stay with the drivers.
     """
     if isinstance(policy, SelectiveDelay):
         d = policy.delay_for(send_index, measurer)

@@ -6,34 +6,36 @@ row's rows, answers and timed rounds in local lists and writes them with
 one extend per trace column and log; it prices a row's active rounds as
 arrays and the sequential drivers' with active_bounds' inline loop.
 This module keeps the earlier path: a row is one exchange per prover in
-turn, every send goes through emit, which counts it, lets apply_policy
-shift it, holds it behind its node's last send, applies a guess's
-advance and makes one broadcast that checks causality and appends one
-row; every value goes through answer; and every round is priced by
-estimate.active_distance, off the trace and the timed-round ledger.  So
-the tests can demand that the writer leave the same trace, logs,
-counters, row record and errors, bit for bit.
+turn, every send goes through emit, which counts it per node and run,
+lets apply_policy shift it, holds it behind its node's last send,
+applies a guess's advance and makes one broadcast that checks causality
+and appends one row; every value goes through answer; and every round is
+priced by estimate.active_distance, off the trace and the timed-round
+ledger.  So the tests can demand that the writer leave the same trace,
+logs, last sends, row record and errors, bit for bit.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from gdbsim.estimate import active_distance
 from gdbsim.proto.base import RunContext, response_bits
 from gdbsim.proto.pairwise import Row, encode_value
-from gdbsim.simkit import SEND_SLACK_S, CausalityViolation
+from gdbsim.simkit import SEND_SLACK_S, BroadcastChannel, CausalityViolation
 from gdbsim.threat import GuessAhead, apply_policy
 
 
 def broadcast(ctx: RunContext, sender, t_send: float, kind: str, payload: bytes,
-              round_index: int, after: Optional[int], allow_early: bool) -> int:
-    """One rapid-phase row, checked against its trigger and its sender's last send."""
+              round_index: int, after: Optional[int], early: bool) -> int:
+    """One rapid-phase row, checked, unless early, against its trigger and
+    its sender's last send."""
     chan = ctx.channel
     trace = chan.trace
     prev = chan.last_send.get(sender)
-    if not allow_early:
+    if not early:
         if after is not None:
             trigger = trace.sender[after]
             if trigger == sender:
@@ -56,11 +58,16 @@ def broadcast(ctx: RunContext, sender, t_send: float, kind: str, payload: bytes,
     return seq
 
 
+# each run's rapid sends so far, per node, keyed by the run's channel
+SENDS: "WeakKeyDictionary[BroadcastChannel, Dict]" = WeakKeyDictionary()
+
+
 def emit(ctx: RunContext, node, t_nominal: float, kind: str, payload: bytes, round_index: int,
          after: Optional[int] = None, measurer=None, guess: bool = False) -> int:
     """One rapid send: count, policy shift, in-order hold, guess advance, broadcast."""
-    index = ctx.send_counters.get(node, 0)
-    ctx.send_counters[node] = index + 1
+    sends = SENDS.setdefault(ctx.channel, {})
+    index = sends.get(node, 0)
+    sends[node] = index + 1
     policy = ctx.policies[node]
     t, early = apply_policy(policy, node, index, t_nominal, measurer, ctx.rng)
     if not early:
@@ -84,7 +91,7 @@ def answer(ctx: RunContext, node, operand: int, round_index: int,
     return value
 
 
-def draw_bits(ctx: RunContext, bit_len: int) -> int:
+def draw(ctx: RunContext, bit_len: int) -> int:
     return ctx.rng.getrandbits(bit_len) if bit_len else 0
 
 
@@ -123,12 +130,12 @@ def exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float, c
     stamps: List[float] = []
     t_nominal = t_end = t_start
     for i in range(1, n_rounds + 1):
-        c_i = draw_bits(ctx, cfg.bit_len)
+        c_i = draw(ctx, cfg.bit_len)
         ch = emit(ctx, verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         t_actual = t_sends[ch]
         nominal_sends.append(t_nominal)
         guess = i <= guessed
-        value = answer(ctx, prover, c_i, i, draw_bits(ctx, cfg.bit_len) if guess else None)
+        value = answer(ctx, prover, c_i, i, draw(ctx, cfg.bit_len) if guess else None)
         resp = emit(ctx, prover, arrival(ctx, ch, prover) + cfg.alpha, "response",
                     encode_value(b"r", i, value), i, ch, verifier, guess)
         ctx.timed.append((ch, resp))
@@ -154,7 +161,7 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
     stamps: List[float] = []
     t_nominal = t_end = t_start
     for i in range(1, cfg.n + 1):
-        c_i = draw_bits(ctx, cfg.bit_len)
+        c_i = draw(ctx, cfg.bit_len)
         ch = emit(ctx, verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
         nominal_sends.append(t_nominal)
         fwd = emit(ctx, front, arrival(ctx, ch, front), "relay", trace.payload[ch], i,

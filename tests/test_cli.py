@@ -271,6 +271,14 @@ def test_sweep_rejects_a_repeated_seed(tmp_path, ring_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, ring_file, capsys, workers):
+    out = tmp_path / "o"
+    assert main(["sweep", str(ring_file), "--workers", workers, "--out", str(out)]) == 2
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()  # nothing ran
+
+
 def test_written_traces_read_back_as_the_run(tmp_path, capsys):
     path = GOLDEN / "mpnv_8x8.json"
     scn = load_scenario(str(path))

@@ -5,7 +5,7 @@ each send's time from its node's per-send step, a verifier's whole row
 written one column at a time and priced as arrays, and once with
 exchange_oracle's emit, broadcast, answer, one exchange per prover and
 per-round active_distance pricing patched in.  Both must leave the same
-trace, logs, counters, row records and error, bit for bit.
+trace, logs, last sends, row records and error, bit for bit.
 """
 import dataclasses
 from collections import Counter
@@ -93,8 +93,7 @@ def state(ctx, result, error, records):
         "timed": ctx.timed,
         "answers": ctx.answers,
         "answered": ctx.answered,
-        # by repr: the order each node was first counted or held in, and each time's bits
-        "send_counters": repr(ctx.send_counters),
+        # by repr: the order each node first sent in, and each time's bits
         "last_send": repr(ctx.channel.last_send),
         "estimates": None if result is None else [repr(row) for row in result.estimates],
         "error": None if error is None else (type(error), str(error)),
@@ -211,8 +210,8 @@ def test_refused_runs_match_the_oracle():
 ])
 def test_an_oversized_nonce_raises_what_the_oracle_raises(scenario, node):
     """A committed nonce wider than bit_len stops the row with the oracle's
-    LengthMismatch, its text, and the trace, logs, send counters and last
-    sends written up to it, also inside a plain exchange."""
+    LengthMismatch, its text, and the trace, logs and last sends written
+    up to it, also inside a plain exchange."""
     def widened(commit_phase):
         def commit_and_widen(ctx, counts):
             out = commit_phase(ctx, counts)
@@ -298,6 +297,28 @@ def test_an_honest_mpnv_row_makes_no_step_calls():
     assert_writer_matches_oracle(scenario)
 
 
+def test_a_delayed_prover_counts_only_its_own_sends():
+    """SelectiveDelay's per_message index is the prover's own count of its
+    rapid sends, though the other provers' exchanges run plain and count
+    nothing: exactly the named replies, one in each of the second and third
+    rows, leave their delay late, and the run leaves the oracle's state."""
+    delays = {3: 4e-8, 4: 5e-8}  # its second row's last reply, its third row's first
+    scenario = with_policy(mpnv_scenario(n=3, n_a=2, d_a=1.0, n_verifiers=3, m_provers=3),
+                           5, SelectiveDelay(per_message=tuple(delays.items())))
+    assert_writer_matches_oracle(scenario)
+    ctx = run(scenario, False)[0]
+    trace, alpha = ctx.channel.trace, scenario.config.alpha
+    replies = Counter()
+    for ask, reply in ctx.timed:
+        prover = trace.sender[reply]
+        late = delays.get(replies[prover], 0.0) if prover == 5 else 0.0
+        replies[prover] += 1
+        assert trace.t_send[reply] == (ctx.channel.arrival_true(ask, prover) + alpha) + late
+    assert replies == {4: 6, 5: 6, 6: 6}  # three rows of two rounds
+    calls, ctx = step_calls(scenario)
+    assert Counter(calls) == expected_step_calls(ctx)
+
+
 @pytest.mark.parametrize("held", ["prover", "verifiers"])
 def test_a_held_first_send_takes_the_stepped_path(held):
     """An exchange whose first send its node's last_send holds goes through the
@@ -336,8 +357,8 @@ def test_a_held_first_send_takes_the_stepped_path(held):
 def test_sent_records_what_the_steps_record(prevs, gaps, start):
     """RunContext.unstepped says the steps leave every send of a non-decreasing
     run of rounds as it is exactly when they do, and then RunContext.sent
-    leaves the counters and last_send the steps leave, by repr, the slack
-    included.  Node 1 asks, node 2 replies."""
+    leaves the last_send the steps leave, by repr, the slack included.
+    Node 1 asks, node 2 replies."""
     t, sends = 1.0 + start, []
     for gap in gaps:
         t += gap
@@ -354,24 +375,23 @@ def test_sent_records_what_the_steps_record(prevs, gaps, start):
     assert ([steps[k % 2](t) for k, t in enumerate(sends)] == sends) == unstepped
     recorded.sent(1, 2, sends)
     if unstepped:
-        assert repr((stepped.send_counters, stepped.channel.last_send)) == repr(
-            (recorded.send_counters, recorded.channel.last_send))
+        assert repr(stepped.channel.last_send) == repr(recorded.channel.last_send)
 
 
 def test_a_late_reply_raises_what_broadcast_raised():
-    """The per-send step's causality check: same error, same text, same counters."""
+    """The per-send step's causality check: same error, same text, same last sends."""
     got = []
     for oracle in (False, True):
         ctx = start_run(oneway_scenario())
         chan = ctx.channel
-        ask = chan.broadcast(1, 1.0, "challenge", "rapid", b"", 1)
+        ask = chan.broadcast(1, 1.0, "challenge", "rapid")
         t_in = chan.arrival_true(ask, 2)
         with pytest.raises(CausalityViolation) as exc:
             if oracle:
                 exchange_oracle.emit(ctx, 2, t_in - 1e-9, "response", b"", 1, ask, 1)
             else:
                 ctx.sender(2)(t_in - 1e-9, ask, t_in, False, 1)
-        got.append((str(exc.value), ctx.send_counters, chan.last_send, chan.trace.count()))
+        got.append((str(exc.value), chan.last_send, chan.trace.count()))
     assert got[0] == got[1]
     assert got[0][0].startswith("node 2 sends at ")
 

@@ -23,6 +23,7 @@ from gdbsim.simkit import (
     Trace,
     TraceFormatError,
 )
+from gdbsim.threat import GuessAhead
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,50 +85,54 @@ def test_unknown_phase_rejected():
         chan.broadcast(1, 0.0, "beacon", "setup")
 
 
+def asked(prover_policy=None):
+    """A one-way run's context and the seq of node 1's challenge, at 0.0, to node 2."""
+    ctx = start_run(oneway_scenario(prover_policy=prover_policy))
+    return ctx, ctx.channel.trace.append(1, 0.0, "challenge", "rapid", b"", 1)
+
+
 def test_reply_before_arrival_is_a_violation():
-    chan = make_channel()
-    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
-    too_soon = chan.arrival_true(seq, 2) * 0.5
+    ctx, seq = asked()
+    t_trigger = ctx.channel.arrival_true(seq, 2)
     with pytest.raises(CausalityViolation):
-        chan.broadcast(2, too_soon, "response", "rapid", after=seq)
+        ctx.sender(2)(t_trigger * 0.5, seq, t_trigger)
 
 
 def test_reply_to_its_own_message_is_a_key_error():
+    """A node reading its own message's arrival, as a reply's trigger, gets a KeyError."""
     chan = make_channel()
     seq = chan.broadcast(1, 0.0, "challenge", "rapid")
     with pytest.raises(KeyError) as got:
-        chan.broadcast(1, 1.0, "response", "rapid", after=seq)
+        chan.trace.arrival_true(seq, 1)
     assert got.value.args == ("node 1 sent message 0, it does not receive it",)
     assert len(chan.trace.emissions) == 1
 
 
 def test_causality_slack_is_exact_to_the_ulp():
     """A reply may precede its trigger's arrival by SEND_SLACK_S and no more."""
-    chan = make_channel()
-    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
-    t_trigger = chan.arrival_true(seq, 2)
+    ctx, seq = asked()
+    t_trigger = ctx.channel.arrival_true(seq, 2)
     too_soon = math.nextafter(t_trigger - SEND_SLACK_S, -math.inf)
+    send = ctx.sender(2)
     with pytest.raises(CausalityViolation) as got:
-        chan.broadcast(2, too_soon, "response", "rapid", after=seq)
+        send(too_soon, seq, t_trigger)
     assert str(got.value) == f"node 2 sends at {too_soon} before message 0 arrives at {t_trigger}"
-    ok = chan.broadcast(2, t_trigger - SEND_SLACK_S, "response", "rapid", after=seq)
-    assert ok == 1
+    assert 2 not in ctx.channel.last_send
+    assert send(t_trigger - SEND_SLACK_S, seq, t_trigger) == t_trigger - SEND_SLACK_S
+    assert ctx.channel.last_send[2] == t_trigger - SEND_SLACK_S
 
 
 def test_reply_at_arrival_is_allowed():
-    chan = make_channel()
-    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
-    t = chan.arrival_true(seq, 2)
-    chan.broadcast(2, t, "response", "rapid", after=seq)
+    ctx, seq = asked()
+    t = ctx.channel.arrival_true(seq, 2)
+    assert ctx.sender(2)(t, seq, t) == t
 
 
-def test_allow_early_bypasses_the_check():
-    # adversarial sends opt out explicitly; the trace still records truth
-    chan = make_channel()
-    seq = chan.broadcast(1, 0.0, "challenge", "rapid")
-    early = chan.arrival_true(seq, 2) * 0.5
-    seq2 = chan.broadcast(2, early, "response", "rapid", after=seq, allow_early=True)
-    assert chan.trace.t_send[seq2] == early
+def test_a_guessed_reply_skips_the_trigger_check():
+    # a guessing prover answers before the challenge arrives; the time it returns is the truth
+    ctx, seq = asked(GuessAhead(p_rounds=1, advance_s=1e-7))
+    t_trigger = ctx.channel.arrival_true(seq, 2)
+    assert ctx.sender(2)(t_trigger, seq, t_trigger, True) == t_trigger - 1e-7
 
 
 def test_own_sends_must_not_go_backwards():
@@ -167,8 +172,8 @@ def test_trace_counts_by_phase_and_kind():
 
 def test_records_are_json_safe_and_ordered():
     chan = make_channel()
-    chan.broadcast(1, 0.0, "beacon", "pre", payload=b"x")
-    chan.broadcast(2, 5e-7, "beacon", "pre", round_index=3)
+    chan.trace.append(1, 0.0, "beacon", "pre", b"x", None)
+    chan.trace.append(2, 5e-7, "beacon", "pre", b"", 3)
     lines = chan.trace.to_jsonl().splitlines()
     rows = [json.loads(line) for line in lines]
     # the meta line, then one line per emission in seq order; no arrival lines
@@ -239,9 +244,8 @@ def tied_traces(draw):
             t = chan.arrival_true(prev, at)
         else:
             t = draw(st.sampled_from(INSTANTS))
-        chan.broadcast(sender, t, draw(st.sampled_from(("beacon", "challenge", "response"))),
-                       draw(st.sampled_from(PHASES)), payload=draw(st.binary(max_size=3)),
-                       allow_early=True)
+        chan.trace.append(sender, t, draw(st.sampled_from(("beacon", "challenge", "response"))),
+                          draw(st.sampled_from(PHASES)), draw(st.binary(max_size=3)), None)
     return chan.trace
 
 
@@ -299,6 +303,20 @@ def test_emission_rows_are_a_view_of_the_columns():
     assert rows == list(rows) and rows == Trace.from_jsonl(trace.to_jsonl()).emissions
     assert rows != list(rows)[:-1]
     assert pickle.loads(pickle.dumps(rows)) == rows
+
+
+bounds = st.none() | st.integers(-12, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=tied_traces(), i=st.builds(slice, bounds, bounds,
+                                       st.none() | st.integers(-4, 4).filter(bool)))
+def test_emissions_slice_as_their_list_does(trace, i):
+    """Every slice of Trace.emissions, negative and out-of-range bounds and
+    steps included, is the list of rows the same slice of the rows' list is."""
+    got = trace.emissions[i]
+    assert type(got) is list and all(type(em) is Emission for em in got)
+    assert got == list(trace.emissions)[i]
 
 
 def test_slotted_emissions_pickle_and_read_back_equal():
