@@ -21,7 +21,7 @@ against simulated traces by reconcile().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import GdbSimError, LengthMismatch, active_verifier_count, round_half_up
 from .simkit import Trace

@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import EPS_DIST, EPS_TIME, GdbSimError, NodeId, SPEED_OF_LIGHT
+from .core import EPS_DIST, EPS_TIME, GdbSimError, NodeId
 
 Point = Tuple[float, float]
 
@@ -47,28 +47,6 @@ class SolveFailure(GdbSimError):
 
 class IncompleteCycle(SolveFailure):
     """An observer is missing arrivals from a rapid-phase round."""
-
-
-# ---------------------------------------------------------------------------
-# active round trip
-
-
-def active_distance(
-    t_sent: float, t_back: float, alpha_p: float, c: float = SPEED_OF_LIGHT
-) -> float:
-    """Round-trip distance bound measured by the challenger itself.
-
-    t_sent and t_back are the challenger's own clock readings for
-    challenge out and response in; alpha_p is the responder's known
-    processing delay.  No driver calls it: it is the per-round reference
-    that active_distances and tests/exchange_oracle.py are held to.
-    """
-    tof2 = (t_back - t_sent) - alpha_p
-    if tof2 < -EPS_TIME:
-        raise NegativeTimeOfFlight(
-            f"round trip {t_back - t_sent!r} s shorter than processing {alpha_p!r} s"
-        )
-    return max(c * tof2 / 2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +72,14 @@ def _first(values, bad) -> float:
 
 
 def active_distances(t_sent, t_back, alpha_p, c):
-    """active_distance on arrays of rounds, entry by entry, with its float operations.
+    """A verifier's own round-trip bounds on arrays of rounds, entry by entry.
 
-    Raises the NegativeTimeOfFlight that pricing the entries one at a
-    time, in row-major order, meets first.
+    t_sent and t_back are the challenger's own clock readings for
+    challenge out and response in, alpha_p the responder's known
+    processing delay: each bound is c * ((t_back - t_sent) - alpha_p) / 2,
+    floored at zero.  A round short of alpha_p by more than EPS_TIME is
+    impossible; raises the NegativeTimeOfFlight that pricing the entries
+    one at a time, in row-major order, meets first.
     """
     span = t_back - t_sent
     tof2 = span - alpha_p
@@ -201,12 +183,6 @@ def snake_order(ring: Sequence[NodeId]) -> List[NodeId]:
     """
     ring = list(ring)
     return ring + [ring[0]] + ring[:0:-1]
-
-
-def snake_hops(ring: Sequence[NodeId]) -> List[Tuple[NodeId, NodeId]]:
-    """The 2N - 1 directed hops (previous sender, next sender) of a round."""
-    order = snake_order(ring)
-    return list(zip(order[:-1], order[1:]))
 
 
 def _edge_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:

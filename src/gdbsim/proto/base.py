@@ -5,13 +5,16 @@ commits each party's rapid nonces into the run's nonce ledger, every
 timed message's send time comes from one per-send step,
 RunContext.sender (or is its nominal time, where RunContext.unstepped
 shows no step would move it, and RunContext.sent records it as the
-steps would), every rapid value is a RunContext.answer (an operand
-XOR its sender's next committed nonce), and open_phase decommits
-(signing when auth is on) and replays every answer against the opened
-nonces.  A driver names each timed round by its two seqs in
-RunContext.timed, and active_bounds reads the measurer's stamps for
-them off the trace's columns and flight-time rows and prices them; the
-group driver prices a verifier's row from its own stamps instead
+steps would), every rapid value is an operand XOR its sender's next
+committed nonce, and open_phase decommits (signing when auth is on)
+and replays every answer against the opened nonces.  A verifier's row
+(pairwise.run_exchange) logs its answers as one AnswerBlock and is
+itself the record of its rounds; the message-by-message drivers log
+each answer through RunContext.answer, and the interleaved chain and
+1toM name each timed round by its two seqs in RunContext.timed.
+active_bounds prices rounds one at a time from either record, the
+measurer's stamps read off the trace's flight-time rows; the group
+driver prices a verifier's row as arrays instead
 (pairwise.active_row_bounds), with the same float operations.
 A run hands back its bounds as one columnar Estimates table, written as
 rows or, for the ring, as one block of columns.
@@ -22,10 +25,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import repeat
-from operator import indexOf
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property, partial, reduce
+from itertools import chain, repeat
+from operator import indexOf, or_, xor
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..core import (
     EPS_TIME,
@@ -174,16 +179,62 @@ class RunResult:
         return _row([column[k] for column in est.columns()])
 
 
+Answer = Tuple[NodeId, int, int, int, int]  # as RunContext.answer logs one
+
+
+@dataclass
+class AnswerBlock:
+    """A verifier row's answers as columns, for open_phase's replay.
+
+    Exchange e's answers are nodes[e]'s, rounds of them on its nonces
+    from starts[e]; operands and values run over the row's answers in
+    turn, and stop where the row did.
+    """
+
+    nodes: List[NodeId]
+    starts: List[int]
+    rounds: int
+    operands: List[int]
+    values: List[int]
+
+    def failure(self, nonces: Mapping[NodeId, Sequence[int]], top: int) -> Optional[Answer]:
+        """The first answer that is not its operand XOR its nonce, both below top, or None.
+
+        The whole block is checked at once, answer by answer only when that fails.
+        """
+        ops, nodes, starts = self.operands, self.nodes, self.starts
+        if len(nodes) == 1:
+            due = nonces[nodes[0]][starts[0]:starts[0] + len(ops)]
+        else:
+            due = []
+            for node, k in zip(nodes, starts):
+                due += nonces[node][k:k + self.rounds]
+            del due[len(ops):]  # where the row stopped short
+        # every operand and nonce is in [0, top), a power of two, exactly when their OR is
+        if list(map(xor, ops, due)) == self.values and 0 <= reduce(or_, chain(ops, due), 0) < top:
+            return None
+        for j, (operand, value) in enumerate(zip(ops, self.values)):
+            e, i = divmod(j, self.rounds)
+            node, k = self.nodes[e], self.starts[e] + i
+            nonce = nonces[node][k]
+            if not (0 <= operand < top and 0 <= nonce < top) or value != operand ^ nonce:
+                return node, k, operand, value, i + 1
+        return None
+
+
 @dataclass
 class RunContext:
     """Channel, RNG, registry and nonce ledger shared by one protocol execution.
 
-    nonces holds each party's committed rapid nonces; answer takes them
-    in order, answered counting them off, and logs each to answers.
-    timed logs every timed round, in order, as (ask seq, reply seq): the
-    ask's sender measures, the reply's sender is its target.  bit_len is
-    the scenario's, held here for answer; _steps holds the per-send
-    steps sender has made.
+    nonces holds each party's committed rapid nonces, taken in order,
+    answered counting them off.  answers logs them in turn: a verifier
+    row's as one AnswerBlock, every other answer as answer's (node,
+    nonce index, operand, value, round index).  timed serves the
+    interleaved chain and 1toM: each of their timed rounds, in order, as
+    (ask seq, reply seq), the ask's sender measuring the reply's.  A
+    verifier row writes nothing there; its Row records its rounds.
+    bit_len is the scenario's, held here for answer; _steps holds the
+    per-send steps sender has made.
     """
 
     scenario: Scenario
@@ -194,8 +245,7 @@ class RunContext:
     policies: Dict[NodeId, AdversaryPolicy]
     nonces: Dict[NodeId, Tuple[int, ...]] = field(default_factory=dict)
     answered: Dict[NodeId, int] = field(default_factory=dict)
-    # (node, nonce index, operand, value, round index) for every answer in turn
-    answers: List[Tuple[NodeId, int, int, int, int]] = field(default_factory=list)
+    answers: List[Union[Answer, AnswerBlock]] = field(default_factory=list)
     timed: List[Tuple[int, int]] = field(default_factory=list)
     bit_len: int = field(init=False)
     _steps: Dict[NodeId, Callable[..., float]] = field(default_factory=dict, repr=False)
@@ -248,29 +298,32 @@ class RunContext:
         self._steps[node] = send
         return send
 
-    def unstepped(self, node: NodeId, t_first: float) -> bool:
-        """Whether node's step would leave its sends from t_first on as they are.
+    def unstepped(self, nodes: Sequence[NodeId], firsts: Sequence[float]) -> bool:
+        """Whether each node's step would leave its sends, from its first in firsts on, as they are.
 
-        So it is when node has no timing policy and its last send cannot
-        hold a send at t_first, for a run of sends none of which precedes
-        an earlier one or its trigger, or is guessed.  A writer whose sends
-        are such may time them itself and record them with sent.
+        So it is when no node has a timing policy and none's last send
+        can hold its first, for runs of sends none of which precedes an
+        earlier one of its node or its trigger, or is guessed.  A writer
+        whose sends are such may time them itself and record them with sent.
         """
-        prev = self.channel.last_send.get(node)
-        return not isinstance(self.policies[node], TIMING_POLICIES) and (
-            prev is None or t_first >= prev - SEND_SLACK_S)
+        last_send, policies = self.channel.last_send, self.policies
+        for node, t_first in zip(nodes, firsts):
+            prev = last_send.get(node)
+            if isinstance(policies[node], TIMING_POLICIES) or (
+                    prev is not None and t_first < prev - SEND_SLACK_S):
+                return False
+        return True
 
-    def sent(self, asker: NodeId, replier: NodeId, sends: Sequence[float]) -> None:
-        """Record rounds timed without the steps as the steps record them.
+    def sent(self, nodes: Sequence[NodeId], lasts: Sequence[float]) -> None:
+        """Record sends timed without the steps as the steps record them.
 
-        sends alternate asker's and replier's, ask first, each node's in
-        time order; a node's last_send keeps the later of it and its last.
+        lasts holds each node's latest such send, the nodes in the order
+        they first sent; a node's last_send keeps the later of it and its last.
         """
         last_send = self.channel.last_send
-        for node, own in ((asker, sends[0::2]), (replier, sends[1::2])):
-            if own:
-                t, prev = own[-1], last_send.get(node)
-                last_send[node] = prev if prev is not None and prev > t else t
+        for node, t in zip(nodes, lasts):
+            prev = last_send.get(node)
+            last_send[node] = prev if prev is not None and prev > t else t
 
     def emit(self, node: NodeId, t_nominal: float, kind: str, payload: bytes, round_index: int,
              after: Optional[int] = None, t_trigger: Optional[float] = None,
@@ -379,7 +432,12 @@ def open_phase(
     bit_len = ctx.scenario.config.bit_len
     top = 1 << bit_len
     nonces = ctx.nonces
-    for node, k, operand, value, round_index in ctx.answers:
+    for entry in ctx.answers:
+        if type(entry) is not tuple:  # a row's block: only its first failing answer is replayed
+            entry = entry.failure(nonces, top)
+            if entry is None:
+                continue
+        node, k, operand, value, round_index = entry
         nonce = nonces[node][k]  # response_bits, inline
         if not (0 <= operand < top and 0 <= nonce < top):
             raise LengthMismatch(f"values {operand}, {nonce} do not fit {bit_len} bits")
@@ -388,47 +446,59 @@ def open_phase(
     return t
 
 
-def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple[NodeId, NodeId], List]:
-    """Every (measurer, target) pair's [bound_m, rounds] over ctx.timed[start:].
+Round = Tuple[NodeId, NodeId, float, float]
 
-    Each round is stamped on the measurer's own clock, its ask going out
-    and the reply coming in, and priced as estimate.active_distance
-    prices it, its float operations inline; a pair's bound is the
-    largest over its rounds, the first of equal ones.  Pairs come in the
-    order they were first timed, and the first impossible round, in
-    ledger order, raises active_distance's NegativeTimeOfFlight.
+
+def active_bounds(ctx: RunContext, rounds: Iterable[Round]) -> Dict[Tuple[NodeId, NodeId], List]:
+    """Every (measurer, target) pair's [bound_m, rounds] over rounds.
+
+    A round is (measurer, target, ask's send, reply's send), true
+    times.  Each is stamped on the measurer's own clock, its ask going
+    out and the reply coming in, and priced one at a time: the round
+    trip less alpha, as c * tof2 / 2 floored at zero; a pair's bound is
+    the largest over its rounds, the first of equal ones.  Pairs come in
+    the order they were first timed, and the first round whose trip
+    falls short of alpha by more than EPS_TIME raises NegativeTimeOfFlight.
     """
     cfg = ctx.scenario.config
-    alpha, c = cfg.alpha, cfg.c
+    alpha, c, short = cfg.alpha, cfg.c, -EPS_TIME
     trace = ctx.channel.trace
-    sender, t_send, offsets = trace.sender, trace.t_send, trace.offsets
-    rows, index = trace.tof, trace.index
+    offsets, rows, index = trace.offsets, trace.tof, trace.index
     out: Dict[Tuple[NodeId, NodeId], List] = {}
-    pair = entry = None
-    for ask, reply in ctx.timed[start:]:
-        m, target = sender[ask], sender[reply]
-        if (m, target) != pair:  # a run of one pair's rounds reads these once
-            pair = (m, target)
+    measurer = responder = entry = None
+    for m, target, ask, reply in rounds:
+        if m != measurer or target != responder:  # a run of one pair's rounds reads these once
+            measurer, responder = m, target
             off, flight = offsets[m], rows[index[target]][index[m]]
-            entry = out.setdefault(pair, [None, 0])
-        # active_distance on t_send + offset and arrival_true(reply, m) + offset
-        t_sent, t_back = t_send[ask] + off, (t_send[reply] + flight) + off
+            entry = out.setdefault((m, target), [None, 0])
+        # the ask's send and the reply's arrival_true at m, each on m's clock
+        t_sent, t_back = ask + off, (reply + flight) + off
         tof2 = (t_back - t_sent) - alpha
-        if tof2 < -EPS_TIME:
+        if tof2 < short:
             raise NegativeTimeOfFlight(
                 f"round trip {t_back - t_sent!r} s shorter than processing {alpha!r} s")
-        bound = max(c * tof2 / 2.0, 0.0)
+        bound = c * tof2 / 2.0
+        if 0.0 > bound:  # max(bound, 0.0), which keeps -0.0
+            bound = 0.0
         if entry[0] is None or bound > entry[0]:
             entry[0] = bound
         entry[1] += 1
     return out
 
 
-def active_rows(ctx: RunContext, start: int = 0) -> List[Tuple]:
+def timed_rounds(ctx: RunContext, start: int = 0) -> Iterator[Round]:
+    """ctx.timed[start:] as active_bounds' rounds, read off the trace's columns."""
+    trace = ctx.channel.trace
+    sender, t_send = trace.sender, trace.t_send
+    for ask, reply in ctx.timed[start:]:
+        yield sender[ask], sender[reply], t_send[ask], t_send[reply]
+
+
+def active_rows(ctx: RunContext, rounds: Iterable[Round]) -> List[Tuple]:
     """active_bounds as estimate rows; a run whose signatures fail stops in open_phase."""
     auth = ctx.scenario.config.auth_enabled
-    return [(m, t, bound, METHOD_ACTIVE, rounds, auth, False)
-            for (m, t), (bound, rounds) in active_bounds(ctx, start).items()]
+    return [(m, t, bound, METHOD_ACTIVE, n, auth, False)
+            for (m, t), (bound, n) in active_bounds(ctx, rounds).items()]
 
 
 def encode_value(kind: bytes, round_index: int, value: int) -> bytes:

@@ -4,6 +4,7 @@ A fraction of the verifier group is drawn at random to run active
 exchanges, each one row (pairwise.run_exchange) priced as arrays as
 soon as it has run; everyone else prices the same row passively from
 the published schedule, trading rounds of their own for overheard ones.
+A phase's priced rows are folded into its estimates once, at its end.
 The two-group variants either run that machinery in both directions,
 share one joint ring, or chain per-verifier one-to-many runs.
 """
@@ -53,37 +54,30 @@ def _select_actives(
     return sorted(ctx.rng.sample(sorted(pool), want))
 
 
-def _fold(bound: np.ndarray, rounds: np.ndarray, block, new: np.ndarray, n_rounds) -> None:
-    """Fold a block of bounds into the matrices: the larger wins, rounds add.
-
-    The strict > keeps the bound already there when the two are equal,
-    signed zero included, so the first of equal bounds wins.
-    """
-    cur = bound[block]
-    bound[block] = np.where(new > cur, new, cur)
-    rounds[block] += n_rounds
-
-
 def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     """Commit in ascending id order, run the listening phases in turn, open.
 
     In a phase every selected verifier runs its row of exchanges, one
     per prover, in one run_exchange call; the row is then priced from
     its own arrays, actively for the verifier and passively for every
-    other watcher, before the next row runs.  The closing
+    other watcher, before the next row runs, so the first impossible
+    round in run order raises.  The closing
     emission after each exchange's last response is what lets listeners
     frame all n_a rounds; when every watcher is active for all n rounds
     nobody needs it and it is omitted, which collapses the phase to the
     all-active baseline.
 
     Each (watcher, prover) estimate is the conservative composite: the
-    largest bound any source produced (the first of equal ones, so ties
-    follow selection order) and the rounds of all sources, active if the
-    watcher ran rounds itself.  One bound matrix (from -inf) and one
-    rounds matrix, indexed by the channel's node ids, take each row's
-    active column and passive (watchers x provers) block as it is
-    priced; the estimates are their nonzero-rounds entries, row-major,
-    which is sorted (watcher, prover) order.
+    largest bound any source produced (the first of equal ones, signed
+    zero included, so ties follow selection order) and the rounds of all
+    sources, active if the watcher ran rounds itself.  A phase writes
+    each row's active column and passive block into one (rows x watchers
+    x provers) candidate array, from -inf, and folds it once, at its
+    end, by the first argmax over the rows, into one bound matrix (from
+    -inf) and one rounds matrix indexed by the channel's node ids; a
+    later phase's bound replaces an earlier one only where it is larger.
+    The estimates are the nonzero-rounds entries, row-major, which is
+    sorted (watcher, prover) order.
     """
     cfg = ctx.scenario.config
     need: Dict[NodeId, int] = {}
@@ -100,13 +94,23 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         selected = _select_actives(ctx, pool, len(watchers), d_a)
         actives.update(selected)
         closing = not (n_a == cfg.n and len(selected) == len(watchers))
-        cols = [at[p] for p in provers]
-        for v in selected:
+        place = {w: i for i, w in enumerate(watchers)}
+        candidates = np.full((len(selected), len(watchers), len(provers)), -np.inf)
+        counts = np.zeros(len(watchers), dtype=np.int64)  # each watcher's rounds, per prover
+        for r, v in enumerate(selected):
             row = run_exchange(ctx, v, provers, n_a, t, closing)
             t = row.t_end + ctx.slot_s
-            _fold(bound, rounds, (at[v], cols), active_row_bounds(ctx, row), n_a)
+            candidates[r, place[v]] = active_row_bounds(ctx, row)
+            counts[place[v]] += n_a
             others, best, framed = passive_bounds(ctx, row, watchers)
-            _fold(bound, rounds, np.ix_([at[w] for w in others], cols), best.T, framed)
+            listeners = [place[w] for w in others]
+            candidates[r, listeners] = best.T
+            counts[listeners] += framed
+        first = np.take_along_axis(candidates, candidates.argmax(axis=0)[None], axis=0)[0]
+        block = np.ix_([at[w] for w in watchers], [at[p] for p in provers])
+        held = bound[block]
+        bound[block] = np.where(first > held, first, held)
+        rounds[block] += counts[:, None]
     open_phase(ctx, bundles, t)
     w, p = np.nonzero(rounds)
     node = np.array(ids)

@@ -24,6 +24,7 @@ from .base import (
     encode_value,
     open_phase,
     start_run,
+    timed_rounds,
 )
 
 
@@ -100,7 +101,7 @@ def run_chains(
         start = len(ctx.timed)
         t = run_chain(ctx, v, responders, n, t) + ctx.slot_s
         # pairs are first timed v -> p_j, p_j -> v in turn
-        chain = active_rows(ctx, start)
+        chain = active_rows(ctx, timed_rounds(ctx, start))
         rows += chain[0::2] + chain[1::2]
 
     open_phase(ctx, bundles, t)

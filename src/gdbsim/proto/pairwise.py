@@ -1,13 +1,17 @@
 """Two-party distance bounding and its sequential baselines.
 
 A verifier's row, its exchanges with each prover in turn, is one
-run_exchange call that writes the row's trace rows in one block and
-returns it as a Row of lists, shaped into arrays only where priced:
-active_row_bounds for the verifier, passive_bounds for its listeners.
-A plain exchange, one that no timing policy, guess or held first send
-touches, makes no per-send step call (RunContext.unstepped and
-RunContext.sent in base hold that contract), and takes its payloads
-from a table of the row's, each (round, value) formatted once.
+run_exchange call that writes the row's trace rows in one block, logs
+its answers as one AnswerBlock, and returns it as a Row of lists,
+shaped into arrays only where priced: active_row_bounds for a group
+verifier, active_bounds round by round for a row of one exchange, and
+passive_bounds for its listeners.  The Row is the record of its rounds;
+nothing goes to RunContext.timed.  A plain row, one that no timing
+policy, guess, held first send or ill-fitting nonce touches, is timed
+by one accumulate over its flights and delays and makes no per-send
+step call (RunContext.unstepped and RunContext.sent in base hold that
+contract); its payloads come from one template per row, each round's
+text written once.
 The one-way driver runs a row of one prover, with optional
 eavesdropping observers; the mutual driver interleaves both directions
 into 2n+1 rapid messages.  Both schedule the challenger's emissions on
@@ -22,18 +26,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, repeat
+from operator import xor
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import LengthMismatch, NodeId, ProtocolConfig, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..estimate import NegativeTimeOfFlight, active_distances, direct_bounds
-from ..threat import FakeLocationReport, GuessAhead, Relay
+from ..threat import TIMING_POLICIES, FakeLocationReport, GuessAhead, Relay
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     METHOD_PASSIVE,
+    AnswerBlock,
     Estimates,
+    Round,
     RunContext,
     RunResult,
     active_rows,
@@ -41,6 +49,7 @@ from .base import (
     encode_value,
     open_phase,
     start_run,
+    timed_rounds,
 )
 
 
@@ -65,6 +74,124 @@ class Row:
         stamps = np.array(self.stamps).reshape(len(self.responders), -1)
         return schedule, stamps[:, 0:-1:2], stamps[:, 1::2]  # a closing, if any, is last
 
+    def rounds(self) -> Iterator[Round]:
+        """Each round as active_bounds takes it, (verifier, responder, ask, reply), in turn."""
+        responders, stamps = self.responders, self.stamps
+        if len(responders) == 1:  # its closing is an ask past its last reply, which zip leaves out
+            return zip(repeat(self.verifier), repeat(responders[0]), stamps[0::2], stamps[1::2])
+        width = len(stamps) // len(responders)
+        if width % 2:  # each exchange's closing, last, shifts the next one's asks and replies
+            stamps = stamps[:]
+            del stamps[width - 1::width]
+        return zip(repeat(self.verifier),
+                   chain.from_iterable(map(repeat, responders, repeat(width // 2))),
+                   stamps[0::2], stamps[1::2])
+
+
+def _columns(
+    verifier: NodeId, provers: Sequence[NodeId], n_rounds: int, closing: bool
+) -> Tuple[List[NodeId], List[str], List[int]]:
+    """A whole row's senders, kinds and round numbers, send by send.
+
+    Each exchange alternates challenge and response, round by round,
+    then sends its closing, numbered one past the last round.
+    """
+    c = 1 if closing else 0
+    senders: List[NodeId] = []
+    for p in provers:
+        senders += [verifier, p] * n_rounds + [verifier] * c
+    kinds = ["challenge", "response"] * n_rounds + ["closing"] * c
+    numbers = sorted([*range(1, n_rounds + 1)] * 2) + [n_rounds + 1] * c
+    return senders, kinds * len(provers), numbers * len(provers)
+
+
+def _plain_row(
+    ctx: RunContext,
+    verifier: NodeId,
+    provers: Sequence[NodeId],
+    n_rounds: int,
+    t_start: float,
+    closing: bool,
+) -> Optional[Row]:
+    """run_exchange's row as one block, or None, having drawn and written nothing, if not plain.
+
+    A row is plain when no party has a timing policy or guesses, no
+    party's last send could hold its first send in the row, and every
+    nonce the row answers on is there and fits bit_len.  Then every
+    send leaves at its nominal time, so the row's times are the loop's
+    own additions in its order, one accumulate over [tof_out, alpha,
+    tof_back, alpha] per round: a closing adds reach and the slot to
+    the time it leaves, and an exchange without one adds the slot in
+    place of its last alpha.  A closing's four additions end with two
+    + 0.0, exact on a positive time, so that every exchange takes four
+    per slot: the schedule is a stride-4 slice of the times and the
+    sends a stride-2 one, less the time after each closing.  The
+    challenges are one getrandbits map, the same stream; the payloads
+    are one template per row, each round's text written once and the
+    values filled in one pass.
+    """
+    if n_rounds < 1 or not provers or isinstance(ctx.policies[verifier], TIMING_POLICIES):
+        return None
+    cfg = ctx.scenario.config
+    chan = ctx.channel
+    alpha, bit_len = cfg.alpha, cfg.bit_len
+    tof, index = chan.trace.tof, chan.trace.index
+    policies, answered, nonces = ctx.policies, ctx.answered, ctx.nonces
+    n, c = n_rounds, 1 if closing else 0
+    width = n + c  # each exchange's slots: its rounds, then any closing
+    span = 4 * width  # each exchange's additions, four a slot
+    tail = [chan.reach(verifier), ctx.slot_s, 0.0, 0.0] if closing else None
+    v_flights = tof[index[verifier]]
+    adds, due, starts, ends = [t_start], [], [], {}
+    for p in provers:
+        policy = policies[p]
+        if isinstance(policy, TIMING_POLICIES) or (
+                isinstance(policy, GuessAhead) and policy.p_rounds):
+            return None
+        k = ends.get(p)
+        if k is None:
+            k = answered.get(p, 0)
+        starts.append(k)
+        ends[p] = k + n
+        own = nonces.get(p, ())[k:k + n]
+        if len(own) < n:
+            return None
+        due += own
+        adds += [v_flights[index[p]], alpha, tof[index[p]][index[verifier]], alpha] * n
+        if closing:
+            adds += tail
+        else:
+            adds[-1] = ctx.slot_s
+    if not (0 <= min(due) and max(due) < 1 << bit_len):
+        return None
+    times = list(accumulate(adds))
+    exchanges = len(provers)
+    end = exchanges * span
+    nodes = [verifier, *provers]
+    # each prover's first send in the row is its first reply
+    if not ctx.unstepped(nodes, [t_start, *times[2::span]]):
+        return None
+
+    challenges = list(map(ctx.rng.getrandbits, repeat(bit_len, exchanges * n)))
+    values = list(map(xor, challenges, due))
+    senders, kinds, numbers = _columns(verifier, provers, n, closing)
+    # one exchange's payload text, round numbers filled in and values left open
+    text = b" ".join([b"c|%d|%%d r|%d|%%d"] * n + [b"x|%d|0"] * c) % tuple(
+        numbers[:2 * n + c])
+    fields = [None] * (2 * exchanges * n)
+    fields[0::2], fields[1::2] = challenges, values
+    payloads = (b" ".join([text] * exchanges) % tuple(fields)).split(b" ")
+    t_sends = times[0:end:2]
+    if closing:
+        del t_sends[2 * n + 1::2 * width]  # the time each exchange's slot ends
+    chan.trace.extend(senders, t_sends, kinds, ["rapid"] * len(t_sends), payloads, numbers)
+    ctx.answers.append(AnswerBlock(list(provers), starts, n, challenges, values))
+    answered.update(ends)
+    # the verifier's last send is the last closing or challenge, each prover's its last reply
+    ctx.sent(nodes, [times[end - 4], *times[4 * n - 2::span]])
+    return Row(verifier, list(provers), times[0:end:4], t_sends,
+               times[end - 3] if closing else times[end - 1])
+
 
 def run_exchange(
     ctx: RunContext,
@@ -81,16 +208,15 @@ def run_exchange(
     that listeners get a schedule point after the final response.  A
     prover answers on its next n_rounds committed nonces; a guessing
     prover answers its first rounds ahead of the challenge, on guessed
-    bits.  An exchange is plain when neither party's step can move its
-    rounds' sends (RunContext.unstepped) and nothing is guessed: its
-    rounds are timed here, with no step calls, recorded with
-    RunContext.sent once they are over or when one raises, and their
-    payloads come from a table that formats each (round, value) once
-    per row.  Every other exchange, and every closing, goes through the
-    steps and formats as it goes.  The row's trace rows, answers and
-    timed rounds are written with one extend per column and log, also
-    when a send raises.
+    bits.  A plain row (_plain_row) is written as one block, with no
+    step calls, its closings' included.  Every other row goes round by
+    round through the steps and formats as it goes; its trace rows and
+    answer block are written with one extend and one append, also when
+    a send raises.
     """
+    row = _plain_row(ctx, verifier, provers, n_rounds, t_start, closing)
+    if row is not None:
+        return row
     cfg = ctx.scenario.config
     chan = ctx.channel
     alpha, bit_len = cfg.alpha, cfg.bit_len
@@ -98,12 +224,10 @@ def run_exchange(
     draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing
     v_send = ctx.sender(verifier)
     seq = len(chan.trace.sender)
-    # the row's schedule, rows and logs
-    nominal_sends, t_sends, payloads, answers, timed = [], [], [], [], []
-    # a plain exchange's challenge and response payloads (encode_value) by
-    # round << bit_len | value, made once per row
-    asked, replied = {}, {}
-    prover, answered, first, plain, mark = None, 0, 0, False, 0
+    # the row's schedule, rows and answer block
+    nominal_sends, t_sends, payloads = [], [], []
+    nodes, starts, operands, values = [], [], [], []
+    prover, answered, first = None, 0, 0
     t_next = t_end = t_start
     try:
         for prover in provers:
@@ -111,77 +235,42 @@ def run_exchange(
             tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
             p_policy = ctx.policies[prover]
             guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
-            # RunContext.answer on the prover's next nonces, logged here
+            # the answers on the prover's next nonces, logged in the row's block
             nonces, answered = ctx.nonces[prover], ctx.answered.get(prover, 0)
             first = answered
+            nodes.append(prover)
+            starts.append(first)
+            p_send = ctx.sender(prover)
             t_nominal = t_end = t_next
-            if not guessed and ctx.unstepped(verifier, t_nominal) and ctx.unstepped(
-                    prover, (t_nominal + tof_out) + alpha):
-                # the rounds leave at their nominal times: the sums below only grow
-                # (alpha >= 0, as validated), so no hold or trigger check would move one
-                plain = True
-                mark = len(t_sends)
-                for i in range(1, n_rounds + 1):
-                    c_i = draw(bit_len)  # below top: only the nonce needs checking
-                    key = i << bit_len
-                    t_sends.append(t_nominal)
-                    payload = asked.get(key | c_i)
-                    if payload is None:
-                        payload = asked[key | c_i] = b"c|%d|%d" % (i, c_i)
-                    payloads.append(payload)
-                    nominal_sends.append(t_nominal)
-                    k = answered
-                    answered += 1
-                    nonce = nonces[k]  # response_bits, inline
-                    if not 0 <= nonce < top:
-                        raise LengthMismatch(f"values {c_i}, {nonce} do not fit {bit_len} bits")
-                    value = c_i ^ nonce
-                    answers.append((prover, k, c_i, value, i))
-                    t_resp = (t_nominal + tof_out) + alpha
-                    t_sends.append(t_resp)
-                    payload = replied.get(key | value)
-                    if payload is None:
-                        payload = replied[key | value] = b"r|%d|%d" % (i, value)
-                    payloads.append(payload)
-                    timed.append((seq, seq + 1))
-                    seq += 2
-                    t_back = t_resp + tof_back
-                    t_nominal = t_back + alpha  # as below, t_actual being t_nominal
-                    if t_back > t_end:
-                        t_end = t_back
-                plain = False
-                ctx.sent(verifier, prover, t_sends[mark:])
-            else:
-                p_send = ctx.sender(prover)
-                for i in range(1, n_rounds + 1):
-                    c_i = draw(bit_len)
-                    t_actual = v_send(t_nominal)
-                    t_sends.append(t_actual)
-                    payloads.append(b"c|%d|%d" % (i, c_i))  # encode_value, inline
-                    nominal_sends.append(t_nominal)
+            for i in range(1, n_rounds + 1):
+                c_i = draw(bit_len)
+                t_actual = v_send(t_nominal)
+                t_sends.append(t_actual)
+                payloads.append(b"c|%d|%d" % (i, c_i))  # encode_value, inline
+                nominal_sends.append(t_nominal)
 
-                    # a guessing prover draws its bits once the challenge is out
-                    guess = i <= guessed
-                    heard = draw(bit_len) if guess else c_i
-                    k = answered
-                    answered += 1
-                    nonce = nonces[k]  # response_bits, inline
-                    if not (0 <= heard < top and 0 <= nonce < top):
-                        raise LengthMismatch(f"values {heard}, {nonce} do not fit {bit_len} bits")
-                    value = heard ^ nonce
-                    answers.append((prover, k, c_i, value, i))
-                    t_arrival = t_actual + tof_out
-                    t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
-                    t_sends.append(t_resp)
-                    payloads.append(b"r|%d|%d" % (i, value))
-                    timed.append((seq, seq + 1))
-                    seq += 2
+                # a guessing prover draws its bits once the challenge is out
+                guess = i <= guessed
+                heard = draw(bit_len) if guess else c_i
+                k = answered
+                answered += 1
+                nonce = nonces[k]  # response_bits, inline
+                if not (0 <= heard < top and 0 <= nonce < top):
+                    raise LengthMismatch(f"values {heard}, {nonce} do not fit {bit_len} bits")
+                value = heard ^ nonce
+                operands.append(c_i)
+                values.append(value)
+                t_arrival = t_actual + tof_out
+                t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
+                t_sends.append(t_resp)
+                payloads.append(b"r|%d|%d" % (i, value))
+                seq += 2
 
-                    t_back = t_resp + tof_back
-                    # the verifier recovers its honest timeline by adding back its own advance
-                    t_nominal = (t_back + (t_nominal - t_actual)) + alpha
-                    if t_back > t_end:
-                        t_end = t_back
+                t_back = t_resp + tof_back
+                # the verifier recovers its honest timeline by adding back its own advance
+                t_nominal = (t_back + (t_nominal - t_actual)) + alpha
+                if t_back > t_end:
+                    t_end = t_back
 
             if closing:
                 t_close = v_send(t_nominal)
@@ -194,20 +283,14 @@ def run_exchange(
                 ctx.answered[prover] = first = answered
             t_next = t_end + ctx.slot_s
     finally:
-        if plain:  # a plain round raised: record its sends so far
-            ctx.sent(verifier, prover, t_sends[mark:])
         sent = len(t_sends)
-        # an exchange's rows alternate challenge and response, round by round, then the closing
-        senders = [node for p in provers
-                   for node in [verifier, p] * n_rounds + [verifier] * closing]
-        kinds = (["challenge", "response"] * n_rounds + ["closing"] * closing) * len(provers)
-        indices = [j // 2 + 1 for j in range(2 * n_rounds + closing)] * len(provers)
+        senders, kinds, numbers = _columns(verifier, provers, n_rounds, closing)
         chan.trace.extend(senders[:sent], t_sends, kinds[:sent], ["rapid"] * sent, payloads,
-                          indices[:sent])
+                          numbers[:sent])
         if answered > first:
             ctx.answered[prover] = answered
-        ctx.answers.extend(answers)
-        ctx.timed.extend(timed)
+        if values:
+            ctx.answers.append(AnswerBlock(nodes, starts, n_rounds, operands, values))
 
     return Row(verifier, list(provers), nominal_sends, t_sends, t_end)
 
@@ -340,7 +423,7 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     else:
         victim = ctx.policies[relay_front].victim  # type: ignore[union-attr]
         row = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
-    rows = active_rows(ctx)
+    rows = active_rows(ctx, row.rounds())
     open_phase(ctx, bundles, row.t_end + ctx.slot_s)
 
     others, best, rounds = passive_bounds(ctx, row, observers)
@@ -382,8 +465,7 @@ def _run_relay_exchange(
                       fwd, t_in, verifier)
         t_in = chan.arrival_true(vr, front)
         resp = ctx.emit(front, t_in, "response", payloads[vr], i, vr, t_in, verifier)
-        ctx.timed.append((ch, resp))  # the front answers the verifier
-        stamps += t_sends[ch], t_sends[resp]
+        stamps += t_sends[ch], t_sends[resp]  # the front answers the verifier
         t_back = chan.arrival_true(resp, verifier)
         t_nominal = (t_back + (t_nominal - t_sends[ch])) + alpha
         t_end = max(t_end, t_back)
@@ -411,7 +493,7 @@ def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
     bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n})
     t_end = _interleaved_rapid(ctx, a, b, t)
-    estimates = Estimates.from_rows(active_rows(ctx))
+    estimates = Estimates.from_rows(active_rows(ctx, timed_rounds(ctx)))
     open_phase(ctx, bundles, t_end + ctx.slot_s)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
@@ -470,11 +552,14 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     cfg = scenario.config
     peers = sorted(n.id for n in scenario.with_role(Role.PEER))
     bundles, t = commit_phase(ctx, {nid: cfg.n * (len(peers) - 1) for nid in peers})
+    rows = []
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
-                t = run_exchange(ctx, measurer, [target], cfg.n, t, False).t_end + ctx.slot_s
-    estimates = Estimates.from_rows(active_rows(ctx))
+                rows.append(run_exchange(ctx, measurer, [target], cfg.n, t, False))
+                t = rows[-1].t_end + ctx.slot_s
+    rounds = chain.from_iterable(row.rounds() for row in rows)
+    estimates = Estimates.from_rows(active_rows(ctx, rounds))
     open_phase(ctx, bundles, t)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
@@ -496,6 +581,6 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             t = _interleaved_rapid(ctx, x, y, t) + ctx.slot_s
-    estimates = Estimates.from_rows(active_rows(ctx))
+    estimates = Estimates.from_rows(active_rows(ctx, timed_rounds(ctx)))
     open_phase(ctx, bundles, t)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

@@ -1,18 +1,21 @@
 """A verifier's row message by message, and per-round active pricing, as test oracles.
 
-gdbsim runs a verifier's exchanges with every prover in one writer call
-that takes every rapid send's time from one per-send step, keeps the
-row's rows, answers and timed rounds in local lists and writes them with
-one extend per trace column and log; it prices a row's active rounds as
-arrays and the sequential drivers' with active_bounds' inline loop.
-This module keeps the earlier path: a row is one exchange per prover in
-turn, every send goes through emit, which counts it per node and run,
-lets apply_policy shift it, holds it behind its node's last send,
-applies a guess's advance and makes one broadcast that checks causality
-and appends one row; every value goes through answer; and every round is
-priced by estimate.active_distance, off the trace and the timed-round
-ledger.  So the tests can demand that the writer leave the same trace,
-logs, last sends, row record and errors, bit for bit.
+gdbsim runs a verifier's exchanges with every prover in one writer call:
+a plain row as one block, timed by one accumulate, with no step calls,
+and any other row round by round through the per-send steps; either
+way it writes the row's trace rows with one extend per column and logs
+its answers as one AnswerBlock.  It prices a group row's active rounds
+as arrays, and a row of one exchange, the interleaved chain's and
+1toM's rounds with active_bounds' inline loop.  This module keeps the
+earlier path: a row is one exchange per prover in turn, every send goes
+through emit, which counts it per node and run, lets apply_policy shift
+it, holds it behind its node's last send, applies a guess's advance and
+makes one broadcast that checks causality and appends one row; every
+value goes through answer, one log entry each; and every round is
+priced by active_distance, off the row's stamps or the timed-round
+ledger's seqs and the trace's flight-time array.  So the tests can
+demand that the writer leave the same trace, answers, last sends, row
+record and errors, bit for bit.
 """
 from __future__ import annotations
 
@@ -21,11 +24,47 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from gdbsim.estimate import active_distance
-from gdbsim.proto.base import RunContext, response_bits
+from gdbsim.core import EPS_TIME, SPEED_OF_LIGHT
+from gdbsim.estimate import NegativeTimeOfFlight
+from gdbsim.proto.base import AnswerBlock, RunContext, response_bits
 from gdbsim.proto.pairwise import Row, encode_value
 from gdbsim.simkit import SEND_SLACK_S, BroadcastChannel, CausalityViolation
 from gdbsim.threat import GuessAhead, apply_policy
+
+
+def active_distance(
+    t_sent: float, t_back: float, alpha_p: float, c: float = SPEED_OF_LIGHT
+) -> float:
+    """Round-trip distance bound measured by the challenger itself.
+
+    t_sent and t_back are the challenger's own clock readings for
+    challenge out and response in; alpha_p is the responder's known
+    processing delay.  The per-round reference that active_bounds and
+    estimate.active_distances are held to.
+    """
+    tof2 = (t_back - t_sent) - alpha_p
+    if tof2 < -EPS_TIME:
+        raise NegativeTimeOfFlight(
+            f"round trip {t_back - t_sent!r} s shorter than processing {alpha_p!r} s"
+        )
+    return max(c * tof2 / 2.0, 0.0)
+
+
+def answer_log(answers) -> List[Tuple]:
+    """Every logged answer as answer logs it, (node, nonce index, operand, value, round),
+    a row's AnswerBlock spelled out exchange by exchange and round by round."""
+    out = []
+    for entry in answers:
+        if not isinstance(entry, AnswerBlock):
+            out.append(entry)
+            continue
+        for e, node in enumerate(entry.nodes):
+            for i in range(entry.rounds):
+                j = e * entry.rounds + i
+                if j < len(entry.values):
+                    out.append((node, entry.starts[e] + i, entry.operands[j], entry.values[j],
+                                i + 1))
+    return out
 
 
 def broadcast(ctx: RunContext, sender, t_send: float, kind: str, payload: bytes,
@@ -138,7 +177,6 @@ def exchange(ctx: RunContext, verifier, prover, n_rounds: int, t_start: float, c
         value = answer(ctx, prover, c_i, i, draw(ctx, cfg.bit_len) if guess else None)
         resp = emit(ctx, prover, arrival(ctx, ch, prover) + cfg.alpha, "response",
                     encode_value(b"r", i, value), i, ch, verifier, guess)
-        ctx.timed.append((ch, resp))
         stamps += [t_actual, t_sends[resp]]
         t_back = arrival(ctx, resp, verifier)
         t_nominal = (t_back + (t_nominal - t_actual)) + cfg.alpha
@@ -171,7 +209,6 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
                   encode_value(b"r", i, value), i, fwd, verifier)
         resp = emit(ctx, front, arrival(ctx, vr, front), "response", trace.payload[vr], i,
                     vr, verifier)
-        ctx.timed.append((ch, resp))
         stamps += [trace.t_send[ch], trace.t_send[resp]]
         t_back = arrival(ctx, resp, verifier)
         t_nominal = (t_back + (t_nominal - trace.t_send[ch])) + cfg.alpha
@@ -185,15 +222,33 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
     return Row(verifier, [front], nominal_sends, stamps, t_end)
 
 
-def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
-    """Every pair's [bound_m, rounds], each round priced by active_distance in ledger order."""
+def timed_rounds(ctx: RunContext, start: int = 0) -> List[Tuple]:
+    """The ledger's rounds from start, (measurer, target, ask send, reply send), off their seqs."""
+    trace = ctx.channel.trace
+    return [(trace.sender[ask], trace.sender[reply], trace.t_send[ask], trace.t_send[reply])
+            for ask, reply in ctx.timed[start:]]
+
+
+def row_rounds(row: Row) -> List[Tuple]:
+    """A row's rounds, (verifier, responder, ask send, reply send), exchange by exchange."""
+    per = len(row.stamps) // len(row.responders)
+    out = []
+    for e, p in enumerate(row.responders):
+        stamps = row.stamps[e * per:(e + 1) * per]
+        for i in range(per // 2):
+            out.append((row.verifier, p, stamps[2 * i], stamps[2 * i + 1]))
+    return out
+
+
+def active_bounds(ctx: RunContext, rounds) -> Dict[Tuple, List]:
+    """Every pair's [bound_m, rounds], each round priced by active_distance in turn, the
+    reply's arrival read off the trace's flight-time array."""
     cfg = ctx.scenario.config
     trace = ctx.channel.trace
     out: Dict[Tuple, List] = {}
-    for ask, reply in ctx.timed[start:]:
-        m, target = trace.sender[ask], trace.sender[reply]
-        bound = active_distance(trace.t_send[ask] + trace.offsets[m],
-                                trace.arrival_true(reply, m) + trace.offsets[m],
+    for m, target, ask, reply in rounds:
+        flight = float(trace.tof_array[trace.index[target], trace.index[m]])
+        bound = active_distance(ask + trace.offsets[m], (reply + flight) + trace.offsets[m],
                                 cfg.alpha, cfg.c)
         entry = out.setdefault((m, target), [bound, 0])
         if bound > entry[0]:
@@ -203,7 +258,6 @@ def active_bounds(ctx: RunContext, start: int = 0) -> Dict[Tuple, List]:
 
 
 def active_row_bounds(ctx: RunContext, row: Row):
-    """The row's active bounds from the timed-round ledger, the row's rounds being its last."""
-    rounds = row.blocks[1].size
-    priced = active_bounds(ctx, len(ctx.timed) - rounds) if rounds else {}
+    """The row's active bounds, its rounds priced one at a time."""
+    priced = active_bounds(ctx, row_rounds(row))
     return np.array([priced[(row.verifier, p)][0] for p in row.responders])

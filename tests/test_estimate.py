@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ring_oracle
+from exchange_oracle import active_distance
 from gdbsim.core import EPS_DIST, SPEED_OF_LIGHT, Protocol, distance
 from gdbsim.estimate import (
     IncompleteCycle,
@@ -15,14 +16,12 @@ from gdbsim.estimate import (
     NoIntersection,
     SolveFailure,
     _edge_key,
-    active_distance,
     build_tof_system,
     direct_bounds,
     edge_times,
     intersect_circles,
     leg_sums,
     ring_edges,
-    snake_hops,
     snake_order,
     solve_tof,
     verifier_prover_distances,
@@ -32,6 +31,12 @@ from gdbsim.scenarios import oneway_scenario, peer_scenario, with_policy
 from gdbsim.threat import EarlyChallenge, SelectiveDelay
 
 C = SPEED_OF_LIGHT
+
+
+def snake_hops(ring):
+    """The 2N - 1 directed hops (previous sender, next sender) of a round."""
+    order = snake_order(ring)
+    return list(zip(order[:-1], order[1:]))
 
 
 def test_active_distance_round_trip():

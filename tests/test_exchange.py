@@ -1,13 +1,16 @@
 """The rapid-phase row writer against the message-by-message oracle.
 
-Every one-way and MPNV run is made twice: once as gdbsim makes it, with
-each send's time from its node's per-send step, a verifier's whole row
-written one column at a time and priced as arrays, and once with
-exchange_oracle's emit, broadcast, answer, one exchange per prover and
-per-round active_distance pricing patched in.  Both must leave the same
-trace, logs, last sends, row records and error, bit for bit.
+Every one-way and MPNV run is made twice: once as gdbsim makes it, a
+verifier's whole row written one column at a time (a plain row as one
+block, any other through its nodes' per-send steps), its answers logged
+as one block, and priced as arrays or round by round off its stamps;
+and once with exchange_oracle's emit, broadcast, answer, one exchange
+per prover and per-round active_distance pricing patched in.  Both must
+leave the same trace, answers (a block spelled out answer by answer),
+last sends, row records and error, bit for bit.
 """
 import dataclasses
+import gc
 from collections import Counter
 from functools import reduce
 
@@ -20,7 +23,7 @@ import exchange_oracle
 from gdbsim.core import LengthMismatch, NodeSpec, Role, validate_scenario
 from gdbsim.estimate import NegativeTimeOfFlight
 from gdbsim.proto import base, group, pairwise
-from gdbsim.proto.base import start_run
+from gdbsim.proto.base import AnswerBlock, ResponseMismatch, commit_phase, start_run
 from gdbsim.proto.pairwise import Row
 from gdbsim.proto.runner import run_scenario
 from gdbsim.scenarios import mpnv_scenario, oneway_scenario, with_policy
@@ -33,6 +36,7 @@ ORACLE = [
     (pairwise, "_run_relay_exchange", exchange_oracle.run_relay_exchange),
     (base, "active_bounds", exchange_oracle.active_bounds),
     (group, "active_row_bounds", exchange_oracle.active_row_bounds),
+    (Row, "rounds", exchange_oracle.row_rounds),
 ]
 WRITERS = [(pairwise, "run_exchange"), (group, "run_exchange"), (pairwise, "_run_relay_exchange")]
 
@@ -90,8 +94,8 @@ def state(ctx, result, error, records):
                   repr(row.t_end)) for row in records],
         "columns": [trace.sender, list(map(repr, trace.t_send)), trace.kind, trace.phase,
                     trace.payload, trace.round_index],
-        "timed": ctx.timed,
-        "answers": ctx.answers,
+        "timed": ctx.timed,  # a row's rounds are its record's stamps: both leave this empty
+        "answers": exchange_oracle.answer_log(ctx.answers),
         "answered": ctx.answered,
         # by repr: the order each node first sent in, and each time's bits
         "last_send": repr(ctx.channel.last_send),
@@ -225,13 +229,18 @@ def test_an_oversized_nonce_raises_what_the_oracle_raises(scenario, node):
     writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
     assert isinstance(writer[2], LengthMismatch)
     assert state(*writer) == state(*oracle)
-    # the nonce sits in a plain exchange: only the closings before it stepped
-    calls, ctx = step_calls(scenario, patches)
-    assert Counter(calls) == expected_step_calls(ctx)
+    # the nonce's row would be plain, but takes the steps up to the nonce; the rows before ran plain
+    calls, (ctx, _, _, records) = step_calls(scenario, patches)
+    assert Counter(calls) == expected_step_calls(ctx, records)
+    trace = ctx.channel.trace
+    cut = [node for node, phase in zip(trace.sender, trace.phase) if phase == "rapid"][
+        sum(len(row.stamps) for row in records):]
+    assert cut and Counter(calls) == Counter(cut)
+    assert step_calls(scenario)[0] == []  # unwidened, every row is plain
 
 
 def step_calls(scenario, patches=()):
-    """The node of every step call a run by the writer makes, in order, and its context."""
+    """The node of every step call a run by the writer makes, in order, and the run."""
     calls = []
     sender = base.RunContext.sender
 
@@ -245,8 +254,8 @@ def step_calls(scenario, patches=()):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(base.RunContext, "sender", spied)
-        ctx = run(scenario, False, patches)[0]
-    return calls, ctx
+        outcome = run(scenario, False, patches)
+    return calls, outcome
 
 
 def stepping(policy):
@@ -254,15 +263,19 @@ def stepping(policy):
         isinstance(policy, GuessAhead) and policy.p_rounds > 0)
 
 
-def expected_step_calls(ctx):
-    """Each node's step calls, as many as its closings and its sends in exchanges
-    where either party has a timing policy or guesses."""
+def expected_step_calls(ctx, records):
+    """Each node's step calls: every send of a row where any party has a timing
+    policy or guesses, closings included, and none of a plain row's.  A row
+    cut short by an error, after the recorded ones, went through the steps."""
     trace = ctx.channel.trace
-    want = Counter(node for node, kind in zip(trace.sender, trace.kind) if kind == "closing")
-    for ask, reply in ctx.timed:
-        v, p = trace.sender[ask], trace.sender[reply]
-        if stepping(ctx.policies[v]) or stepping(ctx.policies[p]):
-            want.update([v, p])
+    rapid = [node for node, phase in zip(trace.sender, trace.phase) if phase == "rapid"]
+    want, at = Counter(), 0
+    for row in records:
+        sends = rapid[at:at + len(row.stamps)]
+        at += len(sends)
+        if any(stepping(ctx.policies[node]) for node in [row.verifier, *row.responders]):
+            want.update(sends)
+    want.update(rapid[at:])
     return want
 
 
@@ -270,10 +283,10 @@ MPNV = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=3)
 
 
 @pytest.mark.parametrize("scenario", [
-    # plain rows: every exchange is honest, only the closings step
+    # plain rows: every exchange is honest, and not even the closings step
     MPNV,
     oneway_scenario(n=4, observer_pos=(40.0, 30.0)),
-    # mixed rows: one prover's exchange in each row steps, the others are plain
+    # mixed rows: one prover in each row would step, so the whole row steps
     with_policy(MPNV, 6, SelectiveDelay(delay_s=3e-8)),
     with_policy(MPNV, 5, GuessAhead(p_rounds=1, advance_s=1e-9)),
     # stepped rows: every verifier may challenge early
@@ -282,11 +295,13 @@ MPNV = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=3)
 ], ids=["mpnv-plain", "oneway-plain", "mpnv-mixed-delay", "mpnv-mixed-guess",
         "mpnv-stepped", "oneway-stepped"])
 def test_plain_stepped_and_mixed_rows_match_the_oracle(scenario):
-    """Rows of plain exchanges, of stepped ones and of both leave the oracle's
-    state; a send calls its step exactly when a closing or a stepped round."""
+    """Plain rows, stepped ones and rows with one stepping party leave the
+    oracle's state; a send calls its step exactly when its row steps.  A plain
+    row's closings skip the step too: unstepped clears every send of the row,
+    which RunContext.sender's contract lets skip it."""
     assert_writer_matches_oracle(scenario)
-    calls, ctx = step_calls(scenario)
-    assert Counter(calls) == expected_step_calls(ctx)
+    calls, (ctx, _, _, records) = step_calls(scenario)
+    assert Counter(calls) == expected_step_calls(ctx, records)
 
 
 def test_an_honest_mpnv_row_makes_no_step_calls():
@@ -299,30 +314,29 @@ def test_an_honest_mpnv_row_makes_no_step_calls():
 
 def test_a_delayed_prover_counts_only_its_own_sends():
     """SelectiveDelay's per_message index is the prover's own count of its
-    rapid sends, though the other provers' exchanges run plain and count
+    rapid sends, though the other provers step in the same rows and count
     nothing: exactly the named replies, one in each of the second and third
     rows, leave their delay late, and the run leaves the oracle's state."""
     delays = {3: 4e-8, 4: 5e-8}  # its second row's last reply, its third row's first
     scenario = with_policy(mpnv_scenario(n=3, n_a=2, d_a=1.0, n_verifiers=3, m_provers=3),
                            5, SelectiveDelay(per_message=tuple(delays.items())))
     assert_writer_matches_oracle(scenario)
-    ctx = run(scenario, False)[0]
-    trace, alpha = ctx.channel.trace, scenario.config.alpha
+    ctx, _, _, records = run(scenario, False)
+    alpha = scenario.config.alpha
     replies = Counter()
-    for ask, reply in ctx.timed:
-        prover = trace.sender[reply]
+    for v, prover, ask, reply in (r for row in records for r in exchange_oracle.row_rounds(row)):
         late = delays.get(replies[prover], 0.0) if prover == 5 else 0.0
         replies[prover] += 1
-        assert trace.t_send[reply] == (ctx.channel.arrival_true(ask, prover) + alpha) + late
+        assert reply == (ask + ctx.channel.tof(v, prover) + alpha) + late
     assert replies == {4: 6, 5: 6, 6: 6}  # three rows of two rounds
-    calls, ctx = step_calls(scenario)
-    assert Counter(calls) == expected_step_calls(ctx)
+    calls, (ctx, _, _, records) = step_calls(scenario)
+    assert Counter(calls) == expected_step_calls(ctx, records)
 
 
 @pytest.mark.parametrize("held", ["prover", "verifiers"])
 def test_a_held_first_send_takes_the_stepped_path(held):
-    """An exchange whose first send its node's last_send holds goes through the
-    steps, which hold that send: the oracle's state, and only that exchange steps."""
+    """A row with a first send its node's last_send holds goes through the
+    steps, which hold that send: the oracle's state, and only that row steps."""
     nodes = [4] if held == "prover" else [1, 2, 3]  # 4 is every row's first prover
     holds = []
 
@@ -340,13 +354,14 @@ def test_a_held_first_send_takes_the_stepped_path(held):
     writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
     assert state(*writer) == state(*oracle)
     calls = step_calls(scenario, patches)[0]
-    ctx, trace = writer[0], writer[0].channel.trace
-    ask, reply = ctx.timed[0]
-    first = reply if held == "prover" else ask
+    ctx, records = writer[0], writer[3]
+    trace, row = ctx.channel.trace, records[0]
+    ask = trace.phase.index("rapid")  # the first row's first challenge
+    first = ask + 1 if held == "prover" else ask
     assert trace.sender[first] in nodes and trace.t_send[first] == holds[-1]
-    # the held exchange's two rounds stepped, both ways; every other one ran plain
-    assert Counter(calls) - expected_step_calls(ctx) == Counter(
-        {trace.sender[ask]: 2, trace.sender[reply]: 2})
+    # the held row's sends all stepped, both ways, its closings too; every other row ran plain
+    assert Counter(calls) == Counter(trace.sender[ask:ask + len(row.stamps)])
+    assert expected_step_calls(ctx, records) == Counter()
 
 
 @settings(max_examples=300, deadline=None)
@@ -370,10 +385,11 @@ def test_sent_records_what_the_steps_record(prevs, gaps, start):
             if prev is not None:
                 contexts[-1].channel.last_send[node] = prev
     stepped, recorded = contexts
-    unstepped = all(stepped.unstepped(node, first) for node, first in zip((1, 2), sends))
+    unstepped = stepped.unstepped((1, 2), sends)
     steps = [stepped.sender(1), stepped.sender(2)]
     assert ([steps[k % 2](t) for k, t in enumerate(sends)] == sends) == unstepped
-    recorded.sent(1, 2, sends)
+    lasts = [(node, own[-1]) for node, own in ((1, sends[0::2]), (2, sends[1::2])) if own]
+    recorded.sent([node for node, _ in lasts], [t for _, t in lasts])
     if unstepped:
         assert repr(stepped.channel.last_send) == repr(recorded.channel.last_send)
 
@@ -408,9 +424,9 @@ def test_active_bounds_match_per_round_pricing(scenario, data):
     ctx.timed = data.draw(st.lists(pairs, max_size=12), label="timed")
     start = data.draw(st.integers(min_value=0, max_value=len(ctx.timed)), label="start")
     priced = []
-    for active_bounds in (base.active_bounds, exchange_oracle.active_bounds):
+    for oracle in (base, exchange_oracle):
         try:
-            priced.append(repr(active_bounds(ctx, start)))
+            priced.append(repr(oracle.active_bounds(ctx, oracle.timed_rounds(ctx, start))))
         except NegativeTimeOfFlight as exc:
             priced.append((type(exc), str(exc)))
     assert priced[0] == priced[1]
@@ -426,9 +442,9 @@ def test_active_bounds_refuse_exactly_past_eps_time(short_s):
     reply = trace.append(2, back - ctx.channel.tof(2, 1), "response", "rapid", b"", 1)
     ctx.timed.append((ask, reply))
     priced = []
-    for active_bounds in (base.active_bounds, exchange_oracle.active_bounds):
+    for oracle in (base, exchange_oracle):
         try:
-            priced.append(repr(active_bounds(ctx)))
+            priced.append(repr(oracle.active_bounds(ctx, oracle.timed_rounds(ctx))))
         except NegativeTimeOfFlight as exc:
             priced.append(str(exc))
     assert priced[0] == priced[1]
@@ -464,7 +480,8 @@ def timed_rows(draw):
 # the second exchange's first round and the first's second are impossible
 @example(timed=(1e-8, 0.5, [1e-7, 1e-7], [[0.0, 1e-6], [1e-6, 0.0]], [[0.0, 0.0], [0.0, 0.0]]))
 def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
-    """A row's rounds priced as arrays give active_bounds' loop and active_distance, by repr.
+    """A row's rounds priced as arrays give active_bounds' loop, fed from the ledger or
+    from the row's stamps, and active_distance, by repr.
 
     Each responder's bound is the first of its largest rounds', signed
     zeros told apart; an impossible round raises the same first error,
@@ -495,16 +512,125 @@ def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
         assert repr(ctx.channel.tof(p, 1)) == repr(float(trace.tof_array[at])) == repr(flight)
         assert repr(trace.arrival_true(reply, 1)) == repr(trace.t_send[reply] + flight)
     row = Row(1, responders, [0.0] * (exchanges * (rounds + 1)), stamps, 0.0)
+    # the ledger and the row's stamps name the same rounds, signed zeros included
+    assert repr(list(base.timed_rounds(ctx))) == repr(exchange_oracle.timed_rounds(ctx)) == repr(
+        list(row.rounds()))
     priced = []
-    for active_bounds in (base.active_bounds, exchange_oracle.active_bounds, None):
+    for pricer, ledger in ((base, base.timed_rounds(ctx)),
+                           (exchange_oracle, exchange_oracle.timed_rounds(ctx)),
+                           (base, row.rounds()), (pairwise, None)):
         try:
-            if active_bounds is None:
+            if ledger is None:
                 bounds = pairwise.active_row_bounds(ctx, row).tolist()
             else:
-                out = active_bounds(ctx)
+                out = pricer.active_bounds(ctx, ledger)
                 assert [out[(1, p)][1] for p in responders] == [rounds] * exchanges
                 bounds = [out[(1, p)][0] for p in responders]
             priced.append(list(map(repr, bounds)))
         except NegativeTimeOfFlight as exc:
             priced.append((type(exc), str(exc)))
-    assert priced[0] == priced[1] == priced[2]
+    assert priced[0] == priced[1] == priced[2] == priced[3]
+
+
+def tampered(tamper, j):
+    """open_phase patches that apply tamper(ctx, j) to the log and the nonces just before
+    the replay, in each driver module that opens."""
+    def wrap(open_phase):
+        def tamper_and_open(ctx, bundles, t, *args):
+            tamper(ctx, j)
+            return open_phase(ctx, bundles, t, *args)
+        return tamper_and_open
+    return [(module, "open_phase", wrap(module.open_phase)) for module in (pairwise, group)]
+
+
+def flip_value(ctx, j):
+    """Flip the low bit of the jth logged value, in a row's block or in an answer's entry."""
+    for e, entry in enumerate(ctx.answers):
+        if isinstance(entry, AnswerBlock):
+            if j < len(entry.values):
+                entry.values[j] ^= 1
+                return
+            j -= len(entry.values)
+        elif j == 0:
+            node, k, operand, value, round_index = entry
+            ctx.answers[e] = (node, k, operand, value ^ 1, round_index)
+            return
+        else:
+            j -= 1
+    raise IndexError("no such answer")
+
+
+def widen_nonce(ctx, j):
+    """Make the nonce the jth answer is due on one bit too wide."""
+    node, k, *_ = exchange_oracle.answer_log(ctx.answers)[j]
+    nonces = ctx.nonces[node]
+    ctx.nonces[node] = nonces[:k] + (1 << ctx.bit_len,) + nonces[k + 1:]
+
+
+@pytest.mark.parametrize("scenario", [
+    MPNV,
+    reduce(lambda s, v: with_policy(s, v, EarlyChallenge(1e-8, 0.5)), [1, 2, 3, 4], MPNV),
+    oneway_scenario(n=4, observer_pos=(40.0, 30.0)),
+    with_policy(oneway_scenario(n=4, observer_pos=(40.0, 30.0)), 2, SelectiveDelay(3e-8)),
+], ids=["mpnv-plain", "mpnv-stepped", "oneway-plain", "oneway-stepped"])
+@pytest.mark.parametrize("tamper, error", [(flip_value, ResponseMismatch),
+                                           (widen_nonce, LengthMismatch)])
+def test_a_tampered_answer_fails_the_replay_as_the_per_answer_replay_does(
+        scenario, tamper, error):
+    """Each answer in turn, a flipped value or a nonce too wide for it fails the
+    replay of a row's block with the error and text of the oracle's log, which
+    holds one entry per answer, replayed one at a time, and names that answer."""
+    ctx = run(scenario, False)[0]
+    log = exchange_oracle.answer_log(ctx.answers)
+    assert log and all(isinstance(entry, AnswerBlock) for entry in ctx.answers)
+    for j, (node, k, _, _, round_index) in enumerate(log):
+        patches = tampered(tamper, j)
+        writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
+        assert isinstance(writer[2], error)
+        assert state(*writer) == state(*oracle)
+        if error is ResponseMismatch:
+            assert str(writer[2]) == str(ResponseMismatch(round_index, node, k))
+
+
+@pytest.mark.parametrize("seed, text", [
+    # the first row's answers are all guessed right, the second row's first one is not
+    (0, "node 6's answer on nonce 3 in round 1 is not its challenge XOR that nonce"),
+    (2, "node 6's answer on nonce 1 in round 2 is not its challenge XOR that nonce"),
+])
+def test_a_guessing_mpnv_prover_is_refused(seed, text):
+    """A GuessAhead prover's rows step, and the replay of their blocks refuses the
+    run with the text it had when every answer was its own log entry."""
+    scenario = with_policy(mpnv_scenario(n=4, n_a=3, d_a=0.5, n_verifiers=4, m_provers=3,
+                                         seed=seed), 6, GuessAhead(p_rounds=3, advance_s=2e-8))
+    writer = run(scenario, False)
+    assert isinstance(writer[2], ResponseMismatch) and str(writer[2]) == text
+    assert_writer_matches_oracle(scenario)
+
+
+def test_a_plain_mpnv_row_is_one_answer_entry_and_leaves_no_per_round_tuples():
+    """A plain row appends one AnswerBlock to the log and nothing to the timed
+    ledger, calls no step, and leaves fewer new tracked objects than it has
+    rounds: no tuple per round survives it."""
+    provers, n = list(range(7, 13)), 8
+    scenario = mpnv_scenario(n=n, n_a=n, d_a=1.0, n_verifiers=6, m_provers=len(provers))
+    ctx = start_run(scenario)
+    _, t = commit_phase(ctx, {p: n for p in provers})
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base.RunContext, "sender", lambda ctx, node: steps.append(node))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            row = pairwise.run_exchange(ctx, 1, provers, n, t, True)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+    rounds = len(provers) * n
+    assert steps == [] and ctx.timed == []
+    block, = ctx.answers
+    assert isinstance(block, AnswerBlock)
+    assert (block.nodes, block.starts, block.rounds) == (provers, [0] * len(provers), n)
+    assert len(block.operands) == len(block.values) == rounds
+    assert len(row.stamps) == len(provers) * (2 * n + 1)
+    assert grown < rounds

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exchange_oracle
 import group_oracle
 import numpy as np
 import passive_oracle
@@ -628,10 +629,10 @@ verifier_policies = st.one_of(
 )
 
 
-def priced_one_by_one(ctx, row, e, rounds, watchers):
+def priced_one_by_one(ctx, row, e, replies, watchers):
     """Per-watcher scalar pricing of exchange e, each stamp checked against the trace.
 
-    rounds holds the row's timed rounds, (ask seq, reply seq), exchange by exchange.
+    replies holds the seqs of the row's replies to its verifier, exchange by exchange.
     """
     chan = ctx.channel
     trace = chan.trace
@@ -651,7 +652,7 @@ def priced_one_by_one(ctx, row, e, rounds, watchers):
         stamps = list(zip(t1[0, :, 0].tolist(), t2[0, :, 0].tolist(), t3[0, :, 0].tolist()))
         for i, (a, b, d) in enumerate(stamps):
             assert a == schedule[e, i] + base_tof + trace.offsets[w]
-            assert b == trace.arrival_true(rounds[e][i][1], w) + trace.offsets[w]
+            assert b == trace.arrival_true(replies[e][i], w) + trace.offsets[w]
             assert d == schedule[e, i + 1] + base_tof + trace.offsets[w]
         if stamps:
             out[w] = (passive_oracle.observed_bound(stamps, cfg.alpha, float(base[0]), cfg.c),
@@ -660,7 +661,7 @@ def priced_one_by_one(ctx, row, e, rounds, watchers):
 
 
 def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
-    """One verifier's row, one exchange per prover; its timed rounds; and its watchers.
+    """One verifier's row, one exchange per prover; its replies' seqs; and its watchers.
 
     places[0] is verifier 1, then come provers 20, 21, ..., a front 30
     relaying to prover 20 when relay is set, and passive watchers 10,
@@ -691,8 +692,14 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
         relayed = _run_relay_exchange(ctx, 1, 30, 20, row.t_end + ctx.slot_s, closing)
         row = Row(1, row.responders + relayed.responders, row.schedule + relayed.schedule,
                   row.stamps + relayed.stamps, relayed.t_end)
-    rounds = np.reshape(ctx.timed, (len(row.responders), n, 2)).tolist()
-    return ctx, row, rounds, watchers
+    # each responder's response rows, in order: a prover's own, then any it sent as a victim
+    responses = {}
+    trace = ctx.channel.trace
+    for seq, (sender, kind) in enumerate(zip(trace.sender, trace.kind)):
+        if kind == "response":
+            responses.setdefault(sender, []).append(seq)
+    replies = [responses[p][:n] for p in row.responders]
+    return ctx, row, replies, watchers
 
 
 @settings(max_examples=150, deadline=None)
@@ -720,11 +727,11 @@ def test_passive_bounds_match_per_watcher_pricing(
     in turn, one watcher and one round at a time, bit for bit; when that
     raises, the block raises the same exception with the same message.
     """
-    ctx, row, rounds, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy,
-                                              seed)
+    ctx, row, replies, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy,
+                                               seed)
     watchers = [1] + watchers  # the exchange's own verifier is never priced
     try:
-        want = [priced_one_by_one(ctx, row, e, rounds, watchers)
+        want = [priced_one_by_one(ctx, row, e, replies, watchers)
                 for e in range(len(row.responders))]
     except NegativeTimeOfFlight as exc:
         with pytest.raises(NegativeTimeOfFlight) as got:
@@ -883,7 +890,8 @@ def ledgers(monkeypatch):
 
 
 def answered_once(ctx):
-    return sorted((node, k) for node, k, *_ in ctx.answers) == sorted(
+    """Every committed nonce answered once, a row's answer block spelled out answer by answer."""
+    return sorted((node, k) for node, k, *_ in exchange_oracle.answer_log(ctx.answers)) == sorted(
         (node, k) for node, ns in ctx.nonces.items() for k in range(len(ns)))
 
 
