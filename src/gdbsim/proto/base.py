@@ -25,9 +25,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
-from itertools import chain, repeat
-from operator import indexOf, or_, xor
+from functools import cached_property, partial
+from itertools import repeat
+from operator import indexOf
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -198,27 +198,18 @@ class AnswerBlock:
     values: List[int]
 
     def failure(self, nonces: Mapping[NodeId, Sequence[int]], top: int) -> Optional[Answer]:
-        """The first answer that is not its operand XOR its nonce, both below top, or None.
-
-        The whole block is checked at once, answer by answer only when that fails.
-        """
-        ops, nodes, starts = self.operands, self.nodes, self.starts
-        if len(nodes) == 1:
-            due = nonces[nodes[0]][starts[0]:starts[0] + len(ops)]
-        else:
-            due = []
-            for node, k in zip(nodes, starts):
-                due += nonces[node][k:k + self.rounds]
-            del due[len(ops):]  # where the row stopped short
-        # every operand and nonce is in [0, top), a power of two, exactly when their OR is
-        if list(map(xor, ops, due)) == self.values and 0 <= reduce(or_, chain(ops, due), 0) < top:
-            return None
-        for j, (operand, value) in enumerate(zip(ops, self.values)):
-            e, i = divmod(j, self.rounds)
-            node, k = self.nodes[e], self.starts[e] + i
-            nonce = nonces[node][k]
-            if not (0 <= operand < top and 0 <= nonce < top) or value != operand ^ nonce:
-                return node, k, operand, value, i + 1
+        """The first answer that is not its operand XOR its nonce, both below top, or None."""
+        rounds, operands, values = self.rounds, self.operands, self.values
+        j, last = 0, len(values)
+        for node, start in zip(self.nodes, self.starts):
+            own = nonces[node]
+            for k in range(start, start + rounds):
+                if j == last:  # where the row stopped short
+                    return None
+                operand, value, nonce = operands[j], values[j], own[k]
+                j += 1
+                if value != operand ^ nonce or not (0 <= operand < top and 0 <= nonce < top):
+                    return node, k, operand, value, k - start + 1
         return None
 
 

@@ -24,8 +24,7 @@ schedule-advancing challenger exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import xor
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -66,26 +65,29 @@ class Row:
     schedule: List[float]   # the verifier's published schedule, exchange by exchange
     stamps: List[float]     # each round's ask and reply send times, then any closing's
     t_end: float
+    _blocks: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (exchanges x sends) schedule, (exchanges x rounds) asks and replies; built once."""
-        schedule = np.array(self.schedule).reshape(len(self.responders), -1)
-        stamps = np.array(self.stamps).reshape(len(self.responders), -1)
-        return schedule, stamps[:, 0:-1:2], stamps[:, 1::2]  # a closing, if any, is last
+        """The (exchanges x sends) schedule, (exchanges x rounds) asks and replies; built once.
+
+        A plain memo: functools.cached_property takes a lock on each first access.
+        """
+        if self._blocks is None:
+            schedule = np.array(self.schedule).reshape(len(self.responders), -1)
+            stamps = np.array(self.stamps).reshape(len(self.responders), -1)
+            self._blocks = schedule, stamps[:, 0:-1:2], stamps[:, 1::2]  # any closing is last
+        return self._blocks
 
     def rounds(self) -> Iterator[Round]:
-        """Each round as active_bounds takes it, (verifier, responder, ask, reply), in turn."""
-        responders, stamps = self.responders, self.stamps
-        if len(responders) == 1:  # its closing is an ask past its last reply, which zip leaves out
-            return zip(repeat(self.verifier), repeat(responders[0]), stamps[0::2], stamps[1::2])
-        width = len(stamps) // len(responders)
-        if width % 2:  # each exchange's closing, last, shifts the next one's asks and replies
-            stamps = stamps[:]
-            del stamps[width - 1::width]
-        return zip(repeat(self.verifier),
-                   chain.from_iterable(map(repeat, responders, repeat(width // 2))),
-                   stamps[0::2], stamps[1::2])
+        """A one-exchange row's rounds as active_bounds takes them.
+
+        Each is (verifier, responder, ask, reply); a closing, if any, is an
+        ask past the last reply, which zip leaves out.
+        """
+        stamps = self.stamps
+        return zip(repeat(self.verifier), repeat(self.responders[0]), stamps[0::2], stamps[1::2])
 
 
 def _columns(

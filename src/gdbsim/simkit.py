@@ -39,7 +39,7 @@ import math
 import re
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import count
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -128,6 +128,8 @@ class Trace:
     phase: List[str] = field(default_factory=list)
     payload: List[bytes] = field(default_factory=list)
     round_index: List[Optional[int]] = field(default_factory=list)
+    _tof_array: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         self.index = {nid: i for i, nid in enumerate(self.node_ids)}
@@ -136,10 +138,15 @@ class Trace:
     def emissions(self) -> Emissions:
         return Emissions(self)
 
-    @cached_property
+    @property
     def tof_array(self) -> np.ndarray:
-        """tof as a float64 array for the block pricers, built on first use; nothing writes it."""
-        return np.array(self.tof, dtype=float)
+        """tof as a float64 array for the block pricers, built on first use; nothing writes it.
+
+        A plain memo: functools.cached_property takes a lock on each first access.
+        """
+        if self._tof_array is None:
+            self._tof_array = np.array(self.tof, dtype=float)
+        return self._tof_array
 
     def columns(self) -> Tuple[List, ...]:
         return (self.sender, self.t_send, self.kind, self.phase, self.payload, self.round_index)

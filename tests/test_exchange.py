@@ -514,11 +514,13 @@ def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
     row = Row(1, responders, [0.0] * (exchanges * (rounds + 1)), stamps, 0.0)
     # the ledger and the row's stamps name the same rounds, signed zeros included
     assert repr(list(base.timed_rounds(ctx))) == repr(exchange_oracle.timed_rounds(ctx)) == repr(
-        list(row.rounds()))
+        exchange_oracle.row_rounds(row))
+    if exchanges == 1:  # Row.rounds spells out one-exchange rows
+        assert repr(list(row.rounds())) == repr(exchange_oracle.row_rounds(row))
     priced = []
     for pricer, ledger in ((base, base.timed_rounds(ctx)),
                            (exchange_oracle, exchange_oracle.timed_rounds(ctx)),
-                           (base, row.rounds()), (pairwise, None)):
+                           (base, exchange_oracle.row_rounds(row)), (pairwise, None)):
         try:
             if ledger is None:
                 bounds = pairwise.active_row_bounds(ctx, row).tolist()
@@ -543,17 +545,18 @@ def tampered(tamper, j):
     return [(module, "open_phase", wrap(module.open_phase)) for module in (pairwise, group)]
 
 
-def flip_value(ctx, j):
-    """Flip the low bit of the jth logged value, in a row's block or in an answer's entry."""
+def flip_value(ctx, j, bit=1):
+    """Flip a bit, the low one by default, of the jth logged value, in a row's block or in
+    an answer's entry."""
     for e, entry in enumerate(ctx.answers):
         if isinstance(entry, AnswerBlock):
             if j < len(entry.values):
-                entry.values[j] ^= 1
+                entry.values[j] ^= bit
                 return
             j -= len(entry.values)
         elif j == 0:
             node, k, operand, value, round_index = entry
-            ctx.answers[e] = (node, k, operand, value ^ 1, round_index)
+            ctx.answers[e] = (node, k, operand, value ^ bit, round_index)
             return
         else:
             j -= 1
@@ -567,6 +570,15 @@ def widen_nonce(ctx, j):
     ctx.nonces[node] = nonces[:k] + (1 << ctx.bit_len,) + nonces[k + 1:]
 
 
+def widen_answer(ctx, j):
+    """Set the bit just above bit_len in the nonce the jth answer is due on and in its
+    value, which so stays its operand XOR that nonce."""
+    node, k, *_ = exchange_oracle.answer_log(ctx.answers)[j]
+    nonces = ctx.nonces[node]
+    ctx.nonces[node] = nonces[:k] + (nonces[k] | 1 << ctx.bit_len,) + nonces[k + 1:]
+    flip_value(ctx, j, 1 << ctx.bit_len)
+
+
 @pytest.mark.parametrize("scenario", [
     MPNV,
     reduce(lambda s, v: with_policy(s, v, EarlyChallenge(1e-8, 0.5)), [1, 2, 3, 4], MPNV),
@@ -574,12 +586,14 @@ def widen_nonce(ctx, j):
     with_policy(oneway_scenario(n=4, observer_pos=(40.0, 30.0)), 2, SelectiveDelay(3e-8)),
 ], ids=["mpnv-plain", "mpnv-stepped", "oneway-plain", "oneway-stepped"])
 @pytest.mark.parametrize("tamper, error", [(flip_value, ResponseMismatch),
-                                           (widen_nonce, LengthMismatch)])
+                                           (widen_nonce, LengthMismatch),
+                                           (widen_answer, LengthMismatch)])
 def test_a_tampered_answer_fails_the_replay_as_the_per_answer_replay_does(
         scenario, tamper, error):
-    """Each answer in turn, a flipped value or a nonce too wide for it fails the
-    replay of a row's block with the error and text of the oracle's log, which
-    holds one entry per answer, replayed one at a time, and names that answer."""
+    """Each answer in turn, a flipped value, a nonce too wide for it, or a nonce and
+    value both widened so that the value still matches, fails the replay of a row's
+    block with the error and text of the oracle's log, which holds one entry per
+    answer, replayed one at a time, and names that answer."""
     ctx = run(scenario, False)[0]
     log = exchange_oracle.answer_log(ctx.answers)
     assert log and all(isinstance(entry, AnswerBlock) for entry in ctx.answers)
