@@ -214,10 +214,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
     except UnknownFigure as exc:
         _fail(str(exc))
         return EXIT_INPUT
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"fig{args.which}.csv"
-    path.write_text(csv_text)
+    path = Path(args.out) / f"fig{args.which}.csv"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(csv_text)
+    except OSError as exc:
+        _fail(str(exc))
+        return EXIT_INPUT
     print(f"{_sha256(csv_text.encode())}  {path}")
     return EXIT_OK
 

@@ -7,13 +7,14 @@ RunContext.sender (or is its nominal time, where RunContext.unstepped
 shows no step would move it, and RunContext.sent records it as the
 steps would), every rapid value is an operand XOR its sender's next
 committed nonce, and open_phase decommits (signing when auth is on)
-and replays every answer against the opened nonces.  A verifier's row
-(pairwise.run_exchange) logs its answers as one AnswerBlock and is
-itself the record of its rounds; the message-by-message drivers log
-each answer through RunContext.answer, and the interleaved chain and
-1toM name each timed round by its two seqs in RunContext.timed.
-active_bounds prices rounds one at a time from either record, the
-measurer's stamps read off the trace's flight-time rows; the group
+and replays every answer against the opened nonces.  A rapid message
+is written one of two ways: a plain verifier row
+(pairwise.run_exchange) as one block, its answers as one AnswerBlock;
+everything else through RunContext.emit, the step plus one trace row,
+each answer through RunContext.answer.  A verifier's row is itself the
+record of its rounds; the interleaved chain and 1toM return theirs as
+Rounds.  active_bounds prices rounds one at a time from either record,
+the measurer's stamps read off the trace's flight-time rows; the group
 driver prices a verifier's row as arrays instead
 (pairwise.active_row_bounds), with the same float operations.
 A run hands back its bounds as one columnar Estimates table, written as
@@ -184,11 +185,11 @@ Answer = Tuple[NodeId, int, int, int, int]  # as RunContext.answer logs one
 
 @dataclass
 class AnswerBlock:
-    """A verifier row's answers as columns, for open_phase's replay.
+    """A plain verifier row's answers as columns, for open_phase's replay.
 
     Exchange e's answers are nodes[e]'s, rounds of them on its nonces
     from starts[e]; operands and values run over the row's answers in
-    turn, and stop where the row did.
+    turn.  A plain row writes all of them or none.
     """
 
     nodes: List[NodeId]
@@ -200,12 +201,10 @@ class AnswerBlock:
     def failure(self, nonces: Mapping[NodeId, Sequence[int]], top: int) -> Optional[Answer]:
         """The first answer that is not its operand XOR its nonce, both below top, or None."""
         rounds, operands, values = self.rounds, self.operands, self.values
-        j, last = 0, len(values)
+        j = 0
         for node, start in zip(self.nodes, self.starts):
             own = nonces[node]
             for k in range(start, start + rounds):
-                if j == last:  # where the row stopped short
-                    return None
                 operand, value, nonce = operands[j], values[j], own[k]
                 j += 1
                 if value != operand ^ nonce or not (0 <= operand < top and 0 <= nonce < top):
@@ -218,14 +217,11 @@ class RunContext:
     """Channel, RNG, registry and nonce ledger shared by one protocol execution.
 
     nonces holds each party's committed rapid nonces, taken in order,
-    answered counting them off.  answers logs them in turn: a verifier
-    row's as one AnswerBlock, every other answer as answer's (node,
-    nonce index, operand, value, round index).  timed serves the
-    interleaved chain and 1toM: each of their timed rounds, in order, as
-    (ask seq, reply seq), the ask's sender measuring the reply's.  A
-    verifier row writes nothing there; its Row records its rounds.
-    bit_len is the scenario's, held here for answer; _steps holds the
-    per-send steps sender has made.
+    answered counting them off.  answers logs them in turn: a plain
+    verifier row's as one AnswerBlock, every other answer as answer's
+    (node, nonce index, operand, value, round index).  emit and answer
+    are the one per-message writer.  bit_len is the scenario's, held
+    here for answer; _steps holds the per-send steps sender has made.
     """
 
     scenario: Scenario
@@ -237,7 +233,6 @@ class RunContext:
     nonces: Dict[NodeId, Tuple[int, ...]] = field(default_factory=dict)
     answered: Dict[NodeId, int] = field(default_factory=dict)
     answers: List[Union[Answer, AnswerBlock]] = field(default_factory=list)
-    timed: List[Tuple[int, int]] = field(default_factory=list)
     bit_len: int = field(init=False)
     _steps: Dict[NodeId, Callable[..., float]] = field(default_factory=dict, repr=False)
 
@@ -318,20 +313,26 @@ class RunContext:
 
     def emit(self, node: NodeId, t_nominal: float, kind: str, payload: bytes, round_index: int,
              after: Optional[int] = None, t_trigger: Optional[float] = None,
-             measurer: Optional[NodeId] = None) -> int:
+             measurer: Optional[NodeId] = None, guess: bool = False) -> int:
         """The per-send step plus one row for a send reacting to message after; returns its seq.
 
         t_trigger is after's arrival at node, as the caller read it to schedule the send.
         """
         step = self._steps.get(node) or self.sender(node)
-        return self.channel.trace.append(node, step(t_nominal, after, t_trigger, False, measurer),
+        return self.channel.trace.append(node, step(t_nominal, after, t_trigger, guess, measurer),
                                          kind, "rapid", payload, round_index)
 
-    def answer(self, node: NodeId, operand: int, round_index: int) -> int:
-        """operand XOR node's next committed nonce, logged for open_phase's replay."""
+    def answer(self, node: NodeId, operand: int, round_index: int,
+               heard: Optional[int] = None) -> int:
+        """heard (operand unless given) XOR node's next committed nonce, logged for open_phase.
+
+        A guessing prover passes the bits it guessed as heard; the log
+        keeps the true operand, so that the replay refuses a wrong guess.
+        """
         k = self.answered.get(node, 0)
         self.answered[node] = k + 1
-        value = response_bits(operand, self.nonces[node][k], self.bit_len)
+        value = response_bits(operand if heard is None else heard, self.nonces[node][k],
+                              self.bit_len)
         self.answers.append((node, k, operand, value, round_index))
         return value
 
@@ -475,14 +476,6 @@ def active_bounds(ctx: RunContext, rounds: Iterable[Round]) -> Dict[Tuple[NodeId
             entry[0] = bound
         entry[1] += 1
     return out
-
-
-def timed_rounds(ctx: RunContext, start: int = 0) -> Iterator[Round]:
-    """ctx.timed[start:] as active_bounds' rounds, read off the trace's columns."""
-    trace = ctx.channel.trace
-    sender, t_send = trace.sender, trace.t_send
-    for ask, reply in ctx.timed[start:]:
-        yield sender[ask], sender[reply], t_send[ask], t_send[reply]
 
 
 def active_rows(ctx: RunContext, rounds: Iterable[Round]) -> List[Tuple]:

@@ -10,13 +10,14 @@ directions for every pair, replacing 4nM one-way messages with n(2M+1).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from ..core import NodeId, Role, Scenario
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..threat import apply_policy  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .base import (
     Estimates,
+    Round,
     RunContext,
     RunResult,
     active_rows,
@@ -24,7 +25,6 @@ from .base import (
     encode_value,
     open_phase,
     start_run,
-    timed_rounds,
 )
 
 
@@ -34,21 +34,21 @@ def run_chain(
     responders: Sequence[NodeId],
     n: int,
     t_start: float,
-) -> float:
-    """n chained rounds of 2M+1 messages each; returns the time the chain wound down.
+) -> Tuple[float, List[Round]]:
+    """n chained rounds of 2M+1 messages each: the time the chain wound down, and its rounds.
 
     Every message answers the one before it: the initiator on n * (M + 1)
     of its committed nonces, each responder on n.  The initiator times
     each responder off its challenge and the response, the responder
-    times the initiator off its response and the next initiator emission.
+    times the initiator off its response and the next initiator emission,
+    which so answers that responder's measurement.  The rounds come in
+    the order they close.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
-    trace = chan.trace
-    timed = ctx.timed
-    # the per-send steps, called directly: a chain is most of a 1toM run
-    v_send, sends = ctx.sender(v), [ctx.sender(pj) for pj in responders]
+    t_sends = chan.trace.t_send
     m = len(responders)
+    rounds: List[Round] = []
     prev_value = 0  # the opener hears nothing, and 0 XOR nonce is the nonce
     msg_index = 0
     t_nominal = t_start
@@ -57,10 +57,11 @@ def run_chain(
         for j in range(m + 1):
             value = ctx.answer(v, prev_value, i)
             msg_index += 1
-            em = trace.append(v, v_send(t_nominal), "challenge" if j < m else "closing",
-                              "rapid", encode_value(b"m", msg_index, value), i)
+            closed = responders[j - 1] if j else None
+            em = ctx.emit(v, t_nominal, "challenge" if j < m else "closing",
+                          encode_value(b"m", msg_index, value), i, measurer=closed)
             if j:
-                timed.append((resp, em))
+                rounds.append((closed, v, t_sends[resp], t_sends[em]))
             prev_value = value
             if j == m:
                 break
@@ -69,14 +70,14 @@ def run_chain(
             msg_index += 1
             r_value = ctx.answer(pj, prev_value, i)
             t_in = chan.arrival_true(em, pj)
-            resp = trace.append(pj, sends[j](t_in + cfg.alpha, em, t_in, False, v), "response",
-                                "rapid", encode_value(b"m", msg_index, r_value), i)
-            timed.append((em, resp))
+            resp = ctx.emit(pj, t_in + cfg.alpha, "response",
+                            encode_value(b"m", msg_index, r_value), i, em, t_in, v)
+            rounds.append((v, pj, t_sends[em], t_sends[resp]))
             prev_value = r_value
             t_nominal = chan.arrival_true(resp, v) + cfg.alpha
 
         t_nominal = max(chan.arrival_true(em, p) for p in responders) + cfg.alpha
-    return t_nominal
+    return t_nominal, rounds
 
 
 def run_chains(
@@ -98,10 +99,10 @@ def run_chains(
 
     rows = []
     for v in initiators:
-        start = len(ctx.timed)
-        t = run_chain(ctx, v, responders, n, t) + ctx.slot_s
+        t_end, rounds = run_chain(ctx, v, responders, n, t)
+        t = t_end + ctx.slot_s
         # pairs are first timed v -> p_j, p_j -> v in turn
-        chain = active_rows(ctx, timed_rounds(ctx, start))
+        chain = active_rows(ctx, rounds)
         rows += chain[0::2] + chain[1::2]
 
     open_phase(ctx, bundles, t)

@@ -1,17 +1,18 @@
 """Two-party distance bounding and its sequential baselines.
 
 A verifier's row, its exchanges with each prover in turn, is one
-run_exchange call that writes the row's trace rows in one block, logs
-its answers as one AnswerBlock, and returns it as a Row of lists,
-shaped into arrays only where priced: active_row_bounds for a group
-verifier, active_bounds round by round for a row of one exchange, and
-passive_bounds for its listeners.  The Row is the record of its rounds;
-nothing goes to RunContext.timed.  A plain row, one that no timing
-policy, guess, held first send or ill-fitting nonce touches, is timed
+run_exchange call that returns it as a Row of lists, the record of its
+rounds, shaped into arrays only where priced: active_row_bounds for a
+group verifier, active_bounds round by round for a row of one exchange,
+and passive_bounds for its listeners.  A plain row, one that no timing
+policy, guess, held first send or ill-fitting nonce touches, writes its
+trace rows in one block and its answers as one AnswerBlock; it is timed
 by one accumulate over its flights and delays and makes no per-send
 step call (RunContext.unstepped and RunContext.sent in base hold that
 contract); its payloads come from one template per row, each round's
-text written once.
+text written once.  Any other row, the relay exchange and the
+interleaved chain send through RunContext.emit and answer through
+RunContext.answer, one message at a time; the chain returns its rounds.
 The one-way driver runs a row of one prover, with optional
 eavesdropping observers; the mutual driver interleaves both directions
 into 2n+1 rapid messages.  Both schedule the challenger's emissions on
@@ -31,7 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import LengthMismatch, NodeId, ProtocolConfig, Role, Scenario, distance
+from ..core import NodeId, ProtocolConfig, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..estimate import NegativeTimeOfFlight, active_distances, direct_bounds
 from ..threat import TIMING_POLICIES, FakeLocationReport, GuessAhead, Relay
@@ -48,7 +49,6 @@ from .base import (
     encode_value,
     open_phase,
     start_run,
-    timed_rounds,
 )
 
 
@@ -212,89 +212,46 @@ def run_exchange(
     prover answers its first rounds ahead of the challenge, on guessed
     bits.  A plain row (_plain_row) is written as one block, with no
     step calls, its closings' included.  Every other row goes round by
-    round through the steps and formats as it goes; its trace rows and
-    answer block are written with one extend and one append, also when
-    a send raises.
+    round, each send through RunContext.emit and each answer through
+    RunContext.answer, as _run_relay_exchange does.
     """
     row = _plain_row(ctx, verifier, provers, n_rounds, t_start, closing)
     if row is not None:
         return row
     cfg = ctx.scenario.config
     chan = ctx.channel
+    t_sends = chan.trace.t_send
     alpha, bit_len = cfg.alpha, cfg.bit_len
-    top = 1 << bit_len
     draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing
-    v_send = ctx.sender(verifier)
-    seq = len(chan.trace.sender)
-    # the row's schedule, rows and answer block
-    nominal_sends, t_sends, payloads = [], [], []
-    nodes, starts, operands, values = [], [], [], []
-    prover, answered, first = None, 0, 0
+    nominal_sends, stamps = [], []
     t_next = t_end = t_start
-    try:
-        for prover in provers:
-            # the adds Trace.arrival_true makes, with the pair's flights read once
-            tof_out, tof_back = chan.tof(verifier, prover), chan.tof(prover, verifier)
-            p_policy = ctx.policies[prover]
-            guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
-            # the answers on the prover's next nonces, logged in the row's block
-            nonces, answered = ctx.nonces[prover], ctx.answered.get(prover, 0)
-            first = answered
-            nodes.append(prover)
-            starts.append(first)
-            p_send = ctx.sender(prover)
-            t_nominal = t_end = t_next
-            for i in range(1, n_rounds + 1):
-                c_i = draw(bit_len)
-                t_actual = v_send(t_nominal)
-                t_sends.append(t_actual)
-                payloads.append(b"c|%d|%d" % (i, c_i))  # encode_value, inline
-                nominal_sends.append(t_nominal)
-
-                # a guessing prover draws its bits once the challenge is out
-                guess = i <= guessed
-                heard = draw(bit_len) if guess else c_i
-                k = answered
-                answered += 1
-                nonce = nonces[k]  # response_bits, inline
-                if not (0 <= heard < top and 0 <= nonce < top):
-                    raise LengthMismatch(f"values {heard}, {nonce} do not fit {bit_len} bits")
-                value = heard ^ nonce
-                operands.append(c_i)
-                values.append(value)
-                t_arrival = t_actual + tof_out
-                t_resp = p_send(t_arrival + alpha, seq, t_arrival, guess, verifier)
-                t_sends.append(t_resp)
-                payloads.append(b"r|%d|%d" % (i, value))
-                seq += 2
-
-                t_back = t_resp + tof_back
-                # the verifier recovers its honest timeline by adding back its own advance
-                t_nominal = (t_back + (t_nominal - t_actual)) + alpha
-                if t_back > t_end:
-                    t_end = t_back
-
-            if closing:
-                t_close = v_send(t_nominal)
-                t_sends.append(t_close)
-                payloads.append(encode_value(b"x", n_rounds + 1, 0))
-                nominal_sends.append(t_nominal)
-                seq += 1
-                t_end = max(t_end, t_close + chan.reach(verifier))
-            if answered > first:
-                ctx.answered[prover] = first = answered
-            t_next = t_end + ctx.slot_s
-    finally:
-        sent = len(t_sends)
-        senders, kinds, numbers = _columns(verifier, provers, n_rounds, closing)
-        chan.trace.extend(senders[:sent], t_sends, kinds[:sent], ["rapid"] * sent, payloads,
-                          numbers[:sent])
-        if answered > first:
-            ctx.answered[prover] = answered
-        if values:
-            ctx.answers.append(AnswerBlock(nodes, starts, n_rounds, operands, values))
-
-    return Row(verifier, list(provers), nominal_sends, t_sends, t_end)
+    for prover in provers:
+        p_policy = ctx.policies[prover]
+        guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
+        t_nominal = t_end = t_next
+        for i in range(1, n_rounds + 1):
+            c_i = draw(bit_len)
+            ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
+            nominal_sends.append(t_nominal)
+            # a guessing prover draws its bits once the challenge is out
+            guess = i <= guessed
+            value = ctx.answer(prover, c_i, i, draw(bit_len) if guess else None)
+            t_in = chan.arrival_true(ch, prover)
+            resp = ctx.emit(prover, t_in + alpha, "response", encode_value(b"r", i, value), i,
+                            ch, t_in, verifier, guess)
+            stamps += t_sends[ch], t_sends[resp]
+            t_back = chan.arrival_true(resp, verifier)
+            # the verifier recovers its honest timeline by adding back its own advance
+            t_nominal = (t_back + (t_nominal - t_sends[ch])) + alpha
+            t_end = max(t_end, t_back)
+        if closing:
+            em = ctx.emit(verifier, t_nominal, "closing", encode_value(b"x", n_rounds + 1, 0),
+                          n_rounds + 1)
+            nominal_sends.append(t_nominal)
+            stamps.append(t_sends[em])
+            t_end = max(t_end, t_sends[em] + chan.reach(verifier))
+        t_next = t_end + ctx.slot_s
+    return Row(verifier, list(provers), nominal_sends, stamps, t_end)
 
 
 def _claimed_baseline(ctx: RunContext, pol: FakeLocationReport, observer: NodeId) -> float:
@@ -494,8 +451,8 @@ def run_mutual_interleaved(scenario: Scenario) -> RunResult:
     cfg = scenario.config
     a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
     bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n})
-    t_end = _interleaved_rapid(ctx, a, b, t)
-    estimates = Estimates.from_rows(active_rows(ctx, timed_rounds(ctx)))
+    t_end, rounds = _interleaved_rapid(ctx, a, b, t)
+    estimates = Estimates.from_rows(active_rows(ctx, rounds))
     open_phase(ctx, bundles, t_end + ctx.slot_s)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
 
@@ -505,17 +462,19 @@ def _interleaved_rapid(
     a: NodeId,
     b: NodeId,
     t_start: float,
-) -> float:
-    """The 2n+1 message chain; returns the true time its last message has reached everyone.
+) -> Tuple[float, List[Round]]:
+    """The 2n+1 message chain: the true time its last message has reached everyone, and its rounds.
 
     The initiator a sends messages 1, 3, ..., 2n+1 and times b off each
     odd-even gap; b times a off each even-odd gap.  Each party strips
     its own last nonce from what it hears to recover the challenge it
-    answers.
+    answers.  The rounds come in the order they close.
     """
     cfg = ctx.scenario.config
     chan = ctx.channel
+    t_sends = chan.trace.t_send
     alpha = cfg.alpha
+    rounds: List[Round] = []
 
     # a opens on its first nonce, 0 XOR nonce; c is a's newest nonce, b's challenge
     c = ctx.answer(a, 0, 1)
@@ -525,16 +484,16 @@ def _interleaved_rapid(
         t_in = chan.arrival_true(prev, b)
         em_b = ctx.emit(b, t_in + alpha, "response", encode_value(b"m", 2 * k, v_b), k,
                         prev, t_in, a)
-        ctx.timed.append((prev, em_b))
+        rounds.append((a, b, t_sends[prev], t_sends[em_b]))
         s = v_b ^ c  # b's nonce, a's challenge
         v_a = ctx.answer(a, s, k)
         t_in = chan.arrival_true(em_b, a)
         em_a = ctx.emit(a, t_in + alpha, "response", encode_value(b"m", 2 * k + 1, v_a), k,
                         em_b, t_in, b)
-        ctx.timed.append((em_b, em_a))
+        rounds.append((b, a, t_sends[em_b], t_sends[em_a]))
         c = v_a ^ s
         prev = em_a
-    return chan.trace.t_send[prev] + chan.reach(a)
+    return t_sends[prev] + chan.reach(a), rounds
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +538,12 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
     bundles, t = commit_phase(
         ctx, {nid: (last - i) * (cfg.n + 1) + i * cfg.n for i, nid in enumerate(peers)}
     )
-
+    rounds: List[Round] = []
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
-            t = _interleaved_rapid(ctx, x, y, t) + ctx.slot_s
-    estimates = Estimates.from_rows(active_rows(ctx, timed_rounds(ctx)))
+            t_end, chain_rounds = _interleaved_rapid(ctx, x, y, t)
+            rounds += chain_rounds
+            t = t_end + ctx.slot_s
+    estimates = Estimates.from_rows(active_rows(ctx, rounds))
     open_phase(ctx, bundles, t)
     return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)

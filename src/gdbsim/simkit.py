@@ -291,15 +291,16 @@ def _meta_fields(meta: dict) -> Tuple[Tuple[NodeId, ...], Dict[NodeId, float], L
             if nid in seen:
                 raise TraceFormatError(f"line 1: node id {nid} appears twice in node_ids")
             seen.add(nid)
-        read_offsets = {int(key): offset for key, offset in offsets.items()}
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        bad = [(key, offset) for key, offset in offsets.items() if not _is_finite(offset)]
+    except (KeyError, AttributeError, TypeError) as exc:
         raise TraceFormatError(f"line 1: bad meta record: {exc!r}") from None
-    bad = [(key, offset) for key, offset in offsets.items() if not _is_finite(offset)]
     if bad:
         raise TraceFormatError(f"line 1: offset {bad[0][1]!r} of node {bad[0][0]} "
                                "is not a finite number")
-    if read_offsets.keys() != set(node_ids):
+    # each key is its id's decimal text, as to_jsonl writes it: "01" or " 1" would fold into 1
+    if offsets.keys() != set(map(str, seen)):
         raise TraceFormatError("line 1: offsets do not name exactly the nodes in node_ids")
+    read_offsets = {int(key): offset for key, offset in offsets.items()}
     n = len(node_ids)
     if type(tof) is not list or len(tof) != n or any(
             type(row) is not list or len(row) != n for row in tof):

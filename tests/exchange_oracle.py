@@ -1,21 +1,21 @@
 """A verifier's row message by message, and per-round active pricing, as test oracles.
 
-gdbsim runs a verifier's exchanges with every prover in one writer call:
-a plain row as one block, timed by one accumulate, with no step calls,
-and any other row round by round through the per-send steps; either
-way it writes the row's trace rows with one extend per column and logs
-its answers as one AnswerBlock.  It prices a group row's active rounds
-as arrays, and a row of one exchange, the interleaved chain's and
-1toM's rounds with active_bounds' inline loop.  This module keeps the
-earlier path: a row is one exchange per prover in turn, every send goes
-through emit, which counts it per node and run, lets apply_policy shift
-it, holds it behind its node's last send, applies a guess's advance and
-makes one broadcast that checks causality and appends one row; every
-value goes through answer, one log entry each; and every round is
-priced by active_distance, off the row's stamps or the timed-round
-ledger's seqs and the trace's flight-time array.  So the tests can
-demand that the writer leave the same trace, answers, last sends, row
-record and errors, bit for bit.
+gdbsim runs a verifier's exchanges with every prover in one writer call.
+A plain row is one block, timed by one accumulate, with no step calls:
+one extend per trace column and its answers logged as one AnswerBlock.
+Any other row goes send by send through RunContext.emit and answer by
+answer through RunContext.answer.  gdbsim prices a group row's active
+rounds as arrays, and a row of one exchange, and the rounds the
+interleaved chain and 1toM return, with active_bounds' inline loop.
+This module keeps the earlier path: a row is one exchange per prover in
+turn, every send goes through emit, which counts it per node and run,
+lets apply_policy shift it, holds it behind its node's last send,
+applies a guess's advance and makes one broadcast that checks causality
+and appends one row; every value goes through answer, one log entry
+each; and every round is priced by active_distance, off the row's
+stamps and the trace's flight-time array.  So the tests can demand that
+the writer leave the same trace, answers, last sends, row record and
+errors, bit for bit.
 """
 from __future__ import annotations
 
@@ -61,9 +61,7 @@ def answer_log(answers) -> List[Tuple]:
         for e, node in enumerate(entry.nodes):
             for i in range(entry.rounds):
                 j = e * entry.rounds + i
-                if j < len(entry.values):
-                    out.append((node, entry.starts[e] + i, entry.operands[j], entry.values[j],
-                                i + 1))
+                out.append((node, entry.starts[e] + i, entry.operands[j], entry.values[j], i + 1))
     return out
 
 
@@ -220,13 +218,6 @@ def run_relay_exchange(ctx: RunContext, verifier, front, victim, t_start: float,
         stamps.append(trace.t_send[em])
         t_end = max(t_end, trace.t_send[em] + ctx.channel.reach(verifier))
     return Row(verifier, [front], nominal_sends, stamps, t_end)
-
-
-def timed_rounds(ctx: RunContext, start: int = 0) -> List[Tuple]:
-    """The ledger's rounds from start, (measurer, target, ask send, reply send), off their seqs."""
-    trace = ctx.channel.trace
-    return [(trace.sender[ask], trace.sender[reply], trace.t_send[ask], trace.t_send[reply])
-            for ask, reply in ctx.timed[start:]]
 
 
 def row_rounds(row: Row) -> List[Tuple]:

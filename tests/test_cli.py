@@ -312,6 +312,15 @@ def test_figures_unknown_panel(tmp_path, capsys):
     assert "which" in capsys.readouterr().err
 
 
+def test_figures_into_a_file_exits_2(tmp_path, capsys):
+    """An --out that is a file is refused with an error line and exit 2, as gdbsim run does."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["figures", "--which", "6d", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == ""
+
+
 def test_verify_reports_and_exits_nonzero_on_red(capsys):
     """The suite prints one line per criterion; the two documented
     expected failures keep the exit code honest (nonzero)."""

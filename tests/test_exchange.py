@@ -1,13 +1,13 @@
 """The rapid-phase row writer against the message-by-message oracle.
 
 Every one-way and MPNV run is made twice: once as gdbsim makes it, a
-verifier's whole row written one column at a time (a plain row as one
-block, any other through its nodes' per-send steps), its answers logged
-as one block, and priced as arrays or round by round off its stamps;
-and once with exchange_oracle's emit, broadcast, answer, one exchange
-per prover and per-round active_distance pricing patched in.  Both must
-leave the same trace, answers (a block spelled out answer by answer),
-last sends, row records and error, bit for bit.
+verifier's whole row in one writer call (a plain row as one block of
+columns with its answers as one block, any other send by send through
+RunContext.emit and RunContext.answer), priced as arrays or round by
+round off its stamps; and once with exchange_oracle's emit, broadcast,
+answer, one exchange per prover and per-round active_distance pricing
+patched in.  Both must leave the same trace, answers (a block spelled
+out answer by answer), last sends, row records and error, bit for bit.
 """
 import dataclasses
 import gc
@@ -94,7 +94,6 @@ def state(ctx, result, error, records):
                   repr(row.t_end)) for row in records],
         "columns": [trace.sender, list(map(repr, trace.t_send)), trace.kind, trace.phase,
                     trace.payload, trace.round_index],
-        "timed": ctx.timed,  # a row's rounds are its record's stamps: both leave this empty
         "answers": exchange_oracle.answer_log(ctx.answers),
         "answered": ctx.answered,
         # by repr: the order each node first sent in, and each time's bits
@@ -250,6 +249,7 @@ def step_calls(scenario, patches=()):
         def send(*args):
             calls.append(node)
             return step(*args)
+        ctx._steps[node] = send  # emit reads this cache before it asks sender
         return send
 
     with pytest.MonkeyPatch.context() as mp:
@@ -415,18 +415,19 @@ def test_a_late_reply_raises_what_broadcast_raised():
 @settings(max_examples=150, deadline=None)
 @given(scenario=one_way_runs() | mpnv_runs(), data=st.data())
 def test_active_bounds_match_per_round_pricing(scenario, data):
-    """Any ledger of rapid rounds, impossible ones included, prices as active_distance does."""
+    """Any rounds paired from a run's rapid sends, impossible ones included, price as
+    active_distance does."""
     ctx = run(scenario, False)[0]
     trace = ctx.channel.trace
     rapid = [seq for seq, phase in enumerate(trace.phase) if phase == "rapid"]
     pairs = st.tuples(st.sampled_from(rapid), st.sampled_from(rapid)).filter(
         lambda pair: trace.sender[pair[0]] != trace.sender[pair[1]])
-    ctx.timed = data.draw(st.lists(pairs, max_size=12), label="timed")
-    start = data.draw(st.integers(min_value=0, max_value=len(ctx.timed)), label="start")
+    rounds = [(trace.sender[ask], trace.sender[reply], trace.t_send[ask], trace.t_send[reply])
+              for ask, reply in data.draw(st.lists(pairs, max_size=12), label="rounds")]
     priced = []
     for oracle in (base, exchange_oracle):
         try:
-            priced.append(repr(oracle.active_bounds(ctx, oracle.timed_rounds(ctx, start))))
+            priced.append(repr(oracle.active_bounds(ctx, rounds)))
         except NegativeTimeOfFlight as exc:
             priced.append((type(exc), str(exc)))
     assert priced[0] == priced[1]
@@ -437,14 +438,12 @@ def test_active_bounds_refuse_exactly_past_eps_time(short_s):
     """A round trip short of alpha by more than EPS_TIME is refused, as per round."""
     ctx = start_run(oneway_scenario(n=1, alpha=1e-8))
     trace = ctx.channel.trace
-    ask = trace.append(1, 1.0, "challenge", "rapid", b"", 1)
     back = 1.0 + 1e-8 - short_s  # the reply's arrival at node 1
-    reply = trace.append(2, back - ctx.channel.tof(2, 1), "response", "rapid", b"", 1)
-    ctx.timed.append((ask, reply))
+    rounds = [(1, 2, 1.0, back - ctx.channel.tof(2, 1))]
     priced = []
     for oracle in (base, exchange_oracle):
         try:
-            priced.append(repr(oracle.active_bounds(ctx, oracle.timed_rounds(ctx))))
+            priced.append(repr(oracle.active_bounds(ctx, rounds)))
         except NegativeTimeOfFlight as exc:
             priced.append(str(exc))
     assert priced[0] == priced[1]
@@ -480,14 +479,14 @@ def timed_rows(draw):
 # the second exchange's first round and the first's second are impossible
 @example(timed=(1e-8, 0.5, [1e-7, 1e-7], [[0.0, 1e-6], [1e-6, 0.0]], [[0.0, 0.0], [0.0, 0.0]]))
 def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
-    """A row's rounds priced as arrays give active_bounds' loop, fed from the ledger or
-    from the row's stamps, and active_distance, by repr.
+    """A row's rounds priced as arrays give active_bounds' loop, fed the rounds or the
+    row's stamps, and active_distance, by repr.
 
     Each responder's bound is the first of its largest rounds', signed
     zeros told apart; an impossible round raises the same first error,
-    with the same text, as pricing the ledger round by round.  Each
-    flight is injected in one place, the trace's rows, before anything
-    reads them, and every reader sees it.
+    with the same text, as pricing the rounds one by one.  Each flight
+    is injected in one place, the trace's rows, before anything reads
+    them, and every reader sees it.
     """
     alpha, offset, flights, asks, replies = timed
     exchanges, rounds = len(asks), len(asks[0])
@@ -498,34 +497,31 @@ def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
     trace = ctx.channel.trace
     responders = list(range(2, exchanges + 2))
     trace.offsets[1] = offset
-    stamps = []
+    ledger, stamps = [], []
     for p, flight in zip(responders, flights):
         trace.tof[trace.index[p]][trace.index[1]] = flight
         for ask, reply in zip(asks[p - 2], replies[p - 2]):
-            ctx.timed.append((trace.append(1, ask, "challenge", "rapid", b"", 1),
-                              trace.append(p, reply, "response", "rapid", b"", 1)))
+            ledger.append((1, p, ask, reply))
             stamps += [ask, reply]
         stamps.append(0.0)  # the exchange's closing
     for p, flight in zip(responders, flights):
-        _, reply = ctx.timed[(p - 2) * rounds]
+        reply = trace.append(p, replies[p - 2][0], "response", "rapid", b"", 1)
         at = trace.index[p], trace.index[1]
         assert repr(ctx.channel.tof(p, 1)) == repr(float(trace.tof_array[at])) == repr(flight)
         assert repr(trace.arrival_true(reply, 1)) == repr(trace.t_send[reply] + flight)
     row = Row(1, responders, [0.0] * (exchanges * (rounds + 1)), stamps, 0.0)
-    # the ledger and the row's stamps name the same rounds, signed zeros included
-    assert repr(list(base.timed_rounds(ctx))) == repr(exchange_oracle.timed_rounds(ctx)) == repr(
-        exchange_oracle.row_rounds(row))
+    # the rounds and the row's stamps name the same rounds, signed zeros included
+    assert repr(ledger) == repr(exchange_oracle.row_rounds(row))
     if exchanges == 1:  # Row.rounds spells out one-exchange rows
         assert repr(list(row.rounds())) == repr(exchange_oracle.row_rounds(row))
     priced = []
-    for pricer, ledger in ((base, base.timed_rounds(ctx)),
-                           (exchange_oracle, exchange_oracle.timed_rounds(ctx)),
-                           (base, exchange_oracle.row_rounds(row)), (pairwise, None)):
+    for pricer, fed in ((base, ledger), (exchange_oracle, ledger),
+                        (base, exchange_oracle.row_rounds(row)), (pairwise, None)):
         try:
-            if ledger is None:
+            if fed is None:
                 bounds = pairwise.active_row_bounds(ctx, row).tolist()
             else:
-                out = pricer.active_bounds(ctx, ledger)
+                out = pricer.active_bounds(ctx, fed)
                 assert [out[(1, p)][1] for p in responders] == [rounds] * exchanges
                 bounds = [out[(1, p)][0] for p in responders]
             priced.append(list(map(repr, bounds)))
@@ -592,11 +588,13 @@ def test_a_tampered_answer_fails_the_replay_as_the_per_answer_replay_does(
         scenario, tamper, error):
     """Each answer in turn, a flipped value, a nonce too wide for it, or a nonce and
     value both widened so that the value still matches, fails the replay of a row's
-    block with the error and text of the oracle's log, which holds one entry per
-    answer, replayed one at a time, and names that answer."""
+    block, or of a stepped row's per-answer entries, with the error and text of the
+    oracle's log, which holds one entry per answer, replayed one at a time, and
+    names that answer."""
     ctx = run(scenario, False)[0]
     log = exchange_oracle.answer_log(ctx.answers)
-    assert log and all(isinstance(entry, AnswerBlock) for entry in ctx.answers)
+    plain = not any(stepping(node.policy) for node in scenario.nodes)
+    assert log and all(isinstance(entry, AnswerBlock) == plain for entry in ctx.answers)
     for j, (node, k, _, _, round_index) in enumerate(log):
         patches = tampered(tamper, j)
         writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
@@ -622,9 +620,8 @@ def test_a_guessing_mpnv_prover_is_refused(seed, text):
 
 
 def test_a_plain_mpnv_row_is_one_answer_entry_and_leaves_no_per_round_tuples():
-    """A plain row appends one AnswerBlock to the log and nothing to the timed
-    ledger, calls no step, and leaves fewer new tracked objects than it has
-    rounds: no tuple per round survives it."""
+    """A plain row appends one AnswerBlock to the log, calls no step, and leaves
+    fewer new tracked objects than it has rounds: no tuple per round survives it."""
     provers, n = list(range(7, 13)), 8
     scenario = mpnv_scenario(n=n, n_a=n, d_a=1.0, n_verifiers=6, m_provers=len(provers))
     ctx = start_run(scenario)
@@ -641,7 +638,7 @@ def test_a_plain_mpnv_row_is_one_answer_entry_and_leaves_no_per_round_tuples():
         finally:
             gc.enable()
     rounds = len(provers) * n
-    assert steps == [] and ctx.timed == []
+    assert steps == []
     block, = ctx.answers
     assert isinstance(block, AnswerBlock)
     assert (block.nodes, block.starts, block.rounds) == (provers, [0] * len(provers), n)

@@ -163,6 +163,24 @@ def test_chain_bounds_match_geometry():
             distance(pos[est.measurer], pos[est.target]), abs=1e-6)
 
 
+def test_a_targeted_delay_on_the_1tom_initiator_moves_only_its_target_bound():
+    """An initiator emission closes the previous responder's round, so a
+    SelectiveDelay aimed at responder 3 delays only the emissions 3 measures:
+    3 -> 1 reads c * delay / 2 long, every other bound the honest run's."""
+    s = peer_scenario(Protocol.ONE_TO_MANY, n=2, seed=3,
+                      positions=[(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (-100.0, 0.0)])
+    delay = 1e-7
+    honest = run_scenario(s)
+    delayed = run_scenario(with_policy(s, 1, SelectiveDelay(delay_s=delay, target=3)))
+    assert [(e.measurer, e.target) for e in delayed.estimates] == [
+        (e.measurer, e.target) for e in honest.estimates]
+    for est in delayed.estimates:
+        truth = honest.estimate_for(est.measurer, est.target).bound_m
+        assert truth == pytest.approx(100.0, abs=1e-6)
+        late = s.config.c * delay / 2.0 if (est.measurer, est.target) == (3, 1) else 0.0
+        assert est.bound_m == pytest.approx(truth + late, abs=1e-6)
+
+
 @pytest.mark.parametrize("baseline", [run_sequential_pairwise, run_sequential_interleaved])
 def test_sequential_baselines_bound_every_ordered_pair(baseline):
     """The criterion-2 square: each baseline bounds all 12 ordered pairs actively."""

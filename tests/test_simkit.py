@@ -419,10 +419,20 @@ def test_reader_rejects_a_wrong_typed_meta_field(oneway_lines, edit, match):
     _reject(_meta_edit(oneway_lines, edit), "^line 1: " + match)
 
 
+def _rekey(old, new):
+    """A meta edit that moves node old's offset to the key new."""
+    return lambda meta: meta["offsets"].__setitem__(new, meta["offsets"].pop(old))
+
+
 @pytest.mark.parametrize("edit", [
     lambda meta: meta["offsets"].pop("9"),
     lambda meta: meta["offsets"].update({"4": 0.5}),
-], ids=["missing", "extra"])
+    # keys that int() reads as a node id but that are not its decimal text
+    lambda meta: meta["offsets"].update({"01": meta["offsets"]["1"]}),
+    _rekey("1", "01"),
+    _rekey("1", " 1"),
+    _rekey("9", "+9"),
+], ids=["missing", "extra", "zero-padded-twin", "zero-padded", "space", "plus-sign"])
 def test_reader_rejects_offsets_not_naming_every_node(oneway_lines, edit):
     _reject(_meta_edit(oneway_lines, edit),
             r"^line 1: offsets do not name exactly the nodes in node_ids")
