@@ -406,6 +406,10 @@ def _policy_issues(s: Scenario) -> List[ValidationIssue]:
             if p.target is not None and p.target not in ids:
                 issues.append(ValidationIssue(
                     "ParamOutOfRange", fld, f"SelectiveDelay target {p.target} not in scenario"))
+            elif p.target is not None and s.protocol in (
+                    Protocol.MULTI_PARTY_RING, Protocol.NTOM_MULTIPARTY):
+                issues.append(ValidationIssue("PolicyInapplicable", fld, "SelectiveDelay cannot "
+                                              "target one ring peer: every send feeds every solve"))
         elif isinstance(p, threat.Relay):
             if n.role != Role.PROVER:
                 issues.append(ValidationIssue(

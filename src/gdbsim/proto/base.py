@@ -10,15 +10,15 @@ committed nonce, and open_phase decommits (signing when auth is on)
 and replays every answer against the opened nonces.  A rapid message
 is written one of two ways: a plain verifier row
 (pairwise.run_exchange) as one block, its answers as one AnswerBlock;
-everything else through RunContext.emit, the step plus one trace row,
-each answer through RunContext.answer.  A verifier's row is itself the
-record of its rounds; the interleaved chain and 1toM return theirs as
-Rounds.  active_bounds prices rounds one at a time from either record,
-the measurer's stamps read off the trace's flight-time rows; the group
-driver prices a verifier's row as arrays instead
-(pairwise.active_row_bounds), with the same float operations.
-A run hands back its bounds as one columnar Estimates table, written as
-rows or, for the ring, as one block of columns.
+everything else, relayed rows too, through RunContext.emit, the step
+plus one trace row, each answer through RunContext.answer.  A
+verifier's row is itself the record of its rounds; the interleaved
+chain and 1toM return theirs as Rounds.  active_bounds prices rounds
+one at a time from either record, the measurer's stamps read off the
+trace's flight-time rows; the group driver prices a verifier's row
+as arrays instead (pairwise.active_row_bounds), with the same float
+operations.  A run hands back its bounds as one columnar Estimates
+table, written as rows or, for the ring, as one block of columns.
 """
 
 from __future__ import annotations

@@ -5,15 +5,15 @@ run_exchange call that returns it as a Row of lists, the record of its
 rounds, shaped into arrays only where priced: active_row_bounds for a
 group verifier, active_bounds round by round for a row of one exchange,
 and passive_bounds for its listeners.  A plain row, one that no timing
-policy, guess, held first send or ill-fitting nonce touches, writes its
+policy, guess, relay, held first send or ill-fitting nonce touches, writes its
 trace rows in one block and its answers as one AnswerBlock; it is timed
 by one accumulate over its flights and delays and makes no per-send
 step call (RunContext.unstepped and RunContext.sent in base hold that
 contract); its payloads come from one template per row, each round's
-text written once.  Any other row, the relay exchange and the
-interleaved chain send through RunContext.emit and answer through
-RunContext.answer, one message at a time; the chain returns its rounds.
-The one-way driver runs a row of one prover, with optional
+text written once.  Any other row and the interleaved chain send
+through RunContext.emit and answer through RunContext.answer, one
+message at a time; the chain returns its rounds.  The one-way driver
+runs a row of one prover, direct or relayed, with optional
 eavesdropping observers; the mutual driver interleaves both directions
 into 2n+1 rapid messages.  Both schedule the challenger's emissions on
 an arrival-chained nominal timeline: each emission is due one
@@ -117,7 +117,7 @@ def _plain_row(
 ) -> Optional[Row]:
     """run_exchange's row as one block, or None, having drawn and written nothing, if not plain.
 
-    A row is plain when no party has a timing policy or guesses, no
+    A row is plain when no party has a timing policy, guesses or relays, no
     party's last send could hold its first send in the row, and every
     nonce the row answers on is there and fits bit_len.  Then every
     send leaves at its nominal time, so the row's times are the loop's
@@ -147,7 +147,7 @@ def _plain_row(
     adds, due, starts, ends = [t_start], [], [], {}
     for p in provers:
         policy = policies[p]
-        if isinstance(policy, TIMING_POLICIES) or (
+        if isinstance(policy, (*TIMING_POLICIES, Relay)) or (
                 isinstance(policy, GuessAhead) and policy.p_rounds):
             return None
         k = ends.get(p)
@@ -210,17 +210,18 @@ def run_exchange(
     that listeners get a schedule point after the final response.  A
     prover answers on its next n_rounds committed nonces; a guessing
     prover answers its first rounds ahead of the challenge, on guessed
-    bits.  A plain row (_plain_row) is written as one block, with no
-    step calls, its closings' included.  Every other row goes round by
-    round, each send through RunContext.emit and each answer through
-    RunContext.answer, as _run_relay_exchange does.
+    bits; a relaying prover's victim answers on its nonces, each round
+    trip costing the whole detour.  A plain row (_plain_row) is written
+    as one block, with no step calls, its closings' included.  Every
+    other row goes round by round, each send through RunContext.emit
+    and each answer through RunContext.answer.
     """
     row = _plain_row(ctx, verifier, provers, n_rounds, t_start, closing)
     if row is not None:
         return row
     cfg = ctx.scenario.config
     chan = ctx.channel
-    t_sends = chan.trace.t_send
+    t_sends, payloads = chan.trace.t_send, chan.trace.payload
     alpha, bit_len = cfg.alpha, cfg.bit_len
     draw = ctx.rng.getrandbits  # draw(0) is 0 and draws nothing
     nominal_sends, stamps = [], []
@@ -228,17 +229,28 @@ def run_exchange(
     for prover in provers:
         p_policy = ctx.policies[prover]
         guessed = p_policy.p_rounds if isinstance(p_policy, GuessAhead) else 0
+        victim = p_policy.victim if isinstance(p_policy, Relay) else None
         t_nominal = t_end = t_next
         for i in range(1, n_rounds + 1):
             c_i = draw(bit_len)
             ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
             nominal_sends.append(t_nominal)
-            # a guessing prover draws its bits once the challenge is out
-            guess = i <= guessed
-            value = ctx.answer(prover, c_i, i, draw(bit_len) if guess else None)
             t_in = chan.arrival_true(ch, prover)
-            resp = ctx.emit(prover, t_in + alpha, "response", encode_value(b"r", i, value), i,
-                            ch, t_in, verifier, guess)
+            if victim is None:
+                # a guessing prover draws its bits once the challenge is out
+                guess = i <= guessed
+                value = ctx.answer(prover, c_i, i, draw(bit_len) if guess else None)
+                resp = ctx.emit(prover, t_in + alpha, "response", encode_value(b"r", i, value),
+                                i, ch, t_in, verifier, guess)
+            else:
+                # the front forwards both ways at once, so no schedule trick shortens the detour
+                fwd = ctx.emit(prover, t_in, "relay", payloads[ch], i, ch, t_in, verifier)
+                value = ctx.answer(prover, c_i, i)
+                t_in = chan.arrival_true(fwd, victim)
+                vr = ctx.emit(victim, t_in + alpha, "response", encode_value(b"r", i, value), i,
+                              fwd, t_in, verifier)
+                t_in = chan.arrival_true(vr, prover)
+                resp = ctx.emit(prover, t_in, "response", payloads[vr], i, vr, t_in, verifier)
             stamps += t_sends[ch], t_sends[resp]
             t_back = chan.arrival_true(resp, verifier)
             # the verifier recovers its honest timeline by adding back its own advance
@@ -361,8 +373,8 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
 
     Emits 2n rapid messages, plus one closing schedule point when
     listeners are present, between the prover's commit and open.  A relaying
-    prover is driven through its victim, which lengthens every round
-    trip by the detour.
+    prover is the verifier's partner, driven through its victim, which
+    lengthens every round trip by the detour.
     """
     ctx = start_run(scenario)
     s = scenario
@@ -371,17 +383,10 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     provers = [n.id for n in s.with_role(Role.PROVER)]
     observers = [n.id for n in s.with_role(Role.PASSIVE_VERIFIER)]
 
-    relay_front: Optional[NodeId] = None
-    if len(provers) == 2:
-        relay_front = [p for p in provers if isinstance(ctx.policies[p], Relay)][0]
-    partner = relay_front if relay_front is not None else provers[0]
+    partner = next((p for p in provers if isinstance(ctx.policies[p], Relay)), provers[0])
 
     bundles, t = commit_phase(ctx, {partner: cfg.n})
-    if relay_front is None:
-        row = run_exchange(ctx, verifier, [partner], cfg.n, t_start=t, closing=bool(observers))
-    else:
-        victim = ctx.policies[relay_front].victim  # type: ignore[union-attr]
-        row = _run_relay_exchange(ctx, verifier, relay_front, victim, t, bool(observers))
+    row = run_exchange(ctx, verifier, [partner], cfg.n, t_start=t, closing=bool(observers))
     rows = active_rows(ctx, row.rounds())
     open_phase(ctx, bundles, row.t_end + ctx.slot_s)
 
@@ -391,49 +396,7 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     return RunResult(scenario=s, trace=ctx.channel.trace, estimates=Estimates.from_rows(rows))
 
 
-def _run_relay_exchange(
-    ctx: RunContext,
-    verifier: NodeId,
-    front: NodeId,
-    victim: NodeId,
-    t_start: float,
-    closing: bool,
-) -> Row:
-    """Rapid rounds where the front forwards both directions verbatim; a row of one.
-
-    The front retransmits with zero turnaround, so each round trip costs
-    the full detour verifier-front-victim and back; no schedule trick
-    can make that shorter than the direct path.  The victim answers on
-    the front's committed nonces, the ones the verifier checks.
-    """
-    cfg = ctx.scenario.config
-    chan = ctx.channel
-    t_sends, payloads = chan.trace.t_send, chan.trace.payload
-    alpha = cfg.alpha
-    nominal_sends, stamps = [], []
-    t_nominal = t_end = t_start
-    for i in range(1, cfg.n + 1):
-        c_i = ctx.rng.getrandbits(cfg.bit_len)
-        ch = ctx.emit(verifier, t_nominal, "challenge", encode_value(b"c", i, c_i), i)
-        nominal_sends.append(t_nominal)
-        t_in = chan.arrival_true(ch, front)
-        fwd = ctx.emit(front, t_in, "relay", payloads[ch], i, ch, t_in, verifier)
-        value = ctx.answer(front, c_i, i)
-        t_in = chan.arrival_true(fwd, victim)
-        vr = ctx.emit(victim, t_in + alpha, "response", encode_value(b"r", i, value), i,
-                      fwd, t_in, verifier)
-        t_in = chan.arrival_true(vr, front)
-        resp = ctx.emit(front, t_in, "response", payloads[vr], i, vr, t_in, verifier)
-        stamps += t_sends[ch], t_sends[resp]  # the front answers the verifier
-        t_back = chan.arrival_true(resp, verifier)
-        t_nominal = (t_back + (t_nominal - t_sends[ch])) + alpha
-        t_end = max(t_end, t_back)
-    if closing:
-        em = ctx.emit(verifier, t_nominal, "closing", encode_value(b"x", cfg.n + 1, 0), cfg.n + 1)
-        nominal_sends.append(t_nominal)
-        stamps.append(t_sends[em])
-        t_end = max(t_end, t_sends[em] + chan.reach(verifier))
-    return Row(verifier, [front], nominal_sends, stamps, t_end)
+_run_relay_exchange = run_exchange  # noqa: F401  (perfbench/tracing.py patches this name here)
 
 
 # ---------------------------------------------------------------------------

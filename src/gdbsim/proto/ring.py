@@ -67,20 +67,19 @@ def run_multiparty_gdb(scenario: Scenario) -> RunResult:
     seqs: List[List[int]] = []
     prev_seq: Optional[int] = None
     prev_value = 0  # the first opener hears nothing, and 0 XOR nonce is the nonce
-    t_round_start = t
     for r in range(n):
         round_seqs: List[int] = []
         for pos, sender in enumerate(order, start=1):
             value = ctx.answer(sender, prev_value, r + 1)
             t_in = None if prev_seq is None else chan.arrival_true(prev_seq, sender)
-            t_nominal = t_round_start if pos == 1 else t_in + cfg.alpha
+            # each round's opener, ring[0], sends alpha after the last round's end reaches it
+            t_nominal = t if t_in is None else t_in + cfg.alpha
             prev_seq = ctx.emit(sender, t_nominal, "challenge" if pos == 1 else "response",
                                 encode_value(b"m", 2 * n_nodes * r + pos, value), r + 1,
                                 prev_seq, t_in)
             prev_value = value
             round_seqs.append(prev_seq)
         seqs.append(round_seqs)
-        t_round_start = chan.arrival_true(prev_seq, ring[0]) + cfg.alpha
 
     last_sender = order[-1]
     t = max(

@@ -3,19 +3,21 @@
 gdbsim runs a verifier's exchanges with every prover in one writer call.
 A plain row is one block, timed by one accumulate, with no step calls:
 one extend per trace column and its answers logged as one AnswerBlock.
-Any other row goes send by send through RunContext.emit and answer by
-answer through RunContext.answer.  gdbsim prices a group row's active
+Any other row, one that a timing policy, a guess, a held first send or
+a relay touches, goes send by send through RunContext.emit and answer
+by answer through RunContext.answer, a relay front's round inside the
+same loop as a direct prover's.  gdbsim prices a group row's active
 rounds as arrays, and a row of one exchange, and the rounds the
 interleaved chain and 1toM return, with active_bounds' inline loop.
 This module keeps the earlier path: a row is one exchange per prover in
-turn, every send goes through emit, which counts it per node and run,
-lets apply_policy shift it, holds it behind its node's last send,
-applies a guess's advance and makes one broadcast that checks causality
-and appends one row; every value goes through answer, one log entry
-each; and every round is priced by active_distance, off the row's
-stamps and the trace's flight-time array.  So the tests can demand that
-the writer leave the same trace, answers, last sends, row record and
-errors, bit for bit.
+turn, a relayed row its own loop (run_relay_exchange); every send goes
+through emit, which counts it per node and run, lets apply_policy shift
+it, holds it behind its node's last send, applies a guess's advance and
+makes one broadcast that checks causality and appends one row; every
+value goes through answer, one log entry each; and every round is
+priced by active_distance, off the row's stamps and the trace's
+flight-time array.  So the tests can demand that the writer leave the
+same trace, answers, last sends, row record and errors, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from gdbsim.estimate import NegativeTimeOfFlight
 from gdbsim.proto.base import AnswerBlock, RunContext, response_bits
 from gdbsim.proto.pairwise import Row, encode_value
 from gdbsim.simkit import SEND_SLACK_S, BroadcastChannel, CausalityViolation
-from gdbsim.threat import GuessAhead, apply_policy
+from gdbsim.threat import GuessAhead, Relay, apply_policy
 
 
 def active_distance(
@@ -141,7 +143,13 @@ def arrival(ctx: RunContext, seq: int, receiver) -> float:
 
 def run_exchange(ctx: RunContext, verifier, provers, n_rounds: int, t_start: float,
                  closing: bool) -> Row:
-    """The verifier's row: each prover's exchange in turn, one slot after the last one's t_end."""
+    """The verifier's row: each prover's exchange in turn, one slot after the last one's t_end.
+
+    A relaying prover's row, one exchange, is run_relay_exchange's.
+    """
+    if len(provers) == 1 and isinstance(ctx.policies[provers[0]], Relay):
+        return run_relay_exchange(ctx, verifier, provers[0], ctx.policies[provers[0]].victim,
+                                  t_start, closing)
     schedule: List[float] = []
     stamps: List[float] = []
     t_end = t_start

@@ -23,6 +23,7 @@ from gdbsim.core import (
     scenario_to_json,
     validate_scenario,
 )
+from gdbsim.proto import run_scenario
 from gdbsim.scenarios import (
     mpnv_scenario,
     ntom_scenario,
@@ -378,6 +379,21 @@ def test_policy_role_mismatches_flagged(role, policy):
     s = Scenario(nodes=nodes, protocol=Protocol.ONE_WAY,
                  config=ProtocolConfig(n=2), rng_seed=1)
     assert any(i.code == "PolicyInapplicable" for i in validate_scenario(s))
+
+
+@pytest.mark.parametrize("s", [peer_scenario(Protocol.MULTI_PARTY_RING, 4),
+                               ntom_scenario(Protocol.NTOM_MULTIPARTY, 2, 2)],
+                         ids=["ring", "ntom-multiparty"])
+def test_a_targeted_delay_in_a_ring_is_refused(s):
+    """Every ring send feeds every observer's solve, so a SelectiveDelay cannot
+    single out one target there; an untargeted one is still valid."""
+    peer, other = s.nodes[0].id, s.nodes[1].id
+    assert validate_scenario(with_policy(s, peer, SelectiveDelay(delay_s=5e-8))) == []
+    targeted = with_policy(s, peer, SelectiveDelay(delay_s=5e-8, target=other))
+    assert [(i.code, i.fld) for i in validate_scenario(targeted)] == [
+        ("PolicyInapplicable", "nodes[0].policy")]
+    with pytest.raises(ScenarioInvalid, match="cannot target one ring peer"):
+        run_scenario(targeted)
 
 
 def test_policy_issues_name_the_node_by_index():

@@ -33,12 +33,11 @@ from gdbsim.threat import EarlyChallenge, GuessAhead, Honest, Relay, SelectiveDe
 ORACLE = [
     (pairwise, "run_exchange", exchange_oracle.run_exchange),
     (group, "run_exchange", exchange_oracle.run_exchange),
-    (pairwise, "_run_relay_exchange", exchange_oracle.run_relay_exchange),
     (base, "active_bounds", exchange_oracle.active_bounds),
     (group, "active_row_bounds", exchange_oracle.active_row_bounds),
     (Row, "rounds", exchange_oracle.row_rounds),
 ]
-WRITERS = [(pairwise, "run_exchange"), (group, "run_exchange"), (pairwise, "_run_relay_exchange")]
+WRITERS = [(pairwise, "run_exchange"), (group, "run_exchange")]
 
 
 def run(scenario, oracle, patches=()):
@@ -610,8 +609,8 @@ def test_a_tampered_answer_fails_the_replay_as_the_per_answer_replay_does(
     (2, "node 6's answer on nonce 1 in round 2 is not its challenge XOR that nonce"),
 ])
 def test_a_guessing_mpnv_prover_is_refused(seed, text):
-    """A GuessAhead prover's rows step, and the replay of their blocks refuses the
-    run with the text it had when every answer was its own log entry."""
+    """A GuessAhead prover's rows step, logging one entry per answer, and the
+    replay of those entries refuses the run with the oracle's text."""
     scenario = with_policy(mpnv_scenario(n=4, n_a=3, d_a=0.5, n_verifiers=4, m_provers=3,
                                          seed=seed), 6, GuessAhead(p_rounds=3, advance_s=2e-8))
     writer = run(scenario, False)

@@ -30,7 +30,6 @@ from gdbsim.proto import ring as ring_driver
 from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     Row,
-    _run_relay_exchange,
     active_row_bounds,
     passive_bounds,
     passive_observations,
@@ -707,7 +706,8 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
     row = run_exchange(ctx, 1, prover_ids, n, ctx.slot_s, closing)
     if relay:
         ctx.nonces[30] = nonces
-        relayed = _run_relay_exchange(ctx, 1, 30, 20, row.t_end + ctx.slot_s, closing)
+        ctx.policies[30] = Relay(victim=20)
+        relayed = run_exchange(ctx, 1, [30], n, row.t_end + ctx.slot_s, closing)
         row = Row(1, row.responders + relayed.responders, row.schedule + relayed.schedule,
                   row.stamps + relayed.stamps, relayed.t_end)
     # each responder's response rows, in order: a prover's own, then any it sent as a victim

@@ -1,10 +1,14 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name it keeps only for the benchmark's tracer is one the tracer patches."""
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+from test_perfbench_targets import load_tracing
 
 import gdbsim
+import gdbsim.cli  # noqa: F401  (loads the module the recorder patches)
 
 SRC = Path(gdbsim.__file__).parent
 MODULES = sorted(SRC.rglob("*.py"))
@@ -67,3 +71,35 @@ def test_the_check_sees_an_unused_import(tmp_path):
                       "def f(x: 'Sequence[int]') -> List[int]:\n"
                       "    return list(x)\n")
     assert unused_imports(module) == [(2, "os")]
+
+
+def tracer_kept_names():
+    """(module, name) of each module-level name src/ keeps for perfbench/tracing.py.
+
+    Those are the imports and assignments on lines whose comment names
+    the tracer; nothing else in their module reads them.
+    """
+    out = []
+    for path in MODULES:
+        text = path.read_text()
+        lines = text.splitlines()
+        module = ".".join(("gdbsim",) + path.relative_to(SRC).with_suffix("").parts)
+        for stmt in ast.parse(text).body:
+            if not any("perfbench/tracing.py" in line
+                       for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+                continue
+            if isinstance(stmt, ast.ImportFrom):
+                out += [(module, alias.asname or alias.name) for alias in stmt.names]
+            else:
+                out += [(module, target.id) for target in stmt.targets]
+    return out
+
+
+def test_every_name_kept_for_the_tracer_is_traced():
+    """The reverse of test_every_traced_name_exists: a name kept only so the
+    tracer can patch it must stay a target of its own module, or it goes."""
+    traced = {(owner.__name__, attr) for owner, attr, *_ in load_tracing()._targets(gdbsim)
+              if isinstance(owner, ModuleType)}
+    kept = tracer_kept_names()
+    assert ("gdbsim.proto.pairwise", "_run_relay_exchange") in kept
+    assert [name for name in kept if name not in traced] == []
