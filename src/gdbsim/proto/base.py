@@ -17,8 +17,10 @@ chain and 1toM return theirs as Rounds.  active_bounds prices rounds
 one at a time from either record, the measurer's stamps read off the
 trace's flight-time rows; the group driver prices a verifier's row
 as arrays instead (pairwise.active_row_bounds), with the same float
-operations.  A run hands back its bounds as one columnar Estimates
-table, written as rows or, for the ring, as one block of columns.
+operations.  pairwise.passive_bounds prices listeners the same way: a
+row of one exchange round by round, a group row as one block.  A run
+hands back its bounds as one columnar Estimates table, written as rows
+or, for the ring, as one block of columns.
 """
 
 from __future__ import annotations

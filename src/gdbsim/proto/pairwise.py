@@ -2,10 +2,11 @@
 
 A verifier's row, its exchanges with each prover in turn, is one
 run_exchange call that returns it as a Row of lists, the record of its
-rounds, shaped into arrays only where priced: active_row_bounds for a
-group verifier, active_bounds round by round for a row of one exchange,
-and passive_bounds for its listeners.  A plain row, one that no timing
-policy, guess, relay, held first send or ill-fitting nonce touches, writes its
+rounds.  A row of one exchange is priced round by round in floats on
+both sides, by active_bounds and by passive_bounds for its listeners;
+a group row is shaped into arrays, active_row_bounds and
+passive_bounds' block.  A plain row, one that no timing policy, guess,
+relay, held first send or ill-fitting nonce touches, writes its
 trace rows in one block and its answers as one AnswerBlock; it is timed
 by one accumulate over its flights and delays and makes no per-send
 step call (RunContext.unstepped and RunContext.sent in base hold that
@@ -32,7 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import NodeId, ProtocolConfig, Role, Scenario, distance
+from ..core import EPS_TIME, NodeId, ProtocolConfig, Role, Scenario, distance
 from ..crypto import commit  # noqa: F401  (perfbench/tracing.py patches this name here)
 from ..estimate import NegativeTimeOfFlight, active_distances, direct_bounds
 from ..threat import TIMING_POLICIES, FakeLocationReport, GuessAhead, Relay
@@ -330,23 +331,53 @@ def observed_bound(
     whose leg sum undercuts the verifier-prover distance is impossible
     honestly; it scores distance zero rather than aborting the run, since
     the cheat only ever shortens the bound.  An impossible timing raises
-    the NegativeTimeOfFlight that pricing one exchange, watcher and round
-    at a time, in that order, meets first.
+    the kernels' NegativeTimeOfFlight, the block's first in round order.
     """
-    try:
-        bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
-    except NegativeTimeOfFlight:
-        # the block names its first bad entry in round order; re-price
-        # observation by observation to raise what per-watcher pricing meets first
-        exchanges, rounds, watchers = t1.shape
-        for e, w, r in np.ndindex(exchanges, watchers, rounds):
-            direct_bounds(t1[e, r, w], t2[e, r, w], t3[e, r, w],
-                          cfg.alpha, cfg.alpha, base[w], cfg.c)
-        raise
+    bounds = direct_bounds(t1, t2, t3, cfg.alpha, cfg.alpha, base, cfg.c)
     # a round that scores zero has a bound below zero, which cannot raise
     # a maximum floored at zero, so the raw maximum over rounds decides
     best = bounds.max(axis=1)
     return np.where(best > 0.0, best, 0.0)
+
+
+def _exchange_bounds(ctx: RunContext, row: Row, others: Sequence[NodeId]) -> List[float]:
+    """Each watcher's passive bound on a one-exchange row, round by round in Python floats.
+
+    The kernels' float64 operations in the kernels' order, so the bound
+    is observed_bound's bit for bit: per watcher, then per framed round,
+    the leg sum, the verifier-prover distance floored at zero, their
+    difference; the maximum floored at +0.0.  The first impossible
+    round, watcher by watcher, raises the kernels' NegativeTimeOfFlight.
+    """
+    cfg = ctx.scenario.config
+    alpha, c, short = cfg.alpha, cfg.c, -EPS_TIME
+    trace = ctx.channel.trace
+    tof, index = trace.tof, trace.index
+    v_flights, p_flights = tof[index[row.verifier]], tof[index[row.responders[0]]]
+    pol = ctx.policies[row.verifier]
+    replies = row.stamps[1::2]
+    out = []
+    for w in others:
+        off, dist = trace.offsets[w], v_flights[index[w]] * c
+        base_tof = dist / c  # physical flight for schedule anchoring
+        base = _claimed_baseline(ctx, pol, w) if isinstance(pol, FakeLocationReport) else dist
+        heard = [(t + base_tof) + off for t in row.schedule]
+        flight, best = p_flights[index[w]], 0.0
+        for t1, reply, t3 in zip(heard, replies, heard[1:]):  # the framed rounds
+            t2 = (reply + flight) + off
+            gamma = c * ((t2 - t1) - alpha) + base
+            if gamma < 0.0:
+                raise NegativeTimeOfFlight(f"negative leg sum {gamma!r} m")
+            tof2 = ((t3 - t1) - alpha) - alpha
+            if tof2 < short:
+                raise NegativeTimeOfFlight(
+                    f"overheard round trip {t3 - t1!r} s shorter than processing")
+            vp = c * tof2 / 2.0
+            bound = gamma - (0.0 if 0.0 > vp else vp)
+            if bound > best:
+                best = bound
+        out.append(best)
+    return out
 
 
 def passive_bounds(
@@ -354,17 +385,30 @@ def passive_bounds(
 ) -> Tuple[List[NodeId], np.ndarray, int]:
     """Every watcher's passive bound on each responder of a row, in one pass.
 
-    One (exchanges x rounds x watchers) block: the stamps
+    A row of one exchange is priced round by round (_exchange_bounds); a
+    group row as one (exchanges x rounds x watchers) block, the stamps
     passive_observations reads off the row, scored by observed_bound.
-    Returns (others, best, rounds): the watchers other than the verifier,
-    their (exchanges x others) bounds, and the number of rounds each
-    framed.  A row that frames no round prices nobody: others is empty.
+    A block that raises is priced again exchange by exchange, to raise
+    what per-watcher pricing meets first.  Returns (others, best,
+    rounds): the watchers other than the verifier, their (exchanges x
+    others) bounds, and the number of rounds each framed.  A row that
+    frames no round prices nobody: others is empty.
     """
     others = [w for w in watchers if w != row.verifier]
-    rounds = len(row.schedule) // len(row.responders) - 1
+    exchanges = len(row.responders)
+    rounds = len(row.schedule) // exchanges - 1
     if not others or rounds < 1:
-        return [], np.empty((len(row.responders), 0)), 0
-    best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
+        return [], np.empty((exchanges, 0)), 0
+    if exchanges == 1:
+        return others, np.array([_exchange_bounds(ctx, row, others)]), rounds
+    try:
+        best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
+    except NegativeTimeOfFlight:
+        sends, sent = rounds + 1, len(row.stamps) // exchanges
+        for e, p in enumerate(row.responders):
+            _exchange_bounds(ctx, Row(row.verifier, [p], row.schedule[e * sends:(e + 1) * sends],
+                                      row.stamps[e * sent:(e + 1) * sent], row.t_end), others)
+        raise
     return others, best, rounds
 
 

@@ -736,6 +736,15 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
 @example(places=[(5.0, 6.0), (4.0, 2.0), (-4.0, -1.0), (-6.0, 2.0), (5.0, -2.0), (-3.0, -4.0)],
          provers=2, relay=False, n=4, alpha=0.0, closing=True,
          policy=EarlyChallenge(advance_s=1e-6, pr_ch=0.5), seed=14)
+# one exchange: watcher 10's only bad round 3 comes before watcher 11's bad round 2,
+# which pricing the block in round order would name first
+@example(places=[(3.0, 1.0), (-5.0, -4.0), (4.0, 1.0), (2.0, 2.0)], provers=1, relay=False,
+         n=6, alpha=0.0, closing=False, policy=EarlyChallenge(advance_s=1e-6, pr_ch=0.5),
+         seed=34)
+# one exchange under a claimed distance, 8 m longer than verifier 1 to watcher 10
+@example(places=[(0.0, 0.0), (90.0, 0.0), (30.0, 60.0), (-40.0, 10.0)], provers=1,
+         relay=False, n=4, alpha=0.0, closing=True,
+         policy=FakeLocationReport(claimed_distance_m=75.08203932499369), seed=6)
 def test_passive_bounds_match_per_watcher_pricing(
     places, provers, relay, n, alpha, closing, policy, seed
 ):
@@ -760,6 +769,86 @@ def test_passive_bounds_match_per_watcher_pricing(
     assert [[(w, b.hex(), rounds) for w, b in zip(others, g)] for g in best.tolist()] == [
         [(w, b.hex(), k) for w, (b, k) in g.items()] for g in want
     ]
+
+
+def gapped_row(ctx, provers, gaps):
+    """A hand-built row of ctx's verifier 1: one exchange per prover, honest replies.
+
+    gaps[e][i] is the published gap after exchange e's round i, in units
+    of alpha, or None for the honest gap: the round trip plus 2 alpha.
+    """
+    alpha, chan = ctx.scenario.config.alpha, ctx.channel
+    schedule, stamps, t = [], [], ctx.slot_s
+    for p, exchange in zip(provers, gaps):
+        flight = chan.tof(1, p)
+        schedule.append(t)
+        for gap in exchange:
+            stamps += [t, t + flight + alpha]
+            t += 2 * (flight + alpha) if gap is None else gap * alpha
+            schedule.append(t)
+        stamps.append(t)  # the closing
+        t += ctx.slot_s
+    return Row(1, list(provers), schedule, stamps, t)
+
+
+@pytest.mark.parametrize("gaps", [[[None, 0.5, None]], [[None, 0.5], [0.25, None]]],
+                         ids=["one exchange", "two exchanges"])
+def test_a_schedule_gap_below_two_alphas_is_refused(gaps):
+    """A published gap below 2 alpha makes an overheard round trip impossible.
+
+    No driver publishes one, since the verifier adds its advance back;
+    so the rows are built by hand.  Both the one-exchange loop and the
+    block's fallback raise passive_oracle's error, exchange by exchange,
+    one watcher and one round at a time.
+    """
+    places = [(0.0, 0.0), (90.0, 0.0), (-60.0, 30.0), (30.0, 60.0), (-40.0, 10.0)]
+    ctx, _, _, watchers = verifier_row(places, 2, False, 2, 1e-7, True, Honest(), 0)
+    row = gapped_row(ctx, [20, 21][:len(gaps)], gaps)
+    cfg, chan, offsets = ctx.scenario.config, ctx.channel, ctx.channel.trace.offsets
+    sends, sent = len(row.schedule) // len(gaps), len(row.stamps) // len(gaps)
+    with pytest.raises(NegativeTimeOfFlight) as want:
+        for e, p in enumerate(row.responders):
+            schedule = row.schedule[e * sends:(e + 1) * sends]
+            replies = row.stamps[e * sent + 1:(e + 1) * sent:2]
+            for w in watchers:
+                dist = chan.tof(1, w) * cfg.c
+                heard = [(t + dist / cfg.c) + offsets[w] for t in schedule]
+                stamps = [(t1, (reply + chan.tof(p, w)) + offsets[w], t3)
+                          for t1, reply, t3 in zip(heard, replies, heard[1:])]
+                passive_oracle.observed_bound(stamps, cfg.alpha, dist, cfg.c)
+    assert str(want.value).startswith("overheard round trip")
+    with pytest.raises(NegativeTimeOfFlight) as got:
+        passive_bounds(ctx, row, [1] + watchers)
+    assert str(got.value) == str(want.value)
+
+
+def outcome(scenario):
+    """A run's estimate rows, each bound as .hex(), or its NegativeTimeOfFlight text."""
+    try:
+        est = run_scenario(scenario).estimates
+    except NegativeTimeOfFlight as exc:
+        return str(exc)
+    return [(m, t, b.hex(), method, k, auth) for m, t, b, method, k, auth, _ in est]
+
+
+def test_a_one_exchange_row_builds_no_block(monkeypatch):
+    """One-exchange rows price their listeners without the block path, to the same bits."""
+    listener = NodeSpec(id=8, pos=(-40.0, 10.0), role=Role.PASSIVE_VERIFIER)
+    oneway = oneway_scenario(n=4, seed=6, observer_pos=(30.0, 60.0), extra_nodes=[listener])
+    cases = [
+        oneway,
+        with_policy(oneway, 1, EarlyChallenge(advance_s=1e-6, pr_ch=1.0)),
+        mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=1),
+    ]
+    want = [outcome(s) for s in cases]
+    assert [type(w) for w in want] == [list, str, list]
+
+    def refuse(*args):
+        raise AssertionError("a one-exchange row was priced as a block")
+
+    monkeypatch.setattr(pairwise_driver, "passive_observations", refuse)
+    monkeypatch.setattr(pairwise_driver, "observed_bound", refuse)
+    assert [outcome(s) for s in cases] == want
 
 
 def with_config(scenario, **changes):
