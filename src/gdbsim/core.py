@@ -525,7 +525,7 @@ def validate_scenario(s: Scenario) -> List[ValidationIssue]:
         if not (actives or passives):
             issues.append(ValidationIssue(
                 "RoleMismatch", "nodes", "MPNV needs at least one verifier"))
-        issues.extend(_check_mpnv_params(s, len(actives) + len(passives), len(provers)))
+        issues.extend(_check_mpnv_params(s, len(actives), len(passives), len(provers)))
     else:  # the two-group protocols
         if len(peers) != len(s.nodes):
             issues.append(ValidationIssue(
@@ -536,8 +536,11 @@ def validate_scenario(s: Scenario) -> List[ValidationIssue]:
     return issues
 
 
-def _check_mpnv_params(s: Scenario, n_verifiers: int, n_provers: int) -> List[ValidationIssue]:
+def _check_mpnv_params(
+    s: Scenario, n_actives: int, n_passives: int, n_provers: int
+) -> List[ValidationIssue]:
     issues: List[ValidationIssue] = []
+    n_verifiers = n_actives + n_passives
     exp = s.experiment
     if exp is None or exp.n_a is None or exp.d_a is None:
         issues.append(ValidationIssue(
@@ -550,6 +553,10 @@ def _check_mpnv_params(s: Scenario, n_verifiers: int, n_provers: int) -> List[Va
     if not 0.0 < exp.d_a <= 1.0:
         issues.append(ValidationIssue(
             "ParamOutOfRange", "experiment.d_a", f"d_a must be in (0, 1], got {exp.d_a}"))
+    elif (want := active_verifier_count(exp.d_a, n_verifiers)) > n_actives:
+        issues.append(ValidationIssue(
+            "ParamOutOfRange", "experiment.d_a", f"d_a={exp.d_a} selects {want} of "
+            f"{n_verifiers} verifiers but only {n_actives} are ActiveVerifiers"))
     if exp.N is not None and exp.N != n_verifiers:
         issues.append(ValidationIssue(
             "ParamOutOfRange", "experiment.N",

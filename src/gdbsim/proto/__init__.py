@@ -1,9 +1,9 @@
 """Protocol state machines driving the broadcast channel.
 
 Every driver shares the Brands-Chaum skeleton of base.py: commit_phase,
-rapid values that XOR a committed nonce, timed by RunContext.sender,
-and written either as a plain verifier row's block or one message at a
-time by RunContext.emit, a relayed row's too.  A verifier's row is its
+rapid values that XOR a committed nonce, written either as a plain
+verifier row's block or one message at a time by RunContext.emit,
+which times each send, a relayed row's too.  A verifier's row is its
 own record of rounds, the interleaved chain and 1toM return theirs as
 a list of Rounds, all priced by active_bounds (a group verifier's row
 as arrays), then open_phase, which decommits, signs when auth is on,
@@ -23,7 +23,6 @@ from .base import (
     CommitMismatch,
     DbEstimate,
     Estimates,
-    NoActiveVerifier,
     ResponseMismatch,
     RunResult,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "CommitMismatch",
     "DbEstimate",
     "Estimates",
-    "NoActiveVerifier",
     "ResponseMismatch",
     "RunResult",
     "run_scenario",

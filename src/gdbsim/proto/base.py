@@ -2,25 +2,25 @@
 
 Every driver follows the Brands-Chaum shape: commit_phase draws and
 commits each party's rapid nonces into the run's nonce ledger, every
-timed message's send time comes from one per-send step,
-RunContext.sender (or is its nominal time, where RunContext.unstepped
-shows no step would move it, and RunContext.sent records it as the
-steps would), every rapid value is an operand XOR its sender's next
-committed nonce, and open_phase decommits (signing when auth is on)
-and replays every answer against the opened nonces.  A rapid message
-is written one of two ways: a plain verifier row
-(pairwise.run_exchange) as one block, its answers as one AnswerBlock;
-everything else, relayed rows too, through RunContext.emit, the step
-plus one trace row, each answer through RunContext.answer.  A
-verifier's row is itself the record of its rounds; the interleaved
-chain and 1toM return theirs as Rounds.  active_bounds prices rounds
-one at a time from either record, the measurer's stamps read off the
-trace's flight-time rows; the group driver prices a verifier's row
-as arrays instead (pairwise.active_row_bounds), with the same float
-operations.  pairwise.passive_bounds prices listeners the same way: a
-row of one exchange round by round, a group row as one block.  A run
-hands back its bounds as one columnar Estimates table, written as rows
-or, for the ring, as one block of columns.
+timed message's send time comes from one send rule, RunContext.emit
+(or is its nominal time, where RunContext.unstepped shows emit would
+not move it, and RunContext.sent records it as emit would), every
+rapid value is an operand XOR its sender's next committed nonce, and
+open_phase decommits (signing when auth is on) and replays every
+answer against the opened nonces.  A rapid message is written one of
+two ways: a plain verifier row (pairwise.run_exchange) as one block,
+its answers as one AnswerBlock; everything else, relayed rows too,
+through RunContext.emit, which times it and writes its trace row, each
+answer through RunContext.answer.  A verifier's row is itself the
+record of its rounds; the interleaved chain and 1toM return theirs as
+Rounds.  active_bounds prices rounds one at a time from either record,
+the measurer's stamps read off the trace's flight-time rows; the group
+driver prices a verifier's row as arrays instead
+(pairwise.active_row_bounds), with the same float operations.
+pairwise.passive_bounds prices listeners the same way: a row of one
+exchange round by round, a group row as one block.  A run hands back
+its bounds as one columnar Estimates table, written as rows or, for
+the ring, as one block of columns.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property, partial
 from itertools import repeat
 from operator import indexOf
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 from ..core import (
@@ -76,10 +76,6 @@ class CommitMismatch(GdbSimError):
 
 class AuthFailure(GdbSimError):
     """A required transcript signature is missing or does not verify."""
-
-
-class NoActiveVerifier(GdbSimError):
-    """The active-verifier fraction selects nobody."""
 
 
 def response_bits(challenge: int, responder_nonce: int, bit_len: int) -> int:
@@ -222,8 +218,8 @@ class RunContext:
     answered counting them off.  answers logs them in turn: a plain
     verifier row's as one AnswerBlock, every other answer as answer's
     (node, nonce index, operand, value, round index).  emit and answer
-    are the one per-message writer.  bit_len is the scenario's, held
-    here for answer; _steps holds the per-send steps sender has made.
+    are the one per-message writer.  policy_sends counts each timing-policy
+    node's emits; bit_len is the scenario's, held here for answer.
     """
 
     scenario: Scenario
@@ -235,59 +231,14 @@ class RunContext:
     nonces: Dict[NodeId, Tuple[int, ...]] = field(default_factory=dict)
     answered: Dict[NodeId, int] = field(default_factory=dict)
     answers: List[Union[Answer, AnswerBlock]] = field(default_factory=list)
+    policy_sends: Dict[NodeId, int] = field(default_factory=dict, init=False)
     bit_len: int = field(init=False)
-    _steps: Dict[NodeId, Callable[..., float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.bit_len = self.scenario.config.bit_len
 
-    def sender(self, node: NodeId) -> Callable[..., float]:
-        """node's per-send step, send(t_nominal, after, t_trigger, guess, measurer) -> t_send.
-
-        Made once per node and run.  A node with one of the
-        TIMING_POLICIES counts its sends here, and apply_policy shifts each
-        by its index (SelectiveDelay, toward measurer, the node whose
-        measurement the send answers) or sends it early (EarlyChallenge).
-        A send not made early waits for the node's last send: an early
-        challenge can reach a prover before it answered the last one.  A
-        guessed answer then leaves advance_s earlier still.  Any other
-        send before t_trigger, message after's arrival, raises
-        CausalityViolation.  A writer may skip the step for sends that
-        unstepped shows it would leave as they are, recording them with sent.
-        """
-        step = self._steps.get(node)
-        if step is not None:
-            return step
-        last_send, rng = self.channel.last_send, self.rng
-        policy = self.policies[node]
-        timing = isinstance(policy, TIMING_POLICIES)
-        transform = partial(apply_policy, policy, node) if timing else None
-        index = -1  # apply_policy's last send_index; the node's first send gets 0
-
-        def send(t: float, after: Optional[int] = None, t_trigger: Optional[float] = None,
-                 guess: bool = False, measurer: Optional[NodeId] = None) -> float:
-            nonlocal index
-            early = False
-            if transform is not None:
-                index += 1
-                t, early = transform(index, t, measurer, rng)
-            prev = last_send.get(node)
-            if not early and prev is not None and t < prev - SEND_SLACK_S:
-                t = prev
-            if guess:
-                t -= policy.advance_s
-            elif not early and t_trigger is not None and t < t_trigger - SEND_SLACK_S:
-                # the hold keeps a send from preceding the last one: only a reply can be late
-                raise CausalityViolation(
-                    f"node {node} sends at {t} before message {after} arrives at {t_trigger}")
-            last_send[node] = prev if prev is not None and prev > t else t
-            return t
-
-        self._steps[node] = send
-        return send
-
     def unstepped(self, nodes: Sequence[NodeId], firsts: Sequence[float]) -> bool:
-        """Whether each node's step would leave its sends, from its first in firsts on, as they are.
+        """Whether emit would leave each node's sends, from its first in firsts on, as they are.
 
         So it is when no node has a timing policy and none's last send
         can hold its first, for runs of sends none of which precedes an
@@ -303,7 +254,7 @@ class RunContext:
         return True
 
     def sent(self, nodes: Sequence[NodeId], lasts: Sequence[float]) -> None:
-        """Record sends timed without the steps as the steps record them.
+        """Record sends timed without emit as emit records them.
 
         lasts holds each node's latest such send, the nodes in the order
         they first sent; a node's last_send keeps the later of it and its last.
@@ -316,13 +267,38 @@ class RunContext:
     def emit(self, node: NodeId, t_nominal: float, kind: str, payload: bytes, round_index: int,
              after: Optional[int] = None, t_trigger: Optional[float] = None,
              measurer: Optional[NodeId] = None, guess: bool = False) -> int:
-        """The per-send step plus one row for a send reacting to message after; returns its seq.
+        """One timed rapid send reacting to message after, as one trace row; returns its seq.
 
-        t_trigger is after's arrival at node, as the caller read it to schedule the send.
+        t_trigger is after's arrival at node, as the caller read it to
+        schedule the send.  A node with one of the TIMING_POLICIES counts
+        its sends in policy_sends, and apply_policy shifts each by its
+        index (SelectiveDelay, toward measurer, the node whose measurement
+        the send answers) or sends it early (EarlyChallenge).  A send not
+        made early waits for the node's last send: an early challenge can
+        reach a prover before it answered the last one.  A guessed answer
+        then leaves advance_s earlier still.  Any other send before
+        t_trigger raises CausalityViolation, and writes nothing.  A writer
+        may time sends itself that unstepped shows emit would leave as
+        they are, recording them with sent.
         """
-        step = self._steps.get(node) or self.sender(node)
-        return self.channel.trace.append(node, step(t_nominal, after, t_trigger, guess, measurer),
-                                         kind, "rapid", payload, round_index)
+        policy = self.policies[node]
+        t, early = t_nominal, False
+        if isinstance(policy, TIMING_POLICIES):
+            index = self.policy_sends.get(node, 0)
+            self.policy_sends[node] = index + 1
+            t, early = apply_policy(policy, node, index, t, measurer, self.rng)
+        last_send = self.channel.last_send
+        prev = last_send.get(node)
+        if not early and prev is not None and t < prev - SEND_SLACK_S:
+            t = prev
+        if guess:
+            t -= policy.advance_s
+        elif not early and t_trigger is not None and t < t_trigger - SEND_SLACK_S:
+            # the hold keeps a send from preceding the last one: only a reply can be late
+            raise CausalityViolation(
+                f"node {node} sends at {t} before message {after} arrives at {t_trigger}")
+        last_send[node] = prev if prev is not None and prev > t else t
+        return self.channel.trace.append(node, t, kind, "rapid", payload, round_index)
 
     def answer(self, node: NodeId, operand: int, round_index: int,
                heard: Optional[int] = None) -> int:

@@ -21,7 +21,6 @@ from .base import (
     METHOD_ACTIVE,
     METHOD_PASSIVE,
     Estimates,
-    NoActiveVerifier,
     RunContext,
     RunResult,
     commit_phase,
@@ -34,24 +33,8 @@ from .pairwise import active_row_bounds, passive_bounds, run_exchange
 from .pairwise import observed_bound, passive_observations  # noqa: F401  (perfbench/tracing.py patches these names here)
 from .ring import run_multiparty_gdb
 
-# watchers, eligible pool, provers, n_a, d_a
+# watchers, eligible pool (sorted), provers, n_a, d_a
 Phase = Tuple[Sequence[NodeId], Sequence[NodeId], Sequence[NodeId], int, float]
-
-
-def _select_actives(
-    ctx: RunContext, pool: Sequence[NodeId], n_verifiers: int, d_a: float
-) -> List[NodeId]:
-    """Seeded draw of the verifiers that run active rounds this run."""
-    want = active_verifier_count(d_a, n_verifiers)
-    if want == 0 or not pool:
-        raise NoActiveVerifier(
-            f"active fraction {d_a} selects {want} of {len(pool)} eligible verifiers"
-        )
-    if want > len(pool):
-        raise NoActiveVerifier(
-            f"need {want} active verifiers but only {len(pool)} are eligible"
-        )
-    return sorted(ctx.rng.sample(sorted(pool), want))
 
 
 def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
@@ -91,7 +74,8 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     rounds = np.zeros((len(ids), len(ids)), dtype=np.int64)
     actives: Set[NodeId] = set()
     for watchers, pool, provers, n_a, d_a in phases:
-        selected = _select_actives(ctx, pool, len(watchers), d_a)
+        # a seeded draw; validation keeps the count in 1..len(pool)
+        selected = sorted(ctx.rng.sample(pool, active_verifier_count(d_a, len(watchers))))
         actives.update(selected)
         closing = not (n_a == cfg.n and len(selected) == len(watchers))
         place = {w: i for i, w in enumerate(watchers)}

@@ -8,15 +8,16 @@ a group row is shaped into arrays, active_row_bounds and
 passive_bounds' block.  A plain row, one that no timing policy, guess,
 relay, held first send or ill-fitting nonce touches, writes its
 trace rows in one block and its answers as one AnswerBlock; it is timed
-by one accumulate over its flights and delays and makes no per-send
-step call (RunContext.unstepped and RunContext.sent in base hold that
-contract); its payloads come from one template per row, each round's
+by one accumulate over its flights and delays and calls no
+RunContext.emit (RunContext.unstepped and RunContext.sent in base hold
+that contract); its payloads come from one template per row, each round's
 text written once.  Any other row and the interleaved chain send
 through RunContext.emit and answer through RunContext.answer, one
 message at a time; the chain returns its rounds.  The one-way driver
 runs a row of one prover, direct or relayed, with optional
-eavesdropping observers; the mutual driver interleaves both directions
-into 2n+1 rapid messages.  Both schedule the challenger's emissions on
+eavesdropping observers; the interleaved driver runs a 2n+1 message
+chain per pair of peers, both directions at once, and with two peers
+is MutualInterleaved.  Both schedule the challenger's emissions on
 an arrival-chained nominal timeline: each emission is due one
 processing delay after the previous reply arrives.  The challenger
 publishes those nominal times, and observers price their overheard
@@ -213,7 +214,7 @@ def run_exchange(
     prover answers its first rounds ahead of the challenge, on guessed
     bits; a relaying prover's victim answers on its nonces, each round
     trip costing the whole detour.  A plain row (_plain_row) is written
-    as one block, with no step calls, its closings' included.  Every
+    as one block, with no emit calls, its closings' included.  Every
     other row goes round by round, each send through RunContext.emit
     and each answer through RunContext.answer.
     """
@@ -444,24 +445,7 @@ _run_relay_exchange = run_exchange  # noqa: F401  (perfbench/tracing.py patches 
 
 
 # ---------------------------------------------------------------------------
-# mutual interleaved
-
-
-def run_mutual_interleaved(scenario: Scenario) -> RunResult:
-    """Both peers bound each other through one 2n+1 message chain.
-
-    Message values alternate c_k XOR s_k (responder) and c_{k+1} XOR s_k
-    (initiator), so every message both answers the newest foreign nonce
-    and issues a fresh one.
-    """
-    ctx = start_run(scenario)
-    cfg = scenario.config
-    a, b = sorted(n.id for n in scenario.with_role(Role.PEER))
-    bundles, t = commit_phase(ctx, {a: cfg.n + 1, b: cfg.n})
-    t_end, rounds = _interleaved_rapid(ctx, a, b, t)
-    estimates = Estimates.from_rows(active_rows(ctx, rounds))
-    open_phase(ctx, bundles, t_end + ctx.slot_s)
-    return RunResult(scenario=scenario, trace=ctx.channel.trace, estimates=estimates)
+# interleaved chains and sequential baselines for group coverage
 
 
 def _interleaved_rapid(
@@ -503,10 +487,6 @@ def _interleaved_rapid(
     return t_sends[prev] + chan.reach(a), rounds
 
 
-# ---------------------------------------------------------------------------
-# sequential baselines for group coverage
-
-
 def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     """Full mutual coverage of a peer group by one-way runs, both ways.
 
@@ -536,7 +516,11 @@ def run_sequential_interleaved(scenario: Scenario) -> RunResult:
     """Full mutual coverage by per-pair interleaved chains, 2n+1 each.
 
     A peer opens the chain with each later peer (n+1 nonces) and answers
-    each earlier one (n nonces), so it commits exactly that many.
+    each earlier one (n nonces), so it commits exactly that many.  With
+    two peers this is MutualInterleaved: both bound each other through
+    one chain whose messages alternate c_k XOR s_k (responder) and
+    c_{k+1} XOR s_k (initiator), each answering the newest foreign nonce
+    and issuing a fresh one.
     """
     ctx = start_run(scenario)
     cfg = scenario.config

@@ -6,12 +6,12 @@ from ..core import Protocol, Scenario
 from .base import RunResult
 from .group import run_mpnv, run_ntom_multiparty, run_ntom_onetomany, run_ntom_passive
 from .onetomany import run_one_to_many
-from .pairwise import run_mutual_interleaved, run_one_way_db
+from .pairwise import run_one_way_db, run_sequential_interleaved
 from .ring import run_multiparty_gdb
 
 _DRIVERS = {
     Protocol.ONE_WAY: run_one_way_db,
-    Protocol.MUTUAL_INTERLEAVED: run_mutual_interleaved,
+    Protocol.MUTUAL_INTERLEAVED: run_sequential_interleaved,
     Protocol.ONE_TO_MANY: run_one_to_many,
     Protocol.MULTI_PARTY_RING: run_multiparty_gdb,
     Protocol.MPNV: run_mpnv,

@@ -20,7 +20,7 @@ as a float64 array derived from the rows on first use.
 
 No send may precede its node's last send, nor a reply its trigger's
 arrival, by more than SEND_SLACK_S: broadcast raises CausalityViolation
-on the first, and a rapid send's step, proto.base.RunContext.sender,
+on the first, and a timed rapid send, proto.base.RunContext.emit,
 holds it to the first and raises on the second unless it is sent early.
 
 The export, trace format 2, is JSON lines: a meta line {"kind":

@@ -175,10 +175,10 @@ def apply_policy(
     measurer is the node whose measurement the send answers.  Returns
     (t, early): t_nominal with the policy's timing shift applied, and
     whether the policy moved the send ahead of its trigger.  Every rapid
-    send of a node with one of the TIMING_POLICIES goes through its
-    per-send step, RunContext.sender, which counts send_index, holds a
-    send not made early behind the node's last send and applies a
-    guess's advance; content-level deviations stay with the drivers.
+    send of a node with one of the TIMING_POLICIES goes through
+    RunContext.emit, which counts send_index, holds a send not made
+    early behind the node's last send and applies a guess's advance;
+    content-level deviations stay with the drivers.
     """
     if isinstance(policy, SelectiveDelay):
         d = policy.delay_for(send_index, measurer)

@@ -1,7 +1,7 @@
 """A verifier's row message by message, and per-round active pricing, as test oracles.
 
 gdbsim runs a verifier's exchanges with every prover in one writer call.
-A plain row is one block, timed by one accumulate, with no step calls:
+A plain row is one block, timed by one accumulate, with no emit calls:
 one extend per trace column and its answers logged as one AnswerBlock.
 Any other row, one that a timing policy, a guess, a held first send or
 a relay touches, goes send by send through RunContext.emit and answer

@@ -1,4 +1,5 @@
 """Command line contract: artifacts, exit codes, reproducibility."""
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from gdbsim.analysis import emit_figure_data
 from gdbsim.cli import main
 from gdbsim.core import (
     Protocol,
+    Role,
     ScenarioInvalid,
     load_scenario,
     scenario_to_json,
@@ -21,7 +23,7 @@ from gdbsim.core import (
 )
 from gdbsim.proto.base import ResponseMismatch
 from gdbsim.proto.runner import run_scenario
-from gdbsim.scenarios import oneway_scenario, peer_scenario
+from gdbsim.scenarios import mpnv_scenario, oneway_scenario, peer_scenario
 from gdbsim.simkit import Trace
 from gdbsim.threat import GuessAhead
 
@@ -113,6 +115,25 @@ def test_run_rejects_invalid_scenario_naming_the_field(tmp_path, capsys):
     p = write_scenario(tmp_path, peer_scenario(Protocol.MULTI_PARTY_RING, 3))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "N must be >= 4 for MultiPartyRing" in capsys.readouterr().err
+
+
+def overdemanding_mpnv():
+    """An MPNV whose d_a needs four ActiveVerifiers, with verifiers 3 and 4 only listening."""
+    s = mpnv_scenario(n=2, n_a=1, d_a=1.0, n_verifiers=4, m_provers=2)
+    return dataclasses.replace(s, nodes=tuple(
+        dataclasses.replace(v, role=Role.PASSIVE_VERIFIER) if v.id in (3, 4) else v
+        for v in s.nodes))
+
+
+def test_an_overdemanding_d_a_is_refused_before_anything_runs(tmp_path, ring_file, capsys):
+    """run and sweep both exit 2 naming experiment.d_a, and sweep makes no run directory."""
+    p = write_scenario(tmp_path, overdemanding_mpnv(), "mpnv.json")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "experiment.d_a" in capsys.readouterr().err
+    out = tmp_path / "swept"
+    assert main(["sweep", str(ring_file), str(p), "--out", str(out)]) == 2
+    assert "experiment.d_a" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_protocol_failure_is_exit_three(tmp_path, capsys):

@@ -227,32 +227,28 @@ def test_an_oversized_nonce_raises_what_the_oracle_raises(scenario, node):
     writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
     assert isinstance(writer[2], LengthMismatch)
     assert state(*writer) == state(*oracle)
-    # the nonce's row would be plain, but takes the steps up to the nonce; the rows before ran plain
-    calls, (ctx, _, _, records) = step_calls(scenario, patches)
-    assert Counter(calls) == expected_step_calls(ctx, records)
+    # the nonce's row would be plain, but is sent through emit up to the nonce;
+    # the rows before ran plain
+    calls, (ctx, _, _, records) = emit_calls(scenario, patches)
+    assert Counter(calls) == expected_emit_calls(ctx, records)
     trace = ctx.channel.trace
     cut = [node for node, phase in zip(trace.sender, trace.phase) if phase == "rapid"][
         sum(len(row.stamps) for row in records):]
     assert cut and Counter(calls) == Counter(cut)
-    assert step_calls(scenario)[0] == []  # unwidened, every row is plain
+    assert emit_calls(scenario)[0] == []  # unwidened, every row is plain
 
 
-def step_calls(scenario, patches=()):
-    """The node of every step call a run by the writer makes, in order, and the run."""
+def emit_calls(scenario, patches=()):
+    """The node of every RunContext.emit call a run by the writer makes, in order, and the run."""
     calls = []
-    sender = base.RunContext.sender
+    emit = base.RunContext.emit
 
-    def spied(ctx, node):
-        step = sender(ctx, node)
-
-        def send(*args):
-            calls.append(node)
-            return step(*args)
-        ctx._steps[node] = send  # emit reads this cache before it asks sender
-        return send
+    def spied(ctx, node, *args, **kwargs):
+        calls.append(node)
+        return emit(ctx, node, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(base.RunContext, "sender", spied)
+        mp.setattr(base.RunContext, "emit", spied)
         outcome = run(scenario, False, patches)
     return calls, outcome
 
@@ -262,10 +258,10 @@ def stepping(policy):
         isinstance(policy, GuessAhead) and policy.p_rounds > 0)
 
 
-def expected_step_calls(ctx, records):
-    """Each node's step calls: every send of a row where any party has a timing
+def expected_emit_calls(ctx, records):
+    """Each node's emit calls: every send of a row where any party has a timing
     policy or guesses, closings included, and none of a plain row's.  A row
-    cut short by an error, after the recorded ones, went through the steps."""
+    cut short by an error, after the recorded ones, went through emit."""
     trace = ctx.channel.trace
     rapid = [node for node, phase in zip(trace.sender, trace.phase) if phase == "rapid"]
     want, at = Counter(), 0
@@ -282,10 +278,10 @@ MPNV = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=3)
 
 
 @pytest.mark.parametrize("scenario", [
-    # plain rows: every exchange is honest, and not even the closings step
+    # plain rows: every exchange is honest, and not even the closings go through emit
     MPNV,
     oneway_scenario(n=4, observer_pos=(40.0, 30.0)),
-    # mixed rows: one prover in each row would step, so the whole row steps
+    # mixed rows: one prover in each row would be stepped, so the whole row is
     with_policy(MPNV, 6, SelectiveDelay(delay_s=3e-8)),
     with_policy(MPNV, 5, GuessAhead(p_rounds=1, advance_s=1e-9)),
     # stepped rows: every verifier may challenge early
@@ -295,27 +291,28 @@ MPNV = mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=3)
         "mpnv-stepped", "oneway-stepped"])
 def test_plain_stepped_and_mixed_rows_match_the_oracle(scenario):
     """Plain rows, stepped ones and rows with one stepping party leave the
-    oracle's state; a send calls its step exactly when its row steps.  A plain
-    row's closings skip the step too: unstepped clears every send of the row,
-    which RunContext.sender's contract lets skip it."""
+    oracle's state; a send goes through emit exactly when its row is stepped.
+    A plain row's closings skip emit too: unstepped clears every send of the
+    row, which RunContext.emit's contract lets skip it."""
     assert_writer_matches_oracle(scenario)
-    calls, (ctx, _, _, records) = step_calls(scenario)
-    assert Counter(calls) == expected_step_calls(ctx, records)
+    calls, (ctx, _, _, records) = emit_calls(scenario)
+    assert Counter(calls) == expected_emit_calls(ctx, records)
 
 
 def test_an_honest_mpnv_row_makes_no_step_calls():
     """With every verifier active for all n rounds there is no closing, so an
-    honest run's rapid phase calls no step at all: the plain path ran."""
+    honest run's rapid phase calls no emit at all: the plain path ran."""
     scenario = mpnv_scenario(n=3, n_a=3, d_a=1.0, n_verifiers=3, m_provers=4)
-    assert step_calls(scenario)[0] == []
+    assert emit_calls(scenario)[0] == []
     assert_writer_matches_oracle(scenario)
 
 
 def test_a_delayed_prover_counts_only_its_own_sends():
     """SelectiveDelay's per_message index is the prover's own count of its
-    rapid sends, though the other provers step in the same rows and count
-    nothing: exactly the named replies, one in each of the second and third
-    rows, leave their delay late, and the run leaves the oracle's state."""
+    rapid sends, though the other provers go through emit in the same rows
+    and count nothing: exactly the named replies, one in each of the second
+    and third rows, leave their delay late, and the run leaves the oracle's
+    state."""
     delays = {3: 4e-8, 4: 5e-8}  # its second row's last reply, its third row's first
     scenario = with_policy(mpnv_scenario(n=3, n_a=2, d_a=1.0, n_verifiers=3, m_provers=3),
                            5, SelectiveDelay(per_message=tuple(delays.items())))
@@ -328,14 +325,14 @@ def test_a_delayed_prover_counts_only_its_own_sends():
         replies[prover] += 1
         assert reply == (ask + ctx.channel.tof(v, prover) + alpha) + late
     assert replies == {4: 6, 5: 6, 6: 6}  # three rows of two rounds
-    calls, (ctx, _, _, records) = step_calls(scenario)
-    assert Counter(calls) == expected_step_calls(ctx, records)
+    calls, (ctx, _, _, records) = emit_calls(scenario)
+    assert Counter(calls) == expected_emit_calls(ctx, records)
 
 
 @pytest.mark.parametrize("held", ["prover", "verifiers"])
 def test_a_held_first_send_takes_the_stepped_path(held):
-    """A row with a first send its node's last_send holds goes through the
-    steps, which hold that send: the oracle's state, and only that row steps."""
+    """A row with a first send its node's last_send holds goes through emit,
+    which holds that send: the oracle's state, and only that row is stepped."""
     nodes = [4] if held == "prover" else [1, 2, 3]  # 4 is every row's first prover
     holds = []
 
@@ -352,7 +349,7 @@ def test_a_held_first_send_takes_the_stepped_path(held):
     patches = [(group, "commit_phase", holding(group.commit_phase))]
     writer, oracle = run(scenario, False, patches), run(scenario, True, patches)
     assert state(*writer) == state(*oracle)
-    calls = step_calls(scenario, patches)[0]
+    calls = emit_calls(scenario, patches)[0]
     ctx, records = writer[0], writer[3]
     trace, row = ctx.channel.trace, records[0]
     ask = trace.phase.index("rapid")  # the first row's first challenge
@@ -360,7 +357,7 @@ def test_a_held_first_send_takes_the_stepped_path(held):
     assert trace.sender[first] in nodes and trace.t_send[first] == holds[-1]
     # the held row's sends all stepped, both ways, its closings too; every other row ran plain
     assert Counter(calls) == Counter(trace.sender[ask:ask + len(row.stamps)])
-    assert expected_step_calls(ctx, records) == Counter()
+    assert expected_emit_calls(ctx, records) == Counter()
 
 
 @settings(max_examples=300, deadline=None)
@@ -369,9 +366,9 @@ def test_a_held_first_send_takes_the_stepped_path(held):
        gaps=st.lists(st.sampled_from([0.0, 1e-16, 1e-15, 2e-15, 1e-9, 1.0]), max_size=6),
        start=st.sampled_from([-1e-15, -5e-16, 0.0, 1e-16, -1e-9]))
 def test_sent_records_what_the_steps_record(prevs, gaps, start):
-    """RunContext.unstepped says the steps leave every send of a non-decreasing
-    run of rounds as it is exactly when they do, and then RunContext.sent
-    leaves the last_send the steps leave, by repr, the slack included.
+    """RunContext.unstepped says emit leaves every send of a non-decreasing
+    run of rounds as it is exactly when it does, and then RunContext.sent
+    leaves the last_send emit leaves, by repr, the slack included.
     Node 1 asks, node 2 replies."""
     t, sends = 1.0 + start, []
     for gap in gaps:
@@ -385,8 +382,9 @@ def test_sent_records_what_the_steps_record(prevs, gaps, start):
                 contexts[-1].channel.last_send[node] = prev
     stepped, recorded = contexts
     unstepped = stepped.unstepped((1, 2), sends)
-    steps = [stepped.sender(1), stepped.sender(2)]
-    assert ([steps[k % 2](t) for k, t in enumerate(sends)] == sends) == unstepped
+    t_sends = stepped.channel.trace.t_send
+    timed = [t_sends[stepped.emit(1 + k % 2, t, "response", b"", 1)] for k, t in enumerate(sends)]
+    assert (timed == sends) == unstepped
     lasts = [(node, own[-1]) for node, own in ((1, sends[0::2]), (2, sends[1::2])) if own]
     recorded.sent([node for node, _ in lasts], [t for _, t in lasts])
     if unstepped:
@@ -394,7 +392,7 @@ def test_sent_records_what_the_steps_record(prevs, gaps, start):
 
 
 def test_a_late_reply_raises_what_broadcast_raised():
-    """The per-send step's causality check: same error, same text, same last sends."""
+    """emit's causality check: same error, same text, same last sends, no row."""
     got = []
     for oracle in (False, True):
         ctx = start_run(oneway_scenario())
@@ -405,7 +403,7 @@ def test_a_late_reply_raises_what_broadcast_raised():
             if oracle:
                 exchange_oracle.emit(ctx, 2, t_in - 1e-9, "response", b"", 1, ask, 1)
             else:
-                ctx.sender(2)(t_in - 1e-9, ask, t_in, False, 1)
+                ctx.emit(2, t_in - 1e-9, "response", b"", 1, ask, t_in, 1)
         got.append((str(exc.value), chan.last_send, chan.trace.count()))
     assert got[0] == got[1]
     assert got[0][0].startswith("node 2 sends at ")
@@ -609,8 +607,8 @@ def test_a_tampered_answer_fails_the_replay_as_the_per_answer_replay_does(
     (2, "node 6's answer on nonce 1 in round 2 is not its challenge XOR that nonce"),
 ])
 def test_a_guessing_mpnv_prover_is_refused(seed, text):
-    """A GuessAhead prover's rows step, logging one entry per answer, and the
-    replay of those entries refuses the run with the oracle's text."""
+    """A GuessAhead prover's rows go through emit, logging one entry per answer,
+    and the replay of those entries refuses the run with the oracle's text."""
     scenario = with_policy(mpnv_scenario(n=4, n_a=3, d_a=0.5, n_verifiers=4, m_provers=3,
                                          seed=seed), 6, GuessAhead(p_rounds=3, advance_s=2e-8))
     writer = run(scenario, False)
@@ -619,15 +617,15 @@ def test_a_guessing_mpnv_prover_is_refused(seed, text):
 
 
 def test_a_plain_mpnv_row_is_one_answer_entry_and_leaves_no_per_round_tuples():
-    """A plain row appends one AnswerBlock to the log, calls no step, and leaves
+    """A plain row appends one AnswerBlock to the log, calls no emit, and leaves
     fewer new tracked objects than it has rounds: no tuple per round survives it."""
     provers, n = list(range(7, 13)), 8
     scenario = mpnv_scenario(n=n, n_a=n, d_a=1.0, n_verifiers=6, m_provers=len(provers))
     ctx = start_run(scenario)
     _, t = commit_phase(ctx, {p: n for p in provers})
-    steps = []
+    emits = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(base.RunContext, "sender", lambda ctx, node: steps.append(node))
+        mp.setattr(base.RunContext, "emit", lambda ctx, node, *args, **kwargs: emits.append(node))
         gc.collect()
         gc.disable()
         try:
@@ -637,7 +635,7 @@ def test_a_plain_mpnv_row_is_one_answer_entry_and_leaves_no_per_round_tuples():
         finally:
             gc.enable()
     rounds = len(provers) * n
-    assert steps == []
+    assert emits == []
     block, = ctx.answers
     assert isinstance(block, AnswerBlock)
     assert (block.nodes, block.starts, block.rounds) == (provers, [0] * len(provers), n)

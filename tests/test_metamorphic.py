@@ -2,21 +2,26 @@
 
 An order-preserving relabelling of node ids keeps every RNG draw in
 place (offsets, then nonces, follow sorted ids), so every send time and
-every estimate must map through the relabelling exactly.  Payloads that
-hash or sign ids are left out.
+every estimate must map through the relabelling exactly, for every
+protocol.  Payloads that hash or sign ids are left out.  A SelectiveDelay
+indexes its per_message delays by its node's own count of rapid sends,
+so the relation pins that count too.
 """
 import dataclasses
 from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_proto import point, verifier_policies
 
-from gdbsim.core import GdbSimError, NodeSpec, Role
+from gdbsim.core import (
+    ExperimentParams, GdbSimError, NodeSpec, Protocol, ProtocolConfig, Role,
+)
 from gdbsim.estimate import NegativeTimeOfFlight
 from gdbsim.proto.runner import run_scenario
-from gdbsim.scenarios import mpnv_scenario, oneway_scenario, with_policy
+from gdbsim.scenarios import mpnv_scenario, oneway_scenario, peer_scenario, with_policy
 from gdbsim.threat import GuessAhead, Honest, Relay, SelectiveDelay
 
 
@@ -118,4 +123,53 @@ def mpnv_runs(draw):
 @given(data=st.data())
 def test_mpnv_relabelling_maps_every_estimate_and_send(data):
     s = data.draw(mpnv_runs())
+    assert_relabelling_maps(s, data.draw(relabellings([n.id for n in s.nodes])))
+
+
+RINGS = (Protocol.MULTI_PARTY_RING, Protocol.NTOM_MULTIPARTY)
+TWO_GROUPS = (Protocol.NTOM_PASSIVE, Protocol.NTOM_ONETOMANY, Protocol.NTOM_MULTIPARTY)
+
+
+@st.composite
+def peer_runs(draw, protocol):
+    """A small run of a peer protocol, up to two peers holding a SelectiveDelay.
+
+    Its per_message delays name sends by the peer's own count, and it
+    targets one peer wherever validation allows a target (not in a ring).
+    """
+    low = 4 if protocol in RINGS else 2
+    high = 2 if protocol == Protocol.MUTUAL_INTERLEAVED else 6
+    positions = draw(st.lists(point, min_size=low, max_size=high, unique=True))
+    n = draw(st.integers(min_value=1, max_value=4))
+    experiment = None
+    if protocol in TWO_GROUPS:
+        size_n = draw(st.integers(min_value=1, max_value=len(positions) - 1))
+        fractions, rounds = st.sampled_from([0.3, 0.5, 1.0]), st.integers(1, n)
+        extra = {} if protocol != Protocol.NTOM_PASSIVE else dict(
+            d_1=draw(fractions), d_2=draw(fractions), n_a1=draw(rounds), n_a2=draw(rounds))
+        experiment = ExperimentParams(N=size_n, M=len(positions) - size_n, **extra)
+    s = dataclasses.replace(
+        peer_scenario(protocol, positions=positions, experiment=experiment,
+                      seed=draw(st.integers(min_value=0, max_value=2**16))),
+        config=ProtocolConfig(n=n, bit_len=draw(st.integers(min_value=1, max_value=3)),
+                              alpha=draw(st.sampled_from([0.0, 1e-8])),
+                              auth_enabled=draw(st.booleans())))
+    peers = [node.id for node in s.nodes]
+    delay = st.builds(
+        SelectiveDelay, delay_s=st.sampled_from([0.0, 1e-8, 1e-7]),
+        per_message=st.sampled_from([(), ((0, 5e-8),), ((1, 5e-8), (3, 1e-8))]),
+        target=st.just(None) if protocol in RINGS else st.sampled_from([None, *peers]))
+    for peer in draw(st.lists(st.sampled_from(peers), max_size=2, unique=True)):
+        s = with_policy(s, peer, draw(delay))
+    return s
+
+
+@pytest.mark.parametrize("protocol", [
+    Protocol.MUTUAL_INTERLEAVED, Protocol.ONE_TO_MANY, Protocol.MULTI_PARTY_RING,
+    Protocol.NTOM_PASSIVE, Protocol.NTOM_ONETOMANY, Protocol.NTOM_MULTIPARTY,
+], ids=lambda p: p.value)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_peer_relabelling_maps_every_estimate_and_send(protocol, data):
+    s = data.draw(peer_runs(protocol))
     assert_relabelling_maps(s, data.draw(relabellings([n.id for n in s.nodes])))

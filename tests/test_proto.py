@@ -17,6 +17,7 @@ from gdbsim.core import (
     ProtocolConfig,
     Role,
     Scenario,
+    ScenarioInvalid,
     SPEED_OF_LIGHT,
     active_verifier_count,
     distance,
@@ -27,7 +28,7 @@ from gdbsim.proto import base, group
 from gdbsim.proto import onetomany as onetomany_driver
 from gdbsim.proto import pairwise as pairwise_driver
 from gdbsim.proto import ring as ring_driver
-from gdbsim.proto.base import AuthFailure, NoActiveVerifier, ResponseMismatch, start_run
+from gdbsim.proto.base import AuthFailure, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     Row,
     active_row_bounds,
@@ -416,7 +417,7 @@ def test_group_estimates_compose_every_source(scenario):
     """
     phases = one_way_group_phases(scenario)
     if any(active_verifier_count(d_a, len(w)) > len(pool) for w, pool, _, _, d_a in phases):
-        with pytest.raises(NoActiveVerifier):
+        with pytest.raises(ScenarioInvalid):
             run_scenario(scenario)
         return
     r = run_scenario(scenario)
@@ -699,7 +700,8 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
               for w, pos in zip(watchers, rest)]
     ctx = start_run(Scenario(
         nodes=tuple(nodes), protocol=Protocol.MPNV, config=ProtocolConfig(n=n, alpha=alpha),
-        experiment=ExperimentParams(n_a=n, d_a=1.0), rng_seed=seed,
+        # d_a selects exactly the one ActiveVerifier
+        experiment=ExperimentParams(n_a=n, d_a=1.0 / (1 + len(watchers))), rng_seed=seed,
     ))
     for p in prover_ids:
         nonces = ctx.nonces[p] = tuple(ctx.rng.getrandbits(1) for _ in range(n))

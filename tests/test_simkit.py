@@ -91,11 +91,18 @@ def asked(prover_policy=None):
     return ctx, ctx.channel.trace.append(1, 0.0, "challenge", "rapid", b"", 1)
 
 
+def reply(ctx, seq, t, t_trigger, guess=False):
+    """Node 2's reply to message seq, timed at t through emit: the t_send of its row."""
+    return ctx.channel.trace.t_send[
+        ctx.emit(2, t, "response", b"", 1, seq, t_trigger, guess=guess)]
+
+
 def test_reply_before_arrival_is_a_violation():
     ctx, seq = asked()
     t_trigger = ctx.channel.arrival_true(seq, 2)
     with pytest.raises(CausalityViolation):
-        ctx.sender(2)(t_trigger * 0.5, seq, t_trigger)
+        reply(ctx, seq, t_trigger * 0.5, t_trigger)
+    assert ctx.channel.trace.count() == 1 and 2 not in ctx.channel.last_send
 
 
 def test_reply_to_its_own_message_is_a_key_error():
@@ -109,30 +116,31 @@ def test_reply_to_its_own_message_is_a_key_error():
 
 
 def test_causality_slack_is_exact_to_the_ulp():
-    """A reply may precede its trigger's arrival by SEND_SLACK_S and no more."""
+    """A reply may precede its trigger's arrival by SEND_SLACK_S and no more;
+    a refused one writes no row and no last send."""
     ctx, seq = asked()
     t_trigger = ctx.channel.arrival_true(seq, 2)
     too_soon = math.nextafter(t_trigger - SEND_SLACK_S, -math.inf)
-    send = ctx.sender(2)
     with pytest.raises(CausalityViolation) as got:
-        send(too_soon, seq, t_trigger)
+        reply(ctx, seq, too_soon, t_trigger)
     assert str(got.value) == f"node 2 sends at {too_soon} before message 0 arrives at {t_trigger}"
     assert 2 not in ctx.channel.last_send
-    assert send(t_trigger - SEND_SLACK_S, seq, t_trigger) == t_trigger - SEND_SLACK_S
+    assert ctx.channel.trace.count() == 1
+    assert reply(ctx, seq, t_trigger - SEND_SLACK_S, t_trigger) == t_trigger - SEND_SLACK_S
     assert ctx.channel.last_send[2] == t_trigger - SEND_SLACK_S
 
 
 def test_reply_at_arrival_is_allowed():
     ctx, seq = asked()
     t = ctx.channel.arrival_true(seq, 2)
-    assert ctx.sender(2)(t, seq, t) == t
+    assert reply(ctx, seq, t, t) == t
 
 
 def test_a_guessed_reply_skips_the_trigger_check():
-    # a guessing prover answers before the challenge arrives; the time it returns is the truth
+    # a guessing prover answers before the challenge arrives; its row carries the true time
     ctx, seq = asked(GuessAhead(p_rounds=1, advance_s=1e-7))
     t_trigger = ctx.channel.arrival_true(seq, 2)
-    assert ctx.sender(2)(t_trigger, seq, t_trigger, True) == t_trigger - 1e-7
+    assert reply(ctx, seq, t_trigger, t_trigger, True) == t_trigger - 1e-7
 
 
 def test_own_sends_must_not_go_backwards():

@@ -1,6 +1,13 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every name it keeps only for the benchmark's tracer is one the tracer patches."""
+every name it keeps only for the benchmark's tracer is one the tracer patches,
+and the docs name only code that exists."""
 import ast
+import dataclasses
+import importlib
+import inspect
+import io
+import re
+import tokenize
 from pathlib import Path
 from types import ModuleType
 
@@ -103,3 +110,92 @@ def test_every_name_kept_for_the_tracer_is_traced():
     kept = tracer_kept_names()
     assert ("gdbsim.proto.pairwise", "_run_relay_exchange") in kept
     assert [name for name in kept if name not in traced] == []
+
+
+README = SRC.parent.parent / "README.md"
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+FILE_SUFFIXES = (".py", ".json", ".csv", ".jsonl")
+
+
+def _package():
+    """{name: objects}: every gdbsim module under its last name, and every class it defines."""
+    modules = [importlib.import_module(".".join(("gdbsim",) + p.relative_to(SRC).with_suffix("")
+                                                .parts).removesuffix(".__init__"))
+               for p in MODULES if p.name != "__main__.py"]  # which would run the CLI
+    out = {}
+    for module in modules:
+        out.setdefault(module.__name__.rsplit(".", 1)[-1], []).append(module)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                out.setdefault(cls.__name__, []).append(cls)
+    return out
+
+
+PACKAGE = _package()
+FIELD = object()  # a dataclass field: it resolves, and nothing after it does
+
+
+def _member(owner, name):
+    """owner's attribute, submodule or dataclass field name; AttributeError if it has none."""
+    if inspect.isclass(owner) and dataclasses.is_dataclass(owner) and name in {
+            f.name for f in dataclasses.fields(owner)}:
+        return FIELD
+    if isinstance(owner, ModuleType) and not hasattr(owner, name):
+        try:
+            return importlib.import_module(f"{owner.__name__}.{name}")
+        except ImportError:
+            raise AttributeError(name) from None
+    return getattr(owner, name)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether a dotted name whose first part is a gdbsim module or class names code."""
+    first, *rest = dotted.split(".")
+    for owner in PACKAGE[first]:
+        try:
+            for part in rest:
+                owner = _member(owner, part)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def doc_names(text: str):
+    """Every dotted name in text whose first part is a gdbsim module or class, file names aside."""
+    return [name for name in DOTTED.findall(text)
+            if name.split(".")[0] in PACKAGE and not name.endswith(FILE_SUFFIXES)]
+
+
+def src_doc_texts(path: Path):
+    """Every docstring and comment of one module."""
+    text = path.read_text()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.string
+
+
+def test_docs_name_only_code_that_exists():
+    """Every backquoted dotted name in README.md, and every dotted name in a src/
+    docstring or comment, that starts at a gdbsim module or class resolves to a
+    module attribute, a class attribute or a dataclass field."""
+    readme = [name for span in re.findall(r"`([^`]+)`", README.read_text())
+              for name in doc_names(span)]
+    src = [(str(path.relative_to(SRC)), name) for path in MODULES
+           for doc in src_doc_texts(path) for name in doc_names(doc)]
+    assert readme and src
+    assert [name for name in readme if not resolves(name)] == []
+    assert [(where, name) for where, name in src if not resolves(name)] == []
+
+
+def test_the_doc_check_sees_a_stale_name():
+    assert resolves("RunContext.emit") and resolves("proto.base.RunContext.emit")
+    assert resolves("RunContext.nonces") and resolves("gdbsim.proto.runner")
+    assert resolves("RunResult.ring_order") and not resolves("RunContext.nonces.get")
+    assert not resolves("RunContext.sender") and not resolves("proto.base.RunContext.sender")
+    assert doc_names("see `base.py` and core.Scenario.") == ["core.Scenario"]
