@@ -45,7 +45,7 @@ def observe(scenario, n):
     """The observer's (rounds x 1) stamps t1, t2, t3 and its baseline."""
     ctx = start_run(scenario)
     ctx.nonces[2] = tuple(ctx.rng.getrandbits(1) for _ in range(n))
-    row = run_exchange(ctx, 1, [2], n, t_start=ctx.slot_s, closing=True)
+    row, = run_exchange(ctx, [1], [2], n, t_start=ctx.slot_s, closing=True)
     t1, t2, t3, base = passive_observations(ctx, row, [9])
     return t1[0], t2[0], t3[0], base
 

@@ -2,8 +2,9 @@
 
 Every driver shares the Brands-Chaum skeleton of base.py: commit_phase,
 rapid values that XOR a committed nonce, written either as a plain
-verifier row's block or one message at a time by RunContext.emit,
-which times each send, a relayed row's too.  A verifier's row is its
+block, a phase's plain verifier rows or one plain row, or one message
+at a time by RunContext.emit, which times each send, a relayed row's
+too.  A verifier's row is its
 own record of rounds, the interleaved chain and 1toM return theirs as
 a list of Rounds, all priced by active_bounds (a group verifier's row
 as arrays), then open_phase, which decommits, signs when auth is on,

@@ -8,10 +8,11 @@ not move it, and RunContext.sent records it as emit would), every
 rapid value is an operand XOR its sender's next committed nonce, and
 open_phase decommits (signing when auth is on) and replays every
 answer against the opened nonces.  A rapid message is written one of
-two ways: a plain verifier row (pairwise.run_exchange) as one block,
-its answers as one AnswerBlock; everything else, relayed rows too,
-through RunContext.emit, which times it and writes its trace row, each
-answer through RunContext.answer.  A verifier's row is itself the
+two ways: in a plain block (pairwise.run_exchange), a phase's plain
+verifier rows, or one plain row, written together, their answers as
+one AnswerBlock; everything else, relayed rows too, through
+RunContext.emit, which times it and writes its trace row, each answer
+through RunContext.answer.  A verifier's row is itself the
 record of its rounds; the interleaved chain and 1toM return theirs as
 Rounds.  active_bounds prices rounds one at a time from either record,
 the measurer's stamps read off the trace's flight-time rows; the group
@@ -183,11 +184,13 @@ Answer = Tuple[NodeId, int, int, int, int]  # as RunContext.answer logs one
 
 @dataclass
 class AnswerBlock:
-    """A plain verifier row's answers as columns, for open_phase's replay.
+    """A plain block's answers as columns, for open_phase's replay.
 
-    Exchange e's answers are nodes[e]'s, rounds of them on its nonces
-    from starts[e]; operands and values run over the row's answers in
-    turn.  A plain row writes all of them or none.
+    A block is a phase's plain rows, or one plain row, and its exchanges
+    run row by row, each row's prover by prover.  Exchange e's answers
+    are nodes[e]'s, rounds of them on its nonces from starts[e];
+    operands and values run over the block's answers in turn.  A plain
+    block writes all of them or none.
     """
 
     nodes: List[NodeId]
@@ -216,7 +219,7 @@ class RunContext:
 
     nonces holds each party's committed rapid nonces, taken in order,
     answered counting them off.  answers logs them in turn: a plain
-    verifier row's as one AnswerBlock, every other answer as answer's
+    block's as one AnswerBlock, every other answer as answer's
     (node, nonce index, operand, value, round index).  emit and answer
     are the one per-message writer.  policy_sends counts each timing-policy
     node's emits; bit_len is the scenario's, held here for answer.

@@ -1,10 +1,12 @@
 """Group protocols built from shared one-way rapid rounds.
 
 A fraction of the verifier group is drawn at random to run active
-exchanges, each one row (pairwise.run_exchange) priced as arrays as
-soon as it has run; everyone else prices the same row passively from
-the published schedule, trading rounds of their own for overheard ones.
-A phase's priced rows are folded into its estimates once, at its end.
+exchanges, each one row; a phase's rows are one pairwise.run_exchange
+call, one plain block when every row is plain, and are then priced as
+arrays, row by row, from the block's views; everyone else prices the
+same rows passively from the published schedule, trading rounds of
+their own for overheard ones.  A phase's priced rows are folded into
+its estimates once, at its end.
 The two-group variants either run that machinery in both directions,
 share one joint ring, or chain per-verifier one-to-many runs.
 """
@@ -41,10 +43,10 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     """Commit in ascending id order, run the listening phases in turn, open.
 
     In a phase every selected verifier runs its row of exchanges, one
-    per prover, in one run_exchange call; the row is then priced from
-    its own arrays, actively for the verifier and passively for every
-    other watcher, before the next row runs, so the first impossible
-    round in run order raises.  The closing
+    per prover, all rows in one run_exchange call; the rows are then
+    priced in run order from their own arrays, actively for the
+    verifier and passively for every other watcher, so the first
+    impossible round in run order raises.  The closing
     emission after each exchange's last response is what lets listeners
     frame all n_a rounds; when every watcher is active for all n rounds
     nobody needs it and it is omitted, which collapses the phase to the
@@ -81,11 +83,11 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         place = {w: i for i, w in enumerate(watchers)}
         candidates = np.full((len(selected), len(watchers), len(provers)), -np.inf)
         counts = np.zeros(len(watchers), dtype=np.int64)  # each watcher's rounds, per prover
-        for r, v in enumerate(selected):
-            row = run_exchange(ctx, v, provers, n_a, t, closing)
-            t = row.t_end + ctx.slot_s
-            candidates[r, place[v]] = active_row_bounds(ctx, row)
-            counts[place[v]] += n_a
+        rows = run_exchange(ctx, selected, provers, n_a, t, closing)
+        t = rows[-1].t_end + ctx.slot_s
+        for r, row in enumerate(rows):
+            candidates[r, place[row.verifier]] = active_row_bounds(ctx, row)
+            counts[place[row.verifier]] += n_a
             others, best, framed = passive_bounds(ctx, row, watchers)
             listeners = [place[w] for w in others]
             candidates[r, listeners] = best.T

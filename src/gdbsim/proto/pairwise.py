@@ -1,28 +1,34 @@
 """Two-party distance bounding and its sequential baselines.
 
-A verifier's row, its exchanges with each prover in turn, is one
-run_exchange call that returns it as a Row of lists, the record of its
-rounds.  A row of one exchange is priced round by round in floats on
-both sides, by active_bounds and by passive_bounds for its listeners;
-a group row is shaped into arrays, active_row_bounds and
-passive_bounds' block.  A plain row, one that no timing policy, guess,
-relay, held first send or ill-fitting nonce touches, writes its
-trace rows in one block and its answers as one AnswerBlock; it is timed
-by one accumulate over its flights and delays and calls no
-RunContext.emit (RunContext.unstepped and RunContext.sent in base hold
-that contract); its payloads come from one template per row, each round's
-text written once.  Any other row and the interleaved chain send
-through RunContext.emit and answer through RunContext.answer, one
-message at a time; the chain returns its rounds.  The one-way driver
-runs a row of one prover, direct or relayed, with optional
-eavesdropping observers; the interleaved driver runs a 2n+1 message
-chain per pair of peers, both directions at once, and with two peers
-is MutualInterleaved.  Both schedule the challenger's emissions on
-an arrival-chained nominal timeline: each emission is due one
-processing delay after the previous reply arrives.  The challenger
-publishes those nominal times, and observers price their overheard
-timings against the published schedule, which is exactly what a
-schedule-advancing challenger exploits.
+A verifier's row, its exchanges with each prover in turn, is the
+record of its rounds, a Row of lists; one run_exchange call writes a
+phase's rows, each verifier's in turn.  A row of one exchange is
+priced round by round in floats on both sides, by active_bounds and by
+passive_bounds for its listeners; a group row as arrays,
+active_row_bounds and passive_bounds' block.  A plain row is one that
+no timing policy, guess, relay, held first send or ill-fitting nonce
+touches.  When every row of a call is plain, the call is one plain
+block: all its rows' trace rows in one extend, their answers as one
+AnswerBlock, no RunContext.emit call (RunContext.unstepped and
+RunContext.sent in base hold that contract), and payloads from one
+template per exchange, each round's text written once.  Its times are
+one running sum over its flights and delays, row after row: a block of
+one exchange sums a float list, since an array timeline made a one-way
+run (n = 4 or 8, one listener) 33 us slower on 98 us (2-core x86-64
+VM, numpy 2.4); any larger block sums one float64 array in place,
+whose read-only views are its rows' blocks.  Otherwise the rows go one
+by one, a plain one as a block of its own.  Any other row and the
+interleaved chain send through RunContext.emit and answer through
+RunContext.answer, one message at a time; the chain returns its
+rounds.  The one-way driver runs a row of one prover, direct or
+relayed, with optional eavesdropping observers; the interleaved driver
+runs a 2n+1 message chain per pair of peers, both directions at once,
+and with two peers is MutualInterleaved.  Both schedule the
+challenger's emissions on an arrival-chained nominal timeline: each
+emission is due one processing delay after the previous reply arrives.
+The challenger publishes those nominal times, and observers price
+their overheard timings against the published schedule, which is
+exactly what a schedule-advancing challenger exploits.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ class Row:
     """A verifier's exchanges, one per responder in run order, as true-clock lists.
 
     responders[e] sent exchange e's replies (a relayed exchange's front);
-    t_end is the true time of the last arrival anyone needs.
+    t_end is the true time of the last arrival anyone needs.  A row of a
+    plain block's array timeline comes with its blocks, views of it.
     """
 
     verifier: NodeId
@@ -72,7 +79,8 @@ class Row:
 
     @property
     def blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (exchanges x sends) schedule, (exchanges x rounds) asks and replies; built once.
+        """The (exchanges x sends) schedule, (exchanges x rounds) asks and replies; built once,
+        unless an array timeline gave them.
 
         A plain memo: functools.cached_property takes a lock on each first access.
         """
@@ -93,111 +101,185 @@ class Row:
 
 
 def _columns(
-    verifier: NodeId, provers: Sequence[NodeId], n_rounds: int, closing: bool
+    verifiers: Sequence[NodeId], provers: Sequence[NodeId], n_rounds: int, closing: bool
 ) -> Tuple[List[NodeId], List[str], List[int]]:
-    """A whole row's senders, kinds and round numbers, send by send.
+    """A block's senders, kinds and round numbers, send by send, row by row.
 
     Each exchange alternates challenge and response, round by round,
     then sends its closing, numbered one past the last round.
     """
     c = 1 if closing else 0
     senders: List[NodeId] = []
-    for p in provers:
-        senders += [verifier, p] * n_rounds + [verifier] * c
+    for v in verifiers:
+        for p in provers:
+            senders += [v, p] * n_rounds + [v] * c
+    exchanges = len(verifiers) * len(provers)
     kinds = ["challenge", "response"] * n_rounds + ["closing"] * c
     numbers = sorted([*range(1, n_rounds + 1)] * 2) + [n_rounds + 1] * c
-    return senders, kinds * len(provers), numbers * len(provers)
+    return senders, kinds * exchanges, numbers * exchanges
 
 
-def _plain_row(
+def _plain_rows(
     ctx: RunContext,
-    verifier: NodeId,
+    verifiers: Sequence[NodeId],
     provers: Sequence[NodeId],
     n_rounds: int,
     t_start: float,
     closing: bool,
-) -> Optional[Row]:
-    """run_exchange's row as one block, or None, having drawn and written nothing, if not plain.
+) -> Optional[List[Row]]:
+    """run_exchange's rows as one block, or None, having drawn and written nothing, if one is
+    not plain.
 
     A row is plain when no party has a timing policy, guesses or relays, no
     party's last send could hold its first send in the row, and every
     nonce the row answers on is there and fits bit_len.  Then every
-    send leaves at its nominal time, so the row's times are the loop's
-    own additions in its order, one accumulate over [tof_out, alpha,
-    tof_back, alpha] per round: a closing adds reach and the slot to
-    the time it leaves, and an exchange without one adds the slot in
-    place of its last alpha.  A closing's four additions end with two
-    + 0.0, exact on a positive time, so that every exchange takes four
-    per slot: the schedule is a stride-4 slice of the times and the
-    sends a stride-2 one, less the time after each closing.  The
+    send leaves at its nominal time, and each row starts at the last
+    one's t_end plus the slot, so the block's times are the loop's own
+    additions in its order, one running sum over [tof_out, alpha,
+    tof_back, alpha] per round, row after row: a closing adds reach and
+    the slot to the time it leaves, and an exchange without one adds the
+    slot in place of its last alpha.  A closing's four additions end
+    with two + 0.0, exact on a positive time, so that every exchange
+    takes four per slot: the schedule is a stride-4 slice of the times
+    and the sends a stride-2 one, less the time after each closing.
+    A block of one exchange sums a float list with itertools.accumulate;
+    any larger one sums one float64 array in place with
+    np.add.accumulate, a strict left-to-right sum and so the same
+    doubles, and each row's blocks are read-only views of it.  The
     challenges are one getrandbits map, the same stream; the payloads
-    are one template per row, each round's text written once and the
-    values filled in one pass.
+    are one template per exchange, each round's text written once and
+    the values filled in one pass.
     """
-    if n_rounds < 1 or not provers or isinstance(ctx.policies[verifier], TIMING_POLICIES):
+    policies = ctx.policies
+    if n_rounds < 1 or not provers or not verifiers or any(
+            isinstance(policies[v], TIMING_POLICIES) for v in verifiers):
         return None
-    cfg = ctx.scenario.config
-    chan = ctx.channel
-    alpha, bit_len = cfg.alpha, cfg.bit_len
-    tof, index = chan.trace.tof, chan.trace.index
-    policies, answered, nonces = ctx.policies, ctx.answered, ctx.nonces
-    n, c = n_rounds, 1 if closing else 0
-    width = n + c  # each exchange's slots: its rounds, then any closing
-    span = 4 * width  # each exchange's additions, four a slot
-    tail = [chan.reach(verifier), ctx.slot_s, 0.0, 0.0] if closing else None
-    v_flights = tof[index[verifier]]
-    adds, due, starts, ends = [t_start], [], [], {}
     for p in provers:
         policy = policies[p]
         if isinstance(policy, (*TIMING_POLICIES, Relay)) or (
                 isinstance(policy, GuessAhead) and policy.p_rounds):
             return None
-        k = ends.get(p)
-        if k is None:
-            k = answered.get(p, 0)
-        starts.append(k)
-        ends[p] = k + n
-        own = nonces.get(p, ())[k:k + n]
-        if len(own) < n:
-            return None
-        due += own
-        adds += [v_flights[index[p]], alpha, tof[index[p]][index[verifier]], alpha] * n
-        if closing:
-            adds += tail
-        else:
-            adds[-1] = ctx.slot_s
+    cfg = ctx.scenario.config
+    chan = ctx.channel
+    alpha, bit_len, slot = cfg.alpha, cfg.bit_len, ctx.slot_s
+    answered, nonces = ctx.answered, ctx.nonces
+    n, c = n_rounds, 1 if closing else 0
+    width = n + c  # each exchange's slots: its rounds, then any closing
+    span, sent = 4 * width, 2 * n + c  # each exchange's additions, four a slot, and sends
+    exchanges = len(verifiers) * len(provers)
+    row_slots, row_sends = len(provers) * width, len(provers) * sent
+    starts, ends, due = [], {}, []
+    for _ in verifiers:
+        for p in provers:
+            k = ends.get(p)
+            if k is None:
+                k = answered.get(p, 0)
+            starts.append(k)
+            ends[p] = k + n
+            own = nonces.get(p, ())[k:k + n]
+            if len(own) < n:
+                return None
+            due += own
     if not (0 <= min(due) and max(due) < 1 << bit_len):
         return None
-    times = list(accumulate(adds))
-    exchanges = len(provers)
-    end = exchanges * span
-    nodes = [verifier, *provers]
-    # each prover's first send in the row is its first reply
-    if not ctx.unstepped(nodes, [t_start, *times[2::span]]):
+    if exchanges == 1:
+        (v,), (p,) = verifiers, provers
+        tof, index = chan.trace.tof, chan.trace.index
+        adds = [t_start] + [tof[index[v]][index[p]], alpha, tof[index[p]][index[v]], alpha] * n
+        if closing:
+            adds += [chan.reach(v), slot, 0.0, 0.0]
+        else:
+            adds[-1] = slot
+        times = list(accumulate(adds))
+        t_sends = times[0:span:2]
+        t_ends, blocks = [times[span - 3] if closing else times[span - 1]], [None]
+    else:
+        tof, index = chan.trace.tof_array, chan.trace.index
+        vs, ps = [index[v] for v in verifiers], [index[p] for p in provers]
+        timeline = np.empty(1 + exchanges * span)
+        timeline[0] = t_start
+        adds = timeline[1:].reshape(len(verifiers), len(provers), width, 4)
+        adds[:, :, :, 1::2] = alpha
+        adds[:, :, :n, 0] = tof[np.ix_(vs, ps)][:, :, None]
+        adds[:, :, :n, 2] = tof[np.ix_(ps, vs)].T[:, :, None]
+        if closing:
+            adds[:, :, n, 0] = [[chan.reach(v)] for v in verifiers]
+            adds[:, :, n, 1:] = slot, 0.0, 0.0
+        else:
+            adds[:, :, n - 1, 3] = slot
+        np.add.accumulate(timeline, out=timeline)
+        timeline.flags.writeable = False
+        times = timeline[:-1].reshape(len(verifiers), len(provers), width, 4)
+        t_sends = times[..., 0:3:2].ravel().tolist()
+        t_ends = times[:, -1, -1, 1 if closing else 3].tolist()
+        blocks = [(s, times[r, :, :n, 0], times[r, :, :n, 2])
+                  for r, s in enumerate(times[..., 0])]
+    # each slot's first send, a challenge or a closing, leads the slot's two
+    schedule = t_sends[0::2]
+    if closing:
+        del t_sends[2 * width - 1::2 * width]  # the time each closing's slot ends
+    # the nodes in the order they first send: the first row's verifier and provers, the rest
+    nodes = [verifiers[0], *provers, *verifiers[1:]]
+    firsts = schedule[::row_slots]  # each verifier's first challenge
+    if not ctx.unstepped(nodes, [firsts[0], *t_sends[1:row_sends:sent], *firsts[1:]]):
         return None
 
     challenges = list(map(ctx.rng.getrandbits, repeat(bit_len, exchanges * n)))
     values = list(map(xor, challenges, due))
-    senders, kinds, numbers = _columns(verifier, provers, n, closing)
+    senders, kinds, numbers = _columns(verifiers, provers, n, closing)
     # one exchange's payload text, round numbers filled in and values left open
-    text = b" ".join([b"c|%d|%%d r|%d|%%d"] * n + [b"x|%d|0"] * c) % tuple(
-        numbers[:2 * n + c])
+    text = b" ".join([b"c|%d|%%d r|%d|%%d"] * n + [b"x|%d|0"] * c) % tuple(numbers[:sent])
     fields = [None] * (2 * exchanges * n)
     fields[0::2], fields[1::2] = challenges, values
     payloads = (b" ".join([text] * exchanges) % tuple(fields)).split(b" ")
-    t_sends = times[0:end:2]
-    if closing:
-        del t_sends[2 * n + 1::2 * width]  # the time each exchange's slot ends
-    chan.trace.extend(senders, t_sends, kinds, ["rapid"] * len(t_sends), payloads, numbers)
-    ctx.answers.append(AnswerBlock(list(provers), starts, n, challenges, values))
+    chan.trace.extend(senders, t_sends, kinds, repeat("rapid", len(t_sends)), payloads, numbers)
+    ctx.answers.append(AnswerBlock(list(provers) * len(verifiers), starts, n, challenges, values))
     answered.update(ends)
-    # the verifier's last send is the last closing or challenge, each prover's its last reply
-    ctx.sent(nodes, [times[end - 4], *times[4 * n - 2::span]])
-    return Row(verifier, list(provers), times[0:end:4], t_sends,
-               times[end - 3] if closing else times[end - 1])
+    # a verifier's last send is its row's last closing or challenge, a prover's its last reply
+    lasts = schedule[row_slots - 1::row_slots]
+    ctx.sent(nodes, [lasts[0], *t_sends[2 * n - 1 - row_sends::sent], *lasts[1:]])
+    rows = []
+    for r, v in enumerate(verifiers):
+        rows.append(Row(v, list(provers), schedule[r * row_slots:(r + 1) * row_slots],
+                        t_sends[r * row_sends:(r + 1) * row_sends], t_ends[r]))
+        rows[-1]._blocks = blocks[r]
+    return rows
 
 
 def run_exchange(
+    ctx: RunContext,
+    verifiers: Sequence[NodeId],
+    provers: Sequence[NodeId],
+    n_rounds: int,
+    t_start: float,
+    closing: bool,
+) -> List[Row]:
+    """Each verifier's row in turn: n_rounds timed rounds with each prover, optionally closed.
+
+    Each row, and each exchange in it, starts one slot after the last
+    one's t_end.  The closing emission carries no new challenge to
+    time; it exists so that listeners get a schedule point after the
+    final response.  A prover answers on its next n_rounds committed
+    nonces; a guessing prover answers its first rounds ahead of the
+    challenge, on guessed bits; a relaying prover's victim answers on
+    its nonces, each round trip costing the whole detour.  When every
+    row is plain, the whole call is one block (_plain_rows), with no
+    emit calls, its closings' included.  Otherwise the rows go verifier
+    by verifier: a plain one as a block of its own, any other round by
+    round (_stepped_row).
+    """
+    rows = _plain_rows(ctx, verifiers, provers, n_rounds, t_start, closing)
+    if rows is not None:
+        return rows
+    rows = []
+    for verifier in verifiers:
+        rows += _plain_rows(ctx, [verifier], provers, n_rounds, t_start, closing) or [
+            _stepped_row(ctx, verifier, provers, n_rounds, t_start, closing)]
+        t_start = rows[-1].t_end + ctx.slot_s
+    return rows
+
+
+def _stepped_row(
     ctx: RunContext,
     verifier: NodeId,
     provers: Sequence[NodeId],
@@ -205,22 +287,8 @@ def run_exchange(
     t_start: float,
     closing: bool,
 ) -> Row:
-    """The verifier's row: n_rounds timed rounds with each prover in turn, optionally closed.
-
-    Each exchange starts one slot after the last one's t_end.  The
-    closing emission carries no new challenge to time; it exists so
-    that listeners get a schedule point after the final response.  A
-    prover answers on its next n_rounds committed nonces; a guessing
-    prover answers its first rounds ahead of the challenge, on guessed
-    bits; a relaying prover's victim answers on its nonces, each round
-    trip costing the whole detour.  A plain row (_plain_row) is written
-    as one block, with no emit calls, its closings' included.  Every
-    other row goes round by round, each send through RunContext.emit
-    and each answer through RunContext.answer.
-    """
-    row = _plain_row(ctx, verifier, provers, n_rounds, t_start, closing)
-    if row is not None:
-        return row
+    """A verifier's row round by round, each send through RunContext.emit and each answer
+    through RunContext.answer."""
     cfg = ctx.scenario.config
     chan = ctx.channel
     t_sends, payloads = chan.trace.t_send, chan.trace.payload
@@ -431,7 +499,7 @@ def run_one_way_db(scenario: Scenario) -> RunResult:
     partner = next((p for p in provers if isinstance(ctx.policies[p], Relay)), provers[0])
 
     bundles, t = commit_phase(ctx, {partner: cfg.n})
-    row = run_exchange(ctx, verifier, [partner], cfg.n, t_start=t, closing=bool(observers))
+    row, = run_exchange(ctx, [verifier], [partner], cfg.n, t_start=t, closing=bool(observers))
     rows = active_rows(ctx, row.rounds())
     open_phase(ctx, bundles, row.t_end + ctx.slot_s)
 
@@ -504,7 +572,7 @@ def run_sequential_pairwise(scenario: Scenario) -> RunResult:
     for i, x in enumerate(peers):
         for y in peers[i + 1:]:
             for measurer, target in ((x, y), (y, x)):
-                rows.append(run_exchange(ctx, measurer, [target], cfg.n, t, False))
+                rows += run_exchange(ctx, [measurer], [target], cfg.n, t, False)
                 t = rows[-1].t_end + ctx.slot_s
     rounds = chain.from_iterable(row.rounds() for row in rows)
     estimates = Estimates.from_rows(active_rows(ctx, rounds))

@@ -1,16 +1,19 @@
 """A verifier's row message by message, and per-round active pricing, as test oracles.
 
-gdbsim runs a verifier's exchanges with every prover in one writer call.
-A plain row is one block, timed by one accumulate, with no emit calls:
-one extend per trace column and its answers logged as one AnswerBlock.
-Any other row, one that a timing policy, a guess, a held first send or
+gdbsim runs a phase's verifier rows, each with every prover, in one
+writer call.  A phase of plain rows is one block, timed by one running
+sum, a float list's or a float64 array's, with no emit calls: one
+extend per trace column and its answers logged as one AnswerBlock.
+Any other phase goes row by row, a plain row as a block of its own;
+any other row, one that a timing policy, a guess, a held first send or
 a relay touches, goes send by send through RunContext.emit and answer
 by answer through RunContext.answer, a relay front's round inside the
 same loop as a direct prover's.  gdbsim prices a group row's active
 rounds as arrays, and a row of one exchange, and the rounds the
 interleaved chain and 1toM return, with active_bounds' inline loop.
-This module keeps the earlier path: a row is one exchange per prover in
-turn, a relayed row its own loop (run_relay_exchange); every send goes
+This module keeps the earlier path: the rows in turn (run_exchange), a
+row one exchange per prover in turn (run_row), a relayed row its own
+loop (run_relay_exchange); every send goes
 through emit, which counts it per node and run, lets apply_policy shift
 it, holds it behind its node's last send, applies a guess's advance and
 makes one broadcast that checks causality and appends one row; every
@@ -141,8 +144,18 @@ def arrival(ctx: RunContext, seq: int, receiver) -> float:
                                                      trace.index[receiver]])
 
 
-def run_exchange(ctx: RunContext, verifier, provers, n_rounds: int, t_start: float,
-                 closing: bool) -> Row:
+def run_exchange(ctx: RunContext, verifiers, provers, n_rounds: int, t_start: float,
+                 closing: bool) -> List[Row]:
+    """Each verifier's row in turn, each one slot after the last one's t_end."""
+    rows = []
+    for verifier in verifiers:
+        rows.append(run_row(ctx, verifier, provers, n_rounds, t_start, closing))
+        t_start = rows[-1].t_end + ctx.slot_s
+    return rows
+
+
+def run_row(ctx: RunContext, verifier, provers, n_rounds: int, t_start: float,
+            closing: bool) -> Row:
     """The verifier's row: each prover's exchange in turn, one slot after the last one's t_end.
 
     A relaying prover's row, one exchange, is run_relay_exchange's.

@@ -357,6 +357,22 @@ def test_mpnv_rejects_out_of_range_fraction():
     assert ("ParamOutOfRange", "experiment.d_a") in issue_codes(s)
 
 
+@pytest.mark.parametrize("n_a, d_a, fld, text", [
+    (2, 0.0, "experiment.d_a", "d_a must be in (0, 1], got 0.0"),
+    (0, 0.5, "experiment.n_a", "n_a must be in 1..n (3), got 0"),
+    (4, 0.5, "experiment.n_a", "n_a must be in 1..n (3), got 4"),
+])
+def test_mpnv_refuses_each_range_edge_alone(n_a, d_a, fld, text):
+    """d_a = 0 and n_a just outside 1..n each break one rule alone (n_p follows
+    n_a), and give exactly that one issue, field and text."""
+    s = mpnv_scenario(n=3, n_a=n_a, d_a=d_a, n_verifiers=4, m_provers=2)
+    assert [(i.code, i.fld, i.message) for i in validate_scenario(s)] == [
+        ("ParamOutOfRange", fld, text)]
+    fixed = dataclasses.replace(s, experiment=dataclasses.replace(
+        s.experiment, n_a=2, n_p=1, d_a=0.5))
+    assert validate_scenario(fixed) == []
+
+
 def test_ntom_group_sizes_must_cover_nodes():
     s = ntom_scenario(Protocol.NTOM_MULTIPARTY, 2, 2)
     wrong = Scenario(nodes=s.nodes, protocol=s.protocol, config=s.config,

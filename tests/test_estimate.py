@@ -181,6 +181,14 @@ def test_circles_nested_raise():
         intersect_circles((0.0, 0.0), 10.0, (1.0, 0.0), 1.0)
 
 
+def test_circles_internally_tangent_meet_once():
+    """A circle just inside another and touching it meets it at exactly one
+    point, on the far side; moved 1 mm further inside, it meets it nowhere."""
+    assert intersect_circles((0.0, 0.0), 10.0, (9.0, 0.0), 1.0) == [(10.0, 0.0)]
+    with pytest.raises(NoIntersection):
+        intersect_circles((0.0, 0.0), 10.0, (9.0 - 1e-3, 0.0), 1.0)
+
+
 def test_circles_concentric_raise():
     with pytest.raises(NoIntersection):
         intersect_circles((0.0, 0.0), 2.0, (0.0, 0.0), 3.0)

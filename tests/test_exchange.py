@@ -1,18 +1,21 @@
 """The rapid-phase row writer against the message-by-message oracle.
 
-Every one-way and MPNV run is made twice: once as gdbsim makes it, a
-verifier's whole row in one writer call (a plain row as one block of
-columns with its answers as one block, any other send by send through
+Every one-way and group run is made twice: once as gdbsim makes it,
+a phase's rows in one writer call (a phase of plain rows as one block
+of columns with its answers as one block, otherwise row by row, a
+plain row as a block of its own and any other send by send through
 RunContext.emit and RunContext.answer), priced as arrays or round by
 round off its stamps; and once with exchange_oracle's emit, broadcast,
 answer, one exchange per prover and per-round active_distance pricing
 patched in.  Both must leave the same trace, answers (a block spelled
-out answer by answer), last sends, row records and error, bit for bit.
+out answer by answer), last sends, row records (the rows of every
+call, in turn) and error, bit for bit.
 """
 import dataclasses
 import gc
 from collections import Counter
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,13 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exchange_oracle
-from gdbsim.core import LengthMismatch, NodeSpec, Role, validate_scenario
+from gdbsim.core import (
+    LengthMismatch, NodeSpec, Protocol, Role, active_verifier_count, validate_scenario,
+)
 from gdbsim.estimate import NegativeTimeOfFlight
 from gdbsim.proto import base, group, pairwise
 from gdbsim.proto.base import AnswerBlock, ResponseMismatch, commit_phase, start_run
 from gdbsim.proto.pairwise import Row
 from gdbsim.proto.runner import run_scenario
-from gdbsim.scenarios import mpnv_scenario, oneway_scenario, with_policy
+from gdbsim.scenarios import mpnv_scenario, ntom_scenario, oneway_scenario, with_policy
 from gdbsim.simkit import CausalityViolation
 from gdbsim.threat import EarlyChallenge, GuessAhead, Honest, Relay, SelectiveDelay
 
@@ -73,9 +78,11 @@ def run(scenario, oracle, patches=()):
 
 
 def recorded(writer, records):
+    """writer, recording each row it returns: the records are rows, flattened over calls."""
     def run_and_record(*args, **kwargs):
-        records.append(writer(*args, **kwargs))
-        return records[-1]
+        rows = writer(*args, **kwargs)
+        records.extend(rows)
+        return rows
     return run_and_record
 
 
@@ -192,6 +199,74 @@ def test_mpnv_writer_matches_the_oracle(scenario):
     assert_writer_matches_oracle(scenario)
 
 
+@st.composite
+def honest_group_runs(draw):
+    """An honest MPNV run, or an NtoM-passive one, whose second phase's verifiers are
+    the first phase's provers; each phase from one active verifier up to all, with
+    and without closings; and the run's number of phases."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    sizes = st.integers(min_value=1, max_value=6)
+    seed = draw(st.integers(0, 2**16))
+
+    def phase(size):  # (n_a, d_a) selecting `active` of size verifiers
+        active = draw(st.integers(min_value=1, max_value=size))
+        d_a = active / size
+        assert active_verifier_count(d_a, size) == active
+        return draw(st.integers(min_value=1, max_value=n)), d_a
+
+    if draw(st.booleans()):
+        n_v, m_p = draw(sizes), draw(sizes)
+        n_a, d_a = phase(n_v)
+        scenario = mpnv_scenario(n=n, n_a=n_a, d_a=d_a, n_verifiers=n_v, m_provers=m_p,
+                                 seed=seed)
+        phases = 1
+    else:
+        size_n, size_m = draw(sizes), draw(sizes)
+        (n_a1, d_1), (n_a2, d_2) = phase(size_n), phase(size_m)
+        scenario = ntom_scenario(Protocol.NTOM_PASSIVE, size_n, size_m, n=n, seed=seed,
+                                 d_1=d_1, d_2=d_2, n_a1=n_a1, n_a2=n_a2)
+        phases = 2
+    return dataclasses.replace(scenario, config=dataclasses.replace(
+        scenario.config, bit_len=draw(st.integers(min_value=0, max_value=3)))), phases
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=honest_group_runs())
+# full activity, so no closings: the all-active baseline as one block
+@example(drawn=(mpnv_scenario(n=2, n_a=2, d_a=1.0, n_verifiers=3, m_provers=2), 1))
+# one verifier and one prover: a block of one exchange, the float timeline
+@example(drawn=(mpnv_scenario(n=3, n_a=2, d_a=1.0, n_verifiers=1, m_provers=1), 1))
+def test_an_honest_phase_is_one_block_that_matches_the_oracle(drawn):
+    """Every honest group phase is written as one block: no emit call, one
+    AnswerBlock a phase, holding every selected verifier's row, and the
+    oracle's rows, trace columns, answers, answered counts, last sends and
+    estimates, by repr, message by message."""
+    scenario, phases = drawn
+    writer, oracle = run(scenario, False), run(scenario, True)
+    assert writer[2] is None
+    assert state(*writer) == state(*oracle)
+    calls, (ctx, _, _, records) = emit_calls(scenario)
+    assert calls == []
+    blocks = ctx.answers
+    assert len(blocks) == phases and all(isinstance(b, AnswerBlock) for b in blocks)
+    assert [p for b in blocks for p in b.nodes] == [p for r in records for p in r.responders]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_start=st.floats(allow_nan=False),
+       adds=st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324]),
+                     max_size=40))
+def test_the_array_timeline_is_accumulate_by_repr(t_start, adds):
+    """np.add.accumulate in place over one array, t_start at index 0, is
+    itertools.accumulate's strict left-to-right sum of the same additions,
+    signed zeros and rounding included, by repr."""
+    timeline = np.empty(1 + len(adds))
+    timeline[0], timeline[1:] = t_start, adds
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the floats give them
+        np.add.accumulate(timeline, out=timeline)
+    assert list(map(repr, timeline.tolist())) == list(map(repr, accumulate([t_start, *adds])))
+
+
 def test_refused_runs_match_the_oracle():
     """A run refused by active or by passive pricing leaves the same state and text."""
     held = with_policy(
@@ -297,6 +372,54 @@ def test_plain_stepped_and_mixed_rows_match_the_oracle(scenario):
     assert_writer_matches_oracle(scenario)
     calls, (ctx, _, _, records) = emit_calls(scenario)
     assert Counter(calls) == expected_emit_calls(ctx, records)
+
+
+@pytest.mark.parametrize("early", [1, 4])  # the two verifiers MPNV selects
+def test_one_early_verifier_steps_only_its_own_row(early):
+    """A phase with one stepping row is not one block: it runs row by row, the
+    early verifier's row send by send through emit and the other one as a plain
+    block of its own, one AnswerBlock, and the run leaves the oracle's state."""
+    scenario = with_policy(MPNV, early, EarlyChallenge(1e-8, 0.5))
+    assert_writer_matches_oracle(scenario)
+    calls, (ctx, _, _, records) = emit_calls(scenario)
+    assert [row.verifier for row in records] == [1, 4]
+    assert Counter(calls) == expected_emit_calls(ctx, records)
+    stepped, = (row for row in records if row.verifier == early)
+    plain, = (row for row in records if row.verifier != early)
+    assert set(calls) == {early, *stepped.responders} and len(calls) == len(stepped.stamps)
+    block, = (entry for entry in ctx.answers if isinstance(entry, AnswerBlock))
+    assert block.nodes == plain.responders
+
+
+def test_a_phase_short_of_nonces_is_refused_whole_then_runs_row_by_row():
+    """A phase whose last row would run past a prover's committed nonces is no
+    block: _plain_rows refuses it having drawn and written nothing, and
+    run_exchange then runs it row by row as the oracle does, its first rows
+    plain, up to the missing nonce's IndexError."""
+    scenario = mpnv_scenario(n=3, n_a=2, d_a=1.0, n_verifiers=3, m_provers=3)
+    verifiers, provers = [1, 2, 3], [4, 5, 6]
+    outcomes, entries = [], []
+    for writer in (pairwise.run_exchange, exchange_oracle.run_exchange):
+        ctx = start_run(scenario)
+        # prover 5 commits one nonce short of the last row's two
+        _, t = commit_phase(ctx, {p: 2 * len(verifiers) - (p == 5) for p in provers})
+        trace = ctx.channel.trace
+
+        def snapshot():
+            return (ctx.rng.getstate(), [list(column) for column in trace.columns()],
+                    list(ctx.answers), dict(ctx.answered), repr(ctx.channel.last_send))
+
+        before = snapshot()
+        assert pairwise._plain_rows(ctx, verifiers, provers, 2, t, True) is None
+        assert snapshot() == before
+        with pytest.raises(IndexError) as exc:
+            writer(ctx, verifiers, provers, 2, t, True)
+        outcomes.append(state(ctx, None, exc.value, []))
+        entries.append([type(entry).__name__ for entry in ctx.answers])
+    assert outcomes[0] == outcomes[1]
+    # the writer's first two rows are blocks of their own; the last answers one at a
+    # time, prover 4's two rounds and 5's first, as the oracle answers all of them
+    assert entries == [["AnswerBlock"] * 2 + ["tuple"] * 3, ["tuple"] * (2 * 2 * 3 + 3)]
 
 
 def test_an_honest_mpnv_row_makes_no_step_calls():
@@ -630,7 +753,7 @@ def test_a_plain_mpnv_row_is_one_answer_entry_and_leaves_no_per_round_tuples():
         gc.disable()
         try:
             before = len(gc.get_objects())
-            row = pairwise.run_exchange(ctx, 1, provers, n, t, True)
+            row, = pairwise.run_exchange(ctx, [1], provers, n, t, True)
             grown = len(gc.get_objects()) - before
         finally:
             gc.enable()

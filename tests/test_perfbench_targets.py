@@ -56,8 +56,8 @@ def test_traced_mpnv_run_records_every_layer_it_crosses():
     layers = ("core.parse", "core.validate", "proto.driver", "proto.exchange",
               "simkit.broadcast", "simkit.channel_build")
     assert {name: recorder.calls[name] > 0 for name in layers} == dict.fromkeys(layers, True)
-    # 2 active verifiers, each running one row of 3 exchanges in one writer call
-    assert recorder.calls["proto.exchange"] == 2
+    # one phase: its 2 active verifiers' rows, 3 exchanges each, in one writer call
+    assert recorder.calls["proto.exchange"] == 1
     # rapid sends are written by the protocol layer's writer; broadcast carries the rest
     assert recorder.calls["simkit.broadcast"] == result.trace.count() - result.trace.count("rapid")
 

@@ -705,11 +705,11 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
     ))
     for p in prover_ids:
         nonces = ctx.nonces[p] = tuple(ctx.rng.getrandbits(1) for _ in range(n))
-    row = run_exchange(ctx, 1, prover_ids, n, ctx.slot_s, closing)
+    row, = run_exchange(ctx, [1], prover_ids, n, ctx.slot_s, closing)
     if relay:
         ctx.nonces[30] = nonces
         ctx.policies[30] = Relay(victim=20)
-        relayed = run_exchange(ctx, 1, [30], n, row.t_end + ctx.slot_s, closing)
+        relayed, = run_exchange(ctx, [1], [30], n, row.t_end + ctx.slot_s, closing)
         row = Row(1, row.responders + relayed.responders, row.schedule + relayed.schedule,
                   row.stamps + relayed.stamps, relayed.t_end)
     # each responder's response rows, in order: a prover's own, then any it sent as a victim
