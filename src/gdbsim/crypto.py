@@ -40,9 +40,16 @@ def hash_bytes(data: bytes) -> bytes:
 
 
 def _encode_values(values: Sequence[int], bit_len: int) -> bytes:
-    # Fixed-width encoding keeps the digest canonical for any bit_len.
+    # Fixed-width encoding keeps the digest canonical for any bit_len.  At width 1
+    # bytes() spells the values in one call; a value it refuses falls through to the
+    # join, which raises int.to_bytes' OverflowError.
     width = (bit_len + 7) // 8
     head = bit_len.to_bytes(4, "big") + len(values).to_bytes(4, "big")
+    if width == 1:
+        try:
+            return head + bytes(values)
+        except ValueError:
+            pass
     return head + b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
 
 

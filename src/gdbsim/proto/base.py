@@ -7,7 +7,9 @@ timed message's send time comes from one send rule, RunContext.emit
 not move it, and RunContext.sent records it as emit would), every
 rapid value is an operand XOR its sender's next committed nonce, and
 open_phase decommits (signing when auth is on) and replays every
-answer against the opened nonces.  A rapid message is written one of
+answer against the opened nonces: a plain block's with one compare,
+walked answer by answer only to name its first failing one, and every
+other answer one at a time.  A rapid message is written one of
 two ways: in a plain block (pairwise.run_exchange), a phase's plain
 verifier rows, or one plain row, written together, their answers as
 one AnswerBlock; everything else, relayed rows too, through
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
-from operator import indexOf
+from operator import floordiv, indexOf, or_, xor
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -182,6 +184,15 @@ class RunResult:
 Answer = Tuple[NodeId, int, int, int, int]  # as RunContext.answer logs one
 
 
+def due_nonces(nonces: Mapping[NodeId, Sequence[int]], nodes: Sequence[NodeId],
+               starts: Sequence[int], rounds: int) -> List[int]:
+    """rounds of nodes[e]'s nonces from starts[e], for each e in turn; fewer where it has fewer."""
+    due: List[int] = []
+    for node, start in zip(nodes, starts):
+        due += nonces.get(node, ())[start:start + rounds]
+    return due
+
+
 @dataclass
 class AnswerBlock:
     """A plain block's answers as columns, for open_phase's replay.
@@ -190,7 +201,9 @@ class AnswerBlock:
     run row by row, each row's prover by prover.  Exchange e's answers
     are nodes[e]'s, rounds of them on its nonces from starts[e];
     operands and values run over the block's answers in turn.  A plain
-    block writes all of them or none.
+    block writes all of them or none.  failure checks the whole block
+    with one compare against its due nonces, and walks it answer by
+    answer only to name the first that fails.
     """
 
     nodes: List[NodeId]
@@ -202,6 +215,13 @@ class AnswerBlock:
     def failure(self, nonces: Mapping[NodeId, Sequence[int]], top: int) -> Optional[Answer]:
         """The first answer that is not its operand XOR its nonce, both below top, or None."""
         rounds, operands, values = self.rounds, self.operands, self.values
+        due = due_nonces(nonces, self.nodes, self.starts, rounds)
+        # every answer due and its operand XOR its nonce, both in [0, top): top being a power
+        # of two, exactly when (x | y) // top is 0, as a negative x or y makes x | y negative
+        if len(due) == len(values) == len(self.nodes) * rounds and list(
+                map(xor, operands, due)) == values and not any(
+                map(floordiv, map(or_, operands, due), repeat(top))):
+            return None
         j = 0
         for node, start in zip(self.nodes, self.starts):
             own = nonces[node]
@@ -381,8 +401,10 @@ def open_phase(
     match its commitment stops it with CommitMismatch.  The ring passes
     sign=False because it signs its report instead.  Once every owner
     has opened, every logged answer is replayed, in order, against the
-    opened nonces; the first value that is not its operand XOR the nonce
-    it was due to answer stops the run with ResponseMismatch.
+    opened nonces, a plain block's as one compare (AnswerBlock.failure).
+    The first answer whose value is not its operand XOR the nonce it was
+    due to answer, both fitting bit_len, stops the run: with LengthMismatch
+    if the operand or the nonce does not fit, else with ResponseMismatch.
     """
     auth = sign and ctx.scenario.config.auth_enabled
     for nid, (commitment, opening) in bundles.items():

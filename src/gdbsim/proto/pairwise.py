@@ -54,6 +54,7 @@ from .base import (
     RunResult,
     active_rows,
     commit_phase,
+    due_nonces,
     encode_value,
     open_phase,
     start_run,
@@ -168,19 +169,11 @@ def _plain_rows(
     span, sent = 4 * width, 2 * n + c  # each exchange's additions, four a slot, and sends
     exchanges = len(verifiers) * len(provers)
     row_slots, row_sends = len(provers) * width, len(provers) * sent
-    starts, ends, due = [], {}, []
-    for _ in verifiers:
-        for p in provers:
-            k = ends.get(p)
-            if k is None:
-                k = answered.get(p, 0)
-            starts.append(k)
-            ends[p] = k + n
-            own = nonces.get(p, ())[k:k + n]
-            if len(own) < n:
-                return None
-            due += own
-    if not (0 <= min(due) and max(due) < 1 << bit_len):
+    # row r answers on each prover's nonces from its next one plus r rows of n
+    answerers = list(provers) * len(verifiers)
+    starts = [answered.get(p, 0) + r * n for r in range(len(verifiers)) for p in provers]
+    due = due_nonces(nonces, answerers, starts, n)
+    if len(due) < exchanges * n or not (0 <= min(due) and max(due) < 1 << bit_len):
         return None
     if exchanges == 1:
         (v,), (p,) = verifiers, provers
@@ -233,8 +226,8 @@ def _plain_rows(
     fields[0::2], fields[1::2] = challenges, values
     payloads = (b" ".join([text] * exchanges) % tuple(fields)).split(b" ")
     chan.trace.extend(senders, t_sends, kinds, repeat("rapid", len(t_sends)), payloads, numbers)
-    ctx.answers.append(AnswerBlock(list(provers) * len(verifiers), starts, n, challenges, values))
-    answered.update(ends)
+    ctx.answers.append(AnswerBlock(answerers, starts, n, challenges, values))
+    answered.update(zip(provers, [k + n for k in starts[-len(provers):]]))
     # a verifier's last send is its row's last closing or challenge, a prover's its last reply
     lasts = schedule[row_slots - 1::row_slots]
     ctx.sent(nodes, [lasts[0], *t_sends[2 * n - 1 - row_sends::sent], *lasts[1:]])

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gdbsim.crypto import (
@@ -44,6 +44,10 @@ def test_commit_rejects_oversized_values():
 
 @given(st.lists(st.integers(min_value=-2, max_value=2**17), max_size=6),
        st.integers(min_value=0, max_value=17))
+@example([255], 8)  # b"\xff", the widest byte
+@example([2], 1)  # b"\x02": the width is whole bytes, bit_len is not checked here
+@example([256], 8)  # OverflowError, as bytes() refuses it
+@example([-1], 1)  # OverflowError, the same
 def test_encoding_is_each_value_spelled_out(values, bit_len):
     """The committed bytes are the header, then each value big-endian at the
     fixed width; a value that does not fit raises int.to_bytes' OverflowError."""
@@ -63,6 +67,16 @@ def test_tampered_values_rejected():
     forged = Opening(values=(1, 1), bit_len=1, blinding=opening.blinding)
     with pytest.raises(OpeningMismatch):
         open_commitment(com, forged)
+
+
+def test_a_forged_width_one_opening_is_refused_as_the_join_refuses_it():
+    """At width 1 an opening to a value that fits the byte but not bit_len does not
+    match, and one to a value wider than the byte raises int.to_bytes' OverflowError."""
+    com, opening = commit([0], bit_len=1, rng=random.Random(7))
+    with pytest.raises(OpeningMismatch):
+        open_commitment(com, Opening((2,), 1, opening.blinding))
+    with pytest.raises(OverflowError):
+        open_commitment(com, Opening((256,), 1, opening.blinding))
 
 
 def test_tampered_blinding_rejected():

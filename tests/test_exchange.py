@@ -724,6 +724,104 @@ def test_a_tampered_answer_fails_the_replay_as_the_per_answer_replay_does(
             assert str(writer[2]) == str(ResponseMismatch(round_index, node, k))
 
 
+def replayed(block, nonces, top):
+    """The per-answer replay of a block: each answer in turn against its nonce, the first
+    that is not its operand XOR the nonce, both in [0, top), named as failure names it."""
+    j = 0
+    for node, start in zip(block.nodes, block.starts):
+        for k in range(start, start + block.rounds):
+            operand, value, nonce = block.operands[j], block.values[j], nonces[node][k]
+            j += 1
+            if value != operand ^ nonce or not (0 <= operand < top and 0 <= nonce < top):
+                return node, k, operand, value, k - start + 1
+    return None
+
+
+def outcome(replay, block, nonces, top):
+    """What a replay returns, or the type and text of what it raises."""
+    try:
+        return replay(block, nonces, top)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+TAMPERS = ["none", "value", "operand-top", "operand-negative", "nonce-wide", "nonces-short"]
+
+
+@st.composite
+def tampered_blocks(draw):
+    """(block, nonces, top, tamper): an honest block over 1-4 provers, 1-3 rows and 1-4
+    rounds at a drawn bit_len, each prover's nonces from a drawn offset, and at most one
+    tamper applied to it at a drawn answer.  An operand or nonce out of range may keep
+    its value its operand XOR its nonce, so that only the range check refuses it."""
+    bit_len = draw(st.sampled_from([1, 2, 8, 9, 63, 64, 65]))
+    top = 1 << bit_len
+    provers = list(range(7, 7 + draw(st.integers(1, 4))))
+    rows, rounds = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    bits = st.integers(0, top - 1)
+    offsets = {p: draw(st.integers(0, 2)) for p in provers}
+    nonces = {p: tuple(draw(st.lists(bits, min_size=offsets[p] + rows * rounds,
+                                     max_size=offsets[p] + rows * rounds + 2)))
+              for p in provers}
+    nodes = provers * rows
+    starts = [offsets[p] + r * rounds for r in range(rows) for p in provers]
+    operands = draw(st.lists(bits, min_size=len(nodes) * rounds, max_size=len(nodes) * rounds))
+    due = [nonces[node][k] for node, start in zip(nodes, starts)
+           for k in range(start, start + rounds)]
+    block = AnswerBlock(nodes, starts, rounds, operands,
+                        [operand ^ nonce for operand, nonce in zip(operands, due)])
+    tamper = draw(st.sampled_from(TAMPERS))
+    j = draw(st.integers(0, len(operands) - 1))
+    node, k = nodes[j // rounds], starts[j // rounds] + j % rounds
+    if tamper == "value":
+        block.values[j] ^= 1 << draw(st.integers(0, bit_len - 1))
+    elif tamper == "nonces-short":
+        nonces[node] = nonces[node][:draw(st.integers(0, k))]
+    elif tamper != "none":
+        if tamper == "nonce-wide":
+            nonces[node] = nonces[node][:k] + (nonces[node][k] | top,) + nonces[node][k + 1:]
+        else:
+            block.operands[j] = top if tamper == "operand-top" else -1
+        if draw(st.booleans()):  # the value still its operand XOR its nonce: out of range only
+            block.values[j] = block.operands[j] ^ nonces[node][k]
+    return block, nonces, top, tamper
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_blocks())
+def test_the_block_replay_names_what_the_per_answer_replay_names(drawn):
+    """AnswerBlock.failure, its one compare and its naming loop, returns the answer the
+    per-answer replay returns, or raises what it raises, for an honest block and for
+    each tamper: a flipped value, an operand equal to top or to -1, a nonce one bit too
+    wide, or a prover's nonces cut short."""
+    block, nonces, top, tamper = drawn
+    want = outcome(replayed, block, nonces, top)
+    assert (want is None) == (tamper == "none")
+    assert outcome(AnswerBlock.failure, block, nonces, top) == want
+
+
+def test_a_forged_opening_is_refused_before_any_answer_is_replayed():
+    """An MPNV run whose second prover opens to other nonces stops in open_phase with
+    CommitMismatch, naming that prover, and replays no answer."""
+    replays = []
+
+    def forge(ctx, bundles, t, *args):
+        node = list(bundles)[1]
+        commitment, opening = bundles[node]
+        forged = (1 - opening.values[0],) + opening.values[1:]
+        bundles = {**bundles, node: (commitment, dataclasses.replace(opening, values=forged))}
+        return base.open_phase(ctx, bundles, t, *args)
+
+    patches = [(group, "open_phase", forge),
+               (AnswerBlock, "failure", lambda *args: replays.append(args))]
+    ctx, result, error, _ = run(MPNV, False, patches)
+    node = sorted(ctx.nonces)[1]
+    assert result is None and type(error) is base.CommitMismatch
+    assert str(error) == f"node {node}: opening does not match commitment"
+    assert replays == [] and ctx.answers
+    assert ctx.channel.trace.kind.count("open") == 2
+
+
 @pytest.mark.parametrize("seed, text", [
     # the first row's answers are all guessed right, the second row's first one is not
     (0, "node 6's answer on nonce 3 in round 1 is not its challenge XOR that nonce"),

@@ -933,6 +933,15 @@ def test_ring_lone_asymmetric_delayer_detected():
     assert worst == pytest.approx(C * 5e-8, abs=1e-3)
 
 
+def test_ring_without_delays_is_the_plain_polygon_run():
+    """No delays run the polygon ring as it is; a position off the ring is refused."""
+    r = run_ring_with_delays(n_nodes=4, delays={}, seed=7)
+    plain = ring_driver.run_multiparty_gdb(regular_ring_scenario(4, 400.0, 7, 1))
+    assert (r.trace, r.estimates) == (plain.trace, plain.estimates)
+    with pytest.raises(ValueError, match=r"^ring position 4 outside 0\.\.3$"):
+        run_ring_with_delays(n_nodes=4, delays={4: (1e-8, 0.0)})
+
+
 def test_ring_symmetric_delayer_cancels_in_the_solve():
     """Equal delay on both of a node's sends shifts every observer's
     estimate of the shared edges identically, so no cross-check fires."""

@@ -255,6 +255,12 @@ def test_guess_game_rate_tracks_two_to_minus_n():
     assert abs(rate - 0.5) <= 3 * se
 
 
+def test_guess_game_an_advance_below_eps_dist_never_wins():
+    """A guess 1e-15 s early buys c * 1e-15 / 2, about 1.5e-7 m, under EPS_DIST: every
+    right guess still reads the true distance within EPS_DIST, so none is a win."""
+    assert distance_fraud_game(200, n=1, seed=1, advance_s=1e-15) == 0.0
+
+
 def test_guess_game_wider_challenges_are_harder():
     easy = distance_fraud_game(400, n=1, bit_len=1, seed=3)
     hard = distance_fraud_game(400, n=1, bit_len=8, seed=3)
