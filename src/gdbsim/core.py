@@ -364,7 +364,7 @@ def scenario_from_json(doc) -> Scenario:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
@@ -378,77 +378,120 @@ def scenario_to_json(s: Scenario) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return scenario_from_json(text)
 
 
 # ---------------------------------------------------------------------------
-# semantic validation
+# semantic validation: three kinds of rule are tables, each read by one loop;
+# the rules that fit no table stay as code in validate_scenario and its helpers
+
+_VERIFIERS = (Role.ACTIVE_VERIFIER, Role.PASSIVE_VERIFIER)
+_NOT_PEER = (Role.PROVER, *_VERIFIERS)
+_ONLY_PEERS = ("RoleMismatch", {_NOT_PEER: (0, 0)},
+               "mutual multi-party scenarios contain only Peer")
+
+# protocol -> [(issue code, {roles: (fewest, most)}, text)]: a rule gives one issue on
+# nodes when, for any of its entries, the count of nodes holding one of roles is out
+# of range; {got} in its text is the count of its first entry
+_ROLE_RULES = {
+    Protocol.ONE_WAY: [
+        ("RoleMismatch", {(Role.PEER,): (0, 0)}, "one-way scenarios contain no Peer"),
+        ("RoleMismatch", {(Role.ACTIVE_VERIFIER,): (1, 1)},
+         "OneWayDB needs exactly 1 ActiveVerifier, got {got}"),
+    ],
+    Protocol.MUTUAL_INTERLEAVED: [("RoleMismatch", {(Role.PEER,): (2, 2), _NOT_PEER: (0, 0)},
+                                   "MutualInterleaved needs exactly 2 Peer nodes")],
+    Protocol.ONE_TO_MANY: [("RoleMismatch", {(Role.PEER,): (2, sys.maxsize), _NOT_PEER: (0, 0)},
+                            "OneToMany needs >= 2 nodes, all Peer")],
+    Protocol.MULTI_PARTY_RING: [
+        _ONLY_PEERS,
+        ("ParamOutOfRange", {(Role.PEER,): (4, sys.maxsize)}, "N must be >= 4 for MultiPartyRing"),
+    ],
+    Protocol.MPNV: [
+        ("RoleMismatch", {(Role.PEER,): (0, 0)}, "one-way group scenarios contain no Peer"),
+        ("RoleMismatch", {(Role.PROVER,): (1, sys.maxsize)}, "MPNV needs at least one Prover"),
+        ("RoleMismatch", {_VERIFIERS: (1, sys.maxsize)}, "MPNV needs at least one verifier"),
+    ],
+    Protocol.NTOM_PASSIVE: [_ONLY_PEERS],
+    Protocol.NTOM_MULTIPARTY: [_ONLY_PEERS],
+    Protocol.NTOM_ONETOMANY: [_ONLY_PEERS],
+}
+
+# policy class -> (the roles it applies to, the text of its issue on a node of another role)
+_POLICY_ROLES = {
+    threat.GuessAhead: ((Role.PROVER,), "GuessAhead applies to provers only"),
+    threat.SelectiveDelay: ((Role.PROVER, Role.PEER),
+                            "SelectiveDelay applies to responding nodes (provers or peers)"),
+    threat.Relay: ((Role.PROVER,), "Relay applies to a node posing as prover"),
+    threat.FakeLocationReport: (_VERIFIERS, "FakeLocationReport applies to verifiers "
+                                "whose position feeds passive observers"),
+    threat.EarlyChallenge: (_VERIFIERS, "EarlyChallenge applies to verifiers"),
+}
 
 
-def _policy_issues(s: Scenario) -> List[ValidationIssue]:
-    issues: List[ValidationIssue] = []
-    ids = {n.id for n in s.nodes}
-    for i, n in enumerate(s.nodes):
-        p = n.policy
-        fld = f"nodes[{i}].policy"
-        if isinstance(p, threat.GuessAhead):
-            if n.role != Role.PROVER:
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld, "GuessAhead applies to provers only"))
-            elif p.p_rounds > s.config.n:
-                issues.append(ValidationIssue(
-                    "ParamOutOfRange", fld, "GuessAhead p_rounds exceeds round count"))
-        elif isinstance(p, threat.SelectiveDelay):
-            if n.role not in (Role.PROVER, Role.PEER):
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld,
-                    "SelectiveDelay applies to responding nodes (provers or peers)"))
-            if p.target is not None and p.target not in ids:
-                issues.append(ValidationIssue(
-                    "ParamOutOfRange", fld, f"SelectiveDelay target {p.target} not in scenario"))
-            elif p.target is not None and s.protocol in (
-                    Protocol.MULTI_PARTY_RING, Protocol.NTOM_MULTIPARTY):
-                issues.append(ValidationIssue("PolicyInapplicable", fld, "SelectiveDelay cannot "
-                                              "target one ring peer: every send feeds every solve"))
-        elif isinstance(p, threat.Relay):
-            if n.role != Role.PROVER:
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld, "Relay applies to a node posing as prover"))
-            elif s.protocol != Protocol.ONE_WAY:
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld, "Relay is driven only by OneWayDB"))
-            if p.victim not in ids:
-                issues.append(ValidationIssue(
-                    "ParamOutOfRange", fld, f"Relay victim {p.victim} not in scenario"))
-            elif p.victim == n.id:
-                issues.append(ValidationIssue(
-                    "ParamOutOfRange", fld, "Relay victim must be another node"))
-        elif isinstance(p, threat.FakeLocationReport):
-            if n.role not in (Role.ACTIVE_VERIFIER, Role.PASSIVE_VERIFIER):
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld,
-                    "FakeLocationReport applies to verifiers whose position feeds passive observers"))
-        elif isinstance(p, threat.EarlyChallenge):
-            if n.role not in (Role.ACTIVE_VERIFIER, Role.PASSIVE_VERIFIER):
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld, "EarlyChallenge applies to verifiers"))
-        elif isinstance(p, threat.NodeInsertion):
-            if n.has_cert:
-                issues.append(ValidationIssue(
-                    "PolicyInapplicable", fld, "NodeInsertion requires has_cert false"))
-    return issues
+# a ranged field's check(key, value, s, roles) returns the text of its issue, or
+# None when value, the value of experiment field key, is in range
+def _rounds(key: str, value, s: Scenario, roles: List[Role]) -> Optional[str]:
+    return None if 0 < value <= s.config.n else f"{key} must be in 1..n ({s.config.n}), got {value}"
 
 
-def _role_counts(s: Scenario):
-    provers = s.provers()
-    actives = s.with_role(Role.ACTIVE_VERIFIER)
-    passives = s.with_role(Role.PASSIVE_VERIFIER)
-    peers = s.peers()
-    return provers, actives, passives, peers
+def _fraction(key: str, value, s: Scenario, roles: List[Role]) -> Optional[str]:
+    return None if 0.0 < value <= 1.0 else f"{key} must be in (0, 1], got {value}"
+
+
+def _implied(key: str, value, s: Scenario, roles: List[Role]) -> Optional[str]:
+    """n_p<g> equals n - n_a<g>, when n_a<g> is set."""
+    group = key[3:]
+    n_a = getattr(s.experiment, "n_a" + group)
+    if n_a is None or value == s.config.n - n_a:
+        return None
+    return f"n_p{group} must equal n - n_a{group} = {s.config.n - n_a}, got {value}"
+
+
+def _selects_actives(key: str, d_a, s: Scenario, roles: List[Role]) -> Optional[str]:
+    """d_a in range selects no more verifiers than are ActiveVerifiers."""
+    verifiers, actives = sum(map(roles.count, _VERIFIERS)), roles.count(Role.ACTIVE_VERIFIER)
+    if 0.0 < d_a <= 1.0 and (want := active_verifier_count(d_a, verifiers)) > actives:
+        return (f"d_a={d_a} selects {want} of {verifiers} verifiers "
+                f"but only {actives} are ActiveVerifiers")
+    return None
+
+
+def _counts(of: Tuple[Role, ...], noun: str):
+    """The check that a field equals the count of nodes holding one of the roles of."""
+    def check(key: str, value, s: Scenario, roles: List[Role]) -> Optional[str]:
+        got = sum(map(roles.count, of))
+        return None if value == got else f"{key}={value} but scenario has {got} {noun}"
+    return check
+
+
+# protocol -> [(experiment field, check)], in issue order: a field left None is not
+# checked; one whose check returns a text gives one issue on experiment.<field>
+_RANGED_FIELDS = {
+    Protocol.MPNV: [
+        ("n_a", _rounds), ("d_a", _fraction), ("d_a", _selects_actives),
+        ("N", _counts(_VERIFIERS, "verifiers")), ("M", _counts((Role.PROVER,), "provers")),
+        ("n_p", _implied),
+    ],
+    Protocol.NTOM_PASSIVE: [("d_1", _fraction), ("d_2", _fraction), ("n_a1", _rounds),
+                            ("n_a2", _rounds), ("n_p1", _implied), ("n_p2", _implied)],
+}
 
 
 def validate_scenario(s: Scenario) -> List[ValidationIssue]:
-    """Return all semantic problems; an empty list means the scenario runs."""
+    """Return all semantic problems; an empty list means the scenario runs.
+
+    Issues come in this order: duplicate ids, shared positions, config
+    ranges; the protocol's _ROLE_RULES (the fewest and most nodes of each
+    role, one issue on nodes per rule) and OneWayDB's relay pairing; the
+    experiment fields a protocol needs, the two-group sizes, then its
+    _RANGED_FIELDS; last each node's policy, its _POLICY_ROLES and then
+    its own fields.
+    """
     issues: List[ValidationIssue] = []
 
     seen: Dict[NodeId, int] = {}
@@ -478,143 +521,91 @@ def validate_scenario(s: Scenario) -> List[ValidationIssue]:
             issues.append(ValidationIssue(
                 "ParamOutOfRange", f"config.{name}", f"{name} must be {rule}"))
 
-    provers, actives, passives, peers = _role_counts(s)
-    proto = s.protocol
-
-    if proto == Protocol.ONE_WAY:
-        if peers:
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "one-way scenarios contain no Peer"))
-        if len(actives) != 1:
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes",
-                f"OneWayDB needs exactly 1 ActiveVerifier, got {len(actives)}"))
+    roles = [n.role for n in s.nodes]
+    for code, bounds, text in _ROLE_RULES[s.protocol]:
+        for of, (fewest, most) in bounds.items():
+            if not fewest <= sum(map(roles.count, of)) <= most:
+                got = sum(map(roles.count, next(iter(bounds))))
+                issues.append(ValidationIssue(code, "nodes", text.format(got=got)))
+                break
+    if s.protocol == Protocol.ONE_WAY:
+        provers = s.provers()
         relays = [n for n in provers if isinstance(n.policy, threat.Relay)]
-        if len(provers) == 1 and not relays:
-            pass
-        elif len(provers) == 2 and len(relays) == 1 and relays[0].policy.victim in {
-            n.id for n in provers
-        } and relays[0].policy.victim != relays[0].id:
-            pass
-        else:
+        relayed = (len(provers) == 2 and len(relays) == 1
+                   and relays[0].policy.victim in {n.id for n in provers} - {relays[0].id})
+        if not (len(provers) == 1 and not relays or relayed):
             issues.append(ValidationIssue(
                 "RoleMismatch", "nodes",
                 "OneWayDB needs exactly 1 Prover, or 2 Provers where one relays to the other"))
-    elif proto == Protocol.MUTUAL_INTERLEAVED:
-        if len(peers) != 2 or len(s.nodes) != 2:
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "MutualInterleaved needs exactly 2 Peer nodes"))
-    elif proto == Protocol.ONE_TO_MANY:
-        if len(peers) < 2 or len(peers) != len(s.nodes):
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "OneToMany needs >= 2 nodes, all Peer"))
-    elif proto == Protocol.MULTI_PARTY_RING:
-        if len(peers) != len(s.nodes):
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "mutual multi-party scenarios contain only Peer"))
-        if len(peers) < 4:
-            issues.append(ValidationIssue(
-                "ParamOutOfRange", "nodes", "N must be >= 4 for MultiPartyRing"))
-    elif proto == Protocol.MPNV:
-        if peers:
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "one-way group scenarios contain no Peer"))
-        if not provers:
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "MPNV needs at least one Prover"))
-        if not (actives or passives):
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "MPNV needs at least one verifier"))
-        issues.extend(_check_mpnv_params(s, len(actives), len(passives), len(provers)))
-    else:  # the two-group protocols
-        if len(peers) != len(s.nodes):
-            issues.append(ValidationIssue(
-                "RoleMismatch", "nodes", "mutual multi-party scenarios contain only Peer"))
-        issues.extend(_check_ntom_params(s, len(peers)))
-
-    issues.extend(_policy_issues(s))
-    return issues
+    return issues + _experiment_issues(s, roles) + _policy_issues(s)
 
 
-def _check_mpnv_params(
-    s: Scenario, n_actives: int, n_passives: int, n_provers: int
-) -> List[ValidationIssue]:
-    issues: List[ValidationIssue] = []
-    n_verifiers = n_actives + n_passives
-    exp = s.experiment
-    if exp is None or exp.n_a is None or exp.d_a is None:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment", "MPNV needs experiment.n_a and experiment.d_a"))
-        return issues
-    if not 0 < exp.n_a <= s.config.n:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment.n_a",
-            f"n_a must be in 1..n ({s.config.n}), got {exp.n_a}"))
-    if not 0.0 < exp.d_a <= 1.0:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment.d_a", f"d_a must be in (0, 1], got {exp.d_a}"))
-    elif (want := active_verifier_count(exp.d_a, n_verifiers)) > n_actives:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment.d_a", f"d_a={exp.d_a} selects {want} of "
-            f"{n_verifiers} verifiers but only {n_actives} are ActiveVerifiers"))
-    if exp.N is not None and exp.N != n_verifiers:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment.N",
-            f"N={exp.N} but scenario has {n_verifiers} verifiers"))
-    if exp.M is not None and exp.M != n_provers:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment.M",
-            f"M={exp.M} but scenario has {n_provers} provers"))
-    issues.extend(_implied_n_p(s, ""))
-    return issues
-
-
-def _implied_n_p(s: Scenario, group: str) -> List[ValidationIssue]:
-    """n_p<group>, when given, must be n - n_a<group>."""
-    n_a, n_p = getattr(s.experiment, "n_a" + group), getattr(s.experiment, "n_p" + group)
-    if n_p is None or n_a is None or n_p == s.config.n - n_a:
+def _experiment_issues(s: Scenario, roles: List[Role]) -> List[ValidationIssue]:
+    """The fields a group protocol needs and the two-group sizes, then its ranged fields."""
+    exp, issues = s.experiment, []
+    if s.protocol == Protocol.MPNV:
+        if exp is None or exp.n_a is None or exp.d_a is None:
+            return [ValidationIssue("ParamOutOfRange", "experiment",
+                                    "MPNV needs experiment.n_a and experiment.d_a")]
+    elif s.protocol in (Protocol.NTOM_PASSIVE, Protocol.NTOM_MULTIPARTY, Protocol.NTOM_ONETOMANY):
+        if exp is None or exp.N is None or exp.M is None:
+            return [ValidationIssue("ParamOutOfRange", "experiment",
+                                    "two-group protocols need experiment.N and experiment.M")]
+        if exp.N < 1 or exp.M < 1:
+            issues.append(ValidationIssue(
+                "ParamOutOfRange", "experiment", "group sizes must be >= 1"))
+        if exp.N + exp.M != (peers := roles.count(Role.PEER)):
+            issues.append(ValidationIssue(
+                "ParamOutOfRange", "experiment",
+                f"N + M = {exp.N + exp.M} but scenario has {peers} nodes"))
+        if s.protocol == Protocol.NTOM_MULTIPARTY and exp.N + exp.M < 4:
+            issues.append(ValidationIssue(
+                "ParamOutOfRange", "experiment", "N must be >= 4 for the joint ring run"))
+        if s.protocol == Protocol.NTOM_PASSIVE:
+            issues += [ValidationIssue("ParamOutOfRange", f"experiment.{key}",
+                                       f"NtoM-passive needs experiment.{key}")
+                       for key in ("d_1", "d_2", "n_a1", "n_a2") if getattr(exp, key) is None]
+    else:
         return []
-    return [ValidationIssue("ParamOutOfRange", f"experiment.n_p{group}",
-                            f"n_p{group} must equal n - n_a{group} = {s.config.n - n_a}, got {n_p}")]
+    for key, check in _RANGED_FIELDS.get(s.protocol, ()):
+        value = getattr(exp, key)
+        if value is not None and (text := check(key, value, s, roles)) is not None:
+            issues.append(ValidationIssue("ParamOutOfRange", f"experiment.{key}", text))
+    return issues
 
 
-def _check_ntom_params(s: Scenario, n_peers: int) -> List[ValidationIssue]:
+def _policy_issues(s: Scenario) -> List[ValidationIssue]:
     issues: List[ValidationIssue] = []
-    exp = s.experiment
-    if exp is None or exp.N is None or exp.M is None:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment",
-            "two-group protocols need experiment.N and experiment.M"))
-        return issues
-    if exp.N < 1 or exp.M < 1:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment", "group sizes must be >= 1"))
-    if exp.N + exp.M != n_peers:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment",
-            f"N + M = {exp.N + exp.M} but scenario has {n_peers} nodes"))
-    if s.protocol == Protocol.NTOM_MULTIPARTY and exp.N + exp.M < 4:
-        issues.append(ValidationIssue(
-            "ParamOutOfRange", "experiment", "N must be >= 4 for the joint ring run"))
-    if s.protocol == Protocol.NTOM_PASSIVE:
-        for key in ("d_1", "d_2", "n_a1", "n_a2"):
-            if getattr(exp, key) is None:
+    for i, n in enumerate(s.nodes):
+        p, kind = n.policy, type(n.policy)
+        fld = f"nodes[{i}].policy"
+        applies = kind not in _POLICY_ROLES or n.role in _POLICY_ROLES[kind][0]
+        if not applies:
+            issues.append(ValidationIssue("PolicyInapplicable", fld, _POLICY_ROLES[kind][1]))
+        if kind is threat.GuessAhead:
+            if applies and p.p_rounds > s.config.n:
                 issues.append(ValidationIssue(
-                    "ParamOutOfRange", f"experiment.{key}",
-                    f"NtoM-passive needs experiment.{key}"))
-        for key in ("d_1", "d_2"):
-            v = getattr(exp, key)
-            if v is not None and not 0.0 < v <= 1.0:
+                    "ParamOutOfRange", fld, "GuessAhead p_rounds exceeds round count"))
+        elif kind is threat.SelectiveDelay and p.target is not None:
+            if p.target not in {m.id for m in s.nodes}:
                 issues.append(ValidationIssue(
-                    "ParamOutOfRange", f"experiment.{key}",
-                    f"{key} must be in (0, 1], got {v}"))
-        for key in ("n_a1", "n_a2"):
-            v = getattr(exp, key)
-            if v is not None and not 0 < v <= s.config.n:
+                    "ParamOutOfRange", fld, f"SelectiveDelay target {p.target} not in scenario"))
+            elif s.protocol in (Protocol.MULTI_PARTY_RING, Protocol.NTOM_MULTIPARTY):
+                issues.append(ValidationIssue("PolicyInapplicable", fld, "SelectiveDelay cannot "
+                                              "target one ring peer: every send feeds every solve"))
+        elif kind is threat.Relay:
+            if applies and s.protocol != Protocol.ONE_WAY:
                 issues.append(ValidationIssue(
-                    "ParamOutOfRange", f"experiment.{key}",
-                    f"{key} must be in 1..n ({s.config.n}), got {v}"))
-        issues += _implied_n_p(s, "1") + _implied_n_p(s, "2")
+                    "PolicyInapplicable", fld, "Relay is driven only by OneWayDB"))
+            if p.victim not in {m.id for m in s.nodes}:
+                issues.append(ValidationIssue(
+                    "ParamOutOfRange", fld, f"Relay victim {p.victim} not in scenario"))
+            elif p.victim == n.id:
+                issues.append(ValidationIssue(
+                    "ParamOutOfRange", fld, "Relay victim must be another node"))
+        elif kind is threat.NodeInsertion and n.has_cert:
+            issues.append(ValidationIssue(
+                "PolicyInapplicable", fld, "NodeInsertion requires has_cert false"))
     return issues
 
 

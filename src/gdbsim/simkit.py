@@ -316,7 +316,7 @@ def _record(line: str, number: int) -> dict:
     """One line of a JSON-lines text, which must hold a JSON object."""
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TraceFormatError(f"line {number}: not JSON: {exc}") from None
     if not isinstance(rec, dict):
         raise TraceFormatError(f"line {number}: not a JSON object")

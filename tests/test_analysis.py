@@ -141,6 +141,22 @@ def test_time_bound_two_groups():
         2 * 4 * 4e-6)
 
 
+@pytest.mark.parametrize("setting, tofs, which, fields, match", [
+    ("MPNV", None, "base", {"n": 1, "N": 2, "M": 2}, r"must give verifier-prover flights as a 2x2"),
+    ("MPNV", [1e-6, 2e-6], "base", {"n": 1, "N": 2, "M": 2}, r"must be a nested sequence"),
+    ("1PNV", None, "base", {"n": 1, "N": 2}, r"must give 2 prover-verifier flights$"),
+    ("1PNV", 1e-6, "base", {"n": 1, "N": 2}, r"must be a sequence of prover-verifier flights"),
+], ids=["grid-none", "grid-of-numbers", "vector-none", "vector-a-number"])
+def test_time_bound_refuses_tofs_of_no_shape(setting, tofs, which, fields, match):
+    with pytest.raises(MissingToF, match="field 'tofs' " + match):
+        time_bound(setting, tofs, which, **fields)
+
+
+def test_time_bound_refuses_an_unknown_setting():
+    with pytest.raises(MissingField, match=r"field 'setting' must be one of .*, got '2PNV'"):
+        time_bound("2PNV", [1e-6], "base", n=1)
+
+
 def test_time_bound_shape_errors_name_tofs():
     with pytest.raises(MissingToF, match="tofs"):
         time_bound("1PNV", [1e-6], "base", n=1, N=2)
@@ -183,6 +199,8 @@ def test_confidence_domain_errors():
         dbc_avg([], [])
     with pytest.raises(LengthMismatch):
         dbc_ap(2, [1], [0.5, 0.5])
+    with pytest.raises(MissingField, match="field 'n_p' must name at least one node"):
+        dbc_ap(2, [], [])
 
 
 @given(n=st.integers(min_value=0, max_value=40),

@@ -201,6 +201,29 @@ def test_sweep_rejects_bad_seed_list(tmp_path, ring_file, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_seed_list_naming_no_seed(tmp_path, ring_file, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", str(ring_file), "--seeds", ",", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seeds named no seeds\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00bad", "bad.json is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_scenario_bytes_exit_2_and_run_nothing(tmp_path, capsys, command, content,
+                                                           message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "o"
+    assert main([command, str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_sweep_validates_inputs_before_fanout(tmp_path, ring_file, capsys):
     malformed = tmp_path / "bad.json"
     malformed.write_text("[]")

@@ -126,6 +126,13 @@ def test_parse_rejects_bad_json_text():
         scenario_from_json("{nope")
 
 
+@pytest.mark.parametrize("doc", [b"\xc3\x28", "[" * 5000, b"[" * 5000],
+                         ids=["not-utf8-bytes", "nested-text", "nested-bytes"])
+def test_parse_refuses_undecodable_json_as_a_format_error(doc):
+    with pytest.raises(ScenarioFormatError, match="^invalid JSON: "):
+        scenario_from_json(doc)
+
+
 def test_parse_names_missing_key():
     doc = minimal_doc()
     del doc["rng_seed"]

@@ -391,6 +391,17 @@ def test_observer_off_ring_rejected():
         build_tof_system(RING, [9], square_round(2), 0.0)
 
 
+@pytest.mark.parametrize("ring, observers, stamps, match", [
+    (RING, [2], np.empty((0, 8, 1)), "no rounds to solve"),
+    (RING, [2, 2], np.repeat(square_round(2), 2, axis=2),
+     r"observers \(2, 2\) name one node twice"),
+    ((1, 2), [1], np.zeros((1, 4, 1)), "a ring of 2 has no snake to solve"),
+], ids=["no-rounds", "one-observer-twice", "ring-of-two"])
+def test_a_block_no_ring_can_solve_is_refused(ring, observers, stamps, match):
+    with pytest.raises(SolveFailure, match=match):
+        build_tof_system(ring, observers, stamps, 0.0)
+
+
 def test_inconsistent_stamps_fail_residual_check():
     # one round alone is square and fits any stamps; a second round whose
     # message 4 is bent cannot share the first round's flight times

@@ -39,3 +39,32 @@ DEMO_OUTPUT = Path(__file__).resolve().parent / "golden" / "passive_geometry_dem
 def test_passive_geometry_demo_output_is_pinned(argv, pinned, capsys):
     assert load("passive_geometry_demo").main(argv) == 0
     assert capsys.readouterr().out == (DEMO_OUTPUT / pinned).read_text()
+
+
+def test_adequacy_reports_the_lines_a_traced_call_never_ran(tmp_path):
+    """The coverage report of scripts/adequacy.py, on one traced call of a
+    small function, names exactly the lines that call skipped."""
+    adequacy = load("adequacy")
+    root = tmp_path.resolve()
+    module = root / "toy.py"
+    module.write_text("def sign(x):\n"
+                      "    if x > 0:\n"
+                      "        return 1\n"
+                      "    elif x < 0:\n"
+                      "        return (\n"
+                      "            -1)\n"
+                      "    return 0\n")
+    spec = importlib.util.spec_from_file_location("toy", module)
+    toy = importlib.util.module_from_spec(spec)
+    tracer = adequacy.LineTracer(root)
+    tracer.start()
+    try:
+        spec.loader.exec_module(toy)
+        assert toy.sign(3) == 1
+    finally:
+        tracer.stop()
+    assert adequacy.executable_lines(module) == {1, 2, 3, 4, 5, 6, 7}
+    missed = adequacy.never_ran([module], tracer.ran)
+    assert missed == {module: [4, 5, 6, 7]}
+    assert adequacy.report(missed, root).splitlines() == [
+        f"{'toy.py':28s}    4  4-7", f"{'total':28s}    4"]

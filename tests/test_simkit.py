@@ -422,7 +422,12 @@ def _meta_edit(lines, edit):
     (lambda meta: meta["tof"][2].__setitem__(0, math.nan), r"tof entry nan is not a finite number"),
     (lambda meta: meta["node_ids"].__setitem__(0, True),
      r"node id True in node_ids is not an integer"),
-], ids=["offset-string", "tof-string", "tof-nan", "node-id-bool"])
+    (lambda meta: meta.update(kind="emission"), r"the first line is not a meta record$"),
+    (lambda meta: meta.pop("tof"), r"bad meta record: KeyError\('tof'\)$"),
+    (lambda meta: meta.update(offsets=[0.0, 0.0, 0.0]), r"bad meta record: AttributeError"),
+    (lambda meta: meta.update(node_ids=7), r"bad meta record: TypeError"),
+], ids=["offset-string", "tof-string", "tof-nan", "node-id-bool", "kind-not-meta", "no-tof",
+        "offsets-a-list", "node-ids-a-number"])
 def test_reader_rejects_a_wrong_typed_meta_field(oneway_lines, edit, match):
     _reject(_meta_edit(oneway_lines, edit), "^line 1: " + match)
 
@@ -464,6 +469,14 @@ def test_integer_flight_times_read_back_as_floats():
 def test_reader_rejects_a_duplicated_node_id(oneway_lines):
     _reject(_meta_edit(oneway_lines, lambda meta: meta["node_ids"].__setitem__(2, 2)),
             r"^line 1: node id 2 appears twice in node_ids")
+
+
+def test_reader_rejects_json_nested_too_deep_as_a_bad_line(golden_lines):
+    """Nesting past the JSON decoder's recursion limit names its line, as bad JSON does."""
+    with pytest.raises(TraceFormatError, match=r"^line 1: not JSON: maximum recursion depth"):
+        Trace.from_jsonl("[" * 5000)
+    _reject(golden_lines[:2] + ["[" * 5000 + "]" * 5000] + golden_lines[3:],
+            r"^line 3: not JSON: maximum recursion depth")
 
 
 def test_reader_rejects_malformed_lines(golden_lines):
