@@ -360,10 +360,10 @@ _decode_scenario, _encode_scenario = _record(Scenario)
 
 
 def scenario_from_json(doc) -> Scenario:
-    """Parse a scenario document (dict or JSON string).  Strict keys."""
+    """Parse a scenario document (dict, or JSON text as str or UTF-8 bytes).  Strict keys."""
     if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
+        try:  # bytes are UTF-8, as a scenario file is: json.loads would also take UTF-16 or -32
+            doc = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -4,11 +4,11 @@ Every driver shares the Brands-Chaum skeleton of base.py: commit_phase,
 rapid values that XOR a committed nonce, written either as a plain
 block, a phase's plain verifier rows or one plain row, or one message
 at a time by RunContext.emit, which times each send, a relayed row's
-too.  A verifier's row is its
-own record of rounds, the interleaved chain and 1toM return theirs as
-a list of Rounds, all priced by active_bounds (a group verifier's row
-as arrays), then open_phase, which decommits, signs when auth is on,
-and replays every answer against the opened nonces.  The ring
+too.  A verifier's row is its own record of rounds, the interleaved
+chain and 1toM return theirs as a list of Rounds, all priced by
+active_bounds (a group phase as a whole, in arrays:
+pairwise.price_phase), then open_phase, which decommits, signs when
+auth is on, and replays every answer against the opened nonces.  The ring
 family adds a signed report phase and solves its own bounds.
 
 A run's bounds are one columnar Estimates table; iterating it yields

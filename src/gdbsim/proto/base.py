@@ -18,10 +18,11 @@ through RunContext.answer.  A verifier's row is itself the
 record of its rounds; the interleaved chain and 1toM return theirs as
 Rounds.  active_bounds prices rounds one at a time from either record,
 the measurer's stamps read off the trace's flight-time rows; the group
-driver prices a verifier's row as arrays instead
-(pairwise.active_row_bounds), with the same float operations.
-pairwise.passive_bounds prices listeners the same way: a row of one
-exchange round by round, a group row as one block.  A run hands back
+driver prices a phase as a whole, not row by row, with the same float
+operations (pairwise.price_phase): every row's active rounds in one
+array pass, the listeners in blocks of a few rows.
+pairwise.passive_bounds prices a one-way row's listeners round by
+round, as active_bounds prices its rounds.  A run hands back
 its bounds as one columnar Estimates table, written as rows or, for
 the ring, as one block of columns.
 """

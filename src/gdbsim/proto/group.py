@@ -2,11 +2,12 @@
 
 A fraction of the verifier group is drawn at random to run active
 exchanges, each one row; a phase's rows are one pairwise.run_exchange
-call, one plain block when every row is plain, and are then priced as
-arrays, row by row, from the block's views; everyone else prices the
-same rows passively from the published schedule, trading rounds of
-their own for overheard ones.  A phase's priced rows are folded into
-its estimates once, at its end.
+call, one plain block when every row is plain, and the phase is then
+priced as a whole, not row by row (pairwise.price_phase): the selected
+verifiers' rounds in one array pass, and everyone else's passive
+bounds on the same rows, from the published schedule, in blocks of a
+few rows, trading rounds of their own for overheard ones.  A phase's
+priced rows are folded into its estimates once, at its end.
 The two-group variants either run that machinery in both directions,
 share one joint ring, or chain per-verifier one-to-many runs.
 """
@@ -31,7 +32,7 @@ from .base import (
 )
 from .onetomany import run_chains
 from .onetomany import run_chain  # noqa: F401  (perfbench/tracing.py patches this name here)
-from .pairwise import active_row_bounds, passive_bounds, run_exchange
+from .pairwise import price_phase, run_exchange
 from .pairwise import observed_bound, passive_observations  # noqa: F401  (perfbench/tracing.py patches these names here)
 from .ring import run_multiparty_gdb
 
@@ -43,24 +44,25 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
     """Commit in ascending id order, run the listening phases in turn, open.
 
     In a phase every selected verifier runs its row of exchanges, one
-    per prover, all rows in one run_exchange call; the rows are then
-    priced in run order from their own arrays, actively for the
-    verifier and passively for every other watcher, so the first
-    impossible round in run order raises.  The closing
-    emission after each exchange's last response is what lets listeners
-    frame all n_a rounds; when every watcher is active for all n rounds
-    nobody needs it and it is omitted, which collapses the phase to the
-    all-active baseline.
+    per prover, all rows in one run_exchange call; price_phase then
+    prices the whole phase, actively for each row's verifier and
+    passively for every other watcher, and the first impossible round
+    in run order, each row's active rounds before its passive ones,
+    raises.  The closing emission after each exchange's last response
+    is what lets listeners frame all n_a rounds; when every watcher is
+    active for all n rounds nobody needs it and it is omitted, which
+    collapses the phase to the all-active baseline.
 
     Each (watcher, prover) estimate is the conservative composite: the
     largest bound any source produced (the first of equal ones, signed
     zero included, so ties follow selection order) and the rounds of all
-    sources, active if the watcher ran rounds itself.  A phase writes
-    each row's active column and passive block into one (rows x watchers
-    x provers) candidate array, from -inf, and folds it once, at its
-    end, by the first argmax over the rows, into one bound matrix (from
-    -inf) and one rounds matrix indexed by the channel's node ids; a
-    later phase's bound replaces an earlier one only where it is larger.
+    sources, active if the watcher ran rounds itself.  A phase's
+    candidates are one (rows x watchers x provers) array, -inf where a
+    watcher priced nothing, with each row's active column and passive
+    block, and the phase folds it once, at its end, by the first argmax
+    over the rows, into one bound matrix (from -inf) and one rounds
+    matrix indexed by the channel's node ids; a later phase's bound
+    replaces an earlier one only where it is larger.
     The estimates are the nonzero-rounds entries, row-major, which is
     sorted (watcher, prover) order.
     """
@@ -80,18 +82,9 @@ def _run_oneway_groups(ctx: RunContext, phases: Sequence[Phase]) -> RunResult:
         selected = sorted(ctx.rng.sample(pool, active_verifier_count(d_a, len(watchers))))
         actives.update(selected)
         closing = not (n_a == cfg.n and len(selected) == len(watchers))
-        place = {w: i for i, w in enumerate(watchers)}
-        candidates = np.full((len(selected), len(watchers), len(provers)), -np.inf)
-        counts = np.zeros(len(watchers), dtype=np.int64)  # each watcher's rounds, per prover
         rows = run_exchange(ctx, selected, provers, n_a, t, closing)
         t = rows[-1].t_end + ctx.slot_s
-        for r, row in enumerate(rows):
-            candidates[r, place[row.verifier]] = active_row_bounds(ctx, row)
-            counts[place[row.verifier]] += n_a
-            others, best, framed = passive_bounds(ctx, row, watchers)
-            listeners = [place[w] for w in others]
-            candidates[r, listeners] = best.T
-            counts[listeners] += framed
+        candidates, counts = price_phase(ctx, rows, watchers)
         first = np.take_along_axis(candidates, candidates.argmax(axis=0)[None], axis=0)[0]
         block = np.ix_([at[w] for w in watchers], [at[p] for p in provers])
         held = bound[block]

@@ -2,10 +2,11 @@
 
 A verifier's row, its exchanges with each prover in turn, is the
 record of its rounds, a Row of lists; one run_exchange call writes a
-phase's rows, each verifier's in turn.  A row of one exchange is
-priced round by round in floats on both sides, by active_bounds and by
-passive_bounds for its listeners; a group row as arrays,
-active_row_bounds and passive_bounds' block.  A plain row is one that
+phase's rows, each verifier's in turn.  A one-way row is priced round
+by round in floats on both sides, by active_bounds and by
+passive_bounds for its listeners; a group phase as a whole, not row by
+row (price_phase): its active rounds in one array pass, its listeners
+in blocks of a few rows.  A plain row is one that
 no timing policy, guess, relay, held first send or ill-fitting nonce
 touches.  When every row of a call is plain, the call is one plain
 block: all its rows' trace rows in one extend, their answers as one
@@ -52,6 +53,7 @@ from .base import (
     Round,
     RunContext,
     RunResult,
+    active_bounds,
     active_rows,
     commit_phase,
     due_nonces,
@@ -92,13 +94,18 @@ class Row:
         return self._blocks
 
     def rounds(self) -> Iterator[Round]:
-        """A one-exchange row's rounds as active_bounds takes them.
+        """The row's rounds as active_bounds takes them, exchange by exchange.
 
         Each is (verifier, responder, ask, reply); a closing, if any, is an
-        ask past the last reply, which zip leaves out.
+        ask past its exchange's last reply, which zip leaves out.
         """
-        stamps = self.stamps
-        return zip(repeat(self.verifier), repeat(self.responders[0]), stamps[0::2], stamps[1::2])
+        stamps, sent = self.stamps, len(self.stamps) // len(self.responders)
+        if sent == len(stamps):  # one exchange, as every one-way row: one zip
+            return zip(repeat(self.verifier), repeat(self.responders[0]), stamps[0::2],
+                       stamps[1::2])
+        return chain.from_iterable(
+            zip(repeat(self.verifier), repeat(p), stamps[e * sent:(e + 1) * sent:2],
+                stamps[e * sent + 1:(e + 1) * sent:2]) for e, p in enumerate(self.responders))
 
 
 def _columns(
@@ -336,21 +343,6 @@ def _claimed_baseline(ctx: RunContext, pol: FakeLocationReport, observer: NodeId
     return distance(pol.claimed_pos, ctx.scenario.node(observer).pos)
 
 
-def active_row_bounds(ctx: RunContext, row: Row) -> np.ndarray:
-    """The verifier's bound on each responder of a row, as active_bounds prices it, as arrays.
-
-    A responder's bound is its largest round's, the first of equal ones;
-    the first impossible round, exchange by exchange, raises.
-    """
-    cfg = ctx.scenario.config
-    trace = ctx.channel.trace
-    index, off = trace.index, trace.offsets[row.verifier]
-    flight = trace.tof_array[[index[p] for p in row.responders], index[row.verifier]]
-    _, asks, replies = row.blocks
-    bounds = active_distances(asks + off, (replies + flight[:, None]) + off, cfg.alpha, cfg.c)
-    return np.take_along_axis(bounds, bounds.argmax(axis=1)[:, None], axis=1)[:, 0]
-
-
 def passive_observations(
     ctx: RunContext, row: Row, watchers: Sequence[NodeId]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -445,16 +437,14 @@ def _exchange_bounds(ctx: RunContext, row: Row, others: Sequence[NodeId]) -> Lis
 def passive_bounds(
     ctx: RunContext, row: Row, watchers: Sequence[NodeId]
 ) -> Tuple[List[NodeId], np.ndarray, int]:
-    """Every watcher's passive bound on each responder of a row, in one pass.
+    """Every watcher's passive bound on each responder of a row, exchange by exchange.
 
-    A row of one exchange is priced round by round (_exchange_bounds); a
-    group row as one (exchanges x rounds x watchers) block, the stamps
-    passive_observations reads off the row, scored by observed_bound.
-    A block that raises is priced again exchange by exchange, to raise
-    what per-watcher pricing meets first.  Returns (others, best,
-    rounds): the watchers other than the verifier, their (exchanges x
-    others) bounds, and the number of rounds each framed.  A row that
-    frames no round prices nobody: others is empty.
+    Each exchange is priced round by round in floats (_exchange_bounds),
+    so the first impossible round, exchange by exchange and watcher by
+    watcher, raises.  Returns (others, best, rounds): the watchers other
+    than the verifier, their (exchanges x others) bounds, and the number
+    of rounds each framed.  A row that frames no round prices nobody:
+    others is empty.
     """
     others = [w for w in watchers if w != row.verifier]
     exchanges = len(row.responders)
@@ -463,15 +453,108 @@ def passive_bounds(
         return [], np.empty((exchanges, 0)), 0
     if exchanges == 1:
         return others, np.array([_exchange_bounds(ctx, row, others)]), rounds
+    sends, sent = rounds + 1, len(row.stamps) // exchanges
+    return others, np.array([
+        _exchange_bounds(ctx, Row(row.verifier, [p], row.schedule[e * sends:(e + 1) * sends],
+                                  row.stamps[e * sent:(e + 1) * sent], row.t_end), others)
+        for e, p in enumerate(row.responders)]), rounds
+
+
+# a passive block's largest temporary, its rows' (watchers x sends x provers) stamps, holds
+# at most this many float64 elements, or one row's if that is more: two rows of a 30 x 30
+# MPNV phase at n_a = 8, about 128 KB; one block per phase, about 2 MB, was the slowest
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def price_phase(
+    ctx: RunContext, rows: Sequence[Row], watchers: Sequence[NodeId]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A group phase priced as a whole: (rows x watchers x provers) candidates, and each
+    watcher's rounds.
+
+    The rows are one phase's, every verifier's with the same provers,
+    and each row's verifier is a watcher.  A row's verifier holds its
+    active bounds, every other watcher its passive ones (-inf if the
+    row frames no round); a watcher's rounds are n_a for the row it ran
+    and the framed rounds of each row it heard.  Every float64
+    operation is the one-row pricers', in their order.  The active
+    bounds are one pass over the phase's (rows x provers x rounds) asks
+    and replies, a prover's bound its largest round's, the first of
+    equal ones.  The passive ones are priced in blocks of rows, every
+    watcher at once, against flights and offsets gathered once per
+    phase, each row's own verifier masked out of the checks.  If any
+    pass meets an impossible round, the rows are priced again in run
+    order, each row's active rounds (active_bounds) before its
+    listeners (passive_bounds), to raise what pricing row by row raises
+    first.
+    """
+    cfg = ctx.scenario.config
+    alpha, c = cfg.alpha, cfg.c
+    trace = ctx.channel.trace
+    index, tof, offsets = trace.index, trace.tof_array, trace.offsets
+    verifiers = [row.verifier for row in rows]
+    place = {w: i for i, w in enumerate(watchers)}
+    own = [place[v] for v in verifiers]
+    vs, ws = [index[v] for v in verifiers], [index[w] for w in watchers]
+    ps = [index[p] for p in rows[0].responders]
+    n_rows, n_provers, n_watchers = len(rows), len(ps), len(ws)
+    sends, asks, replies = (np.concatenate(block).reshape(n_rows, n_provers, -1)
+                            for block in zip(*(row.blocks for row in rows)))
+    n = asks.shape[2]
+    framed = sends.shape[2] - 1 if n_watchers > 1 else 0
+    candidates = np.full((n_rows, n_watchers, n_provers), -np.inf)
     try:
-        best = observed_bound(ctx.scenario.config, *passive_observations(ctx, row, others))
+        v_off = np.array([offsets[v] for v in verifiers])[:, None, None]
+        flight = tof[np.ix_(ps, vs)].T[:, :, None]  # each prover's flight to each row's verifier
+        bounds = active_distances(asks + v_off, (replies + flight) + v_off, alpha, c)
+        active = np.take_along_axis(bounds, bounds.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+        if framed:
+            # a block is (rows x watchers x sends x provers): each (sends x provers) run of it
+            # is contiguous, and so is each operand's
+            sends = sends.transpose(0, 2, 1).copy()
+            replies = replies[:, :, :framed].transpose(0, 2, 1).copy()
+            w_off = np.array([offsets[w] for w in watchers])[:, None, None]
+            # each prover's flight to each watcher, once per framed round
+            flights = np.repeat(tof[np.ix_(ps, ws)].T[:, None], framed, axis=1)
+            dist = tof[np.ix_(vs, ws)] * c
+            base_tof = (dist / c)[:, :, None, None]  # physical flight for schedule anchoring
+            base = dist.copy()
+            for r, v in enumerate(verifiers):
+                pol = ctx.policies[v]
+                if isinstance(pol, FakeLocationReport):
+                    base[r] = [_claimed_baseline(ctx, pol, w) for w in watchers]
+            base = base[:, :, None, None]
+            step = max(1, _BLOCK_ELEMENTS // (n_watchers * (framed + 1) * n_provers))
+            for r in range(0, n_rows, step):
+                block = slice(r, r + step)
+                mask = np.arange(len(own[block])), own[block]  # each row's own verifier
+                heard = (sends[block, None] + base_tof[block]) + w_off
+                t1 = heard[:, :, :-1]
+                gamma = (replies[block, None] + flights) + w_off  # t2
+                gamma -= t1
+                gamma -= alpha
+                gamma *= c
+                gamma += base[block]
+                tof2 = heard[:, :, 1:] - t1
+                tof2 -= alpha
+                tof2 -= alpha
+                gamma[mask] = tof2[mask] = 0.0  # a verifier hears no rounds of its own
+                if gamma.min() < 0.0 or tof2.min() < -EPS_TIME:
+                    raise NegativeTimeOfFlight("an impossible overheard round")
+                tof2 *= c
+                tof2 /= 2.0
+                gamma -= np.maximum(tof2, 0.0, out=tof2)
+                best = gamma.max(axis=2)
+                candidates[block] = np.where(best > 0.0, best, 0.0)
     except NegativeTimeOfFlight:
-        sends, sent = rounds + 1, len(row.stamps) // exchanges
-        for e, p in enumerate(row.responders):
-            _exchange_bounds(ctx, Row(row.verifier, [p], row.schedule[e * sends:(e + 1) * sends],
-                                      row.stamps[e * sent:(e + 1) * sent], row.t_end), others)
+        for row in rows:  # in run order: each row's active rounds, then its listeners
+            active_bounds(ctx, row.rounds())
+            passive_bounds(ctx, row, watchers)
         raise
-    return others, best, rounds
+    candidates[np.arange(n_rows), own] = active
+    counts = np.full(n_watchers, n_rows * framed, dtype=np.int64)
+    counts[own] += n - framed
+    return candidates, counts
 
 
 def run_one_way_db(scenario: Scenario) -> RunResult:

@@ -8,8 +8,8 @@ Any other phase goes row by row, a plain row as a block of its own;
 any other row, one that a timing policy, a guess, a held first send or
 a relay touches, goes send by send through RunContext.emit and answer
 by answer through RunContext.answer, a relay front's round inside the
-same loop as a direct prover's.  gdbsim prices a group row's active
-rounds as arrays, and a row of one exchange, and the rounds the
+same loop as a direct prover's.  gdbsim prices a group phase's active
+rounds as one array pass, and a row of one exchange, and the rounds the
 interleaved chain and 1toM return, with active_bounds' inline loop.
 This module keeps the earlier path: the rows in turn (run_exchange), a
 row one exchange per prover in turn (run_row), a relayed row its own
@@ -19,15 +19,14 @@ it, holds it behind its node's last send, applies a guess's advance and
 makes one broadcast that checks causality and appends one row; every
 value goes through answer, one log entry each; and every round is
 priced by active_distance, off the row's stamps and the trace's
-flight-time array.  So the tests can demand that the writer leave the
+flight-time array (group_oracle.price_rows prices a group phase row
+after row with it).  So the tests can demand that the writer leave the
 same trace, answers, last sends, row record and errors, bit for bit.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from gdbsim.core import EPS_TIME, SPEED_OF_LIGHT
 from gdbsim.estimate import NegativeTimeOfFlight
@@ -267,9 +266,3 @@ def active_bounds(ctx: RunContext, rounds) -> Dict[Tuple, List]:
             entry[0] = bound
         entry[1] += 1
     return out
-
-
-def active_row_bounds(ctx: RunContext, row: Row):
-    """The row's active bounds, its rounds priced one at a time."""
-    priced = active_bounds(ctx, row_rounds(row))
-    return np.array([priced[(row.verifier, p)][0] for p in row.responders])

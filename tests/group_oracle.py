@@ -1,4 +1,12 @@
-"""Reference group-phase fold, one (watcher, prover) entry at a time, in plain Python.
+"""Reference group-phase pricing and fold, one row and one entry at a time, in plain Python.
+
+The group driver prices a phase as a whole (pairwise.price_phase).
+price_rows prices the same rows one at a time, in run order, from the
+rows' stamps and the trace's flight-time rows: each row's rounds in
+turn, then each exchange's watchers in turn, one round at a time, by
+exchange_oracle.active_distance and passive_oracle.observed_bound.  So
+a test can hold the phase to it bit for bit, and to the first
+impossible round in run order, with its exception and text.
 
 The group driver folds each verifier row's bounds into one bound matrix
 and one rounds matrix.  This folds the same priced rows into a dict of
@@ -9,6 +17,55 @@ included, and rounds add.  So a test can hold the matrices to it bit for
 bit.
 """
 from itertools import repeat
+
+import numpy as np
+
+import exchange_oracle
+import passive_oracle
+from gdbsim.core import distance
+from gdbsim.threat import FakeLocationReport
+
+
+def price_rows(ctx, rows, watchers):
+    """A phase's (rows x watchers x provers) candidates, -inf where nobody priced, and each
+    watcher's rounds; or the first exception pricing row after row raises."""
+    cfg = ctx.scenario.config
+    trace = ctx.channel.trace
+    tof, index, offsets = trace.tof, trace.index, trace.offsets
+    provers = rows[0].responders
+    candidates = np.full((len(rows), len(watchers), len(provers)), -np.inf)
+    counts = np.zeros(len(watchers), dtype=np.int64)
+    for r, row in enumerate(rows):
+        v, own = row.verifier, watchers.index(row.verifier)
+        sends, sent = len(row.schedule) // len(provers), len(row.stamps) // len(provers)
+        exchanges = [(p, row.schedule[e * sends:(e + 1) * sends],
+                      row.stamps[e * sent:(e + 1) * sent]) for e, p in enumerate(provers)]
+        for e, (p, _, stamps) in enumerate(exchanges):
+            flight, off = tof[index[p]][index[v]], offsets[v]
+            bounds = [exchange_oracle.active_distance(ask + off, (reply + flight) + off,
+                                                      cfg.alpha, cfg.c)
+                      for ask, reply in zip(stamps[0::2], stamps[1::2])]
+            candidates[r, own, e] = max(bounds)  # the first of the largest, as max keeps it
+        counts[own] += sent // 2
+        others = [w for w in watchers if w != v] if sends > 1 else []
+        pol = ctx.policies[v]
+        for e, (p, schedule, stamps) in enumerate(exchanges):
+            for w in others:
+                dist = tof[index[v]][index[w]] * cfg.c
+                if not isinstance(pol, FakeLocationReport):
+                    base = dist
+                elif pol.claimed_distance_m is not None:
+                    base = pol.claimed_distance_m
+                else:
+                    base = distance(pol.claimed_pos, ctx.scenario.node(w).pos)
+                heard = [(t + dist / cfg.c) + offsets[w] for t in schedule]
+                overheard = [(t1, (reply + tof[index[p]][index[w]]) + offsets[w], t3)
+                             for t1, reply, t3 in zip(heard, stamps[1::2], heard[1:])]
+                candidates[r, watchers.index(w), e] = passive_oracle.observed_bound(
+                    overheard, cfg.alpha, base, cfg.c)
+        for w in others:
+            counts[watchers.index(w)] += sends - 1
+    return candidates, counts
 
 
 def fold_rows(rows):

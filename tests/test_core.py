@@ -18,6 +18,7 @@ from gdbsim.core import (
     active_verifier_count,
     distance,
     ensure_valid,
+    load_scenario,
     round_half_up,
     scenario_from_json,
     scenario_to_json,
@@ -131,6 +132,25 @@ def test_parse_rejects_bad_json_text():
 def test_parse_refuses_undecodable_json_as_a_format_error(doc):
     with pytest.raises(ScenarioFormatError, match="^invalid JSON: "):
         scenario_from_json(doc)
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
+def test_parse_reads_bytes_as_utf8_only(tmp_path, encoding):
+    """A document in another encoding is refused as bytes, as it is in a file."""
+    doc = json.dumps(minimal_doc())
+    assert scenario_from_json(doc.encode("utf-8")) == scenario_from_json(doc)
+    with pytest.raises(ScenarioFormatError, match="^invalid JSON: "):
+        scenario_from_json(doc.encode(encoding))
+    path = tmp_path / "s.json"
+    path.write_bytes(doc.encode(encoding))
+    with pytest.raises(ScenarioFormatError):
+        load_scenario(str(path))
+
+
+def test_parse_refuses_bytes_that_are_not_utf8():
+    with pytest.raises(ScenarioFormatError,
+                       match="^invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0"):
+        scenario_from_json(b"\xff\xfe\x00bad")
 
 
 def test_parse_names_missing_key():

@@ -6,8 +6,8 @@ of columns with its answers as one block, otherwise row by row, a
 plain row as a block of its own and any other send by send through
 RunContext.emit and RunContext.answer), priced as arrays or round by
 round off its stamps; and once with exchange_oracle's emit, broadcast,
-answer, one exchange per prover and per-round active_distance pricing
-patched in.  Both must leave the same trace, answers (a block spelled
+answer, one exchange per prover, per-round active_distance pricing and
+group_oracle's row-after-row phase pricing patched in.  Both must leave the same trace, answers (a block spelled
 out answer by answer), last sends, row records (the rows of every
 call, in turn) and error, bit for bit.
 """
@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exchange_oracle
+import group_oracle
 from gdbsim.core import (
     LengthMismatch, NodeSpec, Protocol, Role, active_verifier_count, validate_scenario,
 )
@@ -39,7 +40,7 @@ ORACLE = [
     (pairwise, "run_exchange", exchange_oracle.run_exchange),
     (group, "run_exchange", exchange_oracle.run_exchange),
     (base, "active_bounds", exchange_oracle.active_bounds),
-    (group, "active_row_bounds", exchange_oracle.active_row_bounds),
+    (group, "price_phase", group_oracle.price_rows),
     (Row, "rounds", exchange_oracle.row_rounds),
 ]
 WRITERS = [(pairwise, "run_exchange"), (group, "run_exchange")]
@@ -632,14 +633,16 @@ def test_row_active_pricing_matches_the_loop_and_per_round_pricing(timed):
     row = Row(1, responders, [0.0] * (exchanges * (rounds + 1)), stamps, 0.0)
     # the rounds and the row's stamps name the same rounds, signed zeros included
     assert repr(ledger) == repr(exchange_oracle.row_rounds(row))
-    if exchanges == 1:  # Row.rounds spells out one-exchange rows
-        assert repr(list(row.rounds())) == repr(exchange_oracle.row_rounds(row))
+    assert repr(list(row.rounds())) == repr(exchange_oracle.row_rounds(row))
     priced = []
     for pricer, fed in ((base, ledger), (exchange_oracle, ledger),
                         (base, exchange_oracle.row_rounds(row)), (pairwise, None)):
         try:
             if fed is None:
-                bounds = pairwise.active_row_bounds(ctx, row).tolist()
+                # a phase of this one row, its verifier the only watcher: active bounds only
+                candidates, counts = pairwise.price_phase(ctx, [row], [1])
+                assert counts.tolist() == [rounds] and candidates.shape == (1, 1, exchanges)
+                bounds = candidates[0, 0].tolist()
             else:
                 out = pricer.active_bounds(ctx, fed)
                 assert [out[(1, p)][1] for p in responders] == [rounds] * exchanges

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import exchange_oracle
 import group_oracle
-import numpy as np
 import passive_oracle
 from gdbsim.core import (
     ExperimentParams,
@@ -23,6 +22,7 @@ from gdbsim.core import (
     distance,
     load_scenario,
 )
+from gdbsim.crypto import KeyRegistry
 from gdbsim.estimate import NegativeTimeOfFlight, SolveFailure
 from gdbsim.proto import base, group
 from gdbsim.proto import onetomany as onetomany_driver
@@ -31,7 +31,6 @@ from gdbsim.proto import ring as ring_driver
 from gdbsim.proto.base import AuthFailure, ResponseMismatch, start_run
 from gdbsim.proto.pairwise import (
     Row,
-    active_row_bounds,
     passive_bounds,
     passive_observations,
     run_exchange,
@@ -526,12 +525,15 @@ def test_impossible_round_is_refused_before_a_wrong_guess(observer_pos):
 
 
 def test_group_prices_active_rounds_before_passive_ones(monkeypatch):
+    """A guessing prover's replies leave 10 us early: every row's active rounds and the
+    rounds its listeners overhear are impossible, and the first row's active error wins."""
     priced = []
-    monkeypatch.setattr(group, "passive_bounds",
+    monkeypatch.setattr(pairwise_driver, "passive_bounds",
                         lambda *args: priced.append(args) or passive_bounds(*args))
     s = with_policy(mpnv_scenario(3, 2, 0.5, 4, 3, seed=11), 6, GuessAhead(2, 1e-5))
-    with pytest.raises(NegativeTimeOfFlight):
+    with pytest.raises(NegativeTimeOfFlight) as got:
         run_scenario(s)
+    assert str(got.value).startswith("round trip")
     assert priced == []
 
 
@@ -546,26 +548,26 @@ def folded_rows(monkeypatch, scenario, signed_zero=False):
     With signed_zero every active bound reads 0.0 and every passive one
     -0.0, so a pair that both priced holds equal bounds from two rows.
     """
-    rows, actives = [], []
+    rows = []
 
-    def active(ctx, row):
-        bounds = active_row_bounds(ctx, row)
-        if signed_zero:
-            bounds = np.zeros_like(bounds)
-        rounds = row.blocks[1].shape[1]
-        actives.append({(row.verifier, p): [b, rounds]
-                        for p, b in zip(row.responders, bounds.tolist())})
-        return bounds
+    def priced(ctx, phase, watchers):
+        candidates, counts = pairwise_driver.price_phase(ctx, phase, watchers)
+        for r, row in enumerate(phase):
+            own = watchers.index(row.verifier)
+            framed = row.blocks[0].shape[1] - 1 if len(watchers) > 1 else 0
+            others = [w for w in watchers if w != row.verifier] if framed else []
+            heard = [watchers.index(w) for w in others]
+            if signed_zero:
+                candidates[r, own] = 0.0
+                candidates[r, heard] = -0.0
+            rounds = row.blocks[1].shape[1]
+            active = {(row.verifier, p): [b, rounds]
+                      for p, b in zip(row.responders, candidates[r, own].tolist())}
+            rows.append((row.verifier, row.responders, active, others,
+                         candidates[r, heard].T.tolist(), framed))
+        return candidates, counts
 
-    def passive(ctx, row, watchers):
-        others, best, framed = passive_bounds(ctx, row, watchers)
-        if signed_zero:
-            best = np.full_like(best, -0.0)
-        rows.append((row.verifier, row.responders, actives[-1], others, best.tolist(), framed))
-        return others, best, framed
-
-    monkeypatch.setattr(group, "active_row_bounds", active)
-    monkeypatch.setattr(group, "passive_bounds", passive)
+    monkeypatch.setattr(group, "price_phase", priced)
     return run_scenario(scenario), rows
 
 
@@ -750,15 +752,19 @@ def verifier_row(places, provers, relay, n, alpha, closing, policy, seed):
 def test_passive_bounds_match_per_watcher_pricing(
     places, provers, relay, n, alpha, closing, policy, seed
 ):
-    """A verifier's row priced as one block gives each watcher the oracle's bound.
+    """A verifier's row priced by passive_bounds gives each watcher the oracle's bound, and
+    so does the row's array form, passive_observations scored by observed_bound.
 
     Bounds and round counts match passive_oracle pricing each exchange
     in turn, one watcher and one round at a time, bit for bit; when that
-    raises, the block raises the same exception with the same message.
+    raises, passive_bounds raises the same exception with the same
+    message, and the array form raises too.
     """
     ctx, row, replies, watchers = verifier_row(places, provers, relay, n, alpha, closing, policy,
                                                seed)
     watchers = [1] + watchers  # the exchange's own verifier is never priced
+    others = watchers[1:] if len(row.schedule) > len(row.responders) else []
+    cfg = ctx.scenario.config
     try:
         want = [priced_one_by_one(ctx, row, e, replies, watchers)
                 for e in range(len(row.responders))]
@@ -766,11 +772,18 @@ def test_passive_bounds_match_per_watcher_pricing(
         with pytest.raises(NegativeTimeOfFlight) as got:
             passive_bounds(ctx, row, watchers)
         assert str(got.value) == str(exc)
+        with pytest.raises(NegativeTimeOfFlight):
+            pairwise_driver.observed_bound(cfg, *passive_observations(ctx, row, others))
         return
-    others, best, rounds = passive_bounds(ctx, row, watchers)
+    assert passive_bounds(ctx, row, watchers)[0] == others
+    best, rounds = passive_bounds(ctx, row, watchers)[1:]
     assert [[(w, b.hex(), rounds) for w, b in zip(others, g)] for g in best.tolist()] == [
         [(w, b.hex(), k) for w, (b, k) in g.items()] for g in want
     ]
+    if others:
+        block = pairwise_driver.observed_bound(cfg, *passive_observations(ctx, row, others))
+        assert [b.hex() for b in block.ravel().tolist()] == [
+            b.hex() for b in best.ravel().tolist()]
 
 
 def gapped_row(ctx, provers, gaps):
@@ -799,9 +812,9 @@ def test_a_schedule_gap_below_two_alphas_is_refused(gaps):
     """A published gap below 2 alpha makes an overheard round trip impossible.
 
     No driver publishes one, since the verifier adds its advance back;
-    so the rows are built by hand.  Both the one-exchange loop and the
-    block's fallback raise passive_oracle's error, exchange by exchange,
-    one watcher and one round at a time.
+    so the rows are built by hand.  passive_bounds, exchange by
+    exchange, and a phase of the one row priced as a whole raise
+    passive_oracle's error, one watcher and one round at a time.
     """
     places = [(0.0, 0.0), (90.0, 0.0), (-60.0, 30.0), (30.0, 60.0), (-40.0, 10.0)]
     ctx, _, _, watchers = verifier_row(places, 2, False, 2, 1e-7, True, Honest(), 0)
@@ -821,6 +834,9 @@ def test_a_schedule_gap_below_two_alphas_is_refused(gaps):
     assert str(want.value).startswith("overheard round trip")
     with pytest.raises(NegativeTimeOfFlight) as got:
         passive_bounds(ctx, row, [1] + watchers)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NegativeTimeOfFlight) as got:
+        pairwise_driver.price_phase(ctx, [row], [1] + watchers)
     assert str(got.value) == str(want.value)
 
 
@@ -904,6 +920,18 @@ def test_auth_ok_means_every_required_signature_verified(protocol):
     assert r.detection.accused == {committer}
     for e in r.estimates:
         assert e.verified_auth == (committer not in (e.measurer, e.target))
+
+
+@pytest.mark.parametrize("protocol", [p for p in Protocol if p not in ACCUSING],
+                         ids=lambda p: p.value)
+def test_a_rejected_opening_signature_stops_the_run(monkeypatch, protocol):
+    """A registry whose verify refuses every signature stops the run at the first opening."""
+    monkeypatch.setattr(KeyRegistry, "verify", lambda self, node_id, message, signature: False)
+    scenario = with_config(AUTH_CASES[protocol][0], auth_enabled=True)
+    first = min(n.id for n in scenario.nodes if n.role in (Role.PROVER, Role.PEER))
+    with pytest.raises(AuthFailure) as got:
+        run_scenario(scenario)
+    assert str(got.value) == f"opening signature of node {first} rejected"
 
 
 # every driver and both sequential baselines, each on a scenario it accepts

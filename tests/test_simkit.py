@@ -313,6 +313,17 @@ def test_emission_rows_are_a_view_of_the_columns():
     assert pickle.loads(pickle.dumps(rows)) == rows
 
 
+def test_emissions_equal_no_non_sequence_and_repr_as_their_list():
+    """Against anything but Emissions, a list or a tuple, == defers (NotImplemented) and
+    so reads False; repr spells the rows' list."""
+    rows = golden_trace("oneway").emissions
+    assert rows.__eq__({em.seq: em for em in rows}) is NotImplemented
+    assert (rows == 11) is False and (rows != "rows") is True
+    assert rows == tuple(rows)
+    assert repr(rows) == f"Emissions({list(rows)!r})"
+    assert repr(rows).startswith("Emissions([Emission(seq=0, sender=")
+
+
 bounds = st.none() | st.integers(-12, 12)
 
 
