@@ -100,9 +100,6 @@ class Row:
         ask past its exchange's last reply, which zip leaves out.
         """
         stamps, sent = self.stamps, len(self.stamps) // len(self.responders)
-        if sent == len(stamps):  # one exchange, as every one-way row: one zip
-            return zip(repeat(self.verifier), repeat(self.responders[0]), stamps[0::2],
-                       stamps[1::2])
         return chain.from_iterable(
             zip(repeat(self.verifier), repeat(p), stamps[e * sent:(e + 1) * sent:2],
                 stamps[e * sent + 1:(e + 1) * sent:2]) for e, p in enumerate(self.responders))
@@ -394,8 +391,8 @@ def observed_bound(
     return np.where(best > 0.0, best, 0.0)
 
 
-def _exchange_bounds(ctx: RunContext, row: Row, others: Sequence[NodeId]) -> List[float]:
-    """Each watcher's passive bound on a one-exchange row, round by round in Python floats.
+def _exchange_bounds(ctx: RunContext, row: Row, e: int, others: Sequence[NodeId]) -> List[float]:
+    """Each watcher's passive bound on exchange e of a row, round by round in Python floats.
 
     The kernels' float64 operations in the kernels' order, so the bound
     is observed_bound's bit for bit: per watcher, then per framed round,
@@ -407,15 +404,18 @@ def _exchange_bounds(ctx: RunContext, row: Row, others: Sequence[NodeId]) -> Lis
     alpha, c, short = cfg.alpha, cfg.c, -EPS_TIME
     trace = ctx.channel.trace
     tof, index = trace.tof, trace.index
-    v_flights, p_flights = tof[index[row.verifier]], tof[index[row.responders[0]]]
+    v_flights, p_flights = tof[index[row.verifier]], tof[index[row.responders[e]]]
     pol = ctx.policies[row.verifier]
-    replies = row.stamps[1::2]
+    exchanges = len(row.responders)
+    sends, sent = len(row.schedule) // exchanges, len(row.stamps) // exchanges
+    schedule = row.schedule[e * sends:(e + 1) * sends]
+    replies = row.stamps[e * sent + 1:(e + 1) * sent:2]
     out = []
     for w in others:
         off, dist = trace.offsets[w], v_flights[index[w]] * c
         base_tof = dist / c  # physical flight for schedule anchoring
         base = _claimed_baseline(ctx, pol, w) if isinstance(pol, FakeLocationReport) else dist
-        heard = [(t + base_tof) + off for t in row.schedule]
+        heard = [(t + base_tof) + off for t in schedule]
         flight, best = p_flights[index[w]], 0.0
         for t1, reply, t3 in zip(heard, replies, heard[1:]):  # the framed rounds
             t2 = (reply + flight) + off
@@ -451,13 +451,8 @@ def passive_bounds(
     rounds = len(row.schedule) // exchanges - 1
     if not others or rounds < 1:
         return [], np.empty((exchanges, 0)), 0
-    if exchanges == 1:
-        return others, np.array([_exchange_bounds(ctx, row, others)]), rounds
-    sends, sent = rounds + 1, len(row.stamps) // exchanges
-    return others, np.array([
-        _exchange_bounds(ctx, Row(row.verifier, [p], row.schedule[e * sends:(e + 1) * sends],
-                                  row.stamps[e * sent:(e + 1) * sent], row.t_end), others)
-        for e, p in enumerate(row.responders)]), rounds
+    return others, np.array([_exchange_bounds(ctx, row, e, others)
+                             for e in range(exchanges)]), rounds
 
 
 # a passive block's largest temporary, its rows' (watchers x sends x provers) stamps, holds

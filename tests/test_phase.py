@@ -173,9 +173,8 @@ def test_a_row_s_own_verifier_is_masked_out_of_the_checks(monkeypatch):
     (ctx, (row,), watchers), = phases
     assert [(m, t) for m, t, *_ in result.estimates] == [
         (w, p) for w in watchers for p in row.responders]
-    first = pairwise.Row(1, row.responders[:1], row.schedule[:4], row.stamps[:7], row.t_end)
     with pytest.raises(NegativeTimeOfFlight, match="^negative leg sum "):
-        pairwise._exchange_bounds(ctx, first, [1])
+        pairwise._exchange_bounds(ctx, row, 0, [1])
 
 
 def test_a_pass_that_raises_alone_still_refuses_the_run(monkeypatch):

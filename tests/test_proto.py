@@ -850,22 +850,22 @@ def outcome(scenario):
 
 
 def test_a_one_exchange_row_builds_no_block(monkeypatch):
-    """One-exchange rows price their listeners without the block path, to the same bits."""
+    """A one-way row, one exchange, is priced in floats: no Row.blocks, no price_phase, to
+    the same bits.
+
+    A group phase of one prover is a one-exchange row too, but price_phase
+    prices it as a block on purpose, so no MPNV run is here."""
     listener = NodeSpec(id=8, pos=(-40.0, 10.0), role=Role.PASSIVE_VERIFIER)
     oneway = oneway_scenario(n=4, seed=6, observer_pos=(30.0, 60.0), extra_nodes=[listener])
-    cases = [
-        oneway,
-        with_policy(oneway, 1, EarlyChallenge(advance_s=1e-6, pr_ch=1.0)),
-        mpnv_scenario(n=3, n_a=2, d_a=0.5, n_verifiers=4, m_provers=1),
-    ]
+    cases = [oneway, with_policy(oneway, 1, EarlyChallenge(advance_s=1e-6, pr_ch=1.0))]
     want = [outcome(s) for s in cases]
-    assert [type(w) for w in want] == [list, str, list]
+    assert [type(w) for w in want] == [list, str]
 
     def refuse(*args):
-        raise AssertionError("a one-exchange row was priced as a block")
+        raise AssertionError("a one-way row was priced as an array")
 
-    monkeypatch.setattr(pairwise_driver, "passive_observations", refuse)
-    monkeypatch.setattr(pairwise_driver, "observed_bound", refuse)
+    monkeypatch.setattr(pairwise_driver.Row, "blocks", property(refuse))
+    monkeypatch.setattr(pairwise_driver, "price_phase", refuse)
     assert [outcome(s) for s in cases] == want
 
 
